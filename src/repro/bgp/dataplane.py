@@ -43,6 +43,10 @@ class ForwardingOutcome:
     ingress_pop: Optional[int]
 
 
+_MISSING = object()
+_PER_FLOW = object()
+
+
 class DataPlane:
     """Resolves client flows against one converged control plane.
 
@@ -57,42 +61,70 @@ class DataPlane:
         self.internet = internet
         self.converged = converged
         self.flow_nonce = flow_nonce
+        #: Resolved walks.  One that crossed no multipath split serves
+        #: every flow of its client AS, keyed by ASN; an AS whose walk
+        #: split holds ``_PER_FLOW`` there and an ``(ASN, flow key)``
+        #: entry per flow.
+        self._memo: dict = {}
 
     def forward(self, client_asn: int, flow_key) -> Optional[ForwardingOutcome]:
-        """Trace one flow; returns None when the client has no route
-        (e.g. a peers-only configuration that cannot reach it)."""
+        """Trace one flow (``flow_key`` must be hashable); returns None
+        when the client has no route (e.g. a peers-only configuration
+        that cannot reach it).  Each client AS is walked once — once
+        per flow if its walk depends on the flow."""
+        memo = self._memo
+        outcome = memo.get(client_asn, _MISSING)
+        if outcome is _PER_FLOW:
+            outcome = memo.get((client_asn, flow_key), _MISSING)
+        if outcome is _MISSING:
+            outcome, per_flow = self._walk(client_asn, flow_key)
+            if per_flow:
+                memo[client_asn] = _PER_FLOW
+                memo[(client_asn, flow_key)] = outcome
+            else:
+                memo[client_asn] = outcome
+        return outcome
+
+    # -- internals ---------------------------------------------------------
+
+    def _walk(self, client_asn: int, flow_key) -> Tuple[Optional[ForwardingOutcome], bool]:
+        """The hop-by-hop walk, and whether any AS on it hashed the
+        flow.  The RTT is summed hop by hop from the client, so every
+        flow that shares a walk gets the same float."""
         graph = self.internet.graph
+        states = self.converged.states
         cur = client_asn
         prev: Optional[int] = None
         rtt = 0.0
         hops = [cur]
         visited = {cur}
+        per_flow = False
         while True:
-            state = self.converged.states.get(cur)
+            state = states.get(cur)
             if state is None or state.best is None:
-                return None
-            route = self._choose_route(cur, flow_key, state)
+                return None, per_flow
+            route, hashed = self._choose_route(cur, flow_key, state)
+            per_flow = per_flow or hashed
             if route.is_injected():
-                return self._terminate(cur, prev, route, rtt, tuple(hops))
+                return self._terminate(cur, prev, route, rtt, tuple(hops)), per_flow
             nxt = route.learned_from
             if nxt in visited:
                 # A forwarding loop across inconsistent multipath
                 # choices; the flow is effectively blackholed.
-                return None
+                return None, per_flow
             rtt += self._transit_cost(prev, cur, nxt)
             rtt += graph.link(cur, nxt).rtt_ms
             prev, cur = cur, nxt
             hops.append(cur)
             visited.add(cur)
 
-    # -- internals ---------------------------------------------------------
-
-    def _choose_route(self, asn: int, flow_key, state) -> Route:
-        node = self.internet.graph.as_of(asn)
-        if node.multipath and len(state.multipath) > 1:
+    def _choose_route(self, asn: int, flow_key, state) -> Tuple[Route, bool]:
+        """The route ``asn`` forwards this flow on, and whether it
+        hashed the flow over a tied set to pick it."""
+        if len(state.multipath) > 1 and self.internet.graph.as_of(asn).multipath:
             idx = stable_hash(flow_key, asn, self.flow_nonce) % len(state.multipath)
-            return state.multipath[idx]
-        return state.best
+            return state.multipath[idx], True
+        return state.best, False
 
     def _transit_cost(self, prev: Optional[int], cur: int, nxt: int) -> float:
         """Intra-AS backbone RTT for crossing a multi-PoP AS."""

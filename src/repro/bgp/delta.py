@@ -217,8 +217,13 @@ class DeltaConverger:
     speaker set, exactly like the engine's full path.
     """
 
-    def __init__(self, engine):
-        self.engine = engine
+    def __init__(self, internet, prefix: str, origin_asn: int, aggregate_stubs: bool):
+        # The engine's inputs, not the engine: a back-pointer makes a cycle
+        # that keeps engine, cache and cached states alive until a gen-2 GC.
+        self.internet = internet
+        self.prefix = prefix
+        self.origin_asn = origin_asn
+        self.aggregate_stubs = aggregate_stubs
         self._lock = threading.Lock()
         self._pool: List[Dict[int, BGPSpeaker]] = []
         self._pool_tables = None
@@ -240,13 +245,13 @@ class DeltaConverger:
     def _rebuild(self, tables):
         """Recompute aggregation structures for a new tables revision.
         Caller holds the lock."""
-        graph = self.engine.internet.graph
+        graph = self.internet.graph
         self._pool = []
         self._pool_tables = tables
         self._pristine = {asn: RouterState(asn) for asn in graph.asns()}
         aggregated = (
             frozenset(tables.stub_providers)
-            if self.engine.aggregate_stubs
+            if self.aggregate_stubs
             else frozenset()
         )
         self._aggregated = aggregated
@@ -279,14 +284,14 @@ class DeltaConverger:
             self._pruned = None
 
     def _checkout(self, tables, igp_overlay):
-        graph = self.engine.internet.graph
+        graph = self.internet.graph
         with self._lock:
             if self._pool_tables is not tables:
                 self._rebuild(tables)
             speakers = self._pool.pop() if self._pool else None
         aggregated = self._aggregated
         if speakers is None:
-            prefix = self.engine.prefix
+            prefix = self.prefix
             speaker_tables = self._pruned if self._pruned is not None else tables
             speakers = {
                 asn: BGPSpeaker(
@@ -324,8 +329,7 @@ class DeltaConverger:
         (the RNG stream iterates the full link list, so drawing it in
         one place keeps every mode on the same stream).
         """
-        engine = self.engine
-        graph = engine.internet.graph
+        graph = self.internet.graph
         tables = graph.tables()
         speakers, aggregated = self._checkout(tables, igp_overlay)
         prop_delay = tables.prop_delay
@@ -344,7 +348,7 @@ class DeltaConverger:
         stubs_run: Dict[int, Tuple[int, ...]] = {}
         if live_stubs:
             agg = aggregated - live_stubs
-            prefix = engine.prefix
+            prefix = self.prefix
             extra = {
                 asn: BGPSpeaker(
                     graph, graph.as_of(asn), prefix, igp_overlay, tables=tables
@@ -398,7 +402,7 @@ class DeltaConverger:
         messages = 0
         last_time = 0.0
         events = 0
-        origin_asn = engine.origin_asn
+        origin_asn = self.origin_asn
         heappop = heapq.heappop
         heappush = heapq.heappush
         while heap:
@@ -585,8 +589,8 @@ class DeltaConverger:
         prop_delay = tables.prop_delay
         overlay = igp_overlay or {}
         jitter_get = jitter.get
-        prefix = self.engine.prefix
-        graph = self.engine.internet.graph
+        prefix = self.prefix
+        graph = self.internet.graph
         ep_get = ep_log.get
 
         def synth(stub: int) -> RouterState:
@@ -633,7 +637,7 @@ class DeltaConverger:
         the full path's export loop shares across its targets."""
         parents = self._parents
         stubs_run_get = stubs_run.get
-        prefix = self.engine.prefix
+        prefix = self.prefix
 
         def patch(provider: int, state: RouterState) -> None:
             eps = ep_log.get(provider)

@@ -198,7 +198,11 @@ class BGPEngine:
         # Pristine states handed out for ASes a run never gave a route
         # to; shared across results, never given to a speaker.
         self._pristine: Dict[int, RouterState] = {}
-        self._delta = DeltaConverger(self) if mode == "delta" else None
+        self._delta = (
+            DeltaConverger(internet, prefix, origin_asn, aggregate_stubs)
+            if mode == "delta"
+            else None
+        )
 
     def event_budget(self) -> int:
         """The per-run event cap: explicit ``max_events``, or a budget

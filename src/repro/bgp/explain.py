@@ -86,8 +86,8 @@ def explain_catchment(
     for asn in outcome.as_path:
         state = converged.states[asn]
         node = internet.graph.as_of(asn)
-        chosen = dataplane._choose_route(asn, key, state)
-        if node.multipath and len(state.multipath) > 1:
+        chosen, hashed = dataplane._choose_route(asn, key, state)
+        if hashed:
             lines.append(
                 f"AS {asn}: multipath across {len(state.multipath)} equal "
                 f"routes; this flow hashed to AS {chosen.learned_from}"

@@ -210,15 +210,16 @@ def discover_two_level(
                     )
                     undecided.increment()
                 continue
+            a_first, b_first = result.map_a_first, result.map_b_first
             for target in runner.orchestrator.targets:
-                obs = result.observation(target.target_id)
+                client = target.target_id
                 provider_matrix.record(
-                    target.target_id,
+                    client,
                     PairObservation(
                         site_a=pa,
                         site_b=pb,
-                        winner_a_first=site_to_provider.get(obs.winner_a_first),
-                        winner_b_first=site_to_provider.get(obs.winner_b_first),
+                        winner_a_first=site_to_provider.get(a_first.site_of(client)),
+                        winner_b_first=site_to_provider.get(b_first.site_of(client)),
                     ),
                 )
         if progress is not None:

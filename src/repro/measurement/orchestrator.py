@@ -55,7 +55,8 @@ class Deployment:
         self.dataplane = DataPlane(
             orchestrator.testbed.internet, converged, flow_nonce=experiment_id
         )
-        self._forwarding_cache: Dict[int, Optional[ForwardingOutcome]] = {}
+        #: Derived once here, not once per target.
+        self._rtt_bias = orchestrator.rtt_bias_factor(experiment_id)
         self._probe_session_ok = False
 
     def _ensure_probe_session(self) -> None:
@@ -86,13 +87,9 @@ class Deployment:
     # -- data plane ---------------------------------------------------------
 
     def forwarding(self, target: PingTarget) -> Optional[ForwardingOutcome]:
-        """Where this target's anycast traffic lands (cached)."""
-        cached = self._forwarding_cache.get(target.target_id, _MISSING)
-        if cached is not _MISSING:
-            return cached
-        outcome = self.dataplane.forward(target.asn, target.target_id)
-        self._forwarding_cache[target.target_id] = outcome
-        return outcome
+        """Where this target's anycast traffic lands (the data plane
+        resolves each client AS once and remembers it)."""
+        return self.dataplane.forward(target.asn, target.target_id)
 
     def true_rtt(self, target: PingTarget) -> Optional[float]:
         """Ground-truth RTT between the target and its catchment site.
@@ -103,9 +100,12 @@ class Deployment:
         which is the noise floor behind Figure 5b/5c.
         """
         outcome = self.forwarding(target)
-        if outcome is None:
-            return None
-        drift = self.orchestrator.rtt_drift_factor(self.experiment_id, target.target_id)
+        return None if outcome is None else self._path_rtt(outcome, target)
+
+    def _path_rtt(self, outcome: ForwardingOutcome, target: PingTarget) -> float:
+        drift = self.orchestrator._drift_given_bias(
+            self._rtt_bias, self.experiment_id, target.target_id
+        )
         return outcome.rtt_ms * drift + target.last_mile_rtt_ms
 
     # -- measurements ---------------------------------------------------------
@@ -133,7 +133,7 @@ class Deployment:
             self.orchestrator.tunnels,
             target,
             outcome.site_id,
-            self.true_rtt(target),
+            self._path_rtt(outcome, target),
             self.experiment_id,
         )
 
@@ -158,9 +158,6 @@ class Deployment:
             )
             return None
         return mean(rtts)
-
-
-_MISSING = object()
 
 
 class Orchestrator:
@@ -449,23 +446,25 @@ class Orchestrator:
                     ) % 1_000_000
         return overlay
 
+    def rtt_bias_factor(self, experiment_id: int) -> float:
+        """The per-experiment epoch bias of :meth:`rtt_drift_factor`:
+        path changes between the singleton RTT campaign and a later
+        deployment shift whole configurations, not just single targets."""
+        rng = derive_rng(self.seed, "rtt-bias", experiment_id)
+        return 1.0 + rng.gauss(0.0, self.rtt_bias_sigma)
+
     def rtt_drift_factor(self, experiment_id: int, target_id: int) -> float:
         """Multiplicative path-RTT drift for one target in one
-        experiment.
+        experiment: the experiment's :meth:`rtt_bias_factor` times
+        per-target noise, bounded away from zero to stay physical."""
+        bias = self.rtt_bias_factor(experiment_id)
+        return self._drift_given_bias(bias, experiment_id, target_id)
 
-        Combines a per-experiment epoch bias (path changes between the
-        singleton RTT campaign and a later deployment shift whole
-        configurations, not just single targets) with per-target
-        noise; bounded away from zero to stay physical.
-        """
+    def _drift_given_bias(self, bias: float, experiment_id: int, target_id: int) -> float:
         if self.rtt_drift_sigma == 0.0 and self.rtt_bias_sigma == 0.0:
             return 1.0
-        bias_rng = derive_rng(self.seed, "rtt-bias", experiment_id)
         rng = derive_rng(self.seed, "rtt-drift", experiment_id, target_id)
-        factor = (1.0 + bias_rng.gauss(0.0, self.rtt_bias_sigma)) * (
-            1.0 + rng.gauss(0.0, self.rtt_drift_sigma)
-        )
-        return max(0.7, factor)
+        return max(0.7, bias * (1.0 + rng.gauss(0.0, self.rtt_drift_sigma)))
 
     def _injections(self, config: AnycastConfig) -> List[SiteInjection]:
         spacing = (

@@ -40,13 +40,10 @@ def estimate_rtt(
     paper's Figure 5b/5c.
     """
     tunnel = tunnels.tunnel(site_id)
-    samples: List[float] = []
-    for seq in range(probes):
-        result = prober.probe(
-            target, true_path_rtt_ms + tunnel.true_rtt_ms, experiment_id, seq
-        )
-        if not result.lost:
-            samples.append(result.rtt_ms)
+    train = prober.probe_train(
+        target, true_path_rtt_ms + tunnel.true_rtt_ms, experiment_id, probes
+    )
+    samples = [result.rtt_ms for result in train if result.rtt_ms is not None]
     if len(samples) < min_valid:
         return None
     return max(0.0, median(samples) - tunnel.estimated_rtt_ms)

@@ -53,26 +53,22 @@ def measure_catchments(
 ) -> CatchmentMap:
     """Map every target's catchment under ``deployment``.
 
-    ``deployment`` must expose ``experiment_id``, ``forwarding(target)``
-    and ``true_rtt(target)`` (see
+    ``deployment`` must expose ``experiment_id`` and
+    ``forwarding(target)`` (see
     :class:`repro.measurement.orchestrator.Deployment`).  Each target is
-    probed up to ``1 + retries`` times; loss applies per probe.
+    probed up to ``1 + retries`` times; loss applies per probe.  A reply
+    identifies the catchment by the tunnel it arrives through, so only
+    each probe's loss decision is drawn — never its RTT.
     """
     cmap = CatchmentMap(experiment_id=deployment.experiment_id)
     for target in targets:
         outcome = deployment.forwarding(target)
-        if outcome is None:
-            # No route back to any site: the reply never arrives.
-            cmap.mapping[target.target_id] = None
-            continue
         site: Optional[int] = None
-        true_rtt = deployment.true_rtt(target)
-        for attempt in range(1 + retries):
-            result = prober.probe(
-                target, true_rtt, deployment.experiment_id, sequence=100 + attempt
-            )
-            if not result.lost:
-                site = outcome.site_id
-                break
+        # With no route back to any site the reply never arrives.
+        if outcome is not None:
+            for attempt in range(1 + retries):
+                if prober.answered(target, deployment.experiment_id, 100 + attempt):
+                    site = outcome.site_id
+                    break
         cmap.mapping[target.target_id] = site
     return cmap

@@ -13,23 +13,36 @@ import random
 _MASK_64 = (1 << 64) - 1
 
 
-def stable_hash(*parts) -> int:
+def hash_prefix(*parts, prefix=None):
+    """Absorb ``parts`` into a hasher and return it.
+
+    For callers that hash many keys sharing their leading parts:
+    ``stable_hash(*tail, prefix=hash_prefix(*head))`` equals
+    ``stable_hash(*head, *tail)`` and hashes ``head`` once.  A given
+    ``prefix`` is copied, never advanced.
+    """
+    digest = hashlib.blake2b(digest_size=8) if prefix is None else prefix.copy()
+    for part in parts:
+        digest.update(repr(part).encode("utf-8"))
+        digest.update(b"\x00")
+    return digest
+
+
+def stable_hash(*parts, prefix=None) -> int:
     """Return a 64-bit hash of ``parts`` that is stable across runs.
 
     Python's built-in :func:`hash` is salted per process for strings, so
     it cannot be used for reproducible seeding.  This helper hashes the
-    ``repr`` of each part with BLAKE2b instead.
+    ``repr`` of each part with BLAKE2b instead; ``prefix`` is a
+    :func:`hash_prefix` standing for the parts it already absorbed.
 
     >>> stable_hash("a", 1) == stable_hash("a", 1)
     True
     >>> stable_hash("a", 1) != stable_hash("a", 2)
     True
     """
-    digest = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        digest.update(repr(part).encode("utf-8"))
-        digest.update(b"\x00")
-    return int.from_bytes(digest.digest(), "big") & _MASK_64
+    digest = hash_prefix(*parts, prefix=prefix).digest()
+    return int.from_bytes(digest, "big") & _MASK_64
 
 
 def make_rng(seed) -> random.Random:

@@ -10,7 +10,9 @@ injections hosted at stubs that normally aggregate, and multi-homed
 stub populations.
 """
 
+import gc
 import pickle
+import weakref
 
 import pytest
 
@@ -369,3 +371,27 @@ class TestColumnarEquivalence:
                 getattr(delta_rib, column), getattr(full_rib, column)
             ), column
         assert numpy.array_equal(delta_rib.host_asn_of(), full_rib.host_asn_of())
+
+
+class TestNoReferenceCycle:
+    def test_dropping_anyopt_frees_engine_and_cache(self, testbed, targets):
+        """The converger holds the engine's inputs, not the engine, so
+        reference counting alone reclaims a campaign's engine, cache and
+        cached states: peak memory does not depend on when the cyclic
+        collector last ran."""
+        gc.collect()
+        gc.disable()
+        try:
+            anyopt = AnyOpt(testbed, targets=targets, seed=SEED)
+            anyopt.deploy(AnycastConfig(site_order=(1, 6))).measure_catchments()
+            anyopt.deploy(AnycastConfig(site_order=(6, 1)))
+            engine = weakref.ref(anyopt.orchestrator.engine)
+            cache = weakref.ref(anyopt.orchestrator.convergence_cache)
+            state = weakref.ref(engine().run([injection(testbed, 9)]))
+            assert engine() is not None and cache() is not None and state() is not None
+            del anyopt
+            assert engine() is None
+            assert cache() is None
+            assert state() is None
+        finally:
+            gc.enable()

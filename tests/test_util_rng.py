@@ -1,6 +1,6 @@
 """Unit tests for deterministic RNG derivation."""
 
-from repro.util.rng import derive_rng, make_rng, stable_hash
+from repro.util.rng import derive_rng, hash_prefix, make_rng, stable_hash
 
 
 class TestStableHash:
@@ -20,6 +20,16 @@ class TestStableHash:
     def test_64_bit_range(self):
         value = stable_hash("anything", 123)
         assert 0 <= value < 2**64
+
+    def test_prefix_stands_for_leading_parts(self):
+        prefix = hash_prefix(7, "icmp", 3)
+        for tail in ((), (0,), (1, "x")):
+            assert stable_hash(*tail, prefix=prefix) == stable_hash(7, "icmp", 3, *tail)
+
+    def test_prefix_is_not_advanced(self):
+        prefix = hash_prefix("a")
+        first = stable_hash(1, prefix=prefix)
+        assert stable_hash(1, prefix=prefix) == first == stable_hash("a", 1)
 
 
 class TestMakeRng:
