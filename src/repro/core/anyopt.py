@@ -48,6 +48,10 @@ class AnyOptModel:
         model is expected."""
         return self.twolevel.total_order(client_id, site_order)
 
+    def total_orders(self, client_ids: Sequence[int], site_order: Sequence[int]):
+        """Batched :meth:`total_order` (same delegation)."""
+        return self.twolevel.total_orders(client_ids, site_order)
+
 
 class AnyOpt:
     """End-to-end driver for the AnyOpt pipeline on a testbed.

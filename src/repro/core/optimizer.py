@@ -57,15 +57,12 @@ def choose_announcement_order(
         perm = sites[:]
         rng.shuffle(perm)
         candidates.append(tuple(perm))
-    targets = list(targets)
+    client_ids = [t.target_id for t in targets]
     best_order: Tuple[int, ...] = candidates[0]
     best_count = -1
     for order in candidates:
-        count = sum(
-            1
-            for t in targets
-            if model.total_order(t.target_id, order).has_total_order
-        )
+        valid, _ = model.total_orders(client_ids, order)
+        count = int(valid.sum())
         if count > best_count:
             best_count = count
             best_order = order
@@ -91,12 +88,14 @@ def build_splpo_instance(
     and subsets overloading any open site become infeasible.
     """
     sites = list(sites)
+    site_set = set(sites)
+    targets = list(targets)
+    valid, orders = model.total_orders([t.target_id for t in targets], announce_order)
     clients: List[Client] = []
-    for target in targets:
-        result = model.total_order(target.target_id, announce_order)
-        if not result.has_total_order:
+    for target, has_order, row in zip(targets, valid.tolist(), orders.tolist()):
+        if not has_order:
             continue
-        order = tuple(s for s in result.order if s in set(sites))
+        order = tuple(s for s in row if s in site_set)
         costs: Dict[int, float] = {}
         complete = True
         for site in order:
@@ -138,7 +137,7 @@ def search_configurations(
     """Find the lowest-predicted-latency configuration.
 
     Args:
-        model: a preference model with ``total_order``.
+        model: a preference model with ``total_orders``.
         strategy: a registered solver name (see
             :func:`repro.splpo.available_strategies`; the built-ins are
             ``exhaustive`` / ``greedy`` / ``local_search`` /

@@ -19,6 +19,8 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.util.errors import ReproError
 
 
@@ -115,11 +117,14 @@ class PreferenceMatrix:
     def __init__(self):
         self._data: Dict[int, Dict[FrozenSet[int], PairObservation]] = {}
         self._pairs: set = set()
+        #: ``(key, codes)`` of the last :meth:`winner_codes` call.
+        self._codes: Optional[Tuple[tuple, np.ndarray]] = None
 
     def record(self, client_id: int, obs: PairObservation) -> None:
         key = frozenset((obs.site_a, obs.site_b))
         self._data.setdefault(client_id, {})[key] = obs
         self._pairs.add(key)
+        self._codes = None
 
     def __eq__(self, other) -> bool:
         """Two matrices are equal when they hold the same observations
@@ -147,6 +152,47 @@ class PreferenceMatrix:
         if obs is None:
             return None
         return obs.winner_given(first_announced)
+
+    def winner_codes(self, clients: Sequence[int], items: Sequence[int]) -> np.ndarray:
+        """Every effective pairwise winner as a read-only int8
+        ``[len(clients), len(items), len(items)]`` array.
+
+        ``codes[c, i, j]`` answers :meth:`winner` for client
+        ``clients[c]`` when ``items[i]`` is announced before
+        ``items[j]``: ``0`` = ``items[i]`` wins, ``1`` = ``items[j]``
+        wins, ``-1`` = no usable winner (unmeasured, inconsistent or
+        undecided).  This is the encoding model snapshots store and
+        :func:`tournament` consumes.  The last answer is memoised and
+        dropped by :meth:`record`.
+        """
+        key = (tuple(clients), tuple(items))
+        if self._codes is not None and self._codes[0] == key:
+            return self._codes[1]
+        n = len(key[1])
+        position = {item: i for i, item in enumerate(key[1])}
+        buf = bytearray(b"\xff") * (len(key[0]) * n * n)
+        for c, client in enumerate(key[0]):
+            base = c * n * n
+            for obs in self._data.get(client, {}).values():
+                ia, ib = position.get(obs.site_a), position.get(obs.site_b)
+                if ia is None or ib is None:
+                    continue
+                outcome = obs.outcome()
+                # (a announced first, b announced first), each relative
+                # to its own (first, second) element order.
+                if outcome is PreferenceOutcome.STRICT_A:
+                    a_first, b_first = 0, 1
+                elif outcome is PreferenceOutcome.STRICT_B:
+                    a_first, b_first = 1, 0
+                elif outcome is PreferenceOutcome.ORDER_DEPENDENT:
+                    a_first, b_first = 0, 0
+                else:
+                    continue
+                buf[base + ia * n + ib] = a_first
+                buf[base + ib * n + ia] = b_first
+        codes = np.frombuffer(bytes(buf), dtype=np.int8).reshape(len(key[0]), n, n)
+        self._codes = (key, codes)
+        return codes
 
 
 @dataclass(frozen=True)
@@ -210,6 +256,43 @@ def build_total_order(
     if sorted(wins.values()) != list(range(len(items))):
         return TotalOrderResult(client_id, None, reason="cyclic preferences")
     return TotalOrderResult(client_id, tuple(ordered))
+
+
+def tournament(codes: np.ndarray, members: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Every client's round-robin over ``members`` at once — the array
+    form of :func:`build_total_order`.
+
+    ``codes`` is a :meth:`PreferenceMatrix.winner_codes` array and
+    ``members`` lists positions on its item axes in announcement order.
+    Returns ``(valid, wins)``: whether each client's tournament is
+    usable and transitive, and its ``[clients, len(members)]`` win
+    counts — under ``valid`` a permutation of ``0..n-1``, so
+    ``argmax`` is the top element and a descending sort the total
+    order.
+    """
+    n_clients = codes.shape[0]
+    n = len(members)
+    wins = np.zeros((n_clients, n), dtype=np.int16)
+    usable = np.ones(n_clients, dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            code = codes[:, members[i], members[j]]
+            usable &= code >= 0
+            wins[:, i] += code == 0
+            wins[:, j] += code == 1
+    # Transitive iff win counts are a permutation of 0..n-1.
+    transitive = (
+        np.sort(wins, axis=1) == np.arange(n, dtype=wins.dtype)
+    ).all(axis=1)
+    return usable & transitive, wins
+
+
+def by_wins(wins: np.ndarray) -> np.ndarray:
+    """Member positions by descending :func:`tournament` win count —
+    under ``valid``, each client's total order."""
+    # int32: numpy's stable sort of 16-bit integers is a radix sort,
+    # ten times slower on rows this short.
+    return np.argsort(-wins.astype(np.int32), axis=1, kind="stable")
 
 
 def find_cycle_witness(

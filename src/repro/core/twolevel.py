@@ -16,12 +16,16 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.experiments import ExperimentRunner
 from repro.core.preferences import (
     PairObservation,
     PreferenceMatrix,
     TotalOrderResult,
     build_total_order,
+    by_wins,
+    tournament,
 )
 from repro.measurement.rtt import RttMatrix
 from repro.runtime.executor import CampaignExecutor, SerialExecutor
@@ -122,6 +126,78 @@ class TwoLevelModel:
             order.extend(ranking)
         return TotalOrderResult(client_id, tuple(order))
 
+    def total_orders(
+        self, client_ids: Sequence[int], site_order: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`total_order` for many clients at once.
+
+        Returns ``(valid, orders)``: ``valid[c]`` is
+        ``total_order(client_ids[c], site_order).has_total_order`` and,
+        where it holds, row ``orders[c]`` is that order (site ids, most
+        preferred first); other rows are unspecified.
+        """
+        if not site_order:
+            raise ConfigurationError("empty announcement order")
+        client_ids = list(client_ids)
+        provider_sites: Dict[int, List[int]] = {}
+        for site in site_order:
+            provider_sites.setdefault(self.testbed.provider_of(site), []).append(site)
+        providers = list(provider_sites)  # first-appearance order
+
+        valid = np.ones(len(client_ids), dtype=bool)
+        rankings = []
+        for provider in providers:
+            site_valid, ranking = self._site_rankings(
+                client_ids, provider, provider_sites[provider]
+            )
+            valid &= site_valid
+            rankings.append(ranking)
+        if len(providers) == 1:
+            return valid, rankings[0]
+
+        asns = sorted(providers)
+        codes = self.provider_matrix.winner_codes(client_ids, asns)
+        provider_valid, wins = tournament(codes, [asns.index(p) for p in providers])
+        valid &= provider_valid
+        # Column where each provider's block of sites starts, per
+        # client: the sizes of the providers that client ranks above it.
+        by_rank = by_wins(wins)
+        sizes = np.array([len(provider_sites[p]) for p in providers])[by_rank]
+        starts = np.empty_like(sizes)
+        np.put_along_axis(starts, by_rank, np.cumsum(sizes, axis=1) - sizes, axis=1)
+        orders = np.empty((len(client_ids), len(site_order)), dtype=np.int64)
+        rows = np.arange(len(client_ids))[:, None]
+        for p, ranking in enumerate(rankings):
+            orders[rows, starts[:, p, None] + np.arange(ranking.shape[1])] = ranking
+        return valid, orders
+
+    def _site_rankings(
+        self, client_ids: List[int], provider_asn: int, sites: List[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`site_ranking_within` for many clients: ``(valid,
+        [clients, len(sites)] site ids)``."""
+        # Ascending site id is the announcement order the scalar path
+        # uses, and the RTT heuristic's tie-break.
+        members = np.array(sorted(sites), dtype=np.int64)
+        if len(members) == 1:
+            return (
+                np.ones(len(client_ids), dtype=bool),
+                np.broadcast_to(members, (len(client_ids), 1)),
+            )
+        if self.site_level_mode is SiteLevelMode.PAIRWISE:
+            codes = self.site_matrices[provider_asn].winner_codes(client_ids, members.tolist())
+            valid, wins = tournament(codes, range(len(members)))
+            return valid, members[by_wins(wins)]
+        if self.rtt_matrix is None:
+            raise ReproError("RTT heuristic requires an RTT matrix")
+        values = self.rtt_matrix.values
+        # A missing sample (absent or None) becomes NaN and sorts last.
+        rtts = np.array(
+            [[values.get((site, client)) for site in members.tolist()] for client in client_ids],
+            dtype=np.float64,
+        )
+        return ~np.isnan(rtts).any(axis=1), members[np.argsort(rtts, axis=1, kind="stable")]
+
 
 @dataclass
 class FlatPreferenceModel:
@@ -135,6 +211,18 @@ class FlatPreferenceModel:
 
     def total_order(self, client_id: int, site_order: Sequence[int]) -> TotalOrderResult:
         return build_total_order(self.matrix, client_id, site_order, site_order)
+
+    def total_orders(
+        self, client_ids: Sequence[int], site_order: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Batched :meth:`total_order`; see
+        :meth:`TwoLevelModel.total_orders`."""
+        client_ids = list(client_ids)
+        announced = np.array(list(site_order), dtype=np.int64)
+        items = sorted(announced.tolist())
+        codes = self.matrix.winner_codes(client_ids, items)
+        valid, wins = tournament(codes, [items.index(s) for s in announced.tolist()])
+        return valid, announced[by_wins(wins)]
 
 
 def discover_two_level(

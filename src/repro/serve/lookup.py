@@ -8,9 +8,8 @@ clients at once with dense array indexing:
 - provider level: the effective winner of every ordered provider pair
   comes from one ``prov_w[:, i, j]`` slice (provider ``i`` announced
   first); a client has a provider order iff every pair is usable and
-  its win counts are a permutation of ``0..P-1`` — the same
-  transitivity criterion as
-  :func:`~repro.core.preferences.build_total_order`;
+  its win counts are a permutation of ``0..P-1`` — the shared
+  :func:`~repro.core.preferences.tournament`;
 - site level, inside each enabled provider: either the analogous
   ``site_w`` tournament (announce order = sorted site ids, so the
   lower-indexed site is always first) or the S4.3 RTT heuristic
@@ -26,10 +25,7 @@ and floats the live path produces (float64 round-trips exactly).
 
 from typing import Dict, Iterable, Optional, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    np = None
+import numpy as np
 
 from repro.core.config import AnycastConfig
 from repro.core.prediction import (
@@ -39,6 +35,7 @@ from repro.core.prediction import (
     Prediction,
     PredictionBatch,
 )
+from repro.core.preferences import tournament
 from repro.serve.snapshot import Snapshot, SnapshotError
 from repro.util.errors import ConfigurationError
 
@@ -56,8 +53,6 @@ class LookupEngine:
     """
 
     def __init__(self, snapshot: Snapshot):
-        if np is None:  # pragma: no cover - numpy is present in CI
-            raise SnapshotError("the lookup engine needs numpy")
         self.snapshot = snapshot
         arrays = snapshot.arrays
         self._clients = arrays["clients"]
@@ -140,14 +135,17 @@ class LookupEngine:
                     np.argmin(filled, axis=0)
                 ]
             else:
-                site_valid[row], best = self._tournament(self._site_w, members)
-                top_site[row] = np.asarray(members, dtype=np.int64)[best]
+                site_valid[row], wins = tournament(self._site_w, members)
+                top_site[row] = np.asarray(members, dtype=np.int64)[
+                    np.argmax(wins, axis=1)
+                ]
 
         if n_prov == 1:
             decided = site_valid[0]
             catchment = top_site[0]
         else:
-            prov_valid, top_prov = self._tournament(self._prov_w, prov_order)
+            prov_valid, wins = tournament(self._prov_w, prov_order)
+            top_prov = np.argmax(wins, axis=1)
             # The live path needs *every* enabled provider's site
             # ranking, not just the winner's (total_order builds the
             # full order before most_preferred picks its head).
@@ -158,33 +156,6 @@ class LookupEngine:
         rtt = np.full(n_clients, np.nan, dtype=np.float64)
         rtt[decided] = self._rtt[catchment[decided], np.flatnonzero(decided)]
         return site_index, rtt
-
-    def _tournament(
-        self, winners: "np.ndarray", members
-    ) -> Tuple["np.ndarray", "np.ndarray"]:
-        """Run every client's round-robin over ``members`` (index
-        space positions, announce order = list order).
-
-        Returns ``(valid, top)``: whether the tournament is usable and
-        transitive, and the position *within* ``members`` of the
-        most-winning member — under ``valid`` that is the unique top
-        element.
-        """
-        n_clients = winners.shape[0]
-        n = len(members)
-        wins = np.zeros((n_clients, n), dtype=np.int16)
-        usable = np.ones(n_clients, dtype=bool)
-        for i in range(n):
-            for j in range(i + 1, n):
-                code = winners[:, members[i], members[j]]
-                usable &= code >= 0
-                wins[:, i] += code == 0
-                wins[:, j] += code == 1
-        # Transitive iff win counts are a permutation of 0..n-1.
-        transitive = (
-            np.sort(wins, axis=1) == np.arange(n, dtype=wins.dtype)
-        ).all(axis=1)
-        return usable & transitive, np.argmax(wins, axis=1)
 
     # -- typed batch API -------------------------------------------------------
 

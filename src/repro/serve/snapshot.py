@@ -28,8 +28,9 @@ by id):
 
 - ``clients``/``sites``/``providers`` — int64 id vectors;
 - ``site_provider`` — int32 provider *index* per site;
-- ``prov_w`` — int8 ``[C, P, P]``: ``prov_w[c, i, j]`` is the
-  effective pairwise winner for client ``c`` when provider ``i`` is
+- ``prov_w`` — int8 ``[C, P, P]``, stored as
+  :meth:`~repro.core.preferences.PreferenceMatrix.winner_codes` returns
+  it: ``prov_w[c, i, j]`` is the effective pairwise winner for client ``c`` when provider ``i`` is
   announced before provider ``j``: ``0`` = i, ``1`` = j, ``-1`` = no
   usable winner (unmeasured / inconsistent / undecided cell);
 - ``site_w`` — int8 ``[C, S, S]``: the same encoding for same-provider
@@ -50,10 +51,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-try:  # numpy is what makes the compiled format worth having
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    np = None
+import numpy as np
 
 from repro.core.prediction import model_clients
 from repro.util.errors import ReproError
@@ -77,14 +75,6 @@ _ARRAY_NAMES = (
 
 class SnapshotError(ReproError):
     """A snapshot file is corrupt, truncated, or version-skewed."""
-
-
-def _require_numpy():
-    if np is None:  # pragma: no cover - numpy is present in CI
-        raise SnapshotError(
-            "model snapshots need numpy; install it or query the live "
-            "CatchmentPredictor instead"
-        )
 
 
 @dataclass
@@ -131,34 +121,6 @@ class Snapshot:
         }
 
 
-def _code(obs, first: int, a: int, b: int) -> int:
-    """Encode ``obs.winner_given(first)`` relative to the (a, b)
-    element order: 0 = a wins, 1 = b wins, -1 = no usable winner."""
-    winner = obs.winner_given(first)
-    if winner is None:
-        return -1
-    return 0 if winner == a else 1
-
-
-def _fill_pair_winners(matrix, target_w, client_index, item_index) -> None:
-    """Write both orientations of every observed pair of ``matrix``
-    into ``target_w`` (restricted to clients/items in the index maps)."""
-    for client in matrix.clients():
-        c = client_index.get(client)
-        if c is None:
-            continue
-        for pair in matrix.pairs():
-            a, b = sorted(pair)
-            ia, ib = item_index.get(a), item_index.get(b)
-            if ia is None or ib is None:
-                continue
-            obs = matrix.observation(client, a, b)
-            if obs is None:
-                continue
-            target_w[c, ia, ib] = _code(obs, a, a, b)
-            target_w[c, ib, ia] = _code(obs, b, b, a)
-
-
 def compile_snapshot(model) -> Snapshot:
     """Compile an :class:`~repro.core.anyopt.AnyOptModel` into a
     snapshot.
@@ -168,7 +130,6 @@ def compile_snapshot(model) -> Snapshot:
     lookups and ``CatchmentPredictor.predict`` agree on which clients
     are ``unmapped``.
     """
-    _require_numpy()
     from repro.audit.repair import model_fingerprint
 
     twolevel = model.twolevel
@@ -183,13 +144,15 @@ def compile_snapshot(model) -> Snapshot:
     provider_index = {asn: i for i, asn in enumerate(providers)}
 
     C, S, P = len(clients), len(sites), len(providers)
-    prov_w = np.full((C, P, P), -1, dtype=np.int8)
+    prov_w = twolevel.provider_matrix.winner_codes(clients, providers)
     site_w = np.full((C, S, S), -1, dtype=np.int8)
     rtt = np.full((S, C), np.nan, dtype=np.float64)
 
-    _fill_pair_winners(twolevel.provider_matrix, prov_w, client_index, provider_index)
     for matrix in twolevel.site_matrices.values():
-        _fill_pair_winners(matrix, site_w, client_index, site_index)
+        # Each matrix holds one provider's sites: a diagonal block.
+        members = sorted({s for pair in matrix.pairs() for s in pair if s in site_index})
+        block = np.array([site_index[s] for s in members], dtype=np.intp)
+        site_w[:, block[:, None], block] = matrix.winner_codes(clients, members)
     for (site_id, target_id), value in rtt_matrix.values.items():
         si, ci = site_index.get(site_id), client_index.get(target_id)
         if si is not None and ci is not None and value is not None:
@@ -326,7 +289,6 @@ def load_snapshot(path: str, verify: bool = True) -> Snapshot:
     than serving wrong predictions.  The read-only mapping is shared
     between every process that loads the same file.
     """
-    _require_numpy()
     header, payload_start = _read_header_and_offset(path)
 
     with open(path, "rb") as fh:

@@ -11,6 +11,8 @@ target size forces it onward.
 import math
 from typing import Optional
 
+import numpy as np
+
 from repro.splpo.model import SolveResult, SPLPOInstance
 from repro.util.errors import ConfigurationError
 
@@ -34,23 +36,22 @@ def solve_greedy(
         raise ConfigurationError("max_open must be at least 1")
     limit = max_open if max_open is not None else len(instance.facilities)
     open_set: set = set()
+    # Steps compare batch_cost scores with each other; the result
+    # reports the one-subset score (see solve_exhaustive).
     current = math.inf
     evaluations = 0
     while len(open_set) < limit:
-        best_candidate = None
-        best_cost = math.inf
-        for f in instance.facilities:
-            if f in open_set:
-                continue
-            cost = instance.fast_cost(open_set | {f}, unserved_penalty)
-            evaluations += 1
-            if cost < best_cost:
-                best_cost = cost
-                best_candidate = f
-        if best_candidate is None:
+        candidates = [f for f in instance.facilities if f not in open_set]
+        if not candidates:
             break
-        if best_cost >= current and not force_size:
+        scores = instance.batch_cost(
+            instance.masks(open_set | {f} for f in candidates), unserved_penalty
+        )
+        evaluations += len(candidates)
+        first = int(np.argmin(scores))  # first minimum in facility order
+        if math.isinf(scores[first]) or (scores[first] >= current and not force_size):
             break
-        open_set.add(best_candidate)
-        current = best_cost
-    return SolveResult(frozenset(open_set), current, evaluations, solver="greedy")
+        open_set.add(candidates[first])
+        current = scores[first]
+    cost = instance.fast_cost(open_set, unserved_penalty)
+    return SolveResult(frozenset(open_set), cost, evaluations, solver="greedy")

@@ -3,6 +3,8 @@
 import math
 from typing import FrozenSet, Iterable, Optional
 
+import numpy as np
+
 from repro.splpo.greedy import solve_greedy
 from repro.splpo.model import SolveResult, SPLPOInstance
 from repro.util.errors import ConfigurationError
@@ -30,16 +32,16 @@ def solve_local_search(
     if start is None:
         seeded = solve_greedy(instance, unserved_penalty=unserved_penalty)
         current: FrozenSet[int] = seeded.open_facilities
-        current_cost = seeded.cost
         evaluations += seeded.evaluations
     else:
         current = frozenset(start)
-        current_cost = instance.fast_cost(current, unserved_penalty)
         evaluations += 1
+    # Moves compare batch_cost scores with each other; the result
+    # reports the one-subset score (see solve_exhaustive).
+    current_score = instance.batch_cost(instance.masks([current]), unserved_penalty)[0]
 
     all_facilities = set(instance.facilities)
     for _ in range(max_iterations):
-        improved = False
         closed = sorted(all_facilities - current)
         opened = sorted(current)
         candidates = []
@@ -50,14 +52,14 @@ def solve_local_search(
         candidates.extend(
             (current - {f_out}) | {f_in} for f_out in opened for f_in in closed
         )
-        for candidate in candidates:
-            cost = instance.fast_cost(candidate, unserved_penalty)
-            evaluations += 1
-            if cost < current_cost:
-                current = frozenset(candidate)
-                current_cost = cost
-                improved = True
-                break
-        if not improved:
+        scores = instance.batch_cost(instance.masks(candidates), unserved_penalty)
+        improving = np.flatnonzero(scores < current_score)
+        if not len(improving):
+            evaluations += len(candidates)
             break
-    return SolveResult(current, current_cost, evaluations, solver="local_search")
+        # First improvement: later candidates count as never scored.
+        evaluations += int(improving[0]) + 1
+        current = frozenset(candidates[improving[0]])
+        current_score = scores[improving[0]]
+    cost = instance.fast_cost(current, unserved_penalty)
+    return SolveResult(current, cost, evaluations, solver="local_search")
