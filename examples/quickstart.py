@@ -34,9 +34,8 @@ def main() -> None:
     print(f"   used {model.experiments_used} BGP experiments")
 
     order = tuple(testbed.site_ids())
-    with_order = sum(
-        1 for t in targets if model.total_order(t.target_id, order).has_total_order
-    )
+    valid, _ = model.total_orders([t.target_id for t in targets], order)
+    with_order = int(valid.sum())
     print(f"   {100 * with_order / len(targets):.1f}% of clients have a "
           "consistent total preference order")
 

@@ -155,8 +155,9 @@ def audit_model(
             clients_total=len(list(targets)),
             predictable_clients=0,
         )
-        for target in sorted(targets, key=lambda t: t.target_id):
-            client = target.target_id
+        clients = sorted(t.target_id for t in targets)
+        predictable_mask, _ = model.total_orders(clients, announce_order)
+        for client, predictable in zip(clients, predictable_mask.tolist()):
             findings: List[Finding] = []
             # Provider level — bypassed by total_order when only one
             # provider appears, so bypassed here too.
@@ -193,7 +194,6 @@ def audit_model(
                 for site in announce_order:
                     if rtt_matrix.values.get((site, client)) is None:
                         findings.append(Finding(RTT_HOLE, client, "rtt", (site,)))
-            predictable = model.total_order(client, announce_order).has_total_order
             if predictable:
                 report.predictable_clients += 1
             if findings:

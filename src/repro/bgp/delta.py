@@ -58,12 +58,8 @@ the heap like any other AS.
 import heapq
 import itertools
 import threading
+from collections.abc import Mapping
 from typing import Dict, List, Optional, Tuple
-
-try:  # pragma: no cover - exercised implicitly on import
-    from collections.abc import Mapping
-except ImportError:  # pragma: no cover
-    from collections import Mapping
 
 from repro.bgp.decision import evaluate
 from repro.bgp.messages import Route, SitePop, make_route

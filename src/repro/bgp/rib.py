@@ -13,13 +13,9 @@ walk hundreds of thousands of Python objects.
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.bgp.messages import Route
-from repro.util.errors import ReproError
+import numpy as _np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free hosts
-    _np = None
+from repro.bgp.messages import Route
 
 
 @dataclass
@@ -97,8 +93,6 @@ class ColumnarRib:
     def from_converged(cls, converged, tables) -> "ColumnarRib":
         """Build the columns from a :class:`ConvergedState
         <repro.bgp.engine.ConvergedState>` and its topology tables."""
-        if _np is None:
-            raise ReproError("ColumnarRib requires numpy, which is not installed")
         index_asn = tables.index_asn
         asn_index = tables.asn_index
         n = len(index_asn)

@@ -253,11 +253,8 @@ def cmd_discover(args) -> int:
             f"{undecided} preference cells left undecided"
         )
     order = tuple(anyopt.testbed.site_ids())
-    with_order = sum(
-        1
-        for t in anyopt.targets
-        if model.total_order(t.target_id, order).has_total_order
-    )
+    valid, _ = model.total_orders([t.target_id for t in anyopt.targets], order)
+    with_order = int(valid.sum())
     print(f"measurement campaign: {model.experiments_used} BGP experiments")
     print(
         f"clients with a total preference order: "

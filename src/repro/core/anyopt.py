@@ -23,7 +23,7 @@ from repro.measurement.orchestrator import Deployment, Orchestrator
 from repro.measurement.rtt import RttMatrix
 from repro.measurement.targets import TargetSet, select_targets
 from repro.runtime.executor import CampaignExecutor, make_executor
-from repro.runtime.settings import CampaignSettings, resolve_settings
+from repro.runtime.settings import CampaignSettings
 from repro.topology.testbed import Testbed
 
 
@@ -61,9 +61,7 @@ class AnyOpt:
     ``engine_mode``/``aggregate_stubs``, which trades nothing away:
     delta replay with stub aggregation is bit-identical to the full
     engine and is the default) — live in one
-    :class:`~repro.runtime.settings.CampaignSettings` value.  The old
-    per-knob constructor kwargs (``session_churn_prob=`` etc.) are
-    still accepted for now but emit a :class:`DeprecationWarning`.
+    :class:`~repro.runtime.settings.CampaignSettings` value.
 
     With ``executor="process"`` the pool of forked workers is shared
     across the campaign's phases (discover → audit → repair → peers);
@@ -78,19 +76,8 @@ class AnyOpt:
         seed=0,
         site_level_mode: SiteLevelMode = SiteLevelMode.PAIRWISE,
         settings: Optional[CampaignSettings] = None,
-        *,
-        session_churn_prob: Optional[float] = None,
-        rtt_drift_sigma: Optional[float] = None,
-        rtt_bias_sigma: Optional[float] = None,
     ):
-        self.settings = resolve_settings(
-            settings,
-            "AnyOpt",
-            stacklevel=3,
-            session_churn_prob=session_churn_prob,
-            rtt_drift_sigma=rtt_drift_sigma,
-            rtt_bias_sigma=rtt_bias_sigma,
-        )
+        self.settings = settings if settings is not None else CampaignSettings()
         self.testbed = testbed
         self.seed = seed
         self.site_level_mode = site_level_mode

@@ -12,6 +12,8 @@ order.
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.config import AnycastConfig
 from repro.core.prediction import CatchmentPredictor
 from repro.measurement.rtt import RttMatrix
@@ -90,27 +92,25 @@ def build_splpo_instance(
     sites = list(sites)
     site_set = set(sites)
     targets = list(targets)
-    valid, orders = model.total_orders([t.target_id for t in targets], announce_order)
+    client_ids = [t.target_id for t in targets]
+    valid, orders = model.total_orders(client_ids, announce_order)
+    # Only sites a total order can name are ever priced.
+    members = sorted(site_set.intersection(announce_order))
+    row_of = {site: i for i, site in enumerate(members)}
+    rtts = rtt_matrix.array(members, client_ids)
+    usable = valid & ~np.isnan(rtts).any(axis=0)
     clients: List[Client] = []
-    for target, has_order, row in zip(targets, valid.tolist(), orders.tolist()):
-        if not has_order:
-            continue
-        order = tuple(s for s in row if s in site_set)
-        costs: Dict[int, float] = {}
-        complete = True
-        for site in order:
-            rtt = rtt_matrix.values.get((site, target.target_id))
-            if rtt is None:
-                complete = False
-                break
-            costs[site] = rtt
-        if not complete or not order:
+    for target, ok, row, column in zip(
+        targets, usable.tolist(), orders.tolist(), rtts.T.tolist()
+    ):
+        order = tuple(s for s in row if s in site_set) if ok else ()
+        if not order:
             continue
         clients.append(
             Client(
                 client_id=target.target_id,
                 preference=order,
-                costs=costs,
+                costs={site: column[row_of[site]] for site in order},
                 weight=target.weight,
                 load=target.weight,
             )

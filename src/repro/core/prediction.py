@@ -14,14 +14,19 @@ returning a typed :class:`Prediction` per client, with an explicit
 no usable total order under this configuration), or ``rtt-hole`` (a
 catchment but no RTT sample for it).  The serving layer
 (:mod:`repro.serve`), the audit cross-check, and report rendering all
-consume this one result type.  The older ``predict_catchment`` /
-``predict_rtt`` per-client methods survive as deprecated
-``Optional``-returning shims.
+consume this one result type.
+
+``predict`` holds no ranking logic: it reads the model's batched
+``total_orders`` (the array tournament of :mod:`repro.core.preferences`)
+and ``RttMatrix.array``, and builds its rows with
+:meth:`PredictionBatch.from_answers`, as the snapshot lookup engine
+does.  Its per-client reference lives in ``tests/test_prediction.py``.
 """
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from repro.core.config import AnycastConfig
 from repro.measurement.orchestrator import Deployment
@@ -78,6 +83,51 @@ class PredictionBatch:
 
     config: AnycastConfig
     predictions: List[Prediction] = field(default_factory=list)
+
+    @classmethod
+    def from_answers(
+        cls,
+        config: AnycastConfig,
+        client_ids: Sequence[int],
+        positions: Iterable[Optional[int]],
+        site_index: np.ndarray,
+        rtt: np.ndarray,
+        site_ids: Sequence[int],
+    ) -> "PredictionBatch":
+        """The one place a (site, rtt) answer becomes a :class:`Prediction`.
+
+        ``site_index[p]`` indexes ``site_ids`` (``-1`` = quarantined),
+        ``rtt[p]`` is the predicted RTT (NaN = quarantined or no sample),
+        and ``positions`` gives each requested client's ``p`` — None for
+        a client the model has never seen.
+        """
+        # Python lists once per batch: list indexing beats per-client
+        # numpy scalar extraction by an order of magnitude, and
+        # ``tolist`` yields exact Python ints and floats (float64
+        # round-trips exactly).
+        answer_sites = site_index.tolist()
+        answer_rtts = rtt.tolist()
+        predictions = []
+        for client_id, pos in zip(client_ids, positions):
+            if pos is None:
+                predictions.append(
+                    Prediction(client_id, None, None, REASON_UNMAPPED)
+                )
+                continue
+            idx = answer_sites[pos]
+            if idx < 0:
+                predictions.append(
+                    Prediction(client_id, None, None, REASON_QUARANTINED)
+                )
+                continue
+            value = answer_rtts[pos]
+            if value != value:  # NaN: predicted site but no RTT cell
+                predictions.append(
+                    Prediction(client_id, site_ids[idx], None, REASON_RTT_HOLE)
+                )
+            else:
+                predictions.append(Prediction(client_id, site_ids[idx], value))
+        return cls(config=config, predictions=predictions)
 
     def __len__(self) -> int:
         return len(self.predictions)
@@ -204,7 +254,7 @@ class CatchmentPredictor:
     """Predicts catchments and RTTs from a preference model.
 
     ``model`` is anything exposing
-    ``total_order(client_id, site_order) -> TotalOrderResult`` — a
+    ``total_orders(client_ids, site_order) -> (valid, orders)`` — a
     :class:`~repro.core.twolevel.TwoLevelModel` or the naive
     :class:`~repro.core.twolevel.FlatPreferenceModel`.
     """
@@ -231,70 +281,24 @@ class CatchmentPredictor:
         each :class:`Prediction` carries its ``reason`` instead.
         """
         known = self.known_clients()
-        predictions: List[Prediction] = []
-        for client in clients:
-            client_id = _client_id(client)
-            predictions.append(self._predict_one(client_id, config, known))
-        return PredictionBatch(config=config, predictions=predictions)
-
-    def _predict_one(
-        self, client_id: int, config: AnycastConfig, known: FrozenSet[int]
-    ) -> Prediction:
-        if client_id not in known:
-            return Prediction(client_id, None, None, REASON_UNMAPPED)
-        site = self._catchment(client_id, config)
-        if site is None:
-            return Prediction(client_id, None, None, REASON_QUARANTINED)
-        rtt = self.rtt_matrix.values.get((site, client_id))
-        if rtt is None:
-            return Prediction(client_id, site, None, REASON_RTT_HOLE)
-        return Prediction(client_id, site, rtt)
-
-    def _catchment(self, client_id: int, config: AnycastConfig) -> Optional[int]:
-        """The predicted catchment site, or None without a usable
-        total order (internal: no deprecation warning)."""
-        result = self.model.total_order(client_id, config.site_order)
-        return result.most_preferred(config.sites)
-
-    # -- deprecated per-client shims -------------------------------------------
-
-    def predict_catchment(
-        self, client_id: int, config: AnycastConfig, *, stacklevel: int = 2
-    ) -> Optional[int]:
-        """Deprecated: the client's predicted catchment site, or None.
-
-        Use :meth:`predict` — it distinguishes *why* an answer is
-        missing.  ``stacklevel`` positions the warning at the
-        deprecated call site (shims forwarding from one frame deeper
-        pass 3), mirroring ``resolve_settings``.
-        """
-        warnings.warn(
-            "CatchmentPredictor.predict_catchment is deprecated; use "
-            "CatchmentPredictor.predict(config, clients) and read "
-            "Prediction.site",
-            DeprecationWarning,
-            stacklevel=stacklevel,
+        client_ids = [_client_id(client) for client in clients]
+        # One answer column per distinct known client.
+        column: Dict[int, int] = {}
+        positions = [
+            column.setdefault(cid, len(column)) if cid in known else None
+            for cid in client_ids
+        ]
+        asked = list(column)
+        sites = sorted(config.site_order)
+        valid, orders = self.model.total_orders(asked, config.site_order)
+        # The catchment is the head of the order (it ranks exactly the
+        # enabled sites); rows without an order read -1 / NaN.
+        site_index = np.where(valid, np.searchsorted(sites, orders[:, 0]), -1)
+        cells = self.rtt_matrix.array(sites, asked)[site_index, np.arange(len(asked))]
+        rtt = np.where(valid, cells, np.nan)
+        return PredictionBatch.from_answers(
+            config, client_ids, positions, site_index, rtt, sites
         )
-        return self._catchment(client_id, config)
-
-    def predict_rtt(
-        self, client_id: int, config: AnycastConfig, *, stacklevel: int = 2
-    ) -> Optional[float]:
-        """Deprecated: the client's predicted RTT, or None.
-
-        Use :meth:`predict` and read ``Prediction.rtt_ms``.
-        """
-        warnings.warn(
-            "CatchmentPredictor.predict_rtt is deprecated; use "
-            "CatchmentPredictor.predict(config, clients) and read "
-            "Prediction.rtt_ms",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        site = self._catchment(client_id, config)
-        if site is None:
-            return None
-        return self.rtt_matrix.values.get((site, client_id))
 
     # -- batch conveniences ----------------------------------------------------
 

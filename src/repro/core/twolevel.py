@@ -146,9 +146,10 @@ class TwoLevelModel:
 
         valid = np.ones(len(client_ids), dtype=bool)
         rankings = []
+        announced = sorted(site_order)
         for provider in providers:
             site_valid, ranking = self._site_rankings(
-                client_ids, provider, provider_sites[provider]
+                client_ids, provider, provider_sites[provider], announced
             )
             valid &= site_valid
             rankings.append(ranking)
@@ -172,10 +173,11 @@ class TwoLevelModel:
         return valid, orders
 
     def _site_rankings(
-        self, client_ids: List[int], provider_asn: int, sites: List[int]
+        self, client_ids: List[int], provider_asn: int, sites: List[int], announced: List[int]
     ) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`site_ranking_within` for many clients: ``(valid,
-        [clients, len(sites)] site ids)``."""
+        [clients, len(sites)] site ids)``.  ``announced`` — every site of
+        the order, sorted — is the RTT array key all providers share."""
         # Ascending site id is the announcement order the scalar path
         # uses, and the RTT heuristic's tie-break.
         members = np.array(sorted(sites), dtype=np.int64)
@@ -190,13 +192,9 @@ class TwoLevelModel:
             return valid, members[by_wins(wins)]
         if self.rtt_matrix is None:
             raise ReproError("RTT heuristic requires an RTT matrix")
-        values = self.rtt_matrix.values
-        # A missing sample (absent or None) becomes NaN and sorts last.
-        rtts = np.array(
-            [[values.get((site, client)) for site in members.tolist()] for client in client_ids],
-            dtype=np.float64,
-        )
-        return ~np.isnan(rtts).any(axis=1), members[np.argsort(rtts, axis=1, kind="stable")]
+        # A missing sample is NaN and sorts last.
+        rtts = self.rtt_matrix.array(announced, client_ids)[np.searchsorted(announced, members)]
+        return ~np.isnan(rtts).any(axis=0), members[np.argsort(rtts, axis=0, kind="stable").T]
 
 
 @dataclass

@@ -204,19 +204,15 @@ def matrix_to_list(matrix: PreferenceMatrix):
 
 
 def matrix_from_list(raw) -> PreferenceMatrix:
-    """Rebuild a matrix from :func:`matrix_to_list` rows.  Accepts the
-    legacy 5-column rows (no ``undecided`` flag) as well."""
+    """Rebuild a matrix from :func:`matrix_to_list` rows.  The rows come
+    from files: one that is not 6 columns is an error, never a guess."""
     matrix = PreferenceMatrix()
-    for row in raw:
-        client, a, b, w1, w2 = row[:5]
-        undecided = bool(row[5]) if len(row) > 5 else False
-        matrix.record(client, PairObservation(a, b, w1, w2, undecided=undecided))
+    for index, row in enumerate(raw):
+        if len(row) != 6:
+            raise ReproError(f"preference row {index} has {len(row)} columns, expected 6")
+        client, a, b, w1, w2, undecided = row
+        matrix.record(client, PairObservation(a, b, w1, w2, undecided=bool(undecided)))
     return matrix
-
-
-# Former internal names, kept for in-repo callers.
-_matrix_to_list = matrix_to_list
-_matrix_from_list = matrix_from_list
 
 
 def model_to_dict(model: AnyOptModel) -> Dict:
@@ -230,9 +226,9 @@ def model_to_dict(model: AnyOptModel) -> Dict:
             [site, target, value]
             for (site, target), value in sorted(model.rtt_matrix.values.items())
         ],
-        "provider_matrix": _matrix_to_list(model.twolevel.provider_matrix),
+        "provider_matrix": matrix_to_list(model.twolevel.provider_matrix),
         "site_matrices": {
-            str(provider): _matrix_to_list(matrix)
+            str(provider): matrix_to_list(matrix)
             for provider, matrix in sorted(model.twolevel.site_matrices.items())
         },
     }
@@ -247,9 +243,9 @@ def model_from_dict(raw: Dict, testbed: Testbed) -> AnyOptModel:
         rtt_matrix.set(site, target, value)
     twolevel = TwoLevelModel(
         testbed=testbed,
-        provider_matrix=_matrix_from_list(raw["provider_matrix"]),
+        provider_matrix=matrix_from_list(raw["provider_matrix"]),
         site_matrices={
-            int(p): _matrix_from_list(m) for p, m in raw["site_matrices"].items()
+            int(p): matrix_from_list(m) for p, m in raw["site_matrices"].items()
         },
         rtt_matrix=rtt_matrix,
         site_level_mode=SiteLevelMode(raw["site_level_mode"]),

@@ -29,7 +29,7 @@ from repro.runtime.executor import CampaignExecutor, SerialExecutor
 from repro.runtime.faults import FaultInjector
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.retry import FailedExperiment, RetryPolicy, run_with_retry
-from repro.runtime.settings import CampaignSettings, resolve_settings
+from repro.runtime.settings import CampaignSettings
 from repro.topology.astopo import Relationship
 from repro.topology.testbed import Testbed
 from repro.util.errors import ConfigurationError, MeasurementError
@@ -163,8 +163,7 @@ class Deployment:
 class Orchestrator:
     """Deploys anycast configurations on the simulated Internet.
 
-    The noise knobs live in a :class:`CampaignSettings` value (the old
-    per-knob constructor kwargs still work but are deprecated):
+    The noise knobs live in a :class:`CampaignSettings` value:
 
     - ``session_churn_prob``: per-experiment probability that an AS's
       interior-routing state changed since the topology was built;
@@ -189,27 +188,11 @@ class Orchestrator:
         *,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        session_churn_prob: Optional[float] = None,
-        rtt_drift_sigma: Optional[float] = None,
-        rtt_bias_sigma: Optional[float] = None,
-        bgp_delay_jitter_ms: Optional[float] = None,
     ):
-        self.settings = resolve_settings(
-            settings,
-            "Orchestrator",
-            stacklevel=3,
-            session_churn_prob=session_churn_prob,
-            rtt_drift_sigma=rtt_drift_sigma,
-            rtt_bias_sigma=rtt_bias_sigma,
-            bgp_delay_jitter_ms=bgp_delay_jitter_ms,
-        )
+        self.settings = settings if settings is not None else CampaignSettings()
         self.testbed = testbed
         self.targets = targets
         self.seed = seed
-        self.session_churn_prob = self.settings.session_churn_prob
-        self.rtt_drift_sigma = self.settings.rtt_drift_sigma
-        self.rtt_bias_sigma = self.settings.rtt_bias_sigma
-        self.bgp_delay_jitter_ms = self.settings.bgp_delay_jitter_ms
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         store = None
@@ -385,7 +368,7 @@ class Orchestrator:
                 converged = self.engine.run(
                     injections,
                     igp_overlay=self._igp_overlay(experiment_id),
-                    delay_jitter_ms=self.bgp_delay_jitter_ms,
+                    delay_jitter_ms=self.settings.bgp_delay_jitter_ms,
                     delay_nonce=experiment_id,
                 )
             self.faults.raise_if("convergence-timeout", experiment_id, attempt)
@@ -427,14 +410,14 @@ class Orchestrator:
 
     def _igp_overlay(self, experiment_id: int) -> Dict[Tuple[int, int], int]:
         """Interior-cost overrides for one experiment's churned ASes."""
-        if self.session_churn_prob == 0.0:
+        if self.settings.session_churn_prob == 0.0:
             return {}
         rng = derive_rng(self.seed, "igp-churn", experiment_id)
         graph = self.testbed.internet.graph
         tie_fraction = self.testbed.internet.params.igp_tie_fraction
         overlay: Dict[Tuple[int, int], int] = {}
         for asn in graph.asns():
-            if rng.random() >= self.session_churn_prob:
+            if rng.random() >= self.settings.session_churn_prob:
                 continue
             tie_prone = rng.random() < tie_fraction
             for neighbor in graph.neighbors(asn):
@@ -451,7 +434,7 @@ class Orchestrator:
         path changes between the singleton RTT campaign and a later
         deployment shift whole configurations, not just single targets."""
         rng = derive_rng(self.seed, "rtt-bias", experiment_id)
-        return 1.0 + rng.gauss(0.0, self.rtt_bias_sigma)
+        return 1.0 + rng.gauss(0.0, self.settings.rtt_bias_sigma)
 
     def rtt_drift_factor(self, experiment_id: int, target_id: int) -> float:
         """Multiplicative path-RTT drift for one target in one
@@ -461,10 +444,10 @@ class Orchestrator:
         return self._drift_given_bias(bias, experiment_id, target_id)
 
     def _drift_given_bias(self, bias: float, experiment_id: int, target_id: int) -> float:
-        if self.rtt_drift_sigma == 0.0 and self.rtt_bias_sigma == 0.0:
+        if self.settings.rtt_drift_sigma == 0.0 and self.settings.rtt_bias_sigma == 0.0:
             return 1.0
         rng = derive_rng(self.seed, "rtt-drift", experiment_id, target_id)
-        return max(0.7, bias * (1.0 + rng.gauss(0.0, self.rtt_drift_sigma)))
+        return max(0.7, bias * (1.0 + rng.gauss(0.0, self.settings.rtt_drift_sigma)))
 
     def _injections(self, config: AnycastConfig) -> List[SiteInjection]:
         spacing = (

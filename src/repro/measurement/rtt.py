@@ -8,7 +8,9 @@ replies are required for a sample.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.measurement.icmp import IcmpProber
 from repro.measurement.targets import PingTarget
@@ -54,13 +56,36 @@ class RttMatrix:
     """Estimated RTTs from every site to every target.
 
     Built from one singleton BGP experiment per site; the paper needs
-    ``O(|S|)`` such experiments (S3.4).
+    ``O(|S|)`` such experiments (S3.4).  Write through :meth:`set`:
+    it is what invalidates the :meth:`array` memo.
     """
 
     values: Dict[Tuple[int, int], Optional[float]] = field(default_factory=dict)
+    #: ``(key, array)`` of the last :meth:`array` call.
+    _array: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def set(self, site_id: int, target_id: int, rtt_ms: Optional[float]) -> None:
         self.values[(site_id, target_id)] = rtt_ms
+        self._array = None
+
+    def array(self, sites: Sequence[int], clients: Sequence[int]) -> np.ndarray:
+        """The samples as a read-only float64 ``[len(sites),
+        len(clients)]`` array, NaN where a sample is absent or None —
+        the one dict-to-array conversion.
+
+        The last answer is memoised and dropped by :meth:`set`; callers
+        pass a configuration's *sorted* site set, so every announcement
+        order of the same sites shares the entry.
+        """
+        key = (tuple(sites), tuple(clients))
+        if self._array is not None and self._array[0] == key:
+            return self._array[1]
+        get = self.values.get
+        rows = [[get((site, client)) for client in key[1]] for site in key[0]]
+        rtts = np.array(rows, dtype=np.float64).reshape(len(key[0]), len(key[1]))
+        rtts.flags.writeable = False
+        self._array = (key, rtts)
+        return rtts
 
     def rtt(self, site_id: int, target_id: int) -> Optional[float]:
         try:

@@ -1,29 +1,18 @@
 """Campaign-level settings: one dataclass instead of scattered kwargs.
 
-Historically every noise knob (session churn, RTT drift, delay jitter)
-was a separate constructor argument on both :class:`AnyOpt` and
-:class:`~repro.measurement.orchestrator.Orchestrator`, which made the
-signatures grow with every model refinement.  They now live in a single
-immutable :class:`CampaignSettings` value, alongside the runtime knobs
-(parallelism, convergence cache).  The old kwargs are still accepted —
-they emit a :class:`DeprecationWarning` and are folded into a settings
-value — so existing callers keep working for one deprecation cycle.
+Every noise knob (session churn, RTT drift, delay jitter) and every
+runtime knob (parallelism, convergence cache) lives in a single
+immutable :class:`CampaignSettings` value; ``settings=`` is the one way
+to pass them to :class:`~repro.core.anyopt.AnyOpt` and
+:class:`~repro.measurement.orchestrator.Orchestrator`, so their
+signatures do not grow with every model refinement.
 """
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.util.errors import ConfigurationError
-
-#: Names of the legacy constructor kwargs that map onto settings fields.
-LEGACY_NOISE_KWARGS = (
-    "session_churn_prob",
-    "rtt_drift_sigma",
-    "rtt_bias_sigma",
-    "bgp_delay_jitter_ms",
-)
 
 
 @dataclass(frozen=True)
@@ -189,39 +178,3 @@ class CampaignSettings:
     def replace(self, **changes) -> "CampaignSettings":
         """A copy with the given fields changed (re-validated)."""
         return dataclasses.replace(self, **changes)
-
-
-def resolve_settings(
-    settings: Optional[CampaignSettings],
-    caller: str,
-    stacklevel: int = 2,
-    **legacy_kwargs,
-) -> CampaignSettings:
-    """Fold deprecated per-knob constructor kwargs into settings.
-
-    ``legacy_kwargs`` holds the old constructor arguments with None
-    meaning "not supplied".  Supplying any of them emits a
-    :class:`DeprecationWarning`; combining them with an explicit
-    ``settings`` value is an error because the precedence would be
-    ambiguous.
-
-    ``stacklevel`` positions the warning at the deprecated call site:
-    the default 2 blames this function's caller; shims that sit one
-    frame deeper (``AnyOpt.__init__`` / ``Orchestrator.__init__``)
-    pass 3 so the warning points at *their* caller, not inside
-    ``repro``.
-    """
-    supplied = {k: v for k, v in legacy_kwargs.items() if v is not None}
-    if not supplied:
-        return settings if settings is not None else CampaignSettings()
-    if settings is not None:
-        raise ConfigurationError(
-            f"{caller}: pass either settings= or the legacy noise kwargs, not both"
-        )
-    warnings.warn(
-        f"{caller}: the {sorted(supplied)} kwargs are deprecated; "
-        "pass settings=CampaignSettings(...) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return CampaignSettings(**supplied)

@@ -9,8 +9,9 @@ service instead of a one-shot CLI invocation:
   model snapshot format, compiled from a discovered model into dense
   numpy arrays and memory-mapped so N workers share one copy;
 - :mod:`repro.serve.lookup` — a batched, vectorized lookup engine over
-  a snapshot, byte-identical to the live
-  :class:`~repro.core.prediction.CatchmentPredictor`;
+  a snapshot: the array tournament and row builder of the live
+  :class:`~repro.core.prediction.CatchmentPredictor`, run on the
+  snapshot's arrays alone, so the two are byte-identical;
 - :mod:`repro.serve.http` — an asyncio HTTP/JSON front end
   (``anyopt serve``) with ``/predict``, ``/healthz``, ``/modelz``,
   graceful shutdown, and hot snapshot reload;

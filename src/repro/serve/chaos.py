@@ -44,10 +44,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    np = None
+import numpy as np
 
 from repro.core.config import AnycastConfig
 from repro.runtime.faults import ServeFaultInjector
@@ -56,7 +53,6 @@ from repro.serve.http import ModelServer
 from repro.serve.lookup import LookupEngine
 from repro.serve.snapshot import (
     Snapshot,
-    SnapshotError,
     _finish_header,
     load_snapshot,
     write_snapshot,
@@ -296,8 +292,6 @@ class ChaosHarness:
         host: str = "127.0.0.1",
         port: Optional[int] = None,
     ):
-        if np is None:  # pragma: no cover - numpy is present in CI
-            raise SnapshotError("the chaos harness needs numpy")
         self.snapshot_path = snapshot_path
         self.config = config
         self.host = host

@@ -1,9 +1,9 @@
 """Batched, vectorized catchment lookup over a model snapshot.
 
-The live :class:`~repro.core.prediction.CatchmentPredictor` rebuilds a
-client's tournament from Python dicts on every call.  The
-:class:`LookupEngine` answers the same queries for *all* snapshot
-clients at once with dense array indexing:
+The :class:`LookupEngine` answers the queries of the live
+:class:`~repro.core.prediction.CatchmentPredictor` from a snapshot's
+arrays alone — no model, testbed or measurement objects — for *all*
+snapshot clients at once with dense array indexing:
 
 - provider level: the effective winner of every ordered provider pair
   comes from one ``prov_w[:, i, j]`` slice (provider ``i`` announced
@@ -17,10 +17,13 @@ clients at once with dense array indexing:
 - the catchment is the top site of the top provider, and the predicted
   RTT is the (site, client) cell of the RTT matrix.
 
-Predictions are byte-identical to ``CatchmentPredictor.predict``: the
-engine mirrors its reason taxonomy (``unmapped`` / ``quarantined`` /
-``rtt-hole``) and converts array scalars back to the exact Python ints
-and floats the live path produces (float64 round-trips exactly).
+Predictions are byte-identical to ``CatchmentPredictor.predict``: both
+run the same tournament over the same winner codes and RTT array, and
+both hand their ``(site_index, rtt)`` answer vectors to the one row
+builder, :meth:`PredictionBatch.from_answers
+<repro.core.prediction.PredictionBatch.from_answers>`, which owns the
+reason taxonomy (``unmapped`` / ``quarantined`` / ``rtt-hole``) and the
+conversion back to exact Python ints and floats.
 """
 
 from typing import Dict, Iterable, Optional, Tuple
@@ -28,13 +31,7 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from repro.core.config import AnycastConfig
-from repro.core.prediction import (
-    REASON_QUARANTINED,
-    REASON_RTT_HOLE,
-    REASON_UNMAPPED,
-    Prediction,
-    PredictionBatch,
-)
+from repro.core.prediction import PredictionBatch
 from repro.core.preferences import tournament
 from repro.serve.snapshot import Snapshot, SnapshotError
 from repro.util.errors import ConfigurationError
@@ -181,37 +178,12 @@ class LookupEngine:
         snapshot (sorted-id) order.
         """
         site_index, rtt = self._answers_for(config.site_order)
-        # Python lists once per batch: list indexing beats per-client
-        # numpy scalar extraction by an order of magnitude, and
-        # ``tolist`` yields the exact ints/floats the live path does.
-        answer_sites = site_index.tolist()
-        answer_rtts = rtt.tolist()
-        site_ids = self._site_ids
         if clients is None:
             client_ids = self._clients.tolist()
             positions: Iterable[Optional[int]] = range(len(client_ids))
         else:
             client_ids = [getattr(c, "target_id", c) for c in clients]
             positions = [self._client_pos.get(cid) for cid in client_ids]
-
-        predictions = []
-        for client_id, pos in zip(client_ids, positions):
-            if pos is None:
-                predictions.append(
-                    Prediction(client_id, None, None, REASON_UNMAPPED)
-                )
-                continue
-            idx = answer_sites[pos]
-            if idx < 0:
-                predictions.append(
-                    Prediction(client_id, None, None, REASON_QUARANTINED)
-                )
-                continue
-            value = answer_rtts[pos]
-            if value != value:  # NaN: predicted site but no RTT cell
-                predictions.append(
-                    Prediction(client_id, site_ids[idx], None, REASON_RTT_HOLE)
-                )
-            else:
-                predictions.append(Prediction(client_id, site_ids[idx], value))
-        return PredictionBatch(config=config, predictions=predictions)
+        return PredictionBatch.from_answers(
+            config, client_ids, positions, site_index, rtt, self._site_ids
+        )

@@ -139,24 +139,18 @@ def compile_snapshot(model) -> Snapshot:
     clients = sorted(model_clients(twolevel, rtt_matrix))
     sites = sorted(testbed.site_ids())
     providers = sorted(testbed.provider_asns())
-    client_index = {cid: i for i, cid in enumerate(clients)}
     site_index = {sid: i for i, sid in enumerate(sites)}
     provider_index = {asn: i for i, asn in enumerate(providers)}
 
     C, S, P = len(clients), len(sites), len(providers)
     prov_w = twolevel.provider_matrix.winner_codes(clients, providers)
     site_w = np.full((C, S, S), -1, dtype=np.int8)
-    rtt = np.full((S, C), np.nan, dtype=np.float64)
 
     for matrix in twolevel.site_matrices.values():
         # Each matrix holds one provider's sites: a diagonal block.
         members = sorted({s for pair in matrix.pairs() for s in pair if s in site_index})
         block = np.array([site_index[s] for s in members], dtype=np.intp)
         site_w[:, block[:, None], block] = matrix.winner_codes(clients, members)
-    for (site_id, target_id), value in rtt_matrix.values.items():
-        si, ci = site_index.get(site_id), client_index.get(target_id)
-        if si is not None and ci is not None and value is not None:
-            rtt[si, ci] = value
 
     arrays = {
         "clients": np.asarray(clients, dtype=np.int64),
@@ -167,7 +161,7 @@ def compile_snapshot(model) -> Snapshot:
         ),
         "prov_w": prov_w,
         "site_w": site_w,
-        "rtt": rtt,
+        "rtt": rtt_matrix.array(sites, clients),
     }
     header = {
         "format": SNAPSHOT_FORMAT,

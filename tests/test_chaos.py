@@ -10,8 +10,6 @@ import json
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.runtime.faults import (
     SERVE_FAULT_KINDS,
     SERVE_REQUEST_FAULTS,

@@ -14,6 +14,7 @@ import gc
 import pickle
 import weakref
 
+import numpy
 import pytest
 
 from repro import AnyOpt, CampaignSettings
@@ -25,11 +26,6 @@ from repro.io.cachestore import topology_fingerprint
 from repro.topology.astopo import Relationship
 from repro.topology.generator import ScaleSweepParams, generate_scale_internet
 from repro.util.errors import ConvergenceBudgetError
-
-try:
-    import numpy
-except ImportError:  # pragma: no cover - exercised on numpy-free hosts
-    numpy = None
 
 SEED = 7
 
@@ -350,7 +346,6 @@ class TestCampaignEquivalence:
         assert outcomes["delta"] == outcomes["full"]
 
 
-@pytest.mark.skipif(numpy is None, reason="columnar RIB requires numpy")
 class TestColumnarEquivalence:
     def test_columns_match_full_engine(self, testbed):
         tables = testbed.internet.graph.tables()

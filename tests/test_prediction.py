@@ -1,16 +1,193 @@
-"""Tests for catchment/RTT prediction against deployments."""
+"""Tests for catchment/RTT prediction: against deployments, and
+against the per-client reference that ``CatchmentPredictor.predict``
+used to be.
 
+``predict`` is a view over the batched ``total_orders`` and
+``RttMatrix.array``; :func:`reference_predict` below is the plain form
+it replaced — scalar ``total_order`` per client, RTT straight from the
+dict — and the two must agree row for row, ``==`` and type for type.
+"""
+
+import random
+from collections import namedtuple
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import random_config
 from repro.core.config import AnycastConfig
 from repro.core.prediction import (
+    REASON_QUARANTINED,
+    REASON_RTT_HOLE,
     REASON_UNMAPPED,
+    CatchmentPredictor,
     Prediction,
     PredictionBatch,
     PredictionReport,
+    model_clients,
 )
+from repro.core.preferences import PairObservation, PreferenceMatrix
+from repro.core.twolevel import FlatPreferenceModel
+from repro.measurement.rtt import RttMatrix
 from repro.util.errors import ReproError
+from tests.test_search_plane import SETTINGS, random_matrix, two_level_worlds
+
+
+def reference_predict(model, rtt_matrix, config, clients):
+    """The oracle: one client at a time, the paper's sentence as
+    written — most preferred enabled site of the scalar total order,
+    RTT from the measured dict."""
+    known = model_clients(model, rtt_matrix)
+    rows = []
+    for client in clients:
+        client_id = getattr(client, "target_id", client)
+        if client_id not in known:
+            rows.append(Prediction(client_id, None, None, REASON_UNMAPPED))
+            continue
+        order = model.total_order(client_id, config.site_order)
+        site = order.most_preferred(config.sites)
+        if site is None:
+            rows.append(Prediction(client_id, None, None, REASON_QUARANTINED))
+            continue
+        rtt = rtt_matrix.values.get((site, client_id))
+        if rtt is None:
+            rows.append(Prediction(client_id, site, None, REASON_RTT_HOLE))
+        else:
+            rows.append(Prediction(client_id, site, rtt))
+    return rows
+
+
+def assert_predictions_match(model, rtt_matrix, config, clients):
+    """``predict`` equals the oracle: same rows in request order, and
+    exact Python ``int`` / ``float`` / ``None`` in every field (the
+    JSON encoder and ``==`` on served bytes depend on it)."""
+    clients = list(clients)
+    batch = CatchmentPredictor(model, rtt_matrix).predict(config, iter(clients))
+    assert batch.config is config
+    assert batch.predictions == reference_predict(model, rtt_matrix, config, clients)
+    for p in batch:
+        assert type(p.client_id) is int
+        assert p.site is None or type(p.site) is int
+        assert p.rtt_ms is None or type(p.rtt_ms) is float
+    return batch
+
+
+Target = namedtuple("Target", "target_id")
+
+
+def awkward_request(rng, clients):
+    """Known and unseen ids, repeated, shuffled, some wrapped in
+    ``PingTarget``-likes."""
+    request = clients + rng.sample(clients, min(3, len(clients))) + [999, 10**9, 999]
+    rng.shuffle(request)
+    return [Target(c) if rng.random() < 0.3 else c for c in request]
+
+
+class TestPredictIsTheReference:
+    @given(two_level_worlds(), st.integers(0, 2**32))
+    @settings(**SETTINGS)
+    def test_two_level_models(self, world, seed):
+        """Pairwise and RTT-heuristic site levels, single-site and
+        single-provider orders, UNDECIDED / inconsistent / unmeasured
+        cells, RTT holes and ``None`` samples."""
+        model, clients, order = world
+        request = awkward_request(random.Random(seed), clients)
+        assert_predictions_match(
+            model, model.rtt_matrix, AnycastConfig(site_order=order), request
+        )
+
+    @given(st.integers(0, 2**32), st.integers(1, 6), st.integers(1, 10))
+    @settings(**SETTINGS)
+    def test_flat_model(self, seed, n_sites, n_clients):
+        rng = random.Random(seed)
+        sites = list(range(1, n_sites + 1))
+        clients = list(range(n_clients))
+        model = FlatPreferenceModel(random_matrix(rng, clients, sites + [50]))
+        rtt = RttMatrix()
+        for site in sites:
+            for client in clients + [77]:  # 77: RTT samples only
+                roll = rng.random()
+                if roll >= 0.1:
+                    rtt.set(site, client, None if roll < 0.2 else rng.uniform(1.0, 90.0))
+        order = tuple(rng.sample(sites, rng.randint(1, n_sites)))
+        assert_predictions_match(
+            model, rtt, AnycastConfig(site_order=order), awkward_request(rng, clients + [77])
+        )
+
+    def test_every_reason_appears(self):
+        """One hand-made world, one row per outcome."""
+        model = FlatPreferenceModel(PreferenceMatrix())
+        for client, winner in ((1, 1), (2, 2), (3, None)):
+            model.matrix.record(client, PairObservation(1, 2, winner, winner))
+        rtt = RttMatrix()
+        rtt.set(1, 1, 12.5)
+        rtt.set(2, 2, None)
+        batch = assert_predictions_match(
+            model, rtt, AnycastConfig(site_order=(1, 2)), [3, 2, 1, 4]
+        )
+        assert batch.predictions == [
+            Prediction(3, None, None, REASON_QUARANTINED),
+            Prediction(2, 2, None, REASON_RTT_HOLE),
+            Prediction(1, 1, 12.5),
+            Prediction(4, None, None, REASON_UNMAPPED),
+        ]
+
+    def test_discovered_model(self, anyopt_model, targets, testbed):
+        rng = random.Random(9)
+        sites = testbed.site_ids()
+        for size in (len(sites), 5, 2, 1):
+            config = AnycastConfig(site_order=tuple(rng.sample(sites, size)))
+            batch = assert_predictions_match(
+                anyopt_model.twolevel, anyopt_model.rtt_matrix, config, targets
+            )
+            assert batch.decided_count > len(batch) // 2
+
+    def test_empty_request(self, anyopt_model):
+        config = AnycastConfig(site_order=(1, 4))
+        assert anyopt_model.predictor.predict(config, []).predictions == []
+        assert len(anyopt_model.predictor.predict(config, [10**9])) == 1
+
+
+class TestRttArray:
+    @given(st.integers(0, 2**32))
+    @settings(**SETTINGS)
+    def test_equals_the_dict_cell_by_cell(self, seed):
+        rng = random.Random(seed)
+        matrix = RttMatrix()
+        for site in range(1, 6):
+            for client in range(8):
+                roll = rng.random()
+                if roll >= 0.2:
+                    matrix.set(site, client, None if roll < 0.3 else rng.uniform(0.0, 300.0))
+        sites = rng.sample(range(1, 8), rng.randint(0, 6))
+        clients = [rng.randrange(10) for _ in range(rng.randint(0, 9))]
+        array = matrix.array(sites, clients)
+        assert array.dtype == np.float64 and array.shape == (len(sites), len(clients))
+        for i, site in enumerate(sites):
+            for j, client in enumerate(clients):
+                value = matrix.values.get((site, client))
+                if value is None:
+                    assert np.isnan(array[i, j])
+                else:
+                    assert array[i, j] == value
+
+    def test_read_only_and_dropped_by_set(self):
+        matrix = RttMatrix()
+        matrix.set(1, 10, 5.0)
+        first = matrix.array([1, 2], [10])
+        assert matrix.array([1, 2], [10]) is first
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+        matrix.set(2, 10, 7.0)
+        second = matrix.array([1, 2], [10])
+        assert second.tolist() == [[5.0], [7.0]] and np.isnan(first[1, 0])
+        predictor = CatchmentPredictor(FlatPreferenceModel(PreferenceMatrix()), matrix)
+        config = AnycastConfig(site_order=(2,))
+        assert predictor.predict(config, [10])[0] == Prediction(10, 2, 7.0)
+        matrix.set(2, 10, 8.0)
+        assert predictor.predict(config, [10])[0] == Prediction(10, 2, 8.0)
 
 
 @pytest.fixture(scope="module")
@@ -70,32 +247,6 @@ class TestPredictBatch:
     def test_empty_batch_mean_rtt_is_none(self, predictor):
         cfg = AnycastConfig(site_order=(1,))
         assert predictor.predict(cfg, []).mean_rtt_ms is None
-
-
-class TestDeprecatedShims:
-    def test_predict_catchment_warns_and_matches_batch(self, predictor, targets):
-        cfg = AnycastConfig(site_order=(1, 4, 6))
-        target = list(targets)[0]
-        batch = predictor.predict(cfg, [target])
-        with pytest.warns(DeprecationWarning, match="predict_catchment is deprecated"):
-            legacy = predictor.predict_catchment(target.target_id, cfg)
-        assert legacy == batch[0].site
-
-    def test_predict_rtt_warns_and_matches_batch(self, predictor, targets):
-        cfg = AnycastConfig(site_order=(1, 4, 6))
-        target = list(targets)[0]
-        batch = predictor.predict(cfg, [target])
-        with pytest.warns(DeprecationWarning, match="predict_rtt is deprecated"):
-            legacy = predictor.predict_rtt(target.target_id, cfg)
-        assert legacy == batch[0].rtt_ms
-
-    def test_warning_blames_the_caller(self, predictor, targets):
-        """stacklevel=2 points the warning at this file, not at
-        prediction.py — the resolve_settings convention."""
-        cfg = AnycastConfig(site_order=(1,))
-        with pytest.warns(DeprecationWarning) as captured:
-            predictor.predict_catchment(list(targets)[0].target_id, cfg)
-        assert captured[0].filename == __file__
 
 
 class TestPredictRtt:

@@ -23,7 +23,6 @@ from repro.runtime import (
     SerialExecutor,
     auto_chunk_size,
     make_executor,
-    resolve_settings,
 )
 from repro.splpo import available_strategies, get_solver, register_solver
 from repro.splpo.registry import _REGISTRY
@@ -243,41 +242,24 @@ def test_noiseless_preset_and_replace():
         settings.replace(parallelism=0)
 
 
-def test_legacy_kwargs_warn_on_orchestrator(testbed, targets):
-    with pytest.warns(DeprecationWarning, match="session_churn_prob") as record:
-        orch = Orchestrator(testbed, targets, seed=SEED, session_churn_prob=0.0)
-    assert orch.settings.session_churn_prob == 0.0
-    # Unsupplied knobs keep their defaults.
-    assert orch.settings.rtt_drift_sigma == CampaignSettings().rtt_drift_sigma
-    # The warning must blame the deprecated *call site*, not repro
-    # internals — a wrong stacklevel points users at the shim itself.
-    assert record[0].filename == __file__
+#: The per-knob constructor keywords ``settings=`` replaced.
+REMOVED_KEYWORDS = (
+    "session_churn_prob", "rtt_drift_sigma", "rtt_bias_sigma", "bgp_delay_jitter_ms",
+)
 
 
-def test_legacy_kwargs_warn_on_anyopt(testbed, targets):
-    with pytest.warns(DeprecationWarning, match="AnyOpt") as record:
-        anyopt = AnyOpt(testbed, targets=targets, seed=SEED, rtt_drift_sigma=0.0)
-    assert anyopt.settings.rtt_drift_sigma == 0.0
-    assert record[0].filename == __file__
+def test_removed_kwargs_rejected_by_orchestrator(testbed, targets):
+    for keyword in REMOVED_KEYWORDS:
+        with pytest.raises(TypeError, match=keyword):
+            Orchestrator(testbed, targets, seed=SEED, **{keyword: 0.0})
+    assert Orchestrator(testbed, targets, seed=SEED).settings == CampaignSettings()
 
 
-def test_resolve_settings_warns_at_direct_caller():
-    with pytest.warns(DeprecationWarning, match="deprecated") as record:
-        resolve_settings(None, "Direct", session_churn_prob=0.1)
-    assert record[0].filename == __file__
-
-
-def test_settings_and_legacy_kwargs_conflict():
-    with pytest.raises(ConfigurationError, match="not both"):
-        resolve_settings(
-            CampaignSettings(), "Orchestrator", session_churn_prob=0.5
-        )
-
-
-def test_legacy_validation_still_raises(testbed, targets):
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ConfigurationError):
-            Orchestrator(testbed, targets, session_churn_prob=1.5)
+def test_removed_kwargs_rejected_by_anyopt(testbed, targets):
+    for keyword in REMOVED_KEYWORDS:
+        with pytest.raises(TypeError, match=keyword):
+            AnyOpt(testbed, targets=targets, seed=SEED, **{keyword: 0.0})
+    assert AnyOpt(testbed, targets=targets, seed=SEED).settings == CampaignSettings()
 
 
 # --- determinism: pooled == serial ------------------------------------------

@@ -139,11 +139,12 @@ class TestModelRoundTrip:
         assert clone == matrix
         assert clone.observation(100, 1, 3).outcome() is PreferenceOutcome.UNDECIDED
 
-    def test_legacy_five_column_rows_accepted(self):
-        from repro.core.preferences import PreferenceOutcome
+    def test_rows_not_six_columns_rejected(self):
+        """A model file is outside input: no guessing a missing
+        ``undecided`` flag, no ignoring a surplus column."""
         from repro.io.serialization import matrix_from_list
 
-        clone = matrix_from_list([[100, 1, 2, 1, 1]])
-        obs = clone.observation(100, 1, 2)
-        assert not obs.undecided
-        assert obs.outcome() is PreferenceOutcome.STRICT_A
+        good = [100, 1, 3, 1, 1, False]
+        for bad in ([100, 1, 2, 1, 1], [100, 1, 2, 1, 1, False, 0]):
+            with pytest.raises(ReproError, match=rf"row 1 has {len(bad)} columns, expected 6"):
+                matrix_from_list([good, bad])

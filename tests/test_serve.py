@@ -13,8 +13,6 @@ import random
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.core.config import AnycastConfig
 from repro.core.prediction import CatchmentPredictor
 from repro.core.twolevel import SiteLevelMode, TwoLevelModel

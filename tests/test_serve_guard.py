@@ -17,8 +17,6 @@ import socket
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.serve import (
     GuardConfig,
     ModelServer,
