@@ -1,15 +1,12 @@
 """Tracked BGP-engine benchmark: the repository's performance baseline.
 
-Measures the three things the convergence fast path is accountable
-for and writes them to ``BENCH_engine.json`` (committed at the repo
-root, so regressions show up in review diffs):
+Measures what the convergence engine is accountable for and writes it
+to ``BENCH_engine.json`` (committed at the repo root, so regressions
+show up in review diffs):
 
-- **engine**: repeated same-topology convergence runs through the
-  shared-tables fast path versus the per-run-rebuild reference path
-  (``reuse_state=False``, which also disables the precomputed tables —
-  faithfully the pre-optimization engine).  Timing interleaves the two
-  engines and keeps each engine's best batch, which is what makes the
-  ratio stable on noisy single-core CI runners.
+- **engine**: repeated same-topology convergence runs — runs/s,
+  events per run and events/s of the engine's best batch (best-of
+  keeps the figure stable on noisy single-core CI runners).
 - **cache**: a noiseless redeploy absorbed by the convergence cache
   (hit rate and cold/warm deploy times).
 - **campaign**: a small discovery campaign serial versus the
@@ -21,14 +18,8 @@ root, so regressions show up in review diffs):
   ``speedup_skipped`` reason — a 1-core ratio measures fork overhead,
   not parallelism, and must not be committed as a trusted baseline.
 - **obs**: the same convergence workload with tracing and histograms
-  enabled versus disabled — the observability tax on the fast path
+  enabled versus disabled — the observability tax on the engine
   (``overhead_pct``; the budget is under 10%).
-- **scale**: internet-sized sweep topologies (1k/5k/10k ASes from
-  :func:`generate_scale_internet`): the delta engine (wavefront
-  replay + stub aggregation, the default) versus the full engine on
-  the same workloads, asserting bit-identical converged states at
-  every size before timing and recording the aggregation ratio and
-  touched-AS fraction that explain the speedup.
 
 Run it from the repo root::
 
@@ -59,11 +50,7 @@ from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.settings import CampaignSettings
 from repro.topology import TestbedParams, TopologyParams, build_paper_testbed
 from repro.topology.astopo import Relationship
-from repro.topology.generator import (
-    ScaleSweepParams,
-    generate_internet,
-    generate_scale_internet,
-)
+from repro.topology.generator import generate_internet
 
 SEED = 7
 POOL_WIDTH = 4
@@ -106,34 +93,27 @@ def bench_engine(quick: bool) -> dict:
     batch = len(workloads)  # one full pass over the pair mix
     trials = 3 if quick else 10
 
-    fast_metrics = MetricsRegistry()
-    fast = BGPEngine(internet, metrics=fast_metrics)
-    legacy = BGPEngine(internet, reuse_state=False)
-    # Warm up both paths (table build, allocator) outside the timings.
-    _time_batch(fast, workloads, 4)
-    _time_batch(legacy, workloads, 4)
+    metrics = MetricsRegistry()
+    engine = BGPEngine(internet, metrics=metrics)
+    # Warm up (table build, speaker pool, allocator) outside the timings.
+    _time_batch(engine, workloads, 4)
 
-    fast_best = legacy_best = float("inf")
-    for _ in range(trials):
-        fast_best = min(fast_best, _time_batch(fast, workloads, batch))
-        legacy_best = min(legacy_best, _time_batch(legacy, workloads, batch))
+    best = min(_time_batch(engine, workloads, batch) for _ in range(trials))
 
-    counters = fast_metrics.snapshot()["counters"]
+    counters = metrics.snapshot()["counters"]
     events_per_run = counters["convergence_events"] / counters["convergence_runs"]
     return {
         "workload": "28 distinct 2-site pairwise configs, 174-AS shared topology",
         "batch_runs": batch,
         "trials": trials,
-        "fast_runs_per_s": round(batch / fast_best, 1),
-        "legacy_runs_per_s": round(batch / legacy_best, 1),
-        "speedup": round(legacy_best / fast_best, 2),
+        "runs_per_s": round(batch / best, 1),
         "events_per_run": round(events_per_run, 1),
-        "fast_events_per_s": round(events_per_run * batch / fast_best, 0),
+        "events_per_s": round(events_per_run * batch / best, 0),
     }
 
 
 def bench_obs(quick: bool) -> dict:
-    """Observability overhead on the fast path: identical convergence
+    """Observability overhead on the engine: identical convergence
     work with the tracer + histogram registry attached versus bare."""
     internet = generate_internet(TopologyParams(n_stub=150, n_tier2=24), seed=SEED)
     workloads = _engine_workloads(internet)
@@ -153,70 +133,6 @@ def bench_obs(quick: bool) -> dict:
         "plain_runs_per_s": round(batch / plain_best, 1),
         "traced_runs_per_s": round(batch / traced_best, 1),
         "overhead_pct": round(100 * (traced_best / plain_best - 1.0), 1),
-    }
-
-
-def bench_scale(quick: bool) -> dict:
-    """Delta versus full engine across internet-sized topologies.
-
-    Bit-identity is asserted (states, convergence time, message count,
-    enabled sites) on shared workloads before anything is timed, so a
-    divergence fails the benchmark instead of poisoning the baseline.
-    """
-    sizes = [1000] if quick else [1000, 5000, 10000]
-    trials = 2 if quick else 3
-    points = []
-    for n in sizes:
-        internet = generate_scale_internet(ScaleSweepParams(n_ases=n), seed=SEED)
-        graph = internet.graph
-        workloads = _engine_workloads(internet)[:15]
-        delta = BGPEngine(internet)
-        full = BGPEngine(internet, mode="full")
-
-        for w in workloads[: 4 if quick else 8]:
-            a = delta.run(w)
-            b = full.run(w)
-            if not (
-                a.states == b.states
-                and a.convergence_time_ms == b.convergence_time_ms
-                and a.message_count == b.message_count
-                and a.enabled_sites == b.enabled_sites
-            ):
-                raise AssertionError(
-                    f"delta engine diverged from full engine at {n} ASes"
-                )
-
-        # The full engine replays the whole cascade per run, so it gets
-        # a small, separately-sized batch; the delta engine's batch is
-        # large enough for a stable per-run figure.
-        delta_runs = 10 if quick else 30
-        full_runs = 2 if quick else 3
-        _time_batch(delta, workloads, 2)
-        _time_batch(full, workloads, 1)
-        delta_best = full_best = float("inf")
-        for _ in range(trials):
-            delta_best = min(delta_best, _time_batch(delta, workloads, delta_runs))
-            full_best = min(full_best, _time_batch(full, workloads, full_runs))
-
-        stats = delta._delta.last_run_stats
-        tables = graph.tables()
-        points.append({
-            "n_ases": len(graph),
-            "links": len(list(graph.links())),
-            "aggregation_ratio": round(len(tables.stub_providers) / len(graph), 3),
-            "touched_fraction": round(stats["touched"] / len(graph), 4),
-            "delta_events_per_run": stats["events"],
-            "delta_runs_per_s": round(delta_runs / delta_best, 1),
-            "full_runs_per_s": round(full_runs / full_best, 2),
-            "delta_speedup": round(
-                (full_best / full_runs) / (delta_best / delta_runs), 1
-            ),
-        })
-    return {
-        "workload": "2-site pairwise configs over tier-2 hosts, scale-sweep topologies",
-        "trials": trials,
-        "identical": True,  # asserted above for every size
-        "points": points,
     }
 
 
@@ -317,22 +233,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     engine = bench_engine(args.quick)
-    print(f"engine: fast {engine['fast_runs_per_s']} runs/s, "
-          f"legacy {engine['legacy_runs_per_s']} runs/s "
-          f"-> {engine['speedup']}x")
+    print(f"engine: {engine['runs_per_s']} runs/s, "
+          f"{engine['events_per_s']:.0f} events/s")
 
     obs = bench_obs(args.quick)
     print(f"obs: plain {obs['plain_runs_per_s']} runs/s, "
           f"traced {obs['traced_runs_per_s']} runs/s "
           f"-> {obs['overhead_pct']}% overhead")
-
-    scale = bench_scale(args.quick)
-    for point in scale["points"]:
-        print(f"scale[{point['n_ases']} ASes]: delta {point['delta_runs_per_s']} "
-              f"runs/s, full {point['full_runs_per_s']} runs/s "
-              f"-> {point['delta_speedup']}x "
-              f"(agg {point['aggregation_ratio']:.0%}, "
-              f"touched {point['touched_fraction']:.1%})")
 
     stubs = 100 if args.quick else 150
     tier2 = 16 if args.quick else 24
@@ -358,7 +265,7 @@ def main(argv=None) -> int:
 
     payload = {
         "format": "anyopt-bench-engine",
-        "version": 3,
+        "version": 4,
         "quick": args.quick,
         "host": {
             "python": platform.python_version(),
@@ -367,7 +274,6 @@ def main(argv=None) -> int:
         },
         "engine": engine,
         "obs": obs,
-        "scale": scale,
         "cache": cache,
         "campaign": campaign,
     }

@@ -1,13 +1,15 @@
 """Delta convergence: internet-scale runs that only pay for the wavefront.
 
 A campaign runs thousands of experiments over one topology, and each
-experiment differs only in which sites announce.  The full engine path
-still pays three per-run costs proportional to the whole topology: a
-speaker-pool overlay sweep, a detach scan over every AS, and one heap
-event per delivered update — including the huge majority delivered to
-stub ASes that can never say anything back.
+experiment differs only in which sites announce.  A plain loop with one
+live speaker per AS pays three per-run costs proportional to the whole
+topology: an overlay sweep over every speaker, a detach scan over every
+AS, and one heap event per delivered update — including the huge
+majority delivered to stub ASes that can never say anything back.
 
-This module removes all three, bit-identically:
+This module — the engine's only convergence path — pays none of the
+three, bit-identically to that plain loop (which survives as the test
+suite's oracle, ``tests/reference_engine.py``):
 
 - **Touched-AS tracking / copy-on-restore**: the per-topology base
   state is the empty RIB (only the anycast prefix exists), so a run's
@@ -25,34 +27,36 @@ This module removes all three, bit-identically:
   providers' export bases entirely, so the simulated core is just the
   transit hierarchy.  What a provider *would* have sent them is
   reconstructed from the provider's **export episodes**: a provider
-  sends the same update to every (non-poisoned) stub customer exactly
+  sends the same update to every aggregated stub customer exactly
   when its best route materially changes to a new export path, so
   recording ``(virtual time, export path)`` per change captures every
   stub-bound message without enumerating the stubs.  Stub states are
   synthesized lazily from the episode log on first read
   (:class:`LazyStates`), and message/event counts and the convergence
   timestamp are reconstructed from episode arithmetic, so metrics and
-  traces match the full path too.
+  traces match the plain loop too.
 
 Bit-identity argument for the event order: removing a heap entry that
 generates no further events preserves the relative order of all
 remaining entries (the tie-breaking sequence numbers are monotonic in
 push order, and a subsequence keeps its order), so every live AS sees
-the exact event sequence the full path delivers.  A provider never
+the exact event sequence the plain loop delivers.  A provider never
 sends consecutive duplicates to one neighbor (``advertised_to`` dedup)
 and link delay plus per-run jitter are constant per directed pair, so
 deliveries to a stub arrive in send order and the episode replay
-reproduces exactly the deliveries the full path makes.  Poisoned
-episodes (an aggregated stub spliced into the announced path, which
-the real export loop skips for that stub) mark the provider
-*complicated* and fall back to an exact per-stub replay of its episode
-list — the same dedup rules, applied stub by stub.
+reproduces exactly the deliveries the plain loop makes.
 
-An injection or withdrawal hosted *at* a normally-aggregated stub
-un-aggregates that AS for the run (it gets an ephemeral live speaker
-and its providers get a run-local export base that re-admits it): an
-injecting stub does export — toward its providers — so it must sit on
-the heap like any other AS.
+The replay treats all of a provider's aggregated stubs alike, which
+holds as long as none of them appears in an AS path (the export loop
+skips a target inside the path, and withdraws what it advertised there
+before).  Besides the origin ASN every path carries, a pure stub's ASN
+can enter a path in two ways only: by hosting an injection — an
+injecting stub does export, toward its providers — or by being spliced
+into an announcement as a ``poison`` entry.  All are inputs known
+before the first event, so such a stub is un-aggregated *for the run*:
+it gets an ephemeral live speaker, its providers get a run-local export
+base that re-admits it, and it sits on the heap like any other AS while
+its siblings stay aggregated.
 """
 
 import heapq
@@ -73,8 +77,8 @@ class _PrunedTables:
     """Core speakers' view of the topology tables: identical session
     imports, export bases with the aggregated stubs removed.  Pruning
     preserves the base's sorted order (a subsequence of a sorted tuple),
-    so the surviving exports are emitted in exactly the full path's
-    relative order."""
+    so the surviving exports are emitted in exactly the unpruned
+    base's relative order."""
 
     __slots__ = ("session_import", "export_all", "export_customers")
 
@@ -107,41 +111,19 @@ class _RunExport:
         return self._customers
 
 
-def _final_delivery(episodes, stub):
-    """The last update actually delivered to ``stub`` by a provider
-    with episode list ``episodes``: forward replay with the export
-    loop's own filters.  A poisoned episode (the stub inside the new
-    path) withdraws a previously advertised route — the export loop's
-    stale-target branch — and otherwise delivers nothing; an episode
-    matching the advertised path is deduplicated; a None episode
-    withdraws only when something is advertised.  Returns ``(time_ms,
-    path)`` with ``path`` None when the stub ends route-less."""
-    last_t = 0.0
-    advertised = None
-    for t, path in episodes:
-        if path is None or stub in path:
-            if advertised is not None:
-                last_t, advertised = t, None
-        elif path == advertised:
-            continue
-        else:
-            last_t, advertised = t, path
-    return last_t, advertised
-
-
 class LazyStates(Mapping):
     """A per-AS state mapping that synthesizes aggregated-stub states
     on first read.
 
-    Behaves exactly like the ``Dict[int, RouterState]`` the engine's
-    other paths return: same keys (every AS in the topology), same
-    values (by ``==``).  Internally it holds only the states the run
+    Behaves exactly like the ``Dict[int, RouterState]`` a loop with one
+    live speaker per AS returns: same keys (every AS in the topology),
+    same values (by ``==``).  Internally it holds only the states the run
     actually materialized; untouched ASes resolve to the shared
     pristine state, aggregated stubs are built from their providers'
     episode logs on demand (then cached), and a touched provider's
     ``advertised_to`` entries for its aggregated stubs are patched in
     on first access.  Pickling materializes to a plain dict, so
-    persisted convergence-store entries are engine-mode agnostic.
+    persisted convergence-store entries do not depend on this class.
     """
 
     __slots__ = ("_materialized", "_pristine", "_aggregated", "_synth", "_pending", "_patch")
@@ -192,34 +174,26 @@ class LazyStates(Mapping):
 
     __hash__ = None
 
-    def live_items(self):
-        """Items the run materialized so far (touched live ASes, plus
-        any stub states already synthesized).  Provider states reached
-        this way may still have their stub ``advertised_to`` patches
-        pending; use ``states[asn]`` for the fully-patched view."""
-        return self._materialized.items()
-
     def __reduce__(self):
         return (dict, ({asn: self[asn] for asn in self._pristine},))
 
 
 class DeltaConverger:
-    """The delta-mode convergence core of one :class:`BGPEngine`.
+    """The convergence core of one :class:`BGPEngine`.
 
     Owns a pool of *core* speaker sets (every AS except the aggregated
     stubs) plus the shared pristine states, both keyed to the graph's
     current :class:`~repro.topology.precompute.TopologyTables`.  Safe
     to share across executor threads: each run checks out its own
-    speaker set, exactly like the engine's full path.
+    speaker set.
     """
 
-    def __init__(self, internet, prefix: str, origin_asn: int, aggregate_stubs: bool):
+    def __init__(self, internet, prefix: str, origin_asn: int):
         # The engine's inputs, not the engine: a back-pointer makes a cycle
         # that keeps engine, cache and cached states alive until a gen-2 GC.
         self.internet = internet
         self.prefix = prefix
         self.origin_asn = origin_asn
-        self.aggregate_stubs = aggregate_stubs
         self._lock = threading.Lock()
         self._pool: List[Dict[int, BGPSpeaker]] = []
         self._pool_tables = None
@@ -228,13 +202,9 @@ class DeltaConverger:
         self._pruned: Optional[_PrunedTables] = None
         #: provider ASN -> sorted tuple of its aggregated stub customers
         self._parents: Dict[int, Tuple[int, ...]] = {}
-        self._parent_stubset: Dict[int, frozenset] = {}
         #: provider ASN -> max one-way delay to any of its stubs (the
         #: jitter-free fast path for the convergence timestamp).
         self._parent_maxdelay: Dict[int, float] = {}
-        #: Diagnostics of the most recent completed run (serial use
-        #: only — concurrent runs overwrite each other's entry).
-        self.last_run_stats: Dict[str, float] = {}
 
     # -- per-topology state ---------------------------------------------
 
@@ -245,39 +215,31 @@ class DeltaConverger:
         self._pool = []
         self._pool_tables = tables
         self._pristine = {asn: RouterState(asn) for asn in graph.asns()}
-        aggregated = (
-            frozenset(tables.stub_providers)
-            if self.aggregate_stubs
-            else frozenset()
-        )
+        aggregated = frozenset(tables.stub_providers)
         self._aggregated = aggregated
         parents: Dict[int, List[int]] = {}
         for stub in aggregated:
             for provider in tables.stub_providers[stub]:
                 parents.setdefault(provider, []).append(stub)
         self._parents = {p: tuple(sorted(s)) for p, s in parents.items()}
-        self._parent_stubset = {p: frozenset(s) for p, s in self._parents.items()}
         prop_delay = tables.prop_delay
         self._parent_maxdelay = {
             p: max(prop_delay[(p, s)] for s in stubs)
             for p, stubs in self._parents.items()
         }
-        if aggregated:
-            export_all = {
-                asn: tuple(t for t in targets if t not in aggregated)
-                for asn, targets in tables.export_all.items()
-                if asn not in aggregated
-            }
-            export_customers = {
-                asn: tuple(t for t in targets if t not in aggregated)
-                for asn, targets in tables.export_customers.items()
-                if asn not in aggregated
-            }
-            self._pruned = _PrunedTables(
-                tables.session_import, export_all, export_customers
-            )
-        else:
-            self._pruned = None
+        export_all = {
+            asn: tuple(t for t in targets if t not in aggregated)
+            for asn, targets in tables.export_all.items()
+            if asn not in aggregated
+        }
+        export_customers = {
+            asn: tuple(t for t in targets if t not in aggregated)
+            for asn, targets in tables.export_customers.items()
+            if asn not in aggregated
+        }
+        self._pruned = _PrunedTables(
+            tables.session_import, export_all, export_customers
+        )
 
     def _checkout(self, tables, igp_overlay):
         graph = self.internet.graph
@@ -288,11 +250,9 @@ class DeltaConverger:
         aggregated = self._aggregated
         if speakers is None:
             prefix = self.prefix
-            speaker_tables = self._pruned if self._pruned is not None else tables
+            pruned = self._pruned
             speakers = {
-                asn: BGPSpeaker(
-                    graph, graph.as_of(asn), prefix, igp_overlay, tables=speaker_tables
-                )
+                asn: BGPSpeaker(graph.as_of(asn), prefix, pruned, igp_overlay)
                 for asn in graph.asns()
                 if asn not in aggregated
             }
@@ -322,8 +282,8 @@ class DeltaConverger:
         events)`` with ``states`` a :class:`LazyStates`.
 
         ``jitter`` is the per-run delay jitter the engine already drew
-        (the RNG stream iterates the full link list, so drawing it in
-        one place keeps every mode on the same stream).
+        (the RNG stream iterates the full link list, so it is drawn
+        once per run, before any event).
         """
         graph = self.internet.graph
         tables = graph.tables()
@@ -331,13 +291,19 @@ class DeltaConverger:
         prop_delay = tables.prop_delay
         jitter_get = jitter.get
 
-        # An AS hosting an injection or withdrawal must be live even if
-        # it would normally aggregate: it exports toward its providers.
-        hosts = {inj.host_asn for inj in injections}
-        hosts.update(wd.host_asn for wd in withdrawals)
+        # A stub must be live even if it would normally aggregate when
+        # it hosts an injection or withdrawal (it exports toward its
+        # providers) or when an announced path names it (poison entries
+        # and the origin: the export loop skips a target inside the
+        # path).  No stub left aggregated can then appear in any path.
+        named = {self.origin_asn}
+        for inj in injections:
+            named.add(inj.host_asn)
+            named.update(inj.poison)
+        named.update(wd.host_asn for wd in withdrawals)
         extra: Dict[int, BGPSpeaker] = {}
         agg = aggregated
-        live_stubs = hosts & aggregated
+        live_stubs = named & aggregated
         patched: List[Tuple[BGPSpeaker, object]] = []
         #: Per-run override of a provider's aggregated-stub list when
         #: some of its stubs are live this run.
@@ -346,9 +312,7 @@ class DeltaConverger:
             agg = aggregated - live_stubs
             prefix = self.prefix
             extra = {
-                asn: BGPSpeaker(
-                    graph, graph.as_of(asn), prefix, igp_overlay, tables=tables
-                )
+                asn: BGPSpeaker(graph.as_of(asn), prefix, tables, igp_overlay)
                 for asn in live_stubs
             }
             affected: Dict[int, set] = {}
@@ -384,15 +348,11 @@ class DeltaConverger:
         inj_by_key = {(inj.host_asn, inj.site_id): inj for inj in injections}
 
         # ep_log holds, per provider, the export episodes (time, export
-        # path or None) its aggregated stubs would have received;
-        # `complicated` flags providers with a stub spliced into an
-        # episode's path (BGP poisoning), which forces per-stub replay.
+        # path or None) its aggregated stubs would have received.
         ep_log: Dict[int, List[Tuple[float, Optional[Tuple[int, ...]]]]] = {}
-        complicated = set()
         agg_est = 0  # running upper bound on aggregated deliveries
         parents_get = self._parents.get
         stubs_run_get = stubs_run.get
-        stubset = self._parent_stubset
         touched = set()
         touched_add = touched.add
         messages = 0
@@ -463,8 +423,6 @@ class DeltaConverger:
                             if not eps or eps[-1][1] != export_path:
                                 eps.append((time_ms, export_path))
                                 agg_est += len(run_stubs)
-                                if not stubset[receiver].isdisjoint(export_path):
-                                    complicated.add(receiver)
 
             for update in out:
                 neighbor = update.neighbor
@@ -481,7 +439,10 @@ class DeltaConverger:
 
         # -- aggregated-delivery accounting -------------------------------
         # Exact counts and the last aggregated arrival, from episode
-        # arithmetic (per-stub replay only for complicated providers).
+        # arithmetic: every aggregated stub receives every episode.
+        # Arrivals are computed as (episode time + delay) + jitter,
+        # matching the push expression above term for term so the
+        # convergence timestamp is bit-equal.
         agg_count = 0
         agg_last = 0.0
         parents = self._parents
@@ -494,48 +455,22 @@ class DeltaConverger:
                 stubs = parents[provider]
             if not stubs:
                 continue
-            if provider in complicated:
-                # Arrivals are computed as (episode time + delay) +
-                # jitter, matching the engine's push expression term
-                # for term so the convergence timestamp is bit-equal.
-                for stub in stubs:
-                    pair = (provider, stub)
-                    prop = prop_delay[pair]
-                    jit = jitter_get(pair, 0.0)
-                    advertised = None
-                    for t, path in eps:
-                        if path is None or stub in path:
-                            if advertised is not None:
-                                agg_count += 1
-                                arrive = t + prop + jit
-                                if arrive > agg_last:
-                                    agg_last = arrive
-                                advertised = None
-                        elif path == advertised:
-                            continue
-                        else:
-                            agg_count += 1
-                            arrive = t + prop + jit
-                            if arrive > agg_last:
-                                agg_last = arrive
-                            advertised = path
+            agg_count += len(eps) * len(stubs)
+            t_last = eps[-1][0]
+            if jittered:
+                arrive = max(
+                    t_last + prop_delay[(provider, s)] + jitter_get((provider, s), 0.0)
+                    for s in stubs
+                )
             else:
-                agg_count += len(eps) * len(stubs)
-                t_last = eps[-1][0]
-                if jittered:
-                    arrive = max(
-                        t_last + prop_delay[(provider, s)] + jitter_get((provider, s), 0.0)
-                        for s in stubs
-                    )
-                else:
-                    # Float addition is monotone, so adding the max
-                    # delay equals the max of the per-stub sums.
-                    reach = maxdelay[provider] if full_set else max(
-                        prop_delay[(provider, s)] for s in stubs
-                    )
-                    arrive = t_last + reach
-                if arrive > agg_last:
-                    agg_last = arrive
+                # Float addition is monotone, so adding the max
+                # delay equals the max of the per-stub sums.
+                reach = maxdelay[provider] if full_set else max(
+                    prop_delay[(provider, s)] for s in stubs
+                )
+                arrive = t_last + reach
+            if arrive > agg_last:
+                agg_last = arrive
 
         # -- detach touched states (copy-on-restore) ----------------------
         materialized: Dict[int, RouterState] = {}
@@ -556,29 +491,23 @@ class DeltaConverger:
             materialized,
             pristine,
             agg,
-            self._make_synth(tables, igp_overlay, pristine, ep_log, complicated, jitter),
+            self._make_synth(tables, igp_overlay, pristine, ep_log, jitter),
             set(ep_log),
-            self._make_patch(tables, ep_log, complicated, stubs_run),
+            self._make_patch(ep_log, stubs_run),
         )
         last_time = max(last_time, agg_last)
         messages += agg_count
         events += agg_count
-        self.last_run_stats = {
-            "touched": len(touched),
-            "aggregated": len(aggregated),
-            "agg_messages": agg_count,
-            "events": events,
-        }
         return states, last_time, messages, events
 
-    def _make_synth(self, tables, igp_overlay, pristine, ep_log, complicated, jitter):
+    def _make_synth(self, tables, igp_overlay, pristine, ep_log, jitter):
         """The stub-state synthesizer for one run's :class:`LazyStates`.
 
-        Mirrors ``BGPSpeaker.receive_announcement``'s tables path per
-        provider session and the speaker's decision step over the
-        result: same import values, same route constructor, same
-        decision, so the synthesized state is ``==`` to the one the
-        full path builds by simulation.
+        Mirrors ``BGPSpeaker.receive_announcement`` per provider
+        session and the speaker's decision step over the result: same
+        import values, same route constructor, same decision, so the
+        synthesized state is ``==`` to the one a live speaker builds
+        by simulation.
         """
         session_import = tables.session_import
         stub_providers = tables.stub_providers
@@ -595,10 +524,7 @@ class DeltaConverger:
                 eps = ep_get(provider)
                 if not eps:
                     continue
-                if provider in complicated:
-                    t, path = _final_delivery(eps, stub)
-                else:
-                    t, path = eps[-1]
+                t, path = eps[-1]
                 if path is None:
                     continue
                 session = (stub, provider)
@@ -627,10 +553,10 @@ class DeltaConverger:
 
         return synth
 
-    def _make_patch(self, tables, ep_log, complicated, stubs_run):
+    def _make_patch(self, ep_log, stubs_run):
         """The provider ``advertised_to`` patcher: re-adds the entries
-        the pruned export base never wrote, value-equal to the routes
-        the full path's export loop shares across its targets."""
+        the pruned export base never wrote, value-equal to the route
+        the speaker's export loop shares across its targets."""
         parents = self._parents
         stubs_run_get = stubs_run.get
         prefix = self.prefix
@@ -642,24 +568,12 @@ class DeltaConverger:
             stubs = stubs_run_get(provider)
             if stubs is None:
                 stubs = parents[provider]
+            _t, path = eps[-1]
+            if path is None:
+                return
+            route = make_route(prefix, path, provider, 0)
             advertised = state.advertised_to
-            if provider in complicated:
-                shared: Dict[Tuple[int, ...], Route] = {}
-                for stub in stubs:
-                    _t, path = _final_delivery(eps, stub)
-                    if path is None:
-                        continue
-                    route = shared.get(path)
-                    if route is None:
-                        route = make_route(prefix, path, provider, 0)
-                        shared[path] = route
-                    advertised[stub] = route
-            else:
-                _t, path = eps[-1]
-                if path is None:
-                    return
-                route = make_route(prefix, path, provider, 0)
-                for stub in stubs:
-                    advertised[stub] = route
+            for stub in stubs:
+                advertised[stub] = route
 
         return patch

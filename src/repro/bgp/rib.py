@@ -67,7 +67,7 @@ class ColumnarRib:
 
     The object :class:`RouterState` remains the reference (and the
     representation ``bgp.explain`` and the data plane read); the
-    columns are derived from it.  Delta-mode states synthesize
+    columns are derived from it.  Engine results synthesize
     aggregated stubs lazily on first read, so building the columns
     works identically over a plain dict or a
     :class:`~repro.bgp.delta.LazyStates`.

@@ -7,23 +7,21 @@ engine's concern; the speaker only records the arrival timestamps it is
 given (they feed the arrival-order tie-break of
 :mod:`repro.bgp.decision`).
 
-Speakers run in one of two modes.  With ``tables`` (a
-:class:`~repro.topology.precompute.TopologyTables`) they read import
-preferences, interior costs, and presorted export sets from the shared
-per-topology tables — the fast path the engine uses for repeated runs.
-Without tables they derive everything through per-call graph lookups,
-which is the reference path the fast path is tested against.  Both
-produce identical updates in identical order.
+Speakers read import preferences, interior costs, and presorted export
+sets from ``tables`` — the shared per-topology
+:class:`~repro.topology.precompute.TopologyTables`, or anything with
+the same ``session_import`` mapping and ``export_targets`` method (the
+delta engine's pruned views; the graph-backed per-call lookups of the
+test suite's reference engine).
 """
 
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.bgp.decision import best_route, multipath_set
 from repro.bgp.messages import Route, SitePop, make_route
-from repro.bgp.policy import export_targets, local_pref_for
+from repro.bgp.policy import local_pref_for
 from repro.bgp.rib import RouterState
-from repro.topology.astopo import AS, ASGraph, Relationship
+from repro.topology.astopo import AS, Relationship
 from repro.util.errors import ReproError
 
 
@@ -45,14 +43,13 @@ class BGPSpeaker:
 
     ``igp_overlay`` maps ``(asn, neighbor)`` to a session interior
     cost overriding the topology's static one — the engine uses it to
-    model interior-routing churn between experiments.  The engine's
+    model interior-routing churn between experiments.  The converger's
     speaker pool reassigns it between runs.
     """
 
-    __slots__ = ("graph", "node", "prefix", "igp_overlay", "state", "_tables")
+    __slots__ = ("node", "prefix", "igp_overlay", "state", "_tables")
 
-    def __init__(self, graph: ASGraph, node: AS, prefix: str, igp_overlay=None, tables=None):
-        self.graph = graph
+    def __init__(self, node: AS, prefix: str, tables, igp_overlay=None):
         self.node = node
         self.prefix = prefix
         self.igp_overlay = igp_overlay or {}
@@ -153,33 +150,14 @@ class BGPSpeaker:
         ):
             # Duplicate refresh: route age is preserved, nothing changes.
             return []
-        tables = self._tables
-        if tables is not None:
-            session = (asn, neighbor)
-            local_pref, interior, rel = tables.session_import[session]
-            overlay = self.igp_overlay.get(session)
-            if overlay is not None:
-                interior = overlay
-            adj_rib_in[neighbor] = make_route(
-                self.prefix, as_path, neighbor, local_pref, rel, med, interior, now
-            )
-        else:
-            rel = self.graph.rel(asn, neighbor)
-            local_pref = local_pref_for(self.node, neighbor, rel)
-            interior = self.igp_overlay.get((asn, neighbor))
-            if interior is None:
-                link = self.graph.link(asn, neighbor)
-                interior = link.igp_cost.get(asn, 0)
-            adj_rib_in[neighbor] = Route(
-                prefix=self.prefix,
-                as_path=as_path,
-                learned_from=neighbor,
-                local_pref=local_pref,
-                learned_rel=rel,
-                med=med,
-                interior_cost=interior,
-                arrival_time=now,
-            )
+        session = (asn, neighbor)
+        local_pref, interior, rel = self._tables.session_import[session]
+        overlay = self.igp_overlay.get(session)
+        if overlay is not None:
+            interior = overlay
+        adj_rib_in[neighbor] = make_route(
+            self.prefix, as_path, neighbor, local_pref, rel, med, interior, now
+        )
         return self._reevaluate()
 
     def receive_withdrawal(self, neighbor: int) -> List[OutgoingUpdate]:
@@ -217,52 +195,46 @@ class BGPSpeaker:
         old_best = state.best
         tables = self._tables
         node = self.node
-        if tables is not None:
-            # Inlined copy of decision.evaluate(): this runs once per
-            # delivered message and the call overhead is measurable.
-            # Keep in lockstep with decision.evaluate.
-            adj_rib_in = state.adj_rib_in
-            if len(adj_rib_in) == 1:
-                # Single candidate (stubs, injection hosts): the scan
-                # and every tie-break are no-ops.
-                new_best = next(iter(adj_rib_in.values()))
-                state.best = new_best
-                state.multipath = [new_best]
-                return self._export_updates(state, old_best, new_best, tables)
-            best_key = None
-            tied: List[Route] = []
-            for r in state.adj_rib_in.values():
-                # The strict key is a pure function of the (frozen)
-                # route, so it is computed once and cached on the
-                # instance; ribs are rescanned on every delivery.
-                try:
-                    k = r.strict_key
-                except AttributeError:
-                    k = (-r.local_pref, len(r.as_path), r.origin_code, r.med, r.interior_cost)
-                    object.__setattr__(r, "strict_key", k)
-                if best_key is None or k < best_key:
-                    best_key = k
-                    tied = [r]
-                elif k == best_key:
-                    tied.append(r)
-            if not tied:
-                new_best = None
-                multipath: List[Route] = []
-            elif len(tied) == 1:
-                new_best = tied[0]
-                multipath = tied
-            else:
-                if node.arrival_order_tiebreak:
-                    new_best = min(tied, key=lambda r: (r.arrival_time, r.learned_from))
-                else:
-                    new_best = min(tied, key=lambda r: r.learned_from)
-                tied.sort(key=lambda r: r.learned_from)
-                multipath = tied
+        # Inlined copy of decision.evaluate(): this runs once per
+        # delivered message and the call overhead is measurable.
+        # Keep in lockstep with decision.evaluate.
+        adj_rib_in = state.adj_rib_in
+        if len(adj_rib_in) == 1:
+            # Single candidate (stubs, injection hosts): the scan
+            # and every tie-break are no-ops.
+            new_best = next(iter(adj_rib_in.values()))
+            state.best = new_best
+            state.multipath = [new_best]
+            return self._export_updates(state, old_best, new_best, tables)
+        best_key = None
+        tied: List[Route] = []
+        for r in state.adj_rib_in.values():
+            # The strict key is a pure function of the (frozen)
+            # route, so it is computed once and cached on the
+            # instance; ribs are rescanned on every delivery.
+            try:
+                k = r.strict_key
+            except AttributeError:
+                k = (-r.local_pref, len(r.as_path), r.origin_code, r.med, r.interior_cost)
+                object.__setattr__(r, "strict_key", k)
+            if best_key is None or k < best_key:
+                best_key = k
+                tied = [r]
+            elif k == best_key:
+                tied.append(r)
+        if not tied:
+            new_best = None
+            multipath: List[Route] = []
+        elif len(tied) == 1:
+            new_best = tied[0]
+            multipath = tied
         else:
-            # Reference path: the original two-pass decision.
-            routes = state.routes()
-            new_best = best_route(routes, node)
-            multipath = multipath_set(routes, node)
+            if node.arrival_order_tiebreak:
+                new_best = min(tied, key=lambda r: (r.arrival_time, r.learned_from))
+            else:
+                new_best = min(tied, key=lambda r: r.learned_from)
+            tied.sort(key=lambda r: r.learned_from)
+            multipath = tied
         state.best = new_best
         state.multipath = multipath
         return self._export_updates(state, old_best, new_best, tables)
@@ -296,12 +268,7 @@ class BGPSpeaker:
         # The export base is presorted (hoisted into the topology
         # tables), so only the usually-empty stale set needs a sort
         # here — the old path re-sorted both sets per reevaluation.
-        if tables is not None:
-            base = tables.export_targets(asn, new_best.learned_rel)
-        else:
-            base = tuple(sorted(
-                export_targets(self.graph, asn, new_best.learned_rel, learned_from)
-            ))
+        base = tables.export_targets(asn, new_best.learned_rel)
         advertised = state.advertised_to
         out: List[OutgoingUpdate] = []
         if advertised:
@@ -322,15 +289,7 @@ class BGPSpeaker:
             if previously is not None and previously.as_path == export_path:
                 continue
             if exported is None:
-                if tables is not None:
-                    exported = make_route(self.prefix, export_path, asn, 0)
-                else:
-                    exported = Route(
-                        prefix=self.prefix,
-                        as_path=export_path,
-                        learned_from=asn,
-                        local_pref=0,
-                    )
+                exported = make_route(self.prefix, export_path, asn, 0)
             advertised[n] = exported
             out.append(OutgoingUpdate(neighbor=n, as_path=export_path))
         return out

@@ -131,7 +131,6 @@ def _settings_from_args(args) -> Optional[CampaignSettings]:
         ("executor", "executor"),
         ("chunk_size", "process_chunk_size"),
         ("cache_dir", "convergence_cache_path"),
-        ("engine_mode", "engine_mode"),
     ):
         value = getattr(args, flag, None)
         if value is not None:
@@ -850,15 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="experiments per dispatch to a process-pool worker (default: "
         "auto-sized from the task count and pool width; ignored by the "
         "thread executor)",
-    )
-    runtime.add_argument(
-        "--engine-mode",
-        choices=["delta", "full"],
-        default=None,
-        dest="engine_mode",
-        help="convergence engine: 'delta' replays only the announce/withdraw "
-        "wavefront over a per-topology base state (default), 'full' replays "
-        "every event from scratch (reference; bit-identical results)",
     )
 
     p = sub.add_parser("build-testbed", help="generate and save a testbed")

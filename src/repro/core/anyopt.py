@@ -57,11 +57,9 @@ class AnyOpt:
     """End-to-end driver for the AnyOpt pipeline on a testbed.
 
     Campaign knobs — the drift/noise models plus the runtime options
-    (parallelism, convergence caching, and the convergence engine mode
-    ``engine_mode``/``aggregate_stubs``, which trades nothing away:
-    delta replay with stub aggregation is bit-identical to the full
-    engine and is the default) — live in one
-    :class:`~repro.runtime.settings.CampaignSettings` value.
+    (parallelism, convergence caching, the convergence event budget) —
+    live in one :class:`~repro.runtime.settings.CampaignSettings`
+    value.
 
     With ``executor="process"`` the pool of forked workers is shared
     across the campaign's phases (discover → audit → repair → peers);

@@ -43,28 +43,17 @@ STORE_VERSION = 2
 logger = get_logger("cachestore")
 
 
-def topology_fingerprint(
-    graph, prefix: str, engine_mode: str = "full", aggregate_stubs: bool = False
-) -> str:
+def topology_fingerprint(graph, prefix: str) -> str:
     """A stable digest of the inputs the cache key leaves ambient.
 
     Covers every AS (including policy knobs like deviant preferences
     and tie-break flags) and every link (delays, interior costs), plus
-    the announced prefix and the engine mode (delta vs full, stub
-    aggregation on/off).  The modes are bit-identical by construction,
-    but a persisted state must never outlive that guarantee silently:
-    namespacing by mode means a state produced under one engine can
-    never be served to another, so a hypothetical divergence surfaces
-    as a test failure instead of a stale cache hit.  Anything that
-    changes a converged state must change the fingerprint; spurious
-    differences merely cost a cold cache, so erring toward inclusion
-    is safe.
+    the announced prefix.  Anything that changes a converged state
+    must change the fingerprint; spurious differences merely cost a
+    cold cache, so erring toward inclusion is safe.
     """
     hasher = hashlib.sha256()
-    hasher.update(
-        f"{STORE_FORMAT}:{STORE_VERSION}:{prefix}:"
-        f"{engine_mode}:{int(aggregate_stubs)}".encode()
-    )
+    hasher.update(f"{STORE_FORMAT}:{STORE_VERSION}:{prefix}".encode())
     for asn in graph.asns():
         hasher.update(repr(graph.as_of(asn)).encode())
     for link in sorted(graph.links(), key=lambda link: (link.a, link.b)):
@@ -88,19 +77,9 @@ class ConvergenceStore:
         os.makedirs(self._dir, exist_ok=True)
 
     @classmethod
-    def for_topology(
-        cls,
-        path: str,
-        graph,
-        prefix: str,
-        engine_mode: str = "full",
-        aggregate_stubs: bool = False,
-    ) -> "ConvergenceStore":
-        """The store namespaced to one AS graph + anycast prefix +
-        engine mode."""
-        return cls(
-            path, topology_fingerprint(graph, prefix, engine_mode, aggregate_stubs)
-        )
+    def for_topology(cls, path: str, graph, prefix: str) -> "ConvergenceStore":
+        """The store namespaced to one AS graph + anycast prefix."""
+        return cls(path, topology_fingerprint(graph, prefix))
 
     # -- internals ----------------------------------------------------------
 

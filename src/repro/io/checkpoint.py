@@ -57,6 +57,24 @@ class DiscoveryProgress:
     failures: List[FailedExperiment] = field(default_factory=list)
 
 
+def _settings_from_dict(raw: Dict, document: str) -> CampaignSettings:
+    """The campaign settings a checkpoint recorded.
+
+    A key :class:`CampaignSettings` does not declare — a stray one, or a
+    field another version of this library had — is a typed error rather
+    than the constructor's ``TypeError``: such a campaign cannot be
+    replayed under this version's settings.
+    """
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(CampaignSettings)})
+    if unknown:
+        raise ReproError(
+            f"{document} carries unknown campaign settings "
+            f"{', '.join(map(repr, unknown))}; it was written by a different "
+            "version of this library and cannot be resumed"
+        )
+    return CampaignSettings(**raw)
+
+
 def progress_to_dict(progress: DiscoveryProgress) -> Dict:
     """Serialize partial campaign state to a versioned dict."""
     rtt_rows = None
@@ -109,7 +127,7 @@ def progress_from_dict(raw: Dict) -> DiscoveryProgress:
     )
     return DiscoveryProgress(
         seed=raw["seed"],
-        settings=CampaignSettings(**raw["settings"]),
+        settings=_settings_from_dict(raw["settings"], CHECKPOINT_FORMAT),
         site_level_mode=SiteLevelMode(raw["site_level_mode"]),
         experiment_count=raw["experiment_count"],
         rtt_matrix=rtt_matrix,
@@ -255,7 +273,7 @@ def repair_progress_from_dict(raw: Dict) -> RepairProgress:
             rtt_matrix.set(site, target, value)
     return RepairProgress(
         seed=raw["seed"],
-        settings=CampaignSettings(**raw["settings"]),
+        settings=_settings_from_dict(raw["settings"], REPAIR_CHECKPOINT_FORMAT),
         announce_order=tuple(raw["announce_order"]),
         max_rounds=raw["max_rounds"],
         budget=raw["budget"],

@@ -206,8 +206,6 @@ class Orchestrator:
                 self.settings.convergence_cache_path,
                 testbed.internet.graph,
                 DEFAULT_ANYCAST_PREFIX,
-                engine_mode=self.settings.engine_mode,
-                aggregate_stubs=self.settings.aggregate_stubs,
             )
         self.convergence_cache = (
             ConvergenceCache(
@@ -223,8 +221,6 @@ class Orchestrator:
             cache=self.convergence_cache,
             metrics=self.metrics,
             tracer=self.tracer,
-            mode=self.settings.engine_mode,
-            aggregate_stubs=self.settings.aggregate_stubs,
             max_events=self.settings.max_convergence_events,
         )
         self.prober = IcmpProber(seed=seed)

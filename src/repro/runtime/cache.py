@@ -46,11 +46,10 @@ class ConvergenceCache:
     same — that is how repeated CLI invocations and process-pool
     workers reuse each other's convergence work.
 
-    Delta-mode states hold a :class:`~repro.bgp.delta.LazyStates`
-    mapping whose pickle reduces to a plain dict, so a spilled entry is
-    mode-agnostic on disk; the store is nonetheless namespaced by
-    engine mode (see :func:`~repro.io.cachestore.topology_fingerprint`)
-    so modes never serve each other's entries.
+    Engine results hold a :class:`~repro.bgp.delta.LazyStates` mapping
+    whose pickle reduces to a plain dict, so a spilled entry is plain
+    per-AS states on disk (namespaced per topology and prefix; see
+    :func:`~repro.io.cachestore.topology_fingerprint`).
     """
 
     def __init__(

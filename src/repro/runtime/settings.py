@@ -27,20 +27,6 @@ class CampaignSettings:
         rtt_bias_sigma: relative sigma of the per-experiment epoch bias.
         bgp_delay_jitter_ms: mean of the per-run exponential jitter on
             every link's control-plane delay.
-        engine_mode: which convergence engine the orchestrator runs:
-            ``"delta"`` (the default; touched-AS tracking with
-            copy-on-restore between runs, plus stub aggregation when
-            ``aggregate_stubs`` is set) or ``"full"`` (every AS gets a
-            live speaker, the pre-delta fast path).  Both modes are
-            bit-identical to the ``reuse_state=False`` reference;
-            the mode only changes how fast a run converges.
-        aggregate_stubs: collapse pure-stub ASes — every session with
-            a provider, whatever the homing degree — into their
-            providers' catchments before event-driven simulation and
-            expand them back at state-read time (delta mode only).
-            Sound because a pure stub has no customers to export
-            provider-learned routes to, so removing it from the event
-            heap perturbs nothing (see :mod:`repro.bgp.delta`).
         max_convergence_events: event budget per convergence run;
             exhaustion raises
             :class:`~repro.util.errors.ConvergenceBudgetError` with an
@@ -91,8 +77,6 @@ class CampaignSettings:
     rtt_drift_sigma: float = 0.04
     rtt_bias_sigma: float = 0.03
     bgp_delay_jitter_ms: float = 20.0
-    engine_mode: str = "delta"
-    aggregate_stubs: bool = True
     max_convergence_events: Optional[int] = None
     parallelism: int = 1
     executor: str = "thread"
@@ -116,10 +100,6 @@ class CampaignSettings:
             raise ConfigurationError("RTT drift sigmas must be non-negative")
         if self.bgp_delay_jitter_ms < 0:
             raise ConfigurationError("bgp_delay_jitter_ms must be non-negative")
-        if self.engine_mode not in ("delta", "full"):
-            raise ConfigurationError(
-                f"engine_mode must be 'delta' or 'full', got {self.engine_mode!r}"
-            )
         if self.max_convergence_events is not None and self.max_convergence_events < 1:
             raise ConfigurationError(
                 "max_convergence_events must be >= 1 (or None for auto)"

@@ -227,13 +227,13 @@ class ASGraph:
         preferences, interior costs, and propagation delays from here
         instead of re-deriving them per speaker per run.
         """
-        tables = self._tables
-        if tables is None or tables.revision != self._revision:
+        cached = self._tables
+        if cached is None or cached.revision != self._revision:
             from repro.topology.precompute import build_tables
 
-            tables = build_tables(self, revision=self._revision)
-            self._tables = tables
-        return tables
+            cached = build_tables(self, revision=self._revision)
+            self._tables = cached
+        return cached
 
     # -- queries --------------------------------------------------------
 

@@ -62,9 +62,6 @@ class TopologyTables:
             episodes, bit-identically (see
             :mod:`repro.bgp.delta`).  ASes with any peer or customer
             session stay live.
-        stub_provider: the single-homed subset of ``stub_providers``
-            (stub ASN → its sole provider), kept for callers that only
-            handle degree-1 stubs.
         revision: the graph mutation counter the tables were built
             from; a mismatch means the tables are stale.
     """
@@ -78,7 +75,6 @@ class TopologyTables:
     index_asn: Tuple[int, ...] = ()
     asn_index: Dict[int, int] = field(default_factory=dict)
     stub_providers: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
-    stub_provider: Dict[int, int] = field(default_factory=dict)
     revision: int = 0
 
     def export_targets(self, asn: int, learned_rel: Relationship) -> Tuple[int, ...]:
@@ -114,8 +110,6 @@ def build_tables(graph: ASGraph, revision: int = 0) -> TopologyTables:
         tables.export_customers[asn] = tuple(sorted(customers))
         if pure_stub:
             tables.stub_providers[asn] = tables.export_all[asn]
-            if len(neighbors) == 1:
-                tables.stub_provider[asn] = neighbors[0]
     for link in graph.links():
         tables.prop_delay[(link.a, link.b)] = link.prop_delay_ms
         tables.prop_delay[(link.b, link.a)] = link.prop_delay_ms

@@ -62,19 +62,35 @@ def test_engine_event_budget_guard(testbed):
     from repro.util.errors import ConvergenceBudgetError, ReproError
 
     site = testbed.site(1)
-    for mode in ("delta", "full"):
-        engine = BGPEngine(testbed.internet, mode=mode, max_events=10)
-        with pytest.raises(ReproError, match="did not converge") as excinfo:
-            engine.run([
-                SiteInjection(
-                    host_asn=site.provider_asn, site_id=1,
-                    pop_id=site.attach_pop, link_rtt_ms=0.5,
-                    rel_from_host=Relationship.CUSTOMER,
-                )
-            ])
-        census = excinfo.value
-        assert isinstance(census, ConvergenceBudgetError)
-        assert census.budget == 10
-        assert census.events > census.budget
-        assert census.ases_touched >= 1
-        assert census.virtual_time_ms >= 0.0
+    engine = BGPEngine(testbed.internet, max_events=10)
+    with pytest.raises(ReproError, match="did not converge") as excinfo:
+        engine.run([
+            SiteInjection(
+                host_asn=site.provider_asn, site_id=1,
+                pop_id=site.attach_pop, link_rtt_ms=0.5,
+                rel_from_host=Relationship.CUSTOMER,
+            )
+        ])
+    census = excinfo.value
+    assert isinstance(census, ConvergenceBudgetError)
+    assert census.budget == 10
+    assert census.events > census.budget
+    assert census.ases_touched >= 1
+    assert census.virtual_time_ms >= 0.0
+
+
+def test_retired_convergence_knobs_are_errors(testbed):
+    """One convergence path: what used to select another one is
+    rejected, not silently ignored."""
+    from repro import CampaignSettings
+    from repro.bgp.engine import BGPEngine
+    from repro.cli import main
+
+    for kwarg in ({"mode": "full"}, {"reuse_state": False}, {"aggregate_stubs": False}):
+        with pytest.raises(TypeError):
+            BGPEngine(testbed.internet, **kwarg)
+    for field in ({"engine_mode": "full"}, {"aggregate_stubs": False}):
+        with pytest.raises(TypeError):
+            CampaignSettings(**field)
+    with pytest.raises(SystemExit):
+        main(["discover", "--testbed", "x", "--out", "y", "--engine-mode", "delta"])

@@ -1,6 +1,9 @@
 """Unit tests for the BGP best-path decision process."""
 
-from repro.bgp.decision import best_route, multipath_set
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.bgp.decision import best_route, evaluate, multipath_set
 from repro.bgp.messages import Route
 from repro.topology.astopo import AS
 from repro.topology.geo import city
@@ -13,13 +16,14 @@ def node(arrival_tiebreak=True):
     )
 
 
-def route(neighbor, path_len=2, local_pref=100, med=0, interior=0, arrival=0.0):
+def route(neighbor, path_len=2, local_pref=100, med=0, interior=0, arrival=0.0, origin=0):
     return Route(
         prefix="192.0.2.0/24",
         as_path=tuple(range(100, 100 + path_len - 1)) + (65000,),
         learned_from=neighbor,
         local_pref=local_pref,
         med=med,
+        origin_code=origin,
         interior_cost=interior,
         arrival_time=arrival,
     )
@@ -104,3 +108,37 @@ class TestMultipathSet:
         routes = [route(9), route(2), route(5)]
         tied = multipath_set(routes, node())
         assert [r.learned_from for r in tied] == [2, 5, 9]
+
+
+@st.composite
+def rib(draw):
+    """An Adj-RIB-In (one route per neighbor) whose attributes come
+    from two-valued ranges, so ties occur at every decision step."""
+    neighbors = draw(st.lists(st.integers(1, 9), max_size=6, unique=True))
+    two = st.integers(0, 1)
+    return {
+        n: route(
+            n,
+            path_len=1 + draw(two),
+            local_pref=100 + draw(two),
+            med=draw(two),
+            interior=draw(two),
+            arrival=float(draw(two)),
+            origin=draw(two),
+        )
+        for n in neighbors
+    }
+
+
+class TestEvaluate:
+    """The one-pass decision the speaker inlines against the two-pass
+    functions the reference engine decides with."""
+
+    @given(rib(), st.booleans())
+    def test_matches_two_pass_decision(self, adj_rib_in, arrival_tiebreak):
+        asys = node(arrival_tiebreak)
+        for routes in (list(adj_rib_in.values()), adj_rib_in.values()):
+            best, multipath = evaluate(routes, asys)
+            assert best is best_route(routes, asys)
+            assert multipath == multipath_set(routes, asys)
+            assert (best is None) == (not adj_rib_in)

@@ -30,7 +30,7 @@ def build_graph():
 
 
 def speaker(graph, asn=1, overlay=None):
-    return BGPSpeaker(graph, graph.as_of(asn), PREFIX, igp_overlay=overlay)
+    return BGPSpeaker(graph.as_of(asn), PREFIX, graph.tables(), igp_overlay=overlay)
 
 
 class TestLoopPrevention:

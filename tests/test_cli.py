@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.io import save_model, save_testbed
+from tests.test_faults import REMOVED_SETTINGS, checkpoint_documents
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +226,29 @@ class TestFaultFlags:
         assert code == 0
         assert "resuming from checkpoint" in capsys.readouterr().out
         assert out.read_text() == first
+
+    @pytest.mark.parametrize(
+        "extra", [{"stray_knob": 1}, REMOVED_SETTINGS], ids=["stray", "removed"]
+    )
+    def test_checkpoint_with_unknown_settings_key_exits_2(
+        self, artifacts, tmp_path, capsys, extra
+    ):
+        """A checkpoint whose settings this version does not declare
+        (e.g. one written before the convergence knobs were removed) is
+        a reported error, not a traceback."""
+        testbed_path, _ = artifacts
+        ckpt = tmp_path / "campaign.ckpt"
+        argv = [
+            "discover", "--testbed", testbed_path, "--seed", "7",
+            "--checkpoint", str(ckpt), "--out", str(tmp_path / "model.json"),
+        ]
+        discovery, _ = checkpoint_documents(extra)
+        ckpt.write_text(json.dumps(discovery))
+        assert main(argv) == 2
+        stderr = capsys.readouterr().err
+        assert "error:" in stderr and "unknown campaign settings" in stderr
+        for key in extra:
+            assert repr(key) in stderr
 
     def test_parallelism_validated(self):
         with pytest.raises(SystemExit):

@@ -1,9 +1,9 @@
 """Bit-identity of the delta convergence engine.
 
-The delta engine (touched-AS tracking, copy-on-restore, pure-stub
+The engine (touched-AS tracking, copy-on-restore, pure-stub
 aggregation) must be indistinguishable — states, convergence time,
-message count, enabled sites — from both the pooled full engine and
-the build-everything-per-run reference, across every workload shape
+message count, enabled sites — from the build-everything-per-run
+oracle (``tests/reference_engine.py``), across every workload shape
 the campaign layer can produce: staggering, withdrawals, poisoning
 (including poisoning an aggregated stub), IGP overlays, delay jitter,
 injections hosted at stubs that normally aggregate, and multi-homed
@@ -12,6 +12,7 @@ stub populations.
 
 import gc
 import pickle
+import random
 import weakref
 
 import numpy
@@ -22,10 +23,10 @@ from repro.bgp.delta import LazyStates
 from repro.core.config import AnycastConfig
 from repro.measurement import Orchestrator
 from repro.bgp.engine import BGPEngine, SiteInjection, SiteWithdrawal
-from repro.io.cachestore import topology_fingerprint
 from repro.topology.astopo import Relationship
 from repro.topology.generator import ScaleSweepParams, generate_scale_internet
-from repro.util.errors import ConvergenceBudgetError
+from repro.util.errors import ConvergenceBudgetError, ReproError
+from tests.reference_engine import ReferenceEngine
 
 SEED = 7
 
@@ -43,24 +44,22 @@ def injection(testbed, site_id, t=0.0, poison=()):
     )
 
 
-def engine_trio(internet):
-    """Delta (default), pooled full, and the per-run reference."""
-    return (
-        BGPEngine(internet),
-        BGPEngine(internet, mode="full"),
-        BGPEngine(internet, reuse_state=False),
-    )
+def engine_pair(internet):
+    """The engine and the per-run reference."""
+    return BGPEngine(internet), ReferenceEngine(internet)
+
+
+def assert_same(a, b):
+    assert a.states == b.states
+    assert a.convergence_time_ms == b.convergence_time_ms
+    assert a.message_count == b.message_count
+    assert a.enabled_sites == b.enabled_sites
 
 
 def assert_identical(internet, injections, **kwargs):
-    results = [e.run(injections, **kwargs) for e in engine_trio(internet)]
-    first = results[0]
-    for other in results[1:]:
-        assert first.states == other.states
-        assert first.convergence_time_ms == other.convergence_time_ms
-        assert first.message_count == other.message_count
-        assert first.enabled_sites == other.enabled_sites
-    return first
+    delta, reference = (e.run(injections, **kwargs) for e in engine_pair(internet))
+    assert_same(delta, reference)
+    return delta
 
 
 class TestBitIdentity:
@@ -110,7 +109,7 @@ class TestBitIdentity:
         )
 
     def test_poisoned_transit(self, testbed):
-        plain = BGPEngine(testbed.internet, mode="full").run([injection(testbed, 1)])
+        plain = BGPEngine(testbed.internet).run([injection(testbed, 1)])
         carrier = next(
             asn
             for asn, state in plain.states.items()
@@ -121,13 +120,15 @@ class TestBitIdentity:
         )
 
     def test_poisoned_aggregated_stub(self, testbed):
-        """Poisoning an AS the delta engine aggregates exercises the
-        complicated (per-stub replay) path: the stub must end
-        route-less while its siblings keep theirs, and a previously
-        advertised route must be withdrawn, not merely skipped."""
+        """Poisoning an AS the delta engine aggregates un-aggregates it
+        for the run: the stub must end route-less while its siblings
+        keep theirs, and a previously advertised route must be
+        withdrawn, not merely skipped."""
         tables = testbed.internet.graph.tables()
         assert tables.stub_providers, "testbed has no aggregatable stubs"
         stub = sorted(tables.stub_providers)[0]
+        # Injections sharing (host, site) both announce the later one's
+        # path, so every route in this run names the stub.
         converged = assert_identical(
             testbed.internet,
             [
@@ -136,6 +137,30 @@ class TestBitIdentity:
             ],
         )
         assert converged.states[stub].best is None
+
+        # A provider that already advertised a plain route to the stub
+        # switches to a customer route naming it: withdrawn from the
+        # stub, announced to the stub's siblings.
+        provider = tables.stub_providers[stub][0]
+        sibling = next(
+            s for s in tables.export_customers[provider]
+            if s != stub and s in tables.stub_providers
+        )
+        plain = BGPEngine(testbed.internet).run([injection(testbed, 1)])
+        assert provider in plain.states[stub].adj_rib_in
+        converged = assert_identical(
+            testbed.internet,
+            [
+                injection(testbed, 1),
+                SiteInjection(
+                    provider, 99, None, 2.0, Relationship.CUSTOMER, 5000.0,
+                    poison=(stub,),
+                ),
+            ],
+        )
+        assert provider not in converged.states[stub].adj_rib_in
+        assert stub not in converged.states[provider].advertised_to
+        assert stub in converged.states[sibling].adj_rib_in[provider].as_path
 
     def test_injection_hosted_at_aggregated_stub(self, testbed):
         """A stub that normally aggregates but hosts an announcement
@@ -162,8 +187,7 @@ class TestBitIdentity:
     def test_run_sequence_reuses_state_correctly(self, testbed):
         """Back-to-back heterogeneous runs on one engine (the campaign
         pattern) must each match a fresh reference run."""
-        delta = BGPEngine(testbed.internet)
-        reference = BGPEngine(testbed.internet, reuse_state=False)
+        delta, reference = engine_pair(testbed.internet)
         workloads = [
             [injection(testbed, 1)],
             [injection(testbed, 2), injection(testbed, 5, t=1000.0)],
@@ -171,11 +195,7 @@ class TestBitIdentity:
             [injection(testbed, 3)],
         ]
         for w in workloads:
-            a = delta.run(w)
-            b = reference.run(w)
-            assert a.states == b.states
-            assert a.message_count == b.message_count
-            assert a.convergence_time_ms == b.convergence_time_ms
+            assert_same(delta.run(w), reference.run(w))
 
 
 class TestMultiHomedAggregation:
@@ -193,8 +213,6 @@ class TestMultiHomedAggregation:
         tables = multihomed_internet.graph.tables()
         multi = [s for s, ps in tables.stub_providers.items() if len(ps) > 1]
         assert len(multi) > 50
-        # Single-homed subset stays available for legacy callers.
-        assert set(tables.stub_provider) <= set(tables.stub_providers)
 
     def test_equivalence_across_seeds_and_workloads(self, multihomed_internet):
         graph = multihomed_internet.graph
@@ -210,16 +228,86 @@ class TestMultiHomedAggregation:
                 ((tier2[0], tier2[5]), (0.0, 50.0)),
             ]
         ]
-        delta, full, reference = engine_trio(multihomed_internet)
+        delta, reference = engine_pair(multihomed_internet)
         for w in workloads:
-            a, b, c = delta.run(w), full.run(w), reference.run(w)
-            assert a.states == b.states == c.states
-            assert a.message_count == b.message_count == c.message_count
-            assert (
-                a.convergence_time_ms
-                == b.convergence_time_ms
-                == c.convergence_time_ms
-            )
+            assert_same(delta.run(w), reference.run(w))
+
+    @pytest.mark.parametrize("topology_seed", [11, 12, 13])
+    def test_poisoned_sweep(self, topology_seed):
+        """Seeded poisoned / re-announced / jittered / withdrawn
+        workloads: whatever stubs an announcement names go live for the
+        run and the outcome stays bit-identical to the reference."""
+        internet = generate_scale_internet(
+            ScaleSweepParams(n_ases=300, single_home_bias=0.3, stub_max_providers=3),
+            seed=topology_seed,
+        )
+        graph = internet.graph
+        tables = graph.tables()
+        tier2 = [a for a in graph.asns() if graph.as_of(a).tier == 2]
+        stubs = sorted(tables.stub_providers)
+        transits = [a for a in graph.asns() if a not in tables.stub_providers]
+        # A deviant stub may prefer a provider's route to its own
+        # announcement, and the two then DISAGREE forever in lockstep.
+        stub_hosts = [s for s in stubs if not graph.as_of(s).policy_deviant]
+        absent = max(graph.asns()) + 1
+        rng = random.Random(topology_seed)
+        delta, reference = engine_pair(internet)
+        withdrawn_on_poison = 0
+        for _ in range(60):
+            hosts = rng.sample(tier2, rng.randint(2, 4))
+            injections = []
+            for site_id, host in enumerate(hosts, start=1):
+                poison = rng.sample(stubs, rng.randint(0, 3))
+                if rng.random() < 0.2:
+                    poison.append(rng.choice(transits))
+                if rng.random() < 0.1:
+                    poison.append(absent)
+                injections.append(SiteInjection(
+                    host, site_id, None, 1.0, Relationship.CUSTOMER,
+                    rng.choice((0.0, 0.0, 1000.0 * site_id)),
+                    poison=tuple(a for a in poison if a != host),
+                ))
+            # A plain announcement later re-announced through the same
+            # host with an equally long path naming one of the host's
+            # stub customers: the host withdraws what it advertised.
+            host = hosts[0]
+            customers = [c for c in tables.export_customers[host] if c in tables.stub_providers]
+            renamed = rng.choice(customers) if customers and rng.random() < 0.5 else None
+            if renamed is not None:
+                injections[0] = SiteInjection(
+                    host, 1, None, 1.0, Relationship.CUSTOMER, 0.0, prepend=2
+                )
+                injections.append(SiteInjection(
+                    host, 50, None, 1.0, Relationship.CUSTOMER, 5000.0, poison=(renamed,)
+                ))
+            if rng.random() < 0.3:
+                injections.append(SiteInjection(
+                    rng.choice(stub_hosts), 60, None, 2.0, Relationship.CUSTOMER, 0.0
+                ))
+            kwargs = {}
+            if rng.random() < 0.5:
+                kwargs.update(delay_jitter_ms=3.0, delay_nonce=rng.randrange(100))
+            if rng.random() < 0.4:
+                gone = rng.choice(injections)
+                kwargs["withdrawals"] = [SiteWithdrawal(gone.host_asn, gone.site_id, 500000.0)]
+            result = delta.run(injections, **kwargs)
+            assert_same(result, reference.run(injections, **kwargs))
+            if renamed is not None and renamed in result.states[host].best.as_path:
+                assert renamed not in result.states[host].advertised_to
+                withdrawn_on_poison += 1
+        assert withdrawn_on_poison >= 20
+
+    def test_hosting_and_poisoned_as_is_rejected(self, multihomed_internet):
+        stub = sorted(multihomed_internet.graph.tables().stub_providers)[0]
+        workload = [
+            SiteInjection(stub, 1, None, 1.0, Relationship.CUSTOMER, 0.0, poison=(stub,))
+        ]
+        errors = []
+        for engine in engine_pair(multihomed_internet):
+            with pytest.raises(ReproError, match="it hosts the announcement") as exc:
+                engine.run(workload)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
 
     def test_withdraw_and_jitter_on_multihomed_population(self, multihomed_internet):
         graph = multihomed_internet.graph
@@ -246,13 +334,12 @@ class TestLazyStates:
         assert set(conv.states) == set(testbed.internet.graph.asns())
 
     def test_pickle_materializes_to_plain_dict(self, testbed):
-        delta_conv = BGPEngine(testbed.internet).run([injection(testbed, 1)])
-        full_conv = BGPEngine(testbed.internet, mode="full").run(
-            [injection(testbed, 1)]
+        delta_conv, reference_conv = (
+            e.run([injection(testbed, 1)]) for e in engine_pair(testbed.internet)
         )
         revived = pickle.loads(pickle.dumps(delta_conv.states))
         assert type(revived) is dict
-        assert revived == full_conv.states
+        assert revived == reference_conv.states
 
     def test_untouched_ases_share_pristine_state(self, testbed):
         """A poisoned transit receives nothing (every export path
@@ -285,51 +372,22 @@ class TestBudget:
         assert err.virtual_time_ms >= 0.0
 
 
-class TestFingerprint:
-    def test_engine_mode_namespaces_the_store(self, testbed):
-        graph = testbed.internet.graph
-        prints = {
-            topology_fingerprint(graph, "192.0.2.0/24", mode, agg)
-            for mode in ("delta", "full")
-            for agg in (False, True)
-        }
-        assert len(prints) == 4
-        assert topology_fingerprint(
-            graph, "192.0.2.0/24", "delta", True
-        ) == topology_fingerprint(graph, "192.0.2.0/24", "delta", True)
-
-
 class TestCampaignEquivalence:
-    """Delta versus full at the campaign layer: every executor shape
-    and the fault-injection/retry machinery must see no difference."""
-
-    @pytest.mark.parametrize(
-        "executor,parallelism",
-        [("thread", 1), ("thread", 3), ("process", 2)],
-        ids=["serial", "thread", "process"],
-    )
-    def test_full_mode_discover_matches_delta(
-        self, testbed, targets, anyopt_model, executor, parallelism
-    ):
-        settings = CampaignSettings(
-            engine_mode="full", parallelism=parallelism, executor=executor
-        )
-        with AnyOpt(testbed, targets=targets, seed=SEED, settings=settings) as anyopt:
-            model = anyopt.discover()
-        assert model.rtt_matrix.values == anyopt_model.rtt_matrix.values
-        assert model.experiments_used == anyopt_model.experiments_used
-        assert model.twolevel.provider_matrix == anyopt_model.twolevel.provider_matrix
-        assert model.twolevel.site_matrices == anyopt_model.twolevel.site_matrices
+    """Delta versus the reference at the campaign layer: the
+    fault-injection/retry machinery must see no difference."""
 
     def test_fault_injection_equivalent_across_modes(self, testbed, targets):
         outcomes = {}
-        for mode in ("delta", "full"):
+        for mode in ("delta", "reference"):
             settings = CampaignSettings(
-                engine_mode=mode,
                 fault_announcement_prob=0.15,
                 fault_convergence_timeout_prob=0.05,
             )
             orch = Orchestrator(testbed, targets, seed=SEED, settings=settings)
+            if mode == "reference":
+                orch.engine = ReferenceEngine(
+                    testbed.internet, cache=orch.convergence_cache
+                )
             deployments = [
                 orch.deploy(AnycastConfig(site_order=tuple(testbed.site_ids()[:k])))
                 for k in (2, 3, 4)
@@ -343,16 +401,15 @@ class TestCampaignEquivalence:
                 )
                 for d in deployments
             ]
-        assert outcomes["delta"] == outcomes["full"]
+        assert outcomes["delta"] == outcomes["reference"]
 
 
 class TestColumnarEquivalence:
     def test_columns_match_full_engine(self, testbed):
         tables = testbed.internet.graph.tables()
         injections = [injection(testbed, 1), injection(testbed, 6, t=360000.0)]
-        delta_rib = BGPEngine(testbed.internet).run(injections).columnar(tables)
-        full_rib = (
-            BGPEngine(testbed.internet, mode="full").run(injections).columnar(tables)
+        delta_rib, full_rib = (
+            e.run(injections).columnar(tables) for e in engine_pair(testbed.internet)
         )
         for column in (
             "has_route",

@@ -17,6 +17,7 @@ from repro.core.anyopt import AnyOpt
 from repro.core.config import AnycastConfig
 from repro.core.experiments import ExperimentRunner
 from repro.core.preferences import PairObservation, PreferenceOutcome
+from repro.core.twolevel import SiteLevelMode
 from repro.io import checkpoint as checkpoint_io
 from repro.io import load_checkpoint, model_to_dict, save_checkpoint
 from repro.measurement.orchestrator import Orchestrator
@@ -436,6 +437,70 @@ def checkpoint_env(testbed, targets, tmp_path_factory):
     return settings, path, full_model, resumed_model
 
 
+REMOVED_SETTINGS = {"engine_mode": "delta", "aggregate_stubs": True}
+
+
+def checkpoint_documents(extra_settings):
+    """A discovery and a repair checkpoint document, each with
+    ``extra_settings`` merged into its recorded campaign settings."""
+    discovery = checkpoint_io.progress_to_dict(
+        checkpoint_io.DiscoveryProgress(
+            seed=SEED,
+            settings=CampaignSettings(),
+            site_level_mode=SiteLevelMode.PAIRWISE,
+        )
+    )
+    repair = checkpoint_io.repair_progress_to_dict(
+        checkpoint_io.RepairProgress(
+            seed=SEED,
+            settings=CampaignSettings(),
+            announce_order=(1, 2),
+            max_rounds=3,
+            budget=None,
+            escalate_attempts=1,
+            model_fingerprint="f" * 16,
+        )
+    )
+    discovery["settings"].update(extra_settings)
+    repair["settings"].update(extra_settings)
+    return discovery, repair
+
+
+class TestCheckpointSettingsBoundary:
+    """A settings key this version does not declare — a stray one, or
+    the two fields checkpoints carried before the convergence knobs
+    were removed — fails typed, for both checkpoint kinds."""
+
+    @pytest.mark.parametrize(
+        "extra", [{"stray_knob": 1}, REMOVED_SETTINGS], ids=["stray", "removed"]
+    )
+    def test_unknown_settings_key_raises_repro_error(self, tmp_path, extra):
+        discovery, repair = checkpoint_documents(extra)
+        loads = [
+            (discovery, lambda path: load_checkpoint(
+                path, SEED, CampaignSettings(), SiteLevelMode.PAIRWISE
+            )),
+            (repair, lambda path: checkpoint_io.load_repair_checkpoint(
+                path, SEED, CampaignSettings(), (1, 2), 3, None, 1, "f" * 16
+            )),
+        ]
+        for document, load in loads:
+            path = tmp_path / f"{document['format']}.json"
+            path.write_text(json.dumps(document))
+            with pytest.raises(ReproError, match="unknown campaign settings") as exc:
+                load(path)
+            for key in extra:
+                assert repr(key) in str(exc.value)
+
+    def test_untouched_documents_still_load(self, tmp_path):
+        discovery, repair = checkpoint_documents({})
+        assert checkpoint_io.progress_from_dict(discovery).settings == CampaignSettings()
+        assert (
+            checkpoint_io.repair_progress_from_dict(repair).settings
+            == CampaignSettings()
+        )
+
+
 class TestCheckpointResume:
     def test_resumed_model_byte_identical(self, checkpoint_env):
         _, _, full_model, resumed_model = checkpoint_env
@@ -451,8 +516,6 @@ class TestCheckpointResume:
         self, checkpoint_env, testbed, targets
     ):
         settings, path, _, _ = checkpoint_env
-        from repro.core.twolevel import SiteLevelMode
-
         with pytest.raises(ConfigurationError, match="seed"):
             load_checkpoint(path, SEED + 1, settings, SiteLevelMode.PAIRWISE)
         with pytest.raises(ConfigurationError, match="settings"):
