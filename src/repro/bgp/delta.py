@@ -36,6 +36,12 @@ suite's oracle, ``tests/reference_engine.py``):
   timestamp are reconstructed from episode arithmetic, so metrics and
   traces match the plain loop too.
 
+The noise around the loop keeps the same rule.  The per-run link jitter
+arrives as a :class:`LinkJitter` — the run's block of uniforms, turned
+into an exponential only for the pairs the wavefront crosses — and the
+last aggregated delivery of a jittered run is found by one vector pass
+over the aggregated pairs plus an exact recomputation near its maximum.
+
 Bit-identity argument for the event order: removing a heap entry that
 generates no further events preserves the relative order of all
 remaining entries (the tie-breaking sequence numbers are monotonic in
@@ -61,9 +67,12 @@ its siblings stay aggregated.
 
 import heapq
 import itertools
+import math
 import threading
 from collections.abc import Mapping
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.bgp.decision import evaluate
 from repro.bgp.messages import Route, SitePop, make_route
@@ -71,6 +80,11 @@ from repro.bgp.rib import RouterState
 from repro.bgp.router import BGPSpeaker
 from repro.topology.astopo import Relationship
 from repro.util.errors import ConvergenceBudgetError, ReproError
+
+
+#: Relative width of the band below the best *estimated* stub arrival
+#: whose members get their exact arrival computed (see ``converge``).
+_ARRIVAL_MARGIN = 1e-9
 
 
 class _PrunedTables:
@@ -109,6 +123,45 @@ class _RunExport:
         if learned_rel is Relationship.CUSTOMER:
             return self._all
         return self._customers
+
+
+class LinkJitter(Mapping):
+    """One run's exponential delay jitter per directed link, evaluated
+    on lookup.
+
+    Holds the run's block of uniforms (one per
+    :attr:`TopologyTables.pair_slot
+    <repro.topology.precompute.TopologyTables.pair_slot>` slot) rather
+    than a value per link: a run consumes the jitter of the few hundred
+    pairs its wavefront crosses, not of every link.  A lookup evaluates
+    ``-math.log(1.0 - u) / lambd`` — the expression
+    :meth:`random.Random.expovariate` evaluates on the same uniform —
+    so the values are the ones a per-link ``expovariate`` loop over the
+    same stream produces, bit for bit.
+    """
+
+    __slots__ = ("_slot", "_uniforms", "_lambd")
+
+    def __init__(self, pair_slot: Dict[Tuple[int, int], int], uniforms, lambd: float):
+        self._slot = pair_slot
+        self._uniforms = uniforms
+        self._lambd = lambd
+
+    def __getitem__(self, pair: Tuple[int, int]) -> float:
+        return -math.log(1.0 - self._uniforms.item(self._slot[pair])) / self._lambd
+
+    def __iter__(self):
+        return iter(self._slot)
+
+    def __len__(self) -> int:
+        return len(self._slot)
+
+    def estimate(self, slots):
+        """The jitter of many slots in one vector pass.  ``numpy.log``
+        may differ from ``math.log`` in the last bits, so these values
+        only *locate* a jitter of interest; a value that reaches a
+        result is always read by key."""
+        return -np.log(1.0 - self._uniforms[slots]) / self._lambd
 
 
 class LazyStates(Mapping):
@@ -205,6 +258,12 @@ class DeltaConverger:
         #: provider ASN -> max one-way delay to any of its stubs (the
         #: jitter-free fast path for the convergence timestamp).
         self._parent_maxdelay: Dict[int, float] = {}
+        #: Every aggregated (provider, stub) pair, flat, with its
+        #: provider's dense index (``tables.asn_index``), jitter slot
+        #: and one-way delay (the jittered path for the convergence
+        #: timestamp).
+        self._agg_pairs: List[Tuple[int, int]] = []
+        self._agg_provider = self._agg_slot = self._agg_delay = np.empty(0)
 
     # -- per-topology state ---------------------------------------------
 
@@ -227,6 +286,13 @@ class DeltaConverger:
             p: max(prop_delay[(p, s)] for s in stubs)
             for p, stubs in self._parents.items()
         }
+        # Every session of an aggregated stub is with a provider, so
+        # the pairs are exactly the directed links ending at one.
+        pairs = [pair for pair in tables.pair_slot if pair[1] in aggregated]
+        self._agg_pairs = pairs
+        self._agg_provider = np.array([tables.asn_index[p] for p, _ in pairs], dtype=np.intp)
+        self._agg_slot = np.array([tables.pair_slot[pair] for pair in pairs], dtype=np.intp)
+        self._agg_delay = np.array([prop_delay[pair] for pair in pairs], dtype=np.float64)
         export_all = {
             asn: tuple(t for t in targets if t not in aggregated)
             for asn, targets in tables.export_all.items()
@@ -274,16 +340,15 @@ class DeltaConverger:
         injections,
         igp_overlay,
         delay_jitter_ms,
-        jitter: Dict[Tuple[int, int], float],
+        jitter,
         withdrawals,
         budget: int,
     ):
         """Run one convergence; returns ``(states, last_time, messages,
         events)`` with ``states`` a :class:`LazyStates`.
 
-        ``jitter`` is the per-run delay jitter the engine already drew
-        (the RNG stream iterates the full link list, so it is drawn
-        once per run, before any event).
+        ``jitter`` is the per-run delay jitter the engine already drew:
+        a :class:`LinkJitter`, or an empty dict for an unjittered run.
         """
         graph = self.internet.graph
         tables = graph.tables()
@@ -448,6 +513,9 @@ class DeltaConverger:
         parents = self._parents
         maxdelay = self._parent_maxdelay
         jittered = bool(jitter)
+        #: Jittered runs: last episode time, by dense AS index, of each
+        #: provider whose whole stub set is aggregated (-inf elsewhere).
+        t_last_of = None
         for provider, eps in ep_log.items():
             stubs = stubs_run_get(provider)
             full_set = stubs is None
@@ -457,20 +525,47 @@ class DeltaConverger:
                 continue
             agg_count += len(eps) * len(stubs)
             t_last = eps[-1][0]
-            if jittered:
-                arrive = max(
-                    t_last + prop_delay[(provider, s)] + jitter_get((provider, s), 0.0)
-                    for s in stubs
-                )
-            else:
+            if not jittered:
                 # Float addition is monotone, so adding the max
                 # delay equals the max of the per-stub sums.
                 reach = maxdelay[provider] if full_set else max(
                     prop_delay[(provider, s)] for s in stubs
                 )
                 arrive = t_last + reach
+            elif full_set:
+                if t_last_of is None:
+                    t_last_of = np.full(len(tables.index_asn), -math.inf)
+                t_last_of[tables.asn_index[provider]] = t_last
+                continue
+            else:
+                arrive = max(
+                    t_last + prop_delay[(provider, s)] + jitter_get((provider, s), 0.0)
+                    for s in stubs
+                )
             if arrive > agg_last:
                 agg_last = arrive
+        if t_last_of is not None:
+            # One vector pass estimates every aggregated pair's arrival;
+            # the exact scalar expression — same term order as the event
+            # push — is evaluated only near the top.  An estimate
+            # differs from the exact arrival only through numpy.log:
+            # both add the same (t_last + delay) to a jitter, and the
+            # two jitters agree to a few units in the last place, so
+            # |estimate - exact| is below ~1e-15 * (|arrival| + jitter).
+            # The margin is a million times that, so the pair whose
+            # exact arrival is largest is always among the candidates
+            # (its estimate is within two such errors of the best
+            # estimate).
+            jit = jitter.estimate(self._agg_slot)
+            estimate = (t_last_of[self._agg_provider] + self._agg_delay) + jit
+            best = estimate.max()
+            margin = _ARRIVAL_MARGIN * (abs(best) + jit.max())
+            pairs = self._agg_pairs
+            for i in (estimate >= best - margin).nonzero()[0].tolist():
+                pair = pairs[i]
+                arrive = ep_log[pair[0]][-1][0] + prop_delay[pair] + jitter_get(pair, 0.0)
+                if arrive > agg_last:
+                    agg_last = arrive
 
         # -- detach touched states (copy-on-restore) ----------------------
         materialized: Dict[int, RouterState] = {}

@@ -21,16 +21,17 @@ loop it is bit-compared against lives with the tests
 (``tests/reference_engine.py``).
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.bgp.delta import DeltaConverger
+from repro.bgp.delta import DeltaConverger, LinkJitter
 from repro.bgp.rib import RouterState
 from repro.topology.astopo import Relationship
 from repro.topology.generator import Internet
 from repro.util.errors import ReproError
-from repro.util.rng import derive_rng
+from repro.util.rng import derive_rng, uniform_block
 
 #: Private ASN used as the anycast origin network (the CDN).
 ANYCAST_ORIGIN_ASN = 65000
@@ -181,6 +182,18 @@ class BGPEngine:
             return self.max_events
         return max(_MAX_EVENTS, _EVENTS_PER_AS * len(self.internet.graph))
 
+    def _draw_jitter(self, delay_jitter_ms: float, delay_nonce: int):
+        """One run's delay jitter per directed link: the
+        ``"delay-jitter"`` stream's next uniform per
+        :attr:`~repro.topology.precompute.TopologyTables.pair_slot`
+        slot, drawn as one block and turned into an exponential only
+        for the pairs the run looks up."""
+        rng = derive_rng(self.internet.seed, "delay-jitter", delay_nonce)
+        pair_slot = self.internet.graph.tables().pair_slot
+        return LinkJitter(
+            pair_slot, uniform_block(rng, len(pair_slot)), 1.0 / delay_jitter_ms
+        )
+
     def run(
         self,
         injections: Sequence[SiteInjection],
@@ -204,7 +217,8 @@ class BGPEngine:
         no-order experiments produce cyclic preferences (S5.1).
 
         Raises :class:`ReproError` if an injection or withdrawal
-        references an AS not in the topology, and
+        references an AS not in the topology or ``delay_jitter_ms`` is
+        not a finite non-negative number, and
         :class:`~repro.util.errors.ConvergenceBudgetError` (with an
         event census) if the event budget is exhausted — which would
         indicate a routing oscillation, impossible under Gao-Rexford
@@ -219,6 +233,10 @@ class BGPEngine:
         for wd in withdrawals:
             if wd.host_asn not in graph:
                 raise ReproError(f"withdrawal references unknown AS {wd.host_asn}")
+        if not 0.0 <= delay_jitter_ms < math.inf:
+            raise ReproError(
+                f"delay_jitter_ms must be finite and non-negative, got {delay_jitter_ms!r}"
+            )
 
         start_unix = time.time()
         start = time.perf_counter()
@@ -248,13 +266,9 @@ class BGPEngine:
                     )
                 return cached
 
-        jitter: Dict[Tuple[int, int], float] = {}
-        if delay_jitter_ms > 0.0:
-            rng = derive_rng(self.internet.seed, "delay-jitter", delay_nonce)
-            for link in graph.links():
-                jitter[(link.a, link.b)] = rng.expovariate(1.0 / delay_jitter_ms)
-                jitter[(link.b, link.a)] = rng.expovariate(1.0 / delay_jitter_ms)
-
+        jitter = (
+            self._draw_jitter(delay_jitter_ms, delay_nonce) if delay_jitter_ms > 0.0 else {}
+        )
         states, last_time, messages, events = self._delta.converge(
             injections, igp_overlay, delay_jitter_ms, jitter, withdrawals,
             self.event_budget(),

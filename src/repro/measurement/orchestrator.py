@@ -12,7 +12,7 @@ import threading
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.util.rng import derive_rng, stable_hash
+from repro.util.rng import derive_rng, hash_prefix, stable_hash, uniform_block
 
 from repro.bgp.dataplane import DataPlane, ForwardingOutcome
 from repro.bgp.engine import BGPEngine, ConvergedState, SiteInjection
@@ -405,23 +405,44 @@ class Orchestrator:
     # -- drift models -----------------------------------------------------------
 
     def _igp_overlay(self, experiment_id: int) -> Dict[Tuple[int, int], int]:
-        """Interior-cost overrides for one experiment's churned ASes."""
-        if self.settings.session_churn_prob == 0.0:
+        """Interior-cost overrides for one experiment's churned ASes.
+
+        The ``"igp-churn"`` stream is, per AS in ASN order, one churn
+        draw, then one tie draw if (and only if) that AS churned — at
+        most two draws per AS.  Drawing that many as a block finds the
+        churned ASes in one comparison, so the walk visits only them.
+        """
+        churn_prob = self.settings.session_churn_prob
+        if churn_prob == 0.0:
             return {}
-        rng = derive_rng(self.seed, "igp-churn", experiment_id)
-        graph = self.testbed.internet.graph
+        tables = self.testbed.internet.graph.tables()
+        index_asn = tables.index_asn
         tie_fraction = self.testbed.internet.params.igp_tie_fraction
+        draws = uniform_block(
+            derive_rng(self.seed, "igp-churn", experiment_id), 2 * len(index_asn)
+        )
+        prefix = hash_prefix(self.seed, "igp-churn", experiment_id)
         overlay: Dict[Tuple[int, int], int] = {}
-        for asn in graph.asns():
-            if rng.random() >= self.settings.session_churn_prob:
-                continue
-            tie_prone = rng.random() < tie_fraction
-            for neighbor in graph.neighbors(asn):
-                if tie_prone:
+        #: Tie draws consumed so far: AS i's churn draw sits at i + ties.
+        ties = 0
+        tie_pos = -1
+        for pos in (draws < churn_prob).nonzero()[0].tolist():
+            if pos == tie_pos:
+                continue  # the previous hit's tie draw, not a churn draw
+            index = pos - ties
+            if index >= len(index_asn):
+                break
+            ties += 1
+            tie_pos = pos + 1
+            asn = index_asn[index]
+            if draws[tie_pos] < tie_fraction:
+                for neighbor in tables.export_all[asn]:
                     overlay[(asn, neighbor)] = 0
-                else:
+            else:
+                asn_prefix = hash_prefix(asn, prefix=prefix)
+                for neighbor in tables.export_all[asn]:
                     overlay[(asn, neighbor)] = 1 + stable_hash(
-                        self.seed, "igp-churn", experiment_id, asn, neighbor
+                        neighbor, prefix=asn_prefix
                     ) % 1_000_000
         return overlay
 

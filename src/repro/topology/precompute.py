@@ -47,6 +47,12 @@ class TopologyTables:
             per-message import path pays a single lookup.
         prop_delay: one-way control-plane delay per directed ``(a,
             b)`` link, for update scheduling without a link lookup.
+        pair_slot: per directed ``(a, b)`` link, its position in the
+            per-run delay-jitter stream: ``graph.links()`` order,
+            ``(a, b)`` before ``(b, a)`` — also ``prop_delay``'s
+            insertion order.  A run draws one block of
+            ``len(pair_slot)`` uniforms and reads a pair's draw by slot
+            (:class:`repro.bgp.delta.LinkJitter`).
         index_asn: the sorted ASN tuple — the dense index space the
             columnar RIB (:class:`repro.bgp.rib.ColumnarRib`) and the
             delta engine's aggregation arrays are laid out over.
@@ -72,6 +78,7 @@ class TopologyTables:
         default_factory=dict
     )
     prop_delay: Dict[Tuple[int, int], float] = field(default_factory=dict)
+    pair_slot: Dict[Tuple[int, int], int] = field(default_factory=dict)
     index_asn: Tuple[int, ...] = ()
     asn_index: Dict[int, int] = field(default_factory=dict)
     stub_providers: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
@@ -111,6 +118,7 @@ def build_tables(graph: ASGraph, revision: int = 0) -> TopologyTables:
         if pure_stub:
             tables.stub_providers[asn] = tables.export_all[asn]
     for link in graph.links():
-        tables.prop_delay[(link.a, link.b)] = link.prop_delay_ms
-        tables.prop_delay[(link.b, link.a)] = link.prop_delay_ms
+        for pair in ((link.a, link.b), (link.b, link.a)):
+            tables.pair_slot[pair] = len(tables.pair_slot)
+            tables.prop_delay[pair] = link.prop_delay_ms
     return tables

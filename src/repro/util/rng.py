@@ -9,8 +9,17 @@ consumer of randomness does not perturb existing streams.
 
 import hashlib
 import random
+import threading
+
+import numpy as np
 
 _MASK_64 = (1 << 64) - 1
+
+#: Per-thread scratch generator of :func:`uniform_block`.  Every call
+#: overwrites its whole state, so nothing carries over between calls;
+#: it is kept because constructing one (numpy seeds it from OS entropy)
+#: costs as much as drawing ~20 000 doubles.
+_scratch = threading.local()
 
 
 def hash_prefix(*parts, prefix=None):
@@ -68,3 +77,25 @@ def derive_rng(root_seed, *labels) -> random.Random:
     True
     """
     return random.Random(stable_hash(root_seed, *labels))
+
+
+def uniform_block(rng: random.Random, n: int) -> np.ndarray:
+    """The next ``n`` uniforms of ``rng`` as one float64 array.
+
+    Equal, bit for bit, to ``[rng.random() for _ in range(n)]``, and
+    leaves ``rng`` where those calls would: both generators are MT19937
+    and build a double from two 32-bit words the same way, so the state
+    is moved into numpy, the block drawn in C, and the state moved back.
+    """
+    version, words, gauss_next = rng.getstate()
+    bits = getattr(_scratch, "bits", None)
+    if bits is None:
+        bits = _scratch.bits = np.random.MT19937()
+    bits.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(words[:-1], dtype=np.uint32), "pos": words[-1]},
+    }
+    block = np.random.Generator(bits).random(n)
+    state = bits.state["state"]
+    rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
+    return block

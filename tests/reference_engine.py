@@ -2,16 +2,18 @@
 
 :class:`ReferenceEngine` is what ``BGPEngine(reuse_state=False)`` used
 to be, moved next to the tests that compare the shipping delta engine
-against it.  It shares ``BGPEngine.run`` (validation, cache, jitter
-draw, ``ConvergedState``) and is independent of the delta path in the
-three places that path is clever:
+against it.  It shares ``BGPEngine.run`` (validation, cache,
+``ConvergedState``) and is independent of the delta path in the four
+places that path is clever:
 
 - fresh speakers — one per AS, stubs included — and a bare heap loop per
   run: no pool, no export pruning, no stub aggregation, no lazy states;
 - the two-pass decision (:func:`best_route` + :func:`multipath_set`)
   instead of the speaker's inlined one-pass scan;
 - import/export facts looked up per call from the graph and
-  :mod:`repro.bgp.policy`, not from precomputed ``TopologyTables``.
+  :mod:`repro.bgp.policy`, not from precomputed ``TopologyTables``;
+- the delay jitter drawn link by link with ``rng.expovariate`` into a
+  dict, not as one uniform block evaluated on lookup.
 """
 
 import heapq
@@ -23,6 +25,7 @@ from repro.bgp.engine import BGPEngine
 from repro.bgp.messages import SitePop
 from repro.bgp.router import BGPSpeaker
 from repro.util.errors import ConvergenceBudgetError
+from repro.util.rng import derive_rng
 
 
 class _SessionImport:
@@ -141,3 +144,11 @@ class ReferenceEngine(BGPEngine):
     def __init__(self, internet, **kwargs):
         super().__init__(internet, **kwargs)
         self._delta = _PlainLoop(internet, self.prefix, self.origin_asn)
+
+    def _draw_jitter(self, delay_jitter_ms, delay_nonce):
+        rng = derive_rng(self.internet.seed, "delay-jitter", delay_nonce)
+        jitter = {}
+        for link in self.internet.graph.links():
+            jitter[(link.a, link.b)] = rng.expovariate(1.0 / delay_jitter_ms)
+            jitter[(link.b, link.a)] = rng.expovariate(1.0 / delay_jitter_ms)
+        return jitter

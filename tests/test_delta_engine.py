@@ -11,22 +11,27 @@ stub populations.
 """
 
 import gc
+import itertools
+import math
 import pickle
 import random
+import tracemalloc
 import weakref
 
 import numpy
 import pytest
 
-from repro import AnyOpt, CampaignSettings
-from repro.bgp.delta import LazyStates
+from repro import AnyOpt, CampaignSettings, TestbedParams, TopologyParams, build_paper_testbed
+from repro.bgp.delta import _ARRIVAL_MARGIN, LazyStates, LinkJitter
 from repro.core.config import AnycastConfig
 from repro.measurement import Orchestrator
 from repro.bgp.engine import BGPEngine, SiteInjection, SiteWithdrawal
-from repro.topology.astopo import Relationship
-from repro.topology.generator import ScaleSweepParams, generate_scale_internet
+from repro.topology.astopo import AS, ASGraph, Relationship
+from repro.topology.generator import Internet, ScaleSweepParams, generate_scale_internet
+from repro.topology.geo import city
 from repro.util.errors import ConvergenceBudgetError, ReproError
-from tests.reference_engine import ReferenceEngine
+from repro.util.rng import derive_rng, uniform_block
+from tests.reference_engine import ReferenceEngine, _PlainLoop
 
 SEED = 7
 
@@ -324,6 +329,207 @@ class TestMultiHomedAggregation:
             delay_jitter_ms=3.0,
             delay_nonce=5,
         )
+
+
+class TestRunJitter:
+    """The per-run delay jitter: one uniform block in the engine, the
+    per-link ``expovariate`` loop in the oracle."""
+
+    def test_block_draw_equals_per_link_expovariate(self, testbed):
+        engine, reference = engine_pair(testbed.internet)
+        for mean_ms, nonce in ((5.0, 0), (20.0, 1), (0.3, 77)):
+            jitter = engine._draw_jitter(mean_ms, nonce)
+            plain = reference._draw_jitter(mean_ms, nonce)
+            assert isinstance(jitter, LinkJitter) and type(plain) is dict
+            assert list(jitter) == list(plain)  # slot order is link order
+            assert dict(jitter) == plain
+            assert all(jitter.get(pair, 0.0) == value for pair, value in plain.items())
+            assert jitter.get((-1, -2), 0.0) == 0.0
+
+    @pytest.mark.parametrize("bad", [-1.0, -0.001, float("nan"), float("inf")])
+    def test_unusable_jitter_is_rejected(self, testbed, bad):
+        """``delay_jitter_ms > 0.0`` is false for a negative or NaN
+        mean, which must not pass for "no jitter asked"."""
+        for engine in engine_pair(testbed.internet):
+            with pytest.raises(ReproError, match="delay_jitter_ms"):
+                engine.run([injection(testbed, 1)], delay_jitter_ms=bad)
+
+    def test_estimate_error_is_far_inside_the_margin(self, testbed):
+        """The timestamp's vector pass trusts ``numpy.log`` only up to
+        ``_ARRIVAL_MARGIN``; its actual distance from ``math.log`` must
+        be orders of magnitude smaller."""
+        jitter = BGPEngine(testbed.internet)._draw_jitter(20.0, 3)
+        exact = numpy.array(list(jitter.values()))
+        estimate = jitter.estimate(numpy.arange(len(jitter)))
+        assert numpy.all(numpy.abs(estimate - exact) <= 1e-14 * exact)
+        assert 1e-14 * 1e4 <= _ARRIVAL_MARGIN
+
+
+def hub_internet(stub_delays_by_hub):
+    """Hub ASes (a tier-1 peering clique, zero-delay links) each with
+    pure-stub customers at the given one-way delays; stub ASNs count up
+    from 100 in the order given."""
+    graph = ASGraph()
+    hubs = sorted(stub_delays_by_hub)
+    for hub in hubs:
+        graph.add_as(AS(asn=hub, tier=1, location=city("London")))
+    for a, b in itertools.combinations(hubs, 2):
+        graph.add_peering(a, b, prop_delay_ms=0.0)
+    stub = 100
+    for hub in hubs:
+        for delay in stub_delays_by_hub[hub]:
+            graph.add_as(AS(asn=stub, tier=3, location=city("Paris")))
+            graph.add_provider(stub, hub, prop_delay_ms=delay)
+            stub += 1
+    return Internet(graph, {}, TopologyParams(), seed=5)
+
+
+def converge_with_uniforms(internet, injections, uniform_of, lambd=0.05):
+    """Delta versus the plain loop under hand-picked jitter uniforms
+    (``uniform_of``: directed pair -> u, default 0.0, i.e. jitter -0.0);
+    returns the common ``(states, last_time, messages, events)``."""
+    engine = BGPEngine(internet)
+    pair_slot = internet.graph.tables().pair_slot
+    uniforms = numpy.array([uniform_of.get(pair, 0.0) for pair in pair_slot])
+    jitter = LinkJitter(pair_slot, uniforms, lambd)
+    budget = engine.event_budget()
+    delta = engine._delta.converge(injections, None, 1.0 / lambd, jitter, (), budget)
+    plain = _PlainLoop(internet, engine.prefix, engine.origin_asn).converge(
+        injections, None, 1.0 / lambd, dict(jitter), (), budget
+    )
+    assert delta == plain
+    return delta
+
+
+def hub_injection(hub, t=0.0, **kwargs):
+    return SiteInjection(hub, 1, None, 1.0, Relationship.CUSTOMER, t, **kwargs)
+
+
+class TestStubArrivalTimestamp:
+    """The convergence timestamp of a jittered run is a vector estimate
+    over every aggregated stub plus an exact recomputation near its
+    maximum; it must equal the plain loop's last delivery even when the
+    leading arrivals tie or sit one ulp apart."""
+
+    def test_single_stub(self):
+        internet = hub_internet({1: [7.5]})
+        _, last, messages, _ = converge_with_uniforms(
+            internet, [hub_injection(1)], {(1, 100): 0.5}
+        )
+        assert last == 7.5 + -math.log(1.0 - 0.5) / 0.05
+        assert messages == 1
+
+    @pytest.mark.parametrize("t0", [0.0, 1000.0, 360000.0])
+    def test_exactly_equal_arrivals(self, t0):
+        internet = hub_internet({1: [3.0, 3.0, 1.0], 2: [3.0]})
+        uniforms = {pair: 0.25 for pair in internet.graph.tables().pair_slot}
+        states, last, _, _ = converge_with_uniforms(
+            internet, [hub_injection(1, t0)], uniforms
+        )
+        step = -math.log(1.0 - 0.25) / 0.05
+        assert states[100].best.arrival_time == states[101].best.arrival_time
+        assert last == ((t0 + 0.0 + step) + 3.0) + step  # hub 2's stub, one hop on
+
+    @pytest.mark.parametrize("winner_first", [True, False])
+    @pytest.mark.parametrize("t0", [0.0, 1000.0])
+    def test_arrivals_one_ulp_apart_with_zero_jitter(self, t0, winner_first):
+        """u = 0 makes every jitter -0.0, so the arrivals are the bare
+        ``t0 + delay`` sums: adjacent floats by construction."""
+        low = 40.0
+        high = math.nextafter(t0 + low, math.inf) - t0
+        assert (t0 + high) - (t0 + low) == math.ulp(t0 + low)
+        delays = [high, low, low] if winner_first else [low, low, high]
+        _, last, _, _ = converge_with_uniforms(
+            hub_internet({1: delays}), [hub_injection(1, t0)], {}
+        )
+        assert last == t0 + high
+
+    @pytest.mark.parametrize("winner_first", [True, False])
+    def test_near_tie_decided_by_the_last_bit_of_the_log(self, winner_first):
+        """The adversarial pair: stub A's arrival *is* its jitter (delay
+        0, t0 0), stub B's is a bare delay set to the value the vector
+        pass computes for A.  The two estimates tie exactly; the exact
+        arrivals differ in the last bit wherever ``numpy.log`` and
+        ``math.log`` disagree, in whichever direction they disagree."""
+        lambd = 0.05
+        block = uniform_block(derive_rng(13, "near-tie"), 20000)
+        logs = numpy.array([math.log(1.0 - u) for u in block.tolist()])
+        differing = (numpy.log(1.0 - block) != logs).nonzero()[0]
+        u = block.item(differing[0] if differing.size else 0)
+        probe = LinkJitter({(0, 0): 0}, numpy.array([u]), lambd)
+        exact, vectorized = probe[(0, 0)], probe.estimate(numpy.array([0])).item(0)
+        assert abs(exact - vectorized) <= math.ulp(exact)
+        delays = [0.0, vectorized] if winner_first == (exact > vectorized) else [vectorized, 0.0]
+        internet = hub_internet({1: delays})
+        jittered_stub = 100 + delays.index(0.0)
+        _, last, _, _ = converge_with_uniforms(
+            internet, [hub_injection(1)], {(1, jittered_stub): u}, lambd
+        )
+        assert last == max(exact, vectorized)
+
+    def test_seeded_uniforms_across_hubs(self):
+        internet = hub_internet({1: [5.0, 9.0], 2: [2.0, 30.0, 4.0], 3: [11.0]})
+        pair_slot = internet.graph.tables().pair_slot
+        for seed in range(25):
+            rng = random.Random(seed)
+            uniforms = {pair: rng.random() for pair in pair_slot}
+            converge_with_uniforms(
+                internet, [hub_injection(1), hub_injection(3, 0.0)], uniforms
+            )
+
+    @pytest.mark.parametrize("live", ["hosting", "poisoned"])
+    def test_provider_with_a_live_stub_takes_the_scalar_path(self, live):
+        """Hub 1 has a run-live stub (its other stubs are summed one by
+        one); hub 2's stubs stay on the vector pass.  The last arrival
+        is placed at each hub in turn."""
+        for hub1, hub2 in (([2.0, 50.0, 3.0], [4.0]), ([2.0, 5.0, 3.0], [60.0])):
+            internet = hub_internet({1: hub1, 2: hub2})
+            if live == "hosting":
+                injections = [hub_injection(2), hub_injection(100, 10.0)]
+            else:
+                injections = [hub_injection(1, poison=(100,))]
+            uniforms = {pair: 0.3 for pair in internet.graph.tables().pair_slot}
+            states, last, _, _ = converge_with_uniforms(internet, injections, uniforms)
+            assert last == max(
+                states[stub].best.arrival_time for stub in (101, 102, 103)
+            )
+
+    def test_unjittered_run_keeps_the_max_delay_shortcut(self):
+        internet = hub_internet({1: [3.0, 8.0], 2: [1.0]})
+        for engine in engine_pair(internet):
+            assert engine.run([hub_injection(1, 100.0)]).convergence_time_ms == 108.0
+
+
+class TestCachedEntrySize:
+    def test_cached_state_holds_no_per_link_container(self):
+        """A cached ``ConvergedState`` keeps its run's jitter alive (the
+        lazy stub states read it): 8 bytes per directed link as the
+        run's uniform block, ~25 with everything else an entry holds.
+        A dict holding one Python float per link is ~150."""
+        testbed = build_paper_testbed(
+            TestbedParams(topology=TopologyParams(n_stub=1500, n_tier2=40)), seed=SEED
+        )
+        orchestrator = Orchestrator(testbed, [], seed=SEED)
+        assert orchestrator.settings.bgp_delay_jitter_ms > 0.0
+        orders = itertools.permutations(testbed.site_ids(), 2)
+        for _ in range(3):  # tables, speaker pool, first cache entries
+            orchestrator.deploy(AnycastConfig(site_order=next(orders)))
+        entries = 20
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(entries):
+                orchestrator.deploy(AnycastConfig(site_order=next(orders)))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        counters = orchestrator.metrics.snapshot()["counters"]
+        assert counters["convergence_cache_misses"] == entries + 3
+        assert "convergence_cache_hits" not in counters
+        slots = len(testbed.internet.graph.tables().pair_slot)
+        assert retained / entries < 60 * slots
 
 
 class TestLazyStates:

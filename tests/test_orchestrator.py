@@ -1,11 +1,38 @@
 """Tests for the orchestrator and deployments."""
 
+import copy
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import AnycastConfig
 from repro.measurement.orchestrator import Orchestrator
 from repro.runtime import CampaignSettings
 from repro.util.errors import ConfigurationError
+from repro.util.rng import derive_rng, stable_hash
+
+
+def reference_igp_overlay(orchestrator, experiment_id):
+    """The churn overlay's oracle: the plain loop over every AS, one
+    ``rng.random()`` and one five-part hash at a time."""
+    rng = derive_rng(orchestrator.seed, "igp-churn", experiment_id)
+    graph = orchestrator.testbed.internet.graph
+    tie_fraction = orchestrator.testbed.internet.params.igp_tie_fraction
+    overlay = {}
+    for asn in graph.asns():
+        if rng.random() >= orchestrator.settings.session_churn_prob:
+            continue
+        tie_prone = rng.random() < tie_fraction
+        for neighbor in graph.neighbors(asn):
+            if tie_prone:
+                overlay[(asn, neighbor)] = 0
+            else:
+                overlay[(asn, neighbor)] = 1 + stable_hash(
+                    orchestrator.seed, "igp-churn", experiment_id, asn, neighbor
+                ) % 1_000_000
+    return overlay
 
 
 class TestDeploy:
@@ -107,6 +134,34 @@ class TestDriftModels:
     def test_churn_overlay_nonempty_sometimes(self, noisy_orchestrator):
         sizes = [len(noisy_orchestrator._igp_overlay(e)) for e in range(1, 20)]
         assert any(s > 0 for s in sizes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        churn_prob=st.sampled_from([0.0, 0.02, 0.5, 1.0]),
+        tie_fraction=st.sampled_from([0.0, 0.18, 1.0]),
+        seed=st.integers(0, 3),
+        experiment_id=st.integers(1, 500),
+    )
+    def test_churn_overlay_matches_per_as_loop(
+        self, testbed, targets, churn_prob, tie_fraction, seed, experiment_id
+    ):
+        # The tie fraction is read off the Internet's parameters: vary it
+        # on shallow copies, the session's testbed stays as built.
+        bed = copy.copy(testbed)
+        bed.internet = copy.copy(testbed.internet)
+        bed.internet.params = dataclasses.replace(
+            testbed.internet.params, igp_tie_fraction=tie_fraction
+        )
+        orchestrator = Orchestrator(
+            bed, targets, seed=seed,
+            settings=CampaignSettings(session_churn_prob=churn_prob),
+        )
+        overlay = orchestrator._igp_overlay(experiment_id)
+        assert overlay == reference_igp_overlay(orchestrator, experiment_id)
+        if churn_prob == 1.0:
+            assert set(overlay) == set(testbed.internet.graph.tables().session_import)
+        if tie_fraction != 0.18:
+            assert all((cost == 0) == (tie_fraction == 1.0) for cost in overlay.values())
 
     def test_drift_deterministic_per_experiment(self, noisy_orchestrator):
         assert noisy_orchestrator.rtt_drift_factor(3, 7) == (
