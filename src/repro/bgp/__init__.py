@@ -14,8 +14,9 @@ testbed.  It implements, at the AS abstraction the paper reasons about:
 - an event-driven propagation engine with per-link control-plane
   delays and a virtual clock, so announcement arrival order is
   well-defined (:mod:`repro.bgp.engine`);
-- a data-plane walker that resolves each client flow to its
-  terminating AS, ingress PoP, hot-potato site choice, and path RTT
+- a data plane that resolves a converged deployment once, hop record
+  by hop record, and each client flow to its terminating AS, ingress
+  PoP, hot-potato site choice, and path RTT
   (:mod:`repro.bgp.dataplane`).
 """
 

@@ -1,22 +1,29 @@
 """Data-plane resolution: from a client AS to its anycast site.
 
-Given a converged control plane, this module walks a flow hop by hop —
-each AS forwards toward the ``learned_from`` neighbor of its chosen
-route, multipath ASes hash the flow over their tied set — until it
-reaches an AS holding an *injected* route.  There, hot-potato (IGP
-shortest path from the ingress PoP) picks the concrete anycast site,
-mirroring the paper's two-level structure: BGP decides the inter-AS
-catchment, interior routing decides the intra-AS catchment (S4.3).
+Given a converged control plane, a flow travels hop by hop — each AS
+forwards toward the neighbour its chosen route was learned from
+(:meth:`ConvergedState.next_hops
+<repro.bgp.engine.ConvergedState.next_hops>`), multipath ASes hash the
+flow over their tied set — until it reaches an AS holding an *injected*
+route.  There, hot-potato (IGP shortest path from the ingress PoP)
+picks the concrete anycast site, mirroring the paper's two-level
+structure: BGP decides the inter-AS catchment, interior routing decides
+the intra-AS catchment (S4.3).
 
-The walk also accumulates the path RTT: inter-AS link RTTs, intra-AS
+The path RTT accumulates on the way: inter-AS link RTTs, intra-AS
 backbone traversal for multi-PoP transits, and the site access link.
+
+Forwarding is a function of the converged next-hop graph, so a
+deployment resolves it once: every hop is a record in the
+:class:`DataPlane`'s forwarding table, built on first use and shared by
+every flow that passes through it (DESIGN.md, "Probe plane: the
+forwarding table").
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.bgp.engine import ConvergedState
-from repro.bgp.messages import Route
 from repro.topology.generator import Internet
 from repro.util.rng import stable_hash
 
@@ -44,11 +51,46 @@ class ForwardingOutcome:
 
 
 _MISSING = object()
-_PER_FLOW = object()
+_ANY_FLOW = object()
+
+#: What :meth:`DataPlane.resolve` answers for a client AS whose walk
+#: crosses a multipath split: ask :meth:`DataPlane.forward` per flow.
+PER_FLOW = object()
+
+
+class _Terminal(NamedTuple):
+    """Hop record: the flow reaches ``site_id`` here.  ``add_ms`` is
+    the hot-potato backbone leg plus the access link, summed before it
+    is added to the path — the order ``rtt += igp + link`` evaluates."""
+
+    site_id: int
+    add_ms: float
+    ingress_pop: Optional[int]
+
+
+class _Split(NamedTuple):
+    """Hop record: a multipath AS hashes each flow over ``tied``; the
+    hop toward one of them is a record of its own, keyed ``(AS, entry,
+    neighbour)``."""
+
+    tied: List[int]
 
 
 class DataPlane:
-    """Resolves client flows against one converged control plane.
+    """Resolves client flows against one converged control plane,
+    through a forwarding table filled as flows ask.
+
+    The table maps ``(AS, entry)`` to a hop record — a
+    :class:`~repro.topology.generator.Hop` onward, :class:`_Terminal`,
+    :class:`_Split`, or None for an AS without a route.  ``entry`` is
+    the PoP at which the flow enters a multi-PoP AS (None for a
+    single-PoP one): together with the AS it fixes the next hop and both
+    costs, whichever neighbour the flow came from, so the flows of a
+    deployment share their transit hops.  A walk follows
+    records from the client, resolving the missing ones, and sums the
+    RTT in its own client-first order (``rtt += transit; rtt += link``
+    per hop, then the terminal's ``add_ms``), so the float is the one
+    a hop-by-hop walk over the states accumulates.
 
     ``flow_nonce`` seeds the per-flow ECMP hash of multipath ASes; two
     data planes built over the same converged state but with different
@@ -61,105 +103,130 @@ class DataPlane:
         self.internet = internet
         self.converged = converged
         self.flow_nonce = flow_nonce
-        #: Resolved walks.  One that crossed no multipath split serves
-        #: every flow of its client AS, keyed by ASN; an AS whose walk
-        #: split holds ``_PER_FLOW`` there and an ``(ASN, flow key)``
-        #: entry per flow.
+        #: Hop records, each resolved once.
+        self._table: dict = {}
+        #: Finished walks: per client ASN the outcome all its flows
+        #: share (or ``PER_FLOW``), per ``(ASN, flow key)`` the outcome
+        #: of a flow that was hashed on the way.
         self._memo: dict = {}
+
+    def resolve(self, client_asn: int):
+        """The outcome every flow of ``client_asn`` shares — a
+        :class:`ForwardingOutcome`, or None without a route — or
+        :data:`PER_FLOW` when its walk reaches a multipath split.
+        Each client AS is walked once."""
+        outcome = self._memo.get(client_asn, _MISSING)
+        if outcome is _MISSING:
+            outcome = self._memo[client_asn] = self._walk(client_asn, _ANY_FLOW)
+        return outcome
 
     def forward(self, client_asn: int, flow_key) -> Optional[ForwardingOutcome]:
         """Trace one flow (``flow_key`` must be hashable); returns None
         when the client has no route (e.g. a peers-only configuration
         that cannot reach it).  Each client AS is walked once — once
         per flow if its walk depends on the flow."""
-        memo = self._memo
-        outcome = memo.get(client_asn, _MISSING)
-        if outcome is _PER_FLOW:
-            outcome = memo.get((client_asn, flow_key), _MISSING)
-        if outcome is _MISSING:
-            outcome, per_flow = self._walk(client_asn, flow_key)
-            if per_flow:
-                memo[client_asn] = _PER_FLOW
-                memo[(client_asn, flow_key)] = outcome
-            else:
-                memo[client_asn] = outcome
+        outcome = self.resolve(client_asn)
+        if outcome is PER_FLOW:
+            key = (client_asn, flow_key)
+            outcome = self._memo.get(key, _MISSING)
+            if outcome is _MISSING:
+                outcome = self._memo[key] = self._walk(client_asn, flow_key)
         return outcome
+
+    def next_hop(self, asn: int, flow_key) -> Tuple[int, bool]:
+        """The neighbour ``asn`` (which must hold a route) forwards
+        this flow to — the anycast origin ASN where the flow is
+        delivered — and whether it hashed the flow over a tied set to
+        pick it."""
+        best, tied = self._choice(asn)
+        if tied is None:
+            return best, False
+        return self._pick(tied, asn, flow_key), True
 
     # -- internals ---------------------------------------------------------
 
-    def _walk(self, client_asn: int, flow_key) -> Tuple[Optional[ForwardingOutcome], bool]:
-        """The hop-by-hop walk, and whether any AS on it hashed the
-        flow.  The RTT is summed hop by hop from the client, so every
-        flow that shares a walk gets the same float."""
-        graph = self.internet.graph
-        states = self.converged.states
+    def _walk(self, client_asn: int, flow_key):
+        """Follow hop records from the client.  ``_ANY_FLOW`` stands
+        for every flow of the AS at once and stops at the first split
+        with ``PER_FLOW``."""
+        table = self._table
         cur = client_asn
-        prev: Optional[int] = None
+        entry = self.internet.entry_pop(cur, None)
         rtt = 0.0
         hops = [cur]
-        visited = {cur}
-        per_flow = False
         while True:
-            state = states.get(cur)
-            if state is None or state.best is None:
-                return None, per_flow
-            route, hashed = self._choose_route(cur, flow_key, state)
-            per_flow = per_flow or hashed
-            if route.is_injected():
-                return self._terminate(cur, prev, route, rtt, tuple(hops)), per_flow
-            nxt = route.learned_from
-            if nxt in visited:
+            key = (cur, entry)
+            record = table.get(key, _MISSING)
+            if record is _MISSING:
+                record = table[key] = self._record(cur, entry)
+            if type(record) is _Split:
+                if flow_key is _ANY_FLOW:
+                    return PER_FLOW
+                key = (cur, entry, self._pick(record.tied, cur, flow_key))
+                record = table.get(key, _MISSING)
+                if record is _MISSING:
+                    record = table[key] = self._hop(*key)
+            if record is None:
+                return None
+            if type(record) is _Terminal:
+                site_id, add_ms, ingress_pop = record
+                rtt += add_ms
+                return ForwardingOutcome(site_id, cur, tuple(hops), rtt, ingress_pop)
+            nxt, transit_ms, link_ms, entry = record
+            if nxt in hops:
                 # A forwarding loop across inconsistent multipath
                 # choices; the flow is effectively blackholed.
-                return None, per_flow
-            rtt += self._transit_cost(prev, cur, nxt)
-            rtt += graph.link(cur, nxt).rtt_ms
-            prev, cur = cur, nxt
+                return None
+            rtt += transit_ms
+            rtt += link_ms
+            cur = nxt
             hops.append(cur)
-            visited.add(cur)
 
-    def _choose_route(self, asn: int, flow_key, state) -> Tuple[Route, bool]:
-        """The route ``asn`` forwards this flow on, and whether it
-        hashed the flow over a tied set to pick it."""
-        if len(state.multipath) > 1 and self.internet.graph.as_of(asn).multipath:
-            idx = stable_hash(flow_key, asn, self.flow_nonce) % len(state.multipath)
-            return state.multipath[idx], True
-        return state.best, False
+    def _pick(self, tied: List[int], asn: int, flow_key) -> int:
+        return tied[stable_hash(flow_key, asn, self.flow_nonce) % len(tied)]
 
-    def _transit_cost(self, prev: Optional[int], cur: int, nxt: int) -> float:
-        """Intra-AS backbone RTT for crossing a multi-PoP AS."""
-        net = self.internet.pop_network(cur)
-        if net is None or net.pop_count == 1:
-            return 0.0
-        exit_pop = self.internet.attach_pop(cur, nxt)
-        entry_pop = self._entry_pop(prev, cur, net)
-        return net.igp_rtt_ms(entry_pop, exit_pop)
+    def _choice(self, asn: int) -> Optional[Tuple[int, Optional[List[int]]]]:
+        """``(best neighbour, tied neighbours)`` of an AS that hashes
+        flows over its multipath set, ``(best neighbour, None)`` of one
+        that does not, None without a route."""
+        hops = self.converged.next_hops(asn)
+        if hops is None:
+            return None
+        best, tied = hops
+        if len(tied) > 1 and self.internet.graph.as_of(asn).multipath:
+            return best, tied
+        return best, None
 
-    def _entry_pop(self, prev: Optional[int], cur: int, net) -> int:
-        if prev is None:
-            # The flow originates inside this AS; it enters the
-            # backbone at the PoP nearest the AS's nominal location.
-            return net.nearest_pop(self.internet.graph.as_of(cur).location)
-        return self.internet.attach_pop(cur, prev)
+    def _record(self, asn: int, entry: Optional[int]):
+        choice = self._choice(asn)
+        if choice is None:
+            return None
+        best, tied = choice
+        return self._hop(asn, entry, best) if tied is None else _Split(tied)
 
-    def _terminate(
-        self,
-        cur: int,
-        prev: Optional[int],
-        route: Route,
-        rtt: float,
-        hops: Tuple[int, ...],
-    ) -> ForwardingOutcome:
-        net = self.internet.pop_network(cur)
-        candidates = list(route.site_pops)
-        if net is not None and net.pop_count > 1 and all(sp.pop_id is not None for sp in candidates):
-            ingress = self._entry_pop(prev, cur, net)
-            best_pop = net.closest_pop_of(ingress, [sp.pop_id for sp in candidates])
-            at_pop = [sp for sp in candidates if sp.pop_id == best_pop]
-            chosen = min(at_pop, key=lambda sp: (sp.link_rtt_ms, sp.site_id))
-            rtt += net.igp_rtt_ms(ingress, best_pop) + chosen.link_rtt_ms
-            return ForwardingOutcome(chosen.site_id, cur, hops, rtt, ingress)
+    def _hop(self, asn: int, entry: Optional[int], neighbor: int):
+        """The record of ``asn`` forwarding to ``neighbor``: the
+        topology's :class:`~repro.topology.generator.Hop`, unless the
+        neighbour is the anycast origin, i.e. the route is injected
+        here."""
+        if neighbor == self.converged.origin_asn:
+            return self._terminate(asn, entry)
+        return self.internet.hop(asn, entry, neighbor)
+
+    def _terminate(self, asn: int, entry: Optional[int]) -> _Terminal:
+        """Hot-potato site choice among the injected route's
+        attachments, from the flow's entry PoP."""
+        converged = self.converged
+        candidates = converged.states[asn].adj_rib_in[converged.origin_asn].site_pops
+        if entry is not None and all(sp.pop_id is not None for sp in candidates):
+            net = self.internet.pop_network(asn)
+            best_pop = net.closest_pop_of(entry, [sp.pop_id for sp in candidates])
+            chosen = min(
+                (sp for sp in candidates if sp.pop_id == best_pop),
+                key=lambda sp: (sp.link_rtt_ms, sp.site_id),
+            )
+            return _Terminal(
+                chosen.site_id, net.igp_rtt_ms(entry, best_pop) + chosen.link_rtt_ms, entry
+            )
         chosen = min(candidates, key=lambda sp: (sp.link_rtt_ms, sp.site_id))
-        ingress = chosen.pop_id
-        rtt += chosen.link_rtt_ms
-        return ForwardingOutcome(chosen.site_id, cur, hops, rtt, ingress)
+        return _Terminal(chosen.site_id, chosen.link_rtt_ms, chosen.pop_id)

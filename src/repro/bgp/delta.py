@@ -32,9 +32,11 @@ suite's oracle, ``tests/reference_engine.py``):
   recording ``(virtual time, export path)`` per change captures every
   stub-bound message without enumerating the stubs.  Stub states are
   synthesized lazily from the episode log on first read
-  (:class:`LazyStates`), and message/event counts and the convergence
-  timestamp are reconstructed from episode arithmetic, so metrics and
-  traces match the plain loop too.
+  (:class:`LazyStates`) — and not at all for the data plane, whose one
+  question, where a stub forwards, the same episodes answer directly
+  (:meth:`LazyStates.next_hops`) — and message/event counts and the
+  convergence timestamp are reconstructed from episode arithmetic, so
+  metrics and traces match the plain loop too.
 
 The noise around the loop keeps the same rule.  The per-run link jitter
 arrives as a :class:`LinkJitter` — the run's block of uniforms, turned
@@ -74,8 +76,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.bgp.decision import evaluate
-from repro.bgp.messages import Route, SitePop, make_route
+from repro.bgp.messages import SitePop, make_route
 from repro.bgp.rib import RouterState
 from repro.bgp.router import BGPSpeaker
 from repro.topology.astopo import Relationship
@@ -150,6 +151,14 @@ class LinkJitter(Mapping):
     def __getitem__(self, pair: Tuple[int, int]) -> float:
         return -math.log(1.0 - self._uniforms.item(self._slot[pair])) / self._lambd
 
+    def get(self, pair: Tuple[int, int], default=None):
+        # Defined here: Mapping.get is a Python-level try/except around
+        # __getitem__, and the event loop reads one jitter per update.
+        slot = self._slot.get(pair)
+        if slot is None:
+            return default
+        return -math.log(1.0 - self._uniforms.item(slot)) / self._lambd
+
     def __iter__(self):
         return iter(self._slot)
 
@@ -177,14 +186,21 @@ class LazyStates(Mapping):
     ``advertised_to`` entries for its aggregated stubs are patched in
     on first access.  Pickling materializes to a plain dict, so
     persisted convergence-store entries do not depend on this class.
+
+    :meth:`next_hops` answers the one question the data plane asks of
+    a state — where does this AS forward — and for an aggregated stub
+    it does so from the providers' episodes alone, with no state built.
     """
 
-    __slots__ = ("_materialized", "_pristine", "_aggregated", "_synth", "_pending", "_patch")
+    __slots__ = (
+        "_materialized", "_pristine", "_aggregated", "_choose", "_synth", "_pending", "_patch",
+    )
 
-    def __init__(self, materialized, pristine, aggregated, synth, pending, patch):
+    def __init__(self, materialized, pristine, aggregated, choose, synth, pending, patch):
         self._materialized: Dict[int, RouterState] = materialized
         self._pristine: Dict[int, RouterState] = pristine
         self._aggregated = aggregated
+        self._choose = choose
         self._synth = synth
         #: Providers whose advertised_to still lacks its stub entries.
         self._pending = pending
@@ -202,6 +218,23 @@ class LazyStates(Mapping):
             self._materialized[asn] = state
             return state
         return self._pristine[asn]
+
+    def get(self, asn: int, default=None):
+        # Defined here rather than inherited: Mapping.get wraps
+        # __getitem__ in a Python-level try/except.
+        if asn in self._pristine:
+            return self[asn]
+        return default
+
+    def next_hops(self, asn: int) -> Optional[Tuple[int, List[int]]]:
+        """``(best.learned_from, [r.learned_from for r in multipath])``
+        of ``self[asn]``, or None when that state holds no route (or
+        ``asn`` is not in the topology) — without building the state of
+        an aggregated stub."""
+        state = self._materialized.get(asn)
+        if state is None:
+            return self._choose(asn) if asn in self._aggregated else None
+        return state.next_hops()
 
     def __iter__(self):
         return iter(self._pristine)
@@ -339,7 +372,6 @@ class DeltaConverger:
         self,
         injections,
         igp_overlay,
-        delay_jitter_ms,
         jitter,
         withdrawals,
         budget: int,
@@ -586,7 +618,7 @@ class DeltaConverger:
             materialized,
             pristine,
             agg,
-            self._make_synth(tables, igp_overlay, pristine, ep_log, jitter),
+            *self._make_stub_views(tables, igp_overlay, pristine, ep_log, jitter),
             set(ep_log),
             self._make_patch(ep_log, stubs_run),
         )
@@ -595,14 +627,24 @@ class DeltaConverger:
         events += agg_count
         return states, last_time, messages, events
 
-    def _make_synth(self, tables, igp_overlay, pristine, ep_log, jitter):
-        """The stub-state synthesizer for one run's :class:`LazyStates`.
+    def _make_stub_views(self, tables, igp_overlay, pristine, ep_log, jitter):
+        """``(choose, synth)`` for one run's :class:`LazyStates`: an
+        aggregated stub's decision, and its whole state.
 
-        Mirrors ``BGPSpeaker.receive_announcement`` per provider
-        session and the speaker's decision step over the result: same
-        import values, same route constructor, same decision, so the
-        synthesized state is ``==`` to the one a live speaker builds
-        by simulation.
+        A stub holds one offer per provider whose last export episode
+        carries a path.  ``choose`` runs the decision process
+        (:func:`repro.bgp.decision.evaluate`) over those offers without
+        building them: every offer is a ``make_route`` with origin code
+        and MED 0, so the strict key orders like ``(-local_pref,
+        len(path), interior)``; the arrival time — the event push's own
+        ``t + delay + jitter`` — is evaluated only among strict-tied
+        offers of an AS that breaks ties on it; and ``stub_providers``
+        is sorted, so the tied set comes out in neighbour-id order.
+        ``synth`` mirrors ``BGPSpeaker.receive_announcement`` per
+        provider session (same import values, same route constructor)
+        and takes ``best`` / ``multipath`` from that same ``choose``,
+        so the synthesized state is ``==`` to the one a live speaker
+        builds by simulation.
         """
         session_import = tables.session_import
         stub_providers = tables.stub_providers
@@ -610,11 +652,13 @@ class DeltaConverger:
         overlay = igp_overlay or {}
         jitter_get = jitter.get
         prefix = self.prefix
-        graph = self.internet.graph
+        ases = self.internet.graph.ases
         ep_get = ep_log.get
 
-        def synth(stub: int) -> RouterState:
-            adj: Dict[int, Route] = {}
+        def offers(stub: int):
+            """``(provider, episode time, path, import values)`` per
+            provider session currently offering a route."""
+            out = []
             for provider in stub_providers[stub]:
                 eps = ep_get(provider)
                 if not eps:
@@ -627,26 +671,50 @@ class DeltaConverger:
                 session_interior = overlay.get(session)
                 if session_interior is not None:
                     interior = session_interior
-                pair = (provider, stub)
-                arrive = t + prop_delay[pair] + jitter_get(pair, 0.0)
-                adj[provider] = make_route(
-                    prefix, path, provider, local_pref, rel, 0, interior, arrive
-                )
-            if not adj:
+                out.append((provider, t, path, local_pref, interior, rel))
+            return out
+
+        def arrival(stub: int, provider: int, t: float) -> float:
+            pair = (provider, stub)
+            return t + prop_delay[pair] + jitter_get(pair, 0.0)
+
+        def choose(stub: int, offered=None):
+            """``(best provider, strict-tied providers)`` or None."""
+            if offered is None:
+                offered = offers(stub)
+            if not offered:
+                return None
+            best_key = None
+            tied = []
+            for offer in offered:
+                key = (-offer[3], len(offer[2]), offer[4])
+                if best_key is None or key < best_key:
+                    best_key = key
+                    tied = [offer]
+                elif key == best_key:
+                    tied.append(offer)
+            best = tied[0]
+            if len(tied) > 1 and ases[stub].arrival_order_tiebreak:
+                best = min(tied, key=lambda o: (arrival(stub, o[0], o[1]), o[0]))
+            return best[0], [offer[0] for offer in tied]
+
+        def synth(stub: int) -> RouterState:
+            offered = offers(stub)
+            if not offered:
                 return pristine[stub]
             state = RouterState(stub)
-            state.adj_rib_in = adj
-            routes = list(adj.values())
-            if len(routes) == 1:
-                best = routes[0]
-                multipath = routes
-            else:
-                best, multipath = evaluate(routes, graph.as_of(stub))
-            state.best = best
-            state.multipath = multipath
+            adj = state.adj_rib_in
+            for provider, t, path, local_pref, interior, rel in offered:
+                adj[provider] = make_route(
+                    prefix, path, provider, local_pref, rel, 0, interior,
+                    arrival(stub, provider, t),
+                )
+            best, tied = choose(stub, offered)
+            state.best = adj[best]
+            state.multipath = [adj[provider] for provider in tied]
             return state
 
-        return synth
+        return choose, synth
 
     def _make_patch(self, ep_log, stubs_run):
         """The provider ``advertised_to`` patcher: re-adds the entries

@@ -24,9 +24,9 @@ loop it is bit-compared against lives with the tests
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bgp.delta import DeltaConverger, LinkJitter
+from repro.bgp.delta import DeltaConverger, LazyStates, LinkJitter
 from repro.bgp.rib import RouterState
 from repro.topology.astopo import Relationship
 from repro.topology.generator import Internet
@@ -121,12 +121,20 @@ class ConvergedState:
         except KeyError:
             raise ReproError(f"no BGP state for AS {asn}") from None
 
-    def columnar(self, tables):
-        """A :class:`~repro.bgp.rib.ColumnarRib` view of this state
-        (built per call; bulk consumers should hold on to it)."""
-        from repro.bgp.rib import ColumnarRib
-
-        return ColumnarRib.from_converged(self, tables)
+    def next_hops(self, asn: int) -> Optional[Tuple[int, List[int]]]:
+        """Which neighbour(s) ``asn`` forwards to: ``(best.learned_from,
+        [r.learned_from for r in multipath])`` of its state — the
+        anycast origin ASN stands for an injected route — or None when
+        it holds no route.  An engine result answers for an aggregated
+        stub from its providers' export episodes, building no state
+        (:meth:`LazyStates.next_hops <repro.bgp.delta.LazyStates.next_hops>`);
+        plain-dict states (unpickled, convergence store) answer from
+        the stored ``best`` / ``multipath``."""
+        states = self.states
+        if isinstance(states, LazyStates):
+            return states.next_hops(asn)
+        state = states.get(asn)
+        return None if state is None else state.next_hops()
 
 
 class BGPEngine:
@@ -217,8 +225,9 @@ class BGPEngine:
         no-order experiments produce cyclic preferences (S5.1).
 
         Raises :class:`ReproError` if an injection or withdrawal
-        references an AS not in the topology or ``delay_jitter_ms`` is
-        not a finite non-negative number, and
+        references an AS not in the topology, two injections share
+        ``(host_asn, site_id)``, or ``delay_jitter_ms`` is not a finite
+        non-negative number, and
         :class:`~repro.util.errors.ConvergenceBudgetError` (with an
         event census) if the event budget is exhausted — which would
         indicate a routing oscillation, impossible under Gao-Rexford
@@ -227,9 +236,15 @@ class BGPEngine:
         graph = self.internet.graph
         if not injections:
             raise ReproError("cannot run BGP engine with no injections")
+        announced = set()
         for inj in injections:
             if inj.host_asn not in graph:
                 raise ReproError(f"injection references unknown AS {inj.host_asn}")
+            if (inj.host_asn, inj.site_id) in announced:
+                raise ReproError(
+                    f"site {inj.site_id} is injected at AS {inj.host_asn} more than once"
+                )
+            announced.add((inj.host_asn, inj.site_id))
         for wd in withdrawals:
             if wd.host_asn not in graph:
                 raise ReproError(f"withdrawal references unknown AS {wd.host_asn}")
@@ -270,8 +285,7 @@ class BGPEngine:
             self._draw_jitter(delay_jitter_ms, delay_nonce) if delay_jitter_ms > 0.0 else {}
         )
         states, last_time, messages, events = self._delta.converge(
-            injections, igp_overlay, delay_jitter_ms, jitter, withdrawals,
-            self.event_budget(),
+            injections, igp_overlay, jitter, withdrawals, self.event_budget()
         )
 
         elapsed = time.perf_counter() - start

@@ -86,7 +86,8 @@ def explain_catchment(
     for asn in outcome.as_path:
         state = converged.states[asn]
         node = internet.graph.as_of(asn)
-        chosen, hashed = dataplane._choose_route(asn, key, state)
+        neighbor, hashed = dataplane.next_hop(asn, key)
+        chosen = state.adj_rib_in[neighbor]
         if hashed:
             lines.append(
                 f"AS {asn}: multipath across {len(state.multipath)} equal "

@@ -88,7 +88,7 @@ class Deployment:
 
     def forwarding(self, target: PingTarget) -> Optional[ForwardingOutcome]:
         """Where this target's anycast traffic lands (the data plane
-        resolves each client AS once and remembers it)."""
+        resolves each client AS, and each hop, once and remembers it)."""
         return self.dataplane.forward(target.asn, target.target_id)
 
     def true_rtt(self, target: PingTarget) -> Optional[float]:
@@ -111,7 +111,8 @@ class Deployment:
     # -- measurements ---------------------------------------------------------
 
     def measure_catchments(self, targets: Optional[Iterable[PingTarget]] = None) -> CatchmentMap:
-        """Verfploeter-style catchment map of this deployment."""
+        """Verfploeter-style catchment map of this deployment (one pass
+        over the data plane's forwarding table, all targets)."""
         targets = self.orchestrator.targets if targets is None else list(targets)
         with self.orchestrator.tracer.span(
             "probe",

@@ -10,8 +10,9 @@ loss rate, so the median-of-seven filtering in the RTT estimator has
 something to filter.
 """
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from repro.topology.generator import Internet
 from repro.util.errors import MeasurementError
@@ -49,6 +50,24 @@ class PingTarget:
             )
 
 
+class ProbeColumns(NamedTuple):
+    """What a catchment pass reads of a target list, as columns: every
+    target's id and ASN in list order, and the targets that can lose a
+    probe (the only ones a loss draw is made for)."""
+
+    ids: Tuple[int, ...]
+    asns: Tuple[int, ...]
+    lossy: Tuple[PingTarget, ...]
+
+    @classmethod
+    def of(cls, targets: Sequence[PingTarget]) -> "ProbeColumns":
+        return cls(
+            tuple(t.target_id for t in targets),
+            tuple(t.asn for t in targets),
+            tuple(t for t in targets if t.loss_rate > 0.0),
+        )
+
+
 class TargetSet:
     """An ordered collection of ping targets with per-AS lookup."""
 
@@ -61,6 +80,13 @@ class TargetSet:
                 raise MeasurementError(f"duplicate target id {t.target_id}")
             seen.add(t.target_id)
             self._by_asn.setdefault(t.asn, []).append(t)
+
+    @functools.cached_property
+    def columns(self) -> ProbeColumns:
+        """The set's :class:`ProbeColumns` — targets are frozen, so
+        they are computed once, by the first catchment pass (a campaign
+        that never probes never pays for them)."""
+        return ProbeColumns.of(self._targets)
 
     def __len__(self) -> int:
         return len(self._targets)

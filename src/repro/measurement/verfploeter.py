@@ -8,10 +8,11 @@ probes are all lost stays unmapped for that experiment.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Optional, Sequence, Set, Union
 
+from repro.bgp.dataplane import PER_FLOW
 from repro.measurement.icmp import IcmpProber
-from repro.measurement.targets import PingTarget
+from repro.measurement.targets import PingTarget, ProbeColumns, TargetSet
 from repro.util.errors import MeasurementError
 
 
@@ -47,28 +48,38 @@ class CatchmentMap:
 
 def measure_catchments(
     deployment,
-    targets: Iterable[PingTarget],
+    targets: Union[TargetSet, Sequence[PingTarget]],
     prober: IcmpProber,
     retries: int = 3,
 ) -> CatchmentMap:
     """Map every target's catchment under ``deployment``.
 
-    ``deployment`` must expose ``experiment_id`` and
-    ``forwarding(target)`` (see
-    :class:`repro.measurement.orchestrator.Deployment`).  Each target is
-    probed up to ``1 + retries`` times; loss applies per probe.  A reply
-    identifies the catchment by the tunnel it arrives through, so only
-    each probe's loss decision is drawn — never its RTT.
+    ``deployment`` must expose ``experiment_id`` and ``dataplane`` (a
+    :class:`~repro.bgp.dataplane.DataPlane`; see
+    :class:`repro.measurement.orchestrator.Deployment`).  One pass maps
+    all targets: each client AS is resolved once and its site copied to
+    its targets; only targets of an AS whose path crosses a multipath
+    split are forwarded flow by flow (the flow key is the target id).
+    Each target is probed up to ``1 + retries`` times; loss applies per
+    probe, so only targets with a loss rate draw anything, and only the
+    loss decision — a reply identifies the catchment by the tunnel it
+    arrives through, never by its RTT.
     """
-    cmap = CatchmentMap(experiment_id=deployment.experiment_id)
-    for target in targets:
-        outcome = deployment.forwarding(target)
-        site: Optional[int] = None
+    columns = targets.columns if isinstance(targets, TargetSet) else ProbeColumns.of(targets)
+    dataplane = deployment.dataplane
+    experiment_id = deployment.experiment_id
+    outcome_of_as = {asn: dataplane.resolve(asn) for asn in set(columns.asns)}
+    mapping: Dict[int, Optional[int]] = {}
+    for target_id, asn in zip(columns.ids, columns.asns):
+        outcome = outcome_of_as[asn]
+        if outcome is PER_FLOW:
+            outcome = dataplane.forward(asn, target_id)
         # With no route back to any site the reply never arrives.
-        if outcome is not None:
-            for attempt in range(1 + retries):
-                if prober.answered(target, deployment.experiment_id, 100 + attempt):
-                    site = outcome.site_id
-                    break
-        cmap.mapping[target.target_id] = site
-    return cmap
+        mapping[target_id] = None if outcome is None else outcome.site_id
+    for target in columns.lossy:
+        if mapping[target.target_id] is not None and not any(
+            prober.answered(target, experiment_id, 100 + attempt)
+            for attempt in range(1 + retries)
+        ):
+            mapping[target.target_id] = None
+    return CatchmentMap(experiment_id=experiment_id, mapping=mapping)

@@ -9,6 +9,7 @@ signatures do not grow with every model refinement.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -96,10 +97,11 @@ class CampaignSettings:
     def __post_init__(self):
         if not 0.0 <= self.session_churn_prob <= 1.0:
             raise ConfigurationError("session_churn_prob must be in [0, 1]")
-        if self.rtt_drift_sigma < 0 or self.rtt_bias_sigma < 0:
-            raise ConfigurationError("RTT drift sigmas must be non-negative")
-        if self.bgp_delay_jitter_ms < 0:
-            raise ConfigurationError("bgp_delay_jitter_ms must be non-negative")
+        # Written as ranges: ``nan < 0`` is false, so a lower bound
+        # alone lets NaN (and infinity) through to the noise streams.
+        for knob in ("rtt_drift_sigma", "rtt_bias_sigma", "bgp_delay_jitter_ms"):
+            if not 0.0 <= getattr(self, knob) < math.inf:
+                raise ConfigurationError(f"{knob} must be finite and non-negative")
         if self.max_convergence_events is not None and self.max_convergence_events < 1:
             raise ConfigurationError(
                 "max_convergence_events must be >= 1 (or None for auto)"
@@ -124,10 +126,11 @@ class CampaignSettings:
                 raise ConfigurationError(f"{knob} must be in [0, 1]")
         if self.retry_max_attempts < 1:
             raise ConfigurationError("retry_max_attempts must be >= 1")
-        if self.retry_backoff_base_ms < 0 or self.retry_backoff_max_ms < 0:
-            raise ConfigurationError("retry backoff intervals must be non-negative")
-        if self.retry_backoff_factor < 1.0:
-            raise ConfigurationError("retry_backoff_factor must be >= 1")
+        for knob in ("retry_backoff_base_ms", "retry_backoff_max_ms"):
+            if not 0.0 <= getattr(self, knob) < math.inf:
+                raise ConfigurationError(f"{knob} must be finite and non-negative")
+        if not 1.0 <= self.retry_backoff_factor < math.inf:
+            raise ConfigurationError("retry_backoff_factor must be finite and >= 1")
 
     @property
     def faults_enabled(self) -> bool:

@@ -12,7 +12,7 @@ advertisement *arrival order* is well defined (S4.2).
 import math
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.topology.astopo import AS, ASGraph, Link, Relationship
 from repro.topology.geo import (
@@ -182,6 +182,18 @@ class ScaleSweepParams:
         return n_tier2, self.n_ases - self.n_tier1 - n_tier2
 
 
+class Hop(NamedTuple):
+    """One inter-AS hop of a data-plane path (:meth:`Internet.hop`):
+    the flow crosses its AS's backbone (``transit_ms``), then the link
+    to ``next_asn`` (``link_ms``), and enters that AS at
+    ``next_entry``."""
+
+    next_asn: int
+    transit_ms: float
+    link_ms: float
+    next_entry: Optional[int]
+
+
 class Internet:
     """A generated Internet: AS graph plus per-AS PoP backbones."""
 
@@ -205,6 +217,42 @@ class Internet:
                 f"link {multi_pop_asn}<->{neighbor_asn} has no attachment "
                 f"PoP recorded for AS {multi_pop_asn}"
             ) from None
+
+    def entry_pop(self, asn: int, prev: Optional[int]) -> Optional[int]:
+        """The PoP at which a flow arriving from ``prev`` enters the
+        backbone of ``asn``; None for a single-PoP AS.  With ``prev``
+        None the flow originates inside the AS and enters at the PoP
+        nearest the AS's nominal location."""
+        net = self.pop_networks.get(asn)
+        if net is None or net.pop_count == 1:
+            return None
+        if prev is None:
+            return net.nearest_pop(self.graph.as_of(asn).location)
+        return self.attach_pop(asn, prev)
+
+    def hop(self, asn: int, entry_pop: Optional[int], neighbor: int) -> Hop:
+        """What it costs a flow that entered ``asn`` at ``entry_pop``
+        (:meth:`entry_pop`) to leave for ``neighbor``, and where it
+        enters ``neighbor``.  A pure function of the topology, so it is
+        memoised on the graph's tables and dropped with them when the
+        graph changes."""
+        hops = self.graph.tables().hops
+        key = (asn, entry_pop, neighbor)
+        hop = hops.get(key)
+        if hop is None:
+            transit_ms = 0.0
+            if entry_pop is not None:
+                # Intra-AS backbone RTT for crossing a multi-PoP AS.
+                transit_ms = self.pop_networks[asn].igp_rtt_ms(
+                    entry_pop, self.attach_pop(asn, neighbor)
+                )
+            hop = hops[key] = Hop(
+                neighbor,
+                transit_ms,
+                self.graph.link(asn, neighbor).rtt_ms,
+                self.entry_pop(neighbor, asn),
+            )
+        return hop
 
     def tier1_by_name(self, name: str) -> int:
         for asn, node in self.graph.ases.items():

@@ -21,7 +21,7 @@ them never changes any engine result — only how fast it is produced.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.topology.astopo import ASGraph, Relationship
 from repro.bgp import policy
@@ -54,8 +54,8 @@ class TopologyTables:
             ``len(pair_slot)`` uniforms and reads a pair's draw by slot
             (:class:`repro.bgp.delta.LinkJitter`).
         index_asn: the sorted ASN tuple — the dense index space the
-            columnar RIB (:class:`repro.bgp.rib.ColumnarRib`) and the
-            delta engine's aggregation arrays are laid out over.
+            delta engine's aggregation arrays and the orchestrator's
+            churn draws are laid out over.
         asn_index: inverse of ``index_asn`` (ASN → dense index).
         stub_providers: per *pure stub* ASN, the sorted tuple of its
             provider ASNs.  A pure stub is an AS every one of whose
@@ -68,6 +68,13 @@ class TopologyTables:
             episodes, bit-identically (see
             :mod:`repro.bgp.delta`).  ASes with any peer or customer
             session stay live.
+        hops: memo of :meth:`Internet.hop
+            <repro.topology.generator.Internet.hop>` — data-plane hop
+            costs, filled as deployments are probed (never by a
+            deploy).  The one entry that also depends on the PoP
+            backbones of the :class:`Internet` owning the graph; it
+            lives here so that it is dropped with the tables when the
+            graph changes.
         revision: the graph mutation counter the tables were built
             from; a mismatch means the tables are stale.
     """
@@ -82,6 +89,7 @@ class TopologyTables:
     index_asn: Tuple[int, ...] = ()
     asn_index: Dict[int, int] = field(default_factory=dict)
     stub_providers: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
+    hops: Dict[Tuple[int, Optional[int], int], tuple] = field(default_factory=dict)
     revision: int = 0
 
     def export_targets(self, asn: int, learned_rel: Relationship) -> Tuple[int, ...]:

@@ -76,7 +76,7 @@ class _PlainLoop:
         self.prefix = prefix
         self.origin_asn = origin_asn
 
-    def converge(self, injections, igp_overlay, delay_jitter_ms, jitter, withdrawals, budget):
+    def converge(self, injections, igp_overlay, jitter, withdrawals, budget):
         graph = self.graph
         tables = GraphTables(graph)
         speakers = {
@@ -93,8 +93,7 @@ class _PlainLoop:
             heapq.heappush(
                 heap, (wd.withdraw_time_ms, next(seq), "uninject", wd.host_asn, wd.site_id)
             )
-        # As in the engine: injections sharing (host, site) all announce
-        # with the attributes of the last one listed.
+        # BGPEngine.run rejects injections sharing (host, site).
         inj_by_key = {(inj.host_asn, inj.site_id): inj for inj in injections}
 
         messages = events = 0

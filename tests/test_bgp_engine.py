@@ -1,5 +1,7 @@
 """Tests for the event-driven BGP engine on the session testbed."""
 
+import dataclasses
+
 import pytest
 
 from repro.bgp.engine import ANYCAST_ORIGIN_ASN, BGPEngine, SiteInjection
@@ -32,6 +34,18 @@ class TestRun:
     def test_unknown_host_rejected(self, engine):
         with pytest.raises(ReproError):
             engine.run([SiteInjection(host_asn=424242, site_id=1, pop_id=None, link_rtt_ms=1.0)])
+
+    def test_repeated_host_and_site_rejected(self, engine, testbed):
+        """Two injections sharing (host, site) used to both announce
+        with the last one's attributes, silently."""
+        twice = [injection(testbed, 1), injection(testbed, 1, t=5000.0)]
+        with pytest.raises(ReproError, match="more than once"):
+            engine.run(twice)
+        # One site through two hosts, or two sites through one, is fine.
+        other_host = testbed.site(6).provider_asn
+        assert other_host != twice[0].host_asn
+        engine.run([twice[0], dataclasses.replace(twice[1], host_asn=other_host)])
+        engine.run([twice[0], dataclasses.replace(twice[1], site_id=2)])
 
     def test_single_site_reaches_everyone(self, engine, testbed):
         conv = engine.run([injection(testbed, 1)])

@@ -11,6 +11,7 @@ stub populations.
 """
 
 import gc
+import inspect
 import itertools
 import math
 import pickle
@@ -22,7 +23,7 @@ import numpy
 import pytest
 
 from repro import AnyOpt, CampaignSettings, TestbedParams, TopologyParams, build_paper_testbed
-from repro.bgp.delta import _ARRIVAL_MARGIN, LazyStates, LinkJitter
+from repro.bgp.delta import _ARRIVAL_MARGIN, DeltaConverger, LazyStates, LinkJitter
 from repro.core.config import AnycastConfig
 from repro.measurement import Orchestrator
 from repro.bgp.engine import BGPEngine, SiteInjection, SiteWithdrawal
@@ -132,16 +133,12 @@ class TestBitIdentity:
         tables = testbed.internet.graph.tables()
         assert tables.stub_providers, "testbed has no aggregatable stubs"
         stub = sorted(tables.stub_providers)[0]
-        # Injections sharing (host, site) both announce the later one's
-        # path, so every route in this run names the stub.
+        # Every route in this run names the stub.
         converged = assert_identical(
-            testbed.internet,
-            [
-                injection(testbed, 1),
-                injection(testbed, 1, t=5000.0, poison=(stub,)),
-            ],
+            testbed.internet, [injection(testbed, 1, poison=(stub,))]
         )
         assert converged.states[stub].best is None
+        assert converged.next_hops(stub) is None
 
         # A provider that already advertised a plain route to the stub
         # switches to a customer route naming it: withdrawn from the
@@ -346,6 +343,13 @@ class TestRunJitter:
             assert all(jitter.get(pair, 0.0) == value for pair, value in plain.items())
             assert jitter.get((-1, -2), 0.0) == 0.0
 
+    def test_converge_takes_the_drawn_jitter_not_its_mean(self):
+        """The mean is the engine's business (it draws the block); the
+        loop reads only the drawn values — same contract in the oracle."""
+        expected = ["self", "injections", "igp_overlay", "jitter", "withdrawals", "budget"]
+        for loop in (DeltaConverger, _PlainLoop):
+            assert list(inspect.signature(loop.converge).parameters) == expected
+
     @pytest.mark.parametrize("bad", [-1.0, -0.001, float("nan"), float("inf")])
     def test_unusable_jitter_is_rejected(self, testbed, bad):
         """``delay_jitter_ms > 0.0`` is false for a negative or NaN
@@ -393,9 +397,9 @@ def converge_with_uniforms(internet, injections, uniform_of, lambd=0.05):
     uniforms = numpy.array([uniform_of.get(pair, 0.0) for pair in pair_slot])
     jitter = LinkJitter(pair_slot, uniforms, lambd)
     budget = engine.event_budget()
-    delta = engine._delta.converge(injections, None, 1.0 / lambd, jitter, (), budget)
+    delta = engine._delta.converge(injections, None, jitter, (), budget)
     plain = _PlainLoop(internet, engine.prefix, engine.origin_asn).converge(
-        injections, None, 1.0 / lambd, dict(jitter), (), budget
+        injections, None, dict(jitter), (), budget
     )
     assert delta == plain
     return delta
@@ -538,6 +542,10 @@ class TestLazyStates:
         assert isinstance(conv.states, LazyStates)
         assert len(conv.states) == len(testbed.internet.graph)
         assert set(conv.states) == set(testbed.internet.graph.asns())
+        # get() is defined on the class, with Mapping.get's semantics.
+        assert "get" in vars(LazyStates)
+        assert all(conv.states.get(asn) is conv.states[asn] for asn in conv.states)
+        assert conv.states.get(-1) is None and conv.states.get(-1, "no") == "no"
 
     def test_pickle_materializes_to_plain_dict(self, testbed):
         delta_conv, reference_conv = (
@@ -610,25 +618,19 @@ class TestCampaignEquivalence:
         assert outcomes["delta"] == outcomes["reference"]
 
 
-class TestColumnarEquivalence:
-    def test_columns_match_full_engine(self, testbed):
-        tables = testbed.internet.graph.tables()
+class TestNextHopsEquivalence:
+    def test_next_hops_match_full_engine(self, testbed):
+        """The one next-hop view of a converged state: the delta engine
+        answers it for aggregated stubs from their providers' episodes,
+        the reference from its live speakers' states."""
         injections = [injection(testbed, 1), injection(testbed, 6, t=360000.0)]
-        delta_rib, full_rib = (
-            e.run(injections).columnar(tables) for e in engine_pair(testbed.internet)
-        )
-        for column in (
-            "has_route",
-            "best_neighbor",
-            "local_pref",
-            "path_len",
-            "med",
-            "next_index",
-        ):
-            assert numpy.array_equal(
-                getattr(delta_rib, column), getattr(full_rib, column)
-            ), column
-        assert numpy.array_equal(delta_rib.host_asn_of(), full_rib.host_asn_of())
+        delta, full = (e.run(injections) for e in engine_pair(testbed.internet))
+        asns = testbed.internet.graph.asns()
+        assert [delta.next_hops(a) for a in asns] == [full.next_hops(a) for a in asns]
+        assert any(hops is not None for hops in map(delta.next_hops, asns))
+        # No stub state was built to answer.
+        assert delta.states._aggregated
+        assert not delta.states._aggregated & set(delta.states._materialized)
 
 
 class TestNoReferenceCycle:

@@ -204,6 +204,25 @@ def test_process_executor_reports_completion_order_progress(testbed, targets):
 # --- settings and the deprecation shim --------------------------------------
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "knob",
+    [
+        "bgp_delay_jitter_ms",
+        "rtt_drift_sigma",
+        "rtt_bias_sigma",
+        "retry_backoff_base_ms",
+        "retry_backoff_factor",
+        "retry_backoff_max_ms",
+    ],
+)
+def test_settings_reject_non_finite_noise_and_backoff(knob, bad):
+    """``nan < 0`` is false: a lower bound alone would wave NaN through
+    to a noise stream (or a backoff clock) and fail far from here."""
+    with pytest.raises(ConfigurationError, match=knob):
+        CampaignSettings(**{knob: bad})
+
+
 def test_settings_validation():
     with pytest.raises(ConfigurationError):
         CampaignSettings(session_churn_prob=1.5)
