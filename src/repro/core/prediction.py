@@ -18,13 +18,15 @@ consume this one result type.
 
 ``predict`` holds no ranking logic: it reads the model's batched
 ``total_orders`` (the array tournament of :mod:`repro.core.preferences`)
-and ``RttMatrix.array``, and builds its rows with
-:meth:`PredictionBatch.from_answers`, as the snapshot lookup engine
-does.  Its per-client reference lives in ``tests/test_prediction.py``.
+and ``RttMatrix.array``, and hands its answer vectors to the columnar
+:class:`PredictionBatch`, as the snapshot lookup engine does.  Its
+per-client reference lives in ``tests/test_prediction.py``.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
+import json
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,60 +79,74 @@ class Prediction:
         }
 
 
-@dataclass
+def encode_row(client_id: int, site: Optional[int], rtt_ms: Optional[float],
+               reason: str) -> bytes:
+    """One served row: the bytes ``json.dumps`` makes of
+    :meth:`Prediction.to_dict` for an int id, an int-or-None site, a
+    finite-float-or-None RTT and a ``reason`` from the taxonomy above."""
+    site_text = "null" if site is None else int.__repr__(site)
+    rtt_text = "null" if rtt_ms is None else float.__repr__(rtt_ms)
+    return (
+        f'{{"client_id": {int.__repr__(client_id)}, "site": {site_text}, '
+        f'"rtt_ms": {rtt_text}, "decided": {"false" if site is None else "true"}, '
+        f'"reason": "{reason}"}}'
+    ).encode("ascii")
+
+
+@dataclass(eq=False)
 class PredictionBatch:
-    """Predictions for a batch of clients, in request order."""
+    """Predictions for a batch of clients, in request order, as columns.
+
+    The one place a (site, rtt) answer becomes predictions:
+    ``answer_sites[p]`` indexes ``site_ids`` (``-1`` = quarantined),
+    ``answer_rtts[p]`` is the predicted RTT (NaN = quarantined or no
+    sample), and ``positions`` gives each requested client's ``p`` —
+    None for a client the model has never seen.  Both answers index to
+    exact Python ints and floats (an array's ``tolist()`` or an
+    ``array("d")`` of its bytes; float64 round-trips exactly), an order
+    of magnitude faster than per-client numpy scalar extraction.
+    ``cached_rows[i][p]``, when given, is the cell for the served row
+    of the client at ``p`` answered with site index ``i``: None until
+    :meth:`to_json` encodes that row and leaves it there.
+
+    The summary figures and :meth:`to_json` read the columns;
+    :class:`Prediction` rows exist only once someone iterates, indexes,
+    compares or asks for :attr:`predictions`.
+    """
 
     config: AnycastConfig
-    predictions: List[Prediction] = field(default_factory=list)
+    client_ids: Sequence[int]
+    positions: Sequence[Optional[int]]
+    answer_sites: Sequence[int]
+    answer_rtts: Sequence[float]
+    site_ids: Sequence[int]
+    cached_rows: Optional[Sequence[List[Optional[bytes]]]] = None
 
-    @classmethod
-    def from_answers(
-        cls,
-        config: AnycastConfig,
-        client_ids: Sequence[int],
-        positions: Iterable[Optional[int]],
-        site_index: np.ndarray,
-        rtt: np.ndarray,
-        site_ids: Sequence[int],
-    ) -> "PredictionBatch":
-        """The one place a (site, rtt) answer becomes a :class:`Prediction`.
+    def _fields(self, client_id: int, pos: Optional[int]) -> tuple:
+        """One row's ``(client_id, site, rtt_ms, reason)``: the taxonomy."""
+        if pos is None:
+            return client_id, None, None, REASON_UNMAPPED
+        idx = self.answer_sites[pos]
+        if idx < 0:
+            return client_id, None, None, REASON_QUARANTINED
+        value = self.answer_rtts[pos]
+        if value != value:  # NaN: predicted site but no RTT cell
+            return client_id, self.site_ids[idx], None, REASON_RTT_HOLE
+        return client_id, self.site_ids[idx], value, ""
 
-        ``site_index[p]`` indexes ``site_ids`` (``-1`` = quarantined),
-        ``rtt[p]`` is the predicted RTT (NaN = quarantined or no sample),
-        and ``positions`` gives each requested client's ``p`` — None for
-        a client the model has never seen.
-        """
-        # Python lists once per batch: list indexing beats per-client
-        # numpy scalar extraction by an order of magnitude, and
-        # ``tolist`` yields exact Python ints and floats (float64
-        # round-trips exactly).
-        answer_sites = site_index.tolist()
-        answer_rtts = rtt.tolist()
-        predictions = []
-        for client_id, pos in zip(client_ids, positions):
-            if pos is None:
-                predictions.append(
-                    Prediction(client_id, None, None, REASON_UNMAPPED)
-                )
-                continue
-            idx = answer_sites[pos]
-            if idx < 0:
-                predictions.append(
-                    Prediction(client_id, None, None, REASON_QUARANTINED)
-                )
-                continue
-            value = answer_rtts[pos]
-            if value != value:  # NaN: predicted site but no RTT cell
-                predictions.append(
-                    Prediction(client_id, site_ids[idx], None, REASON_RTT_HOLE)
-                )
-            else:
-                predictions.append(Prediction(client_id, site_ids[idx], value))
-        return cls(config=config, predictions=predictions)
+    @cached_property
+    def predictions(self) -> List[Prediction]:
+        """The rows as :class:`Prediction` objects, built on first use."""
+        rows = map(self._fields, self.client_ids, self.positions)
+        return [Prediction(*row) for row in rows]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PredictionBatch):
+            return NotImplemented
+        return (self.config, self.predictions) == (other.config, other.predictions)
 
     def __len__(self) -> int:
-        return len(self.predictions)
+        return len(self.client_ids)
 
     def __iter__(self):
         return iter(self.predictions)
@@ -138,41 +154,88 @@ class PredictionBatch:
     def __getitem__(self, index: int) -> Prediction:
         return self.predictions[index]
 
+    @cached_property
+    def _census(self) -> Tuple[int, List[float], Dict[str, int]]:
+        """``(decided, rtts, reason counts)`` in request order, in one
+        pass (:meth:`_fields` inlined: this runs per served request)."""
+        sites, answer_rtts = self.answer_sites, self.answer_rtts
+        decided = 0
+        rtts: List[float] = []
+        reasons: Dict[str, int] = {}
+        for pos in self.positions:
+            if pos is None:
+                reason = REASON_UNMAPPED
+            elif sites[pos] < 0:
+                reason = REASON_QUARANTINED
+            else:
+                decided += 1
+                value = answer_rtts[pos]
+                if value == value:
+                    rtts.append(value)
+                    continue
+                reason = REASON_RTT_HOLE
+            reasons[reason] = reasons.get(reason, 0) + 1
+        return decided, rtts, reasons
+
     @property
     def decided_count(self) -> int:
-        return sum(1 for p in self.predictions if p.decided)
+        return self._census[0]
 
     @property
     def mean_rtt_ms(self) -> Optional[float]:
         """Mean predicted RTT over clients with an RTT, or None when
         the batch has none (never raises — the serving layer turns an
         empty answer into a structured error, not a 500)."""
-        rtts = [p.rtt_ms for p in self.predictions if p.rtt_ms is not None]
+        rtts = self._census[1]
         return mean(rtts) if rtts else None
 
     def counts_by_reason(self) -> Dict[str, int]:
         """How many predictions carry each non-empty ``reason``."""
-        counts: Dict[str, int] = {}
-        for p in self.predictions:
-            if p.reason:
-                counts[p.reason] = counts.get(p.reason, 0) + 1
-        return counts
+        return dict(self._census[2])
 
     def sites(self) -> Dict[int, Optional[int]]:
         """client id -> predicted site (None when undecided)."""
-        return {p.client_id: p.site for p in self.predictions}
+        rows = map(self._fields, self.client_ids, self.positions)
+        return {client_id: site for client_id, site, _, _ in rows}
 
-    def to_dict(self) -> dict:
+    def _head(self) -> dict:
         return {
             "sites": list(self.config.site_order),
             "summary": {
-                "clients": len(self.predictions),
+                "clients": len(self),
                 "decided": self.decided_count,
                 "mean_rtt_ms": self.mean_rtt_ms,
                 "reasons": self.counts_by_reason(),
             },
-            "predictions": [p.to_dict() for p in self.predictions],
         }
+
+    def to_dict(self) -> dict:
+        """The JSON-ready dict view (CLI, tests); the server sends :meth:`to_json`."""
+        return {**self._head(), "predictions": [p.to_dict() for p in self.predictions]}
+
+    def to_json(self, model_version: str) -> bytes:
+        """The served ``/predict`` body: byte for byte
+        ``json.dumps({**self.to_dict(), "model_version": model_version})``,
+        joined from :func:`encode_row` bytes (kept in the row's
+        ``cached_rows`` cell where it has one), no dict in between."""
+        cached, answer_sites = self.cached_rows, self.answer_sites
+
+        def encode(client_id, pos):
+            row = encode_row(*self._fields(client_id, pos))
+            if cached is not None and pos is not None:
+                cached[answer_sites[pos]][pos] = row
+            return row
+
+        # A row with a filled cell is that cell (bytes are never empty,
+        # so ``or`` falls through only on no table, no cell or None).
+        rows = [
+            cached is not None and pos is not None and cached[answer_sites[pos]][pos]
+            or encode(client_id, pos)
+            for client_id, pos in zip(self.client_ids, self.positions)
+        ]
+        head = json.dumps(self._head())[:-1] + ', "predictions": ['
+        tail = f'], "model_version": {json.dumps(model_version)}}}'
+        return b"".join((head.encode("ascii"), b", ".join(rows), tail.encode("ascii")))
 
 
 def model_clients(model, rtt_matrix: Optional[RttMatrix] = None) -> FrozenSet[int]:
@@ -296,8 +359,8 @@ class CatchmentPredictor:
         site_index = np.where(valid, np.searchsorted(sites, orders[:, 0]), -1)
         cells = self.rtt_matrix.array(sites, asked)[site_index, np.arange(len(asked))]
         rtt = np.where(valid, cells, np.nan)
-        return PredictionBatch.from_answers(
-            config, client_ids, positions, site_index, rtt, sites
+        return PredictionBatch(
+            config, client_ids, positions, site_index.tolist(), rtt.tolist(), sites
         )
 
     # -- batch conveniences ----------------------------------------------------

@@ -280,10 +280,15 @@ def tournament(codes: np.ndarray, members: Sequence[int]) -> Tuple[np.ndarray, n
             usable &= code >= 0
             wins[:, i] += code == 0
             wins[:, j] += code == 1
-    # Transitive iff win counts are a permutation of 0..n-1.
-    transitive = (
-        np.sort(wins, axis=1) == np.arange(n, dtype=wins.dtype)
-    ).all(axis=1)
+    # Transitive iff win counts are a permutation of 0..n-1: n counts in
+    # that range are one iff they set all n bits.  (A sort of int16 rows
+    # is numpy's radix sort, three times the cost on rows this short;
+    # it is kept for tournaments wider than an int64.)
+    if n < 64:
+        bits = np.bitwise_or.reduce(np.left_shift(1, wins, dtype=np.int64), axis=1)
+        transitive = bits == (1 << n) - 1
+    else:
+        transitive = (np.sort(wins, axis=1) == np.arange(n)).all(axis=1)
     return usable & transitive, wins
 
 

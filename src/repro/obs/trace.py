@@ -33,6 +33,7 @@ import json
 import re
 import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -160,12 +161,18 @@ class Tracer:
     worker threads.  The *current span* is tracked per thread, so a
     span opened inside a worker parents to that worker's own enclosing
     span, never to another thread's.
+
+    ``max_records`` makes retention a ring of the last that many
+    finished records (an always-on server opens a span per request).
+    The default keeps everything: a campaign exports its whole tree, and
+    :meth:`export_finished_since` marks assume nothing was dropped.
     """
 
-    def __init__(self, enabled: bool = True):
+    def __init__(self, enabled: bool = True, max_records: Optional[int] = None):
         self.enabled = enabled
+        self.max_records = max_records
         #: Finished span records, keyed by span id, in completion order.
-        self._records: "Dict[str, Dict]" = {}
+        self._records: "OrderedDict[str, Dict]" = OrderedDict()
         #: Per-(parent id, name) sequence counters for derived ids.
         self._sequences: Dict[tuple, int] = {}
         self._lock = threading.Lock()
@@ -204,6 +211,12 @@ class Tracer:
             self._sequences[(parent_id, name)] = seq + 1
         return f"{prefix}{name}#{seq}"
 
+    def _keep(self, record: Dict) -> None:
+        """Retain one finished record (lock held)."""
+        self._records[record["span_id"]] = record
+        if self.max_records is not None and len(self._records) > self.max_records:
+            self._records.popitem(last=False)
+
     def _resolve_parent(self, parent) -> Optional[str]:
         if parent is CURRENT:
             current = self.current_span
@@ -241,7 +254,7 @@ class Tracer:
             span.duration_s = time.perf_counter() - start
             stack.pop()
             with self._lock:
-                self._records[span.span_id] = span.to_dict()
+                self._keep(span.to_dict())
 
     def record(
         self,
@@ -264,7 +277,7 @@ class Tracer:
             span.start_unix = start_unix
         span.duration_s = duration_s
         with self._lock:
-            self._records[span.span_id] = span.to_dict()
+            self._keep(span.to_dict())
 
     # -- reading / merging ---------------------------------------------------
 
@@ -299,7 +312,7 @@ class Tracer:
         (the span counterpart of ``MetricsRegistry.merge_deltas``)."""
         with self._lock:
             for record in records:
-                self._records[record["span_id"]] = record
+                self._keep(record)
 
 
 def strip_timing(record: Dict) -> Dict:

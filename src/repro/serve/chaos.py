@@ -430,8 +430,7 @@ class ChaosHarness:
                 )
 
     def _check_identity(self, r: int, body: bytes) -> None:
-        doc = json.loads(body)
-        version = doc.get("model_version")
+        version = json.loads(body).get("model_version")
         if version not in self.report.versions_seen:
             self.report.versions_seen.append(version)
         ref = self.engines.get(version)
@@ -442,10 +441,9 @@ class ChaosHarness:
             return
         expected = ref.predict(
             AnycastConfig(site_order=self.request_sites[r]), None
-        ).to_dict()
-        expected["model_version"] = version
+        ).to_json(version)
         self.report.answers_checked += 1
-        if doc != expected:
+        if body != expected:
             self.report.mismatches.append(
                 {"request": r, "kind": "answer-mismatch", "version": version,
                  "sites": list(self.request_sites[r])}

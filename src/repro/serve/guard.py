@@ -60,8 +60,9 @@ class GuardConfig:
     cannot hold resources for long.
     """
 
-    #: Deadline for the full request-header section (request line
-    #: excluded — that read is bounded by ``idle_timeout_s``).
+    #: Deadline for the rest of a request head (request line and
+    #: headers) once its first byte has arrived; until then the read
+    #: is bounded by ``idle_timeout_s``.
     header_timeout_s: Optional[float] = 10.0
     #: Deadline for reading the request body.
     body_timeout_s: Optional[float] = 30.0

@@ -7,10 +7,11 @@ handlers answer from a :class:`~repro.serve.lookup.LookupEngine`.
 Endpoints:
 
 - ``POST /predict`` — ``{"sites": [...], "clients": [...]?}`` →
-  the typed batch (:meth:`PredictionBatch.to_dict`) plus the serving
-  model version.  Malformed requests and empty/undecidable batches
-  come back as *structured 4xx JSON errors*, never a 500: a service
-  cannot ship a raised ``ReproError`` as its answer.
+  the batch plus the serving model version, as the bytes of
+  :meth:`PredictionBatch.to_json` (joined from pre-encoded rows).
+  Malformed requests and empty/undecidable batches come back as
+  *structured 4xx JSON errors*, never a 500: a service cannot ship a
+  raised ``ReproError`` as its answer.
 - ``GET /healthz`` — *readiness*: 200 with snapshot version + age when
   a snapshot is loaded and the server is not draining, else 503 with a
   structured body.
@@ -30,9 +31,10 @@ Resilience (see :mod:`repro.serve.guard` / :mod:`repro.serve.watch`):
 every request runs under per-phase deadlines (idle keep-alive reap,
 header read, body read, handler, response drain), connections and
 in-flight requests are admission-capped with structured ``503`` /
-``429 Retry-After`` shedding, an overlong request line or header
-section answers ``400``/``431`` instead of killing the connection
-task, and ``--watch`` runs a reload-on-publish watcher whose
+``429 Retry-After`` shedding, the request head is taken in one read and
+parsed by the pure :func:`parse_request_head` (an overlong request line
+or header section answers ``400``/``431`` instead of killing the
+connection task), and ``--watch`` runs a reload-on-publish watcher whose
 ``load_snapshot`` happens off-loop in a worker thread.  A dedicated
 ``shed-rate`` SLO (stream ``"sheds"``) tracks the shed fraction
 separately from request availability.
@@ -77,6 +79,16 @@ from repro.util.errors import ReproError
 
 #: Largest accepted request body; /predict bodies are tiny id lists.
 MAX_BODY_BYTES = 32 * 1024 * 1024
+
+#: Largest accepted request head (request line + headers): the stream
+#: limit of every connection, so an overrun is reported by the read.
+MAX_HEAD_BYTES = 64 * 1024
+
+_HEAD_END = b"\r\n\r\n"
+
+#: Finished request spans the server's own tracer keeps (a ring: an
+#: always-on process cannot retain one record per request).
+REQUEST_TRACE_RECORDS = 1024
 
 #: Default "fast enough" bound for the request-latency SLO.
 DEFAULT_LATENCY_THRESHOLD_MS = 250.0
@@ -139,6 +151,40 @@ class RequestError(Exception):
             self.doc["error"].update(details)
 
 
+def parse_request_head(head: bytes, max_header_count: int) -> Tuple[str, str, int]:
+    """``(method, path, content_length)`` of one request head, the
+    bytes through the blank line — pure, so the fuzzer calls what the
+    server calls.  Lines end at ``\\n``, the path drops its query, the
+    last ``Content-Length`` wins.  Raises :class:`RequestError`: 400
+    for a malformed request line, 431 past ``max_header_count`` header
+    lines, 413 for a body size that is no number, negative or over
+    :data:`MAX_BODY_BYTES`."""
+    lines = head.decode("latin-1").split("\n")
+    parts = lines[0].split()
+    if len(parts) != 3:
+        raise RequestError(400, "bad-request", "malformed request line")
+    content_length = 0
+    for count, line in enumerate(lines[1:], 1):
+        if line in ("\r", ""):
+            break
+        if count > max_header_count:
+            raise RequestError(
+                431, "too-many-headers",
+                f"request exceeds {max_header_count} header lines",
+            )
+        name, _, value = line.partition(":")
+        if name.strip().lower() == "content-length":
+            try:
+                content_length = int(value.strip())
+            except ValueError:
+                content_length = -1
+    if content_length < 0 or content_length > MAX_BODY_BYTES:
+        raise RequestError(
+            413, "payload-too-large", f"body must be <= {MAX_BODY_BYTES} bytes"
+        )
+    return parts[0], parts[1].split("?", 1)[0], content_length
+
+
 class ModelServer:
     """Serves catchment predictions from a snapshot file.
 
@@ -169,7 +215,9 @@ class ModelServer:
         self.host = host
         self.port = port
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer()
+        if tracer is None:
+            tracer = Tracer(max_records=REQUEST_TRACE_RECORDS)
+        self.tracer = tracer
         self._clock: Clock = clock if clock is not None else time.monotonic
         self.live = LiveMetrics(clock=self._clock)
         self.slo = SloEngine(
@@ -276,7 +324,7 @@ class ModelServer:
         if self.engine is None:
             self.load()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_HEAD_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.watch_config is not None:
@@ -379,121 +427,74 @@ class ModelServer:
 
     async def _read_request(self, reader, writer):
         """One HTTP/1.1 request: ``(method, path, body)`` or None when
-        the peer closed the connection (or a read deadline / stream
-        limit ended it — answered in place, never a crashed task)."""
+        the peer closed the connection (or a read deadline / limit
+        ended it — answered in place, never a crashed task)."""
         cfg = self.guard.config
-        # Deadline fast path: when the bytes a read needs already sit
-        # in the stream buffer (one-segment requests, pipelining), the
-        # read completes without touching the loop — arming a timer
-        # for it would be pure hot-path overhead, so skip it.
-        buffered = getattr(reader, "_buffer", b"")
         try:
-            if b"\n" in buffered:
-                line = await reader.readline()
-            else:
-                line = await self.guard.timed(
-                    reader.readline(), cfg.idle_timeout_s, "idle"
-                )
-        except GuardTimeout:
-            # Idle keep-alive reaper: no request started, close quietly.
-            return None
-        except ValueError:
-            # readline() overran the stream limit: an absurd request
-            # line.  Answer 400 and close instead of crashing the task.
-            await self._send_limit_error(
-                writer, 400, "request-line-too-long",
-                "request line exceeds the server's line limit",
+            method, path, content_length = parse_request_head(
+                await self._read_head(reader), cfg.max_header_count
             )
-            return None
-        if not line:
-            return None
-        parts = line.decode("latin-1").split()
-        if len(parts) != 3:
-            await self._send(writer, 400, {
-                "error": {"status": 400, "code": "bad-request",
-                          "message": "malformed request line"}
-            }, keep_alive=False)
-            return None
-        method, target, _version = parts
-        try:
-            if b"\r\n\r\n" in getattr(reader, "_buffer", b""):
-                # The whole header section (terminated by a blank
-                # line) is already buffered: no deadline needed.
-                content_length = await self._read_headers(reader)
+            # Deadline fast path, here as in _read_head: when the bytes
+            # a read needs already sit in the stream buffer (one-segment
+            # requests, pipelining), the read completes without touching
+            # the loop — arming a timer for it would be pure hot-path
+            # overhead, so skip it.
+            if len(getattr(reader, "_buffer", b"")) >= content_length:
+                body = await reader.readexactly(content_length)
             else:
-                content_length = await self.guard.timed(
-                    self._read_headers(reader), cfg.header_timeout_s, "header"
-                )
-        except GuardTimeout as exc:
-            # Slow-loris: the header section blew its deadline.
-            await self._send_limit_error(writer, 408, "header-timeout", str(exc))
-            return None
-        except RequestError as exc:
-            await self._send_limit_error(
-                writer, exc.status, exc.doc["error"]["code"], str(exc)
-            )
-            return None
-        if content_length < 0 or content_length > MAX_BODY_BYTES:
-            await self._send(writer, 413, {
-                "error": {"status": 413, "code": "payload-too-large",
-                          "message": f"body must be <= {MAX_BODY_BYTES} bytes"}
-            }, keep_alive=False)
-            return None
-        body = b""
-        if content_length:
-            try:
-                if len(getattr(reader, "_buffer", b"")) >= content_length:
-                    body = await reader.readexactly(content_length)
-                else:
-                    body = await self.guard.timed(
-                        reader.readexactly(content_length),
-                        cfg.body_timeout_s, "body",
-                    )
-            except GuardTimeout as exc:
-                await self._send_limit_error(writer, 408, "body-timeout", str(exc))
-                return None
-            except asyncio.IncompleteReadError:
-                # Torn body: the peer quit mid-upload, nothing to answer.
-                self.metrics.counter("serve_torn_bodies").increment()
-                return None
-        return method, target.split("?", 1)[0], body
-
-    async def _read_headers(self, reader) -> int:
-        """Read the header section; returns the Content-Length.  The
-        caller bounds the whole section with one header deadline."""
-        cfg = self.guard.config
-        content_length = 0
-        count = 0
-        while True:
-            try:
-                header = await reader.readline()
-            except ValueError:
-                raise RequestError(
-                    431, "header-too-large",
-                    "a header line exceeds the server's line limit",
-                ) from None
-            if header in (b"\r\n", b"\n", b""):
-                return content_length
-            count += 1
-            if count > cfg.max_header_count:
-                raise RequestError(
-                    431, "too-many-headers",
-                    f"request exceeds {cfg.max_header_count} header lines",
-                )
-            name, _, value = header.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
                 try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    content_length = -1
-
-    async def _send_limit_error(
-        self, writer, status: int, code: str, message: str
-    ) -> None:
+                    body = await self.guard.timed(
+                        reader.readexactly(content_length), cfg.body_timeout_s, "body"
+                    )
+                except asyncio.IncompleteReadError:
+                    # Torn body: the peer quit mid-upload, nothing to answer.
+                    self.metrics.counter("serve_torn_bodies").increment()
+                    return None
+        except GuardTimeout as exc:
+            if exc.kind == "idle":
+                # The keep-alive reaper: no request had started.
+                return None
+            # A head or body past its deadline: slow-loris.
+            error = RequestError(408, f"{exc.kind}-timeout", str(exc))
+        except RequestError as exc:
+            error = exc
+        else:
+            return method, path, body
         self.metrics.counter("serve_client_errors").increment()
-        await self._send(writer, status, {
-            "error": {"status": status, "code": code, "message": message}
-        }, keep_alive=False)
+        await self._send(writer, error.status, error.doc, keep_alive=False)
+        return None
+
+    async def _read_head(self, reader) -> bytes:
+        """The request head through its blank line, in one read: the
+        idle deadline runs until its first byte, the header deadline
+        over the rest unless that is already buffered.  A peer that
+        closes first raises ``IncompleteReadError`` (the connection
+        ends quietly)."""
+        cfg = self.guard.config
+        try:
+            first = b""
+            if not getattr(reader, "_buffer", b""):
+                # Waiting for a request to start: its first byte.
+                first = await self.guard.timed(
+                    reader.readexactly(1), cfg.idle_timeout_s, "idle"
+                )
+            if _HEAD_END in getattr(reader, "_buffer", b""):
+                return first + await reader.readuntil(_HEAD_END)
+            return first + await self.guard.timed(
+                reader.readuntil(_HEAD_END), cfg.header_timeout_s, "header"
+            )
+        except asyncio.LimitOverrunError:
+            # The head outgrew the stream limit.  Which limit error it
+            # is depends on whether the request line ever ended.
+            if getattr(reader, "_buffer", b"").find(b"\n", 0, MAX_HEAD_BYTES) < 0:
+                raise RequestError(
+                    400, "request-line-too-long",
+                    "request line exceeds the server's line limit",
+                ) from None
+            raise RequestError(
+                431, "header-too-large",
+                "the header section exceeds the server's head limit",
+            ) from None
 
     async def _dispatch(self, writer, method: str, path: str, body: bytes) -> bool:
         self._request_seq += 1
@@ -542,9 +543,7 @@ class ModelServer:
                         # Any remaining domain error is still the
                         # client's request being unanswerable, not a
                         # server fault.
-                        status = 400
-                        doc = {"error": {"status": 400, "code": "bad-request",
-                                         "message": str(exc)}}
+                        status, doc = 400, RequestError(400, "bad-request", str(exc)).doc
                         self.metrics.counter("serve_client_errors").increment()
                 span.set_attribute("status", status)
                 self._requests_served += 1
@@ -571,53 +570,43 @@ class ModelServer:
 
     async def _route(
         self, method: str, path: str, body: bytes, span
-    ) -> Tuple[int, Union[Dict, str]]:
+    ) -> Tuple[int, Union[Dict, str, bytes]]:
         if self.chaos_hook is not None:
             await self.chaos_hook(method, path)
-        if path == "/predict":
-            if method != "POST":
-                raise RequestError(405, "method-not-allowed", "use POST /predict")
-            return self._handle_predict(body, span)
-        if path == "/healthz":
-            if method != "GET":
-                raise RequestError(405, "method-not-allowed", "use GET /healthz")
-            return self._handle_healthz()
-        if path == "/livez":
-            if method != "GET":
-                raise RequestError(405, "method-not-allowed", "use GET /livez")
-            # Liveness never looks at the model: a draining or
-            # snapshotless server is alive, just not ready.
-            return 200, {"live": True, "inflight": self._inflight}
-        if path == "/metricsz":
-            if method != "GET":
-                raise RequestError(405, "method-not-allowed", "use GET /metricsz")
-            return 200, render_prometheus(
-                self.metrics.snapshot(),
-                live=self.live.snapshot(),
-                slo=[status.to_dict() for status in self.slo.evaluate()],
-            )
-        if path == "/slozz":
-            if method != "GET":
-                raise RequestError(405, "method-not-allowed", "use GET /slozz")
-            statuses = [status.to_dict() for status in self.slo.evaluate()]
-            return 200, {
-                "overall_state": worst_state([s["state"] for s in statuses]),
-                "slos": statuses,
-            }
-        if path == "/modelz":
-            if method != "GET":
-                raise RequestError(405, "method-not-allowed", "use GET /modelz")
-            doc = self.engine.snapshot.describe()
-            if self.watcher is not None:
-                doc["watch"] = self.watcher.describe()
-            return 200, doc
-        if path == "/reloadz":
-            if method != "POST":
-                raise RequestError(405, "method-not-allowed", "use POST /reloadz")
-            return await self._handle_reload()
-        raise RequestError(404, "not-found", f"no route for {path}")
+        if path not in self._ROUTES:
+            raise RequestError(404, "not-found", f"no route for {path}")
+        allowed, handler = self._ROUTES[path]
+        if method != allowed:
+            raise RequestError(405, "method-not-allowed", f"use {allowed} {path}")
+        answer = handler(self, body, span)
+        return await answer if asyncio.iscoroutine(answer) else answer
 
-    def _handle_healthz(self) -> Tuple[int, Dict]:
+    def _handle_livez(self, body=b"", span=None) -> Tuple[int, Dict]:
+        # Liveness never looks at the model: a draining or
+        # snapshotless server is alive, just not ready.
+        return 200, {"live": True, "inflight": self._inflight}
+
+    def _handle_metricsz(self, body=b"", span=None) -> Tuple[int, str]:
+        return 200, render_prometheus(
+            self.metrics.snapshot(),
+            live=self.live.snapshot(),
+            slo=[status.to_dict() for status in self.slo.evaluate()],
+        )
+
+    def _handle_slozz(self, body=b"", span=None) -> Tuple[int, Dict]:
+        statuses = [status.to_dict() for status in self.slo.evaluate()]
+        return 200, {
+            "overall_state": worst_state([s["state"] for s in statuses]),
+            "slos": statuses,
+        }
+
+    def _handle_modelz(self, body=b"", span=None) -> Tuple[int, Dict]:
+        doc = self.engine.snapshot.describe()
+        if self.watcher is not None:
+            doc["watch"] = self.watcher.describe()
+        return 200, doc
+
+    def _handle_healthz(self, body=b"", span=None) -> Tuple[int, Dict]:
         if not self.ready:
             reason = "draining" if self._closing else "no-snapshot-loaded"
             return 503, {
@@ -638,7 +627,7 @@ class ModelServer:
             "requests_served": self._requests_served,
         }
 
-    def _handle_predict(self, body: bytes, span) -> Tuple[int, Dict]:
+    def _handle_predict(self, body: bytes, span) -> Tuple[int, bytes]:
         doc = self._parse_body(body)
         sites = doc.get("sites")
         if not isinstance(sites, list) or not all(isinstance(s, int) for s in sites):
@@ -690,11 +679,9 @@ class ModelServer:
                 reasons=batch.counts_by_reason(),
                 model_version=engine.version,
             )
-        answer = batch.to_dict()
-        answer["model_version"] = engine.version
-        return 200, answer
+        return 200, batch.to_json(engine.version)
 
-    async def _handle_reload(self) -> Tuple[int, Dict]:
+    async def _handle_reload(self, body=b"", span=None) -> Tuple[int, Dict]:
         try:
             old, new = await self.reload_async()
         except (SnapshotError, OSError) as exc:
@@ -717,21 +704,34 @@ class ModelServer:
             raise RequestError(400, "bad-request", "request body must be an object")
         return doc
 
+    #: path -> (the one allowed method, handler(self, body, span)).
+    _ROUTES = {
+        "/predict": ("POST", _handle_predict),
+        "/healthz": ("GET", _handle_healthz),
+        "/livez": ("GET", _handle_livez),
+        "/metricsz": ("GET", _handle_metricsz),
+        "/slozz": ("GET", _handle_slozz),
+        "/modelz": ("GET", _handle_modelz),
+        "/reloadz": ("POST", _handle_reload),
+    }
+
     async def _send(
         self,
         writer,
         status: int,
-        doc: Union[Dict, str],
+        doc: Union[Dict, str, bytes],
         keep_alive: bool,
         retry_after: bool = False,
     ) -> None:
-        if isinstance(doc, str):
+        content_type = "application/json"
+        if isinstance(doc, bytes):
+            payload = doc  # pre-encoded JSON (the /predict answer)
+        elif isinstance(doc, str):
             # Pre-rendered text bodies (the Prometheus exposition).
             payload = doc.encode("utf-8")
             content_type = "text/plain; version=0.0.4; charset=utf-8"
         else:
             payload = json.dumps(doc).encode("utf-8")
-            content_type = "application/json"
         retry = ""
         if retry_after:
             retry = (

@@ -113,6 +113,21 @@ class TestTracer:
         main_tracer.merge_spans(worker.export_finished_since(mark))
         assert comparable(main_tracer.records()) == comparable(reference.records())
 
+    def test_max_records_keeps_the_last_finished(self):
+        ring = Tracer(max_records=3)
+        for seq in range(10):
+            with ring.span("http-request", key=f"req:{seq}", parent=None):
+                pass
+        ring.record("converge")
+        ring.merge_spans([{"span_id": "merged", "events": []}])
+        assert [r["span_id"] for r in ring.records()] == ["converge#0", "merged", "req:9"]
+        assert ring.finished_count == 3
+        everything = Tracer()
+        for seq in range(10):
+            with everything.span("http-request", key=f"req:{seq}", parent=None):
+                pass
+        assert everything.finished_count == 10
+
     def test_span_sort_key_orders_numerically(self):
         ids = ["d#0/exp:10", "d#0/exp:9", "d#0", "d#0/exp:9/deploy#0"]
         assert sorted(ids, key=span_sort_key) == [

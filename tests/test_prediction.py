@@ -8,8 +8,11 @@ it replaced — scalar ``total_order`` per client, RTT straight from the
 dict — and the two must agree row for row, ``==`` and type for type.
 """
 
+import json
 import random
 from collections import namedtuple
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,13 +29,15 @@ from repro.core.prediction import (
     Prediction,
     PredictionBatch,
     PredictionReport,
+    encode_row,
     model_clients,
 )
 from repro.core.preferences import PairObservation, PreferenceMatrix
 from repro.core.twolevel import FlatPreferenceModel
 from repro.measurement.rtt import RttMatrix
+from repro.serve import LookupEngine, compile_snapshot
 from repro.util.errors import ReproError
-from tests.test_search_plane import SETTINGS, random_matrix, two_level_worlds
+from tests.test_search_plane import SETTINGS, Providers, random_matrix, two_level_worlds
 
 
 def reference_predict(model, rtt_matrix, config, clients):
@@ -148,6 +153,94 @@ class TestPredictIsTheReference:
         config = AnycastConfig(site_order=(1, 4))
         assert anyopt_model.predictor.predict(config, []).predictions == []
         assert len(anyopt_model.predictor.predict(config, [10**9])) == 1
+
+
+class SnapshotWorld(Providers):
+    """What ``compile_snapshot`` asks of a testbed, over a
+    ``two_level_worlds`` provider map."""
+
+    def site_ids(self):
+        return sorted(self._provider_of)
+
+    def provider_asns(self):
+        return sorted(set(self._provider_of.values()))
+
+
+def engine_for(model):
+    """A ``LookupEngine`` over a snapshot of a bare two-level model (the
+    fingerprint wants a whole ``AnyOptModel``; nothing served reads it)."""
+    world = SimpleNamespace(
+        twolevel=model, rtt_matrix=model.rtt_matrix,
+        testbed=SnapshotWorld(model.testbed._provider_of),
+    )
+    with mock.patch("repro.audit.repair.model_fingerprint", return_value="0" * 64):
+        return LookupEngine(compile_snapshot(world))
+
+
+def dumped(batch, version):
+    """The body the server used to build: dict view, then json."""
+    return json.dumps({**batch.to_dict(), "model_version": version}).encode("utf-8")
+
+
+class TestServedBytes:
+    """``to_json`` is ``json.dumps`` of ``to_dict`` byte for byte, and
+    the columns materialise to the oracle's rows — from the predictor
+    (every row encoded) and from the engine (rows cached per cell, so
+    each request is made twice: filling the cells, then reading them)."""
+
+    @given(two_level_worlds(), st.integers(0, 2**32), st.text(max_size=6))
+    @settings(**SETTINGS)
+    def test_both_predictors_both_site_level_modes(self, world, seed, version):
+        model, clients, order = world
+        config = AnycastConfig(site_order=order)
+        request = awkward_request(random.Random(seed), clients)
+        eager = reference_predict(model, model.rtt_matrix, config, request)
+        engine = engine_for(model)
+        for predict in (
+            CatchmentPredictor(model, model.rtt_matrix).predict,
+            engine.predict, engine.predict,
+        ):
+            batch = predict(config, request)
+            assert batch.to_json(version) == dumped(batch, version)
+            assert batch.predictions == eager and list(batch) == eager
+            assert [batch[i] for i in range(len(batch))] == eager
+            assert batch.decided_count == sum(p.decided for p in eager)
+            assert batch.sites() == {p.client_id: p.site for p in eager}
+        everyone = reference_predict(
+            model, model.rtt_matrix, config, sorted(model_clients(model, model.rtt_matrix))
+        )
+        for _ in range(2):
+            batch = engine.predict(config)
+            assert batch.to_json(version) == dumped(batch, version)
+            assert batch.predictions == everyone
+
+    def test_summary_reads_the_columns_like_the_rows(self):
+        """Reason keys in first-occurrence order, the mean the same
+        ``sum`` over the same floats, None without any."""
+        batch = PredictionBatch(
+            AnycastConfig(site_order=(3, 5)), [4, 1, 2, 9, 1], [None, 0, 1, 2, 0],
+            [1, -1, 0], [0.1, float("nan"), float("nan")], [3, 5],
+        )
+        assert batch.counts_by_reason() == {
+            REASON_UNMAPPED: 1, REASON_QUARANTINED: 1, REASON_RTT_HOLE: 1,
+        }
+        assert list(batch.counts_by_reason()) == [p.reason for p in batch if p.reason]
+        assert batch.mean_rtt_ms == sum([0.1, 0.1]) / 2 and batch.decided_count == 3
+        assert batch.to_json("v") == dumped(batch, "v")
+        nothing = PredictionBatch(batch.config, [7], [None], [], [], [3, 5])
+        assert nothing.mean_rtt_ms is None and nothing.decided_count == 0
+        assert nothing.to_json("v") == dumped(nothing, "v")
+        assert nothing != batch and nothing == PredictionBatch(batch.config, [7], [None], [], [], [])
+
+    @given(
+        st.integers(-2**70, 2**70), st.one_of(st.none(), st.integers(0, 2**40)),
+        st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
+        st.sampled_from(["", REASON_UNMAPPED, REASON_QUARANTINED, REASON_RTT_HOLE]),
+    )
+    @settings(**SETTINGS)
+    def test_encode_row_is_json_dumps_of_the_row(self, client_id, site, rtt_ms, reason):
+        row = Prediction(client_id, site, rtt_ms, reason)
+        assert encode_row(client_id, site, rtt_ms, reason) == json.dumps(row.to_dict()).encode()
 
 
 class TestRttArray:
@@ -305,10 +398,10 @@ class TestEvaluate:
 
 def test_prediction_batch_is_sequence_like():
     cfg = AnycastConfig(site_order=(3,))
-    batch = PredictionBatch(
-        config=cfg,
-        predictions=[Prediction(1, 3, 10.0), Prediction(2, None, None, "quarantined")],
-    )
+    batch = PredictionBatch(cfg, [1, 2], [0, 1], [0, -1], [10.0, float("nan")], [3])
+    assert batch.predictions == [
+        Prediction(1, 3, 10.0), Prediction(2, None, None, "quarantined")
+    ]
     assert len(batch) == 2
     assert batch[0].decided and not batch[1].decided
     assert batch.decided_count == 1

@@ -459,6 +459,31 @@ class TestWinnerCodes:
             if result.has_total_order:
                 assert tuple(announce[i] for i in by_wins(wins)[c]) == result.order
 
+    @given(st.integers(0, 2**32), st.sampled_from([2, 3, 4, 5, 7, 63, 66]))
+    @settings(**SETTINGS)
+    def test_transitivity_check_is_the_sorted_check(self, seed, n):
+        """The bit-set test (and, past 63 members, the sort kept for
+        width) against sorting each row of wins: transitive rows,
+        cyclic rows, rows with unusable cells, members a shuffled
+        subset of the item axis."""
+        rng = np.random.default_rng(seed)
+        n_clients, n_items = 12, n + 2
+        strength = rng.random((n_clients, n_items))
+        first_wins = strength[:, :, None] > strength[:, None, :]
+        codes = np.where(first_wins, 0, 1).astype(np.int8)          # transitive
+        noisy = rng.random(codes.shape) < rng.choice([0.0, 0.02, 0.3])
+        codes[noisy] = rng.integers(-1, 2, size=int(noisy.sum()))   # cycles, holes
+        members = rng.permutation(n_items)[:n].tolist()
+        valid, wins = tournament(codes, members)
+        for c in range(n_clients):
+            cells = [codes[c, members[i], members[j]] for i in range(n) for j in range(i + 1, n)]
+            count = [0] * n
+            for (i, j), code in zip(itertools.combinations(range(n), 2), cells):
+                if code >= 0:
+                    count[j if code else i] += 1
+            assert wins[c].tolist() == count
+            assert valid[c] == (min(cells) >= 0 and sorted(count) == list(range(n)))
+
     def test_record_drops_the_memo(self):
         matrix = PreferenceMatrix()
         matrix.record(1, PairObservation(1, 2, 1, 1))

@@ -284,6 +284,59 @@ class TestHttp:
             assert body["error"]["code"] == case[5]
             assert body["error"]["status"] == case[4]
 
+    def test_wrong_method_and_unknown_path_documents(self, snapshot_path):
+        """The 405 / 404 bodies, pinned byte for byte from the commit
+        before routing became a table."""
+        routes = {
+            "/predict": "POST", "/healthz": "GET", "/livez": "GET", "/metricsz": "GET",
+            "/slozz": "GET", "/modelz": "GET", "/reloadz": "POST",
+        }
+
+        async def scenario(server):
+            answers = {}
+            for path, allowed in routes.items():
+                wrong = "GET" if allowed == "POST" else "POST"
+                answers[path] = await _http(server.port, wrong, path, {})
+            answers["/nowhere"] = await _http(server.port, "GET", "/nowhere?x=1")
+            return answers
+
+        answers = asyncio.run(_with_server(snapshot_path, scenario))
+        for path, allowed in routes.items():
+            status, doc = answers[path]
+            assert status == 405
+            assert json.dumps(doc) == (
+                '{"error": {"status": 405, "code": "method-not-allowed", '
+                f'"message": "use {allowed} {path}"}}}}'
+            )
+        assert answers["/nowhere"][0] == 404
+        assert json.dumps(answers["/nowhere"][1]) == (
+            '{"error": {"status": 404, "code": "not-found", '
+            '"message": "no route for /nowhere"}}'
+        )
+
+    def test_request_spans_are_a_bounded_ring(self, snapshot_path):
+        """An always-on server keeps the last REQUEST_TRACE_RECORDS
+        request spans, not one per request for ever."""
+        from repro.serve.http import REQUEST_TRACE_RECORDS
+
+        async def scenario(server):
+            connection = await asyncio.open_connection("127.0.0.1", server.port)
+            for _ in range(200):
+                await _http(server.port, "GET", "/livez", reader_writer=connection)
+            sequences = dict(server.tracer._sequences)
+            for _ in range(4800):
+                await _http(server.port, "GET", "/livez", reader_writer=connection)
+            connection[1].close()
+            return server.tracer, sequences
+
+        tracer, sequences = asyncio.run(_with_server(snapshot_path, scenario))
+        assert tracer.max_records == REQUEST_TRACE_RECORDS < 5000
+        assert tracer.finished_count == REQUEST_TRACE_RECORDS
+        assert tracer._sequences == sequences
+        assert {r["span_id"] for r in tracer.records()} == {
+            f"req:{seq}" for seq in range(5001 - REQUEST_TRACE_RECORDS, 5001)
+        }
+
     def test_healthz_and_modelz(self, snapshot_path, engine):
         async def scenario(server):
             health = await _http(server.port, "GET", "/healthz")
