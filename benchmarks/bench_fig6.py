@@ -13,13 +13,7 @@ from repro.util.stats import mean, median, percentile
 
 
 def measured_rtts(anyopt, config):
-    deployment = anyopt.deploy(config)
-    rtts = [
-        r
-        for r in (deployment.measure_rtt(t) for t in anyopt.targets)
-        if r is not None
-    ]
-    return rtts
+    return [r for r in anyopt.deploy(config).measure_rtts() if r is not None]
 
 
 def test_fig6_rtt_cdfs(benchmark, bench_anyopt, bench_model, bench_testbed, opt12):

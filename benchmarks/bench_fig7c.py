@@ -18,13 +18,8 @@ def test_fig7c_peer_configurations(benchmark, bench_anyopt, one_pass_report, ben
             ("AnyOpt+BenefitPeers", one_pass_report.final_config),
             ("AnyOpt+AllPeers", base.with_peers(tuple(bench_testbed.peer_ids()))),
         ):
-            deployment = bench_anyopt.deploy(config)
             series[label] = [
-                r
-                for r in (
-                    deployment.measure_rtt(t) for t in bench_anyopt.targets
-                )
-                if r is not None
+                r for r in bench_anyopt.deploy(config).measure_rtts() if r is not None
             ]
         return series
 

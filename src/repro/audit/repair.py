@@ -162,13 +162,14 @@ def _site_provider(action: RepairAction) -> int:
     return int(action.scope.split(":", 1)[1])
 
 
-def _apply_result(model, action: RepairAction, result, reps) -> None:
+def _apply_result(model, action: RepairAction, result, reps, target_ids) -> None:
     """Overwrite the implicated clients' cells with the re-measured
-    observation (narrow repair: other clients keep their cells)."""
+    observation (narrow repair: other clients keep their cells); an
+    ``rtt-row`` result lists one RTT per target, in ``target_ids`` order."""
     twolevel = model.twolevel
     if action.kind == "rtt-row":
         (site,) = action.key
-        row = dict(result)
+        row = dict(zip(target_ids, result))
         for client in action.clients:
             model.rtt_matrix.set(site, client, row.get(client))
         return
@@ -433,7 +434,7 @@ def repair_model(
                 _apply_failure(model, action)
                 metrics.counter("audit_repair_failed").increment()
             else:
-                _apply_result(model, action, result, reps)
+                _apply_result(model, action, result, reps, round_orch.targets.columns.ids)
             transcript.append(entry)
 
         spent = round_orch.experiment_count - before

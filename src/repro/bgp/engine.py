@@ -31,7 +31,7 @@ from repro.bgp.rib import RouterState
 from repro.topology.astopo import Relationship
 from repro.topology.generator import Internet
 from repro.util.errors import ReproError
-from repro.util.rng import derive_rng, uniform_block
+from repro.util.rng import noise_key, uniforms
 
 #: Private ASN used as the anycast origin network (the CDN).
 ANYCAST_ORIGIN_ASN = 65000
@@ -191,16 +191,12 @@ class BGPEngine:
         return max(_MAX_EVENTS, _EVENTS_PER_AS * len(self.internet.graph))
 
     def _draw_jitter(self, delay_jitter_ms: float, delay_nonce: int):
-        """One run's delay jitter per directed link: the
-        ``"delay-jitter"`` stream's next uniform per
-        :attr:`~repro.topology.precompute.TopologyTables.pair_slot`
-        slot, drawn as one block and turned into an exponential only
-        for the pairs the run looks up."""
-        rng = derive_rng(self.internet.seed, "delay-jitter", delay_nonce)
+        """One run's delay jitter per directed link: word ``slot`` of
+        the ``"delay-jitter"`` noise stream per ``TopologyTables.pair_slot``
+        slot, one block, made exponential only for the pairs looked up."""
+        key = noise_key(self.internet.seed, "delay-jitter", delay_nonce)
         pair_slot = self.internet.graph.tables().pair_slot
-        return LinkJitter(
-            pair_slot, uniform_block(rng, len(pair_slot)), 1.0 / delay_jitter_ms
-        )
+        return LinkJitter(pair_slot, uniforms(key, 0, len(pair_slot)), 1.0 / delay_jitter_ms)
 
     def run(
         self,

@@ -379,11 +379,7 @@ def cmd_catchment(args) -> int:
     if unmapped:
         print(f"unmapped targets: {unmapped}")
     if args.chart:
-        rtts = [
-            r
-            for r in (deployment.measure_rtt(t) for t in anyopt.targets)
-            if r is not None
-        ]
+        rtts = [r for r in deployment.measure_rtts() if r is not None]
         print("\nRTT CDF:")
         print(render_cdf(rtts, label="rtt(ms)"))
     return 0

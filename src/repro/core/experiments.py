@@ -21,7 +21,7 @@ through ``run_experiments``, chunked dispatch reaches every phase
 without phase-specific plumbing.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import AnycastConfig
@@ -55,13 +55,18 @@ class PairwiseResult:
     site_b: int
     map_a_first: CatchmentMap
     map_b_first: CatchmentMap
+    #: :meth:`PairObservation.shared`'s cache for this pair.
+    _observations: Dict[tuple, PairObservation] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def observation(self, client_id: int) -> PairObservation:
-        return PairObservation(
-            site_a=self.site_a,
-            site_b=self.site_b,
-            winner_a_first=self.map_a_first.site_of(client_id),
-            winner_b_first=self.map_b_first.site_of(client_id),
+        return PairObservation.shared(
+            self._observations,
+            self.site_a,
+            self.site_b,
+            self.map_a_first.site_of(client_id),
+            self.map_b_first.site_of(client_id),
         )
 
     def order_changed(self, client_id: int) -> bool:
@@ -92,9 +97,9 @@ class ExperimentRunner:
         deployment = self.orchestrator.deploy(
             AnycastConfig(site_order=(site_id,)), experiment_id=experiment_id
         )
-        rtts = {
-            t.target_id: deployment.measure_rtt(t) for t in self.orchestrator.targets
-        }
+        rtts = dict(
+            zip(self.orchestrator.targets.columns.ids, deployment.measure_rtts())
+        )
         return SingletonResult(
             site_id=site_id,
             experiment_id=deployment.experiment_id,
@@ -350,10 +355,7 @@ def _dispatch_experiment_task(orchestrator: Orchestrator, task: ExperimentTask):
             experiment_id=deployment.experiment_id,
             targets=len(orchestrator.targets),
         ):
-            return [
-                (target.target_id, deployment.measure_rtt(target))
-                for target in orchestrator.targets
-            ]
+            return deployment.measure_rtts()
     if task.kind == "peer-probe":
         # Imported here: repro.core.peers imports this module's
         # ExperimentTask, so a module-level import would be a cycle.

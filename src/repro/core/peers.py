@@ -89,13 +89,10 @@ def probe_peer(
         peer_id=peer_id,
         targets=len(orchestrator.targets),
     ):
-        for target in orchestrator.targets:
-            outcome = deployment.forwarding(target)
-            if outcome is None:
-                continue
-            measured = deployment.measure_rtt(target)
+        for target, measured in zip(orchestrator.targets, deployment.measure_rtts()):
             if measured is None:
                 continue
+            outcome = deployment.forwarding(target)
             rtts.append(measured)
             if outcome.terminating_asn == link.peer_asn:
                 catchment.add(target.target_id)
@@ -142,11 +139,13 @@ def one_pass_peer_selection(
     failures: List[FailedExperiment] = []
 
     base = orchestrator.deploy(base_config)
-    base_rtts: Dict[int, float] = {}
-    for target in orchestrator.targets:
-        measured = base.measure_rtt(target)
-        if measured is not None:
-            base_rtts[target.target_id] = measured
+    base_rtts: Dict[int, float] = {
+        target_id: measured
+        for target_id, measured in zip(
+            orchestrator.targets.columns.ids, base.measure_rtts()
+        )
+        if measured is not None
+    }
     if not base_rtts:
         raise MeasurementError(
             "one-pass baseline unusable: no target reached the transit-only "

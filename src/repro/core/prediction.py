@@ -403,12 +403,9 @@ class CatchmentPredictor:
         n_predicted = 0
         n_correct = 0
         predicted_rtts: List[float] = []
-        measured_rtts: List[float] = []
+        measured_rtts = [r for r in deployment.measure_rtts(targets) if r is not None]
         for target, prediction in zip(targets, batch):
             measured_site = measured_map.site_of(target.target_id)
-            measured_rtt = deployment.measure_rtt(target)
-            if measured_rtt is not None:
-                measured_rtts.append(measured_rtt)
             if not prediction.decided:
                 continue
             if prediction.rtt_ms is not None:

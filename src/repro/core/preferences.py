@@ -71,6 +71,17 @@ class PairObservation:
             raise ReproError("an undecided pair cannot have winners")
 
     @classmethod
+    def shared(cls, cache: dict, site_a: int, site_b: int, *winners) -> "PairObservation":
+        """The instance ``cache`` (one dict per pair) holds for these
+        winners, made on first sight: observations are frozen and
+        validated at construction, and a pair has at most nine distinct
+        ones for any number of clients."""
+        obs = cache.get(winners)
+        if obs is None:
+            obs = cache[winners] = cls(site_a, site_b, *winners)
+        return obs
+
+    @classmethod
     def undecided_pair(cls, site_a: int, site_b: int) -> "PairObservation":
         """The explicit UNDECIDED cell a failed experiment leaves behind."""
         return cls(site_a, site_b, None, None, undecided=True)

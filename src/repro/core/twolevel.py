@@ -297,15 +297,17 @@ def discover_two_level(
                     undecided.increment()
                 continue
             a_first, b_first = result.map_a_first, result.map_b_first
+            shared: Dict[tuple, PairObservation] = {}
             for target in runner.orchestrator.targets:
                 client = target.target_id
                 provider_matrix.record(
                     client,
-                    PairObservation(
-                        site_a=pa,
-                        site_b=pb,
-                        winner_a_first=site_to_provider.get(a_first.site_of(client)),
-                        winner_b_first=site_to_provider.get(b_first.site_of(client)),
+                    PairObservation.shared(
+                        shared,
+                        pa,
+                        pb,
+                        site_to_provider.get(a_first.site_of(client)),
+                        site_to_provider.get(b_first.site_of(client)),
                     ),
                 )
         if progress is not None:

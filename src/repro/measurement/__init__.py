@@ -17,9 +17,9 @@ simulates that protocol against the BGP simulator's data plane:
   the simulated Internet and runs the measurements.
 """
 
-from repro.measurement.icmp import IcmpProber, ProbeResult
+from repro.measurement.icmp import IcmpProber
 from repro.measurement.orchestrator import Deployment, Orchestrator
-from repro.measurement.rtt import RttMatrix, estimate_rtt
+from repro.measurement.rtt import RttMatrix, estimate_rtts
 from repro.measurement.targets import PingTarget, TargetSet, select_targets
 from repro.measurement.tunnels import GreTunnel, TunnelManager
 from repro.measurement.verfploeter import CatchmentMap, measure_catchments
@@ -31,11 +31,10 @@ __all__ = [
     "IcmpProber",
     "Orchestrator",
     "PingTarget",
-    "ProbeResult",
     "RttMatrix",
     "TargetSet",
     "TunnelManager",
-    "estimate_rtt",
+    "estimate_rtts",
     "measure_catchments",
     "select_targets",
 ]

@@ -8,20 +8,21 @@ experiment" — the unit the paper's measurement budget counts (S4.5) —
 and the orchestrator keeps a running tally.
 """
 
+import math
 import threading
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.util.rng import derive_rng, hash_prefix, stable_hash, uniform_block
+import numpy as np
 
 from repro.bgp.dataplane import DataPlane, ForwardingOutcome
 from repro.bgp.engine import BGPEngine, ConvergedState, SiteInjection
 from repro.core.config import AnycastConfig
 from repro.measurement.icmp import IcmpProber
-from repro.measurement.rtt import RttMatrix, estimate_rtt
-from repro.measurement.targets import PingTarget, TargetSet
+from repro.measurement.rtt import RttMatrix, estimate_rtts
+from repro.measurement.targets import PingTarget, ProbeColumns, TargetSet
 from repro.measurement.tunnels import TunnelManager
-from repro.measurement.verfploeter import CatchmentMap, measure_catchments
+from repro.measurement.verfploeter import CatchmentMap, measure_catchments, resolve_targets
 from repro.obs.log import get_logger
 from repro.obs.trace import Tracer
 from repro.runtime.cache import ConvergenceCache
@@ -32,7 +33,10 @@ from repro.runtime.retry import FailedExperiment, RetryPolicy, run_with_retry
 from repro.runtime.settings import CampaignSettings
 from repro.topology.astopo import Relationship
 from repro.topology.testbed import Testbed
-from repro.util.errors import ConfigurationError, MeasurementError
+from repro.util.errors import ConfigurationError
+from repro.util.rng import (
+    hash_prefix, noise_key, stable_hash, standard_normals, uniform_rows, uniforms,
+)
 from repro.util.stats import mean
 
 logger = get_logger("orchestrator")
@@ -55,8 +59,6 @@ class Deployment:
         self.dataplane = DataPlane(
             orchestrator.testbed.internet, converged, flow_nonce=experiment_id
         )
-        #: Derived once here, not once per target.
-        self._rtt_bias = orchestrator.rtt_bias_factor(experiment_id)
         self._probe_session_ok = False
 
     def _ensure_probe_session(self) -> None:
@@ -87,56 +89,63 @@ class Deployment:
     # -- data plane ---------------------------------------------------------
 
     def forwarding(self, target: PingTarget) -> Optional[ForwardingOutcome]:
-        """Where this target's anycast traffic lands (the data plane
-        resolves each client AS, and each hop, once and remembers it)."""
+        """Where this target's anycast traffic lands."""
         return self.dataplane.forward(target.asn, target.target_id)
 
+    def _true_rtts(self, columns: ProbeColumns):
+        """Per target: ground-truth RTT to its catchment site (NaN
+        without a route) and the forwarding outcome behind it."""
+        outcomes = resolve_targets(self.dataplane, columns)
+        path = np.array([math.nan if o is None else o.rtt_ms for o in outcomes])
+        drift = self.orchestrator.rtt_drift_factors(self.experiment_id, columns.ids)
+        return path * drift + columns.last_mile_ms, outcomes
+
     def true_rtt(self, target: PingTarget) -> Optional[float]:
-        """Ground-truth RTT between the target and its catchment site.
-
-        Includes the orchestrator's per-experiment path-RTT drift:
-        real paths change slightly between the time a site's unicast
-        RTT was measured and the time a configuration is deployed,
-        which is the noise floor behind Figure 5b/5c.
-        """
-        outcome = self.forwarding(target)
-        return None if outcome is None else self._path_rtt(outcome, target)
-
-    def _path_rtt(self, outcome: ForwardingOutcome, target: PingTarget) -> float:
-        drift = self.orchestrator._drift_given_bias(
-            self._rtt_bias, self.experiment_id, target.target_id
-        )
-        return outcome.rtt_ms * drift + target.last_mile_rtt_ms
+        """Ground-truth RTT between the target and its catchment site,
+        the orchestrator's per-experiment path-RTT drift included: real
+        paths change between the time a site's unicast RTT was measured
+        and the time a configuration is deployed — the noise floor
+        behind Figure 5b/5c."""
+        return _optional(self._true_rtts(ProbeColumns.of([target]))[0])[0]
 
     # -- measurements ---------------------------------------------------------
 
     def measure_catchments(self, targets: Optional[Iterable[PingTarget]] = None) -> CatchmentMap:
         """Verfploeter-style catchment map of this deployment (one pass
         over the data plane's forwarding table, all targets)."""
-        targets = self.orchestrator.targets if targets is None else list(targets)
-        with self.orchestrator.tracer.span(
-            "probe",
-            kind="catchment",
-            experiment_id=self.experiment_id,
-            targets=len(targets),
+        orchestrator = self.orchestrator
+        targets = orchestrator.targets if targets is None else list(targets)
+        with orchestrator.tracer.span(
+            "probe", kind="catchment", experiment_id=self.experiment_id, targets=len(targets)
         ):
             self._ensure_probe_session()
-            return measure_catchments(self, targets, self.orchestrator.prober)
+            orchestrator.metrics.counter("catchment_probes").increment(len(targets))
+            return measure_catchments(self, targets, orchestrator.prober)
+
+    def measure_rtts(
+        self, targets: Optional[Iterable[PingTarget]] = None
+    ) -> List[Optional[float]]:
+        """Median-of-seven RTT estimate from every target (default: the
+        orchestrator's) to its catchment site, in target order, None
+        without a route or with too few replies — one pass: each client
+        AS resolved once, drift and probe trains drawn as arrays.  A
+        target reads the same value in any subset, in any order."""
+        self._ensure_probe_session()
+        orchestrator = self.orchestrator
+        columns = ProbeColumns.of(orchestrator.targets if targets is None else targets)
+        orchestrator.metrics.counter("rtt_estimates").increment(len(columns.ids))
+        true_rtt, outcomes = self._true_rtts(columns)
+        tunnel = orchestrator.tunnels.tunnel
+        tunnels = [None if o is None else tunnel(o.site_id) for o in outcomes]
+        return _optional(estimate_rtts(
+            orchestrator.prober, columns.ids, columns.loss_rates, self.experiment_id,
+            true_rtt + np.array([math.nan if t is None else t.true_rtt_ms for t in tunnels]),
+            np.array([math.nan if t is None else t.estimated_rtt_ms for t in tunnels]),
+        ))
 
     def measure_rtt(self, target: PingTarget) -> Optional[float]:
-        """Median-of-seven RTT estimate to the target's catchment site."""
-        self._ensure_probe_session()
-        outcome = self.forwarding(target)
-        if outcome is None:
-            return None
-        return estimate_rtt(
-            self.orchestrator.prober,
-            self.orchestrator.tunnels,
-            target,
-            outcome.site_id,
-            self._path_rtt(outcome, target),
-            self.experiment_id,
-        )
+        """:meth:`measure_rtts` for one target."""
+        return self.measure_rtts([target])[0]
 
     def measure_mean_rtt(
         self, targets: Optional[Iterable[PingTarget]] = None
@@ -149,8 +158,7 @@ class Deployment:
         is a typed empty outcome, not an exception, so optimizer and
         baseline sweeps can skip the configuration and continue.
         """
-        targets = self.orchestrator.targets if targets is None else targets
-        rtts = [r for r in (self.measure_rtt(t) for t in targets) if r is not None]
+        rtts = [r for r in self.measure_rtts(targets) if r is not None]
         if not rtts:
             self.orchestrator.metrics.counter("measurements_empty").increment()
             logger.warning(
@@ -159,6 +167,10 @@ class Deployment:
             )
             return None
         return mean(rtts)
+
+
+def _optional(values: np.ndarray) -> List[Optional[float]]:
+    return [None if v != v else v for v in values.tolist()]  # NaN -> None
 
 
 class Orchestrator:
@@ -408,10 +420,9 @@ class Orchestrator:
     def _igp_overlay(self, experiment_id: int) -> Dict[Tuple[int, int], int]:
         """Interior-cost overrides for one experiment's churned ASes.
 
-        The ``"igp-churn"`` stream is, per AS in ASN order, one churn
-        draw, then one tie draw if (and only if) that AS churned — at
-        most two draws per AS.  Drawing that many as a block finds the
-        churned ASes in one comparison, so the walk visits only them.
+        The ``"igp-churn"`` stream holds two words per AS index (ASN
+        order): the churn decision and, if churned, whether its sessions
+        tie.  One comparison finds the churned ASes; the walk visits them.
         """
         churn_prob = self.settings.session_churn_prob
         if churn_prob == 0.0:
@@ -419,24 +430,13 @@ class Orchestrator:
         tables = self.testbed.internet.graph.tables()
         index_asn = tables.index_asn
         tie_fraction = self.testbed.internet.params.igp_tie_fraction
-        draws = uniform_block(
-            derive_rng(self.seed, "igp-churn", experiment_id), 2 * len(index_asn)
-        )
+        key = noise_key(self.seed, "igp-churn", experiment_id)
+        draws = uniforms(key, 0, 2 * len(index_asn)).reshape(-1, 2)
         prefix = hash_prefix(self.seed, "igp-churn", experiment_id)
         overlay: Dict[Tuple[int, int], int] = {}
-        #: Tie draws consumed so far: AS i's churn draw sits at i + ties.
-        ties = 0
-        tie_pos = -1
-        for pos in (draws < churn_prob).nonzero()[0].tolist():
-            if pos == tie_pos:
-                continue  # the previous hit's tie draw, not a churn draw
-            index = pos - ties
-            if index >= len(index_asn):
-                break
-            ties += 1
-            tie_pos = pos + 1
+        for index in np.flatnonzero(draws[:, 0] < churn_prob).tolist():
             asn = index_asn[index]
-            if draws[tie_pos] < tie_fraction:
+            if draws[index, 1] < tie_fraction:
                 for neighbor in tables.export_all[asn]:
                     overlay[(asn, neighbor)] = 0
             else:
@@ -451,21 +451,23 @@ class Orchestrator:
         """The per-experiment epoch bias of :meth:`rtt_drift_factor`:
         path changes between the singleton RTT campaign and a later
         deployment shift whole configurations, not just single targets."""
-        rng = derive_rng(self.seed, "rtt-bias", experiment_id)
-        return 1.0 + rng.gauss(0.0, self.settings.rtt_bias_sigma)
+        pair = uniforms(noise_key(self.seed, "rtt-bias", experiment_id), 0, 2)
+        return 1.0 + self.settings.rtt_bias_sigma * standard_normals(pair).item()
+
+    def rtt_drift_factors(self, experiment_id: int, target_ids) -> np.ndarray:
+        """Multiplicative path-RTT drift per target in one experiment:
+        its :meth:`rtt_bias_factor` times per-target noise (one pair of
+        the ``"rtt-drift"`` stream per id), floored to stay physical."""
+        if self.settings.rtt_drift_sigma == 0.0 and self.settings.rtt_bias_sigma == 0.0:
+            return np.ones(len(target_ids))
+        key = noise_key(self.seed, "rtt-drift", experiment_id)
+        noise = standard_normals(uniform_rows(key, target_ids, 2))
+        bias = self.rtt_bias_factor(experiment_id)
+        return np.maximum(0.7, bias * (1.0 + self.settings.rtt_drift_sigma * noise))
 
     def rtt_drift_factor(self, experiment_id: int, target_id: int) -> float:
-        """Multiplicative path-RTT drift for one target in one
-        experiment: the experiment's :meth:`rtt_bias_factor` times
-        per-target noise, bounded away from zero to stay physical."""
-        bias = self.rtt_bias_factor(experiment_id)
-        return self._drift_given_bias(bias, experiment_id, target_id)
-
-    def _drift_given_bias(self, bias: float, experiment_id: int, target_id: int) -> float:
-        if self.settings.rtt_drift_sigma == 0.0 and self.settings.rtt_bias_sigma == 0.0:
-            return 1.0
-        rng = derive_rng(self.seed, "rtt-drift", experiment_id, target_id)
-        return max(0.7, bias * (1.0 + rng.gauss(0.0, self.settings.rtt_drift_sigma)))
+        """:meth:`rtt_drift_factors` for one target."""
+        return self.rtt_drift_factors(experiment_id, [target_id]).item()
 
     def _injections(self, config: AnycastConfig) -> List[SiteInjection]:
         spacing = (
@@ -550,7 +552,6 @@ class Orchestrator:
         for site_id, row in zip(site_ids, rows):
             if isinstance(row, FailedExperiment):
                 self.record_failure(row)
-                row = [(target.target_id, None) for target in self.targets]
-            for target_id, rtt in row:
-                matrix.set(site_id, target_id, rtt)
+                row = [None] * len(self.targets)
+            matrix.set_row(site_id, self.targets.columns.ids, row)
         return matrix

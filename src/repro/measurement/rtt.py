@@ -13,10 +13,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.measurement.icmp import IcmpProber
-from repro.measurement.targets import PingTarget
-from repro.measurement.tunnels import TunnelManager
 from repro.util.errors import MeasurementError
-from repro.util.stats import mean, median
+from repro.util.stats import mean
 
 #: Probes per target per RTT measurement (the paper uses seven).
 PROBES_PER_TARGET = 7
@@ -24,31 +22,27 @@ PROBES_PER_TARGET = 7
 MIN_VALID_REPLIES = 3
 
 
-def estimate_rtt(
-    prober: IcmpProber,
-    tunnels: TunnelManager,
-    target: PingTarget,
-    site_id: int,
-    true_path_rtt_ms: float,
-    experiment_id: int,
-    probes: int = PROBES_PER_TARGET,
-    min_valid: int = MIN_VALID_REPLIES,
-) -> Optional[float]:
-    """Estimate the RTT between ``site_id`` and ``target``.
-
-    Returns None when fewer than ``min_valid`` replies survive loss.
-    The estimate can differ from the true path RTT through probe
-    jitter and tunnel-estimate error — the noise floor visible in the
-    paper's Figure 5b/5c.
+def estimate_rtts(
+    prober: IcmpProber, target_ids, loss_rates, experiment_id: int,
+    base_rtt_ms: np.ndarray, tunnel_estimate_ms,
+    probes: int = PROBES_PER_TARGET, min_valid: int = MIN_VALID_REPLIES,
+) -> np.ndarray:
+    """The RTT estimate of every target in one pass: the median delay
+    of the probes that survive loss, on top of ``base_rtt_ms`` (true
+    path + true tunnel RTT), minus the estimated tunnel RTT, floored at
+    zero; NaN with fewer than ``min_valid`` replies or a NaN base (no
+    route).  It differs from the true path RTT through probe jitter and
+    tunnel-estimate error — the noise floor of the paper's Figure 5b/5c.
     """
-    tunnel = tunnels.tunnel(site_id)
-    train = prober.probe_train(
-        target, true_path_rtt_ms + tunnel.true_rtt_ms, experiment_id, probes
-    )
-    samples = [result.rtt_ms for result in train if result.rtt_ms is not None]
-    if len(samples) < min_valid:
-        return None
-    return max(0.0, median(samples) - tunnel.estimated_rtt_ms)
+    if probes < max(min_valid, 1):  # no train this short yields a sample
+        return np.full(len(target_ids), np.nan)
+    ordered = np.sort(prober.delays(target_ids, loss_rates, experiment_id, range(probes)), axis=1)
+    valid = np.isfinite(ordered).sum(axis=1)  # lost probes sort last
+    rows = np.arange(len(ordered))
+    last = np.maximum(valid, 1) - 1
+    median = (ordered[rows, last // 2] + ordered[rows, (last + 1) // 2]) / 2.0
+    median[valid < max(min_valid, 1)] = np.nan
+    return np.maximum(0.0, base_rtt_ms + median - tunnel_estimate_ms)
 
 
 @dataclass
@@ -56,8 +50,8 @@ class RttMatrix:
     """Estimated RTTs from every site to every target.
 
     Built from one singleton BGP experiment per site; the paper needs
-    ``O(|S|)`` such experiments (S3.4).  Write through :meth:`set`:
-    it is what invalidates the :meth:`array` memo.
+    ``O(|S|)`` such experiments (S3.4).  Write through :meth:`set` /
+    :meth:`set_row`: they are what invalidates the :meth:`array` memo.
     """
 
     values: Dict[Tuple[int, int], Optional[float]] = field(default_factory=dict)
@@ -66,6 +60,11 @@ class RttMatrix:
 
     def set(self, site_id: int, target_id: int, rtt_ms: Optional[float]) -> None:
         self.values[(site_id, target_id)] = rtt_ms
+        self._array = None
+
+    def set_row(self, site_id: int, target_ids, rtts_ms) -> None:
+        """Write one site's samples (one memo invalidation per row)."""
+        self.values.update(zip(((site_id, t) for t in target_ids), rtts_ms))
         self._array = None
 
     def array(self, sites: Sequence[int], clients: Sequence[int]) -> np.ndarray:
@@ -108,11 +107,3 @@ class RttMatrix:
         if not rtts:
             raise MeasurementError(f"site {site_id} has no valid RTT samples")
         return mean(rtts)
-
-    def best_site_for(self, target_id: int) -> Optional[int]:
-        """The site with the lowest measured RTT to ``target_id``."""
-        best: Optional[Tuple[float, int]] = None
-        for (s, t), v in self.values.items():
-            if t == target_id and v is not None and (best is None or v < best[0]):
-                best = (v, s)
-        return best[1] if best else None

@@ -12,7 +12,9 @@ something to filter.
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.topology.generator import Internet
 from repro.util.errors import MeasurementError
@@ -51,20 +53,25 @@ class PingTarget:
 
 
 class ProbeColumns(NamedTuple):
-    """What a catchment pass reads of a target list, as columns: every
-    target's id and ASN in list order, and the targets that can lose a
-    probe (the only ones a loss draw is made for)."""
+    """What probing reads of a target list, as columns in list order:
+    ids and ASNs as tuples (dict keys), the noise model's per-target
+    constants as arrays — a pure function of the targets."""
 
     ids: Tuple[int, ...]
     asns: Tuple[int, ...]
-    lossy: Tuple[PingTarget, ...]
+    loss_rates: np.ndarray
+    last_mile_ms: np.ndarray
 
     @classmethod
-    def of(cls, targets: Sequence[PingTarget]) -> "ProbeColumns":
+    def of(cls, targets: Union["TargetSet", Iterable[PingTarget]]) -> "ProbeColumns":
+        if isinstance(targets, TargetSet):
+            return targets.columns
+        targets = list(targets)
         return cls(
             tuple(t.target_id for t in targets),
             tuple(t.asn for t in targets),
-            tuple(t for t in targets if t.loss_rate > 0.0),
+            np.array([t.loss_rate for t in targets]),
+            np.array([t.last_mile_rtt_ms for t in targets]),
         )
 
 
@@ -84,7 +91,7 @@ class TargetSet:
     @functools.cached_property
     def columns(self) -> ProbeColumns:
         """The set's :class:`ProbeColumns` — targets are frozen, so
-        they are computed once, by the first catchment pass (a campaign
+        they are computed once, by the first probing pass (a campaign
         that never probes never pays for them)."""
         return ProbeColumns.of(self._targets)
 

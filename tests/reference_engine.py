@@ -12,12 +12,14 @@ places that path is clever:
   instead of the speaker's inlined one-pass scan;
 - import/export facts looked up per call from the graph and
   :mod:`repro.bgp.policy`, not from precomputed ``TopologyTables``;
-- the delay jitter drawn link by link with ``rng.expovariate`` into a
-  dict, not as one uniform block evaluated on lookup.
+- the delay jitter drawn link by link into a dict, one word of the
+  noise stream at a time from its written-out definition
+  (``tests/reference_noise.py``), not as one block evaluated on lookup.
 """
 
 import heapq
 import itertools
+import math
 
 from repro.bgp import policy
 from repro.bgp.decision import best_route, multipath_set
@@ -25,7 +27,8 @@ from repro.bgp.engine import BGPEngine
 from repro.bgp.messages import SitePop
 from repro.bgp.router import BGPSpeaker
 from repro.util.errors import ConvergenceBudgetError
-from repro.util.rng import derive_rng
+from repro.util.rng import stable_hash
+from tests.reference_noise import reference_uniform
 
 
 class _SessionImport:
@@ -145,9 +148,14 @@ class ReferenceEngine(BGPEngine):
         self._delta = _PlainLoop(internet, self.prefix, self.origin_asn)
 
     def _draw_jitter(self, delay_jitter_ms, delay_nonce):
-        rng = derive_rng(self.internet.seed, "delay-jitter", delay_nonce)
+        """The definition, the slow way: one word of the
+        ``"delay-jitter"`` stream per directed link in ``links()``
+        order, each turned into an exponential on the spot."""
+        key = stable_hash("delay-jitter", self.internet.seed, delay_nonce)
+        lambd = 1.0 / delay_jitter_ms
         jitter = {}
         for link in self.internet.graph.links():
-            jitter[(link.a, link.b)] = rng.expovariate(1.0 / delay_jitter_ms)
-            jitter[(link.b, link.a)] = rng.expovariate(1.0 / delay_jitter_ms)
+            for pair in ((link.a, link.b), (link.b, link.a)):
+                u = reference_uniform(key, len(jitter))
+                jitter[pair] = -math.log(1.0 - u) / lambd
         return jitter

@@ -31,7 +31,7 @@ from repro.topology.astopo import AS, ASGraph, Relationship
 from repro.topology.generator import Internet, ScaleSweepParams, generate_scale_internet
 from repro.topology.geo import city
 from repro.util.errors import ConvergenceBudgetError, ReproError
-from repro.util.rng import derive_rng, uniform_block
+from repro.util.rng import stable_hash, uniforms
 from tests.reference_engine import ReferenceEngine, _PlainLoop
 
 SEED = 7
@@ -456,7 +456,7 @@ class TestStubArrivalTimestamp:
         arrivals differ in the last bit wherever ``numpy.log`` and
         ``math.log`` disagree, in whichever direction they disagree."""
         lambd = 0.05
-        block = uniform_block(derive_rng(13, "near-tie"), 20000)
+        block = uniforms(stable_hash(13, "near-tie"), 0, 20000)
         logs = numpy.array([math.log(1.0 - u) for u in block.tolist()])
         differing = (numpy.log(1.0 - block) != logs).nonzero()[0]
         u = block.item(differing[0] if differing.size else 0)

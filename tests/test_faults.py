@@ -349,7 +349,7 @@ class TestDegradation:
 class TestEmptyMeasurement:
     def test_mean_rtt_none_when_all_unreachable(self, clean_orchestrator, monkeypatch):
         dep = clean_orchestrator.deploy(AnycastConfig(site_order=(1,)))
-        monkeypatch.setattr(dep, "measure_rtt", lambda target: None)
+        monkeypatch.setattr(dep, "measure_rtts", lambda targets=None: [None])
         assert dep.measure_mean_rtt() is None
         counters = clean_orchestrator.metrics.snapshot()["counters"]
         assert counters["measurements_empty"] == 1

@@ -11,20 +11,23 @@ from repro.core.config import AnycastConfig
 from repro.measurement.orchestrator import Orchestrator
 from repro.runtime import CampaignSettings
 from repro.util.errors import ConfigurationError
-from repro.util.rng import derive_rng, stable_hash
+from repro.util.rng import stable_hash
+
+from tests.reference_noise import reference_uniform
 
 
 def reference_igp_overlay(orchestrator, experiment_id):
-    """The churn overlay's oracle: the plain loop over every AS, one
-    ``rng.random()`` and one five-part hash at a time."""
-    rng = derive_rng(orchestrator.seed, "igp-churn", experiment_id)
+    """The churn overlay's oracle: the plain loop over every AS in ASN
+    order, two words of the ``"igp-churn"`` stream per AS (churn
+    decision, tie decision) and one five-part hash per session."""
+    key = stable_hash("igp-churn", orchestrator.seed, experiment_id)
     graph = orchestrator.testbed.internet.graph
     tie_fraction = orchestrator.testbed.internet.params.igp_tie_fraction
     overlay = {}
-    for asn in graph.asns():
-        if rng.random() >= orchestrator.settings.session_churn_prob:
+    for index, asn in enumerate(sorted(graph.asns())):
+        if reference_uniform(key, 2 * index) >= orchestrator.settings.session_churn_prob:
             continue
-        tie_prone = rng.random() < tie_fraction
+        tie_prone = reference_uniform(key, 2 * index + 1) < tie_fraction
         for neighbor in graph.neighbors(asn):
             if tie_prone:
                 overlay[(asn, neighbor)] = 0

@@ -10,13 +10,16 @@ replaced: the unmemoized hop-by-hop walk over the per-AS states, those
 states' own ``best`` / ``multipath`` (and the reference engine's live
 speakers), the full-probe catchment loop, and one ``probe()`` per
 sequence number.  A golden digest pins every noise stream of a whole
-campaign to the value the commit before the rewrite produced.
+campaign (re-pinned once, by the PR that moved the per-experiment noise
+onto the counter-based stream; ``tests/test_noise.py`` checks that
+noise against its definition and its closed-form moments).
 """
 
 import collections
 import dataclasses
 import hashlib
 import json
+import math
 import pickle
 
 import pytest
@@ -117,7 +120,7 @@ def full_probe_catchments(deployment, targets, prober, retries=3):
                 result = prober.probe(
                     target, true_rtt, deployment.experiment_id, 100 + attempt
                 )
-                if not result.lost:
+                if result is not None:
                     site = outcome.site_id
                     break
         mapping[target.target_id] = site
@@ -425,15 +428,22 @@ class TestOneProbeDefinition:
     def test_train_is_a_list_of_probes(self, seed, target, rtt, experiment_id, count):
         prober = IcmpProber(seed=seed)
         expected = [prober.probe(target, rtt, experiment_id, s) for s in range(count)]
-        assert prober.probe_train(target, rtt, experiment_id, count) == expected
+
+        def train():
+            delays = prober.delays(
+                [target.target_id], [target.loss_rate], experiment_id, range(count)
+            )
+            return [None if d == math.inf else rtt + d for d in delays.reshape(-1).tolist()]
+
+        assert train() == expected
         # No state rides from one train to the next on a shared prober.
-        assert prober.probe_train(target, rtt, experiment_id, count) == expected
+        assert train() == expected
 
     @given(st.integers(0, 50), ping_targets, st.integers(1, 500), st.integers(0, 200))
     @settings(**SETTINGS)
     def test_answered_is_the_loss_decision(self, seed, target, experiment_id, seq):
         prober = IcmpProber(seed=seed)
-        lost = prober.probe(target, 30.0, experiment_id, seq).lost
+        lost = prober.probe(target, 30.0, experiment_id, seq) is None
         assert prober.answered(target, experiment_id, seq) == (not lost)
 
 
@@ -567,12 +577,13 @@ def test_probing_resolves_a_deployment_once(monkeypatch):
 # -- the whole campaign ------------------------------------------------------
 
 
-#: SHA-256 of the small-testbed campaign's model at the commit *before*
-#: the probe-plane rewrite.  The executor/fault identity matrices compare
+#: SHA-256 of the small-testbed campaign's model, re-pinned by the PR
+#: that defined per-experiment noise as a counter-based stream (PR 22;
+#: 378394e2… before it).  The executor/fault identity matrices compare
 #: the code with itself; this compares it with its past.  It moves only
 #: when a noise stream, the topology generator or the model format
 #: changes — re-pin it then, in the PR that says so, from the parent.
-GOLDEN_MODEL_SHA256 = "378394e22af64819b80afabc3ba8b6222d3219283e01ecb9196d6851949eaea6"
+GOLDEN_MODEL_SHA256 = "d1806f8cf7b04e0fc07d0f3dab664e9e7fb6fc6b660860fa9ace62cee8e6216b"
 
 
 def test_golden_model_digest(testbed, targets):

@@ -1,9 +1,12 @@
 """Tests for RTT estimation and the RTT matrix."""
 
+import math
+
+import numpy
 import pytest
 
 from repro.measurement.icmp import IcmpProber
-from repro.measurement.rtt import RttMatrix, estimate_rtt
+from repro.measurement.rtt import RttMatrix, estimate_rtts
 from repro.measurement.targets import PingTarget
 from repro.measurement.tunnels import TunnelManager
 from repro.util.errors import MeasurementError
@@ -11,6 +14,18 @@ from repro.util.errors import MeasurementError
 
 def target(loss=0.0, tid=1):
     return PingTarget(tid, 100000, "10.0.0.0/24", 2.0, loss)
+
+
+def estimate_rtt(prober, tunnels, target, site_id, true_path_rtt_ms, experiment_id, **limits):
+    """``estimate_rtts`` for one target measured through ``site_id``'s
+    tunnel; None when it has no sample."""
+    tunnel = tunnels.tunnel(site_id)
+    estimate = estimate_rtts(
+        prober, [target.target_id], [target.loss_rate], experiment_id,
+        numpy.array([true_path_rtt_ms + tunnel.true_rtt_ms]), tunnel.estimated_rtt_ms,
+        **limits,
+    ).item()
+    return None if math.isnan(estimate) else estimate
 
 
 class TestEstimateRtt:
@@ -43,6 +58,17 @@ class TestEstimateRtt:
         estimate = estimate_rtt(
             prober, tunnels, target(), 1, 60.0, experiment_id=1,
             probes=3, min_valid=4,
+        )
+        assert estimate is None
+
+    @pytest.mark.parametrize("min_valid", [0, 3])
+    def test_an_empty_train_is_no_sample(self, testbed, min_valid):
+        prober = IcmpProber(seed=4)
+        tunnels = TunnelManager(testbed, seed=4)
+        assert prober.delays([1, 2], [0.0, 0.5], 1, []).shape == (2, 0)
+        estimate = estimate_rtt(
+            prober, tunnels, target(), 1, 60.0, experiment_id=1,
+            probes=0, min_valid=min_valid,
         )
         assert estimate is None
 
@@ -91,8 +117,14 @@ class TestRttMatrix:
         with pytest.raises(MeasurementError):
             m.mean_unicast_rtt(3)
 
-    def test_best_site_for(self):
+    def test_set_row_writes_what_set_writes(self):
+        by_cell, by_row = self.make(), RttMatrix()
+        by_row.set_row(1, [10, 11], [50.0, 70.0])
+        by_row.set_row(2, [10, 11], [40.0, None])
+        assert by_row == by_cell
+
+    def test_set_row_drops_the_array_memo(self):
         m = self.make()
-        assert m.best_site_for(10) == 2
-        assert m.best_site_for(11) == 1
-        assert m.best_site_for(99) is None
+        assert m.array([1], [10]).tolist() == [[50.0]]
+        m.set_row(1, [10], [51.0])
+        assert m.array([1], [10]).tolist() == [[51.0]]

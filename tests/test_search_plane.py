@@ -499,11 +499,12 @@ class TestWinnerCodes:
         assert model.total_orders([1], (1, 2))[1].tolist() == [[1, 2]]
 
 
-#: ``payload_sha256`` of the conftest model's snapshot at the commit
-#: *before* ``compile_snapshot`` was moved onto ``winner_codes``.  It
-#: moves only with the snapshot format, a noise stream or the topology
+#: ``payload_sha256`` of the conftest model's snapshot, re-pinned by the
+#: PR that defined per-experiment noise as a counter-based stream (PR 22;
+#: fe63820c… before it, unchanged since ``compile_snapshot`` predated
+#: ``winner_codes``).  It moves only with the snapshot format, a noise stream or the topology
 #: generator — re-pin it then, from the parent, in the PR that says so.
-GOLDEN_PAYLOAD_SHA256 = "fe63820c55aed3c58237cefdfb25f0febcebc5ff94531be8dc6f3486d657532c"
+GOLDEN_PAYLOAD_SHA256 = "7b4c3dbbca1b33914112b986028c1a529056782503550884fdb3fdc325350795"
 
 
 def test_golden_snapshot_payload(anyopt_model):

@@ -4,7 +4,10 @@ import math
 
 import pytest
 
-from repro.util.rng import derive_rng, hash_prefix, make_rng, stable_hash, uniform_block
+from repro.bgp.delta import LinkJitter
+from repro.util.rng import derive_rng, hash_prefix, make_rng, stable_hash, uniforms
+
+from tests.reference_noise import reference_uniform
 
 
 class TestStableHash:
@@ -61,42 +64,43 @@ class TestDeriveRng:
 
 
 class TestUniformBlock:
-    # 312 doubles use up one 624-word generator state exactly.
+    """A block of the noise stream on a fixed grid of sizes and
+    offsets (``tests/test_noise.py`` has the property-based half):
+    a block is the words at its addresses, whatever was read before."""
+
+    # 4 words make one Philox block; 312 / 313 straddle a boundary.
     SIZES = (0, 1, 311, 312, 313, 1300)
+    KEY = stable_hash(7, "block")
 
     @pytest.mark.parametrize("advanced", [0, 1, 5, 623, 700])
     @pytest.mark.parametrize("n", SIZES)
     def test_equals_successive_random_calls(self, n, advanced):
-        block_rng, plain_rng = derive_rng(7, "block"), derive_rng(7, "block")
-        for _ in range(advanced):
-            assert block_rng.random() == plain_rng.random()
-        block = uniform_block(block_rng, n)
+        """``advanced`` is both the block's first word and the number
+        of unrelated reads made on this thread before it."""
+        for word in range(advanced):
+            uniforms(stable_hash("unrelated", word), word, 3)
+        block = uniforms(self.KEY, advanced, n)
         assert block.dtype == float and block.shape == (n,)
-        assert block.tolist() == [plain_rng.random() for _ in range(n)]
-        # ... and the stream continues where those calls left it.
-        assert block_rng.getstate() == plain_rng.getstate()
-        assert block_rng.random() == plain_rng.random()
+        assert block.tolist() == [
+            uniforms(self.KEY, advanced + i, 1).item() for i in range(n)
+        ]
+        assert block.tolist()[:40] == [
+            reference_uniform(self.KEY, advanced + i) for i in range(min(n, 40))
+        ]
 
     def test_consecutive_blocks_continue_the_stream(self):
-        block_rng, plain_rng = make_rng(3), make_rng(3)
-        blocks = [uniform_block(block_rng, n).tolist() for n in self.SIZES]
-        assert blocks == [[plain_rng.random() for _ in range(n)] for n in self.SIZES]
-
-    def test_pending_gauss_value_is_kept(self):
-        block_rng, plain_rng = make_rng(9), make_rng(9)
-        assert block_rng.gauss(0.0, 1.0) == plain_rng.gauss(0.0, 1.0)
-        uniform_block(block_rng, 4)
-        for _ in range(4):
-            plain_rng.random()
-        assert block_rng.gauss(0.0, 1.0) == plain_rng.gauss(0.0, 1.0)
+        starts = [sum(self.SIZES[:i]) for i in range(len(self.SIZES))]
+        blocks = [uniforms(self.KEY, s, n).tolist() for s, n in zip(starts, self.SIZES)]
+        assert sum(blocks, []) == uniforms(self.KEY, 0, sum(self.SIZES)).tolist()
 
     @pytest.mark.parametrize("lambd", [1.0 / 20.0, 0.2, 3.0])
     def test_expovariate_over_the_block(self, lambd):
-        """``-log(1 - u) / lambd`` over the block is ``expovariate``
-        element for element — what the engine's per-link delay jitter
+        """``-log(1 - u) / lambd`` over the block — ``expovariate``'s
+        own expression — is what a :class:`LinkJitter` lookup answers,
+        element for element: what the engine's per-link delay jitter
         relies on."""
-        block = uniform_block(derive_rng(11, "delay-jitter", 4), 1300)
-        plain_rng = derive_rng(11, "delay-jitter", 4)
+        block = uniforms(stable_hash(11, "delay-jitter", 4), 0, 1300)
+        jitter = LinkJitter({(0, slot): slot for slot in range(1300)}, block, lambd)
         assert [-math.log(1.0 - u) / lambd for u in block.tolist()] == [
-            plain_rng.expovariate(lambd) for _ in range(1300)
+            jitter[(0, slot)] for slot in range(1300)
         ]
