@@ -104,7 +104,7 @@ class TopologyInferencePredictor:
                 out[asn] = InferencePrediction(site_id=None, certain=False)
                 continue
             certain = all(
-                len(converged.states[hop].multipath) <= 1 for hop in outcome.as_path
+                len(converged.next_hops(hop)[1]) <= 1 for hop in outcome.as_path
             )
             out[asn] = InferencePrediction(site_id=outcome.site_id, certain=certain)
         return out

@@ -14,15 +14,21 @@ The path RTT accumulates on the way: inter-AS link RTTs, intra-AS
 backbone traversal for multi-PoP transits, and the site access link.
 
 Forwarding is a function of the converged next-hop graph, so a
-deployment resolves it once: every hop is a record in the
+deployment resolves it once: pure-stub clients take their first hop in
+one array pass, and every hop further up is a record in the
 :class:`DataPlane`'s forwarding table, built on first use and shared by
 every flow that passes through it (DESIGN.md, "Probe plane: the
 forwarding table").
 """
 
+import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from itertools import zip_longest
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.bgp.delta import LIVE
 from repro.bgp.engine import ConvergedState
 from repro.topology.generator import Internet
 from repro.util.rng import stable_hash
@@ -51,11 +57,10 @@ class ForwardingOutcome:
 
 
 _MISSING = object()
-_ANY_FLOW = object()
 
-#: What :meth:`DataPlane.resolve` answers for a client AS whose walk
-#: crosses a multipath split: ask :meth:`DataPlane.forward` per flow.
-PER_FLOW = object()
+#: The suffix of a node without a route: the NaN addend makes the flow's
+#: RTT NaN, which is how :meth:`DataPlane.resolve_flows` says "no route".
+_UNROUTED = (0, (math.nan,))
 
 
 class _Terminal(NamedTuple):
@@ -86,11 +91,12 @@ class DataPlane:
     the PoP at which the flow enters a multi-PoP AS (None for a
     single-PoP one): together with the AS it fixes the next hop and both
     costs, whichever neighbour the flow came from, so the flows of a
-    deployment share their transit hops.  A walk follows
-    records from the client, resolving the missing ones, and sums the
-    RTT in its own client-first order (``rtt += transit; rtt += link``
-    per hop, then the terminal's ``add_ms``), so the float is the one
-    a hop-by-hop walk over the states accumulates.
+    deployment share their transit hops.  A flow's RTT is summed in its
+    own client-first order (``rtt += transit; rtt += link`` per hop,
+    then the terminal's ``add_ms``), so the float is the one a
+    hop-by-hop walk over the states accumulates — whether
+    :meth:`forward` walks one flow or :meth:`resolve_flows` replays the
+    same addends for all of them, a level at a time.
 
     ``flow_nonce`` seeds the per-flow ECMP hash of multipath ASes; two
     data planes built over the same converged state but with different
@@ -106,31 +112,65 @@ class DataPlane:
         #: Hop records, each resolved once.
         self._table: dict = {}
         #: Finished walks: per client ASN the outcome all its flows
-        #: share (or ``PER_FLOW``), per ``(ASN, flow key)`` the outcome
-        #: of a flow that was hashed on the way.
+        #: share, per ``(ASN, flow key)`` that of a flow that was hashed.
         self._memo: dict = {}
+        #: Per ``(AS, entry)`` node the rest of the walk from there:
+        #: ``(site, addends)``, or None where it reaches a split.
+        self._suffixes: dict = {}
 
-    def resolve(self, client_asn: int):
-        """The outcome every flow of ``client_asn`` shares — a
-        :class:`ForwardingOutcome`, or None without a route — or
-        :data:`PER_FLOW` when its walk reaches a multipath split.
-        Each client AS is walked once."""
-        outcome = self._memo.get(client_asn, _MISSING)
-        if outcome is _MISSING:
-            outcome = self._memo[client_asn] = self._walk(client_asn, _ANY_FLOW)
-        return outcome
+    def resolve_flows(self, asns: Sequence[int], flow_keys: Sequence):
+        """Forward many flows at once: the columns ``(sites, rtts)`` — per
+        flow :meth:`forward`'s ``site_id`` and ``rtt_ms``, RTT NaN (site
+        0) where it answers None.  Pure stubs go through as arrays: the
+        first hop gathered from the run's stub choices and the static
+        :class:`~repro.topology.generator.StubColumns`, the rest resolved
+        once per node the flows arrive at (:meth:`_suffix`) and added
+        level by level over zero-padded rows — the scalar walk's
+        additions in its order, as ``0.0 + x == x + 0.0 == x``.  Flows
+        behind a multipath split, other clients and plain-dict states
+        take :meth:`forward`."""
+        sites = np.zeros(len(asns), dtype=np.int64)
+        rtts = np.full(len(asns), math.nan)
+        per_flow = np.ones(len(asns), dtype=bool)
+        choices = self.converged.stub_choices()
+        if choices is not None:
+            best, tied = choices
+            cols = self.internet.stub_columns()
+            row_of = cols.row.get
+            rows = np.array([row_of(asn, -1) for asn in asns], dtype=np.intp)
+            flows = np.flatnonzero(rows >= 0)  # those of pure stubs
+            rows = rows[flows]
+            col = best[rows]
+            per_flow[flows] = (col == LIVE) | (tied[rows] & cols.multipath[rows])
+            routed = (col >= 0) & ~per_flow[flows]  # the rest stay NaN: no offer
+            flows, rows, col = flows[routed], rows[routed], col[routed]
+            nodes, inverse = np.unique(cols.node[rows, col], return_inverse=True)
+            suffixes = [self._suffix(cols.nodes[node]) for node in nodes.tolist()]
+            shared = [suffix or _UNROUTED for suffix in suffixes]
+            rtt = cols.transit_ms[rows, col] + cols.link_ms[rows, col]
+            for level in zip_longest(*(addends for _, addends in shared), fillvalue=0.0):
+                rtt += np.array(level)[inverse]
+            rtts[flows] = rtt
+            sites[flows] = np.array([site for site, _ in shared], dtype=np.int64)[inverse]
+            per_flow[flows] = np.array([suffix is None for suffix in suffixes], dtype=bool)[inverse]
+        for i in np.flatnonzero(per_flow).tolist():
+            outcome = self.forward(asns[i], flow_keys[i])
+            if outcome is not None:
+                sites[i], rtts[i] = outcome.site_id, outcome.rtt_ms
+        return sites, rtts
 
     def forward(self, client_asn: int, flow_key) -> Optional[ForwardingOutcome]:
         """Trace one flow (``flow_key`` must be hashable); returns None
         when the client has no route (e.g. a peers-only configuration
         that cannot reach it).  Each client AS is walked once — once
-        per flow if its walk depends on the flow."""
-        outcome = self.resolve(client_asn)
-        if outcome is PER_FLOW:
+        per flow if its walk hashes the flow."""
+        outcome = self._memo.get(client_asn, _MISSING)
+        if outcome is _MISSING:
             key = (client_asn, flow_key)
             outcome = self._memo.get(key, _MISSING)
             if outcome is _MISSING:
-                outcome = self._memo[key] = self._walk(client_asn, flow_key)
+                outcome, hashed = self._walk(client_asn, flow_key)
+                self._memo[key if hashed else client_asn] = outcome
         return outcome
 
     def next_hop(self, asn: int, flow_key) -> Tuple[int, bool]:
@@ -145,42 +185,65 @@ class DataPlane:
 
     # -- internals ---------------------------------------------------------
 
+    def _lookup(self, key):
+        """The hop record under ``key``, resolved on first use."""
+        record = self._table.get(key, _MISSING)
+        if record is _MISSING:
+            record = self._table[key] = (self._record if len(key) == 2 else self._hop)(*key)
+        return record
+
     def _walk(self, client_asn: int, flow_key):
-        """Follow hop records from the client.  ``_ANY_FLOW`` stands
-        for every flow of the AS at once and stops at the first split
-        with ``PER_FLOW``."""
-        table = self._table
+        """Follow hop records from the client; returns the outcome and
+        whether a split hashed the flow on the way."""
         cur = client_asn
         entry = self.internet.entry_pop(cur, None)
         rtt = 0.0
         hops = [cur]
+        hashed = False
         while True:
-            key = (cur, entry)
-            record = table.get(key, _MISSING)
-            if record is _MISSING:
-                record = table[key] = self._record(cur, entry)
+            record = self._lookup((cur, entry))
             if type(record) is _Split:
-                if flow_key is _ANY_FLOW:
-                    return PER_FLOW
-                key = (cur, entry, self._pick(record.tied, cur, flow_key))
-                record = table.get(key, _MISSING)
-                if record is _MISSING:
-                    record = table[key] = self._hop(*key)
+                hashed = True
+                record = self._lookup((cur, entry, self._pick(record.tied, cur, flow_key)))
             if record is None:
-                return None
+                return None, hashed
             if type(record) is _Terminal:
                 site_id, add_ms, ingress_pop = record
                 rtt += add_ms
-                return ForwardingOutcome(site_id, cur, tuple(hops), rtt, ingress_pop)
+                return ForwardingOutcome(site_id, cur, tuple(hops), rtt, ingress_pop), hashed
             nxt, transit_ms, link_ms, entry = record
             if nxt in hops:
                 # A forwarding loop across inconsistent multipath
                 # choices; the flow is effectively blackholed.
-                return None
+                return None, hashed
             rtt += transit_ms
             rtt += link_ms
             cur = nxt
             hops.append(cur)
+
+    def _suffix(self, node, behind=()):
+        """What a flow arriving at ``node = (AS, entry)`` has ahead:
+        ``(site, addends)`` — the hop's transit and link RTT followed
+        by the next node's addends, never pre-summed (float addition is
+        not associative) — ``_UNROUTED``, or None where a split makes
+        it depend on the flow.  ``behind``: the ASes that led here."""
+        suffix = self._suffixes.get(node, _MISSING)
+        if suffix is _MISSING:
+            record = self._lookup(node)
+            if type(record) is _Split:
+                suffix = None
+            elif record is None:
+                suffix = _UNROUTED
+            elif type(record) is _Terminal:
+                suffix = (record.site_id, (record.add_ms,))
+            elif record.next_asn in behind + node[:1]:
+                suffix = _UNROUTED  # a forwarding loop
+            else:
+                suffix = self._suffix((record.next_asn, record.next_entry), behind + node[:1])
+                if suffix is not None:
+                    suffix = (suffix[0], (record.transit_ms, record.link_ms) + suffix[1])
+            self._suffixes[node] = suffix
+        return suffix
 
     def _pick(self, tied: List[int], asn: int, flow_key) -> int:
         return tied[stable_hash(flow_key, asn, self.flow_nonce) % len(tied)]

@@ -33,8 +33,9 @@ suite's oracle, ``tests/reference_engine.py``):
   stub-bound message without enumerating the stubs.  Stub states are
   synthesized lazily from the episode log on first read
   (:class:`LazyStates`) — and not at all for the data plane, whose one
-  question, where a stub forwards, the same episodes answer directly
-  (:meth:`LazyStates.next_hops`) — and message/event counts and the
+  question, where a stub forwards, the same episodes answer for all
+  stubs in one array pass (:meth:`LazyStates.stub_choices`; for one,
+  :meth:`LazyStates.next_hops`) — and message/event counts and the
   convergence timestamp are reconstructed from episode arithmetic, so
   metrics and traces match the plain loop too.
 
@@ -86,6 +87,20 @@ from repro.util.errors import ConvergenceBudgetError, ReproError
 #: Relative width of the band below the best *estimated* stub arrival
 #: whose members get their exact arrival computed (see ``converge``).
 _ARRIVAL_MARGIN = 1e-9
+
+#: :meth:`_StubViews.decide`: the key of a provider offering nothing,
+#: and the ``best`` of a stub that had a speaker of its own in the run.
+_NO_OFFER = np.iinfo(np.int64).max
+LIVE = -2
+
+
+def _stub_key(local_pref, length, interior):
+    """The strict decision key ``(-local_pref, len(path), interior)``
+    of integer arrays as one int64 array that orders the same way."""
+    for values, bits in ((local_pref, 18), (length, 12), (interior, 32)):
+        if values.min(initial=0) < 0 or values.max(initial=0) >> bits:
+            raise ReproError("a stub's decision key does not fit its 64-bit packing")
+    return (length << 32 | interior) - (local_pref << 44)
 
 
 class _PrunedTables:
@@ -189,19 +204,17 @@ class LazyStates(Mapping):
 
     :meth:`next_hops` answers the one question the data plane asks of
     a state — where does this AS forward — and for an aggregated stub
-    it does so from the providers' episodes alone, with no state built.
+    it does so from the providers' episodes alone, with no state built:
+    a row of :meth:`stub_choices`, which answers for all of them.
     """
 
-    __slots__ = (
-        "_materialized", "_pristine", "_aggregated", "_choose", "_synth", "_pending", "_patch",
-    )
+    __slots__ = ("_materialized", "_pristine", "_aggregated", "_stubs", "_pending", "_patch")
 
-    def __init__(self, materialized, pristine, aggregated, choose, synth, pending, patch):
+    def __init__(self, materialized, pristine, aggregated, stubs, pending, patch):
         self._materialized: Dict[int, RouterState] = materialized
         self._pristine: Dict[int, RouterState] = pristine
         self._aggregated = aggregated
-        self._choose = choose
-        self._synth = synth
+        self._stubs: "_StubViews" = stubs
         #: Providers whose advertised_to still lacks its stub entries.
         self._pending = pending
         self._patch = patch
@@ -214,7 +227,7 @@ class LazyStates(Mapping):
                 self._patch(asn, state)
             return state
         if asn in self._aggregated:
-            state = self._synth(asn)
+            state = self._stubs.synth(asn) or self._pristine[asn]
             self._materialized[asn] = state
             return state
         return self._pristine[asn]
@@ -233,8 +246,13 @@ class LazyStates(Mapping):
         an aggregated stub."""
         state = self._materialized.get(asn)
         if state is None:
-            return self._choose(asn) if asn in self._aggregated else None
+            return self._stubs.choose(asn) if asn in self._aggregated else None
         return state.next_hops()
+
+    def stub_choices(self):
+        """:meth:`next_hops` of every pure stub at once — ``(best,
+        tied)`` of :meth:`_StubViews.decide`."""
+        return self._stubs.decide()[1:]
 
     def __iter__(self):
         return iter(self._pristine)
@@ -262,6 +280,119 @@ class LazyStates(Mapping):
 
     def __reduce__(self):
         return (dict, ({asn: self[asn] for asn in self._pristine},))
+
+
+class _StubViews:
+    """One run's aggregated stubs, decided from their providers' export
+    episodes: all in one pass (:meth:`decide`), one (:meth:`choose`, a
+    row of that pass), or one as a whole state (:meth:`synth`, whose
+    ``best`` / ``multipath`` are :meth:`choose`'s) — one stub decision.
+
+    A stub holds one offer per provider whose last export episode
+    carries a path, each a ``make_route`` with origin code and MED 0,
+    so the decision process (:func:`repro.bgp.decision.evaluate`) ranks
+    them by ``(-local_pref, len(path), interior)`` (:func:`_stub_key`)
+    and then, among strict ties of an AS that breaks ties on it, by
+    arrival time — the event push's own ``t + delay + jitter``,
+    ``math.log`` included; providers are columns in ASN order, so
+    ``argmin`` and the tied set come out in neighbour-id order.
+    """
+
+    def __init__(self, internet, tables, prefix, overlay, ep_log, jitter, live):
+        self.internet = internet
+        self.tables = tables
+        self.prefix = prefix
+        self.overlay = overlay
+        self.ep_log = ep_log
+        self.jitter = jitter
+        self.live = live
+        self._decided = None
+
+    def arrival(self, stub: int, provider: int) -> float:
+        pair = (provider, stub)
+        return (
+            self.ep_log[provider][-1][0] + self.tables.prop_delay[pair]
+            + self.jitter.get(pair, 0.0)
+        )
+
+    def decide(self):
+        """``(key, best, tied)`` over the rows of ``StubColumns``: the
+        packed keys, the chosen provider's column (-1 without an offer,
+        :data:`LIVE` for a stub that was live this run) and whether
+        several offers share the best key.  Computed on first use."""
+        if self._decided is None:
+            tables = self.tables
+            cols = self.internet.stub_columns()
+            stub_providers = tables.stub_providers
+            # Path length per provider; the extra last slot is what the
+            # padding's provider index -1 reads: no offer.
+            length = np.zeros(len(tables.index_asn) + 1, dtype=np.int64)
+            for provider, eps in self.ep_log.items():
+                path = eps[-1][1]
+                if path is not None:
+                    length[tables.asn_index[provider]] = len(path)
+            interior = cols.interior.copy()
+            for (asn, neighbor), cost in self.overlay.items():
+                row = cols.row.get(asn)
+                if row is not None and neighbor in stub_providers[asn]:
+                    interior[row, stub_providers[asn].index(neighbor)] = cost
+            offered = length[cols.provider]
+            key = _stub_key(cols.local_pref, offered, interior)
+            key[offered == 0] = _NO_OFFER
+            best = key.argmin(axis=1)
+            low = key.min(axis=1)
+            tied = (key == low[:, None]).sum(axis=1) > 1
+            best[low == _NO_OFFER] = -1
+            tied &= best >= 0
+            stubs = tuple(cols.row)
+            rows = np.flatnonzero(tied & cols.arrival_order)
+            for row, lowest in zip(rows.tolist(), (key[rows] == low[rows, None]).tolist()):
+                stub = stubs[row]
+                providers = stub_providers[stub]
+                best[row] = min(
+                    (col for col, at_best in enumerate(lowest) if at_best),
+                    key=lambda col: self.arrival(stub, providers[col]),
+                )
+            for stub in self.live:
+                best[cols.row[stub]] = LIVE
+            self._decided = key, best, tied
+        return self._decided
+
+    def choose(self, stub: int):
+        """``(best provider, strict-tied providers)`` or None."""
+        key, best, _ = self.decide()
+        row = self.internet.stub_columns().row[stub]
+        col = best[row]
+        if col < 0:
+            return None
+        providers = self.tables.stub_providers[stub]
+        return providers[col], [
+            providers[c] for c in np.flatnonzero(key[row] == key[row, col]).tolist()
+        ]
+
+    def synth(self, stub: int) -> Optional[RouterState]:
+        """The stub's state (None: the pristine one), ``==`` to the one
+        a live speaker builds by simulation: per offering provider
+        session what ``BGPSpeaker.receive_announcement`` stores (same
+        import values, same route constructor)."""
+        chosen = self.choose(stub)
+        if chosen is None:
+            return None
+        state = RouterState(stub)
+        adj = state.adj_rib_in
+        for provider in self.tables.stub_providers[stub]:
+            eps = self.ep_log.get(provider)
+            if not eps or eps[-1][1] is None:
+                continue
+            session = (stub, provider)
+            local_pref, interior, rel = self.tables.session_import[session]
+            adj[provider] = make_route(
+                self.prefix, eps[-1][1], provider, local_pref, rel, 0,
+                self.overlay.get(session, interior), self.arrival(stub, provider),
+            )
+        state.best = adj[chosen[0]]
+        state.multipath = [adj[provider] for provider in chosen[1]]
+        return state
 
 
 class DeltaConverger:
@@ -618,7 +749,9 @@ class DeltaConverger:
             materialized,
             pristine,
             agg,
-            *self._make_stub_views(tables, igp_overlay, pristine, ep_log, jitter),
+            _StubViews(
+                self.internet, tables, self.prefix, igp_overlay or {}, ep_log, jitter, live_stubs
+            ),
             set(ep_log),
             self._make_patch(ep_log, stubs_run),
         )
@@ -626,95 +759,6 @@ class DeltaConverger:
         messages += agg_count
         events += agg_count
         return states, last_time, messages, events
-
-    def _make_stub_views(self, tables, igp_overlay, pristine, ep_log, jitter):
-        """``(choose, synth)`` for one run's :class:`LazyStates`: an
-        aggregated stub's decision, and its whole state.
-
-        A stub holds one offer per provider whose last export episode
-        carries a path.  ``choose`` runs the decision process
-        (:func:`repro.bgp.decision.evaluate`) over those offers without
-        building them: every offer is a ``make_route`` with origin code
-        and MED 0, so the strict key orders like ``(-local_pref,
-        len(path), interior)``; the arrival time — the event push's own
-        ``t + delay + jitter`` — is evaluated only among strict-tied
-        offers of an AS that breaks ties on it; and ``stub_providers``
-        is sorted, so the tied set comes out in neighbour-id order.
-        ``synth`` mirrors ``BGPSpeaker.receive_announcement`` per
-        provider session (same import values, same route constructor)
-        and takes ``best`` / ``multipath`` from that same ``choose``,
-        so the synthesized state is ``==`` to the one a live speaker
-        builds by simulation.
-        """
-        session_import = tables.session_import
-        stub_providers = tables.stub_providers
-        prop_delay = tables.prop_delay
-        overlay = igp_overlay or {}
-        jitter_get = jitter.get
-        prefix = self.prefix
-        ases = self.internet.graph.ases
-        ep_get = ep_log.get
-
-        def offers(stub: int):
-            """``(provider, episode time, path, import values)`` per
-            provider session currently offering a route."""
-            out = []
-            for provider in stub_providers[stub]:
-                eps = ep_get(provider)
-                if not eps:
-                    continue
-                t, path = eps[-1]
-                if path is None:
-                    continue
-                session = (stub, provider)
-                local_pref, interior, rel = session_import[session]
-                session_interior = overlay.get(session)
-                if session_interior is not None:
-                    interior = session_interior
-                out.append((provider, t, path, local_pref, interior, rel))
-            return out
-
-        def arrival(stub: int, provider: int, t: float) -> float:
-            pair = (provider, stub)
-            return t + prop_delay[pair] + jitter_get(pair, 0.0)
-
-        def choose(stub: int, offered=None):
-            """``(best provider, strict-tied providers)`` or None."""
-            if offered is None:
-                offered = offers(stub)
-            if not offered:
-                return None
-            best_key = None
-            tied = []
-            for offer in offered:
-                key = (-offer[3], len(offer[2]), offer[4])
-                if best_key is None or key < best_key:
-                    best_key = key
-                    tied = [offer]
-                elif key == best_key:
-                    tied.append(offer)
-            best = tied[0]
-            if len(tied) > 1 and ases[stub].arrival_order_tiebreak:
-                best = min(tied, key=lambda o: (arrival(stub, o[0], o[1]), o[0]))
-            return best[0], [offer[0] for offer in tied]
-
-        def synth(stub: int) -> RouterState:
-            offered = offers(stub)
-            if not offered:
-                return pristine[stub]
-            state = RouterState(stub)
-            adj = state.adj_rib_in
-            for provider, t, path, local_pref, interior, rel in offered:
-                adj[provider] = make_route(
-                    prefix, path, provider, local_pref, rel, 0, interior,
-                    arrival(stub, provider, t),
-                )
-            best, tied = choose(stub, offered)
-            state.best = adj[best]
-            state.multipath = [adj[provider] for provider in tied]
-            return state
-
-        return choose, synth
 
     def _make_patch(self, ep_log, stubs_run):
         """The provider ``advertised_to`` patcher: re-adds the entries

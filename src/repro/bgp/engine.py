@@ -136,6 +136,14 @@ class ConvergedState:
         state = states.get(asn)
         return None if state is None else state.next_hops()
 
+    def stub_choices(self):
+        """:meth:`next_hops` of every pure stub as columns
+        (:meth:`LazyStates.stub_choices
+        <repro.bgp.delta.LazyStates.stub_choices>`), or None:
+        plain-dict states answer one AS at a time."""
+        states = self.states
+        return states.stub_choices() if isinstance(states, LazyStates) else None
+
 
 class BGPEngine:
     """Runs anycast announcements over an :class:`Internet` to

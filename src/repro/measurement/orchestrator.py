@@ -22,7 +22,7 @@ from repro.measurement.icmp import IcmpProber
 from repro.measurement.rtt import RttMatrix, estimate_rtts
 from repro.measurement.targets import PingTarget, ProbeColumns, TargetSet
 from repro.measurement.tunnels import TunnelManager
-from repro.measurement.verfploeter import CatchmentMap, measure_catchments, resolve_targets
+from repro.measurement.verfploeter import CatchmentMap, measure_catchments
 from repro.obs.log import get_logger
 from repro.obs.trace import Tracer
 from repro.runtime.cache import ConvergenceCache
@@ -94,11 +94,10 @@ class Deployment:
 
     def _true_rtts(self, columns: ProbeColumns):
         """Per target: ground-truth RTT to its catchment site (NaN
-        without a route) and the forwarding outcome behind it."""
-        outcomes = resolve_targets(self.dataplane, columns)
-        path = np.array([math.nan if o is None else o.rtt_ms for o in outcomes])
+        without a route) and that site."""
+        sites, path = self.dataplane.resolve_flows(columns.asns, columns.ids)
         drift = self.orchestrator.rtt_drift_factors(self.experiment_id, columns.ids)
-        return path * drift + columns.last_mile_ms, outcomes
+        return path * drift + columns.last_mile_ms, sites
 
     def true_rtt(self, target: PingTarget) -> Optional[float]:
         """Ground-truth RTT between the target and its catchment site,
@@ -134,13 +133,17 @@ class Deployment:
         orchestrator = self.orchestrator
         columns = ProbeColumns.of(orchestrator.targets if targets is None else targets)
         orchestrator.metrics.counter("rtt_estimates").increment(len(columns.ids))
-        true_rtt, outcomes = self._true_rtts(columns)
-        tunnel = orchestrator.tunnels.tunnel
-        tunnels = [None if o is None else tunnel(o.site_id) for o in outcomes]
+        true_rtt, sites = self._true_rtts(columns)
+        # One tunnel lookup per distinct catchment site.
+        routed = np.flatnonzero(true_rtt == true_rtt)
+        reached, inverse = np.unique(sites[routed], return_inverse=True)
+        tunnels = [orchestrator.tunnels.tunnel(site) for site in reached.tolist()]
+        tunnel_true, tunnel_estimate = np.full((2, len(sites)), math.nan)
+        tunnel_true[routed] = np.array([t.true_rtt_ms for t in tunnels])[inverse]
+        tunnel_estimate[routed] = np.array([t.estimated_rtt_ms for t in tunnels])[inverse]
         return _optional(estimate_rtts(
             orchestrator.prober, columns.ids, columns.loss_rates, self.experiment_id,
-            true_rtt + np.array([math.nan if t is None else t.true_rtt_ms for t in tunnels]),
-            np.array([math.nan if t is None else t.estimated_rtt_ms for t in tunnels]),
+            true_rtt + tunnel_true, tunnel_estimate,
         ))
 
     def measure_rtt(self, target: PingTarget) -> Optional[float]:

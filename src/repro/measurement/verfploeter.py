@@ -8,11 +8,10 @@ probes are all lost stays unmapped for that experiment.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, Optional, Sequence, Set, Union
 
 import numpy as np
 
-from repro.bgp.dataplane import PER_FLOW, ForwardingOutcome
 from repro.measurement.icmp import IcmpProber
 from repro.measurement.targets import PingTarget, ProbeColumns, TargetSet
 from repro.util.errors import MeasurementError
@@ -48,18 +47,6 @@ class CatchmentMap:
         return sizes
 
 
-def resolve_targets(dataplane, columns: ProbeColumns) -> List[Optional[ForwardingOutcome]]:
-    """Where each target's reply lands (None = no route): each client
-    AS is resolved once; only targets of an AS whose path crosses a
-    multipath split are forwarded flow by flow (key: the target id)."""
-    outcome_of_as = {asn: dataplane.resolve(asn) for asn in set(columns.asns)}
-    return [
-        dataplane.forward(asn, target_id) if outcome_of_as[asn] is PER_FLOW
-        else outcome_of_as[asn]
-        for target_id, asn in zip(columns.ids, columns.asns)
-    ]
-
-
 def measure_catchments(
     deployment,
     targets: Union[TargetSet, Sequence[PingTarget]],
@@ -71,20 +58,19 @@ def measure_catchments(
     ``deployment`` must expose ``experiment_id`` and ``dataplane`` (a
     :class:`~repro.bgp.dataplane.DataPlane`; see
     :class:`repro.measurement.orchestrator.Deployment`).  One pass maps
-    all targets (:func:`resolve_targets`), each probed up to ``1 +
-    retries`` times; only the loss decision of a probe is read (a
-    target without a loss rate never loses one) — a reply identifies
-    the catchment by the tunnel it arrives through, never by its RTT.
+    all targets (:meth:`DataPlane.resolve_flows
+    <repro.bgp.dataplane.DataPlane.resolve_flows>`, the target id as
+    flow key), each probed up to ``1 + retries`` times; only the loss
+    decision of a probe is read (a target without a loss rate never
+    loses one) — a reply identifies the catchment by the tunnel it
+    arrives through, never by its RTT.
     """
     columns = ProbeColumns.of(targets)
     experiment_id = deployment.experiment_id
-    sites = [
-        None if outcome is None else outcome.site_id
-        for outcome in resolve_targets(deployment.dataplane, columns)
-    ]
+    sites, rtts = deployment.dataplane.resolve_flows(columns.asns, columns.ids)
+    unmapped = np.isnan(rtts)
     silent = np.ones(len(sites), dtype=bool)
     for attempt in range(1 + retries):
         silent &= prober.lost(columns.ids, columns.loss_rates, experiment_id, 100 + attempt)
-    for i in np.flatnonzero(silent).tolist():
-        sites[i] = None
+    sites = np.where(unmapped | silent, None, sites).tolist()
     return CatchmentMap(experiment_id=experiment_id, mapping=dict(zip(columns.ids, sites)))

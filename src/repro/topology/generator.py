@@ -12,7 +12,9 @@ advertisement *arrival order* is well defined (S4.2).
 import math
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.topology.astopo import AS, ASGraph, Link, Relationship
 from repro.topology.geo import (
@@ -194,6 +196,30 @@ class Hop(NamedTuple):
     next_entry: Optional[int]
 
 
+class StubColumns(NamedTuple):
+    """What is static about a pure stub's first hop
+    (:meth:`Internet.stub_columns`), as ``[stub, provider]`` arrays:
+    rows are ``TopologyTables.stub_providers`` in ASN order, columns a
+    stub's providers in ASN order, padded to the widest stub."""
+
+    #: stub ASN -> row
+    row: Dict[int, int]
+    #: the provider's ``TopologyTables.asn_index``; -1 in the padding
+    provider: np.ndarray
+    #: the session's import values (``TopologyTables.session_import``)
+    local_pref: np.ndarray
+    interior: np.ndarray
+    #: the stub's :class:`Hop` toward the provider; ``node`` indexes
+    #: ``nodes``, the ``(provider ASN, entry PoP)`` the flow arrives at
+    transit_ms: np.ndarray
+    link_ms: np.ndarray
+    node: np.ndarray
+    nodes: List[Tuple[int, Optional[int]]]
+    #: per stub: ``AS.multipath`` and ``AS.arrival_order_tiebreak``
+    multipath: np.ndarray
+    arrival_order: np.ndarray
+
+
 class Internet:
     """A generated Internet: AS graph plus per-AS PoP backbones."""
 
@@ -253,6 +279,37 @@ class Internet:
                 self.entry_pop(neighbor, asn),
             )
         return hop
+
+    def stub_columns(self) -> StubColumns:
+        """The first hop of every pure stub toward each of its
+        providers, as columns.  Like :meth:`hop` a pure function of the
+        topology kept on the graph's tables; built by the first bulk
+        probe (a deploy never asks)."""
+        tables = self.graph.tables()
+        if tables.stub_columns is None:
+            providers = tables.stub_providers
+            stubs = sorted(providers)
+            shape = (len(stubs), max(map(len, providers.values()), default=1))
+            provider = np.full(shape, -1, dtype=np.intp)
+            local_pref, interior, node = np.zeros((3,) + shape, dtype=np.int64)
+            transit_ms, link_ms = np.zeros((2,) + shape)
+            nodes: Dict[Tuple[int, Optional[int]], int] = {}
+            for row, stub in enumerate(stubs):
+                entry = self.entry_pop(stub, None)
+                for col, asn in enumerate(providers[stub]):
+                    at = row, col
+                    provider[at] = tables.asn_index[asn]
+                    local_pref[at], interior[at], _ = tables.session_import[stub, asn]
+                    _, transit_ms[at], link_ms[at], there = self.hop(stub, entry, asn)
+                    node[at] = nodes.setdefault((asn, there), len(nodes))
+            ases = [self.graph.as_of(stub) for stub in stubs]
+            tables.stub_columns = StubColumns(
+                {stub: row for row, stub in enumerate(stubs)},
+                provider, local_pref, interior, transit_ms, link_ms, node, list(nodes),
+                np.array([a.multipath for a in ases], dtype=bool),
+                np.array([a.arrival_order_tiebreak for a in ases], dtype=bool),
+            )
+        return tables.stub_columns
 
     def tier1_by_name(self, name: str) -> int:
         for asn, node in self.graph.ases.items():

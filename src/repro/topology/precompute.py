@@ -75,6 +75,9 @@ class TopologyTables:
             backbones of the :class:`Internet` owning the graph; it
             lives here so that it is dropped with the tables when the
             graph changes.
+        stub_columns: memo of :meth:`Internet.stub_columns
+            <repro.topology.generator.Internet.stub_columns>`, kept
+            here for the same reason.
         revision: the graph mutation counter the tables were built
             from; a mismatch means the tables are stale.
     """
@@ -90,6 +93,7 @@ class TopologyTables:
     asn_index: Dict[int, int] = field(default_factory=dict)
     stub_providers: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
     hops: Dict[Tuple[int, Optional[int], int], tuple] = field(default_factory=dict)
+    stub_columns: Optional[tuple] = None
     revision: int = 0
 
     def export_targets(self, asn: int, learned_rel: Relationship) -> Tuple[int, ...]:

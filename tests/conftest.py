@@ -4,6 +4,14 @@ Expensive artifacts (testbed, target set, discovered AnyOpt model) are
 session-scoped and deterministic, so the whole suite reuses one
 simulated Internet.  Tests that need noise-free behaviour use the
 ``clean_orchestrator`` (churn, drift, and jitter all zero).
+
+Experiment ids key every noise stream, and the session-scoped ``anyopt``
+hands them out in the order tests happen to ask — so what a test reads
+from ``anyopt`` / ``anyopt_model`` beyond the discovered model depends
+on which tests ran before it (ROADMAP, "Shape assertions that do not
+hang on one seed").  New tests build their own ``Orchestrator`` /
+``AnyOpt`` (``clean_orchestrator`` and ``noisy_orchestrator`` are
+per-test) and never draw ids from the session ones.
 """
 
 import pytest
@@ -14,6 +22,15 @@ from repro.measurement import Orchestrator
 from repro.topology import TestbedParams, TopologyParams, build_paper_testbed, generate_internet
 
 SEED = 7
+
+
+def hashed_clients(dataplane, asns):
+    """The client ASes among ``asns`` whose flows a multipath split
+    hashes — at the client or further up — after resolving them all:
+    a hashed walk is remembered per ``(AS, flow key)``, a shared one
+    per AS."""
+    dataplane.resolve_flows(asns, asns)
+    return {key[0] for key in dataplane._memo if type(key) is tuple}
 
 
 def small_topology_params() -> TopologyParams:

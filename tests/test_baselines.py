@@ -9,6 +9,7 @@ from repro.baselines import (
     random_config,
     random_small_config,
 )
+from repro.bgp.dataplane import DataPlane
 from repro.core.config import AnycastConfig
 from repro.util.errors import ConfigurationError
 
@@ -117,6 +118,27 @@ class TestTopologyInference:
             infer_n += 1
             infer_ok += guess.site_id == outcome.site_id
         assert anyopt_ok / anyopt_ok_n > infer_ok / infer_n
+
+    def test_certainty_builds_no_stub_state(self, testbed, monkeypatch):
+        """``certain`` is read off next hops, which an aggregated stub
+        answers without a ``RouterState`` — and it is what the states'
+        ``multipath`` lists say once they are built."""
+        predictor = TopologyInferencePredictor(testbed)
+        runs = []
+        run = predictor.engine.run
+        monkeypatch.setattr(
+            predictor.engine, "run", lambda injections: runs.append(run(injections)) or runs[-1]
+        )
+        preds = predictor.predict_all(AnycastConfig(site_order=(1, 6, 9)))
+        (converged,) = runs
+        states = converged.states
+        assert states._aggregated >= set(preds)
+        assert not states._aggregated & set(states._materialized)
+        dataplane = DataPlane(predictor.inferred, converged)
+        assert {p.certain for p in preds.values()} == {True, False}
+        for asn, pred in preds.items():
+            path = dataplane.forward(asn, asn).as_path
+            assert pred.certain == all(len(states[hop].multipath) <= 1 for hop in path)
 
     def test_single_client_prediction(self, predictor, testbed):
         asn = testbed.internet.graph.client_asns()[0]

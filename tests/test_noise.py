@@ -24,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import AnyOpt, CampaignSettings, select_targets
-from repro.bgp.dataplane import PER_FLOW
 from repro.bgp.engine import SiteInjection
 from repro.core.config import AnycastConfig
 from repro.io import model_to_dict
@@ -38,6 +37,7 @@ from repro.topology.astopo import Relationship
 from repro.util import rng
 from repro.util.rng import exponentials, noise_key, standard_normals, uniform_rows, uniforms
 
+from tests.conftest import hashed_clients
 from tests.reference_noise import reference_uniform
 
 SEED = 7
@@ -193,7 +193,7 @@ class TestViewsEqualBulk:
         assert {1, 3} < {b - a for a, b in zip(ids, ids[1:])}   # runs, gaps, wide gaps
         assert 0 < numpy.count_nonzero(targets.columns.loss_rates) < len(targets)
         (four_sites, rtts, cmap), (peer_only, peer_rtts, _) = deployments
-        assert any(four_sites.dataplane.resolve(asn) is PER_FLOW for asn in targets.asns())
+        assert hashed_clients(four_sites.dataplane, targets.asns())
         assert None in rtts and any(r is not None for r in rtts)   # lost trains
         unrouted = [t for t in targets if peer_only.forwarding(t) is None]
         assert 0 < len(unrouted) < len(targets)

@@ -1,34 +1,39 @@
 """The probe plane against oracles that live with the tests.
 
-A deployment is resolved once: ``DataPlane`` keeps a forwarding table of
-hop records and one finished walk per client AS, an aggregated stub's
-next hop comes from its providers' export episodes without a state,
-catchment mapping reads the table in one pass and draws only a probe's
-loss decision, and the RTT train reseeds one ``Random``.  Each shortcut
-is compared — with ``==``, floats included — against the plain form it
-replaced: the unmemoized hop-by-hop walk over the per-AS states, those
-states' own ``best`` / ``multipath`` (and the reference engine's live
-speakers), the full-probe catchment loop, and one ``probe()`` per
-sequence number.  A golden digest pins every noise stream of a whole
-campaign (re-pinned once, by the PR that moved the per-experiment noise
-onto the counter-based stream; ``tests/test_noise.py`` checks that
-noise against its definition and its closed-form moments).
+A deployment is resolved once, as arrays: every aggregated stub's next
+hop is one ``argmin`` over a packed key built from its providers' export
+episodes (no state), its first hop comes from static columns, the
+transit nodes the clients arrive at are walked once each and the RTTs
+replayed level by level; ``DataPlane.forward`` stays the single-flow
+walk over the same hop records.  Catchment mapping draws only a probe's
+loss decision.  Each shortcut is compared — with ``==``, floats included
+— against the plain form it replaced: the unmemoized hop-by-hop walk
+over the per-AS states, those states' own ``best`` / ``multipath`` (and
+the reference engine's live speakers), the full-probe catchment loop,
+and one ``probe()`` per sequence number.  A golden digest pins every
+noise stream of a whole campaign (re-pinned once, by the PR that moved
+the per-experiment noise onto the counter-based stream;
+``tests/test_noise.py`` checks that noise against its definition and
+its closed-form moments).
 """
 
 import collections
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import pickle
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import AnyOpt, build_paper_testbed, select_targets
-from repro.bgp.dataplane import PER_FLOW, DataPlane, ForwardingOutcome
-from repro.bgp.delta import LazyStates
+from repro import AnyOpt, CampaignSettings, build_paper_testbed, select_targets
+from repro.bgp import delta
+from repro.bgp.dataplane import DataPlane, ForwardingOutcome
+from repro.bgp.delta import LIVE, LazyStates
 from repro.bgp.engine import (
     ANYCAST_ORIGIN_ASN,
     BGPEngine,
@@ -44,12 +49,14 @@ from repro.measurement import Orchestrator
 from repro.measurement.icmp import IcmpProber
 from repro.measurement.targets import PingTarget
 from repro.measurement.verfploeter import measure_catchments
-from repro.topology import TestbedParams
+from repro.topology import SiteSpec, TestbedParams, build_custom_testbed
 from repro.topology.astopo import AS, ASGraph, Relationship
 from repro.topology.generator import Internet, TopologyParams, generate_internet
 from repro.topology.geo import city
-from repro.util.rng import stable_hash
-from tests.conftest import SEED
+from repro.topology.intradomain import PopNetwork
+from repro.util.errors import ReproError
+from repro.util.rng import derive_rng, stable_hash
+from tests.conftest import SEED, hashed_clients
 from tests.reference_engine import ReferenceEngine
 
 SETTINGS = dict(max_examples=25, deadline=None)
@@ -253,12 +260,11 @@ class TestForwardEqualsReference:
             SiteInjection(host, idx + 1, 0, 1.0, Relationship.CUSTOMER, 0.0)
             for idx, host in enumerate(graph.tier1_asns()[:4])
         ])
-        probe = DataPlane(internet, converged)
+        stubs = sorted(graph.tables().stub_providers)
         at_client, mid_path = [], []
-        for stub in sorted(graph.tables().stub_providers):
-            if probe.resolve(stub) is PER_FLOW:
-                own_split = len(converged.next_hops(stub)[1]) > 1
-                (at_client if own_split else mid_path).append(stub)
+        for stub in sorted(hashed_clients(DataPlane(internet, converged), stubs)):
+            own_split = len(converged.next_hops(stub)[1]) > 1
+            (at_client if own_split else mid_path).append(stub)
         assert at_client and mid_path
         assert not converged.states._aggregated & set(converged.states._materialized)
         flows = [(asn, key) for asn in at_client + mid_path for key in range(6)]
@@ -321,7 +327,7 @@ class TestForwardEqualsReference:
         assert {o.as_path for o in expected if o} == {(4, 2, 1), (4, 2, 3, 1)}
         flows = [(4, key) for key in keys]
         assert_forward_matches_reference(internet, converged, 0, flows)
-        assert DataPlane(internet, converged).resolve(4) is PER_FLOW
+        assert hashed_clients(DataPlane(internet, converged), [4]) == {4}
 
     def test_deployments_with_session_churn(self, noisy_orchestrator, targets):
         """Through the orchestrator: churned interior costs, one flow
@@ -365,6 +371,289 @@ class TestForwardEqualsReference:
             assert all(o is outcomes[0] for o in outcomes)
 
 
+# -- the array pass ----------------------------------------------------------
+
+
+def bulk_rows(dataplane, flows):
+    """``resolve_flows`` over ``flows`` = [(client ASN, flow key)]: one
+    ``(site, rtt)`` or None per flow."""
+    sites, rtts = dataplane.resolve_flows(*zip(*flows))
+    return [
+        None if rtt != rtt else (site, rtt)
+        for site, rtt in zip(sites.tolist(), rtts.tolist())
+    ]
+
+
+def assert_bulk_matches_reference(internet, converged, flow_nonce, flows):
+    """The columns of one ``resolve_flows`` call — made before the
+    reference reads, and so materialises, any state — hold the
+    reference walk's site and RTT (``==`` on the float) per flow, in
+    either order; so do they on a data plane that forwarded every flow
+    singly first.  Returns the rows."""
+    dataplane = DataPlane(internet, converged, flow_nonce=flow_nonce)
+    rows = bulk_rows(dataplane, flows)
+    expected = [
+        outcome and (outcome.site_id, outcome.rtt_ms)
+        for outcome in (
+            reference_forward(internet, converged, flow_nonce, asn, key)
+            for asn, key in flows
+        )
+    ]
+    assert rows == expected
+    assert bulk_rows(dataplane, flows[::-1]) == expected[::-1]
+    dataplane = DataPlane(internet, converged, flow_nonce=flow_nonce)
+    singly = [dataplane.forward(asn, key) for asn, key in flows]
+    assert [o and (o.site_id, o.rtt_ms) for o in singly] == expected
+    assert bulk_rows(dataplane, flows) == expected
+    return expected
+
+
+def client_flows(internet, keys=(0, "flow-a")):
+    return [(asn, key) for asn in internet.graph.client_asns() for key in keys]
+
+
+def target_flows(targets):
+    return list(zip(targets.columns.asns, targets.columns.ids))
+
+
+class TestBulkEqualsReference:
+    @given(converged_worlds(), st.integers(0, 3), st.randoms(use_true_random=False))
+    @settings(**SETTINGS)
+    def test_random_worlds(self, world, flow_nonce, rnd):
+        """Poison, mid-run withdrawals, churned interior costs, jitter,
+        multipath — and the same answers from the pickled result,
+        whose plain-dict states are forwarded flow by flow."""
+        internet, converged, _ = world
+        flows = client_flows(internet, keys=(0, "flow-a", 3))
+        rnd.shuffle(flows)
+        expected = assert_bulk_matches_reference(internet, converged, flow_nonce, flows)
+        loaded = pickle.loads(pickle.dumps(converged))
+        assert loaded.stub_choices() is None
+        assert bulk_rows(DataPlane(internet, loaded, flow_nonce), flows) == expected
+
+    def test_flow_hashing_world(self):
+        """Every AS hashes, every session ties: clients split at home,
+        clients split further up, and clients the array pass carries."""
+        params = TopologyParams(
+            n_tier2=8, n_stub=60, multipath_fraction=1.0, igp_tie_fraction=1.0
+        )
+        internet = generate_internet(params, seed=SEED)
+        converged = BGPEngine(internet).run([
+            SiteInjection(host, idx + 1, 0, 1.0, Relationship.CUSTOMER, 0.0)
+            for idx, host in enumerate(internet.graph.tier1_asns()[:4])
+        ])
+        clients = internet.graph.client_asns()
+        hashed = hashed_clients(DataPlane(internet, converged), clients)
+        assert 0 < len(hashed) < len(clients)
+        flows = [(asn, key) for asn in clients for key in range(6)]
+        for nonce in (0, 5):
+            assert_bulk_matches_reference(internet, converged, nonce, flows)
+
+    def test_peers_only_leaves_clients_unrouted(self, internet):
+        graph = internet.graph
+        host = next(a for a in graph.asns() if graph.as_of(a).tier == 2 and graph.customers(a))
+        converged = BGPEngine(internet).run(
+            [SiteInjection(host, 1, None, 1.0, Relationship.PEER, 0.0)]
+        )
+        rows = assert_bulk_matches_reference(internet, converged, 0, client_flows(internet))
+        assert None in rows and any(rows)
+
+    def test_live_stubs_poison_and_a_withdrawal(self, internet):
+        """One client AS hosts a site, another is named in a poisoned
+        path — both have speakers of their own this run, so the array
+        pass leaves them to ``forward`` — and a third site is withdrawn
+        after everything converged on it."""
+        graph = internet.graph
+        tier1 = graph.tier1_asns()
+        host, poisoned = sorted(set(graph.tables().stub_providers) & set(graph.client_asns()))[:2]
+        converged = BGPEngine(internet).run(
+            [
+                SiteInjection(tier1[0], 1, 0, 1.0, Relationship.CUSTOMER, 0.0, poison=(poisoned,)),
+                SiteInjection(host, 2, None, 0.5, Relationship.CUSTOMER, 1000.0),
+                SiteInjection(tier1[1], 3, 0, 1.0, Relationship.CUSTOMER, 2000.0),
+            ],
+            withdrawals=[SiteWithdrawal(tier1[1], 3, 2e6)],
+        )
+        assert not {host, poisoned} & converged.states._aggregated
+        rows = assert_bulk_matches_reference(internet, converged, 0, client_flows(internet))
+        by_client = dict(zip(graph.client_asns(), rows[::2]))
+        assert by_client[host] == (2, 0.5)
+        assert {site for site, _ in filter(None, rows)} == {1, 2}
+
+    @pytest.mark.parametrize("churn", [0.0, 0.3])
+    def test_churn_overlay_on_and_off(self, testbed, targets, churn):
+        """Through the orchestrator, interior costs churned on a third
+        of the ASes or on none: sites, sites plus peers, peers only."""
+        orchestrator = Orchestrator(
+            testbed, targets, seed=SEED, settings=CampaignSettings(session_churn_prob=churn)
+        )
+        peers = tuple(testbed.peer_ids()[:3])
+        for config in (
+            AnycastConfig(site_order=(1, 6, 9, 12)),
+            AnycastConfig(site_order=(6, 1), peer_ids=peers),
+            AnycastConfig(site_order=(), peer_ids=peers),
+        ):
+            deployment = orchestrator.deploy(config)
+            assert_bulk_matches_reference(
+                testbed.internet, deployment.converged, deployment.experiment_id,
+                target_flows(targets),
+            )
+
+    def test_multi_pop_client_pays_its_own_backbone_first(self):
+        """A custom testbed whose client ASes have backbones of their
+        own: the first addend of such a client's RTT is the leg from
+        the PoP nearest its users to the PoP its provider attaches at."""
+        internet = generate_internet(TopologyParams(n_tier2=6, n_stub=30), seed=SEED)
+        graph = internet.graph
+        wide = [
+            a for a in sorted(graph.tables().stub_providers) if len(graph.providers(a)) > 1
+        ][:6]
+        pops = [city(name) for name in ("Paris", "Tokyo", "Sydney", "Chicago")]
+        for stub in wide:
+            internet.pop_networks[stub] = PopNetwork(stub, pops, derive_rng(SEED, "pops", stub))
+            for k, provider in enumerate(graph.providers(stub)):
+                graph.link(stub, provider).attach_pop[stub] = k % 3 + 1
+        graph.invalidate_tables()
+        tier1 = graph.tier1_asns()
+        testbed = build_custom_testbed(
+            internet, [SiteSpec(tier1[0], "London"), SiteSpec(tier1[1], "Singapore")], seed=SEED
+        )
+        targets = select_targets(internet, seed=SEED)
+        deployment = Orchestrator(testbed, targets, seed=SEED).deploy(
+            AnycastConfig(site_order=(1, 2))
+        )
+        assert_bulk_matches_reference(
+            internet, deployment.converged, deployment.experiment_id, target_flows(targets)
+        )
+        cols = internet.stub_columns()
+        first_legs = cols.transit_ms[[cols.row[stub] for stub in wide]]
+        assert 0 < (first_legs > 0.0).sum() == (cols.transit_ms > 0.0).sum()
+        assert deployment.measure_rtts() == [deployment.measure_rtt(t) for t in targets]
+
+
+class TestOneRowViews:
+    """``forwarding``, ``measure_rtt`` and ``next_hops(stub)`` read
+    rows of the array pass, whatever the subset and its order."""
+
+    @pytest.fixture(scope="class")
+    def probed(self):
+        params = TestbedParams(
+            topology=TopologyParams(n_stub=150, n_tier2=24, multipath_fraction=0.3)
+        )
+        testbed = build_paper_testbed(params, seed=SEED)
+        targets = select_targets(testbed.internet, seed=SEED)
+        orchestrator = Orchestrator(testbed, targets, seed=SEED)
+        peers = tuple(testbed.peer_ids()[:12])
+        return [
+            (deployment, bulk_rows(deployment.dataplane, target_flows(targets)),
+             deployment.measure_rtts())
+            for deployment in (
+                orchestrator.deploy(AnycastConfig(site_order=(1, 4, 6, 9), peer_ids=peers)),
+                orchestrator.deploy(AnycastConfig(site_order=(), peer_ids=peers)),
+            )
+        ]
+
+    def check(self, probed, positions):
+        for deployment, rows, measured in probed:
+            targets = deployment.orchestrator.targets
+            for order in (positions, positions[::-1]):
+                subset = [targets[i] for i in order]
+                flows = [(t.asn, t.target_id) for t in subset]
+                assert bulk_rows(deployment.dataplane, flows) == [rows[i] for i in order]
+                assert deployment.measure_rtts(subset) == [measured[i] for i in order]
+            for i in positions:
+                outcome = deployment.forwarding(targets[i])
+                assert (outcome and (outcome.site_id, outcome.rtt_ms)) == rows[i]
+                assert deployment.measure_rtt(targets[i]) == measured[i]
+
+    @given(st.data(), st.sampled_from([1, 2, 7]))
+    @settings(**SETTINGS)
+    def test_subsets_of_1_2_and_7(self, probed, data, size):
+        count = len(probed[0][1])
+        self.check(probed, data.draw(
+            st.lists(st.integers(0, count - 1), min_size=size, max_size=size, unique=True)
+        ))
+
+    def test_all_targets(self, probed):
+        (sited, rows, _), (peer_only, peer_rows, _) = probed
+        assert len({row[0] for row in rows if row}) > 2
+        assert None in peer_rows and any(peer_rows)
+        assert hashed_clients(sited.dataplane, sited.orchestrator.targets.asns())
+        self.check(probed, list(range(len(rows))))
+
+    def test_next_hops_is_a_row_of_the_stub_choices(self, probed):
+        for deployment, _, _ in probed:
+            converged = deployment.converged
+            internet = deployment.orchestrator.testbed.internet
+            providers = internet.graph.tables().stub_providers
+            best, tied = converged.stub_choices()
+            for stub, row in internet.stub_columns().row.items():
+                hops = converged.next_hops(stub)
+                if stub not in converged.states._aggregated:
+                    assert best[row] == LIVE
+                elif best[row] < 0:
+                    assert hops is None
+                else:
+                    assert hops[0] == providers[stub][best[row]]
+                    assert (len(hops[1]) > 1) == tied[row]
+            states = converged.states
+            assert not states._aggregated & set(states._materialized)
+        assert probed[0][0].converged.stub_choices()[1].any() and (best == -1).any()
+
+
+class TestMutationsAreNoticed:
+    """The two rules the array pass rests on, each broken on purpose:
+    the comparison against the reference walk turns red."""
+
+    @pytest.fixture()
+    def world(self, testbed, targets):
+        def deploy():
+            deployment = Orchestrator(testbed, targets, seed=SEED).deploy(
+                AnycastConfig(site_order=(1, 4, 6, 9, 12))
+            )
+            return (
+                testbed.internet, deployment.converged, deployment.experiment_id,
+                target_flows(targets),
+            )
+
+        return deploy
+
+    def test_a_pre_summed_suffix(self, world, monkeypatch):
+        assert_bulk_matches_reference(*world())
+        suffix = DataPlane._suffix
+
+        def pre_summed(self, node, behind=()):
+            resolved = suffix(self, node, behind)
+            return resolved and (resolved[0], (sum(resolved[1]),))
+
+        monkeypatch.setattr(DataPlane, "_suffix", pre_summed)
+        with pytest.raises(AssertionError):
+            assert_bulk_matches_reference(*world())
+
+    def test_two_parts_of_the_stub_key_swapped(self, internet, monkeypatch):
+        """Path length where local preference goes.  The reference walk reads
+        the same stub decision, so the oracle here is the reference
+        engine, whose stubs are live speakers."""
+        run = dict(injections=[
+            SiteInjection(host, idx + 1, 0, 1.0, Relationship.CUSTOMER, idx * 1000.0)
+            for idx, host in enumerate(internet.graph.tier1_asns()[:4])
+        ])
+        expected = ReferenceEngine(internet).run(**run).states
+        stubs = sorted(internet.graph.tables().stub_providers)
+
+        def decisions():
+            converged = BGPEngine(internet).run(**run)
+            return [converged.next_hops(stub) for stub in stubs]
+
+        assert decisions() == [state_next_hops(expected[stub]) for stub in stubs]
+        stub_key = delta._stub_key
+        monkeypatch.setattr(
+            delta, "_stub_key",
+            lambda local_pref, length, interior: stub_key(length, local_pref, interior),
+        )
+        assert decisions() != [state_next_hops(expected[stub]) for stub in stubs]
+
+
 # -- the state-less stub choice ----------------------------------------------
 
 
@@ -401,6 +690,25 @@ class TestStubChoiceEqualsState:
             asn: state_next_hops(reference.states[asn]) for asn in asns
         } == expected
         assert converged.next_hops(max(asns) + 1) is None
+
+
+    @given(st.lists(
+        st.tuples(st.integers(0, 2**18 - 1), st.integers(0, 2**12 - 1), st.integers(0, 2**32 - 1)),
+        min_size=2, max_size=6,
+    ))
+    @settings(**SETTINGS)
+    def test_packed_key_orders_like_the_tuple(self, parts):
+        columns = [numpy.array(column, dtype=numpy.int64) for column in zip(*parts)]
+        packed = delta._stub_key(*columns).tolist()
+        strict = [(-local_pref, length, interior) for local_pref, length, interior in parts]
+        for i, j in itertools.combinations(range(len(parts)), 2):
+            assert (packed[i] < packed[j]) == (strict[i] < strict[j])
+            assert (packed[i] == packed[j]) == (strict[i] == strict[j])
+
+    @pytest.mark.parametrize("parts", [(2**18, 1, 1), (1, 2**12, 1), (1, 1, 2**32), (1, 1, -1)])
+    def test_a_key_that_does_not_fit_is_refused(self, parts):
+        with pytest.raises(ReproError):
+            delta._stub_key(*(numpy.array([[part]], dtype=numpy.int64) for part in parts))
 
 
 # -- probes ------------------------------------------------------------------
@@ -499,10 +807,7 @@ class TestLossOnlyCatchments:
         assert cmap.mapping == full_probe_catchments(
             deployment, targets, orchestrator.prober
         )
-        split = [
-            asn for asn in targets.asns()
-            if deployment.dataplane.resolve(asn) is PER_FLOW
-        ]
+        split = hashed_clients(deployment.dataplane, targets.asns())
         assert split
         assert any(
             len({cmap.mapping[t.target_id] for t in targets.in_as(asn)} - {None}) > 1
@@ -528,9 +833,11 @@ class TestLossOnlyCatchments:
 
 def test_probing_resolves_a_deployment_once(monkeypatch):
     """The paper world, one 5-site deployment, a catchment pass and an
-    RTT estimate per target: deploying resolves nothing; probing builds
-    no stub state, decides each client AS once and resolves each hop
-    key once."""
+    RTT row: deploying resolves nothing — no hop, no static column;
+    probing builds no stub state, takes no per-stub decision and keeps
+    no hop record for any client the array pass carries (all but the
+    one whose own tied providers hash its flows), and resolves each
+    transit hop key once."""
     testbed = build_paper_testbed(None, seed=SEED)
     targets = select_targets(testbed.internet, seed=SEED)
     clients = set(targets.asns())
@@ -554,23 +861,28 @@ def test_probing_resolves_a_deployment_once(monkeypatch):
     orchestrator = Orchestrator(testbed, targets, seed=SEED)
     deployment = orchestrator.deploy(AnycastConfig(site_order=(1, 4, 6, 9, 12)))
     dataplane, states = deployment.dataplane, deployment.converged.states
+    tables = testbed.internet.graph.tables()
     assert not decided and not resolved
-    assert not dataplane._table and not dataplane._memo
-    assert not testbed.internet.graph.tables().hops
+    assert not dataplane._table and not dataplane._memo and not dataplane._suffixes
+    assert not tables.hops and tables.stub_columns is None
+    assert states._stubs._decided is None
     assert "columns" not in vars(targets)
 
     cmap = deployment.measure_catchments()
-    rtts = [deployment.measure_rtt(target) for target in targets]
+    rtts = deployment.measure_rtts()
     assert cmap.mapped_count() > 1000 and sum(r is not None for r in rtts) > 1000
 
     assert states._aggregated >= clients
     assert not states._aggregated & set(states._materialized)
-    assert {decided[asn] for asn in clients} == {1}
+    hashed = hashed_clients(dataplane, sorted(clients))
+    assert len(hashed) == 1
+    assert set(decided) & clients == hashed
+    assert {asn for asn, _ in resolved if asn in clients} == hashed
     assert set(resolved.values()) == {1}
-    # One record per client AS (single-PoP stubs) plus the transit hops
-    # they share — one per entry PoP, each asking its AS's decision.
-    assert sum(1 for asn, _ in resolved if asn in clients) == 451
-    assert sum(decided.values()) == len(resolved) < 451 + 150
+    # The transit hops the clients share: one record per entry PoP,
+    # each asking its AS's decision, each the start of one suffix.
+    assert len(resolved) - len(hashed) == len(dataplane._suffixes) < 150
+    assert sum(decided.values()) == len(resolved)
     assert set(dataplane._table) >= set(resolved)
 
 
@@ -586,7 +898,18 @@ def test_probing_resolves_a_deployment_once(monkeypatch):
 GOLDEN_MODEL_SHA256 = "d1806f8cf7b04e0fc07d0f3dab664e9e7fb6fc6b660860fa9ace62cee8e6216b"
 
 
+def model_digest(model) -> str:
+    doc = json.dumps(model_to_dict(model), sort_keys=True)
+    return hashlib.sha256(doc.encode("utf-8")).hexdigest()
+
+
 def test_golden_model_digest(testbed, targets):
     model = AnyOpt(testbed, targets=targets, seed=SEED).discover()
-    doc = json.dumps(model_to_dict(model), sort_keys=True)
-    assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == GOLDEN_MODEL_SHA256
+    assert model_digest(model) == GOLDEN_MODEL_SHA256
+
+
+@pytest.mark.parametrize("kind", ["thread", "process"])
+def test_pooled_discover_has_the_golden_digest(testbed, targets, kind):
+    pooled = CampaignSettings(parallelism=2, executor=kind)
+    with AnyOpt(testbed, targets=targets, seed=SEED, settings=pooled) as anyopt:
+        assert model_digest(anyopt.discover()) == GOLDEN_MODEL_SHA256
