@@ -10,7 +10,7 @@ naive one grows.
 
 import random
 
-from repro.core import ExperimentRunner
+from repro.core import ExperimentRunner, build_total_order
 from repro.core.twolevel import SiteLevelMode, discover_two_level
 from repro.measurement import Orchestrator
 from repro.measurement.rtt import RttMatrix
@@ -31,7 +31,9 @@ def no_order_fraction(testbed, targets, providers, ordered, seed):
     missing = sum(
         1
         for t in targets
-        if not model.provider_order(t.target_id, providers, providers).has_total_order
+        if not build_total_order(
+            model.provider_matrix, t.target_id, providers, providers
+        ).has_total_order
     )
     return missing / len(targets)
 

@@ -9,6 +9,7 @@ the operator-facing "why did this client end up in Tokyo?" tool.
 from typing import List
 
 from repro.bgp.dataplane import DataPlane
+from repro.bgp.decision import _strict_key
 from repro.bgp.engine import ConvergedState
 from repro.bgp.messages import Route
 from repro.topology.astopo import AS
@@ -47,12 +48,7 @@ def _describe_hop(asn: int, state, node: AS, chosen: Route) -> str:
     path = "-".join(map(str, chosen.as_path))
     if not candidates:
         return f"AS {asn}: only route is via AS {chosen.learned_from} [{path}]"
-    closest = min(
-        candidates,
-        key=lambda r: (
-            -r.local_pref, r.path_length, r.origin_code, r.med, r.interior_cost
-        ),
-    )
+    closest = min(candidates, key=_strict_key)
     step = _winning_step(chosen, closest, node)
     extra = f" ({len(candidates)} alternatives)" if len(candidates) > 1 else ""
     return (

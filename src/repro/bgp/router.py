@@ -18,6 +18,7 @@ test suite's reference engine).
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.bgp.decision import evaluate
 from repro.bgp.messages import Route, SitePop, make_route
 from repro.bgp.policy import local_pref_for
 from repro.bgp.rib import RouterState
@@ -193,51 +194,8 @@ class BGPSpeaker:
     def _reevaluate(self) -> List[OutgoingUpdate]:
         state = self.state
         old_best = state.best
-        tables = self._tables
-        node = self.node
-        # Inlined copy of decision.evaluate(): this runs once per
-        # delivered message and the call overhead is measurable.
-        # Keep in lockstep with decision.evaluate.
-        adj_rib_in = state.adj_rib_in
-        if len(adj_rib_in) == 1:
-            # Single candidate (stubs, injection hosts): the scan
-            # and every tie-break are no-ops.
-            new_best = next(iter(adj_rib_in.values()))
-            state.best = new_best
-            state.multipath = [new_best]
-            return self._export_updates(state, old_best, new_best, tables)
-        best_key = None
-        tied: List[Route] = []
-        for r in state.adj_rib_in.values():
-            # The strict key is a pure function of the (frozen)
-            # route, so it is computed once and cached on the
-            # instance; ribs are rescanned on every delivery.
-            try:
-                k = r.strict_key
-            except AttributeError:
-                k = (-r.local_pref, len(r.as_path), r.origin_code, r.med, r.interior_cost)
-                object.__setattr__(r, "strict_key", k)
-            if best_key is None or k < best_key:
-                best_key = k
-                tied = [r]
-            elif k == best_key:
-                tied.append(r)
-        if not tied:
-            new_best = None
-            multipath: List[Route] = []
-        elif len(tied) == 1:
-            new_best = tied[0]
-            multipath = tied
-        else:
-            if node.arrival_order_tiebreak:
-                new_best = min(tied, key=lambda r: (r.arrival_time, r.learned_from))
-            else:
-                new_best = min(tied, key=lambda r: r.learned_from)
-            tied.sort(key=lambda r: r.learned_from)
-            multipath = tied
-        state.best = new_best
-        state.multipath = multipath
-        return self._export_updates(state, old_best, new_best, tables)
+        state.best, state.multipath = evaluate(state.adj_rib_in.values(), self.node)
+        return self._export_updates(state, old_best, state.best, self._tables)
 
     def _export_updates(self, state, old_best, new_best, tables) -> List[OutgoingUpdate]:
         """Exports required by a best-route change (decision's tail)."""

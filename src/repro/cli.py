@@ -25,7 +25,7 @@ from repro.core.anyopt import AnyOpt
 from repro.core.config import AnycastConfig
 from repro.core.planner import SiteLevelStrategy, plan_measurements
 from repro.core.twolevel import SiteLevelMode
-from repro.io import load_model, load_testbed, save_model, save_testbed
+from repro.io import atomic_write, load_model, load_testbed, save_model, save_testbed
 from repro.measurement import select_targets
 from repro.obs.export import load_trace, write_prometheus, write_trace_jsonl
 from repro.obs.heartbeat import HeartbeatWriter, follow_heartbeats, load_heartbeats
@@ -319,9 +319,7 @@ def cmd_audit(args) -> int:
         doc = report.to_dict()
         if repair_report is not None:
             doc["repair"] = repair_report.to_dict()
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        atomic_write(args.report, json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"audit report written to {args.report}")
     if violation is not None:
         print(f"error: {violation}", file=sys.stderr)
@@ -656,12 +654,10 @@ def cmd_chaos(args) -> int:
     )
     print(render_chaos_report(report))
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        atomic_write(args.report, json.dumps(report.to_dict(), indent=2, sort_keys=True))
         print(f"chaos report written to {args.report}")
     if args.metricsz_out and getattr(report, "metricsz_text", ""):
-        with open(args.metricsz_out, "w", encoding="utf-8") as fh:
-            fh.write(report.metricsz_text)
+        atomic_write(args.metricsz_out, report.metricsz_text)
         print(f"scraped /metricsz written to {args.metricsz_out}")
     return 0 if report.passed else 4
 

@@ -16,19 +16,18 @@ catchment but no RTT sample for it).  The serving layer
 (:mod:`repro.serve`), the audit cross-check, and report rendering all
 consume this one result type.
 
-``predict`` holds no ranking logic: it reads the model's batched
-``total_orders`` (the array tournament of :mod:`repro.core.preferences`)
-and ``RttMatrix.array``, and hands its answer vectors to the columnar
-:class:`PredictionBatch`, as the snapshot lookup engine does.  Its
-per-client reference lives in ``tests/test_prediction.py``.
+``predict`` holds no ranking logic: it reads the answers of the
+model's :func:`~repro.core.twolevel.two_level_ranking` over
+``RttMatrix.array`` — the computation the snapshot lookup engine
+answers through too — and hands them to the columnar
+:class:`PredictionBatch`.  Its per-client reference lives in
+``tests/test_prediction.py``.
 """
 
 import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.core.config import AnycastConfig
 from repro.measurement.orchestrator import Deployment
@@ -248,9 +247,9 @@ def model_clients(model, rtt_matrix: Optional[RttMatrix] = None) -> FrozenSet[in
     matrix).  RTT-matrix targets count too — a client with only RTT
     samples is *known*, merely quarantined for catchment purposes.
 
-    The serving layer's snapshot compiler uses the same function, so
-    a snapshot-backed lookup and the live predictor agree on which
-    clients are ``unmapped``.
+    ``TwoLevelModel.arrays`` — what a snapshot stores — spans this
+    set, so a snapshot-backed lookup and the live predictor agree on
+    which clients are ``unmapped``.
     """
     clients = set()
     provider_matrix = getattr(model, "provider_matrix", None)
@@ -317,7 +316,7 @@ class CatchmentPredictor:
     """Predicts catchments and RTTs from a preference model.
 
     ``model`` is anything exposing
-    ``total_orders(client_ids, site_order) -> (valid, orders)`` — a
+    ``ranking(client_ids, site_order) -> Ranking`` — a
     :class:`~repro.core.twolevel.TwoLevelModel` or the naive
     :class:`~repro.core.twolevel.FlatPreferenceModel`.
     """
@@ -352,13 +351,9 @@ class CatchmentPredictor:
             for cid in client_ids
         ]
         asked = list(column)
-        sites = sorted(config.site_order)
-        valid, orders = self.model.total_orders(asked, config.site_order)
-        # The catchment is the head of the order (it ranks exactly the
-        # enabled sites); rows without an order read -1 / NaN.
-        site_index = np.where(valid, np.searchsorted(sites, orders[:, 0]), -1)
-        cells = self.rtt_matrix.array(sites, asked)[site_index, np.arange(len(asked))]
-        rtt = np.where(valid, cells, np.nan)
+        ranking = self.model.ranking(asked, config.site_order)
+        sites = ranking.sites.tolist()
+        site_index, rtt = ranking.answers(self.rtt_matrix.array(sites, asked))
         return PredictionBatch(
             config, client_ids, positions, site_index.tolist(), rtt.tolist(), sites
         )

@@ -16,12 +16,16 @@ enabled site (Theorems A.1/A.2).
 """
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.util.errors import ReproError
+
+#: Source of :attr:`PreferenceMatrix.stamp` values.
+_STAMPS = itertools.count()
 
 
 class PreferenceOutcome(enum.Enum):
@@ -128,14 +132,15 @@ class PreferenceMatrix:
     def __init__(self):
         self._data: Dict[int, Dict[FrozenSet[int], PairObservation]] = {}
         self._pairs: set = set()
-        #: ``(key, codes)`` of the last :meth:`winner_codes` call.
-        self._codes: Optional[Tuple[tuple, np.ndarray]] = None
+        #: New on every :meth:`record` and unique to this matrix, so
+        #: arrays derived from it can tell when they are stale.
+        self.stamp = next(_STAMPS)
 
     def record(self, client_id: int, obs: PairObservation) -> None:
         key = frozenset((obs.site_a, obs.site_b))
         self._data.setdefault(client_id, {})[key] = obs
         self._pairs.add(key)
-        self._codes = None
+        self.stamp = next(_STAMPS)
 
     def __eq__(self, other) -> bool:
         """Two matrices are equal when they hold the same observations
@@ -173,16 +178,12 @@ class PreferenceMatrix:
         ``items[j]``: ``0`` = ``items[i]`` wins, ``1`` = ``items[j]``
         wins, ``-1`` = no usable winner (unmeasured, inconsistent or
         undecided).  This is the encoding model snapshots store and
-        :func:`tournament` consumes.  The last answer is memoised and
-        dropped by :meth:`record`.
+        :func:`tournament` consumes.
         """
-        key = (tuple(clients), tuple(items))
-        if self._codes is not None and self._codes[0] == key:
-            return self._codes[1]
-        n = len(key[1])
-        position = {item: i for i, item in enumerate(key[1])}
-        buf = bytearray(b"\xff") * (len(key[0]) * n * n)
-        for c, client in enumerate(key[0]):
+        n = len(items)
+        position = {item: i for i, item in enumerate(items)}
+        buf = bytearray(b"\xff") * (len(clients) * n * n)
+        for c, client in enumerate(clients):
             base = c * n * n
             for obs in self._data.get(client, {}).values():
                 ia, ib = position.get(obs.site_a), position.get(obs.site_b)
@@ -201,9 +202,7 @@ class PreferenceMatrix:
                     continue
                 buf[base + ia * n + ib] = a_first
                 buf[base + ib * n + ia] = b_first
-        codes = np.frombuffer(bytes(buf), dtype=np.int8).reshape(len(key[0]), n, n)
-        self._codes = (key, codes)
-        return codes
+        return np.frombuffer(bytes(buf), dtype=np.int8).reshape(len(clients), n, n)
 
 
 @dataclass(frozen=True)
@@ -301,14 +300,6 @@ def tournament(codes: np.ndarray, members: Sequence[int]) -> Tuple[np.ndarray, n
     else:
         transitive = (np.sort(wins, axis=1) == np.arange(n)).all(axis=1)
     return usable & transitive, wins
-
-
-def by_wins(wins: np.ndarray) -> np.ndarray:
-    """Member positions by descending :func:`tournament` win count —
-    under ``valid``, each client's total order."""
-    # int32: numpy's stable sort of 16-bit integers is a radix sort,
-    # ten times slower on rows this short.
-    return np.argsort(-wins.astype(np.int32), axis=1, kind="stable")
 
 
 def find_cycle_witness(

@@ -8,23 +8,30 @@ representative sites, plus per-provider site-level experiments — or,
 for large networks, the RTT heuristic that ranks a provider's sites by
 their measured unicast RTT to the client.
 
+A client's catchment is the head of its two-level total order, and
+:func:`two_level_ranking` is the one implementation of that order for
+many clients: the live model ranks through it over the arrays
+:meth:`TwoLevelModel.arrays` compiles, and the snapshot lookup of
+:mod:`repro.serve.lookup` over the same arrays read back from a file.
+The scalar :meth:`TwoLevelModel.total_order` is its oracle.
+
 A :class:`FlatPreferenceModel` over all-sites pairwise sweeps is kept
 as the naive comparator used by Figure 4c.
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.experiments import ExperimentRunner
+from repro.core.prediction import model_clients
 from repro.core.preferences import (
     PairObservation,
     PreferenceMatrix,
     TotalOrderResult,
     build_total_order,
-    by_wins,
     tournament,
 )
 from repro.measurement.rtt import RttMatrix
@@ -34,6 +41,90 @@ from repro.topology.testbed import Testbed
 from repro.util.errors import ConfigurationError, ReproError
 
 
+@dataclass(frozen=True, eq=False)
+class Ranking:
+    """Many clients' two-level total orders, as sort keys (lower =
+    preferred): per provider in announcement order, its sites (indices
+    on ``sites``, ascending) with ``[clients, sites]`` keys (None for a
+    lone site), and ``provider_key`` over the providers (None for one).
+    Rows without ``valid`` are unspecified in :meth:`orders`."""
+
+    valid: np.ndarray
+    sites: np.ndarray
+    groups: Tuple[Tuple[np.ndarray, Optional[np.ndarray]], ...]
+    provider_key: Optional[np.ndarray]
+
+    def answers(self, rtt: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The head view: per client, its catchment — the best site of
+        its best provider, ``-1`` without an order — and that site's
+        cell of ``rtt`` (``[sites, clients]``; NaN without an order)."""
+        n = len(self.valid)
+        tops = np.empty((len(self.groups), n), dtype=np.intp)
+        for row, (members, key) in enumerate(self.groups):
+            tops[row] = members[0] if key is None else members[np.argmin(key, axis=1)]
+        if self.provider_key is not None:
+            tops = tops[np.argmin(self.provider_key, axis=1), np.arange(n)][None]
+        heads = np.where(self.valid, tops[0], -1)
+        return heads, np.where(self.valid, rtt[heads, np.arange(n)], np.nan)
+
+    def orders(self) -> np.ndarray:
+        """Each client's whole order, ``[clients, announced sites]``,
+        most preferred first: by provider, then by site."""
+        n = len(self.valid)
+        columns = np.array([site for members, _ in self.groups for site in members], dtype=np.intp)
+        # The empty first block keeps an empty order (no sites) stackable.
+        site_key = np.hstack([np.zeros((n, 0))] + [
+            np.zeros((n, 1)) if key is None else key for _, key in self.groups
+        ])
+        provider_key = np.zeros_like(site_key) if self.provider_key is None else np.repeat(
+            self.provider_key, [len(members) for members, _ in self.groups], axis=1
+        )
+        return columns[np.lexsort((site_key, provider_key), axis=1)]
+
+
+def two_level_ranking(arrays, site_order: Sequence[int], rtt_heuristic: bool,
+                      rows: Optional[np.ndarray] = None) -> Ranking:
+    """:meth:`TwoLevelModel.total_order` for every client row of
+    ``arrays`` (snapshot encoding, :mod:`repro.serve.snapshot`) or for
+    ``rows``; ``site_order`` holds site indices in announcement order.
+
+    Providers are ranked by :func:`~repro.core.preferences.tournament`,
+    each announced at its first site; the sites inside one by tournament
+    with the lower index first or, with ``rtt_heuristic``, by ascending
+    RTT (ties to the lower index; a missing sample voids the order).
+    """
+    announced: Dict[int, List[int]] = {}
+    for site, provider in zip(site_order, np.take(arrays["site_provider"], site_order).tolist()):
+        announced.setdefault(provider, []).append(site)
+    valid = np.ones(len(arrays["prov_w"]), dtype=bool)
+    groups = []
+    for sites in announced.values():
+        members = np.array(sorted(sites), dtype=np.intp)
+        key = None
+        if len(members) > 1 and rtt_heuristic:
+            rtt = arrays["rtt"][members]
+            holes = np.isnan(rtt)
+            valid &= ~holes.any(axis=0)
+            key = np.where(holes, np.inf, rtt).T
+        elif len(members) > 1:
+            usable, wins = tournament(arrays["site_w"], members)
+            valid &= usable
+            # int32: numpy's stable sort of 16-bit integers is a radix
+            # sort, ten times slower on rows this short.
+            key = np.negative(wins, dtype=np.int32)
+        groups.append((members, key))
+    provider_key = None
+    if len(groups) > 1:
+        usable, wins = tournament(arrays["prov_w"], list(announced))
+        valid &= usable
+        provider_key = np.negative(wins, dtype=np.int32)
+    if rows is not None:
+        valid = valid[rows]
+        groups = [(members, None if key is None else key[rows]) for members, key in groups]
+        provider_key = None if provider_key is None else provider_key[rows]
+    return Ranking(valid, arrays["sites"], tuple(groups), provider_key)
+
+
 class SiteLevelMode(enum.Enum):
     """How intra-provider site preferences are obtained."""
 
@@ -41,8 +132,25 @@ class SiteLevelMode(enum.Enum):
     RTT_HEURISTIC = "rtt"
 
 
+class _RankedModel:
+    """``total_orders`` for a model with ``ranking``."""
+
+    def total_orders(
+        self, client_ids: Sequence[int], site_order: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`total_order` for many clients at once.
+
+        Returns ``(valid, orders)``: ``valid[c]`` is
+        ``total_order(client_ids[c], site_order).has_total_order`` and,
+        where it holds, row ``orders[c]`` is that order (site ids, most
+        preferred first); other rows are unspecified.
+        """
+        ranking = self.ranking(client_ids, site_order)
+        return ranking.valid, ranking.sites[ranking.orders()]
+
+
 @dataclass
-class TwoLevelModel:
+class TwoLevelModel(_RankedModel):
     """Discovered preferences, queryable per client and configuration."""
 
     testbed: Testbed
@@ -50,22 +158,76 @@ class TwoLevelModel:
     site_matrices: Dict[int, PreferenceMatrix]
     rtt_matrix: Optional[RttMatrix]
     site_level_mode: SiteLevelMode
+    #: ``(matrix stamps, arrays, client rows, site indices)``, see
+    #: :meth:`_compile`.
+    _compiled: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
-    def providers(self) -> List[int]:
-        return self.testbed.provider_asns()
+    # -- arrays ---------------------------------------------------------------
+
+    def arrays(self) -> Dict[str, np.ndarray]:
+        """The model as the read-only arrays a snapshot stores, over
+        every client :func:`~repro.core.prediction.model_clients` knows;
+        compiled on first use and kept until a matrix is written."""
+        arrays = self._compile()[0]
+        return {
+            **arrays,
+            "prov_w": arrays["prov_w"][:-1],
+            "site_w": arrays["site_w"][:-1],
+            "rtt": arrays["rtt"][:, :-1],
+        }
+
+    def _compile(self):
+        """:meth:`arrays` plus a last client row for an unseen client (no
+        usable cell, no RTT), with client rows and site indices by id."""
+        stamps = (
+            self.provider_matrix.stamp,
+            tuple((p, m.stamp) for p, m in self.site_matrices.items()),
+            None if self.rtt_matrix is None else self.rtt_matrix.stamp,
+        )
+        if self._compiled is None or self._compiled[0] != stamps:
+            clients = sorted(model_clients(self, self.rtt_matrix))
+            sites = sorted(self.testbed.site_ids())
+            providers = sorted(self.testbed.provider_asns())
+            site_index = {site: i for i, site in enumerate(sites)}
+            rows = clients + [None]  # None: the unseen client
+            site_w = np.full((len(rows), len(sites), len(sites)), -1, dtype=np.int8)
+            for matrix in self.site_matrices.values():
+                # Each matrix holds one provider's sites: a diagonal block.
+                members = sorted({s for pair in matrix.pairs() for s in pair if s in site_index})
+                block = np.array([site_index[s] for s in members], dtype=np.intp)
+                site_w[:, block[:, None], block] = matrix.winner_codes(rows, members)
+            rtt_matrix = self.rtt_matrix if self.rtt_matrix is not None else RttMatrix()
+            arrays = {
+                "clients": np.asarray(clients, dtype=np.int64),
+                "sites": np.asarray(sites, dtype=np.int64),
+                "providers": np.asarray(providers, dtype=np.int64),
+                "site_provider": np.asarray(
+                    [providers.index(self.testbed.provider_of(s)) for s in sites], dtype=np.int32
+                ),
+                "prov_w": self.provider_matrix.winner_codes(rows, providers),
+                "site_w": site_w,
+                "rtt": rtt_matrix.array(sites, rows),
+            }
+            for array in arrays.values():
+                array.flags.writeable = False
+            client_rows = {client: i for i, client in enumerate(clients)}
+            self._compiled = (stamps, arrays, client_rows, site_index)
+        return self._compiled[1:]
+
+    def ranking(self, client_ids: Sequence[int], site_order: Sequence[int]) -> Ranking:
+        """:func:`two_level_ranking` over the model's arrays, a row per
+        entry of ``client_ids``."""
+        if not site_order:
+            raise ConfigurationError("empty announcement order")
+        arrays, client_rows, site_index = self._compile()
+        unseen = len(client_rows)
+        rows = np.array([client_rows.get(c, unseen) for c in client_ids], dtype=np.intp)
+        return two_level_ranking(
+            arrays, [site_index[site] for site in site_order],
+            self.site_level_mode is SiteLevelMode.RTT_HEURISTIC, rows,
+        )
 
     # -- per-client orders ----------------------------------------------------
-
-    def provider_order(
-        self,
-        client_id: int,
-        providers: Sequence[int],
-        provider_announce_order: Sequence[int],
-    ) -> TotalOrderResult:
-        """The client's total order over provider ASes, if any."""
-        return build_total_order(
-            self.provider_matrix, client_id, providers, provider_announce_order
-        )
 
     def site_ranking_within(
         self, client_id: int, provider_asn: int, sites: Sequence[int]
@@ -113,7 +275,7 @@ class TwoLevelModel:
                 return TotalOrderResult(client_id, None, reason="no intra-AS order")
             return TotalOrderResult(client_id, ranking)
 
-        provider_result = self.provider_order(client_id, providers, providers)
+        provider_result = build_total_order(self.provider_matrix, client_id, providers, providers)
         if not provider_result.has_total_order:
             return TotalOrderResult(client_id, None, reason=provider_result.reason)
         order: List[int] = []
@@ -126,79 +288,10 @@ class TwoLevelModel:
             order.extend(ranking)
         return TotalOrderResult(client_id, tuple(order))
 
-    def total_orders(
-        self, client_ids: Sequence[int], site_order: Sequence[int]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`total_order` for many clients at once.
-
-        Returns ``(valid, orders)``: ``valid[c]`` is
-        ``total_order(client_ids[c], site_order).has_total_order`` and,
-        where it holds, row ``orders[c]`` is that order (site ids, most
-        preferred first); other rows are unspecified.
-        """
-        if not site_order:
-            raise ConfigurationError("empty announcement order")
-        client_ids = list(client_ids)
-        provider_sites: Dict[int, List[int]] = {}
-        for site in site_order:
-            provider_sites.setdefault(self.testbed.provider_of(site), []).append(site)
-        providers = list(provider_sites)  # first-appearance order
-
-        valid = np.ones(len(client_ids), dtype=bool)
-        rankings = []
-        announced = sorted(site_order)
-        for provider in providers:
-            site_valid, ranking = self._site_rankings(
-                client_ids, provider, provider_sites[provider], announced
-            )
-            valid &= site_valid
-            rankings.append(ranking)
-        if len(providers) == 1:
-            return valid, rankings[0]
-
-        asns = sorted(providers)
-        codes = self.provider_matrix.winner_codes(client_ids, asns)
-        provider_valid, wins = tournament(codes, [asns.index(p) for p in providers])
-        valid &= provider_valid
-        # Column where each provider's block of sites starts, per
-        # client: the sizes of the providers that client ranks above it.
-        by_rank = by_wins(wins)
-        sizes = np.array([len(provider_sites[p]) for p in providers])[by_rank]
-        starts = np.empty_like(sizes)
-        np.put_along_axis(starts, by_rank, np.cumsum(sizes, axis=1) - sizes, axis=1)
-        orders = np.empty((len(client_ids), len(site_order)), dtype=np.int64)
-        rows = np.arange(len(client_ids))[:, None]
-        for p, ranking in enumerate(rankings):
-            orders[rows, starts[:, p, None] + np.arange(ranking.shape[1])] = ranking
-        return valid, orders
-
-    def _site_rankings(
-        self, client_ids: List[int], provider_asn: int, sites: List[int], announced: List[int]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`site_ranking_within` for many clients: ``(valid,
-        [clients, len(sites)] site ids)``.  ``announced`` — every site of
-        the order, sorted — is the RTT array key all providers share."""
-        # Ascending site id is the announcement order the scalar path
-        # uses, and the RTT heuristic's tie-break.
-        members = np.array(sorted(sites), dtype=np.int64)
-        if len(members) == 1:
-            return (
-                np.ones(len(client_ids), dtype=bool),
-                np.broadcast_to(members, (len(client_ids), 1)),
-            )
-        if self.site_level_mode is SiteLevelMode.PAIRWISE:
-            codes = self.site_matrices[provider_asn].winner_codes(client_ids, members.tolist())
-            valid, wins = tournament(codes, range(len(members)))
-            return valid, members[by_wins(wins)]
-        if self.rtt_matrix is None:
-            raise ReproError("RTT heuristic requires an RTT matrix")
-        # A missing sample is NaN and sorts last.
-        rtts = self.rtt_matrix.array(announced, client_ids)[np.searchsorted(announced, members)]
-        return ~np.isnan(rtts).any(axis=0), members[np.argsort(rtts, axis=0, kind="stable").T]
 
 
 @dataclass
-class FlatPreferenceModel:
+class FlatPreferenceModel(_RankedModel):
     """Naive model: one pairwise sweep across *all* site pairs.
 
     Needs O(|S|^2) experiments and, without order modeling, loses most
@@ -210,17 +303,16 @@ class FlatPreferenceModel:
     def total_order(self, client_id: int, site_order: Sequence[int]) -> TotalOrderResult:
         return build_total_order(self.matrix, client_id, site_order, site_order)
 
-    def total_orders(
-        self, client_ids: Sequence[int], site_order: Sequence[int]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`total_order`; see
-        :meth:`TwoLevelModel.total_orders`."""
-        client_ids = list(client_ids)
-        announced = np.array(list(site_order), dtype=np.int64)
-        items = sorted(announced.tolist())
-        codes = self.matrix.winner_codes(client_ids, items)
-        valid, wins = tournament(codes, [items.index(s) for s in announced.tolist()])
-        return valid, announced[by_wins(wins)]
+    def ranking(self, client_ids: Sequence[int], site_order: Sequence[int]) -> Ranking:
+        """:func:`two_level_ranking` with every site its own provider:
+        one round-robin over the announced sites."""
+        items = sorted(site_order)
+        arrays = {
+            "sites": np.array(items, dtype=np.int64),
+            "site_provider": np.arange(len(items)),
+            "prov_w": self.matrix.winner_codes(list(client_ids), items),
+        }
+        return two_level_ranking(arrays, [items.index(s) for s in site_order], False)
 
 
 def discover_two_level(

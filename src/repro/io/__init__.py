@@ -14,9 +14,11 @@ campaign can be split across processes (and so the CLI can chain
   for resuming an interrupted campaign;
 - :class:`~repro.io.cachestore.ConvergenceStore` — the persistent
   on-disk spill of the convergence cache, shared by processes and
-  repeated CLI invocations.
+  repeated CLI invocations;
+- :func:`~repro.io.atomic.atomic_write` — how all of them reach disk.
 """
 
+from repro.io.atomic import atomic_write
 from repro.io.cachestore import ConvergenceStore, topology_fingerprint
 from repro.io.checkpoint import (
     DiscoveryProgress,
@@ -45,6 +47,7 @@ __all__ = [
     "ConvergenceStore",
     "DiscoveryProgress",
     "RepairProgress",
+    "atomic_write",
     "load_checkpoint",
     "load_model",
     "load_repair_checkpoint",

@@ -20,7 +20,7 @@ Layout and soundness:
   collision degrades to a miss, never to a wrong state.
 - Every entry is a versioned envelope; unreadable, corrupt, or
   mismatched files are treated as misses (and a torn write can't
-  happen: writes go to a temp file first and ``os.replace`` in).
+  happen: entries are written with :func:`~repro.io.atomic.atomic_write`).
 
 Entries are Python pickles, so a store directory should be treated
 like any other local artifact (don't load stores from untrusted
@@ -30,9 +30,9 @@ sources).
 import hashlib
 import os
 import pickle
-import threading
 from typing import Tuple
 
+from repro.io.atomic import atomic_write
 from repro.obs.log import get_logger
 
 #: Envelope identifier and version; bump the version whenever the
@@ -132,10 +132,7 @@ class ConvergenceStore:
             "key_repr": key_repr,
             "state": state,
         }
-        tmp = f"{filename}.{os.getpid()}.{threading.get_ident()}.tmp"
-        with open(tmp, "wb") as fh:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, filename)
+        atomic_write(filename, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
 
     def __len__(self) -> int:
         return sum(1 for name in os.listdir(self._dir) if name.endswith(".pkl"))

@@ -12,23 +12,23 @@ streams) for the remainder.  A resumed run's model is byte-identical
 to an uninterrupted one.
 
 The on-disk format is a versioned JSON document
-(``"anyopt-checkpoint"``); :func:`save_checkpoint` writes it
-atomically (tmp file + rename) so a crash mid-save leaves the previous
-checkpoint intact.  :func:`load_checkpoint` refuses checkpoints taken
-under a different seed, settings, or site-level mode, since replaying
-those would silently break determinism.
+(``"anyopt-checkpoint"``); :func:`save_checkpoint` writes it with
+:func:`~repro.io.atomic.atomic_write`, so a crash mid-save leaves the
+previous checkpoint intact.  :func:`load_checkpoint` refuses
+checkpoints taken under a different seed, settings, or site-level
+mode, since replaying those would silently break determinism.
 """
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.core.preferences import PreferenceMatrix
 from repro.core.twolevel import SiteLevelMode
-from repro.io.serialization import FORMAT_VERSION, matrix_from_list, matrix_to_list
+from repro.io.atomic import atomic_write
+from repro.io.serialization import FORMAT_VERSION, _check, state_from_dict, state_to_dict
 from repro.measurement.rtt import RttMatrix
 from repro.runtime.retry import FailedExperiment
 from repro.runtime.settings import CampaignSettings
@@ -75,14 +75,25 @@ def _settings_from_dict(raw: Dict, document: str) -> CampaignSettings:
     return CampaignSettings(**raw)
 
 
+def _load(path, from_dict, seed: int, settings: CampaignSettings, document: str, job: str):
+    """Read a checkpoint with ``from_dict`` and check that it was taken
+    under the resuming ``job``'s seed and settings."""
+    progress = from_dict(json.loads(Path(path).read_text()))
+    if progress.seed != seed:
+        raise ConfigurationError(
+            f"{document} was taken with seed {progress.seed}, "
+            f"cannot resume a {job} with seed {seed}"
+        )
+    if progress.settings != settings:
+        raise ConfigurationError(
+            f"{document} was taken under different campaign settings; "
+            "resume with the settings it was created with"
+        )
+    return progress
+
+
 def progress_to_dict(progress: DiscoveryProgress) -> Dict:
     """Serialize partial campaign state to a versioned dict."""
-    rtt_rows = None
-    if progress.rtt_matrix is not None:
-        rtt_rows = [
-            [site, target, value]
-            for (site, target), value in sorted(progress.rtt_matrix.values.items())
-        ]
     return {
         "format": CHECKPOINT_FORMAT,
         "version": FORMAT_VERSION,
@@ -90,62 +101,29 @@ def progress_to_dict(progress: DiscoveryProgress) -> Dict:
         "settings": dataclasses.asdict(progress.settings),
         "site_level_mode": progress.site_level_mode.value,
         "experiment_count": progress.experiment_count,
-        "rtt_matrix": rtt_rows,
-        "provider_matrix": (
-            matrix_to_list(progress.provider_matrix)
-            if progress.provider_matrix is not None
-            else None
+        **state_to_dict(
+            progress.rtt_matrix, progress.provider_matrix, progress.site_matrices,
+            progress.failures,
         ),
-        "site_matrices": {
-            str(provider): matrix_to_list(matrix)
-            for provider, matrix in sorted(progress.site_matrices.items())
-        },
-        "failures": [f.to_dict() for f in progress.failures],
     }
 
 
 def progress_from_dict(raw: Dict) -> DiscoveryProgress:
     """Rebuild partial campaign state saved by :func:`progress_to_dict`."""
-    if raw.get("format") != CHECKPOINT_FORMAT:
-        raise ReproError(
-            f"expected a {CHECKPOINT_FORMAT!r} document, got {raw.get('format')!r}"
-        )
-    if raw.get("version") != FORMAT_VERSION:
-        raise ReproError(
-            f"unsupported {CHECKPOINT_FORMAT} version {raw.get('version')!r}; "
-            f"this library reads version {FORMAT_VERSION}"
-        )
-    rtt_matrix = None
-    if raw["rtt_matrix"] is not None:
-        rtt_matrix = RttMatrix()
-        for site, target, value in raw["rtt_matrix"]:
-            rtt_matrix.set(site, target, value)
-    provider_matrix = (
-        matrix_from_list(raw["provider_matrix"])
-        if raw["provider_matrix"] is not None
-        else None
-    )
+    _check(raw, CHECKPOINT_FORMAT)
     return DiscoveryProgress(
         seed=raw["seed"],
         settings=_settings_from_dict(raw["settings"], CHECKPOINT_FORMAT),
         site_level_mode=SiteLevelMode(raw["site_level_mode"]),
         experiment_count=raw["experiment_count"],
-        rtt_matrix=rtt_matrix,
-        provider_matrix=provider_matrix,
-        site_matrices={
-            int(p): matrix_from_list(m) for p, m in raw["site_matrices"].items()
-        },
-        failures=[FailedExperiment.from_dict(f) for f in raw["failures"]],
+        **state_from_dict(raw),
     )
 
 
 def save_checkpoint(progress: DiscoveryProgress, path) -> None:
     """Atomically write a checkpoint: a crash mid-save never corrupts
     an existing checkpoint file."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(progress_to_dict(progress)))
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(progress_to_dict(progress)))
 
 
 def load_checkpoint(
@@ -161,17 +139,7 @@ def load_checkpoint(
     :class:`~repro.util.errors.ConfigurationError` instead of silently
     producing a model that matches neither run.
     """
-    progress = progress_from_dict(json.loads(Path(path).read_text()))
-    if progress.seed != seed:
-        raise ConfigurationError(
-            f"checkpoint was taken with seed {progress.seed}, "
-            f"cannot resume a campaign with seed {seed}"
-        )
-    if progress.settings != settings:
-        raise ConfigurationError(
-            "checkpoint was taken under different campaign settings; "
-            "resume with the settings it was created with"
-        )
+    progress = _load(path, progress_from_dict, seed, settings, "checkpoint", "campaign")
     if progress.site_level_mode is not site_level_mode:
         raise ConfigurationError(
             f"checkpoint used site-level mode {progress.site_level_mode.value!r}, "
@@ -218,12 +186,6 @@ class RepairProgress:
 
 def repair_progress_to_dict(progress: RepairProgress) -> Dict:
     """Serialize a repair checkpoint to a JSON-compatible dict."""
-    rtt_rows = None
-    if progress.rtt_matrix is not None:
-        rtt_rows = [
-            [site, target, value]
-            for (site, target), value in sorted(progress.rtt_matrix.values.items())
-        ]
     return {
         "format": REPAIR_CHECKPOINT_FORMAT,
         "version": FORMAT_VERSION,
@@ -239,38 +201,17 @@ def repair_progress_to_dict(progress: RepairProgress) -> Dict:
         "rounds_completed": progress.rounds_completed,
         "budget_exhausted": progress.budget_exhausted,
         "transcript": progress.transcript,
-        "rtt_matrix": rtt_rows,
-        "provider_matrix": (
-            matrix_to_list(progress.provider_matrix)
-            if progress.provider_matrix is not None
-            else None
+        **state_to_dict(
+            progress.rtt_matrix, progress.provider_matrix, progress.site_matrices,
+            progress.failures,
         ),
-        "site_matrices": {
-            str(provider): matrix_to_list(matrix)
-            for provider, matrix in sorted(progress.site_matrices.items())
-        },
-        "failures": [f.to_dict() for f in progress.failures],
     }
 
 
 def repair_progress_from_dict(raw: Dict) -> RepairProgress:
     """Rebuild a repair checkpoint saved by
     :func:`repair_progress_to_dict`, validating format and version."""
-    if raw.get("format") != REPAIR_CHECKPOINT_FORMAT:
-        raise ReproError(
-            f"expected a {REPAIR_CHECKPOINT_FORMAT!r} document, "
-            f"got {raw.get('format')!r}"
-        )
-    if raw.get("version") != FORMAT_VERSION:
-        raise ReproError(
-            f"unsupported {REPAIR_CHECKPOINT_FORMAT} version "
-            f"{raw.get('version')!r}; this library reads version {FORMAT_VERSION}"
-        )
-    rtt_matrix = None
-    if raw["rtt_matrix"] is not None:
-        rtt_matrix = RttMatrix()
-        for site, target, value in raw["rtt_matrix"]:
-            rtt_matrix.set(site, target, value)
+    _check(raw, REPAIR_CHECKPOINT_FORMAT)
     return RepairProgress(
         seed=raw["seed"],
         settings=_settings_from_dict(raw["settings"], REPAIR_CHECKPOINT_FORMAT),
@@ -284,25 +225,13 @@ def repair_progress_from_dict(raw: Dict) -> RepairProgress:
         rounds_completed=raw["rounds_completed"],
         budget_exhausted=raw["budget_exhausted"],
         transcript=raw["transcript"],
-        rtt_matrix=rtt_matrix,
-        provider_matrix=(
-            matrix_from_list(raw["provider_matrix"])
-            if raw["provider_matrix"] is not None
-            else None
-        ),
-        site_matrices={
-            int(p): matrix_from_list(m) for p, m in raw["site_matrices"].items()
-        },
-        failures=[FailedExperiment.from_dict(f) for f in raw["failures"]],
+        **state_from_dict(raw),
     )
 
 
 def save_repair_checkpoint(progress: RepairProgress, path) -> None:
-    """Atomically write a repair checkpoint (tmp file + rename)."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(repair_progress_to_dict(progress)))
-    os.replace(tmp, path)
+    """Atomically write a repair checkpoint."""
+    atomic_write(path, json.dumps(repair_progress_to_dict(progress)))
 
 
 def load_repair_checkpoint(
@@ -322,17 +251,9 @@ def load_repair_checkpoint(
     fingerprint of the pre-repair model — must match, or the resumed
     transcript would diverge from the uninterrupted one.
     """
-    progress = repair_progress_from_dict(json.loads(Path(path).read_text()))
-    if progress.seed != seed:
-        raise ConfigurationError(
-            f"repair checkpoint was taken with seed {progress.seed}, "
-            f"cannot resume a repair with seed {seed}"
-        )
-    if progress.settings != settings:
-        raise ConfigurationError(
-            "repair checkpoint was taken under different campaign settings; "
-            "resume with the settings it was created with"
-        )
+    progress = _load(
+        path, repair_progress_from_dict, seed, settings, "repair checkpoint", "repair"
+    )
     if progress.announce_order != tuple(announce_order):
         raise ConfigurationError(
             "repair checkpoint used a different announcement order"

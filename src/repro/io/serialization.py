@@ -1,10 +1,10 @@
 """JSON round-tripping for testbeds and discovered models.
 
-Formats are versioned dicts; ``save_*`` writes them with
-:func:`json.dump`, ``load_*`` validates the version and rebuilds the
-live objects structurally (no RNG re-derivation), so a loaded testbed
-is bit-identical to the saved one even across library versions that
-change generation defaults.
+Formats are versioned dicts; ``save_*`` writes them as JSON with
+:func:`~repro.io.atomic.atomic_write`, ``load_*`` validates the
+version and rebuilds the live objects structurally (no RNG
+re-derivation), so a loaded testbed is bit-identical to the saved one
+even across library versions that change generation defaults.
 """
 
 import dataclasses
@@ -16,7 +16,9 @@ from repro.core.anyopt import AnyOptModel
 from repro.core.prediction import CatchmentPredictor
 from repro.core.preferences import PairObservation, PreferenceMatrix
 from repro.core.twolevel import SiteLevelMode, TwoLevelModel
+from repro.io.atomic import atomic_write
 from repro.measurement.rtt import RttMatrix
+from repro.runtime.retry import FailedExperiment
 from repro.topology.astopo import AS, ASGraph, Relationship
 from repro.topology.generator import Internet, TopologyParams
 from repro.topology.geo import GeoPoint
@@ -168,7 +170,7 @@ def testbed_from_dict(raw: Dict) -> Testbed:
 
 def save_testbed(testbed: Testbed, path) -> None:
     """Write a testbed to a JSON file."""
-    Path(path).write_text(json.dumps(testbed_to_dict(testbed)))
+    atomic_write(path, json.dumps(testbed_to_dict(testbed)))
 
 
 def load_testbed(path) -> Testbed:
@@ -215,22 +217,49 @@ def matrix_from_list(raw) -> PreferenceMatrix:
     return matrix
 
 
+def state_to_dict(rtt_matrix, provider_matrix, site_matrices, failures=None) -> Dict:
+    """The measured state model and checkpoint documents end with: RTT
+    rows, the provider matrix and the per-provider site matrices (None
+    for a phase not run yet) and, for checkpoints, failed experiments."""
+    doc = {
+        "rtt_matrix": None if rtt_matrix is None else [
+            [site, target, value] for (site, target), value in sorted(rtt_matrix.values.items())
+        ],
+        "provider_matrix": None if provider_matrix is None else matrix_to_list(provider_matrix),
+        "site_matrices": {
+            str(provider): matrix_to_list(matrix)
+            for provider, matrix in sorted(site_matrices.items())
+        },
+    }
+    if failures is not None:
+        doc["failures"] = [f.to_dict() for f in failures]
+    return doc
+
+
+def state_from_dict(raw: Dict) -> Dict:
+    """The fields :func:`state_to_dict` wrote, rebuilt, by name."""
+    rows = raw["rtt_matrix"]
+    state = {
+        "rtt_matrix": None if rows is None else RttMatrix({(s, t): v for s, t, v in rows}),
+        "provider_matrix": (
+            None if raw["provider_matrix"] is None else matrix_from_list(raw["provider_matrix"])
+        ),
+        "site_matrices": {int(p): matrix_from_list(m) for p, m in raw["site_matrices"].items()},
+    }
+    if "failures" in raw:
+        state["failures"] = [FailedExperiment.from_dict(f) for f in raw["failures"]]
+    return state
+
+
 def model_to_dict(model: AnyOptModel) -> Dict:
     """Serialize a discovered model (not the testbed it references)."""
+    twolevel = model.twolevel
     return {
         "format": "anyopt-model",
         "version": FORMAT_VERSION,
         "experiments_used": model.experiments_used,
-        "site_level_mode": model.twolevel.site_level_mode.value,
-        "rtt_matrix": [
-            [site, target, value]
-            for (site, target), value in sorted(model.rtt_matrix.values.items())
-        ],
-        "provider_matrix": matrix_to_list(model.twolevel.provider_matrix),
-        "site_matrices": {
-            str(provider): matrix_to_list(matrix)
-            for provider, matrix in sorted(model.twolevel.site_matrices.items())
-        },
+        "site_level_mode": twolevel.site_level_mode.value,
+        **state_to_dict(model.rtt_matrix, twolevel.provider_matrix, twolevel.site_matrices),
     }
 
 
@@ -238,15 +267,12 @@ def model_from_dict(raw: Dict, testbed: Testbed) -> AnyOptModel:
     """Rebuild a model saved by :func:`model_to_dict` against the
     testbed it was measured on."""
     _check(raw, "anyopt-model")
-    rtt_matrix = RttMatrix()
-    for site, target, value in raw["rtt_matrix"]:
-        rtt_matrix.set(site, target, value)
+    state = state_from_dict(raw)
+    rtt_matrix = state["rtt_matrix"]
     twolevel = TwoLevelModel(
         testbed=testbed,
-        provider_matrix=matrix_from_list(raw["provider_matrix"]),
-        site_matrices={
-            int(p): matrix_from_list(m) for p, m in raw["site_matrices"].items()
-        },
+        provider_matrix=state["provider_matrix"],
+        site_matrices=state["site_matrices"],
         rtt_matrix=rtt_matrix,
         site_level_mode=SiteLevelMode(raw["site_level_mode"]),
     )
@@ -261,7 +287,7 @@ def model_from_dict(raw: Dict, testbed: Testbed) -> AnyOptModel:
 
 def save_model(model: AnyOptModel, path) -> None:
     """Write a discovered model to a JSON file."""
-    Path(path).write_text(json.dumps(model_to_dict(model)))
+    atomic_write(path, json.dumps(model_to_dict(model)))
 
 
 def load_model(path, testbed: Testbed) -> AnyOptModel:

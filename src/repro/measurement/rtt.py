@@ -7,6 +7,7 @@ subtract the separately estimated tunnel RTT.  At least three valid
 replies are required for a sample.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -20,6 +21,8 @@ from repro.util.stats import mean
 PROBES_PER_TARGET = 7
 #: Minimum valid replies for a usable median (the paper uses three).
 MIN_VALID_REPLIES = 3
+#: Source of :attr:`RttMatrix.stamp` values.
+_STAMPS = itertools.count()
 
 
 def estimate_rtts(
@@ -51,37 +54,40 @@ class RttMatrix:
 
     Built from one singleton BGP experiment per site; the paper needs
     ``O(|S|)`` such experiments (S3.4).  Write through :meth:`set` /
-    :meth:`set_row`: they are what invalidates the :meth:`array` memo.
+    :meth:`set_row`: they renew :attr:`stamp`, which is what tells the
+    :meth:`array` memo and arrays derived elsewhere that they are stale.
     """
 
     values: Dict[Tuple[int, int], Optional[float]] = field(default_factory=dict)
+    #: New on every write and unique to this matrix.
+    stamp: int = field(default_factory=lambda: next(_STAMPS), init=False, repr=False, compare=False)
     #: ``(key, array)`` of the last :meth:`array` call.
     _array: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def set(self, site_id: int, target_id: int, rtt_ms: Optional[float]) -> None:
         self.values[(site_id, target_id)] = rtt_ms
-        self._array = None
+        self.stamp = next(_STAMPS)
 
     def set_row(self, site_id: int, target_ids, rtts_ms) -> None:
-        """Write one site's samples (one memo invalidation per row)."""
+        """Write one site's samples (one stamp per row)."""
         self.values.update(zip(((site_id, t) for t in target_ids), rtts_ms))
-        self._array = None
+        self.stamp = next(_STAMPS)
 
     def array(self, sites: Sequence[int], clients: Sequence[int]) -> np.ndarray:
         """The samples as a read-only float64 ``[len(sites),
         len(clients)]`` array, NaN where a sample is absent or None —
         the one dict-to-array conversion.
 
-        The last answer is memoised and dropped by :meth:`set`; callers
-        pass a configuration's *sorted* site set, so every announcement
+        The last answer is memoised until the next write; callers pass
+        a configuration's *sorted* site set, so every announcement
         order of the same sites shares the entry.
         """
-        key = (tuple(sites), tuple(clients))
+        key = (self.stamp, tuple(sites), tuple(clients))
         if self._array is not None and self._array[0] == key:
             return self._array[1]
         get = self.values.get
-        rows = [[get((site, client)) for client in key[1]] for site in key[0]]
-        rtts = np.array(rows, dtype=np.float64).reshape(len(key[0]), len(key[1]))
+        rows = [[get((site, client)) for client in key[2]] for site in key[1]]
+        rtts = np.array(rows, dtype=np.float64).reshape(len(key[1]), len(key[2]))
         rtts.flags.writeable = False
         self._array = (key, rtts)
         return rtts

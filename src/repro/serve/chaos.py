@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.config import AnycastConfig
+from repro.io.atomic import atomic_write
 from repro.runtime.faults import ServeFaultInjector
 from repro.serve.guard import GuardConfig
 from repro.serve.http import ModelServer
@@ -257,13 +258,6 @@ def corrupt_bytes(good: bytes, seed, index: int) -> bytes:
             flipped[-1] ^= 0xFF
         return bytes(flipped)
     return good[: max(16, len(good) // 3)]
-
-
-def _atomic_publish(path: str, data: bytes) -> None:
-    tmp = f"{path}.{os.getpid()}.chaos.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
 
 
 def scrape_counters(text: str) -> Dict[str, float]:
@@ -563,7 +557,7 @@ class ChaosHarness:
             while self._completed < threshold:
                 await asyncio.sleep(0.05)
             if self.injector.publish_corrupt(p):
-                _atomic_publish(
+                atomic_write(
                     self.snapshot_path,
                     corrupt_bytes(self.original_bytes, cfg.seed, p),
                 )
@@ -571,7 +565,7 @@ class ChaosHarness:
                     self.report.publishes.get("corrupt", 0) + 1
                 )
             else:
-                _atomic_publish(self.snapshot_path, good_cycle[good_i % 2])
+                atomic_write(self.snapshot_path, good_cycle[good_i % 2])
                 self.report.expected_final_version = good_versions[good_i % 2]
                 good_i += 1
                 self.report.publishes["good"] = (
@@ -580,7 +574,7 @@ class ChaosHarness:
             await asyncio.sleep(cfg.publish_settle_s)
         # Always end on a good publish so convergence is checkable —
         # and restore determinism for whoever owns the file next.
-        _atomic_publish(self.snapshot_path, good_cycle[good_i % 2])
+        atomic_write(self.snapshot_path, good_cycle[good_i % 2])
         self.report.expected_final_version = good_versions[good_i % 2]
         self.report.publishes["good"] = self.report.publishes.get("good", 0) + 1
 
@@ -648,7 +642,7 @@ class ChaosHarness:
         finally:
             # Leave the path exactly as found: later runs (and the
             # serving process, post-run) see the original snapshot.
-            _atomic_publish(self.snapshot_path, self.original_bytes)
+            atomic_write(self.snapshot_path, self.original_bytes)
             if self._workdir is not None:
                 self._workdir.cleanup()
         self.report.duration_s = time.monotonic() - started

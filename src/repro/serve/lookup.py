@@ -1,28 +1,14 @@
-"""Batched, vectorized catchment lookup over a model snapshot.
+"""Batched catchment lookup over a model snapshot.
 
 The :class:`LookupEngine` answers the queries of the live
-:class:`~repro.core.prediction.CatchmentPredictor` from a snapshot's
-arrays alone — no model, testbed or measurement objects — for *all*
-snapshot clients at once with dense array indexing:
-
-- provider level: the effective winner of every ordered provider pair
-  comes from one ``prov_w[:, i, j]`` slice (provider ``i`` announced
-  first); a client has a provider order iff every pair is usable and
-  its win counts are a permutation of ``0..P-1`` — the shared
-  :func:`~repro.core.preferences.tournament`;
-- site level, inside each enabled provider: either the analogous
-  ``site_w`` tournament (announce order = sorted site ids, so the
-  lower-indexed site is always first) or the S4.3 RTT heuristic
-  (argmin over per-site RTT with any hole invalidating the ranking);
-- the catchment is the top site of the top provider, and the predicted
-  RTT is the (site, client) cell of the RTT matrix.
-
-Predictions are byte-identical to ``CatchmentPredictor.predict``: both
-run the same tournament over the same winner codes and RTT array, and
-both hand their ``(site_index, rtt)`` answer vectors to the one
+:class:`~repro.core.prediction.CatchmentPredictor` for *all* snapshot
+clients at once, from the snapshot's arrays alone.  It holds no ranking
+of its own: both run :func:`~repro.core.twolevel.two_level_ranking`
+over the arrays :meth:`~repro.core.twolevel.TwoLevelModel.arrays`
+compiles, so served and predicted answers are one computation over the
+same bytes — equal by construction — and both hand them to the one
 columnar :class:`~repro.core.prediction.PredictionBatch`, which owns the
-reason taxonomy (``unmapped`` / ``quarantined`` / ``rtt-hole``) and the
-conversion back to exact Python ints and floats.
+reason taxonomy and the conversion back to exact Python ints and floats.
 
 A mapped client's served row depends only on (site index, client
 position) — its RTT is a cell of the snapshot's matrix — so the engine
@@ -38,7 +24,7 @@ import numpy as np
 
 from repro.core.config import AnycastConfig
 from repro.core.prediction import PredictionBatch
-from repro.core.preferences import tournament
+from repro.core.twolevel import two_level_ranking
 from repro.serve.snapshot import Snapshot, SnapshotError
 from repro.util.errors import ConfigurationError
 
@@ -57,16 +43,10 @@ class LookupEngine:
 
     def __init__(self, snapshot: Snapshot):
         self.snapshot = snapshot
-        arrays = snapshot.arrays
-        self._clients = arrays["clients"]
-        self._sites = arrays["sites"]
-        self._site_provider = arrays["site_provider"]
-        self._prov_w = arrays["prov_w"]
-        self._site_w = arrays["site_w"]
-        self._rtt = arrays["rtt"]
+        self._rtt_heuristic = snapshot.site_level_mode == "rtt"
         # Plain Python ints, once: dict keys, batch columns, served ids.
-        self._client_ids = self._clients.tolist()
-        self._site_ids = self._sites.tolist()
+        self._client_ids = snapshot.arrays["clients"].tolist()
+        self._site_ids = snapshot.arrays["sites"].tolist()
         self._client_pos: Dict[int, int] = {cid: i for i, cid in enumerate(self._client_ids)}
         self._site_pos: Dict[int, int] = {sid: i for i, sid in enumerate(self._site_ids)}
         #: Encoded rows by [site index][client position]; ``[-1]`` is
@@ -84,82 +64,22 @@ class LookupEngine:
     def site_ids(self) -> Tuple[int, ...]:
         return tuple(self._site_ids)
 
-    def knows_site(self, site_id: int) -> bool:
-        return site_id in self._site_pos
-
     # -- vectorized core -------------------------------------------------------
 
-    def predict_arrays(
-        self, site_order: Tuple[int, ...]
-    ) -> Tuple["np.ndarray", "np.ndarray"]:
-        """Answers for *every* snapshot client, as arrays.
-
-        Returns ``(site_index, rtt)``: per client, the index into the
-        snapshot's site vector (``-1`` = quarantined) and the predicted
-        RTT (NaN = quarantined or rtt-hole).  Uncached; :meth:`predict`
-        adds the per-config memo on top.
+    def predict_arrays(self, site_order: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(site_index, rtt)`` for *every* snapshot client: the
+        :meth:`~repro.core.twolevel.Ranking.answers` of the snapshot's
+        arrays (``-1`` / NaN = quarantined; NaN alone = rtt-hole).
+        Uncached; :meth:`predict` adds the per-config memo on top.
         """
         if not site_order:
             raise ConfigurationError("empty announcement order")
         unknown = [s for s in site_order if s not in self._site_pos]
         if unknown:
             raise SnapshotError(f"sites {unknown} are not in this snapshot")
-
-        n_clients = len(self._clients)
-        # Providers in first-appearance order, each with its enabled
-        # site indices — mirroring TwoLevelModel.total_order's grouping.
-        prov_order = []
-        prov_sites: Dict[int, list] = {}
-        for site in site_order:
-            site_idx = self._site_pos[site]
-            provider = int(self._site_provider[site_idx])
-            if provider not in prov_sites:
-                prov_sites[provider] = []
-                prov_order.append(provider)
-            prov_sites[provider].append(site_idx)
-
-        n_prov = len(prov_order)
-        site_valid = np.ones((n_prov, n_clients), dtype=bool)
-        top_site = np.empty((n_prov, n_clients), dtype=np.int64)
-        rtt_mode = self.snapshot.site_level_mode == "rtt"
-        for row, provider in enumerate(prov_order):
-            # Ascending index == ascending site id == the announce
-            # order site_ranking_within uses (sorted(sites)).
-            members = sorted(prov_sites[provider])
-            if len(members) == 1:
-                top_site[row, :] = members[0]
-                continue
-            if rtt_mode:
-                sub = self._rtt[members, :]
-                site_valid[row] = ~np.isnan(sub).any(axis=0)
-                filled = np.where(np.isnan(sub), np.inf, sub)
-                # argmin's first-occurrence tie-break = lowest site id,
-                # matching sorted((rtt, site)) in the live model.
-                top_site[row] = np.asarray(members, dtype=np.int64)[
-                    np.argmin(filled, axis=0)
-                ]
-            else:
-                site_valid[row], wins = tournament(self._site_w, members)
-                top_site[row] = np.asarray(members, dtype=np.int64)[
-                    np.argmax(wins, axis=1)
-                ]
-
-        if n_prov == 1:
-            decided = site_valid[0]
-            catchment = top_site[0]
-        else:
-            prov_valid, wins = tournament(self._prov_w, prov_order)
-            top_prov = np.argmax(wins, axis=1)
-            # The live path needs *every* enabled provider's site
-            # ranking, not just the winner's (total_order builds the
-            # full order before most_preferred picks its head).
-            decided = prov_valid & site_valid.all(axis=0)
-            catchment = top_site[top_prov, np.arange(n_clients)]
-
-        site_index = np.where(decided, catchment, -1)
-        rtt = np.full(n_clients, np.nan, dtype=np.float64)
-        rtt[decided] = self._rtt[catchment[decided], np.flatnonzero(decided)]
-        return site_index, rtt
+        return two_level_ranking(
+            self.snapshot.arrays, [self._site_pos[s] for s in site_order], self._rtt_heuristic
+        ).answers(self.snapshot.arrays["rtt"])
 
     # -- typed batch API -------------------------------------------------------
 

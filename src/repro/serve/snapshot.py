@@ -37,8 +37,8 @@ by id):
   site pairs (cross-provider entries stay ``-1``);
 - ``rtt`` — float64 ``[S, C]`` with NaN for missing samples.
 
-Snapshots are published atomically (temp file + ``os.replace``), so a
-server hot-reloading a path never observes a torn file, and readers
+Snapshots are published with :func:`~repro.io.atomic.atomic_write`, so
+a server hot-reloading a path never observes a torn file, and readers
 holding the old mapping keep a valid view until they drop it.
 """
 
@@ -46,14 +46,12 @@ import hashlib
 import io
 import json
 import mmap
-import os
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.prediction import model_clients
+from repro.io.atomic import atomic_write
 from repro.util.errors import ReproError
 
 SNAPSHOT_FORMAT = "anyopt-snapshot"
@@ -81,10 +79,9 @@ class SnapshotError(ReproError):
 class Snapshot:
     """A compiled model: header metadata plus the dense arrays.
 
-    ``arrays`` maps the names above to numpy arrays — freshly
-    allocated after :func:`compile_snapshot`, zero-copy views into a
-    shared mapping after :func:`load_snapshot`.  Loaded snapshots are
-    read-only; treat compiled ones as immutable too.
+    ``arrays`` maps the names above to read-only numpy arrays — the
+    model's own after :func:`compile_snapshot`, zero-copy views into a
+    shared mapping after :func:`load_snapshot`.
     """
 
     header: Dict
@@ -123,52 +120,20 @@ class Snapshot:
 
 def compile_snapshot(model) -> Snapshot:
     """Compile an :class:`~repro.core.anyopt.AnyOptModel` into a
-    snapshot.
-
-    The known-client set is :func:`repro.core.prediction.model_clients`
-    — identical to what the live predictor uses — so snapshot-backed
-    lookups and ``CatchmentPredictor.predict`` agree on which clients
-    are ``unmapped``.
-    """
+    snapshot: a header over the arrays the live model ranks with
+    (:meth:`~repro.core.twolevel.TwoLevelModel.arrays`), so a
+    snapshot-backed lookup knows the same clients and ranks them the
+    same way as ``CatchmentPredictor.predict``."""
     from repro.audit.repair import model_fingerprint
 
     twolevel = model.twolevel
-    testbed = model.testbed
-    rtt_matrix = model.rtt_matrix
-
-    clients = sorted(model_clients(twolevel, rtt_matrix))
-    sites = sorted(testbed.site_ids())
-    providers = sorted(testbed.provider_asns())
-    site_index = {sid: i for i, sid in enumerate(sites)}
-    provider_index = {asn: i for i, asn in enumerate(providers)}
-
-    C, S, P = len(clients), len(sites), len(providers)
-    prov_w = twolevel.provider_matrix.winner_codes(clients, providers)
-    site_w = np.full((C, S, S), -1, dtype=np.int8)
-
-    for matrix in twolevel.site_matrices.values():
-        # Each matrix holds one provider's sites: a diagonal block.
-        members = sorted({s for pair in matrix.pairs() for s in pair if s in site_index})
-        block = np.array([site_index[s] for s in members], dtype=np.intp)
-        site_w[:, block[:, None], block] = matrix.winner_codes(clients, members)
-
-    arrays = {
-        "clients": np.asarray(clients, dtype=np.int64),
-        "sites": np.asarray(sites, dtype=np.int64),
-        "providers": np.asarray(providers, dtype=np.int64),
-        "site_provider": np.asarray(
-            [provider_index[testbed.provider_of(s)] for s in sites], dtype=np.int32
-        ),
-        "prov_w": prov_w,
-        "site_w": site_w,
-        "rtt": rtt_matrix.array(sites, clients),
-    }
+    arrays = twolevel.arrays()
     header = {
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
         "site_level_mode": twolevel.site_level_mode.value,
         "model_fingerprint": model_fingerprint(model),
-        "counts": {"clients": C, "sites": S, "providers": P},
+        "counts": {name: len(arrays[name]) for name in ("clients", "sites", "providers")},
     }
     _finish_header(header, arrays)
     return Snapshot(header=header, arrays=arrays)
@@ -213,10 +178,10 @@ def _finish_header(header: Dict, arrays) -> None:
 def write_snapshot(snapshot: Snapshot, path: str) -> str:
     """Publish a snapshot atomically; returns ``path``.
 
-    The temp-file + ``os.replace`` dance is what makes hot reload
-    safe: a watcher polling ``path`` sees either the old complete file
-    or the new complete file, never a partial write, and mappings of
-    the replaced file stay valid until their readers drop them.
+    The atomic replace is what makes hot reload safe: a watcher
+    polling ``path`` sees either the old complete file or the new
+    complete file, never a partial write, and mappings of the replaced
+    file stay valid until their readers drop them.
     """
     table = snapshot.header["arrays"]
     payload = _payload_bytes(snapshot.arrays, table)
@@ -226,14 +191,9 @@ def write_snapshot(snapshot: Snapshot, path: str) -> str:
     prefix_len = len(_MAGIC) + 8 + len(header_bytes)
     pad = (-prefix_len) % _ALIGN
 
-    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(len(header_bytes).to_bytes(8, "little"))
-        fh.write(header_bytes)
-        fh.write(b"\x00" * pad)
-        fh.write(payload)
-    os.replace(tmp, path)
+    atomic_write(path, (
+        _MAGIC, len(header_bytes).to_bytes(8, "little"), header_bytes, b"\x00" * pad, payload,
+    ))
     return path
 
 

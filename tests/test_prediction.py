@@ -2,10 +2,11 @@
 against the per-client reference that ``CatchmentPredictor.predict``
 used to be.
 
-``predict`` is a view over the batched ``total_orders`` and
-``RttMatrix.array``; :func:`reference_predict` below is the plain form
-it replaced — scalar ``total_order`` per client, RTT straight from the
-dict — and the two must agree row for row, ``==`` and type for type.
+``predict`` — like the snapshot lookup — reads the head view of the
+model's ``two_level_ranking`` over ``RttMatrix.array``;
+:func:`reference_predict` below is the plain form it replaced — scalar
+``total_order`` per client, RTT straight from the dict — and the two
+must agree row for row, ``==`` and type for type.
 """
 
 import json
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import random_config
+from repro.core import twolevel
 from repro.core.config import AnycastConfig
 from repro.core.prediction import (
     REASON_QUARANTINED,
@@ -33,9 +35,9 @@ from repro.core.prediction import (
     model_clients,
 )
 from repro.core.preferences import PairObservation, PreferenceMatrix
-from repro.core.twolevel import FlatPreferenceModel
+from repro.core.twolevel import FlatPreferenceModel, SiteLevelMode, TwoLevelModel
 from repro.measurement.rtt import RttMatrix
-from repro.serve import LookupEngine, compile_snapshot
+from repro.serve import LookupEngine, compile_snapshot, lookup
 from repro.util.errors import ReproError
 from tests.test_search_plane import SETTINGS, Providers, random_matrix, two_level_worlds
 
@@ -155,26 +157,26 @@ class TestPredictIsTheReference:
         assert len(anyopt_model.predictor.predict(config, [10**9])) == 1
 
 
-class SnapshotWorld(Providers):
-    """What ``compile_snapshot`` asks of a testbed, over a
-    ``two_level_worlds`` provider map."""
-
-    def site_ids(self):
-        return sorted(self._provider_of)
-
-    def provider_asns(self):
-        return sorted(set(self._provider_of.values()))
+def repair_overwrite(rng, model, known):
+    """What a repair round does to a model: re-measure one cell of a
+    known client — a provider or site pair, or an RTT sample."""
+    client = rng.choice(known)
+    matrices = [m for m in (model.provider_matrix, *model.site_matrices.values()) if m.pairs()]
+    if not matrices or rng.random() < 0.3:
+        site = rng.choice(model.testbed.site_ids())
+        model.rtt_matrix.set(site, client, rng.choice([None, float(rng.randint(1, 4))]))
+        return
+    matrix = rng.choice(matrices)
+    a, b = sorted(rng.choice(matrix.pairs()))
+    first = rng.choice([a, b])
+    matrix.record(client, PairObservation(a, b, first, rng.choice([a, b, None])))
 
 
 def engine_for(model):
     """A ``LookupEngine`` over a snapshot of a bare two-level model (the
     fingerprint wants a whole ``AnyOptModel``; nothing served reads it)."""
-    world = SimpleNamespace(
-        twolevel=model, rtt_matrix=model.rtt_matrix,
-        testbed=SnapshotWorld(model.testbed._provider_of),
-    )
     with mock.patch("repro.audit.repair.model_fingerprint", return_value="0" * 64):
-        return LookupEngine(compile_snapshot(world))
+        return LookupEngine(compile_snapshot(SimpleNamespace(twolevel=model)))
 
 
 def dumped(batch, version):
@@ -188,31 +190,65 @@ class TestServedBytes:
     (every row encoded) and from the engine (rows cached per cell, so
     each request is made twice: filling the cells, then reading them)."""
 
-    @given(two_level_worlds(), st.integers(0, 2**32), st.text(max_size=6))
+    @given(two_level_worlds(), st.integers(0, 2**32), st.text(max_size=6), st.booleans())
     @settings(**SETTINGS)
-    def test_both_predictors_both_site_level_modes(self, world, seed, version):
+    def test_both_predictors_both_site_level_modes(self, world, seed, version, one_provider):
+        """Requests carry unknown and repeated client ids; orders are
+        forced inside one provider half the time; and between the two
+        rounds a repair-style ``record`` overwrites a cell, which neither
+        the model's cached arrays nor a recompiled snapshot may miss."""
         model, clients, order = world
+        rng = random.Random(seed)
+        if one_provider:
+            provider = model.testbed.provider_of(order[0])
+            order = tuple(s for s in order if model.testbed.provider_of(s) == provider)
         config = AnycastConfig(site_order=order)
-        request = awkward_request(random.Random(seed), clients)
-        eager = reference_predict(model, model.rtt_matrix, config, request)
-        engine = engine_for(model)
-        for predict in (
-            CatchmentPredictor(model, model.rtt_matrix).predict,
-            engine.predict, engine.predict,
-        ):
-            batch = predict(config, request)
-            assert batch.to_json(version) == dumped(batch, version)
-            assert batch.predictions == eager and list(batch) == eager
-            assert [batch[i] for i in range(len(batch))] == eager
-            assert batch.decided_count == sum(p.decided for p in eager)
-            assert batch.sites() == {p.client_id: p.site for p in eager}
-        everyone = reference_predict(
-            model, model.rtt_matrix, config, sorted(model_clients(model, model.rtt_matrix))
-        )
+        request = awkward_request(rng, clients)
+        known = model_clients(model, model.rtt_matrix)
+        predictor = CatchmentPredictor(model, model.rtt_matrix)
         for _ in range(2):
-            batch = engine.predict(config)
-            assert batch.to_json(version) == dumped(batch, version)
-            assert batch.predictions == everyone
+            eager = reference_predict(model, model.rtt_matrix, config, request)
+            engine = engine_for(model)
+            for predict in (predictor.predict, engine.predict, engine.predict):
+                batch = predict(config, request)
+                assert batch.to_json(version) == dumped(batch, version)
+                assert batch.predictions == eager and list(batch) == eager
+                assert [batch[i] for i in range(len(batch))] == eager
+                assert batch.decided_count == sum(p.decided for p in eager)
+                assert batch.sites() == {p.client_id: p.site for p in eager}
+            everyone = reference_predict(model, model.rtt_matrix, config, sorted(known))
+            for _ in range(2):
+                batch = engine.predict(config)
+                assert batch.to_json(version) == dumped(batch, version)
+                assert batch.predictions == everyone
+            repair_overwrite(rng, model, sorted(known))
+
+    def test_one_kernel_behind_every_answer(self):
+        """The snapshot lookup, the live predictor and the model's
+        batched orders all rank through the one shared function."""
+        rng = random.Random(3)
+        clients = [10, 11, 12]
+        model = TwoLevelModel(
+            Providers({1: 100, 2: 100, 3: 200}),
+            random_matrix(rng, clients, [100, 200]),
+            {100: random_matrix(rng, clients, [1, 2]), 200: PreferenceMatrix()},
+            RttMatrix(),
+            SiteLevelMode.PAIRWISE,
+        )
+        engine = engine_for(model)
+        order = (3, 1, 2)
+        assert lookup.two_level_ranking is twolevel.two_level_ranking
+        spy = mock.Mock(wraps=twolevel.two_level_ranking)
+        with mock.patch.object(twolevel, "two_level_ranking", spy):
+            with mock.patch.object(lookup, "two_level_ranking", spy):
+                engine.predict_arrays(order)
+                assert spy.call_count == 1
+                CatchmentPredictor(model, model.rtt_matrix).predict(
+                    AnycastConfig(site_order=order), clients
+                )
+                assert spy.call_count == 2
+                model.total_orders(clients, order)
+                assert spy.call_count == 3
 
     def test_summary_reads_the_columns_like_the_rows(self):
         """Reason keys in first-occurrence order, the mean the same

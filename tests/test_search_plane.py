@@ -6,8 +6,8 @@ split rank tables over clients merged by preference tuple, and
 array tournament.  Each is compared with the plain form it replaced:
 ``SPLPOInstance.cost`` one subset at a time (and the solver loops
 written over it), and ``total_order`` one client at a time.  A golden
-digest pins ``compile_snapshot``'s bytes — now filled from
-``winner_codes`` — to what the commit before the move produced.
+digest pins ``compile_snapshot``'s bytes — now the model's own cached
+arrays — to what the commit before the move produced.
 """
 
 import itertools
@@ -23,7 +23,6 @@ from repro.core.preferences import (
     PairObservation,
     PreferenceMatrix,
     build_total_order,
-    by_wins,
     tournament,
 )
 from repro.core.twolevel import FlatPreferenceModel, SiteLevelMode, TwoLevelModel
@@ -291,13 +290,19 @@ class TestSolversOnTheKernel:
 
 
 class Providers:
-    """The one thing ``TwoLevelModel`` asks of a testbed here."""
+    """What ``TwoLevelModel`` asks of a testbed: a provider map."""
 
     def __init__(self, provider_of):
         self._provider_of = provider_of
 
     def provider_of(self, site):
         return self._provider_of[site]
+
+    def site_ids(self):
+        return sorted(self._provider_of)
+
+    def provider_asns(self):
+        return sorted(set(self._provider_of.values()))
 
 
 #: How a pairwise cell is generated: mostly agreeing with a hidden
@@ -457,7 +462,8 @@ class TestWinnerCodes:
             result = build_total_order(matrix, client, announce, announce)
             assert valid[c] == result.has_total_order
             if result.has_total_order:
-                assert tuple(announce[i] for i in by_wins(wins)[c]) == result.order
+                by_wins = np.argsort(-wins[c], kind="stable")
+                assert tuple(announce[i] for i in by_wins) == result.order
 
     @given(st.integers(0, 2**32), st.sampled_from([2, 3, 4, 5, 7, 63, 66]))
     @settings(**SETTINGS)
@@ -485,18 +491,30 @@ class TestWinnerCodes:
             assert valid[c] == (min(cells) >= 0 and sorted(count) == list(range(n)))
 
     def test_record_drops_the_memo(self):
-        matrix = PreferenceMatrix()
-        matrix.record(1, PairObservation(1, 2, 1, 1))
-        before = matrix.winner_codes([1], [1, 2])
-        assert matrix.winner_codes([1], [1, 2]) is before
-        assert before[0].tolist() == [[-1, 0], [1, -1]]
-        matrix.record(1, PairObservation(1, 2, 2, 2))
-        after = matrix.winner_codes([1], [1, 2])
-        assert after[0].tolist() == [[-1, 1], [0, -1]]
-        model = FlatPreferenceModel(matrix)
-        assert model.total_orders([1], (1, 2))[1].tolist() == [[2, 1]]
-        matrix.record(1, PairObservation(1, 2, 1, 1))
+        """The model's arrays are compiled once and kept until one of
+        its matrices is written or replaced."""
+        site_matrix = PreferenceMatrix()
+        site_matrix.record(1, PairObservation(1, 2, 1, 1))
+        rtt = RttMatrix()
+        model = TwoLevelModel(
+            Providers({1: 100, 2: 100}), PreferenceMatrix(), {100: site_matrix}, rtt,
+            SiteLevelMode.PAIRWISE,
+        )
+        before = model.arrays()
+        assert model.arrays()["clients"] is before["clients"]
+        assert before["site_w"][0].tolist() == [[-1, 0], [1, -1]]
         assert model.total_orders([1], (1, 2))[1].tolist() == [[1, 2]]
+        site_matrix.record(1, PairObservation(1, 2, 2, 2))
+        assert model.arrays()["site_w"][0].tolist() == [[-1, 1], [0, -1]]
+        assert model.total_orders([1], (1, 2))[1].tolist() == [[2, 1]]
+        rtt.set(1, 7, 3.0)
+        assert model.arrays()["clients"].tolist() == [1, 7]
+        model.site_matrices[100] = PreferenceMatrix()
+        assert not model.total_orders([1], (1, 2))[0].any()
+        flat = FlatPreferenceModel(site_matrix)
+        assert flat.total_orders([1], (1, 2))[1].tolist() == [[2, 1]]
+        site_matrix.record(1, PairObservation(1, 2, 1, 1))
+        assert flat.total_orders([1], (1, 2))[1].tolist() == [[1, 2]]
 
 
 #: ``payload_sha256`` of the conftest model's snapshot, re-pinned by the

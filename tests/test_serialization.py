@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.config import AnycastConfig
 from repro.io import (
+    atomic_write,
     load_model,
     load_testbed,
     model_from_dict,
@@ -148,3 +149,45 @@ class TestModelRoundTrip:
         for bad in ([100, 1, 2, 1, 1], [100, 1, 2, 1, 1, False, 0]):
             with pytest.raises(ReproError, match=rf"row 1 has {len(bad)} columns, expected 6"):
                 matrix_from_list([good, bad])
+
+
+class TestAtomicWrite:
+    """Every artifact is replaced whole or not at all."""
+
+    def test_write_that_fails_mid_stream_keeps_the_old_file(self, tmp_path):
+        target = tmp_path / "model.json"
+        target.write_bytes(b"the previous model")
+
+        def torn():
+            yield b"half of the"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write(target, torn())
+        assert target.read_bytes() == b"the previous model"
+        assert sorted(tmp_path.iterdir()) == [target]
+
+    def test_in_place_save_model_survives_a_failed_replace(
+        self, anyopt_model, tmp_path, monkeypatch
+    ):
+        """``anyopt audit --model m.json --repair --out m.json`` overwrites
+        its only copy; a crash at the last step must not truncate it."""
+        path = tmp_path / "model.json"
+        save_model(anyopt_model, path)
+        before = path.read_bytes()
+        from repro.io import atomic
+
+        def crash(src, dst):
+            raise OSError("killed before the rename")
+
+        monkeypatch.setattr(atomic.os, "replace", crash)
+        with pytest.raises(OSError, match="killed"):
+            save_model(anyopt_model, path)
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_text_and_bytes(self, tmp_path):
+        atomic_write(tmp_path / "a", "é")
+        atomic_write(tmp_path / "b", b"\x00\x01")
+        assert (tmp_path / "a").read_bytes() == "é".encode("utf-8")
+        assert (tmp_path / "b").read_bytes() == b"\x00\x01"
