@@ -24,6 +24,8 @@ without phase-specific plumbing.
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.config import AnycastConfig
 from repro.core.preferences import PairObservation, PreferenceMatrix
 from repro.measurement.orchestrator import Orchestrator
@@ -59,6 +61,16 @@ class PairwiseResult:
     _observations: Dict[tuple, PairObservation] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    def winner_columns(self, clients: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+        """Both runs' catchment columns (``-1`` = unmapped), aligned with
+        ``clients`` — the ids both runs probed, in probing order."""
+        for cmap in (self.map_a_first, self.map_b_first):
+            if cmap.ids != clients:
+                raise MeasurementError(
+                    f"experiment {cmap.experiment_id} probed other targets"
+                )
+        return self.map_a_first.sites, self.map_b_first.sites
 
     def observation(self, client_id: int) -> PairObservation:
         return PairObservation.shared(
@@ -229,18 +241,15 @@ class ExperimentRunner:
                 self.orchestrator, tasks, progress=progress
             )
         matrix = PreferenceMatrix()
+        clients = self.orchestrator.targets.columns.ids
         undecided = self.orchestrator.metrics.counter("undecided_cells")
         for (a, b), result in zip(pairs, results):
             if isinstance(result, FailedExperiment):
                 self.orchestrator.record_failure(result)
-                for target in self.orchestrator.targets:
-                    matrix.record(
-                        target.target_id, PairObservation.undecided_pair(a, b)
-                    )
-                    undecided.increment()
+                matrix.record_pair(a, b, clients)
+                undecided.increment(len(clients))
                 continue
-            for target in self.orchestrator.targets:
-                matrix.record(target.target_id, result.observation(target.target_id))
+            matrix.record_pair(a, b, clients, *result.winner_columns(clients))
         return matrix
 
 

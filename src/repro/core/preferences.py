@@ -122,6 +122,12 @@ class PairObservation:
         return None
 
 
+def _side(column: np.ndarray, site_a: int, site_b: int) -> np.ndarray:
+    """Per cell of a winner column: 0 = ``site_a``, 1 = ``site_b``, 2 =
+    unmapped, 3 = any other site (which the observation rejects)."""
+    return np.where(column == site_a, 0, np.where(column == site_b, 1, np.where(column < 0, 2, 3)))
+
+
 class PreferenceMatrix:
     """All pairwise observations, per client.
 
@@ -132,13 +138,54 @@ class PreferenceMatrix:
     def __init__(self):
         self._data: Dict[int, Dict[FrozenSet[int], PairObservation]] = {}
         self._pairs: set = set()
-        #: New on every :meth:`record` and unique to this matrix, so
-        #: arrays derived from it can tell when they are stale.
+        #: New on every :meth:`record` / :meth:`record_pair` and unique
+        #: to this matrix, so arrays derived from it can tell when they
+        #: are stale.
         self.stamp = next(_STAMPS)
 
     def record(self, client_id: int, obs: PairObservation) -> None:
         key = frozenset((obs.site_a, obs.site_b))
         self._data.setdefault(client_id, {})[key] = obs
+        self._pairs.add(key)
+        self.stamp = next(_STAMPS)
+
+    def record_pair(
+        self,
+        site_a: int,
+        site_b: int,
+        clients: Sequence[int],
+        first: Optional[np.ndarray] = None,
+        second: Optional[np.ndarray] = None,
+    ) -> None:
+        """:meth:`record` of one pairwise experiment for all ``clients``
+        at once.  ``first`` / ``second`` are the winner columns with
+        ``site_a`` / ``site_b`` announced first, aligned with
+        ``clients``, ``-1`` where a client was unmapped; without them the
+        experiment failed and every client gets the explicit UNDECIDED
+        cell.  A pair has at most nine distinct observations, so each is
+        made (and validated) once."""
+        if first is None:
+            cells = [PairObservation.undecided_pair(site_a, site_b)] * len(clients)
+        else:
+            first, second = np.asarray(first), np.asarray(second)
+            if not len(first) == len(second) == len(clients):
+                raise ReproError("winner columns must align with the clients")
+            codes = _side(first, site_a, site_b) * 4 + _side(second, site_a, site_b)
+            kinds, at, inverse = np.unique(codes, return_index=True, return_inverse=True)
+            table = np.empty(len(kinds), dtype=object)
+            for k, j in enumerate(at.tolist()):
+                w1, w2 = int(first[j]), int(second[j])
+                table[k] = PairObservation(
+                    site_a, site_b, None if w1 < 0 else w1, None if w2 < 0 else w2
+                )
+            cells = table[inverse.reshape(-1)].tolist()
+        key = frozenset((site_a, site_b))
+        data = self._data
+        for client, obs in zip(clients, cells):
+            row = data.get(client)
+            if row is None:
+                row = data[client] = {}
+            row[key] = obs
         self._pairs.add(key)
         self.stamp = next(_STAMPS)
 

@@ -28,7 +28,6 @@ import numpy as np
 from repro.core.experiments import ExperimentRunner
 from repro.core.prediction import model_clients
 from repro.core.preferences import (
-    PairObservation,
     PreferenceMatrix,
     TotalOrderResult,
     build_total_order,
@@ -315,6 +314,15 @@ class FlatPreferenceModel(_RankedModel):
         return two_level_ranking(arrays, [items.index(s) for s in site_order], False)
 
 
+def _relabel(column: np.ndarray, labels: Dict[int, int]) -> np.ndarray:
+    """``column`` with each site of ``labels`` as its label and every
+    other cell ``-1`` (unmapped)."""
+    out = np.full(len(column), -1, dtype=np.int64)
+    for site, label in labels.items():
+        out[column == site] = label
+    return out
+
+
 def discover_two_level(
     runner: ExperimentRunner,
     rtt_matrix: Optional[RttMatrix] = None,
@@ -379,29 +387,18 @@ def discover_two_level(
                 parent_span_id=phase_span.span_id,
             )
             results = executor.run_experiments(runner.orchestrator, tasks)
+        clients = runner.orchestrator.targets.columns.ids
         for (pa, pb), result in zip(provider_pairs, results):
             if isinstance(result, FailedExperiment):
                 runner.orchestrator.record_failure(result)
-                for target in runner.orchestrator.targets:
-                    provider_matrix.record(
-                        target.target_id, PairObservation.undecided_pair(pa, pb)
-                    )
-                    undecided.increment()
+                provider_matrix.record_pair(pa, pb, clients)
+                undecided.increment(len(clients))
                 continue
-            a_first, b_first = result.map_a_first, result.map_b_first
-            shared: Dict[tuple, PairObservation] = {}
-            for target in runner.orchestrator.targets:
-                client = target.target_id
-                provider_matrix.record(
-                    client,
-                    PairObservation.shared(
-                        shared,
-                        pa,
-                        pb,
-                        site_to_provider.get(a_first.site_of(client)),
-                        site_to_provider.get(b_first.site_of(client)),
-                    ),
-                )
+            first, second = result.winner_columns(clients)
+            provider_matrix.record_pair(
+                pa, pb, clients,
+                _relabel(first, site_to_provider), _relabel(second, site_to_provider),
+            )
         if progress is not None:
             progress.provider_matrix = provider_matrix
         if checkpoint is not None:

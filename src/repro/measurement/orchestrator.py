@@ -96,7 +96,7 @@ class Deployment:
         """Per target: ground-truth RTT to its catchment site (NaN
         without a route) and that site."""
         sites, path = self.dataplane.resolve_flows(columns.asns, columns.ids)
-        drift = self.orchestrator.rtt_drift_factors(self.experiment_id, columns.ids)
+        drift = self.orchestrator.rtt_drift_factors(self.experiment_id, columns.id_array)
         return path * drift + columns.last_mile_ms, sites
 
     def true_rtt(self, target: PingTarget) -> Optional[float]:
@@ -142,7 +142,7 @@ class Deployment:
         tunnel_true[routed] = np.array([t.true_rtt_ms for t in tunnels])[inverse]
         tunnel_estimate[routed] = np.array([t.estimated_rtt_ms for t in tunnels])[inverse]
         return _optional(estimate_rtts(
-            orchestrator.prober, columns.ids, columns.loss_rates, self.experiment_id,
+            orchestrator.prober, columns.id_array, columns.loss_rates, self.experiment_id,
             true_rtt + tunnel_true, tunnel_estimate,
         ))
 

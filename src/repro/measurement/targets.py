@@ -38,6 +38,9 @@ class PingTarget:
     weight: float = 1.0
 
     def __post_init__(self):
+        if self.target_id < 0:
+            # An id addresses the target's noise words: it has none below 0.
+            raise MeasurementError(f"target {self.target_id}: negative target id")
         if not 0.0 <= self.loss_rate < 1.0:
             raise MeasurementError(
                 f"target {self.target_id}: loss rate must be in [0, 1)"
@@ -54,11 +57,13 @@ class PingTarget:
 
 class ProbeColumns(NamedTuple):
     """What probing reads of a target list, as columns in list order:
-    ids and ASNs as tuples (dict keys), the noise model's per-target
+    ids and ASNs as tuples (dict and flow keys), the ids once more as an
+    int64 array (noise addresses) and the noise model's per-target
     constants as arrays — a pure function of the targets."""
 
     ids: Tuple[int, ...]
     asns: Tuple[int, ...]
+    id_array: np.ndarray
     loss_rates: np.ndarray
     last_mile_ms: np.ndarray
 
@@ -67,9 +72,11 @@ class ProbeColumns(NamedTuple):
         if isinstance(targets, TargetSet):
             return targets.columns
         targets = list(targets)
+        ids = tuple(t.target_id for t in targets)
         return cls(
-            tuple(t.target_id for t in targets),
+            ids,
             tuple(t.asn for t in targets),
+            np.array(ids, dtype=np.int64),
             np.array([t.loss_rate for t in targets]),
             np.array([t.last_mile_rtt_ms for t in targets]),
         )

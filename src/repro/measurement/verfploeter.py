@@ -7,8 +7,9 @@ identifies the catchment (S3, "Measuring Catchments").  A target whose
 probes are all lost stays unmapped for that experiment.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Set, Union
+from typing import Dict, Iterator, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -17,34 +18,77 @@ from repro.measurement.targets import PingTarget, ProbeColumns, TargetSet
 from repro.util.errors import MeasurementError
 
 
-@dataclass
+@dataclass(eq=False)
 class CatchmentMap:
-    """target id -> catchment site id (None while unmapped)."""
+    """One experiment's catchments as a column: ``sites[j]`` is the
+    catchment site of probed target ``ids[j]``, ``-1`` while unmapped.
+
+    Every other view reads the column; only :meth:`site_of` (and
+    :attr:`mapping` lookups) index targets by id, through a position
+    table made on first use.
+    """
 
     experiment_id: int
-    mapping: Dict[int, Optional[int]] = field(default_factory=dict)
+    ids: Tuple[int, ...] = ()
+    sites: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    _position: Optional[Dict[int, int]] = field(default=None, init=False, repr=False)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CatchmentMap):
+            return NotImplemented
+        return (self.experiment_id, self.ids) == (other.experiment_id, other.ids) and (
+            np.array_equal(self.sites, other.sites)
+        )
+
+    @property
+    def mapping(self) -> "Mapping[int, Optional[int]]":
+        """target id -> catchment site id (None while unmapped), a
+        read-only view in probing order."""
+        return _MappingView(self)
 
     def site_of(self, target_id: int) -> Optional[int]:
+        if self._position is None:
+            self._position = {t: j for j, t in enumerate(self.ids)}
         try:
-            return self.mapping[target_id]
+            site = int(self.sites[self._position[target_id]])
         except KeyError:
             raise MeasurementError(
                 f"target {target_id} was not probed in experiment "
                 f"{self.experiment_id}"
             ) from None
+        return None if site < 0 else site
 
     def targets_of_site(self, site_id: int) -> Set[int]:
-        return {t for t, s in self.mapping.items() if s == site_id}
+        return {self.ids[j] for j in np.flatnonzero(self.sites == site_id).tolist()}
 
     def mapped_count(self) -> int:
-        return sum(1 for s in self.mapping.values() if s is not None)
+        return int(np.count_nonzero(self.sites >= 0))
 
     def catchment_sizes(self) -> Dict[int, int]:
-        sizes: Dict[int, int] = {}
-        for site in self.mapping.values():
-            if site is not None:
-                sizes[site] = sizes.get(site, 0) + 1
-        return sizes
+        """Mapped targets per site, sites in order of first appearance."""
+        mapped = self.sites[self.sites >= 0]
+        sites, first, counts = np.unique(mapped, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        return dict(zip(sites[order].tolist(), counts[order].tolist()))
+
+
+class _MappingView(Mapping):
+    """:attr:`CatchmentMap.mapping`."""
+
+    def __init__(self, cmap: CatchmentMap):
+        self._cmap = cmap
+
+    def __getitem__(self, target_id: int) -> Optional[int]:
+        try:
+            return self._cmap.site_of(target_id)
+        except MeasurementError:
+            raise KeyError(target_id) from None
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._cmap.ids)
+
+    def __len__(self) -> int:
+        return len(self._cmap.ids)
 
 
 def measure_catchments(
@@ -71,6 +115,6 @@ def measure_catchments(
     unmapped = np.isnan(rtts)
     silent = np.ones(len(sites), dtype=bool)
     for attempt in range(1 + retries):
-        silent &= prober.lost(columns.ids, columns.loss_rates, experiment_id, 100 + attempt)
-    sites = np.where(unmapped | silent, None, sites).tolist()
-    return CatchmentMap(experiment_id=experiment_id, mapping=dict(zip(columns.ids, sites)))
+        silent &= prober.lost(columns.id_array, columns.loss_rates, experiment_id, 100 + attempt)
+    sites = np.where(unmapped | silent, -1, sites)
+    return CatchmentMap(experiment_id, columns.ids, sites)

@@ -107,6 +107,8 @@ def uniforms(key: int, start: int, n: int, row: int = 0) -> np.ndarray:
     uniform is its top 53 bits times ``2**-53``.  Only ``random_raw`` is
     read: raw output is what numpy keeps stable across versions.
     """
+    if start < 0:
+        raise ValueError(f"negative word address {start}")
     bits = getattr(_scratch, "bits", None)
     if bits is None:
         bits = _scratch.bits = np.random.Philox(key=0)
@@ -119,10 +121,16 @@ def uniforms(key: int, start: int, n: int, row: int = 0) -> np.ndarray:
 
 def uniform_rows(key: int, ids, width: int, row: int = 0) -> np.ndarray:
     """``uniforms`` by id: ``[len(ids), width]``, row ``j`` holding
-    words ``ids[j] * width .. (ids[j] + 1) * width``.  Ids may be
-    sparse, repeated and in any order; each run of consecutive ids (a
-    dense id range is a single run) is one draw."""
-    uniq, inverse = np.unique(np.asarray(ids, dtype=np.int64), return_inverse=True)
+    words ``ids[j] * width .. (ids[j] + 1) * width``.  A dense ascending
+    run (what :func:`~repro.measurement.targets.select_targets` makes)
+    is one slice; otherwise ids may be sparse, repeated and in any
+    order, and each run of consecutive ids is one draw."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if len(ids) and (np.diff(ids) == 1).all():
+        return uniforms(key, int(ids[0]) * width, len(ids) * width, row).reshape(-1, width)
+    uniq, inverse = np.unique(ids, return_inverse=True)
+    if len(uniq) and uniq[0] < 0:
+        raise ValueError(f"negative id {uniq[0]} has no word address")
     rows = np.empty((len(uniq), width))
     cuts = (np.flatnonzero(np.diff(uniq) > 1) + 1).tolist()
     for lo, hi in zip([0, *cuts], [*cuts, len(uniq)]):
@@ -132,15 +140,21 @@ def uniform_rows(key: int, ids, width: int, row: int = 0) -> np.ndarray:
     return rows[inverse]
 
 
+def _libm(function, x: np.ndarray) -> np.ndarray:
+    """``function`` (a ``math`` one) of every element of ``x``."""
+    return np.fromiter(map(function, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 def exponentials(u: np.ndarray) -> np.ndarray:
     """Unit-mean exponentials ``-ln(1 - u)`` through ``math.log``, never
     ``numpy.log``: its SIMD code differs from libm's in the last bit on
-    some CPUs, which would make results depend on the host."""
-    return np.array([-math.log(1.0 - x) for x in u.ravel().tolist()]).reshape(u.shape)
+    some CPUs, which would make results depend on the host.  ``1 - u``
+    is one exactly rounded subtraction, the same in numpy as in Python."""
+    return -_libm(math.log, 1.0 - u)
 
 
 def standard_normals(u: np.ndarray) -> np.ndarray:
     """Box–Muller over the last axis (length 2) of ``u``:
-    ``sqrt(-2 ln(1 - u0)) * cos(2 pi u1)``, ``math.cos`` as above."""
-    angle = np.array([math.cos(_TWO_PI * x) for x in u[..., 1].ravel().tolist()])
-    return np.sqrt(2.0 * exponentials(u[..., 0])) * angle.reshape(u.shape[:-1])
+    ``sqrt(-2 ln(1 - u0)) * cos(2 pi u1)``, ``math.cos`` as above (of
+    one exactly rounded product)."""
+    return np.sqrt(2.0 * exponentials(u[..., 0])) * _libm(math.cos, _TWO_PI * u[..., 1])

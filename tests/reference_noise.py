@@ -1,11 +1,14 @@
 """Philox-4x64-10 written out in plain integers — the oracle of
-``repro.util.rng.uniforms``.
+``repro.util.rng.uniforms`` — and the transcendentals of
+``exponentials`` / ``standard_normals`` one libm call at a time.
 
 Shares nothing with the code under test (no numpy, no bit generator):
 the round function and constants are the ones of Salmon et al.,
 "Parallel Random Numbers: As Easy as 1, 2, 3" (SC'11).  Slow on
 purpose; the tests' draw loops read it one word at a time.
 """
+
+import math
 
 _MASK = (1 << 64) - 1
 _MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -37,3 +40,13 @@ def reference_uniform(key: int, word: int, row: int = 0) -> float:
     under key ``(key, 0)``, top 53 bits times ``2**-53``."""
     block = philox_block((word // 4 + 1, row, 0, 0), (key, 0))
     return (block[word % 4] >> 11) * 2.0**-53
+
+
+def reference_exponential(u: float) -> float:
+    """A unit-mean exponential from one uniform: ``-ln(1 - u)``."""
+    return -math.log(1.0 - u)
+
+
+def reference_normal(u0: float, u1: float) -> float:
+    """A standard normal from a uniform pair (Box–Muller)."""
+    return math.sqrt(2.0 * reference_exponential(u0)) * math.cos(2.0 * math.pi * u1)

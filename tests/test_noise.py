@@ -3,7 +3,9 @@ share no code with it.
 
 (a) purity — a word is its address, whatever was read before, on
     whichever thread; the words are Philox-4x64-10 as written out in
-    ``tests/reference_noise.py``;
+    ``tests/reference_noise.py``; rows by id are those words (a dense
+    run is read as one slice, never sorted); ``ln`` and ``cos`` are
+    libm's, bit for bit;
 (b) every one-row view equals the bulk answer, for any subset in any
     order, on worlds with sparse ids, lossy targets, flow-hashing ASes
     and clients without a route; serial == thread pool == process pool;
@@ -38,7 +40,7 @@ from repro.util import rng
 from repro.util.rng import exponentials, noise_key, standard_normals, uniform_rows, uniforms
 
 from tests.conftest import hashed_clients
-from tests.reference_noise import reference_uniform
+from tests.reference_noise import reference_exponential, reference_normal, reference_uniform
 
 SEED = 7
 SETTINGS = dict(max_examples=25, deadline=None)
@@ -47,6 +49,18 @@ keys = st.integers(0, 2**64 - 1)
 
 def correlation(a, b) -> float:
     return float(numpy.corrcoef(a, b)[0, 1])
+
+
+def spy_on_unique(monkeypatch) -> list:
+    """A list that grows by one per ``numpy.unique`` call from here on."""
+    calls, unique = [], numpy.unique
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(numpy, "unique", counted)
+    return calls
 
 
 # -- (a) purity ----------------------------------------------------------------
@@ -85,6 +99,43 @@ class TestPurity:
         assert rows.tolist() == [
             uniforms(key, i * width, width, row).tolist() for i in ids
         ]
+
+    @pytest.mark.parametrize("length", [0, 1, 1120])
+    @pytest.mark.parametrize("first", [0, 37])
+    @pytest.mark.parametrize("kind", [list, tuple, lambda run: run, numpy.array],
+                             ids=["list", "tuple", "range", "ndarray"])
+    def test_rows_by_id_for_a_dense_run(self, monkeypatch, kind, first, length):
+        """A dense ascending run — ``select_targets``' ids, in any
+        container — is one slice: it never reaches ``numpy.unique``."""
+        ids = kind(range(first, first + length))
+        key = noise_key(SEED, "icmp", 3)
+        sorts = spy_on_unique(monkeypatch)
+        rows = uniform_rows(key, ids, 5, row=2)
+        assert not sorts or not length
+        assert rows.shape == (length, 5)
+        assert rows.tolist() == [uniforms(key, i * 5, 5, 2).tolist() for i in range(first, first + length)]
+
+    @pytest.mark.parametrize("ids", [[3, 2, 1], [1, 2, 2, 3], [0, 1, 3]])
+    def test_rows_by_id_for_a_near_dense_run(self, monkeypatch, ids):
+        """Reversed, repeated or gapped: as long and as wide as a dense
+        run, and must not be read as one."""
+        key = noise_key(SEED, "icmp", 3)
+        sorts = spy_on_unique(monkeypatch)
+        rows = uniform_rows(key, ids, 5, row=2)
+        assert sorts
+        assert rows.tolist() == [uniforms(key, i * 5, 5, 2).tolist() for i in ids]
+
+    def test_transcendentals_are_libm_one_value_at_a_time(self):
+        """Every bit, over 10**5 uniforms and both ends of ``[0, 1)``."""
+        ends = [0.0, 1.0 - 2.0**-53]
+        u = numpy.concatenate([ends, uniforms(noise_key(SEED, "icmp", 5), 0, 100_000), ends])
+        assert exponentials(u).tobytes() == numpy.array(
+            [reference_exponential(x) for x in u.tolist()]
+        ).tobytes()
+        pairs = numpy.concatenate([[[0.0, 1.0 - 2.0**-53], [1.0 - 2.0**-53, 0.0]], u.reshape(-1, 2)])
+        assert standard_normals(pairs).tobytes() == numpy.array(
+            [reference_normal(u0, u1) for u0, u1 in pairs.tolist()]
+        ).tobytes()
 
     def test_two_threads_at_once(self):
         """Each thread has its own scratch generator: interleaved reads

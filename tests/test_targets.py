@@ -21,6 +21,13 @@ class TestPingTarget:
         with pytest.raises(MeasurementError):
             PingTarget(1, 100000, "10.0.0.0/24", -1.0, 0.0)
 
+    def test_negative_id(self):
+        """An id addresses the target's noise words, which start at 0:
+        a negative one fails here, typed, not deep in a draw."""
+        with pytest.raises(MeasurementError, match="negative target id"):
+            PingTarget(-5, 100000, "10.0.0.0/24", 2.0, 0.0)
+        assert PingTarget(0, 100000, "10.0.0.0/24", 2.0, 0.0).target_id == 0
+
 
 class TestTargetSet:
     def test_duplicate_ids_rejected(self):

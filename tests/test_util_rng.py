@@ -5,7 +5,9 @@ import math
 import pytest
 
 from repro.bgp.delta import LinkJitter
-from repro.util.rng import derive_rng, hash_prefix, make_rng, stable_hash, uniforms
+from repro.util.rng import (
+    derive_rng, hash_prefix, make_rng, stable_hash, uniform_rows, uniforms,
+)
 
 from tests.reference_noise import reference_uniform
 
@@ -87,6 +89,17 @@ class TestUniformBlock:
         assert block.tolist()[:40] == [
             reference_uniform(self.KEY, advanced + i) for i in range(min(n, 40))
         ]
+
+    @pytest.mark.parametrize("start", [-1, -4, -2**40])
+    def test_a_negative_address_is_a_value_error(self, start):
+        with pytest.raises(ValueError, match="negative word address"):
+            uniforms(self.KEY, start, 3)
+
+    @pytest.mark.parametrize("ids", [[-1, 0, 1], [-1], [3, -2, 3], [0, 7, -9]])
+    def test_a_negative_id_is_a_value_error(self, ids):
+        """Dense runs and scattered ids alike: no row below word 0."""
+        with pytest.raises(ValueError, match="negative"):
+            uniform_rows(self.KEY, ids, 5)
 
     def test_consecutive_blocks_continue_the_stream(self):
         starts = [sum(self.SIZES[:i]) for i in range(len(self.SIZES))]

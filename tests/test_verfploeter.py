@@ -1,5 +1,8 @@
 """Tests for Verfploeter-style catchment mapping."""
 
+import pickle
+
+import numpy
 import pytest
 
 from repro.core.config import AnycastConfig
@@ -59,3 +62,18 @@ class TestCatchmentMap:
         assert cmap.mapped_count() == 0
         assert cmap.catchment_sizes() == {}
         assert cmap.targets_of_site(1) == set()
+
+    def test_views_read_the_site_column(self):
+        """Sparse ids in probing order, ``-1`` unmapped: every view
+        answers what the dict it replaced answered."""
+        cmap = CatchmentMap(3, (90, 4, 71, 12, 5), numpy.array([6, -1, 1, 6, -1]))
+        expected = {90: 6, 4: None, 71: 1, 12: 6, 5: None}
+        assert cmap.mapping == expected and list(cmap.mapping) == list(expected)
+        assert len(cmap.mapping) == 5 and cmap.mapping.get(7) is None
+        assert [cmap.site_of(t) for t in expected] == list(expected.values())
+        assert list(cmap.catchment_sizes().items()) == [(6, 2), (1, 1)]   # first seen first
+        assert cmap.targets_of_site(6) == {90, 12} and cmap.mapped_count() == 3
+        assert pickle.loads(pickle.dumps(cmap)) == cmap
+        assert cmap != CatchmentMap(3, cmap.ids, numpy.array([6, -1, 1, 1, -1]))
+        with pytest.raises(MeasurementError):
+            cmap.site_of(7)
