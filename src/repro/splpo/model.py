@@ -5,6 +5,7 @@ by its most-preferred open facility, regardless of cost.  The optimizer
 only controls *which* facilities open.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -48,10 +49,26 @@ class Client:
             raise ConfigurationError(f"client {self.client_id}: empty preference")
         if len(set(self.preference)) != len(self.preference):
             raise ConfigurationError(f"client {self.client_id}: duplicate preferences")
-        missing = [f for f in self.preference if f not in self.costs]
-        if missing:
+        try:
+            total = sum(map(self.costs.__getitem__, self.preference))
+        except KeyError:
+            missing = [f for f in self.preference if f not in self.costs]
             raise ConfigurationError(
                 f"client {self.client_id}: no cost for facilities {missing}"
+            ) from None
+        # A NaN cost would hide every other score from a solver's argmin,
+        # and an infinite one cancels to NaN in SPLPOInstance.subset_costs.
+        # A finite sum has finite terms; only an overflowing one is looked into.
+        if not math.isfinite(total):
+            bad = [f for f in self.preference if not math.isfinite(self.costs[f])]
+            if bad:
+                raise ConfigurationError(
+                    f"client {self.client_id}: non-finite cost for facilities {bad}"
+                )
+        if not 0.0 <= self.weight < math.inf:
+            raise ConfigurationError(
+                f"client {self.client_id}: weight must be finite and non-negative, "
+                f"got {self.weight}"
             )
 
 
@@ -80,6 +97,9 @@ class SPLPOInstance:
         self.facilities: Tuple[int, ...] = tuple(facilities)
         self.clients: Tuple[Client, ...] = tuple(clients)
         self.open_costs: Dict[int, float] = dict(open_costs or {})
+        bad = sorted(f for f, cost in self.open_costs.items() if not math.isfinite(cost))
+        if bad:
+            raise ConfigurationError(f"non-finite open cost for facilities {bad}")
         self.capacities: Optional[Dict[int, float]] = (
             dict(capacities) if capacities is not None else None
         )
@@ -215,10 +235,65 @@ class SPLPOInstance:
             return self.cost(open_facilities, unserved_penalty)
         return float(self._score(self.masks([open_facilities]), unserved_penalty, merged=False)[0])
 
-    def _score(self, masks: np.ndarray, unserved_penalty: float, merged: bool) -> np.ndarray:
+    def subset_costs(self, unserved_penalty: float = math.inf) -> Tuple[np.ndarray, float]:
+        """:meth:`batch_cost` of every facility subset at once.
+
+        Returns ``(costs, scale)``.  ``costs[mask]`` scores the subset
+        whose bit ``i`` is ``facilities[i]`` (``inf`` for the empty
+        subset and, with an infinite penalty, for every subset leaving a
+        client unserved); ``scale`` is the sum of the absolute values of
+        the terms the table adds, the unit its rounding error is bounded
+        in (see :func:`~repro.splpo.exhaustive.solve_exhaustive`).
+
+        Over the *closed* set ``T``, the merged row ``g`` is served by
+        its rank-``r`` choice ``f`` exactly when every facility ranked
+        above ``f`` — the set ``A`` — is closed and ``f`` is not:
+        ``[A ⊆ T] − [A ∪ {f} ⊆ T]``.  So the objective is a signed point
+        mass per term on a ``2**n`` array, and one superset-sum
+        transform evaluates it for every ``T``.  The cells are the merged
+        :meth:`batch_cost` kernel's own floats, added in another order.
+        Capacitated instances do not decompose this way and raise.
+        """
+        if self.capacities is not None:
+            raise ConfigurationError("capacitated instances are scored by cost")
+        n = len(self.facilities)
+        tables = self._rank_tables(merged=True)
+        priced = tables.priced(unserved_penalty)
+        listed = tables.ranks < n
+        ranked = np.arange(n) < listed.sum(axis=1)[:, None]
+        # choice[g, r]: the bit of row g's rank-r facility (0 past its list).
+        choice = np.zeros((len(priced), n), dtype=np.int64)
+        rows, column = np.nonzero(listed)
+        choice[rows, tables.ranks[rows, column]] = 1 << column
+        through = np.cumsum(choice, axis=1)[ranked]  # the choice and all above it
+        cells = priced[:, :n][ranked]
+        bits = 1 << np.arange(n, dtype=np.int64)
+        opening = np.array([self.open_costs.get(f, 0.0) for f in self.facilities])
+        at = [through - choice[ranked], through, np.zeros(n, np.int64), bits]
+        mass = [cells, -cells, opening, -opening]
+        stranded = choice.sum(axis=1)  # closing all of a row's list strands it
+        if not math.isinf(unserved_penalty):
+            at.append(stranded)
+            mass.append(priced[:, n])
+        mass = np.concatenate(mass)
+        table = np.bincount(np.concatenate(at), weights=mass, minlength=1 << n)
+        _superset_sums(table)
+        costs = table[::-1]  # costs[S] = table[closed set full ^ S]
+        if math.isinf(unserved_penalty):
+            unserved = np.zeros(1 << n, dtype=np.int32)
+            np.add.at(unserved, stranded, 1)
+            _superset_sums(unserved)
+            costs[unserved[::-1] > 0] = math.inf
+        costs[0] = math.inf
+        return costs, float(np.abs(mass).sum())
+
+    def _rank_tables(self, merged: bool) -> "_RankTables":
         if self._kernels is None:
             self._kernels = self._build_kernels()
-        totals = self._kernels[merged].score(masks, unserved_penalty)
+        return self._kernels[merged]
+
+    def _score(self, masks: np.ndarray, unserved_penalty: float, merged: bool) -> np.ndarray:
+        totals = self._rank_tables(merged).score(masks, unserved_penalty)
         if self.open_costs:
             opening = np.array([self.open_costs.get(f, 0.0) for f in self.facilities])
             totals += np.where(masks, opening, 0.0).sum(axis=1)
@@ -230,23 +305,32 @@ class SPLPOInstance:
         merged by preference tuple (weighted costs summed per rank —
         exact, because the objective is linear in the clients)."""
         n_f = len(self.facilities)
-        row, rank, column, value = [], [], [], []
-        for i, client in enumerate(self.clients):
-            row.extend([i] * len(client.preference))
-            rank.extend(range(len(client.preference)))
-            column.extend(self._index[f] for f in client.preference)
-            value.extend(client.weight * client.costs[f] for f in client.preference)
-        row = np.array(row, dtype=np.intp)
-        rank = np.array(rank, dtype=np.intp)
-        ranks = np.full((len(self.clients), n_f), n_f, dtype=np.int32)
-        ranks[row, np.array(column, dtype=np.intp)] = rank
-        cost_by_rank = np.zeros((len(self.clients), n_f + 1), dtype=np.float64)
-        cost_by_rank[row, rank] = value
-        weights = np.array([c.weight for c in self.clients], dtype=np.float64)
+        clients = self.clients
+        lengths = np.fromiter(
+            (len(c.preference) for c in clients), dtype=np.intp, count=len(clients)
+        )
+        total = int(lengths.sum())
+        column = np.fromiter(
+            map(self._index.__getitem__, itertools.chain.from_iterable(c.preference for c in clients)),
+            dtype=np.intp,
+            count=total,
+        )
+        cost = np.fromiter(
+            itertools.chain.from_iterable(map(c.costs.__getitem__, c.preference) for c in clients),
+            dtype=np.float64,
+            count=total,
+        )
+        weights = np.fromiter((c.weight for c in clients), dtype=np.float64, count=len(clients))
+        row = np.repeat(np.arange(len(clients)), lengths)
+        rank = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        ranks = np.full((len(clients), n_f), n_f, dtype=np.int32)
+        ranks[row, column] = rank
+        cost_by_rank = np.zeros((len(clients), n_f + 1), dtype=np.float64)
+        cost_by_rank[row, rank] = weights[row] * cost
 
         groups: Dict[Tuple[int, ...], int] = {}
         group_of = np.array(
-            [groups.setdefault(c.preference, len(groups)) for c in self.clients], dtype=np.intp
+            [groups.setdefault(c.preference, len(groups)) for c in clients], dtype=np.intp
         )
         first_member = np.unique(group_of, return_index=True)[1]
         merged_costs = np.zeros((len(groups), n_f + 1), dtype=np.float64)
@@ -274,10 +358,11 @@ class _RankTables:
 
     def __init__(self, ranks: np.ndarray, cost_by_rank: np.ndarray, weights: np.ndarray):
         n_rows, n_f = ranks.shape
-        self._cost_by_rank = cost_by_rank
-        self._weights = weights
+        self.ranks = ranks
+        self.cost_by_rank = cost_by_rank
+        self.weights = weights
         first_slot = np.arange(n_rows, dtype=np.int32) * (n_f + 1)
-        ranks = ranks + first_slot[:, None]
+        slots = ranks + first_slot[:, None]
 
         self._tables = []
         for lo in range(0, n_f, _TABLE_BITS):
@@ -287,26 +372,27 @@ class _RankTables:
             for bit in range(bits):
                 # Lowest-bit recurrence, one doubling per facility.
                 np.minimum(
-                    table[: 1 << bit], ranks[:, lo + bit], out=table[1 << bit : 2 << bit]
+                    table[: 1 << bit], slots[:, lo + bit], out=table[1 << bit : 2 << bit]
                 )
             self._tables.append(table)
-        #: ``(penalty, flattened cost_by_rank)`` of the last call.
+        #: ``(penalty, priced cost_by_rank)`` of the last call.
         self._priced: Tuple[Optional[float], Optional[np.ndarray]] = (None, None)
 
-    def _flat_costs(self, unserved_penalty: float) -> np.ndarray:
+    def priced(self, unserved_penalty: float) -> np.ndarray:
+        """``cost_by_rank`` with its unserved slot priced."""
         if self._priced[0] != unserved_penalty:
-            priced = self._cost_by_rank.copy()
+            priced = self.cost_by_rank.copy()
             # Not weight * inf: a zero-weight client left unserved still
             # makes the subset infeasible.
             priced[:, -1] = (
-                math.inf if math.isinf(unserved_penalty) else self._weights * unserved_penalty
+                math.inf if math.isinf(unserved_penalty) else self.weights * unserved_penalty
             )
-            self._priced = (unserved_penalty, priced.ravel())
+            self._priced = (unserved_penalty, priced)
         return self._priced[1]
 
     def score(self, masks: np.ndarray, unserved_penalty: float) -> np.ndarray:
-        flat = self._flat_costs(unserved_penalty)
-        n_rows = len(self._weights)
+        flat = self.priced(unserved_penalty).ravel()
+        n_rows = len(self.weights)
         words = np.packbits(masks, axis=1, bitorder="little")
         totals = np.empty(len(masks), dtype=np.float64)
         # Per mask: two int32 gathers and one float64 gather of n_rows.
@@ -318,3 +404,12 @@ class _RankTables:
                 np.minimum(index, self._tables[k][chunk[:, k]], out=index)
             totals[start : start + block] = flat.take(index).sum(axis=1)
         return totals
+
+
+def _superset_sums(table: np.ndarray) -> None:
+    """In place, over a ``2**n`` array indexed by bitmask: ``table[T]``
+    becomes the sum of ``table[A]`` over every ``A ⊆ T`` (the zeta
+    transform, one pass of ``2**(n-1)`` additions per bit)."""
+    for bit in range(table.size.bit_length() - 1):
+        pairs = table.reshape(-1, 2, 1 << bit)
+        pairs[:, 1] += pairs[:, 0]

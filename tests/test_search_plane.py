@@ -1,24 +1,29 @@
 """The search plane against oracles that live with the tests.
 
 ``SPLPOInstance.batch_cost`` scores whole frontiers of subsets through
-split rank tables over clients merged by preference tuple, and
-``total_orders`` ranks every client per announcement order with one
-array tournament.  Each is compared with the plain form it replaced:
-``SPLPOInstance.cost`` one subset at a time (and the solver loops
-written over it), and ``total_order`` one client at a time.  A golden
-digest pins ``compile_snapshot``'s bytes — now the model's own cached
-arrays — to what the commit before the move produced.
+split rank tables over clients merged by preference tuple,
+``SPLPOInstance.subset_costs`` scores every subset at once by one
+subset-sum transform, and ``total_orders`` ranks every client per
+announcement order with one array tournament.  Each is compared with
+the plain form it replaced: ``SPLPOInstance.cost`` one subset at a time
+(and the solver loops written over it — exhaustive search is also
+compared with its own chunked loop), the per-client list building of
+the kernels, and ``total_order`` one client at a time.  Golden values
+pin ``compile_snapshot``'s bytes and an exhaustive ``optimize`` to what
+the commits before the moves produced.
 """
 
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import AnyOpt, select_targets
 from repro.core.preferences import (
     PairObservation,
     PreferenceMatrix,
@@ -31,10 +36,12 @@ from repro.serve import compile_snapshot
 from repro.splpo import (
     Client,
     SPLPOInstance,
+    exhaustive,
     solve_exhaustive,
     solve_greedy,
     solve_local_search,
 )
+from repro.topology import TestbedParams, TopologyParams, build_paper_testbed
 from repro.util.errors import ConfigurationError
 
 SETTINGS = dict(max_examples=60, deadline=None)
@@ -84,7 +91,53 @@ def all_subsets(instance):
 PENALTIES = st.sampled_from([math.inf, 50.0])
 
 
+def every_mask(instance):
+    """Row ``m`` opens the facilities of bitmask ``m`` (bit ``i`` is
+    ``facilities[i]``), the layout ``subset_costs`` indexes by."""
+    n = len(instance.facilities)
+    return (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
+
+
+def chunked_search(instance, **kwargs):
+    """``solve_exhaustive`` forced onto its chunked enumeration loop."""
+    with mock.patch.object(exhaustive, "_TRANSFORM_FACILITIES", 0):
+        return solve_exhaustive(instance, **kwargs)
+
+
 # -- SPLPO: oracles ------------------------------------------------------------
+
+
+def reference_kernels(instance):
+    """The kernels' input arrays as the per-client loop built them:
+    ``(ranks, cost_by_rank, weights)`` per client, then merged by
+    preference tuple."""
+    n_f = len(instance.facilities)
+    index = {f: i for i, f in enumerate(instance.facilities)}
+    row, rank, column, value = [], [], [], []
+    for i, client in enumerate(instance.clients):
+        row.extend([i] * len(client.preference))
+        rank.extend(range(len(client.preference)))
+        column.extend(index[f] for f in client.preference)
+        value.extend(client.weight * client.costs[f] for f in client.preference)
+    row = np.array(row, dtype=np.intp)
+    rank = np.array(rank, dtype=np.intp)
+    ranks = np.full((len(instance.clients), n_f), n_f, dtype=np.int32)
+    ranks[row, np.array(column, dtype=np.intp)] = rank
+    cost_by_rank = np.zeros((len(instance.clients), n_f + 1), dtype=np.float64)
+    cost_by_rank[row, rank] = value
+    weights = np.array([c.weight for c in instance.clients], dtype=np.float64)
+    groups = {}
+    group_of = np.array(
+        [groups.setdefault(c.preference, len(groups)) for c in instance.clients], dtype=np.intp
+    )
+    first_member = np.unique(group_of, return_index=True)[1]
+    merged_costs = np.zeros((len(groups), n_f + 1), dtype=np.float64)
+    np.add.at(merged_costs, group_of, cost_by_rank)
+    merged_weights = np.bincount(group_of, weights, minlength=len(groups))
+    return (
+        (ranks, cost_by_rank, weights),
+        (ranks[first_member], merged_costs, merged_weights),
+    )
 
 
 def reference_exhaustive(instance, sizes=None, max_evaluations=None, penalty=math.inf):
@@ -220,6 +273,42 @@ class TestBatchCost:
         monkeypatch.setattr(model, "_BLOCK_BYTES", 16 * 20 * 5)  # five masks a block
         assert instance.batch_cost(masks, 7.0).tolist() == whole.tolist()
 
+    @given(splpo_instances(exact=False))
+    @settings(**SETTINGS)
+    def test_kernel_columns_equal_the_per_client_loop(self, instance):
+        built = instance._build_kernels()
+        for tables, (ranks, cost_by_rank, weights) in zip(built, reference_kernels(instance)):
+            assert tables.ranks.dtype == ranks.dtype
+            assert tables.ranks.tobytes() == ranks.tobytes()
+            assert tables.cost_by_rank.tobytes() == cost_by_rank.tobytes()
+            assert tables.weights.tobytes() == weights.tobytes()
+
+    @given(splpo_instances(exact=True), PENALTIES)
+    @settings(**SETTINGS)
+    def test_subset_costs_are_batch_costs_when_sums_are_exact(self, instance, penalty):
+        costs, _ = instance.subset_costs(penalty)
+        assert costs.tolist() == instance.batch_cost(every_mask(instance), penalty).tolist()
+
+    @given(splpo_instances(exact=False), PENALTIES)
+    @settings(**SETTINGS)
+    def test_subset_costs_within_the_rounding_bound(self, instance, penalty):
+        """Feasibility is exact; a finite score is within the written
+        bound: addition trees of depth at most ``2 * rows + 2 * n``
+        (table) and ``rows + n`` (kernel) over terms whose absolute
+        values sum to ``scale``."""
+        costs, scale = instance.subset_costs(penalty)
+        batch = instance.batch_cost(every_mask(instance), penalty)
+        assert np.isinf(costs).tolist() == np.isinf(batch).tolist()
+        rows = len({c.preference for c in instance.clients})
+        bound = 3 * (rows + len(instance.facilities)) * 2.0**-53 * scale
+        finite = np.isfinite(batch)
+        assert np.all(np.abs(costs[finite] - batch[finite]) <= bound)
+
+    def test_capacitated_instances_have_no_subset_table(self):
+        instance = SPLPOInstance([1], [Client(1, (1,), {1: 1.0})], capacities={1: 1.0})
+        with pytest.raises(ConfigurationError):
+            instance.subset_costs()
+
 
 class TestSolversOnTheKernel:
     @given(splpo_instances(exact=True), PENALTIES, st.data())
@@ -228,11 +317,11 @@ class TestSolversOnTheKernel:
         n = len(instance.facilities)
         sizes = data.draw(st.none() | st.sets(st.integers(1, n), min_size=1))
         budget = data.draw(st.none() | st.integers(1, 2**n + 3))
-        result = solve_exhaustive(
-            instance, sizes=sizes, max_evaluations=budget, unserved_penalty=penalty
-        )
+        kwargs = dict(sizes=sizes, max_evaluations=budget, unserved_penalty=penalty)
+        result = solve_exhaustive(instance, **kwargs)
         expected = reference_exhaustive(instance, sizes, budget, penalty)
         assert (result.open_facilities, result.cost, result.evaluations) == expected
+        assert chunked_search(instance, **kwargs) == result
 
     @given(splpo_instances(exact=False), PENALTIES)
     @settings(**SETTINGS)
@@ -242,18 +331,80 @@ class TestSolversOnTheKernel:
         assert result.evaluations == evaluations
         assert result.cost == best or math.isclose(result.cost, best, rel_tol=1e-12)
         assert result.cost == instance.fast_cost(result.open_facilities, penalty)
+        # Where float sums round, the table's pick is still the loop's.
+        assert chunked_search(instance, unserved_penalty=penalty) == result
 
     def test_exhaustive_budget_spans_chunks(self, monkeypatch):
-        from repro.splpo import exhaustive
-
+        """Budgets cutting mid-size, through the table and through the
+        loop at seven subsets a chunk."""
         monkeypatch.setattr(exhaustive, "_CHUNK", 7)
-        instance = SPLPOInstance(
-            list(range(6)), [Client(i, (i, 5 - i), {i: 2.0, 5 - i: 1.0}) for i in range(6)]
-        )
-        for budget in (1, 6, 7, 8, 20, 63, 64):
-            result = solve_exhaustive(instance, max_evaluations=budget, unserved_penalty=9.0)
-            expected = reference_exhaustive(instance, None, budget, 9.0)
-            assert (result.open_facilities, result.cost, result.evaluations) == expected
+        instances = [
+            SPLPOInstance(
+                list(range(6)), [Client(i, (i, 5 - i), {i: 2.0, 5 - i: 1.0}) for i in range(6)]
+            ),
+            # Best pair {1, 2}: the sixth pair in combinations order, the
+            # third by plain mask, so budget 9 must not reach it.
+            SPLPOInstance(
+                list(range(6)),
+                [Client(i, (i,), {i: c}) for i, c in enumerate([5.0, 1.0, 2.0, 6.0, 7.0, 8.0])],
+            ),
+        ]
+        # Sizes 1, 2 and 3 end after 6, 21 and 41 subsets.
+        for instance, budget, sizes in itertools.product(
+            instances,
+            (1, 4, 6, 7, 8, 9, 13, 20, 22, 30, 40, 41, 50, 63, 64),
+            (None, [2, 3], [5, 2]),
+        ):
+            expected = reference_exhaustive(instance, sizes, budget, 9.0)
+            for search in (solve_exhaustive, chunked_search):
+                result = search(
+                    instance, sizes=sizes, max_evaluations=budget, unserved_penalty=9.0
+                )
+                assert (result.open_facilities, result.cost, result.evaluations) == expected
+
+    def test_enumeration_key_is_combinations_order(self):
+        for n in range(1, 11):
+            key = exhaustive._enumeration_key(n)
+            order = [sum(1 << i for i in combo)
+                     for k in range(1, n + 1) for combo in itertools.combinations(range(n), k)]
+            assert (np.argsort(key[1:]) + 1).tolist() == order
+            assert (key >> n).tolist() == [bin(m).count("1") for m in range(1 << n)]
+
+    def test_one_ulp_tie_is_decided_by_the_rescore(self):
+        """``{1}`` beats ``{0}`` by one ulp in every exact-order sum, but
+        the table reaches both through a 2**53 term that cancels, and
+        scores them equal; only re-scoring ``batch_cost`` finds ``{1}``."""
+        clients = [
+            Client(0, (0, 1), {0: 1.0, 1: 0.5 - 2.0**-52}),
+            Client(1, (1, 0), {1: 1.0, 0: 0.5}),
+            Client(2, (2, 0, 1), {2: 2.0**53, 0: 0.0, 1: 0.0}),
+        ]
+        instance = SPLPOInstance([0, 1, 2], clients)
+        costs, _ = instance.subset_costs()
+        batch = instance.batch_cost(instance.masks([[0], [1]])).tolist()
+        assert batch == [1.5, 1.5 - 2.0**-52]
+        assert costs[0b001] <= costs[0b010]  # the table alone would take {0}
+        result = solve_exhaustive(instance)
+        assert (result.open_facilities, result.cost) == (frozenset({1}), 1.5 - 2.0**-52)
+        assert result == chunked_search(instance)
+        assert reference_exhaustive(instance) == (frozenset({1}), 1.5 - 2.0**-52, 7)
+
+    def test_capacitated_search_scores_through_cost(self, monkeypatch):
+        clients = [Client(i, (1, 2, 3), {1: 1.0, 2: 2.0 + i, 3: 5.0}) for i in range(4)]
+        instance = SPLPOInstance([1, 2, 3], clients, capacities={1: 2.0, 2: 3.0})
+        expected = reference_exhaustive(instance)
+        calls = []
+        cost = SPLPOInstance.cost
+
+        def counted(self, *args):
+            calls.append(args)
+            return cost(self, *args)
+
+        monkeypatch.setattr(SPLPOInstance, "cost", counted)
+        result = solve_exhaustive(instance)
+        assert (result.open_facilities, result.cost, result.evaluations) == expected
+        assert expected[0] == frozenset({3})  # {1} without the capacities
+        assert len(calls) == 7 + 1  # every subset, then the reported winner
 
     @pytest.mark.parametrize("budget", [0, -3])
     def test_exhaustive_rejects_an_empty_budget(self, budget):
@@ -527,3 +678,25 @@ GOLDEN_PAYLOAD_SHA256 = "7b4c3dbbca1b33914112b986028c1a529056782503550884fdb3fdc
 
 def test_golden_snapshot_payload(anyopt_model):
     assert compile_snapshot(anyopt_model).header["payload_sha256"] == GOLDEN_PAYLOAD_SHA256
+
+
+def test_golden_search_result():
+    """Exhaustive ``optimize`` on a small world of its own (the session
+    ``anyopt`` hands out experiment ids in test order), pinned to what
+    the enumeration loop chose before the subset-sum table scored it."""
+    testbed = build_paper_testbed(
+        TestbedParams(topology=TopologyParams(n_stub=120, n_tier2=12)), seed=7
+    )
+    anyopt = AnyOpt(testbed, select_targets(testbed.internet, seed=7), seed=7)
+    model = anyopt.discover()
+    announce = (13, 11, 7, 3, 6, 2, 5, 10, 8, 4, 9, 12, 15, 1, 14)
+    for kwargs, sites, rtt, evaluations in [
+        ({}, (13, 11, 7, 6, 5, 8, 4, 9), "163.42960299234872", 32767),
+        ({"sizes": [4], "max_evaluations": 700}, (13, 11, 3, 4), "175.08012325157952", 700),
+    ]:
+        report = anyopt.optimize(model, strategy="exhaustive", **kwargs)
+        assert report.best_config.site_order == sites
+        assert repr(report.predicted_mean_rtt) == rtt
+        assert report.announce_order == announce
+        assert (report.consistent_clients, report.total_clients) == (205, 244)
+        assert report.evaluations == evaluations

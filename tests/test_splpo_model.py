@@ -33,11 +33,36 @@ class TestClient:
         with pytest.raises(ConfigurationError):
             Client(1, (1, 2), {1: 1.0})
 
+    def test_nan_cost_rejected(self):
+        # Accepted, it hid {2} (cost 6.0) from exhaustive search, which
+        # reported no feasible configuration: argmin landed on the NaN.
+        Client(1, (2, 1), {1: 1.0, 2: 1.0})
+        with pytest.raises(ConfigurationError, match=r"non-finite cost for facilities \[1\]"):
+            Client(0, (1, 2), {1: math.nan, 2: 5.0})
+
+    @pytest.mark.parametrize("cost", [math.inf, -math.inf])
+    def test_infinite_cost_rejected(self, cost):
+        with pytest.raises(ConfigurationError, match="non-finite cost"):
+            Client(0, (1, 2), {1: 1.0, 2: cost})
+
+    def test_costs_whose_sum_overflows_are_finite(self):
+        Client(0, (1, 2), {1: 1e308, 2: 1e308})
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_weight_rejected(self, weight):
+        with pytest.raises(ConfigurationError, match="weight"):
+            Client(0, (1,), {1: 1.0}, weight=weight)
+
 
 class TestInstanceValidation:
     def test_duplicate_facilities_rejected(self):
         with pytest.raises(ConfigurationError):
             SPLPOInstance([1, 1], [])
+
+    @pytest.mark.parametrize("cost", [math.nan, math.inf])
+    def test_non_finite_open_cost_rejected(self, cost):
+        with pytest.raises(ConfigurationError, match="open cost"):
+            SPLPOInstance([1, 2], [Client(1, (1,), {1: 1.0})], open_costs={2: cost})
 
     def test_unknown_preferred_facility_rejected(self):
         with pytest.raises(ConfigurationError):
