@@ -24,7 +24,9 @@ answers through too — and hands them to the columnar
 ``tests/test_prediction.py``.
 """
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -99,11 +101,12 @@ class PredictionBatch:
     The one place a (site, rtt) answer becomes predictions:
     ``answer_sites[p]`` indexes ``site_ids`` (``-1`` = quarantined),
     ``answer_rtts[p]`` is the predicted RTT (NaN = quarantined or no
-    sample), and ``positions`` gives each requested client's ``p`` —
-    None for a client the model has never seen.  Both answers index to
-    exact Python ints and floats (an array's ``tolist()`` or an
-    ``array("d")`` of its bytes; float64 round-trips exactly), an order
-    of magnitude faster than per-client numpy scalar extraction.
+    sample, as it is wherever the site is ``-1``), and ``positions``
+    gives each requested client's ``p`` — None for a client the model
+    has never seen.  Both answers index to exact Python ints and floats
+    (an array's ``tolist()`` or an ``array`` of its bytes; float64
+    round-trips exactly), an order of magnitude faster than per-client
+    numpy scalar extraction.
     ``cached_rows[i][p]``, when given, is the cell for the served row
     of the client at ``p`` answered with site index ``i``: None until
     :meth:`to_json` encodes that row and leaves it there.
@@ -158,6 +161,16 @@ class PredictionBatch:
         """``(decided, rtts, reason counts)`` in request order, in one
         pass (:meth:`_fields` inlined: this runs per served request)."""
         sites, answer_rtts = self.answer_sites, self.answer_rtts
+        if self.positions == range(len(sites)):
+            # Every answer once, in order: C-level passes.  A quarantined
+            # answer's RTT is NaN, so a NaN before the first is a hole.
+            rtts = list(itertools.filterfalse(math.isnan, answer_rtts))
+            quarantined = sites.count(-1)
+            reasons = {REASON_RTT_HOLE: len(sites) - quarantined - len(rtts),
+                       REASON_QUARANTINED: quarantined}
+            if quarantined and not any(map(math.isnan, answer_rtts[:sites.index(-1)])):
+                reasons = dict(reversed(reasons.items()))
+            return len(sites) - quarantined, rtts, {k: n for k, n in reasons.items() if n}
         decided = 0
         rtts: List[float] = []
         reasons: Dict[str, int] = {}
@@ -227,11 +240,15 @@ class PredictionBatch:
 
         # A row with a filled cell is that cell (bytes are never empty,
         # so ``or`` falls through only on no table, no cell or None).
-        rows = [
-            cached is not None and pos is not None and cached[answer_sites[pos]][pos]
-            or encode(client_id, pos)
-            for client_id, pos in zip(self.client_ids, self.positions)
-        ]
+        if cached is not None and self.positions == range(len(answer_sites)):
+            rows = [cached[site][pos] or encode(self.client_ids[pos], pos)
+                    for pos, site in enumerate(answer_sites)]
+        else:
+            rows = [
+                cached is not None and pos is not None and cached[answer_sites[pos]][pos]
+                or encode(client_id, pos)
+                for client_id, pos in zip(self.client_ids, self.positions)
+            ]
         head = json.dumps(self._head())[:-1] + ', "predictions": ['
         tail = f'], "model_version": {json.dumps(model_version)}}}'
         return b"".join((head.encode("ascii"), b", ".join(rows), tail.encode("ascii")))

@@ -16,6 +16,7 @@ enabled site (Theorems A.1/A.2).
 """
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -315,6 +316,16 @@ def build_total_order(
     return TotalOrderResult(client_id, tuple(ordered))
 
 
+@functools.lru_cache(maxsize=None)
+def _round_robin(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """An ``n``-member round-robin's pairs ``(i, j)``, ``i < j``, their
+    ``[2, pairs, n]`` incidence and ``sum(k * k for k in range(n))``."""
+    i, j = np.triu_indices(n, 1)
+    incidence = np.zeros((2, len(i), n))
+    incidence[0, np.arange(len(i)), i] = incidence[1, np.arange(len(j)), j] = 1
+    return i, j, incidence, float(sum(k * k for k in range(n)))
+
+
 def tournament(codes: np.ndarray, members: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
     """Every client's round-robin over ``members`` at once — the array
     form of :func:`build_total_order`.
@@ -322,31 +333,19 @@ def tournament(codes: np.ndarray, members: Sequence[int]) -> Tuple[np.ndarray, n
     ``codes`` is a :meth:`PreferenceMatrix.winner_codes` array and
     ``members`` lists positions on its item axes in announcement order.
     Returns ``(valid, wins)``: whether each client's tournament is
-    usable and transitive, and its ``[clients, len(members)]`` win
-    counts — under ``valid`` a permutation of ``0..n-1``, so
+    usable and transitive, and its ``[clients, len(members)]`` int16
+    win counts — under ``valid`` a permutation of ``0..n-1``, so
     ``argmax`` is the top element and a descending sort the total
-    order.
+    order.  The games are one gather and the counts two products,
+    exact in float64; a tournament is usable and transitive iff its
+    counts' squares sum to that of ``0..n-1`` (DESIGN.md, "Lookup").
     """
-    n_clients = codes.shape[0]
-    n = len(members)
-    wins = np.zeros((n_clients, n), dtype=np.int16)
-    usable = np.ones(n_clients, dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            code = codes[:, members[i], members[j]]
-            usable &= code >= 0
-            wins[:, i] += code == 0
-            wins[:, j] += code == 1
-    # Transitive iff win counts are a permutation of 0..n-1: n counts in
-    # that range are one iff they set all n bits.  (A sort of int16 rows
-    # is numpy's radix sort, three times the cost on rows this short;
-    # it is kept for tournaments wider than an int64.)
-    if n < 64:
-        bits = np.bitwise_or.reduce(np.left_shift(1, wins, dtype=np.int64), axis=1)
-        transitive = bits == (1 << n) - 1
-    else:
-        transitive = (np.sort(wins, axis=1) == np.arange(n)).all(axis=1)
-    return usable & transitive, wins
+    members = np.asarray(members, dtype=np.intp)
+    i, j, incidence, squares = _round_robin(len(members))
+    games = codes[:, members[i], members[j]]
+    wins = (games == 0).astype(np.float64) @ incidence[0]
+    wins += (games == 1).astype(np.float64) @ incidence[1]
+    return np.square(wins) @ np.ones(len(members)) == squares, wins.astype(np.int16)
 
 
 def find_cycle_witness(

@@ -13,6 +13,8 @@ A client's catchment is the head of its two-level total order, and
 many clients: the live model ranks through it over the arrays
 :meth:`TwoLevelModel.arrays` compiles, and the snapshot lookup of
 :mod:`repro.serve.lookup` over the same arrays read back from a file.
+Each caller's memo keeps tournaments with their tops, so a head costs
+at most the one provider tournament its announcement order decides.
 The scalar :meth:`TwoLevelModel.total_order` is its oracle.
 
 A :class:`FlatPreferenceModel` over all-sites pairwise sweeps is kept
@@ -21,7 +23,7 @@ as the naive comparator used by Figure 4c.
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,27 +44,32 @@ from repro.util.errors import ConfigurationError, ReproError
 
 @dataclass(frozen=True, eq=False)
 class Ranking:
-    """Many clients' two-level total orders, as sort keys (lower =
+    """Many clients' two-level total orders, as scores (higher =
     preferred): per provider in announcement order, its sites (indices
-    on ``sites``, ascending) with ``[clients, sites]`` keys (None for a
-    lone site), and ``provider_key`` over the providers (None for one).
-    Rows without ``valid`` are unspecified in :meth:`orders`."""
+    on ``sites``, ascending), their ``[clients, sites]`` scores (int16
+    wins or negated RTTs) and each client's ``top`` position on them
+    (None for a lone site); ``provider_score`` / ``provider_top`` over
+    the providers (None for one).  ``valid`` is at ``rows``, the rest is
+    gathered there on use; rows without ``valid`` are unspecified in
+    :meth:`orders`."""
 
     valid: np.ndarray
     sites: np.ndarray
-    groups: Tuple[Tuple[np.ndarray, Optional[np.ndarray]], ...]
-    provider_key: Optional[np.ndarray]
+    groups: Tuple[Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]], ...]
+    provider_score: Optional[np.ndarray]
+    provider_top: Optional[np.ndarray]
+    rows: Union[np.ndarray, slice]
 
     def answers(self, rtt: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The head view: per client, its catchment — the best site of
-        its best provider, ``-1`` without an order — and that site's
+        """The head view: per client, its catchment — the top site of
+        its top provider, ``-1`` without an order — and that site's
         cell of ``rtt`` (``[sites, clients]``; NaN without an order)."""
         n = len(self.valid)
         tops = np.empty((len(self.groups), n), dtype=np.intp)
-        for row, (members, key) in enumerate(self.groups):
-            tops[row] = members[0] if key is None else members[np.argmin(key, axis=1)]
-        if self.provider_key is not None:
-            tops = tops[np.argmin(self.provider_key, axis=1), np.arange(n)][None]
+        for row, (members, _, top) in enumerate(self.groups):
+            tops[row] = members[0] if top is None else members[top[self.rows]]
+        if self.provider_top is not None:
+            tops = tops[self.provider_top[self.rows], np.arange(n)][None]
         heads = np.where(self.valid, tops[0], -1)
         return heads, np.where(self.valid, rtt[heads, np.arange(n)], np.nan)
 
@@ -70,18 +77,21 @@ class Ranking:
         """Each client's whole order, ``[clients, announced sites]``,
         most preferred first: by provider, then by site."""
         n = len(self.valid)
-        columns = np.array([site for members, _ in self.groups for site in members], dtype=np.intp)
+        columns = np.array([site for members, _, _ in self.groups for site in members], dtype=np.intp)
         # The empty first block keeps an empty order (no sites) stackable.
         site_key = np.hstack([np.zeros((n, 0))] + [
-            np.zeros((n, 1)) if key is None else key for _, key in self.groups
+            np.zeros((n, 1)) if score is None else -score[self.rows] for _, score, _ in self.groups
         ])
-        provider_key = np.zeros_like(site_key) if self.provider_key is None else np.repeat(
-            self.provider_key, [len(members) for members, _ in self.groups], axis=1
+        # int32: numpy's stable sort of 16-bit integers is a radix sort,
+        # ten times slower on rows this short.
+        provider_key = np.zeros_like(site_key) if self.provider_score is None else np.repeat(
+            np.negative(self.provider_score[self.rows], dtype=np.int32),
+            [len(members) for members, _, _ in self.groups], axis=1,
         )
         return columns[np.lexsort((site_key, provider_key), axis=1)]
 
 
-#: Most tournaments a :class:`TwoLevelModel` keeps between rankings.
+#: Most tournaments a :func:`two_level_ranking` memo keeps.
 _MEMO_CAP = 64
 
 
@@ -97,22 +107,25 @@ def two_level_ranking(arrays, site_order: Sequence[int], rtt_heuristic: bool,
     with the lower index first or, with ``rtt_heuristic``, by ascending
     RTT (ties to the lower index; a missing sample voids the order).
     A site tournament depends on its sorted members only, a provider one
-    on the providers' order; ``memo`` keeps both across calls over the
-    same ``arrays`` (``rows`` given: its keys leave only as copies).
+    on the providers' order; ``memo`` keeps both with their tops across
+    calls over the same ``arrays``, dropping the least recently used past
+    :data:`_MEMO_CAP` so that site tournaments outlive provider orders.
     """
     memo = {} if memo is None else memo
 
-    def ranked(codes: str, members: List[int]) -> Tuple[np.ndarray, np.ndarray]:
-        """``(usable, key)`` of a tournament over ``arrays[codes]``."""
+    def ranked(codes: str, members: List[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(usable, wins, top)`` of a tournament over ``arrays[codes]``."""
         cell = codes, tuple(members)
-        if cell not in memo:
+        entry = memo.pop(cell, None)
+        if entry is None:
             if len(memo) >= _MEMO_CAP:
-                memo.clear()
+                memo.pop(next(iter(memo)), None)
             usable, wins = tournament(arrays[codes], members)
-            # int32: numpy's stable sort of 16-bit integers is a radix
-            # sort, ten times slower on rows this short.
-            memo[cell] = usable, np.negative(wins, dtype=np.int32)
-        return memo[cell]
+            entry = usable, wins, wins.argmax(axis=1).astype(np.int16)
+            for array in entry:
+                array.flags.writeable = False
+        memo[cell] = entry  # the most recently used last
+        return entry
 
     announced: Dict[int, List[int]] = {}
     for site, provider in zip(site_order, np.take(arrays["site_provider"], site_order).tolist()):
@@ -121,25 +134,23 @@ def two_level_ranking(arrays, site_order: Sequence[int], rtt_heuristic: bool,
     groups = []
     for sites in announced.values():
         members = np.array(sorted(sites), dtype=np.intp)
-        key = None
+        score = top = None
         if len(members) > 1 and rtt_heuristic:
             rtt = arrays["rtt"][members]
             holes = np.isnan(rtt)
             valid &= ~holes.any(axis=0)
-            key = np.where(holes, np.inf, rtt).T
+            score = np.where(holes, -np.inf, -rtt).T
+            top = score.argmax(axis=1)
         elif len(members) > 1:
-            usable, key = ranked("site_w", members.tolist())
+            usable, score, top = ranked("site_w", members.tolist())
             valid &= usable
-        groups.append((members, key))
-    provider_key = None
+        groups.append((members, score, top))
+    provider_score = provider_top = None
     if len(groups) > 1:
-        usable, provider_key = ranked("prov_w", list(announced))
+        usable, provider_score, provider_top = ranked("prov_w", list(announced))
         valid &= usable
-    if rows is not None:
-        valid = valid[rows]
-        groups = [(members, None if key is None else key[rows]) for members, key in groups]
-        provider_key = None if provider_key is None else provider_key[rows]
-    return Ranking(valid, arrays["sites"], tuple(groups), provider_key)
+    rows = slice(None) if rows is None else rows
+    return Ranking(valid[rows], arrays["sites"], tuple(groups), provider_score, provider_top, rows)
 
 
 class SiteLevelMode(enum.Enum):

@@ -9,6 +9,8 @@ compiles, so served and predicted answers are one computation over the
 same bytes — equal by construction — and both hand them to the one
 columnar :class:`~repro.core.prediction.PredictionBatch`, which owns the
 reason taxonomy and the conversion back to exact Python ints and floats.
+The engine ranks one row per class of clients with equal codes, and
+its tournament and answer memos drop the least recently used entry.
 
 A mapped client's served row depends only on (site index, client
 position) — its RTT is a cell of the snapshot's matrix — so the engine
@@ -30,7 +32,8 @@ from repro.util.errors import ConfigurationError
 
 #: Cached (site, rtt) answer vectors kept per engine.  Serving traffic
 #: is heavily repeated-config, so this turns steady-state ``/predict``
-#: into pure indexing; the cap bounds memory for config sweeps.
+#: into pure indexing; the cap bounds memory for config sweeps, which
+#: evict the least recently used configuration first.
 _CACHE_CAP = 128
 
 
@@ -52,7 +55,20 @@ class LookupEngine:
         #: Encoded rows by [site index][client position]; ``[-1]`` is
         #: the quarantined answer.  Batches fill the cells they encode.
         self._rows = [[None] * len(self._client_ids) for _ in range(len(self._site_ids) + 1)]
-        self._answers: Dict[Tuple[int, ...], Tuple[list, array]] = {}
+        self._answers: Dict[Tuple[int, ...], Tuple[array, array]] = {}
+        # Clients with the same winner codes (and, under the RTT heuristic,
+        # RTTs) share every tournament: the kernel ranks one row a class.
+        arrays, n = snapshot.arrays, len(self._client_ids)
+        key = [arrays["prov_w"].reshape(n, -1), arrays["site_w"].reshape(n, -1)]
+        if self._rtt_heuristic:
+            key.append(arrays["rtt"].T.copy().view(np.int8))
+        key = np.hstack(key)
+        _, first, self._classes = np.unique(  # rows as bytes: a 1-D sort
+            key.view(np.dtype((np.void, key.shape[1]))).ravel(), return_index=True, return_inverse=True)
+        self._ranked = {**arrays, "prov_w": arrays["prov_w"][first],
+                        "site_w": arrays["site_w"][first], "rtt": arrays["rtt"][:, first]}
+        #: :func:`two_level_ranking`'s tournaments over the class rows.
+        self._tournaments: dict = {}
 
     @property
     def version(self) -> str:
@@ -70,7 +86,7 @@ class LookupEngine:
         """``(site_index, rtt)`` for *every* snapshot client: the
         :meth:`~repro.core.twolevel.Ranking.answers` of the snapshot's
         arrays (``-1`` / NaN = quarantined; NaN alone = rtt-hole).
-        Uncached; :meth:`predict` adds the per-config memo on top.
+        Answers are not memoized here; :meth:`predict` adds that memo.
         """
         if not site_order:
             raise ConfigurationError("empty announcement order")
@@ -78,23 +94,26 @@ class LookupEngine:
         if unknown:
             raise SnapshotError(f"sites {unknown} are not in this snapshot")
         return two_level_ranking(
-            self.snapshot.arrays, [self._site_pos[s] for s in site_order], self._rtt_heuristic
+            self._ranked, [self._site_pos[s] for s in site_order], self._rtt_heuristic,
+            self._classes, self._tournaments,
         ).answers(self.snapshot.arrays["rtt"])
 
     # -- typed batch API -------------------------------------------------------
 
-    def _answers_for(self, site_order: Tuple[int, ...]) -> Tuple[list, array]:
+    def _answers_for(self, site_order: Tuple[int, ...]) -> Tuple[array, array]:
         """:meth:`predict_arrays` through the per-config memo."""
         key = tuple(site_order)
-        cached = self._answers.get(key)
+        cached = self._answers.pop(key, None)
         if cached is None:
             site_index, rtt = self.predict_arrays(key)
-            # Site indices are interned small ints; the RTTs stay
-            # packed (a list would hold 1120 float objects a config).
-            cached = site_index.tolist(), array("d", rtt.tobytes())
+            # Both stay packed and index to Python ints and floats, ~11 KB
+            # a configuration where a list of site indices made it 18 (a
+            # snapshot's [clients, sites, sites] codes keep the site count
+            # far inside int16).
+            cached = array("h", site_index.astype(np.int16).tobytes()), array("d", rtt.tobytes())
             if len(self._answers) >= _CACHE_CAP:
-                self._answers.clear()
-            self._answers[key] = cached
+                self._answers.pop(next(iter(self._answers)), None)
+        self._answers[key] = cached  # the most recently used last
         return cached
 
     def predict(

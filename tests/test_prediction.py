@@ -11,6 +11,7 @@ must agree row for row, ``==`` and type for type.
 
 import json
 import random
+from array import array
 from collections import namedtuple
 from types import SimpleNamespace
 from unittest import mock
@@ -39,7 +40,13 @@ from repro.core.twolevel import FlatPreferenceModel, SiteLevelMode, TwoLevelMode
 from repro.measurement.rtt import RttMatrix
 from repro.serve import LookupEngine, compile_snapshot, lookup
 from repro.util.errors import ReproError
-from tests.test_search_plane import SETTINGS, Providers, random_matrix, two_level_worlds
+from tests.test_search_plane import (
+    SETTINGS,
+    Providers,
+    random_matrix,
+    reference_tournament,
+    two_level_worlds,
+)
 
 
 def reference_predict(model, rtt_matrix, config, clients):
@@ -184,6 +191,89 @@ def dumped(batch, version):
     return json.dumps({**batch.to_dict(), "model_version": version}).encode("utf-8")
 
 
+def argmin_head(arrays, site_order, rtt_heuristic, rows=None):
+    """The oracle for the head view: ``Ranking.answers`` as it was
+    before tournaments kept their tops — each group's ``argmin`` over its
+    sort key, then the providers' — with the pair-loop tournament, for
+    every client row of ``arrays`` or for ``rows``."""
+    announced = {}
+    for site in site_order:
+        announced.setdefault(int(arrays["site_provider"][site]), []).append(site)
+    n = len(arrays["prov_w"])
+    valid = np.ones(n, dtype=bool)
+    tops = []
+    for sites in announced.values():
+        members = np.array(sorted(sites), dtype=np.intp)
+        if len(members) == 1:
+            tops.append(np.full(n, members[0]))
+            continue
+        if rtt_heuristic:
+            rtt = arrays["rtt"][members]
+            valid &= ~np.isnan(rtt).any(axis=0)
+            key = np.where(np.isnan(rtt), np.inf, rtt).T
+        else:
+            usable, wins = reference_tournament(arrays["site_w"], members.tolist())
+            valid &= usable
+            key = -wins.astype(np.int32)
+        tops.append(members[np.argmin(key, axis=1)])
+    tops = np.array(tops)
+    if len(tops) > 1:
+        usable, wins = reference_tournament(arrays["prov_w"], list(announced))
+        valid &= usable
+        tops = tops[np.argmin(-wins.astype(np.int32), axis=1), np.arange(n)][None]
+    heads = np.where(valid, tops[0], -1)
+    rtt = np.where(valid, arrays["rtt"][heads, np.arange(n)], np.nan)
+    return (heads, rtt) if rows is None else (heads[rows], rtt[rows])
+
+
+def assert_heads_are_argmin(model, config, request):
+    """``predict_arrays`` over a snapshot of ``model``, and the live
+    predictor's columns (a ranking at ``rows``), equal
+    :func:`argmin_head` byte for byte; returns the batch's reasons."""
+    engine = engine_for(model)
+    arrays = model.arrays()
+    index = [engine.site_ids().index(site) for site in config.site_order]
+    rtt_heuristic = model.site_level_mode is SiteLevelMode.RTT_HEURISTIC
+    heads, rtt = engine.predict_arrays(config.site_order)
+    expected_heads, expected_rtt = argmin_head(arrays, index, rtt_heuristic)
+    assert heads.dtype == expected_heads.dtype and heads.tobytes() == expected_heads.tobytes()
+    assert rtt.tobytes() == expected_rtt.tobytes()
+    batch = CatchmentPredictor(model, model.rtt_matrix).predict(config, request)
+    asked = dict(sorted((p, c) for c, p in zip(batch.client_ids, batch.positions) if p is not None))
+    rows = np.searchsorted(arrays["clients"], list(asked.values()))
+    expected_heads, expected_rtt = argmin_head(arrays, index, rtt_heuristic, rows)
+    assert batch.answer_sites == expected_heads.tolist()
+    assert np.array(batch.answer_rtts).tobytes() == expected_rtt.tobytes()
+    return {p.reason for p in batch}
+
+
+class TestHeadIsTheArgminOverKeys:
+    @given(two_level_worlds(), st.integers(0, 2**32))
+    @settings(**SETTINGS)
+    def test_random_worlds(self, world, seed):
+        """Both site-level modes, unusable cells, RTT holes, unknown and
+        repeated clients."""
+        model, clients, order = world
+        request = awkward_request(random.Random(seed), clients)
+        assert_heads_are_argmin(model, AnycastConfig(site_order=order), request)
+
+    def test_discovered_model_every_reason(self, anyopt_model, targets, testbed):
+        rng = random.Random(4)
+        sites = testbed.site_ids()
+        twolevel_model = anyopt_model.twolevel
+        by_rtt = TwoLevelModel(
+            testbed, twolevel_model.provider_matrix, {}, twolevel_model.rtt_matrix,
+            SiteLevelMode.RTT_HEURISTIC,
+        )
+        request = [t.target_id for t in targets] + [10**9]
+        for model in (twolevel_model, by_rtt):
+            reasons = set()
+            for size in (len(sites), 8, 5, 3, 2, 1):
+                config = AnycastConfig(site_order=tuple(rng.sample(sites, size)))
+                reasons |= assert_heads_are_argmin(model, config, request)
+            assert {REASON_QUARANTINED, REASON_RTT_HOLE, REASON_UNMAPPED} <= reasons
+
+
 class TestServedBytes:
     """``to_json`` is ``json.dumps`` of ``to_dict`` byte for byte, and
     the columns materialise to the oracle's rows — from the predictor
@@ -267,6 +357,32 @@ class TestServedBytes:
         assert nothing.mean_rtt_ms is None and nothing.decided_count == 0
         assert nothing.to_json("v") == dumped(nothing, "v")
         assert nothing != batch and nothing == PredictionBatch(batch.config, [7], [None], [], [], [])
+
+    @given(st.integers(0, 2**32), st.integers(1, 40))
+    @settings(**SETTINGS)
+    def test_every_answer_batch_is_the_listed_batch(self, seed, n):
+        """A batch over every answer in order (``positions`` a range, the
+        engine's ``clients=None``) summarises and serves the bytes of the
+        same batch with its positions listed, cached rows or none."""
+        rng = random.Random(seed)
+        quarantine, holes = rng.random(), rng.random()
+        sites = [-1 if rng.random() < quarantine else rng.randrange(3) for _ in range(n)]
+        rtts = [
+            float("nan") if site < 0 or rng.random() < holes else rng.uniform(1.0, 90.0)
+            for site in sites
+        ]
+        config = AnycastConfig(site_order=(5, 6, 7))
+        ids = rng.sample(range(1000), n)
+        listed = PredictionBatch(config, ids, list(range(n)), sites, rtts, [5, 6, 7])
+        table = [[None] * n for _ in range(4)]
+        for cached_rows in (None, table, table):
+            batch = PredictionBatch(
+                config, ids, range(n), sites, array("d", rtts), [5, 6, 7], cached_rows
+            )
+            assert list(batch.counts_by_reason().items()) == list(listed.counts_by_reason().items())
+            assert batch.decided_count == listed.decided_count
+            assert batch.mean_rtt_ms == listed.mean_rtt_ms
+            assert batch.to_json("v") == listed.to_json("v") == dumped(listed, "v")
 
     @given(
         st.integers(-2**70, 2**70), st.one_of(st.none(), st.integers(0, 2**40)),

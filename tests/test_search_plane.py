@@ -639,6 +639,35 @@ def random_matrix(rng, clients, items):
     return matrix
 
 
+def random_codes(rng, n_clients, n):
+    """Winner codes over ``n + 2`` items — transitive, then with cycles
+    and holes (-1) at a random rate — and ``n`` members, a shuffled
+    subset of the item axis."""
+    n_items = n + 2
+    strength = rng.random((n_clients, n_items))
+    first_wins = strength[:, :, None] > strength[:, None, :]
+    codes = np.where(first_wins, 0, 1).astype(np.int8)          # transitive
+    noisy = rng.random(codes.shape) < rng.choice([0.0, 0.02, 0.3])
+    codes[noisy] = rng.integers(-1, 2, size=int(noisy.sum()))   # cycles, holes
+    return codes, rng.permutation(n_items)[:n].tolist()
+
+
+def reference_tournament(codes, members):
+    """The oracle: ``tournament`` as a loop over pairs of members, each
+    game a column of ``codes``, with transitivity checked by sorting
+    each row of wins."""
+    n_clients, n = codes.shape[0], len(members)
+    wins = np.zeros((n_clients, n), dtype=np.int16)
+    usable = np.ones(n_clients, dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            code = codes[:, members[i], members[j]]
+            usable &= code >= 0
+            wins[:, i] += code == 0
+            wins[:, j] += code == 1
+    return usable & (np.sort(wins, axis=1) == np.arange(n)).all(axis=1), wins
+
+
 @st.composite
 def two_level_worlds(draw):
     """A two-level model over random providers, with clients the
@@ -765,19 +794,12 @@ class TestWinnerCodes:
     @given(st.integers(0, 2**32), st.sampled_from([2, 3, 4, 5, 7, 63, 66]))
     @settings(**SETTINGS)
     def test_transitivity_check_is_the_sorted_check(self, seed, n):
-        """The bit-set test (and, past 63 members, the sort kept for
-        width) against sorting each row of wins: transitive rows,
-        cyclic rows, rows with unusable cells, members a shuffled
-        subset of the item axis."""
-        rng = np.random.default_rng(seed)
-        n_clients, n_items = 12, n + 2
-        strength = rng.random((n_clients, n_items))
-        first_wins = strength[:, :, None] > strength[:, None, :]
-        codes = np.where(first_wins, 0, 1).astype(np.int8)          # transitive
-        noisy = rng.random(codes.shape) < rng.choice([0.0, 0.02, 0.3])
-        codes[noisy] = rng.integers(-1, 2, size=int(noisy.sum()))   # cycles, holes
-        members = rng.permutation(n_items)[:n].tolist()
+        """The score-square test against sorting each row of wins:
+        transitive rows, cyclic rows, rows with unusable cells, members
+        a shuffled subset of the item axis."""
+        codes, members = random_codes(np.random.default_rng(seed), 12, n)
         valid, wins = tournament(codes, members)
+        n_clients = len(codes)
         for c in range(n_clients):
             cells = [codes[c, members[i], members[j]] for i in range(n) for j in range(i + 1, n)]
             count = [0] * n
@@ -786,6 +808,17 @@ class TestWinnerCodes:
                     count[j if code else i] += 1
             assert wins[c].tolist() == count
             assert valid[c] == (min(cells) >= 0 and sorted(count) == list(range(n)))
+
+    @given(st.integers(0, 2**32), st.sampled_from([1, 2, 3, 5, 7, 63, 66, 200]))
+    @settings(**SETTINGS)
+    def test_tournament_is_the_pair_loop(self, seed, n):
+        """The one-gather tournament returns the pair loop's bytes."""
+        codes, members = random_codes(np.random.default_rng(seed), 9, n)
+        valid, wins = tournament(codes, members)
+        expected_valid, expected_wins = reference_tournament(codes, members)
+        assert valid.dtype == bool and wins.dtype == np.int16
+        assert valid.tobytes() == expected_valid.tobytes()
+        assert wins.tobytes() == expected_wins.tobytes()
 
     def test_record_drops_the_memo(self):
         """The model's arrays are compiled once and kept until one of

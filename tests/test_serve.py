@@ -8,14 +8,18 @@ configuration sweep and in both site-level discovery modes.
 """
 
 import asyncio
+import itertools
 import json
 import random
+from unittest import mock
 
 import pytest
 
+from repro.core import twolevel
 from repro.core.config import AnycastConfig
 from repro.core.prediction import CatchmentPredictor
-from repro.core.twolevel import SiteLevelMode, TwoLevelModel
+from repro.core.preferences import tournament
+from repro.core.twolevel import SiteLevelMode, TwoLevelModel, two_level_ranking
 from repro.io.serialization import model_from_dict, model_to_dict
 from repro.serve import (
     LookupEngine,
@@ -167,6 +171,58 @@ class TestLookupEngineValidation:
         prediction = engine.predict(config, [10**9])[0]
         assert not prediction.decided
         assert prediction.reason == "unmapped"
+
+
+class TestLookupMemos:
+    """Both of an engine's memos drop their least recently used entry
+    when full, so what every query shares stays resident."""
+
+    def test_site_tournaments_survive_provider_churn(self, engine, testbed):
+        """80 distinct provider orders over the same member sets — more
+        than the tournament memo holds — rank each site tournament once,
+        over one row per distinct row of winner codes, and answer what a
+        memo-free ranking over every client answers."""
+        fresh = LookupEngine(engine.snapshot)
+        providers = testbed.provider_asns()
+        groups = [testbed.sites_of_provider(p) for p in providers]
+        orders = [
+            tuple(site for sites in perm for site in sites)
+            for perm in itertools.islice(itertools.permutations(groups), 80)
+        ]
+        calls = []
+
+        def counted(codes, members):
+            calls.append((codes.shape[1] == len(providers), len(codes)))
+            return tournament(codes, members)
+
+        with mock.patch.object(twolevel, "tournament", counted):
+            answers = [fresh.predict_arrays(order) for order in orders]
+        kinds = [is_provider for is_provider, _ in calls]
+        assert kinds.count(True) == len(orders)
+        assert kinds.count(False) == sum(len(sites) > 1 for sites in groups)
+        codes = zip(engine.snapshot.arrays["prov_w"], engine.snapshot.arrays["site_w"])
+        distinct = {(p.tobytes(), s.tobytes()) for p, s in codes}
+        assert {rows for _, rows in calls} == {len(distinct)} and len(distinct) < len(fresh.client_ids())
+        arrays, index = fresh.snapshot.arrays, fresh.site_ids().index
+        for order, (heads, rtt) in zip(orders[::10], answers[::10]):
+            expected = two_level_ranking(arrays, [index(s) for s in order], False)
+            expected_heads, expected_rtt = expected.answers(arrays["rtt"])
+            assert heads.tobytes() == expected_heads.tobytes()
+            assert rtt.tobytes() == expected_rtt.tobytes()
+
+    def test_hot_configuration_survives_a_sweep(self, engine, testbed):
+        """A configuration asked between each of 200 distinct others —
+        more than the answer memo holds — runs the kernel once."""
+        fresh = LookupEngine(engine.snapshot)
+        sites = sorted(testbed.site_ids())
+        hot = AnycastConfig(tuple(sites[:3]))
+        sweep = itertools.islice(itertools.permutations(sites, 3), 1, 201)
+        with mock.patch.object(fresh, "predict_arrays", wraps=fresh.predict_arrays) as kernel:
+            for order in sweep:
+                hot_body = fresh.predict(hot).to_json("v")
+                fresh.predict(AnycastConfig(order))
+        assert kernel.call_count == 1 + 200
+        assert hot_body == LookupEngine(engine.snapshot).predict(hot).to_json("v")
 
 
 # -- HTTP front end ---------------------------------------------------------
