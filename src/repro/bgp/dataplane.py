@@ -14,16 +14,16 @@ The path RTT accumulates on the way: inter-AS link RTTs, intra-AS
 backbone traversal for multi-PoP transits, and the site access link.
 
 Forwarding is a function of the converged next-hop graph, so a
-deployment resolves it once: pure-stub clients take their first hop in
-one array pass, and every hop further up is a record in the
-:class:`DataPlane`'s forwarding table, built on first use and shared by
-every flow that passes through it (DESIGN.md, "Probe plane: the
-forwarding table").
+deployment resolves it once: one decision per transit AS, spread over
+the static node table of
+:meth:`~repro.topology.generator.Internet.transit_columns` by a few
+gathers; pure-stub clients take their first hop in one array pass and
+then advance a level at a time over that table (DESIGN.md, "Probe
+plane: the forwarding table").
 """
 
 import math
 from dataclasses import dataclass
-from itertools import zip_longest
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,45 +58,45 @@ class ForwardingOutcome:
 
 _MISSING = object()
 
-#: The suffix of a node without a route: the NaN addend makes the flow's
-#: RTT NaN, which is how :meth:`DataPlane.resolve_flows` says "no route".
-_UNROUTED = (0, (math.nan,))
-
 
 class _Terminal(NamedTuple):
-    """Hop record: the flow reaches ``site_id`` here.  ``add_ms`` is
-    the hot-potato backbone leg plus the access link, summed before it
-    is added to the path — the order ``rtt += igp + link`` evaluates."""
+    """The flow reaches ``site_id`` here.  ``add_ms`` is the hot-potato
+    backbone leg plus the access link, summed before it is added to the
+    path — the order ``rtt += igp + link`` evaluates."""
 
     site_id: int
     add_ms: float
     ingress_pop: Optional[int]
 
 
-class _Split(NamedTuple):
-    """Hop record: a multipath AS hashes each flow over ``tied``; the
-    hop toward one of them is a record of its own, keyed ``(AS, entry,
-    neighbour)``."""
+class _Nodes(NamedTuple):
+    """One deployment's forwarding, a row per transit node and a last
+    one for flows without a first hop (:meth:`DataPlane._node_table`)."""
 
-    tied: List[int]
+    #: a moving node's hop; every other node holds its flows (adding
+    #: 0.0, which changes no float) until ``add_ms`` closes them: the
+    #: terminal's leg, NaN without a route — or at a moving node, where
+    #: a flow still stands after the walk only if it loops
+    next_node: np.ndarray
+    transit_ms: np.ndarray
+    link_ms: np.ndarray
+    moving: np.ndarray
+    add_ms: np.ndarray
+    site: np.ndarray
+    #: a split, or a hop to a stub live this run: :meth:`DataPlane.forward`
+    scalar: np.ndarray
 
 
 class DataPlane:
-    """Resolves client flows against one converged control plane,
-    through a forwarding table filled as flows ask.
+    """Resolves client flows against one converged control plane.
 
-    The table maps ``(AS, entry)`` to a hop record — a
-    :class:`~repro.topology.generator.Hop` onward, :class:`_Terminal`,
-    :class:`_Split`, or None for an AS without a route.  ``entry`` is
-    the PoP at which the flow enters a multi-PoP AS (None for a
-    single-PoP one): together with the AS it fixes the next hop and both
-    costs, whichever neighbour the flow came from, so the flows of a
-    deployment share their transit hops.  A flow's RTT is summed in its
-    own client-first order (``rtt += transit; rtt += link`` per hop,
-    then the terminal's ``add_ms``), so the float is the one a
-    hop-by-hop walk over the states accumulates — whether
-    :meth:`forward` walks one flow or :meth:`resolve_flows` replays the
-    same addends for all of them, a level at a time.
+    Each AS is asked where it forwards once (:meth:`_choice`); the hop
+    that follows — the topology's :class:`~repro.topology.generator.Hop`
+    or a hot-potato terminal — is fixed by the AS and the PoP the flow
+    entered at.  A flow's RTT is summed in its own client-first order
+    (``rtt += transit; rtt += link`` per hop, then the terminal's
+    ``add_ms``), whether :meth:`forward` walks one flow or
+    :meth:`resolve_flows` advances all of them a level at a time.
 
     ``flow_nonce`` seeds the per-flow ECMP hash of multipath ASes; two
     data planes built over the same converged state but with different
@@ -109,26 +109,24 @@ class DataPlane:
         self.internet = internet
         self.converged = converged
         self.flow_nonce = flow_nonce
-        #: Hop records, each resolved once.
-        self._table: dict = {}
+        #: Per AS its :meth:`_choice`, asked once.
+        self._choices: dict = {}
         #: Finished walks: per client ASN the outcome all its flows
         #: share, per ``(ASN, flow key)`` that of a flow that was hashed.
         self._memo: dict = {}
-        #: Per ``(AS, entry)`` node the rest of the walk from there:
-        #: ``(site, addends)``, or None where it reaches a split.
-        self._suffixes: dict = {}
+        #: The deployment's :class:`_Nodes`, built on first bulk use.
+        self._nodes: Optional[_Nodes] = None
 
     def resolve_flows(self, asns: Sequence[int], flow_keys: Sequence):
         """Forward many flows at once: the columns ``(sites, rtts)`` — per
         flow :meth:`forward`'s ``site_id`` and ``rtt_ms``, RTT NaN (site
-        0) where it answers None.  Pure stubs go through as arrays: the
-        first hop gathered from the run's stub choices and the static
-        :class:`~repro.topology.generator.StubColumns`, the rest resolved
-        once per node the flows arrive at (:meth:`_suffix`) and added
-        level by level over zero-padded rows — the scalar walk's
-        additions in its order, as ``0.0 + x == x + 0.0 == x``.  Flows
-        behind a multipath split, other clients and plain-dict states
-        take :meth:`forward`."""
+        0) where it answers None.  Pure stubs go through as arrays, a
+        row per stub: the first hop from the run's stub choices and the
+        static :class:`~repro.topology.generator.StubColumns`, then at
+        most one level per transit AS and one more over
+        :meth:`_node_table`.  Flows of a stub live this run or hashing
+        at home, flows that reach a split, other clients and plain-dict
+        states take :meth:`forward`."""
         sites = np.zeros(len(asns), dtype=np.int64)
         rtts = np.full(len(asns), math.nan)
         per_flow = np.ones(len(asns), dtype=bool)
@@ -136,23 +134,23 @@ class DataPlane:
         if choices is not None:
             best, tied = choices
             cols = self.internet.stub_columns()
-            row_of = cols.row.get
-            rows = np.array([row_of(asn, -1) for asn in asns], dtype=np.intp)
-            flows = np.flatnonzero(rows >= 0)  # those of pure stubs
-            rows = rows[flows]
+            flows, rows, inverse = self._target_rows(asns)
             col = best[rows]
-            per_flow[flows] = (col == LIVE) | (tied[rows] & cols.multipath[rows])
-            routed = (col >= 0) & ~per_flow[flows]  # the rest stay NaN: no offer
-            flows, rows, col = flows[routed], rows[routed], col[routed]
-            nodes, inverse = np.unique(cols.node[rows, col], return_inverse=True)
-            suffixes = [self._suffix(cols.nodes[node]) for node in nodes.tolist()]
-            shared = [suffix or _UNROUTED for suffix in suffixes]
-            rtt = cols.transit_ms[rows, col] + cols.link_ms[rows, col]
-            for level in zip_longest(*(addends for _, addends in shared), fillvalue=0.0):
-                rtt += np.array(level)[inverse]
-            rtts[flows] = rtt
-            sites[flows] = np.array([site for site, _ in shared], dtype=np.int64)[inverse]
-            per_flow[flows] = np.array([suffix is None for suffix in suffixes], dtype=bool)[inverse]
+            at = rows, np.maximum(col, 0)
+            table = self._node_table()
+            node = np.where(col >= 0, cols.node[at], len(table.moving) - 1)
+            rtt = cols.transit_ms[at] + cols.link_ms[at]
+            for _ in range(len(self.internet.transit_columns().slot) + 1):
+                if not table.moving[node].any():
+                    break
+                rtt += table.transit_ms[node]
+                rtt += table.link_ms[node]
+                node = table.next_node[node]
+            rtt += table.add_ms[node]
+            alone = (col == LIVE) | (tied[rows] & cols.multipath[rows]) | table.scalar[node]
+            rtts[flows] = np.where(alone, math.nan, rtt)[inverse]
+            sites[flows] = np.where(alone, 0, table.site[node])[inverse]
+            per_flow[flows] = alone[inverse]
         for i in np.flatnonzero(per_flow).tolist():
             outcome = self.forward(asns[i], flow_keys[i])
             if outcome is not None:
@@ -185,15 +183,8 @@ class DataPlane:
 
     # -- internals ---------------------------------------------------------
 
-    def _lookup(self, key):
-        """The hop record under ``key``, resolved on first use."""
-        record = self._table.get(key, _MISSING)
-        if record is _MISSING:
-            record = self._table[key] = (self._record if len(key) == 2 else self._hop)(*key)
-        return record
-
     def _walk(self, client_asn: int, flow_key):
-        """Follow hop records from the client; returns the outcome and
+        """Follow the choices from the client; returns the outcome and
         whether a split hashed the flow on the way."""
         cur = client_asn
         entry = self.internet.entry_pop(cur, None)
@@ -201,17 +192,15 @@ class DataPlane:
         hops = [cur]
         hashed = False
         while True:
-            record = self._lookup((cur, entry))
-            if type(record) is _Split:
-                hashed = True
-                record = self._lookup((cur, entry, self._pick(record.tied, cur, flow_key)))
-            if record is None:
+            if self._choice(cur) is None:
                 return None, hashed
-            if type(record) is _Terminal:
-                site_id, add_ms, ingress_pop = record
+            nxt, split = self.next_hop(cur, flow_key)
+            hashed |= split
+            if nxt == self.converged.origin_asn:
+                site_id, add_ms, ingress_pop = self._terminal(cur, entry)
                 rtt += add_ms
                 return ForwardingOutcome(site_id, cur, tuple(hops), rtt, ingress_pop), hashed
-            nxt, transit_ms, link_ms, entry = record
+            nxt, transit_ms, link_ms, entry = self.internet.hop(cur, entry, nxt)
             if nxt in hops:
                 # A forwarding loop across inconsistent multipath
                 # choices; the flow is effectively blackholed.
@@ -221,29 +210,53 @@ class DataPlane:
             cur = nxt
             hops.append(cur)
 
-    def _suffix(self, node, behind=()):
-        """What a flow arriving at ``node = (AS, entry)`` has ahead:
-        ``(site, addends)`` — the hop's transit and link RTT followed
-        by the next node's addends, never pre-summed (float addition is
-        not associative) — ``_UNROUTED``, or None where a split makes
-        it depend on the flow.  ``behind``: the ASes that led here."""
-        suffix = self._suffixes.get(node, _MISSING)
-        if suffix is _MISSING:
-            record = self._lookup(node)
-            if type(record) is _Split:
-                suffix = None
-            elif record is None:
-                suffix = _UNROUTED
-            elif type(record) is _Terminal:
-                suffix = (record.site_id, (record.add_ms,))
-            elif record.next_asn in behind + node[:1]:
-                suffix = _UNROUTED  # a forwarding loop
-            else:
-                suffix = self._suffix((record.next_asn, record.next_entry), behind + node[:1])
-                if suffix is not None:
-                    suffix = (suffix[0], (record.transit_ms, record.link_ms) + suffix[1])
-            self._suffixes[node] = suffix
-        return suffix
+    def _node_table(self) -> _Nodes:
+        """The deployment's :class:`_Nodes`: one :meth:`_choice` per
+        transit AS, spread over its nodes by gathers."""
+        if self._nodes is None:
+            cols = self.internet.transit_columns()
+            offset = np.full(len(cols.slot) + 1, -1)  # a hop's slot offset
+            terminal, scalar = np.zeros((2, len(cols.slot) + 1), dtype=bool)
+            for i, (asn, slots) in enumerate(cols.slot.items()):
+                choice = self._choice(asn)
+                if choice is None:
+                    continue
+                best, tied = choice
+                if tied is None and best == self.converged.origin_asn:
+                    terminal[i] = True
+                elif tied is None and best in slots:
+                    offset[i] = slots[best]
+                else:
+                    scalar[i] = True  # a split, or a stub live this run
+            node_as = np.append(cols.node_as, -1)  # the last row has no AS
+            k = offset[node_as]
+            hop = np.flatnonzero(k >= 0)
+            slot = cols.first_slot[hop] + k[hop]
+            next_node = np.arange(len(node_as))
+            next_node[hop] = cols.next_node[slot]
+            transit_ms, link_ms = np.zeros((2, len(node_as)))
+            transit_ms[hop], link_ms[hop] = cols.transit_ms[slot], cols.link_ms[slot]
+            add_ms = np.full(len(node_as), math.nan)
+            site = np.zeros(len(node_as), dtype=np.int64)
+            for node in np.flatnonzero(terminal[node_as]).tolist():
+                site[node], add_ms[node], _ = self._terminal(*cols.nodes[node])
+            self._nodes = _Nodes(
+                next_node, transit_ms, link_ms, k >= 0, add_ms, site, scalar[node_as]
+            )
+        return self._nodes
+
+    def _target_rows(self, asns):
+        """``(flows, rows, inverse)`` of the flows of pure stubs, mapped
+        once per target list and kept on the graph's tables."""
+        asns = tuple(asns)
+        memo = self.internet.graph.tables().target_rows
+        mapped = memo.get(asns)
+        if mapped is None:
+            row_of = self.internet.stub_columns().row.get
+            rows = np.array([row_of(asn, -1) for asn in asns], dtype=np.intp)
+            flows = np.flatnonzero(rows >= 0)
+            mapped = memo[asns] = (flows, *np.unique(rows[flows], return_inverse=True))
+        return mapped
 
     def _pick(self, tied: List[int], asn: int, flow_key) -> int:
         return tied[stable_hash(flow_key, asn, self.flow_nonce) % len(tied)]
@@ -251,36 +264,27 @@ class DataPlane:
     def _choice(self, asn: int) -> Optional[Tuple[int, Optional[List[int]]]]:
         """``(best neighbour, tied neighbours)`` of an AS that hashes
         flows over its multipath set, ``(best neighbour, None)`` of one
-        that does not, None without a route."""
-        hops = self.converged.next_hops(asn)
-        if hops is None:
-            return None
-        best, tied = hops
-        if len(tied) > 1 and self.internet.graph.as_of(asn).multipath:
-            return best, tied
-        return best, None
+        that does not, None without a route; asked once per AS."""
+        choice = self._choices.get(asn, _MISSING)
+        if choice is _MISSING:
+            choice = hops = self.converged.next_hops(asn)
+            if hops is not None:
+                best, tied = hops
+                multipath = len(tied) > 1 and self.internet.graph.as_of(asn).multipath
+                choice = best, tied if multipath else None
+            self._choices[asn] = choice
+        return choice
 
-    def _record(self, asn: int, entry: Optional[int]):
-        choice = self._choice(asn)
-        if choice is None:
-            return None
-        best, tied = choice
-        return self._hop(asn, entry, best) if tied is None else _Split(tied)
-
-    def _hop(self, asn: int, entry: Optional[int], neighbor: int):
-        """The record of ``asn`` forwarding to ``neighbor``: the
-        topology's :class:`~repro.topology.generator.Hop`, unless the
-        neighbour is the anycast origin, i.e. the route is injected
-        here."""
-        if neighbor == self.converged.origin_asn:
-            return self._terminate(asn, entry)
-        return self.internet.hop(asn, entry, neighbor)
-
-    def _terminate(self, asn: int, entry: Optional[int]) -> _Terminal:
+    def _terminal(self, asn: int, entry: Optional[int]) -> _Terminal:
         """Hot-potato site choice among the injected route's
-        attachments, from the flow's entry PoP."""
+        attachments, from the flow's entry PoP; memoised on the graph's
+        tables per ``(AS, entry, site_pops)``."""
         converged = self.converged
         candidates = converged.states[asn].adj_rib_in[converged.origin_asn].site_pops
+        terminals = self.internet.graph.tables().terminals
+        terminal = terminals.get((asn, entry, candidates))
+        if terminal is not None:
+            return terminal
         if entry is not None and all(sp.pop_id is not None for sp in candidates):
             net = self.internet.pop_network(asn)
             best_pop = net.closest_pop_of(entry, [sp.pop_id for sp in candidates])
@@ -288,8 +292,11 @@ class DataPlane:
                 (sp for sp in candidates if sp.pop_id == best_pop),
                 key=lambda sp: (sp.link_rtt_ms, sp.site_id),
             )
-            return _Terminal(
+            terminal = _Terminal(
                 chosen.site_id, net.igp_rtt_ms(entry, best_pop) + chosen.link_rtt_ms, entry
             )
-        chosen = min(candidates, key=lambda sp: (sp.link_rtt_ms, sp.site_id))
-        return _Terminal(chosen.site_id, chosen.link_rtt_ms, chosen.pop_id)
+        else:
+            chosen = min(candidates, key=lambda sp: (sp.link_rtt_ms, sp.site_id))
+            terminal = _Terminal(chosen.site_id, chosen.link_rtt_ms, chosen.pop_id)
+        terminals[asn, entry, candidates] = terminal
+        return terminal

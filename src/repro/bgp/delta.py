@@ -82,6 +82,7 @@ from repro.bgp.rib import RouterState
 from repro.bgp.router import BGPSpeaker
 from repro.topology.astopo import Relationship
 from repro.util.errors import ConvergenceBudgetError, ReproError
+from repro.util.rng import exponentials
 
 
 #: Relative width of the band below the best *estimated* stub arrival
@@ -184,8 +185,12 @@ class LinkJitter(Mapping):
         """The jitter of many slots in one vector pass.  ``numpy.log``
         may differ from ``math.log`` in the last bits, so these values
         only *locate* a jitter of interest; a value that reaches a
-        result is always read by key."""
-        return -np.log(1.0 - self._uniforms[slots]) / self._lambd
+        result is read by key, or by :meth:`exact`."""
+        return exponentials(self._uniforms[slots], exact=False) / self._lambd
+
+    def exact(self, slots):
+        """The jitter of many slots, each as a lookup evaluates it."""
+        return exponentials(self._uniforms[slots]) / self._lambd
 
 
 class LazyStates(Mapping):
@@ -294,8 +299,9 @@ class _StubViews:
     them by ``(-local_pref, len(path), interior)`` (:func:`_stub_key`)
     and then, among strict ties of an AS that breaks ties on it, by
     arrival time — the event push's own ``t + delay + jitter``,
-    ``math.log`` included; providers are columns in ASN order, so
-    ``argmin`` and the tied set come out in neighbour-id order.
+    ``math.log`` included, over just the tied cells in one pass;
+    providers are columns in ASN order, so ``argmin`` and the tied set
+    come out in neighbour-id order.
     """
 
     def __init__(self, internet, tables, prefix, overlay, ep_log, jitter, live):
@@ -323,19 +329,21 @@ class _StubViews:
         if self._decided is None:
             tables = self.tables
             cols = self.internet.stub_columns()
-            stub_providers = tables.stub_providers
-            # Path length per provider; the extra last slot is what the
-            # padding's provider index -1 reads: no offer.
+            # Path length and last episode time per provider; the extra
+            # last slot is what the padding's provider index -1 reads:
+            # no offer.
             length = np.zeros(len(tables.index_asn) + 1, dtype=np.int64)
+            t_last = np.zeros(len(length))
             for provider, eps in self.ep_log.items():
-                path = eps[-1][1]
+                t, path = eps[-1]
                 if path is not None:
-                    length[tables.asn_index[provider]] = len(path)
+                    i = tables.asn_index[provider]
+                    length[i], t_last[i] = len(path), t
             interior = cols.interior.copy()
-            for (asn, neighbor), cost in self.overlay.items():
-                row = cols.row.get(asn)
-                if row is not None and neighbor in stub_providers[asn]:
-                    interior[row, stub_providers[asn].index(neighbor)] = cost
+            for session, cost in self.overlay.items():
+                at = cols.cell.get(session)
+                if at is not None:
+                    interior[at] = cost
             offered = length[cols.provider]
             key = _stub_key(cols.local_pref, offered, interior)
             key[offered == 0] = _NO_OFFER
@@ -344,15 +352,15 @@ class _StubViews:
             tied = (key == low[:, None]).sum(axis=1) > 1
             best[low == _NO_OFFER] = -1
             tied &= best >= 0
-            stubs = tuple(cols.row)
+            # Arrival-order ties: every tied cell's arrival, exactly,
+            # then the first minimum in column order, as min() takes it.
             rows = np.flatnonzero(tied & cols.arrival_order)
-            for row, lowest in zip(rows.tolist(), (key[rows] == low[rows, None]).tolist()):
-                stub = stubs[row]
-                providers = stub_providers[stub]
-                best[row] = min(
-                    (col for col, at_best in enumerate(lowest) if at_best),
-                    key=lambda col: self.arrival(stub, providers[col]),
-                )
+            arrival = np.full((len(rows), key.shape[1]), math.inf)
+            r, c = np.nonzero(key[rows] == low[rows, None])
+            at = rows[r], c
+            jitter = self.jitter.exact(cols.slot[at]) if self.jitter else 0.0
+            arrival[r, c] = (t_last[cols.provider[at]] + cols.delay[at]) + jitter
+            best[rows] = arrival.argmin(axis=1)
             for stub in self.live:
                 best[cols.row[stub]] = LIVE
             self._decided = key, best, tied

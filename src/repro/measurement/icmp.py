@@ -51,12 +51,24 @@ class IcmpProber:
     def delays(self, target_ids, loss_rates, experiment_id: int, sequences: Sequence[int]):
         """Queueing delay (ms) of every probe as ``[targets,
         sequences]``, ``+inf`` where the probe is lost."""
+        return self.train(target_ids, loss_rates, experiment_id, sequences)[1]
+
+    def train(self, target_ids, loss_rates, experiment_id: int, sequences, exact=True):
+        """``(words, delays)``: the probes' words ``[targets, sequences,
+        WORDS]`` and their :meth:`delays`, estimated unless ``exact``."""
         words = [self._words(target_ids, experiment_id, s) for s in sequences]
         u = np.stack(words, axis=1) if words else np.empty((len(target_ids), 0, self.WORDS))
-        delay = self.BASE_JITTER_MS * np.abs(standard_normals(u[..., 1:3]))
-        spike = u[..., 3] < self.SPIKE_PROB
-        delay[spike] += self.SPIKE_MEAN_MS * exponentials(u[..., 4][spike])
+        delay = self.queueing(u, exact)
         delay[u[..., 0] < np.asarray(loss_rates)[:, None]] = math.inf
+        return u, delay
+
+    def queueing(self, u, exact=True):
+        """The delay of probes by their words ``u`` (``[..., WORDS]``),
+        loss aside, through libm's log and cos one value at a time or —
+        not ``exact`` — numpy's, a few ulp off on some CPUs."""
+        delay = self.BASE_JITTER_MS * np.abs(standard_normals(u[..., 1:3], exact))
+        spike = u[..., 3] < self.SPIKE_PROB
+        delay[spike] += self.SPIKE_MEAN_MS * exponentials(u[..., 4][spike], exact)
         return delay
 
     def probe(self, target: PingTarget, true_rtt_ms: float, experiment_id: int, sequence: int):

@@ -4,7 +4,8 @@ The paper's protocol (S3, "Measuring RTTs"): announce the prefix from a
 single site, probe each target seven times from the orchestrator
 through that site's tunnel, take the median of the valid replies, and
 subtract the separately estimated tunnel RTT.  At least three valid
-replies are required for a sample.
+replies are required for a sample.  Only the probes a median can read
+go through libm; the rest are numpy estimates (DESIGN.md, "Noise").
 """
 
 import itertools
@@ -21,6 +22,12 @@ from repro.util.stats import mean
 PROBES_PER_TARGET = 7
 #: Minimum valid replies for a usable median (the paper uses three).
 MIN_VALID_REPLIES = 3
+#: Relative width of the band around a median's order statistics whose
+#: probes :func:`estimate_rtts` evaluates exactly.  An estimated delay
+#: is off by a few units in the last place of the train's largest one
+#: (plus ~1e-16 ms from the cosine), ~1e-15 relative: a million times
+#: less.
+_MARGIN = 1e-9
 #: Source of :attr:`RttMatrix.stamp` values.
 _STAMPS = itertools.count()
 
@@ -36,15 +43,26 @@ def estimate_rtts(
     zero; NaN with fewer than ``min_valid`` replies or a NaN base (no
     route).  It differs from the true path RTT through probe jitter and
     tunnel-estimate error — the noise floor of the paper's Figure 5b/5c.
+
+    Only probes within :data:`_MARGIN` of the estimated order statistics
+    the median reads are made exact (DESIGN.md, "Noise").
     """
     if probes < max(min_valid, 1):  # no train this short yields a sample
         return np.full(len(target_ids), np.nan)
-    ordered = np.sort(prober.delays(target_ids, loss_rates, experiment_id, range(probes)), axis=1)
+    u, delay = prober.train(target_ids, loss_rates, experiment_id, range(probes), exact=False)
+    ordered = np.sort(delay, axis=1)
     valid = np.isfinite(ordered).sum(axis=1)  # lost probes sort last
     rows = np.arange(len(ordered))
     last = np.maximum(valid, 1) - 1
+    ok = valid >= max(min_valid, 1)
+    low, high, top = (ordered[rows, i][ok, None] for i in (last // 2, (last + 1) // 2, last))
+    margin = _MARGIN * (1.0 + top)
+    band = np.zeros(delay.shape, dtype=bool)
+    band[ok] = (delay[ok] >= low - margin) & (delay[ok] <= high + margin)
+    delay[band] = prober.queueing(u[band])
+    ordered = np.sort(delay, axis=1)
     median = (ordered[rows, last // 2] + ordered[rows, (last + 1) // 2]) / 2.0
-    median[valid < max(min_valid, 1)] = np.nan
+    median[~ok] = np.nan
     return np.maximum(0.0, base_rtt_ms + median - tunnel_estimate_ms)
 
 

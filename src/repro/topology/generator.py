@@ -196,25 +196,48 @@ class Hop(NamedTuple):
     next_entry: Optional[int]
 
 
+class TransitColumns(NamedTuple):
+    """The static side of forwarding out of non-stub ASes
+    (:meth:`Internet.transit_columns`): a node per ``(AS, entry PoP)``
+    and at each a slot per neighbour that is not a pure stub."""
+
+    #: ``(AS, entry PoP)`` -> node, and per node the pair
+    node: Dict[Tuple[int, Optional[int]], int]
+    nodes: List[Tuple[int, Optional[int]]]
+    #: per AS in ASN order, neighbour -> slot offset (alike at its nodes)
+    slot: Dict[int, Dict[int, int]]
+    #: per node: its AS (position in ``slot``) and its first slot
+    node_as: np.ndarray
+    first_slot: np.ndarray
+    #: per slot, the :class:`Hop`: the node it enters and both costs
+    next_node: np.ndarray
+    transit_ms: np.ndarray
+    link_ms: np.ndarray
+
+
 class StubColumns(NamedTuple):
     """What is static about a pure stub's first hop
     (:meth:`Internet.stub_columns`), as ``[stub, provider]`` arrays:
     rows are ``TopologyTables.stub_providers`` in ASN order, columns a
     stub's providers in ASN order, padded to the widest stub."""
 
-    #: stub ASN -> row
+    #: stub ASN -> row, and ``(stub, provider)`` session -> ``(row, col)``
     row: Dict[int, int]
+    cell: Dict[Tuple[int, int], Tuple[int, int]]
     #: the provider's ``TopologyTables.asn_index``; -1 in the padding
     provider: np.ndarray
     #: the session's import values (``TopologyTables.session_import``)
     local_pref: np.ndarray
     interior: np.ndarray
-    #: the stub's :class:`Hop` toward the provider; ``node`` indexes
-    #: ``nodes``, the ``(provider ASN, entry PoP)`` the flow arrives at
+    #: the provider-to-stub link's one-way delay and jitter slot
+    #: (``TopologyTables.prop_delay`` / ``pair_slot``)
+    delay: np.ndarray
+    slot: np.ndarray
+    #: the stub's :class:`Hop` toward the provider; ``node`` is the
+    #: :class:`TransitColumns` node the flow arrives at
     transit_ms: np.ndarray
     link_ms: np.ndarray
     node: np.ndarray
-    nodes: List[Tuple[int, Optional[int]]]
     #: per stub: ``AS.multipath`` and ``AS.arrival_order_tiebreak``
     multipath: np.ndarray
     arrival_order: np.ndarray
@@ -280,32 +303,57 @@ class Internet:
             )
         return hop
 
+    def transit_columns(self) -> TransitColumns:
+        """Every :meth:`hop` out of an AS that is not a pure stub, as
+        columns, kept on the graph's tables like :meth:`hop`; built by
+        the first bulk probe (a deploy never asks)."""
+        tables = self.graph.tables()
+        if tables.transit_columns is None:
+            stubs = tables.stub_providers
+            slot = {
+                asn: {n: k for k, n in enumerate(x for x in tables.export_all[asn] if x not in stubs)}
+                for asn in tables.index_asn if asn not in stubs
+            }
+            node: Dict[Tuple[int, Optional[int]], int] = {}
+            for asn in slot:
+                for prev in tables.export_all[asn]:
+                    node.setdefault((asn, self.entry_pop(asn, prev)), len(node))
+            position = {asn: i for i, asn in enumerate(slot)}
+            hops = [self.hop(asn, entry, n) for asn, entry in node for n in slot[asn]]
+            tables.transit_columns = TransitColumns(
+                node, list(node), slot, np.array([position[asn] for asn, _ in node], dtype=np.intp),
+                np.cumsum([0] + [len(slot[asn]) for asn, _ in node], dtype=np.intp)[:-1],
+                np.array([node[h.next_asn, h.next_entry] for h in hops], dtype=np.intp),
+                np.array([h.transit_ms for h in hops]), np.array([h.link_ms for h in hops]),
+            )
+        return tables.transit_columns
+
     def stub_columns(self) -> StubColumns:
         """The first hop of every pure stub toward each of its
-        providers, as columns.  Like :meth:`hop` a pure function of the
-        topology kept on the graph's tables; built by the first bulk
-        probe (a deploy never asks)."""
+        providers, as columns, kept like :meth:`transit_columns`."""
         tables = self.graph.tables()
         if tables.stub_columns is None:
+            transit = self.transit_columns()
             providers = tables.stub_providers
             stubs = sorted(providers)
             shape = (len(stubs), max(map(len, providers.values()), default=1))
             provider = np.full(shape, -1, dtype=np.intp)
-            local_pref, interior, node = np.zeros((3,) + shape, dtype=np.int64)
-            transit_ms, link_ms = np.zeros((2,) + shape)
-            nodes: Dict[Tuple[int, Optional[int]], int] = {}
+            local_pref, interior, node, slot = np.zeros((4,) + shape, dtype=np.int64)
+            delay, transit_ms, link_ms = np.zeros((3,) + shape)
+            cell: Dict[Tuple[int, int], Tuple[int, int]] = {}
             for row, stub in enumerate(stubs):
                 entry = self.entry_pop(stub, None)
                 for col, asn in enumerate(providers[stub]):
-                    at = row, col
+                    at = cell[stub, asn] = row, col
                     provider[at] = tables.asn_index[asn]
                     local_pref[at], interior[at], _ = tables.session_import[stub, asn]
+                    delay[at], slot[at] = tables.prop_delay[asn, stub], tables.pair_slot[asn, stub]
                     _, transit_ms[at], link_ms[at], there = self.hop(stub, entry, asn)
-                    node[at] = nodes.setdefault((asn, there), len(nodes))
+                    node[at] = transit.node[asn, there]
             ases = [self.graph.as_of(stub) for stub in stubs]
             tables.stub_columns = StubColumns(
-                {stub: row for row, stub in enumerate(stubs)},
-                provider, local_pref, interior, transit_ms, link_ms, node, list(nodes),
+                {stub: row for row, stub in enumerate(stubs)}, cell,
+                provider, local_pref, interior, delay, slot, transit_ms, link_ms, node,
                 np.array([a.multipath for a in ases], dtype=bool),
                 np.array([a.arrival_order_tiebreak for a in ases], dtype=bool),
             )

@@ -75,9 +75,10 @@ class TopologyTables:
             backbones of the :class:`Internet` owning the graph; it
             lives here so that it is dropped with the tables when the
             graph changes.
-        stub_columns: memo of :meth:`Internet.stub_columns
-            <repro.topology.generator.Internet.stub_columns>`, kept
-            here for the same reason.
+        transit_columns, stub_columns, terminals, target_rows: memos
+            of ``Internet``'s columns and of the data plane (terminals
+            per ``(AS, entry PoP, site_pops)``, stub rows per target
+            list probed), kept here for the same reason.
         revision: the graph mutation counter the tables were built
             from; a mismatch means the tables are stale.
     """
@@ -93,7 +94,10 @@ class TopologyTables:
     asn_index: Dict[int, int] = field(default_factory=dict)
     stub_providers: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
     hops: Dict[Tuple[int, Optional[int], int], tuple] = field(default_factory=dict)
+    transit_columns: Optional[tuple] = None
     stub_columns: Optional[tuple] = None
+    terminals: Dict[tuple, tuple] = field(default_factory=dict)
+    target_rows: Dict[tuple, tuple] = field(default_factory=dict)
     revision: int = 0
 
     def export_targets(self, asn: int, learned_rel: Relationship) -> Tuple[int, ...]:

@@ -145,16 +145,19 @@ def _libm(function, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(function, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def exponentials(u: np.ndarray) -> np.ndarray:
+def exponentials(u: np.ndarray, exact: bool = True) -> np.ndarray:
     """Unit-mean exponentials ``-ln(1 - u)`` through ``math.log``, never
     ``numpy.log``: its SIMD code differs from libm's in the last bit on
     some CPUs, which would make results depend on the host.  ``1 - u``
-    is one exactly rounded subtraction, the same in numpy as in Python."""
-    return -_libm(math.log, 1.0 - u)
+    is one exactly rounded subtraction, the same in numpy as in Python.
+    Not ``exact``: through ``numpy.log``, an estimate a few ulp off."""
+    return -(_libm(math.log, 1.0 - u) if exact else np.log(1.0 - u))
 
 
-def standard_normals(u: np.ndarray) -> np.ndarray:
+def standard_normals(u: np.ndarray, exact: bool = True) -> np.ndarray:
     """Box–Muller over the last axis (length 2) of ``u``:
     ``sqrt(-2 ln(1 - u0)) * cos(2 pi u1)``, ``math.cos`` as above (of
-    one exactly rounded product)."""
-    return np.sqrt(2.0 * exponentials(u[..., 0])) * _libm(math.cos, _TWO_PI * u[..., 1])
+    one exactly rounded product) — ``numpy.cos`` if not ``exact``."""
+    angle = _TWO_PI * u[..., 1]
+    cos = _libm(math.cos, angle) if exact else np.cos(angle)
+    return np.sqrt(2.0 * exponentials(u[..., 0], exact)) * cos

@@ -2,17 +2,19 @@
 
 A deployment is resolved once, as arrays: every aggregated stub's next
 hop is one ``argmin`` over a packed key built from its providers' export
-episodes (no state), its first hop comes from static columns, the
-transit nodes the clients arrive at are walked once each and the RTTs
-replayed level by level; ``DataPlane.forward`` stays the single-flow
-walk over the same hop records.  Catchment mapping draws only a probe's
-loss decision.  Each shortcut is compared — with ``==``, floats included
-— against the plain form it replaced: the unmemoized hop-by-hop walk
-over the per-AS states, those states' own ``best`` / ``multipath`` (and
-the reference engine's live speakers), the full-probe catchment loop,
-and one ``probe()`` per sequence number.  A golden digest pins every
-noise stream of a whole campaign (re-pinned once, by the PR that moved
-the per-experiment noise onto the counter-based stream;
+episodes (no state), arrival-order ties settled in one vector pass, its
+first hop comes from static columns, each transit AS is asked where it
+forwards once and the flows advance over a static node table a level at
+a time; ``DataPlane.forward`` stays the single-flow walk over the same
+choices and hops.  Catchment mapping draws only a probe's loss
+decision.  Each shortcut is compared — with ``==``, floats included —
+against the plain form it replaced: the unmemoized hop-by-hop walk over
+the per-AS states, those states' own ``best`` / ``multipath`` (and the
+reference engine's live speakers), the per-stub ``min`` over arrival
+times, the full-probe catchment loop, and one ``probe()`` per sequence
+number.  A golden digest pins every noise stream of a whole campaign
+(re-pinned once, by the PR that moved the per-experiment noise onto the
+counter-based stream;
 ``tests/test_noise.py`` checks that noise against its definition and
 its closed-form moments).
 """
@@ -24,6 +26,8 @@ import itertools
 import json
 import math
 import pickle
+import sys
+import threading
 
 import numpy
 import pytest
@@ -33,7 +37,7 @@ from hypothesis import strategies as st
 from repro import AnyOpt, CampaignSettings, build_paper_testbed, select_targets
 from repro.bgp import delta
 from repro.bgp.dataplane import DataPlane, ForwardingOutcome
-from repro.bgp.delta import LIVE, LazyStates
+from repro.bgp.delta import LIVE, LazyStates, LinkJitter
 from repro.bgp.engine import (
     ANYCAST_ORIGIN_ASN,
     BGPEngine,
@@ -49,13 +53,13 @@ from repro.measurement import Orchestrator
 from repro.measurement.icmp import IcmpProber
 from repro.measurement.targets import PingTarget
 from repro.measurement.verfploeter import measure_catchments
-from repro.topology import SiteSpec, TestbedParams, build_custom_testbed
+from repro.topology import SiteSpec, TestbedParams, build_custom_testbed, generator
 from repro.topology.astopo import AS, ASGraph, Relationship
 from repro.topology.generator import Internet, TopologyParams, generate_internet
 from repro.topology.geo import city
 from repro.topology.intradomain import PopNetwork
 from repro.util.errors import ReproError
-from repro.util.rng import derive_rng, stable_hash
+from repro.util.rng import derive_rng, stable_hash, uniforms
 from tests.conftest import SEED, hashed_clients
 from tests.reference_engine import ReferenceEngine
 
@@ -530,6 +534,43 @@ class TestBulkEqualsReference:
         assert 0 < (first_legs > 0.0).sum() == (cols.transit_ms > 0.0).sum()
         assert deployment.measure_rtts() == [deployment.measure_rtt(t) for t in targets]
 
+    def test_a_loop_without_a_split(self):
+        """Two transit ASes each forwarding to the other, no multipath:
+        the level walk is still moving after one level per transit AS
+        and one more, and calls it what the hop-by-hop walk does — no
+        route.  A multipath stub whose best provider still reaches the
+        site hashes some flows into the loop: those flows have no route
+        either, whatever its best column's walk reached.  Hand-edited
+        states of a real run, since quiescent Gao-Rexford states never
+        loop."""
+        graph = ASGraph()
+        graph.add_as(AS(asn=1, tier=1, location=city("Paris")))
+        for asn in (2, 3, 4):
+            graph.add_as(AS(asn=asn, tier=2, location=city("Paris")))
+            graph.add_provider(asn, 1, rtt_ms=3.0 * asn)
+        graph.add_peering(3, 4, rtt_ms=7.0)
+        for stub, provider in ((5, 3), (6, 4)):
+            graph.add_as(AS(asn=stub, tier=3, location=city("Paris")))
+            graph.add_provider(stub, provider, rtt_ms=1.0)
+        graph.add_as(AS(asn=7, tier=3, location=city("Paris"), multipath=True))
+        for provider in (2, 3):
+            graph.add_provider(7, provider, rtt_ms=1.0)
+        internet = Internet(graph, {}, TopologyParams(), seed=0)
+        converged = BGPEngine(internet).run(
+            [SiteInjection(1, 1, None, 2.0, Relationship.CUSTOMER, 0.0)]
+        )
+        flows = [(5, 0), (6, 0), (3, 0), (1, 0)] + [(7, key) for key in range(8)]
+        assert None not in assert_bulk_matches_reference(internet, converged, 0, flows)
+        origin = converged.origin_asn
+        for asn, other in ((3, 4), (4, 3)):
+            state = converged.states[asn]
+            state.best = Route(converged.prefix, (other, 1, origin), other, 100)
+            state.multipath = [state.best]
+        assert converged.next_hops(7) == (2, [2, 3])
+        rows = assert_bulk_matches_reference(internet, converged, 0, flows)
+        assert rows[:3] == [None, None, None] and rows[3] == (1, 2.0)
+        assert None in rows[4:] and (1, 9.0) in rows[4:]
+
 
 class TestOneRowViews:
     """``forwarding``, ``measure_rtt`` and ``next_hops(stub)`` read
@@ -619,14 +660,19 @@ class TestMutationsAreNoticed:
         return deploy
 
     def test_a_pre_summed_suffix(self, world, monkeypatch):
+        """Each node's ``transit + link`` summed once and added as one
+        addend (``rtt += transit + link``): float addition is not
+        associative, so some RTT moves in its last bits."""
         assert_bulk_matches_reference(*world())
-        suffix = DataPlane._suffix
+        node_table = DataPlane._node_table
 
-        def pre_summed(self, node, behind=()):
-            resolved = suffix(self, node, behind)
-            return resolved and (resolved[0], (sum(resolved[1]),))
+        def pre_summed(self):
+            table = node_table(self)
+            return table._replace(
+                transit_ms=table.transit_ms + table.link_ms, link_ms=0.0 * table.link_ms
+            )
 
-        monkeypatch.setattr(DataPlane, "_suffix", pre_summed)
+        monkeypatch.setattr(DataPlane, "_node_table", pre_summed)
         with pytest.raises(AssertionError):
             assert_bulk_matches_reference(*world())
 
@@ -709,6 +755,167 @@ class TestStubChoiceEqualsState:
     def test_a_key_that_does_not_fit_is_refused(self, parts):
         with pytest.raises(ReproError):
             delta._stub_key(*(numpy.array([[part]], dtype=numpy.int64) for part in parts))
+
+
+# -- arrival-order ties --------------------------------------------------------
+
+
+def reference_decide(views):
+    """``_StubViews.decide`` as it was: the IGP overlay patched in by
+    ``tuple.index``, then each arrival-order tie broken on its own by
+    ``min(key=arrival)`` over the tied columns — the event push's scalar
+    ``t + delay + jitter``, ``math.log`` through the jitter's key."""
+    tables = views.tables
+    cols = views.internet.stub_columns()
+    stub_providers = tables.stub_providers
+    length = numpy.zeros(len(tables.index_asn) + 1, dtype=numpy.int64)
+    for provider, eps in views.ep_log.items():
+        if eps[-1][1] is not None:
+            length[tables.asn_index[provider]] = len(eps[-1][1])
+    interior = cols.interior.copy()
+    for (asn, neighbor), cost in views.overlay.items():
+        row = cols.row.get(asn)
+        if row is not None and neighbor in stub_providers[asn]:
+            interior[row, stub_providers[asn].index(neighbor)] = cost
+    offered = length[cols.provider]
+    key = delta._stub_key(cols.local_pref, offered, interior)
+    key[offered == 0] = delta._NO_OFFER
+    best, low = key.argmin(axis=1), key.min(axis=1)
+    tied = (key == low[:, None]).sum(axis=1) > 1
+    best[low == delta._NO_OFFER] = -1
+    tied &= best >= 0
+    stubs = tuple(cols.row)
+    rows = numpy.flatnonzero(tied & cols.arrival_order)
+    for row, lowest in zip(rows.tolist(), (key[rows] == low[rows, None]).tolist()):
+        providers = stub_providers[stubs[row]]
+        best[row] = min(
+            (col for col, at_best in enumerate(lowest) if at_best),
+            key=lambda col: views.arrival(stubs[row], providers[col]),
+        )
+    for stub in views.live:
+        best[cols.row[stub]] = LIVE
+    return key, best, tied
+
+
+@st.composite
+def tie_worlds(draw):
+    """Worlds made for stub ties: interior costs tie everywhere, most
+    ASes break ties on arrival order; injections at once or spaced,
+    jittered or not, with interior costs churned on some stub sessions
+    and, in some worlds, a stub hosting a site or named in a poisoned
+    path (live this run)."""
+    params = TopologyParams(
+        n_tier1=draw(st.integers(2, 4)),
+        n_tier2=draw(st.integers(2, 6)),
+        n_stub=draw(st.integers(10, 40)),
+        tier1_pop_min=2,
+        tier1_pop_max=3,
+        multipath_fraction=draw(st.sampled_from([0.0, 0.5])),
+        igp_tie_fraction=1.0,
+        arrival_order_fraction=draw(st.sampled_from([0.5, 1.0])),
+    )
+    internet = generate_internet(params, seed=draw(st.integers(0, 10_000)))
+    graph = internet.graph
+    stubs = sorted(graph.tables().stub_providers)
+    spacing = draw(st.sampled_from([0.0, 1000.0]))
+    hosts = draw(st.lists(st.sampled_from(graph.tier1_asns()), min_size=1, max_size=3, unique=True))
+    injections = [
+        SiteInjection(host, idx + 1, 0, 1.0, Relationship.CUSTOMER, idx * spacing)
+        for idx, host in enumerate(hosts)
+    ]
+    live = draw(st.sampled_from(["none", "hosting", "poisoned"]))
+    if live == "hosting":
+        injections.append(SiteInjection(
+            draw(st.sampled_from(stubs)), 9, None, 0.5, Relationship.CUSTOMER, 0.0
+        ))
+    elif live == "poisoned":
+        injections[0] = dataclasses.replace(injections[0], poison=(draw(st.sampled_from(stubs)),))
+    sessions = [(stub, p) for stub in stubs for p in graph.tables().stub_providers[stub]]
+    overlay = {
+        session: draw(st.integers(0, 3))
+        for session in draw(st.lists(st.sampled_from(sessions), max_size=8, unique=True))
+    }
+    converged = BGPEngine(internet).run(
+        injections, igp_overlay=overlay,
+        delay_jitter_ms=draw(st.sampled_from([0.0, 20.0])), delay_nonce=draw(st.integers(0, 50)),
+    )
+    return internet, converged
+
+
+def two_provider_stub(delays, jitter_u, lambd=0.05):
+    """Hubs 1 and 2 (peers, both hosting a site from time 0) and one
+    stub, 100, that breaks ties on arrival order: its two offers tie on
+    the key, so the arrival ``(0.0 + delays[i]) + jitter`` of hub
+    ``i + 1``'s update decides.  ``jitter_u``: the uniform per hub's
+    link to the stub (0.0 makes a jitter of -0.0).  Returns the run's
+    stub views."""
+    graph = ASGraph()
+    for hub in (1, 2):
+        graph.add_as(AS(asn=hub, tier=1, location=city("London")))
+    graph.add_peering(1, 2, prop_delay_ms=0.0)
+    graph.add_as(AS(asn=100, tier=3, location=city("Paris"), arrival_order_tiebreak=True))
+    for hub, delay in zip((1, 2), delays):
+        graph.add_provider(100, hub, prop_delay_ms=delay)
+    internet = Internet(graph, {}, TopologyParams(), seed=5)
+    pair_slot = graph.tables().pair_slot
+    u = {(1, 100): jitter_u[0], (2, 100): jitter_u[1]}
+    jitter = LinkJitter(pair_slot, numpy.array([u.get(pair, 0.0) for pair in pair_slot]), lambd)
+    engine = BGPEngine(internet)
+    injections = [SiteInjection(hub, hub, None, 1.0, Relationship.CUSTOMER, 0.0) for hub in (1, 2)]
+    states = engine._delta.converge(injections, None, jitter, (), engine.event_budget())[0]
+    return states._stubs
+
+
+class TestStubTiesAreTheMinLoop:
+    """The arrival-order tie pass — every tied cell's exact arrival on
+    an inf-padded grid, the first minimum per row — against the loop
+    it replaced."""
+
+    @given(tie_worlds())
+    @settings(**SETTINGS)
+    def test_random_worlds(self, world):
+        _, converged = world
+        views = converged.states._stubs
+        assert [a.tolist() for a in views.decide()] == [
+            a.tolist() for a in reference_decide(views)
+        ]
+
+    def test_jittered_campaign_deployments(self, noisy_orchestrator):
+        """The noisy campaign's deployments, jittered and churned: many
+        ties, each the loop's choice."""
+        ties = 0
+        for order in ((1, 6), (6, 1, 9), (9, 12, 1, 4)):
+            views = noisy_orchestrator.deploy(AnycastConfig(site_order=order)).converged.states._stubs
+            key, best, tied = views.decide()
+            ties += int((tied & views.internet.stub_columns().arrival_order).sum())
+            assert [best.tolist(), tied.tolist()] == [a.tolist() for a in reference_decide(views)[1:]]
+        assert ties > 10
+
+    @pytest.mark.parametrize("t_jitter", [0.0, 0.25])
+    def test_an_exact_tie_goes_to_the_lower_column(self, t_jitter):
+        views = two_provider_stub((3.0, 3.0), (t_jitter, t_jitter))
+        assert views.arrival(100, 1) == views.arrival(100, 2)
+        _, best, tied = views.decide()
+        assert tied.tolist() == [True] and best.tolist() == [0]
+        assert reference_decide(views)[1].tolist() == [0]
+        assert views.choose(100) == (1, [1, 2])
+
+    def test_a_tie_decided_by_the_last_bit_of_the_log(self):
+        """Hub 1's arrival is a bare delay set to the value ``numpy.log``
+        gives hub 2's jitter, hub 2's is that jitter through libm, which
+        is the smaller: hub 2 wins, and would lose a tie to the lower
+        column if the jitter were taken from ``numpy.log``."""
+        lambd = 0.05
+        block = uniforms(stable_hash(29, "tie-bit"), 0, 20_000)
+        libm = numpy.array([-math.log(1.0 - u) / lambd for u in block.tolist()])
+        lower = numpy.flatnonzero(libm < -numpy.log(1.0 - block) / lambd)
+        if not lower.size:
+            pytest.skip("numpy.log is never above math.log here on this CPU")
+        u = block.item(lower[0])
+        estimate = (-numpy.log(1.0 - numpy.array([u])) / lambd).item()
+        views = two_provider_stub((estimate, 0.0), (0.0, u), lambd)
+        assert views.arrival(100, 2) < views.arrival(100, 1) == estimate
+        assert views.decide()[1].tolist() == [1] == reference_decide(views)[1].tolist()
 
 
 # -- probes ------------------------------------------------------------------
@@ -832,58 +1039,192 @@ class TestLossOnlyCatchments:
 
 
 def test_probing_resolves_a_deployment_once(monkeypatch):
-    """The paper world, one 5-site deployment, a catchment pass and an
-    RTT row: deploying resolves nothing — no hop, no static column;
-    probing builds no stub state, takes no per-stub decision and keeps
-    no hop record for any client the array pass carries (all but the
-    one whose own tied providers hash its flows), and resolves each
-    transit hop key once."""
+    """The paper world, two deployments, each probed by a catchment pass
+    and an RTT row: deploying resolves nothing — no static column, no
+    hop, no node table; probing builds the transit columns once per
+    tables revision, asks each transit AS where it forwards once per
+    deployment, builds no stub state, takes no per-stub decision and
+    walks no client singly but the one whose own tied providers hash
+    its flows."""
     testbed = build_paper_testbed(None, seed=SEED)
     targets = select_targets(testbed.internet, seed=SEED)
     clients = set(targets.asns())
-    assert (len(testbed.internet.graph), len(targets), len(clients)) == (656, 1120, 451)
+    graph = testbed.internet.graph
+    assert (len(graph), len(targets), len(clients)) == (656, 1120, 451)
+    transit = set(graph.asns()) - set(graph.tables().stub_providers)
+    assert len(transit) == 56
 
     decided = collections.Counter()
-    resolved = collections.Counter()
-    next_hops, record = LazyStates.next_hops, DataPlane._record
+    walked = collections.Counter()
+    built = []
+    next_hops, walk, columns = LazyStates.next_hops, DataPlane._walk, generator.TransitColumns
 
     def counted_next_hops(self, asn):
         decided[asn] += 1
         return next_hops(self, asn)
 
-    def counted_record(self, asn, entry):
-        resolved[(asn, entry)] += 1
-        return record(self, asn, entry)
+    def counted_walk(self, asn, flow_key):
+        walked[asn] += 1
+        return walk(self, asn, flow_key)
+
+    def counted_columns(*fields):
+        built.append(graph.tables().revision)
+        return columns(*fields)
 
     monkeypatch.setattr(LazyStates, "next_hops", counted_next_hops)
-    monkeypatch.setattr(DataPlane, "_record", counted_record)
+    monkeypatch.setattr(DataPlane, "_walk", counted_walk)
+    monkeypatch.setattr(generator, "TransitColumns", counted_columns)
 
     orchestrator = Orchestrator(testbed, targets, seed=SEED)
-    deployment = orchestrator.deploy(AnycastConfig(site_order=(1, 4, 6, 9, 12)))
-    dataplane, states = deployment.dataplane, deployment.converged.states
-    tables = testbed.internet.graph.tables()
-    assert not decided and not resolved
-    assert not dataplane._table and not dataplane._memo and not dataplane._suffixes
-    assert not tables.hops and tables.stub_columns is None
-    assert states._stubs._decided is None
-    assert "columns" not in vars(targets)
+    for config, split in (((1, 4, 6, 9, 12), 1), ((2, 7), 2), ((1, 4, 6, 9, 12), 1)):
+        decided.clear()
+        walked.clear()
+        deployment = orchestrator.deploy(AnycastConfig(site_order=config))
+        dataplane, states = deployment.dataplane, deployment.converged.states
+        tables = graph.tables()
+        assert not decided and not walked
+        assert dataplane._nodes is None and not dataplane._choices and not dataplane._memo
+        assert states._stubs._decided is None
+        if not built:
+            assert tables.transit_columns is None and tables.stub_columns is None
+            assert not tables.hops and not tables.terminals and not tables.target_rows
+            assert "columns" not in vars(targets)
 
-    cmap = deployment.measure_catchments()
-    rtts = deployment.measure_rtts()
-    assert cmap.mapped_count() > 1000 and sum(r is not None for r in rtts) > 1000
+        cmap = deployment.measure_catchments()
+        rtts = deployment.measure_rtts()
+        assert cmap.mapped_count() > 1000 and sum(r is not None for r in rtts) > 1000
 
-    assert states._aggregated >= clients
-    assert not states._aggregated & set(states._materialized)
-    hashed = hashed_clients(dataplane, sorted(clients))
-    assert len(hashed) == 1
-    assert set(decided) & clients == hashed
-    assert {asn for asn, _ in resolved if asn in clients} == hashed
-    assert set(resolved.values()) == {1}
-    # The transit hops the clients share: one record per entry PoP,
-    # each asking its AS's decision, each the start of one suffix.
-    assert len(resolved) - len(hashed) == len(dataplane._suffixes) < 150
-    assert sum(decided.values()) == len(resolved)
-    assert set(dataplane._table) >= set(resolved)
+        assert built == [tables.revision]
+        assert states._aggregated >= clients
+        assert not states._aggregated & set(states._materialized)
+        assert set(decided.values()) == {1}
+        assert set(decided) - clients == transit
+        assert set(walked) == set(decided) & clients
+        hashed = hashed_clients(dataplane, sorted(clients))
+        assert set(walked) == hashed and len(hashed) == split
+        assert set(decided.values()) == {1}
+    graph.invalidate_tables()
+    orchestrator.deploy(AnycastConfig(site_order=(2, 7))).measure_catchments()
+    assert built == [built[0], graph.tables().revision] and built[0] < built[1]
+
+
+class TestMemosLiveOnTheTables:
+    """The hop, column, terminal and target-row memos go with the
+    graph's tables: a revision bump drops them all, and a sweep keeps
+    one terminal per (host AS, entry PoP, site set) it met."""
+
+    @pytest.fixture()
+    def small(self):
+        testbed = build_paper_testbed(
+            TestbedParams(topology=TopologyParams(n_stub=150, n_tier2=24)), seed=SEED
+        )
+        return testbed, select_targets(testbed.internet, seed=SEED)
+
+    def test_a_stale_entry_is_never_read(self, small):
+        testbed, targets = small
+        graph = testbed.internet.graph
+        orchestrator = Orchestrator(testbed, targets, seed=SEED)
+        config = AnycastConfig(site_order=(1, 4, 6))
+        orchestrator.deploy(config).measure_catchments()
+        old = graph.tables()
+        assert old.hops and old.terminals and old.target_rows and old.transit_columns
+        for link in graph.links():
+            link.rtt_ms *= 1.5
+        graph.invalidate_tables()
+        # Poison the stale tables: any read of them shows in the answers.
+        for key in old.terminals:
+            old.terminals[key] = old.terminals[key]._replace(site_id=-7, add_ms=1e6)
+        for key, hop in old.hops.items():
+            old.hops[key] = hop._replace(link_ms=1e6)
+        old.transit_columns.link_ms[:] = old.stub_columns.link_ms[:] = 1e6
+        deployment = orchestrator.deploy(config)
+        rows = assert_bulk_matches_reference(
+            testbed.internet, deployment.converged, deployment.experiment_id,
+            target_flows(targets),
+        )
+        assert all(site > 0 and rtt < 1e5 for site, rtt in filter(None, rows))
+        assert graph.tables() is not old and graph.tables().terminals
+
+    def test_threads_building_the_memos_at_once(self, small):
+        """Six threads probe six deployments, each over targets of its
+        own, on cold tables, switching every microsecond: each reads
+        what a lone probe of the same deployment reads, whichever thread
+        built the columns, the terminals or the target rows it used."""
+        testbed, targets = small
+        configs = [(1,), (4, 6), (6, 1, 9), (9, 12), (12, 1, 4, 6), (2, 7)]
+
+        def probe(order):
+            deployment = Orchestrator(testbed, targets, seed=SEED).deploy(
+                AnycastConfig(site_order=order)
+            )
+            mine = list(targets)[len(order) % 4::4]
+            for _ in range(3):
+                cmap, rtts = deployment.measure_catchments(mine), deployment.measure_rtts(mine)
+                deployment.measure_rtts(list(targets)[::3])
+            return cmap.mapping, rtts
+
+        seen = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda o=order: seen.setdefault(o, probe(o)))
+                for order in configs
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        testbed.internet.graph.invalidate_tables()
+        assert {order: probe(order) for order in configs} == seen
+
+    def test_each_target_list_is_mapped_once(self, small):
+        """Two target lists probed in turn keep a stub-row map each:
+        neither evicts the other, and the second round reads both back
+        rather than mapping them again."""
+        testbed, targets = small
+        tables = testbed.internet.graph.tables()
+        deployment = Orchestrator(testbed, targets, seed=SEED).deploy(
+            AnycastConfig(site_order=(1, 4))
+        )
+        halves = list(targets)[::2], list(targets)[1::2]
+        for half in halves:
+            deployment.measure_catchments(half)
+        mapped = dict(tables.target_rows)
+        assert set(mapped) == {tuple(t.asn for t in half) for half in halves}
+        for _ in range(2):
+            for half in halves:
+                deployment.measure_catchments(half)
+        assert tables.target_rows.keys() == mapped.keys()
+        assert all(tables.target_rows[asns] is rows for asns, rows in mapped.items())
+
+    def test_a_sweep_keeps_one_terminal_per_combination(self, small):
+        """Every 2- and 3-site order of six sites, twice over: the memo
+        holds exactly the (host AS, entry PoP, site_pops) combinations
+        of the hosts' nodes, and the second sweep adds none."""
+        testbed, targets = small
+        tables = testbed.internet.graph.tables()
+        orchestrator = Orchestrator(testbed, targets, seed=SEED)
+        transit = testbed.internet.transit_columns()
+        sizes = []
+        for _ in range(2):
+            combinations = set()
+            for order in itertools.chain(
+                itertools.permutations(range(1, 7), 2), itertools.permutations(range(1, 7), 3)
+            ):
+                deployment = orchestrator.deploy(AnycastConfig(site_order=order))
+                deployment.measure_catchments()
+                converged, origin = deployment.converged, deployment.converged.origin_asn
+                for asn, entry in transit.nodes:
+                    if converged.next_hops(asn) == (origin, [origin]):
+                        site_pops = converged.states[asn].adj_rib_in[origin].site_pops
+                        combinations.add((asn, entry, site_pops))
+            sizes.append(len(tables.terminals))
+            assert set(tables.terminals) == combinations
+        assert sizes[0] == sizes[1] < 150
 
 
 # -- the whole campaign ------------------------------------------------------
