@@ -9,11 +9,13 @@ testbed.  It implements, at the AS abstraction the paper reasons about:
   *arrival-order tie-break* that the paper identifies in S4.2 as a
   widespread implementation behaviour absent from the BGP standard
   (:mod:`repro.bgp.decision`);
-- per-AS RIBs and speaker logic with correct withdraw-on-export-set
-  change semantics (:mod:`repro.bgp.rib`, :mod:`repro.bgp.router`);
+- per-AS RIBs (:mod:`repro.bgp.rib`);
 - an event-driven propagation engine with per-link control-plane
   delays and a virtual clock, so announcement arrival order is
-  well-defined (:mod:`repro.bgp.engine`);
+  well-defined (:mod:`repro.bgp.engine`), whose one event loop handles
+  import, decision and export — with correct withdraw-on-export-set
+  change semantics — inline over per-run states
+  (:mod:`repro.bgp.delta`);
 - a data plane that resolves a converged deployment once, hop record
   by hop record, and each client flow to its terminating AS, ingress
   PoP, hot-potato site choice, and path RTT

@@ -27,7 +27,8 @@ from repro.topology.astopo import AS
 
 def _strict_key(route: Route) -> Tuple:
     """Ordering through the deterministic comparison steps
-    (LOCAL_PREF, AS_PATH length, origin, MED, interior cost)."""
+    (LOCAL_PREF, AS_PATH length, origin, MED, interior cost); what
+    :attr:`Route.strict_key` stores, computed from the fields."""
     return (
         -route.local_pref,
         route.path_length,
@@ -48,9 +49,9 @@ def evaluate(routes: Sequence[Route], node: AS) -> Tuple[Optional[Route], List[R
 
     The best route always survives the deterministic comparison steps,
     so it lies inside the strict-tied set; computing both together
-    costs one strict key per route instead of the three that separate
-    :func:`best_route` / :func:`multipath_set` calls pay.  This is the
-    speaker's per-message hot path.
+    reads each route's stored strict key once instead of computing the
+    three keys that separate :func:`best_route` / :func:`multipath_set`
+    calls compute.  This is the convergence loop's per-event decision.
     """
     if len(routes) == 1:
         # Single candidate: the scan and every tie-break are no-ops.
@@ -61,14 +62,7 @@ def evaluate(routes: Sequence[Route], node: AS) -> Tuple[Optional[Route], List[R
     best_key = None
     tied: List[Route] = []
     for r in routes:
-        # _strict_key, inlined and cached on the (frozen) route: the
-        # key is a pure function of the route, and ribs are rescanned
-        # on every delivery.
-        try:
-            k = r.strict_key
-        except AttributeError:
-            k = (-r.local_pref, len(r.as_path), r.origin_code, r.med, r.interior_cost)
-            object.__setattr__(r, "strict_key", k)
+        k = r.strict_key
         if best_key is None or k < best_key:
             best_key = k
             tied = [r]

@@ -1,22 +1,23 @@
 """Delta convergence: internet-scale runs that only pay for the wavefront.
 
 A campaign runs thousands of experiments over one topology, and each
-experiment differs only in which sites announce.  A plain loop with one
-live speaker per AS pays three per-run costs proportional to the whole
-topology: an overlay sweep over every speaker, a detach scan over every
-AS, and one heap event per delivered update — including the huge
-majority delivered to stub ASes that can never say anything back.
+experiment differs only in which sites announce.  The oracle loop of the
+test suite (``tests/reference_engine.py``: one speaker object per AS,
+one heap event per delivered update) pays per run for every AS and per
+event for a stack of method calls.  This module — the engine's only
+convergence path — produces bit-identical results paying for neither:
 
-This module — the engine's only convergence path — pays none of the
-three, bit-identically to that plain loop (which survives as the test
-suite's oracle, ``tests/reference_engine.py``):
-
-- **Touched-AS tracking / copy-on-restore**: the per-topology base
-  state is the empty RIB (only the anycast prefix exists), so a run's
-  announce/withdraw wavefront *is* the set of events.  The converger
-  records which ASes the wavefront reached and, between runs, restores
-  exactly those — checkout, detach, and release are all O(touched),
-  not O(|ASes|).
+- **One event loop over per-run states**: the base state of every AS is
+  the empty RIB (only the anycast prefix exists), so a run's
+  announce/withdraw wavefront *is* the set of events.
+  :meth:`DeltaConverger.converge` builds a :class:`RouterState` for an
+  AS the first time an event reaches it and handles each event inline —
+  import (session values plus the run's interior-cost overlay), the one
+  decision function (:func:`repro.bgp.decision.evaluate`), then the
+  export and stale-withdraw rules, pushing updates straight onto the
+  heap with the jitter read by slot.  Per-AS export tables are built
+  once per topology revision.  A run touches only its own states, so
+  the converger is safe to share across threads.
 
 - **Stub aggregation**: a *pure stub* — an AS every one of whose BGP
   sessions is with a provider — exports nothing, ever: a provider- or
@@ -24,7 +25,7 @@ suite's oracle, ``tests/reference_engine.py``):
   own injections are the one exception; see below.)  Removing such an
   AS from the event heap therefore cannot perturb any other AS, single-
   or multi-homed alike.  Aggregated stubs are pruned from their
-  providers' export bases entirely, so the simulated core is just the
+  providers' export tables entirely, so the simulated core is just the
   transit hierarchy.  What a provider *would* have sent them is
   reconstructed from the provider's **export episodes**: a provider
   sends the same update to every aggregated stub customer exactly
@@ -37,7 +38,7 @@ suite's oracle, ``tests/reference_engine.py``):
   stubs in one array pass (:meth:`LazyStates.stub_choices`; for one,
   :meth:`LazyStates.next_hops`) — and message/event counts and the
   convergence timestamp are reconstructed from episode arithmetic, so
-  metrics and traces match the plain loop too.
+  metrics and traces match the oracle too.
 
 The noise around the loop keeps the same rule.  The per-run link jitter
 arrives as a :class:`LinkJitter` — the run's block of uniforms, turned
@@ -49,11 +50,11 @@ Bit-identity argument for the event order: removing a heap entry that
 generates no further events preserves the relative order of all
 remaining entries (the tie-breaking sequence numbers are monotonic in
 push order, and a subsequence keeps its order), so every live AS sees
-the exact event sequence the plain loop delivers.  A provider never
-sends consecutive duplicates to one neighbor (``advertised_to`` dedup)
-and link delay plus per-run jitter are constant per directed pair, so
-deliveries to a stub arrive in send order and the episode replay
-reproduces exactly the deliveries the plain loop makes.
+the exact event sequence the oracle delivers.  A provider never sends
+consecutive duplicates to one neighbor and link delay plus per-run
+jitter are constant per directed pair, so deliveries to a stub arrive
+in send order and the episode replay reproduces exactly the deliveries
+the oracle makes.
 
 The replay treats all of a provider's aggregated stubs alike, which
 holds as long as none of them appears in an AS path (the export loop
@@ -63,11 +64,15 @@ can enter a path in two ways only: by hosting an injection — an
 injecting stub does export, toward its providers — or by being spliced
 into an announcement as a ``poison`` entry.  All are inputs known
 before the first event, so such a stub is un-aggregated *for the run*:
-it gets an ephemeral live speaker, its providers get a run-local export
-base that re-admits it, and it sits on the heap like any other AS while
-its siblings stay aggregated.
+its providers get run-local export tables that re-admit it, and it sits
+on the heap like any other AS while its siblings stay aggregated.
+
+``tests/test_bgp_router.py`` pins the loop's rules on a five-AS graph,
+``tests/test_delta_engine.py`` and ``tests/test_probe_plane.py`` its
+bit-identity with the oracle.
 """
 
+import dataclasses
 import heapq
 import itertools
 import math
@@ -77,9 +82,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.bgp.messages import SitePop, make_route
+from repro.bgp.decision import evaluate
+from repro.bgp.messages import Route, SitePop, make_route
+from repro.bgp.policy import local_pref_for
 from repro.bgp.rib import RouterState
-from repro.bgp.router import BGPSpeaker
 from repro.topology.astopo import Relationship
 from repro.util.errors import ConvergenceBudgetError, ReproError
 from repro.util.rng import exponentials
@@ -90,7 +96,7 @@ from repro.util.rng import exponentials
 _ARRIVAL_MARGIN = 1e-9
 
 #: :meth:`_StubViews.decide`: the key of a provider offering nothing,
-#: and the ``best`` of a stub that had a speaker of its own in the run.
+#: and the ``best`` of a stub that was live in the run.
 _NO_OFFER = np.iinfo(np.int64).max
 LIVE = -2
 
@@ -102,44 +108,6 @@ def _stub_key(local_pref, length, interior):
         if values.min(initial=0) < 0 or values.max(initial=0) >> bits:
             raise ReproError("a stub's decision key does not fit its 64-bit packing")
     return (length << 32 | interior) - (local_pref << 44)
-
-
-class _PrunedTables:
-    """Core speakers' view of the topology tables: identical session
-    imports, export bases with the aggregated stubs removed.  Pruning
-    preserves the base's sorted order (a subsequence of a sorted tuple),
-    so the surviving exports are emitted in exactly the unpruned
-    base's relative order."""
-
-    __slots__ = ("session_import", "export_all", "export_customers")
-
-    def __init__(self, session_import, export_all, export_customers):
-        self.session_import = session_import
-        self.export_all = export_all
-        self.export_customers = export_customers
-
-    def export_targets(self, asn: int, learned_rel) -> Tuple[int, ...]:
-        if learned_rel is Relationship.CUSTOMER:
-            return self.export_all[asn]
-        return self.export_customers[asn]
-
-
-class _RunExport:
-    """A per-run export-base override for one provider of a live stub:
-    prunes only the stubs aggregated *this run*, so the live stub gets
-    real heap deliveries while its siblings stay aggregated."""
-
-    __slots__ = ("session_import", "_all", "_customers")
-
-    def __init__(self, session_import, all_targets, customer_targets):
-        self.session_import = session_import
-        self._all = all_targets
-        self._customers = customer_targets
-
-    def export_targets(self, asn: int, learned_rel) -> Tuple[int, ...]:
-        if learned_rel is Relationship.CUSTOMER:
-            return self._all
-        return self._customers
 
 
 class LinkJitter(Mapping):
@@ -197,8 +165,8 @@ class LazyStates(Mapping):
     """A per-AS state mapping that synthesizes aggregated-stub states
     on first read.
 
-    Behaves exactly like the ``Dict[int, RouterState]`` a loop with one
-    live speaker per AS returns: same keys (every AS in the topology),
+    Behaves exactly like the ``Dict[int, RouterState]`` a loop that
+    simulates every AS returns: same keys (every AS in the topology),
     same values (by ``==``).  Internally it holds only the states the run
     actually materialized; untouched ASes resolve to the shared
     pristine state, aggregated stubs are built from their providers'
@@ -380,9 +348,9 @@ class _StubViews:
 
     def synth(self, stub: int) -> Optional[RouterState]:
         """The stub's state (None: the pristine one), ``==`` to the one
-        a live speaker builds by simulation: per offering provider
-        session what ``BGPSpeaker.receive_announcement`` stores (same
-        import values, same route constructor)."""
+        simulating the stub builds: per offering provider session what
+        the event loop stores on import (same import values, same route
+        constructor)."""
         chosen = self.choose(stub)
         if chosen is None:
             return None
@@ -403,14 +371,137 @@ class _StubViews:
         return state
 
 
-class DeltaConverger:
-    """The convergence core of one :class:`BGPEngine`.
+def _exports(tables, asn: int, targets, aggregated) -> Tuple[Tuple[int, float, int], ...]:
+    """``asn``'s export base as ``(neighbor, delay, jitter slot)``
+    triples, aggregated stubs left out.  Leaving entries out of a
+    sorted tuple keeps it sorted, so the surviving exports are emitted
+    in the unpruned base's relative order."""
+    return tuple(
+        (n, tables.prop_delay[(asn, n)], tables.pair_slot[(asn, n)])
+        for n in targets
+        if n not in aggregated
+    )
 
-    Owns a pool of *core* speaker sets (every AS except the aggregated
-    stubs) plus the shared pristine states, both keyed to the graph's
-    current :class:`~repro.topology.precompute.TopologyTables`.  Safe
-    to share across executor threads: each run checks out its own
-    speaker set.
+
+class _Topology:
+    """What the event loop reads of one tables revision, built once
+    (:meth:`DeltaConverger._topology`) and never mutated."""
+
+    __slots__ = (
+        "tables", "pristine", "aggregated", "routers", "parents",
+        "parent_maxdelay", "agg_pairs", "agg_provider", "agg_slot", "agg_delay",
+    )
+
+    def __init__(self, graph, tables):
+        self.tables = tables
+        self.pristine = {asn: RouterState(asn) for asn in graph.asns()}
+        aggregated = frozenset(tables.stub_providers)
+        self.aggregated = aggregated
+        parents: Dict[int, List[int]] = {}
+        for stub in aggregated:
+            for provider in tables.stub_providers[stub]:
+                parents.setdefault(provider, []).append(stub)
+        #: provider ASN -> sorted tuple of its aggregated stub customers
+        self.parents = {p: tuple(sorted(s)) for p, s in parents.items()}
+        prop_delay = tables.prop_delay
+        #: provider ASN -> max one-way delay to any of its stubs (the
+        #: jitter-free fast path for the convergence timestamp).
+        self.parent_maxdelay = {
+            p: max(prop_delay[(p, s)] for s in stubs) for p, stubs in self.parents.items()
+        }
+        #: ASN -> (AS, exports of a customer route, exports of any
+        #: other route, aggregated stub customers), for every AS but the
+        #: aggregated stubs (a run that makes one live adds its own).
+        self.routers = {
+            asn: (
+                graph.as_of(asn),
+                _exports(tables, asn, tables.export_all[asn], aggregated),
+                _exports(tables, asn, tables.export_customers[asn], aggregated),
+                self.parents.get(asn, ()),
+            )
+            for asn in graph.asns()
+            if asn not in aggregated
+        }
+        # Every aggregated (provider, stub) pair, flat, with its
+        # provider's dense index (``tables.asn_index``), jitter slot and
+        # one-way delay (the jittered path for the convergence
+        # timestamp).  Every session of an aggregated stub is with a
+        # provider, so the pairs are exactly the directed links ending
+        # at one.
+        pairs = [pair for pair in tables.pair_slot if pair[1] in aggregated]
+        self.agg_pairs = pairs
+        self.agg_provider = np.array([tables.asn_index[p] for p, _ in pairs], dtype=np.intp)
+        self.agg_slot = np.array([tables.pair_slot[pair] for pair in pairs], dtype=np.intp)
+        self.agg_delay = np.array([prop_delay[pair] for pair in pairs], dtype=np.float64)
+
+
+def _originate(adj, site_id, inj, node, origin_asn, prefix, now) -> bool:
+    """Apply an injection event to its host's Adj-RIB-In, where the
+    anycast route is keyed by the origin ASN: site ``site_id``
+    announcing through ``inj`` (a ``SiteInjection``), or, with ``inj``
+    None, withdrawing.  False when the RIB is unchanged.
+
+    Sites announcing through one AS merge into one AS-level route whose
+    arrival time is the earliest announcement; site-level differences
+    are resolved in the data plane (paper S4.3).  Prepending lengthens
+    the session's path, and only the shortest-path sessions keep their
+    attachments: a longer announcement is shadowed, a shorter one
+    replaces the set, and withdrawing the last short-path site does not
+    resurrect a shadowed one.  ``poison`` splices ASNs into the path
+    (``origin, poisoned..., origin``), so loop prevention keeps the route
+    from them (paper S6); ``BGPEngine.run`` has already rejected
+    poisoning the host.
+    """
+    existing = adj.get(origin_asn)
+    if inj is None:
+        if existing is None:
+            return False
+        remaining = tuple(sp for sp in existing.site_pops if sp.site_id != site_id)
+        if remaining:
+            adj[origin_asn] = dataclasses.replace(existing, site_pops=remaining)
+        else:
+            del adj[origin_asn]
+        return True
+    as_path = (origin_asn,) * (1 + inj.prepend)
+    if inj.poison:
+        as_path = (origin_asn,) + tuple(inj.poison) + as_path
+    pop = SitePop(site_id, inj.pop_id, inj.link_rtt_ms)
+    if existing is None:
+        adj[origin_asn] = Route(
+            prefix=prefix,
+            as_path=as_path,
+            learned_from=origin_asn,
+            local_pref=local_pref_for(node, origin_asn, inj.rel_from_host),
+            learned_rel=inj.rel_from_host,
+            arrival_time=now,
+            site_pops=(pop,),
+        )
+        return True
+    if len(as_path) > len(existing.as_path):
+        return False
+    if len(as_path) == len(existing.as_path):
+        pops = tuple(sorted(set(existing.site_pops) | {pop}, key=lambda sp: sp.site_id))
+    else:
+        pops = (pop,)
+    adj[origin_asn] = dataclasses.replace(
+        existing,
+        as_path=as_path,
+        arrival_time=min(existing.arrival_time, now),
+        site_pops=pops,
+    )
+    return True
+
+
+class DeltaConverger:
+    """The convergence core of one :class:`BGPEngine`: one heap loop
+    over per-run states.
+
+    Keeps the per-topology :class:`_Topology` (shared pristine states,
+    per-AS export tables) keyed to the graph's current
+    :class:`~repro.topology.precompute.TopologyTables`.  A run builds
+    the states it touches and shares nothing mutable, so one converger
+    is safe to share across executor threads; the lock guards only the
+    rebuild.
     """
 
     def __init__(self, internet, prefix: str, origin_asn: int):
@@ -420,90 +511,15 @@ class DeltaConverger:
         self.prefix = prefix
         self.origin_asn = origin_asn
         self._lock = threading.Lock()
-        self._pool: List[Dict[int, BGPSpeaker]] = []
-        self._pool_tables = None
-        self._pristine: Dict[int, RouterState] = {}
-        self._aggregated: frozenset = frozenset()
-        self._pruned: Optional[_PrunedTables] = None
-        #: provider ASN -> sorted tuple of its aggregated stub customers
-        self._parents: Dict[int, Tuple[int, ...]] = {}
-        #: provider ASN -> max one-way delay to any of its stubs (the
-        #: jitter-free fast path for the convergence timestamp).
-        self._parent_maxdelay: Dict[int, float] = {}
-        #: Every aggregated (provider, stub) pair, flat, with its
-        #: provider's dense index (``tables.asn_index``), jitter slot
-        #: and one-way delay (the jittered path for the convergence
-        #: timestamp).
-        self._agg_pairs: List[Tuple[int, int]] = []
-        self._agg_provider = self._agg_slot = self._agg_delay = np.empty(0)
+        self._topo: Optional[_Topology] = None
 
-    # -- per-topology state ---------------------------------------------
-
-    def _rebuild(self, tables):
-        """Recompute aggregation structures for a new tables revision.
-        Caller holds the lock."""
+    def _topology(self) -> _Topology:
         graph = self.internet.graph
-        self._pool = []
-        self._pool_tables = tables
-        self._pristine = {asn: RouterState(asn) for asn in graph.asns()}
-        aggregated = frozenset(tables.stub_providers)
-        self._aggregated = aggregated
-        parents: Dict[int, List[int]] = {}
-        for stub in aggregated:
-            for provider in tables.stub_providers[stub]:
-                parents.setdefault(provider, []).append(stub)
-        self._parents = {p: tuple(sorted(s)) for p, s in parents.items()}
-        prop_delay = tables.prop_delay
-        self._parent_maxdelay = {
-            p: max(prop_delay[(p, s)] for s in stubs)
-            for p, stubs in self._parents.items()
-        }
-        # Every session of an aggregated stub is with a provider, so
-        # the pairs are exactly the directed links ending at one.
-        pairs = [pair for pair in tables.pair_slot if pair[1] in aggregated]
-        self._agg_pairs = pairs
-        self._agg_provider = np.array([tables.asn_index[p] for p, _ in pairs], dtype=np.intp)
-        self._agg_slot = np.array([tables.pair_slot[pair] for pair in pairs], dtype=np.intp)
-        self._agg_delay = np.array([prop_delay[pair] for pair in pairs], dtype=np.float64)
-        export_all = {
-            asn: tuple(t for t in targets if t not in aggregated)
-            for asn, targets in tables.export_all.items()
-            if asn not in aggregated
-        }
-        export_customers = {
-            asn: tuple(t for t in targets if t not in aggregated)
-            for asn, targets in tables.export_customers.items()
-            if asn not in aggregated
-        }
-        self._pruned = _PrunedTables(
-            tables.session_import, export_all, export_customers
-        )
-
-    def _checkout(self, tables, igp_overlay):
-        graph = self.internet.graph
+        tables = graph.tables()
         with self._lock:
-            if self._pool_tables is not tables:
-                self._rebuild(tables)
-            speakers = self._pool.pop() if self._pool else None
-        aggregated = self._aggregated
-        if speakers is None:
-            prefix = self.prefix
-            pruned = self._pruned
-            speakers = {
-                asn: BGPSpeaker(graph.as_of(asn), prefix, pruned, igp_overlay)
-                for asn in graph.asns()
-                if asn not in aggregated
-            }
-        else:
-            overlay = igp_overlay or {}
-            for sp in speakers.values():
-                sp.igp_overlay = overlay
-        return speakers, aggregated
-
-    def _release(self, speakers, tables):
-        with self._lock:
-            if self._pool_tables is tables:
-                self._pool.append(speakers)
+            if self._topo is None or self._topo.tables is not tables:
+                self._topo = _Topology(graph, tables)
+            return self._topo
 
     # -- one run ----------------------------------------------------------
 
@@ -521,157 +537,184 @@ class DeltaConverger:
         ``jitter`` is the per-run delay jitter the engine already drew:
         a :class:`LinkJitter`, or an empty dict for an unjittered run.
         """
-        graph = self.internet.graph
-        tables = graph.tables()
-        speakers, aggregated = self._checkout(tables, igp_overlay)
-        prop_delay = tables.prop_delay
-        jitter_get = jitter.get
+        topo = self._topology()
+        tables = topo.tables
+        routers = topo.routers
+        aggregated = topo.aggregated
+        prefix = self.prefix
+        origin_asn = self.origin_asn
 
         # A stub must be live even if it would normally aggregate when
         # it hosts an injection or withdrawal (it exports toward its
         # providers) or when an announced path names it (poison entries
         # and the origin: the export loop skips a target inside the
         # path).  No stub left aggregated can then appear in any path.
-        named = {self.origin_asn}
+        named = {origin_asn}
         for inj in injections:
             named.add(inj.host_asn)
             named.update(inj.poison)
         named.update(wd.host_asn for wd in withdrawals)
-        extra: Dict[int, BGPSpeaker] = {}
         agg = aggregated
         live_stubs = named & aggregated
-        patched: List[Tuple[BGPSpeaker, object]] = []
         #: Per-run override of a provider's aggregated-stub list when
         #: some of its stubs are live this run.
         stubs_run: Dict[int, Tuple[int, ...]] = {}
         if live_stubs:
             agg = aggregated - live_stubs
-            prefix = self.prefix
-            extra = {
-                asn: BGPSpeaker(graph.as_of(asn), prefix, tables, igp_overlay)
-                for asn in live_stubs
-            }
             affected: Dict[int, set] = {}
             for stub in live_stubs:
                 for provider in tables.stub_providers[stub]:
                     affected.setdefault(provider, set()).add(stub)
-            for provider, live_of in affected.items():
-                spk = speakers[provider]
-                run_tables = _RunExport(
-                    tables.session_import,
-                    tuple(t for t in tables.export_all[provider] if t not in agg),
-                    tuple(t for t in tables.export_customers[provider] if t not in agg),
+            # A live stub exports to its providers (a pure stub has no
+            # customers), and they export to it this run: they get
+            # run-local export tuples that prune only ``agg``.
+            routers = dict(routers)
+            graph = self.internet.graph
+            for stub in live_stubs:
+                routers[stub] = (
+                    graph.as_of(stub), _exports(tables, stub, tables.export_all[stub], agg), (), ()
                 )
-                patched.append((spk, spk._tables))
-                spk._tables = run_tables
-                stubs_run[provider] = tuple(
-                    s for s in self._parents.get(provider, ()) if s not in live_of
+            for provider, live_of in affected.items():
+                stubs = tuple(s for s in topo.parents[provider] if s not in live_of)
+                stubs_run[provider] = stubs
+                routers[provider] = (
+                    routers[provider][0],
+                    _exports(tables, provider, tables.export_all[provider], agg),
+                    _exports(tables, provider, tables.export_customers[provider], agg),
+                    stubs,
                 )
 
-        counter = itertools.count()
-        next_seq = counter.__next__
-        heap: List[Tuple[float, int, str, int, int, Optional[Tuple[int, ...]], int]] = []
-        for inj in injections:
-            heapq.heappush(
-                heap,
-                (inj.announce_time_ms, next_seq(), "inject", inj.host_asn, inj.site_id, None, 0),
-            )
-        for wd in withdrawals:
-            heapq.heappush(
-                heap,
-                (wd.withdraw_time_ms, next_seq(), "uninject", wd.host_asn, wd.site_id, None, 0),
-            )
-        inj_by_key = {(inj.host_asn, inj.site_id): inj for inj in injections}
+        # Heap entries are (time, seq, receiver, sender, path): an
+        # update from ``sender`` with ``path`` its AS path, None for a
+        # withdrawal; or, with ``sender`` None, an injection event whose
+        # ``path`` slot holds (site id, SiteInjection, or None for a
+        # site withdrawal).  ``seq`` is monotonic in push order and
+        # breaks time ties.
+        seq = itertools.count()
+        next_seq = seq.__next__
+        heap = [
+            (inj.announce_time_ms, next_seq(), inj.host_asn, None, (inj.site_id, inj))
+            for inj in injections
+        ]
+        heap.extend(
+            (wd.withdraw_time_ms, next_seq(), wd.host_asn, None, (wd.site_id, None))
+            for wd in withdrawals
+        )
+        heapq.heapify(heap)
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+
+        jittered = bool(jitter)
+        if jittered:
+            # Read by slot: the expression LinkJitter.get evaluates.
+            uniform_at = jitter._uniforms.item
+            lambd = jitter._lambd
+        jitter_get = jitter.get
+        prop_delay = tables.prop_delay
+        session_import = tables.session_import
+        overlay_get = igp_overlay.get if igp_overlay else None
+        customer = Relationship.CUSTOMER
 
         # ep_log holds, per provider, the export episodes (time, export
         # path or None) its aggregated stubs would have received.
         ep_log: Dict[int, List[Tuple[float, Optional[Tuple[int, ...]]]]] = {}
         agg_est = 0  # running upper bound on aggregated deliveries
-        parents_get = self._parents.get
-        stubs_run_get = stubs_run.get
-        touched = set()
-        touched_add = touched.add
-        messages = 0
-        last_time = 0.0
-        events = 0
-        origin_asn = self.origin_asn
-        heappop = heapq.heappop
-        heappush = heapq.heappush
+        states: Dict[int, RouterState] = {}
+        messages = events = 0
+        now = 0.0
         while heap:
-            time_ms, _, kind, receiver, sender, as_path, med = heappop(heap)
+            now, _, asn, sender, path = heappop(heap)
             events += 1
             if events + agg_est > budget:
-                raise ConvergenceBudgetError(
-                    budget, events + agg_est, len(touched), time_ms
-                )
-            last_time = time_ms
-            touched_add(receiver)
-            speaker = speakers.get(receiver)
-            if speaker is None:
-                speaker = extra[receiver]
-            old_best = speaker.state.best
-            if kind == "announce":
+                raise ConvergenceBudgetError(budget, events + agg_est, len(states), now)
+            state = states.get(asn)
+            if state is None:
+                state = states[asn] = RouterState(asn)
+            adj = state.adj_rib_in
+            if sender is None:
+                if not _originate(adj, *path, routers[asn][0], origin_asn, prefix, now):
+                    continue
+            elif path is None:
                 messages += 1
-                out = speaker.receive_announcement(sender, as_path, med, time_ms)
-            elif kind == "withdraw":
+                if adj.pop(sender, None) is None:
+                    continue
+            else:
+                # No receipt checks: loop prevention and duplicate
+                # refresh happen at the sender (see the export loop).
                 messages += 1
-                out = speaker.receive_withdrawal(sender)
-            elif kind == "inject":
-                inj = inj_by_key[(receiver, sender)]
-                out = speaker.inject(
-                    origin_asn,
-                    inj.rel_from_host,
-                    SitePop(inj.site_id, inj.pop_id, inj.link_rtt_ms),
-                    time_ms,
-                    prepend=inj.prepend,
-                    poison=inj.poison,
-                )
-            elif kind == "uninject":
-                out = speaker.withdraw_injection(origin_asn, sender)
-            else:  # pragma: no cover - defensive
-                raise ReproError(f"unknown event kind {kind!r}")
+                session = (asn, sender)
+                local_pref, interior, rel = session_import[session]
+                if overlay_get is not None:
+                    interior = overlay_get(session, interior)
+                adj[sender] = make_route(prefix, path, sender, local_pref, rel, 0, interior, now)
 
-            stubs_p = parents_get(receiver)
-            if stubs_p is not None:
-                # Export-episode detection: mirror _export_updates for
-                # the pruned stub targets.  An episode happens exactly
-                # when the best route materially changes to a new
-                # export path (or is withdrawn while stubs hold one).
-                new_best = speaker.state.best
-                if new_best is not old_best:
-                    run_stubs = stubs_run_get(receiver, stubs_p)
-                    if run_stubs:
-                        eps = ep_log.get(receiver)
-                        if new_best is None:
-                            if eps and eps[-1][1] is not None:
-                                eps.append((time_ms, None))
-                                agg_est += len(run_stubs)
-                        elif not (
-                            old_best is not None
-                            and new_best.as_path == old_best.as_path
-                            and new_best.learned_from == old_best.learned_from
-                            and new_best.med == old_best.med
-                            and new_best.origin_code == old_best.origin_code
-                        ):
-                            export_path = (receiver,) + new_best.as_path
-                            if eps is None:
-                                ep_log[receiver] = eps = []
-                            if not eps or eps[-1][1] != export_path:
-                                eps.append((time_ms, export_path))
-                                agg_est += len(run_stubs)
-
-            for update in out:
-                neighbor = update.neighbor
-                pair = (receiver, neighbor)
-                arrive = time_ms + prop_delay[pair] + jitter_get(pair, 0.0)
-                path = update.as_path
-                if path is None:
-                    heappush(heap, (arrive, next_seq(), "withdraw", neighbor, receiver, None, 0))
-                else:
-                    heappush(heap, (arrive, next_seq(), "announce", neighbor, receiver, path, update.med))
-
-        for spk, orig in patched:
-            spk._tables = orig
+            node, exports_all, exports_customers, stubs = routers[asn]
+            old_best = state.best
+            best, state.multipath = evaluate(adj.values(), node)
+            state.best = best
+            if best is old_best:
+                continue
+            if best is None:
+                export_path = None
+            elif (
+                old_best is not None
+                and best.as_path == old_best.as_path
+                and best.learned_from == old_best.learned_from
+                and best.med == old_best.med
+                and best.origin_code == old_best.origin_code
+            ):
+                continue  # Route.materially_equal: nothing to re-export
+            else:
+                as_path = best.as_path
+                export_path = (asn,) + as_path
+                # Loop prevention: no target on the path (the
+                # learned-from neighbour is on it too: its head, or an
+                # injected route's origin), so no update names its
+                # receiver.  Duplicate refresh: a material change of best
+                # always changes the path (updates carry no MED, and a
+                # propagated path's head is its learned-from), sessions
+                # are FIFO (a directed link's delay and jitter are fixed
+                # for the run), and a withdrawal clears the receiver's
+                # entry — so no update repeats the receiver's stored
+                # route.  The receipt checks BGP makes (the oracle's
+                # speaker in ``tests/reference_engine.py``) cannot fire
+                # here; ``tests/test_bgp_router.py`` pins that.
+                base = exports_all if best.learned_rel is customer else exports_customers
+            advertised = state.advertised_to
+            if advertised:
+                # Withdraw from every neighbour no longer a target, in
+                # ASN order (all of them when no route is left).
+                keep = () if best is None else {n for n, _, _ in base if n not in as_path}
+                for n in sorted(advertised.keys() - keep):
+                    pair = (asn, n)
+                    arrive = now + prop_delay[pair] + jitter_get(pair, 0.0)
+                    heappush(heap, (arrive, next_seq(), n, asn, None))
+                    del advertised[n]
+            if export_path is not None:
+                # One Route is shared across all targets (same value each).
+                exported = None
+                for n, delay, slot in base:
+                    if n in as_path:
+                        continue
+                    if exported is None:
+                        exported = make_route(prefix, export_path, asn, 0)
+                    advertised[n] = exported
+                    arrive = now + delay
+                    if jittered:
+                        arrive += -math.log(1.0 - uniform_at(slot)) / lambd
+                    heappush(heap, (arrive, next_seq(), n, asn, export_path))
+            if stubs:
+                # Export-episode detection: the aggregated stubs get this
+                # export path (or withdrawal) exactly when a live one would.
+                eps = ep_log.get(asn)
+                if eps:
+                    if eps[-1][1] != export_path:
+                        eps.append((now, export_path))
+                        agg_est += len(stubs)
+                elif export_path is not None:
+                    ep_log[asn] = [(now, export_path)]
+                    agg_est += len(stubs)
+        last_time = now
 
         # -- aggregated-delivery accounting -------------------------------
         # Exact counts and the last aggregated arrival, from episode
@@ -681,9 +724,9 @@ class DeltaConverger:
         # convergence timestamp is bit-equal.
         agg_count = 0
         agg_last = 0.0
-        parents = self._parents
-        maxdelay = self._parent_maxdelay
-        jittered = bool(jitter)
+        parents = topo.parents
+        maxdelay = topo.parent_maxdelay
+        stubs_run_get = stubs_run.get
         #: Jittered runs: last episode time, by dense AS index, of each
         #: provider whose whole stub set is aggregated (-inf elsewhere).
         t_last_of = None
@@ -727,52 +770,41 @@ class DeltaConverger:
             # exact arrival is largest is always among the candidates
             # (its estimate is within two such errors of the best
             # estimate).
-            jit = jitter.estimate(self._agg_slot)
-            estimate = (t_last_of[self._agg_provider] + self._agg_delay) + jit
+            jit = jitter.estimate(topo.agg_slot)
+            estimate = (t_last_of[topo.agg_provider] + topo.agg_delay) + jit
             best = estimate.max()
             margin = _ARRIVAL_MARGIN * (abs(best) + jit.max())
-            pairs = self._agg_pairs
+            pairs = topo.agg_pairs
             for i in (estimate >= best - margin).nonzero()[0].tolist():
                 pair = pairs[i]
                 arrive = ep_log[pair[0]][-1][0] + prop_delay[pair] + jitter_get(pair, 0.0)
                 if arrive > agg_last:
                     agg_last = arrive
 
-        # -- detach touched states (copy-on-restore) ----------------------
-        materialized: Dict[int, RouterState] = {}
-        pristine = self._pristine
-        for asn in touched:
-            sp = speakers.get(asn)
-            if sp is None:
-                sp = extra[asn]
-            st = sp.state
-            if st.adj_rib_in or st.advertised_to or st.best is not None or st.multipath:
-                materialized[asn] = st
-                sp.state = RouterState(asn)
-            else:
-                materialized[asn] = pristine[asn]
-        self._release(speakers, tables)
-
-        states = LazyStates(
+        pristine = topo.pristine
+        materialized = {
+            asn: state if state.adj_rib_in else pristine[asn]
+            for asn, state in states.items()
+        }
+        lazy = LazyStates(
             materialized,
             pristine,
             agg,
             _StubViews(
-                self.internet, tables, self.prefix, igp_overlay or {}, ep_log, jitter, live_stubs
+                self.internet, tables, prefix, igp_overlay or {}, ep_log, jitter, live_stubs
             ),
             set(ep_log),
-            self._make_patch(ep_log, stubs_run),
+            self._make_patch(topo.parents, ep_log, stubs_run),
         )
         last_time = max(last_time, agg_last)
         messages += agg_count
         events += agg_count
-        return states, last_time, messages, events
+        return lazy, last_time, messages, events
 
-    def _make_patch(self, ep_log, stubs_run):
+    def _make_patch(self, parents, ep_log, stubs_run):
         """The provider ``advertised_to`` patcher: re-adds the entries
-        the pruned export base never wrote, value-equal to the route
-        the speaker's export loop shares across its targets."""
-        parents = self._parents
+        the pruned export tables never wrote, value-equal to the route
+        the export loop shares across its targets."""
         stubs_run_get = stubs_run.get
         prefix = self.prefix
 

@@ -2,7 +2,7 @@
 
 The engine owns a virtual clock in milliseconds.  Each
 :class:`SiteInjection` schedules a route injection at its announcement
-time; speaker exports are delivered to neighbors after the link's
+time; an AS's exports are delivered to neighbors after the link's
 control-plane propagation delay.  Because delays are seeded at topology
 build, the *arrival order* of competing advertisements at every AS is
 deterministic — which is exactly what the paper's S4.2 experiments
@@ -10,15 +10,13 @@ manipulate by spacing announcements.
 
 Campaigns run the engine thousands of times over one topology, so
 there is one convergence path and it is the fast one:
-:class:`~repro.bgp.delta.DeltaConverger` keeps a pool of speakers (and
-the graph's precomputed
-:class:`~repro.topology.precompute.TopologyTables`) alive across runs,
-so a run only pays for the state it actually touched, not for
-rebuilding one speaker and one dict per AS.  The engine itself is the
-wrapper around it: input validation, the convergence cache, the per-run
-delay jitter, metrics and the trace span.  The build-everything-per-run
-loop it is bit-compared against lives with the tests
-(``tests/reference_engine.py``).
+:class:`~repro.bgp.delta.DeltaConverger`, one event loop that builds
+the state of an AS when an event first reaches it and reads per-AS
+export tables built once per topology revision, so a run only pays for
+the state it actually touched.  The engine itself is the wrapper around
+it: input validation, the convergence cache, the per-run delay jitter,
+metrics and the trace span.  The speaker-per-AS loop it is bit-compared
+against lives with the tests (``tests/reference_engine.py``).
 """
 
 import math
@@ -155,13 +153,12 @@ class BGPEngine:
     ``metrics`` (a :class:`repro.runtime.metrics.MetricsRegistry`)
     receives the convergence work counters.
 
-    Propagation is delta convergence (:mod:`repro.bgp.delta`): speaker
-    sets are checked out of a pool per run, only the ASes the
-    announce/withdraw wavefront touched are restored between runs, and
-    pure-stub ASes (every session with a provider, any homing degree)
-    are collapsed out of the event heap entirely.  Concurrent runs each
-    check out their own speaker set, so one engine remains safe to
-    share across executor threads.
+    Propagation is delta convergence (:mod:`repro.bgp.delta`): a run
+    builds states only for the ASes its announce/withdraw wavefront
+    reaches, and pure-stub ASes (every session with a provider, any
+    homing degree) are collapsed out of the event heap entirely.  Runs
+    share no mutable state, so one engine is safe to share across
+    executor threads.
 
     ``max_events`` caps the events one run may process; ``None``
     auto-scales the cap with topology size.  Exhausting it raises
@@ -228,10 +225,12 @@ class BGPEngine:
         outcome varies run to run — exactly why the paper's naive
         no-order experiments produce cyclic preferences (S5.1).
 
-        Raises :class:`ReproError` if an injection or withdrawal
-        references an AS not in the topology, two injections share
-        ``(host_asn, site_id)``, or ``delay_jitter_ms`` is not a finite
-        non-negative number, and
+        Raises :class:`ReproError`, before the first event, if an
+        injection or withdrawal references an AS not in the topology or
+        has a non-finite time, two injections share ``(host_asn,
+        site_id)``, an injection's ``prepend`` is not a non-negative
+        integer or its ``poison`` names its host, or ``delay_jitter_ms``
+        is not a finite non-negative number, and
         :class:`~repro.util.errors.ConvergenceBudgetError` (with an
         event census) if the event budget is exhausted — which would
         indicate a routing oscillation, impossible under Gao-Rexford
@@ -249,9 +248,28 @@ class BGPEngine:
                     f"site {inj.site_id} is injected at AS {inj.host_asn} more than once"
                 )
             announced.add((inj.host_asn, inj.site_id))
+            if not isinstance(inj.prepend, int) or inj.prepend < 0:
+                raise ReproError(
+                    f"site {inj.site_id}: prepend must be a non-negative integer, "
+                    f"got {inj.prepend!r}"
+                )
+            if inj.host_asn in inj.poison:
+                raise ReproError(
+                    f"cannot poison AS {inj.host_asn}: it hosts the announcement"
+                )
+            if not math.isfinite(inj.announce_time_ms):
+                raise ReproError(
+                    f"site {inj.site_id}: announce_time_ms must be finite, "
+                    f"got {inj.announce_time_ms!r}"
+                )
         for wd in withdrawals:
             if wd.host_asn not in graph:
                 raise ReproError(f"withdrawal references unknown AS {wd.host_asn}")
+            if not math.isfinite(wd.withdraw_time_ms):
+                raise ReproError(
+                    f"site {wd.site_id}: withdraw_time_ms must be finite, "
+                    f"got {wd.withdraw_time_ms!r}"
+                )
         if not 0.0 <= delay_jitter_ms < math.inf:
             raise ReproError(
                 f"delay_jitter_ms must be finite and non-negative, got {delay_jitter_ms!r}"

@@ -40,6 +40,10 @@ class Route:
     ``as_path`` is nearest-first: ``as_path[0]`` is the neighbor AS the
     route was learned from (equal to ``learned_from`` for propagated
     routes) and ``as_path[-1]`` is the anycast origin AS.
+
+    Every route also carries ``strict_key``, its ordering through the
+    decision's deterministic steps (a pure function of the fields,
+    stored at construction so the decision never recomputes it).
     """
 
     prefix: str
@@ -56,6 +60,9 @@ class Route:
     def __post_init__(self):
         if not self.as_path:
             raise ReproError("Route.as_path must not be empty")
+        object.__setattr__(self, "strict_key", (
+            -self.local_pref, len(self.as_path), self.origin_code, self.med, self.interior_cost
+        ))
 
     @property
     def path_length(self) -> int:
@@ -103,10 +110,11 @@ def make_route(
     Value-identical to calling ``Route(...)`` (same validation, equal
     and equally hashable results) but bypasses the frozen-dataclass
     ``__init__``/``object.__setattr__`` machinery, which costs ~4x as
-    much; speakers create one route per delivered announcement, making
-    this one of the largest fixed costs in the convergence loop.
+    much; the event loop creates one route per delivered announcement,
+    making this one of the largest fixed costs in the convergence loop.
     ``origin_code`` and ``site_pops`` keep their defaults: propagated
-    routes never carry site attachments.
+    routes never carry site attachments.  The strict key is stored here
+    too, as ``__post_init__`` stores it for ``Route(...)``.
     """
     if not as_path:
         raise ReproError("Route.as_path must not be empty")
@@ -122,4 +130,5 @@ def make_route(
     d["interior_cost"] = interior_cost
     d["arrival_time"] = arrival_time
     d["site_pops"] = ()
+    d["strict_key"] = (-local_pref, len(as_path), 0, med, interior_cost)
     return route

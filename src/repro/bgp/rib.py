@@ -1,8 +1,8 @@
 """Per-AS routing state: Adj-RIB-In, Loc-RIB, and export bookkeeping.
 
 :class:`RouterState` is one object per AS holding
-:class:`~repro.bgp.messages.Route` objects, written by the speakers and
-read by ``bgp.explain``.  The data plane reads only where a state
+:class:`~repro.bgp.messages.Route` objects, written by the convergence
+loop (:mod:`repro.bgp.delta`) and read by ``bgp.explain``.  The data plane reads only where a state
 forwards (:meth:`RouterState.next_hops`), which is the one next-hop
 representation derived from it: :mod:`repro.bgp.dataplane` turns those
 answers into its per-deployment forwarding table.

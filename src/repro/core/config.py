@@ -6,6 +6,7 @@ breaks ties), and which settlement-free peering links are enabled on
 top.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
@@ -46,6 +47,10 @@ class AnycastConfig:
             raise ConfigurationError(f"duplicate sites in {self.site_order}")
         if len(set(self.peer_ids)) != len(self.peer_ids):
             raise ConfigurationError(f"duplicate peers in {self.peer_ids}")
+        if self.spacing_ms is not None and not 0.0 <= self.spacing_ms < math.inf:
+            raise ConfigurationError(
+                f"spacing_ms must be finite and non-negative, got {self.spacing_ms!r}"
+            )
         seen = set()
         for site_id, count in self.prepends:
             if site_id not in self.site_order:

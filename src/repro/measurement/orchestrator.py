@@ -35,7 +35,7 @@ from repro.topology.astopo import Relationship
 from repro.topology.testbed import Testbed
 from repro.util.errors import ConfigurationError
 from repro.util.rng import (
-    hash_prefix, noise_key, stable_hash, standard_normals, uniform_rows, uniforms,
+    hash_prefix, noise_key, standard_normals, uniform_rows, uniforms,
 )
 from repro.util.stats import mean
 
@@ -443,11 +443,15 @@ class Orchestrator:
                 for neighbor in tables.export_all[asn]:
                     overlay[(asn, neighbor)] = 0
             else:
+                # stable_hash(neighbor, prefix=asn_prefix): one copy of
+                # the AS's hasher plus the bytes it absorbs for an int.
                 asn_prefix = hash_prefix(asn, prefix=prefix)
                 for neighbor in tables.export_all[asn]:
-                    overlay[(asn, neighbor)] = 1 + stable_hash(
-                        neighbor, prefix=asn_prefix
-                    ) % 1_000_000
+                    digest = asn_prefix.copy()
+                    digest.update(b"%d\x00" % neighbor)
+                    overlay[(asn, neighbor)] = (
+                        1 + int.from_bytes(digest.digest(), "big") % 1_000_000
+                    )
         return overlay
 
     def rtt_bias_factor(self, experiment_id: int) -> float:

@@ -6,6 +6,7 @@ settlement-free peering links distributed across the sites exactly per
 Table 1's per-site peer counts.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -75,6 +76,13 @@ class TestbedParams:
     #: pairwise experiment).
     announcement_spacing_ms: float = 360_000.0
     orchestrator_city: str = "Ashburn"
+
+    def __post_init__(self):
+        if not 0.0 <= self.announcement_spacing_ms < math.inf:
+            raise ConfigurationError(
+                "announcement_spacing_ms must be finite and non-negative, "
+                f"got {self.announcement_spacing_ms!r}"
+            )
 
 
 class Testbed:

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.bgp.engine import ANYCAST_ORIGIN_ASN, BGPEngine, SiteInjection
+from repro.bgp.engine import ANYCAST_ORIGIN_ASN, BGPEngine, SiteInjection, SiteWithdrawal
 from repro.topology.astopo import Relationship
 from repro.util.errors import ReproError
 
@@ -46,6 +46,31 @@ class TestRun:
         assert other_host != twice[0].host_asn
         engine.run([twice[0], dataclasses.replace(twice[1], host_asn=other_host)])
         engine.run([twice[0], dataclasses.replace(twice[1], site_id=2)])
+
+    def test_negative_prepend_with_poison_rejected(self, engine, testbed):
+        """It would announce ``(origin, stub)``: the poisoned stub would
+        read as the route's origin."""
+        stub = sorted(testbed.internet.graph.tables().stub_providers)[0]
+        bad = dataclasses.replace(injection(testbed, 1), prepend=-1, poison=(stub,))
+        with pytest.raises(ReproError, match="prepend must be a non-negative integer"):
+            engine.run([bad])
+
+    def test_negative_prepend_rejected_before_the_first_event(self, engine, testbed):
+        """It used to fail mid-run, building an empty AS path."""
+        bad = dataclasses.replace(injection(testbed, 6, t=1000.0), prepend=-1)
+        with pytest.raises(ReproError, match="prepend must be a non-negative integer"):
+            engine.run([injection(testbed, 1), bad])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_unusable_announce_time_rejected(self, engine, testbed, bad):
+        with pytest.raises(ReproError, match="announce_time_ms must be finite"):
+            engine.run([injection(testbed, 1), injection(testbed, 6, t=bad)])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_unusable_withdraw_time_rejected(self, engine, testbed, bad):
+        host = testbed.site(1).provider_asn
+        with pytest.raises(ReproError, match="withdraw_time_ms must be finite"):
+            engine.run([injection(testbed, 1)], withdrawals=[SiteWithdrawal(host, 1, bad)])
 
     def test_single_site_reaches_everyone(self, engine, testbed):
         conv = engine.run([injection(testbed, 1)])

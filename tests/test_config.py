@@ -23,6 +23,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             AnycastConfig(site_order=(1,), peer_ids=(3, 3))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_unusable_spacing_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="spacing_ms"):
+            AnycastConfig(site_order=(1, 2), spacing_ms=bad)
+        for fine in (None, 0.0, 360_000.0):
+            assert AnycastConfig(site_order=(1, 2), spacing_ms=fine).spacing_ms == fine
+
 
 class TestAccessors:
     def test_sites_sorted(self):

@@ -1,13 +1,13 @@
 """Bit-identity of the delta convergence engine.
 
-The engine (touched-AS tracking, copy-on-restore, pure-stub
+The engine (one event loop over per-run states, pure-stub
 aggregation) must be indistinguishable — states, convergence time,
-message count, enabled sites — from the build-everything-per-run
-oracle (``tests/reference_engine.py``), across every workload shape
-the campaign layer can produce: staggering, withdrawals, poisoning
+message count, enabled sites — from the speaker-per-AS oracle
+(``tests/reference_engine.py``), across every workload shape the
+campaign layer can produce: staggering, withdrawals, poisoning
 (including poisoning an aggregated stub), IGP overlays, delay jitter,
-injections hosted at stubs that normally aggregate, and multi-homed
-stub populations.
+injections hosted at stubs that normally aggregate, multi-homed stub
+populations, and runs sharing one engine across threads.
 """
 
 import gc
@@ -16,6 +16,8 @@ import itertools
 import math
 import pickle
 import random
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -193,7 +195,7 @@ class TestBitIdentity:
         workloads = [
             [injection(testbed, 1)],
             [injection(testbed, 2), injection(testbed, 5, t=1000.0)],
-            [injection(testbed, 1)],  # repeat: pool must have reset
+            [injection(testbed, 1)],  # repeat: nothing carries over
             [injection(testbed, 3)],
         ]
         for w in workloads:
@@ -631,6 +633,62 @@ class TestNextHopsEquivalence:
         # No stub state was built to answer.
         assert delta.states._aggregated
         assert not delta.states._aggregated & set(delta.states._materialized)
+
+
+class TestSharedAcrossThreads:
+    def test_concurrent_runs_equal_the_reference(self, testbed):
+        """One engine shared by 4 threads, 25 runs each — jitter, an IGP
+        overlay and a live stub in every run, so the providers' run-local
+        export tuples are built concurrently — and every result equals
+        the oracle's for the same inputs."""
+        tables = testbed.internet.graph.tables()
+        stub = sorted(tables.stub_providers)[0]
+        sessions = sorted(tables.session_import)
+        workloads = [
+            (
+                [
+                    injection(testbed, 1 + i % 5),
+                    injection(testbed, 6 + i % 4, t=(i % 3) * 500.0),
+                    SiteInjection(stub, 99, None, 2.0, Relationship.PEER, 100.0 * (i % 2)),
+                ],
+                {
+                    "igp_overlay": {s: (i + j) % 9 for j, s in enumerate(sessions[i::13])},
+                    "delay_jitter_ms": 5.0,
+                    "delay_nonce": i,
+                },
+            )
+            for i in range(25)
+        ]
+        reference = ReferenceEngine(testbed.internet)
+        expected = [reference.run(injections, **kw) for injections, kw in workloads]
+        engine = BGPEngine(testbed.internet)
+        results, errors = [], []
+
+        def worker(offset):
+            try:
+                for k in range(len(workloads)):
+                    i = (k + offset) % len(workloads)
+                    injections, kw = workloads[i]
+                    results.append((i, engine.run(injections, **kw)))
+            except Exception as exc:  # reported below, with the others
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(7 * n,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == 4 * len(workloads)
+        for i, result in results:
+            assert_same(result, expected[i])
+            assert result.states[stub].best is not None
 
 
 class TestNoReferenceCycle:

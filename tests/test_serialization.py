@@ -20,7 +20,7 @@ from repro.io import (
 from repro.io import serialization as ser
 from repro.measurement.orchestrator import Orchestrator
 from repro.runtime import CampaignSettings
-from repro.util.errors import ReproError
+from repro.util.errors import ConfigurationError, ReproError
 
 
 class TestTestbedRoundTrip:
@@ -91,6 +91,15 @@ class TestTestbedRoundTrip:
         raw["version"] = 999
         with pytest.raises(ReproError):
             ser.testbed_from_dict(raw)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_unusable_announcement_spacing_rejected(self, testbed, tmp_path, bad):
+        raw = ser.testbed_to_dict(testbed)
+        raw["announcement_spacing_ms"] = bad
+        path = tmp_path / "tb.json"
+        path.write_text(json.dumps(raw))  # NaN / Infinity: Python's JSON reads them
+        with pytest.raises(ConfigurationError, match="announcement_spacing_ms"):
+            ser.load_testbed(path)
 
 
 class TestModelRoundTrip:
