@@ -279,10 +279,13 @@ class BGPEngine:
         start = time.perf_counter()
         cache_key = None
         if self.cache is not None:
-            cache_key = self.cache.key_for(
-                injections, igp_overlay, delay_jitter_ms, delay_nonce, withdrawals
-            )
-            cached = self.cache.lookup(cache_key)
+            # A per-experiment draw: only a disk store sees it (runtime.cache).
+            hold = delay_jitter_ms == 0.0 and not igp_overlay
+            if hold or self.cache.disk_store is not None:
+                cache_key = self.cache.key_for(
+                    injections, igp_overlay, delay_jitter_ms, delay_nonce, withdrawals
+                )
+            cached = self.cache.lookup(cache_key, hold)
             if cached is not None:
                 elapsed = time.perf_counter() - start
                 if self.metrics is not None:
@@ -345,5 +348,5 @@ class BGPEngine:
             })),
         )
         if cache_key is not None:
-            self.cache.store(cache_key, state)
+            self.cache.store(cache_key, state, hold)
         return state

@@ -21,7 +21,7 @@ through ``run_experiments``, chunked dispatch reaches every phase
 without phase-specific plumbing.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,10 +57,6 @@ class PairwiseResult:
     site_b: int
     map_a_first: CatchmentMap
     map_b_first: CatchmentMap
-    #: :meth:`PairObservation.shared`'s cache for this pair.
-    _observations: Dict[tuple, PairObservation] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def winner_columns(self, clients: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
         """Both runs' catchment columns (``-1`` = unmapped), aligned with
@@ -73,8 +69,7 @@ class PairwiseResult:
         return self.map_a_first.sites, self.map_b_first.sites
 
     def observation(self, client_id: int) -> PairObservation:
-        return PairObservation.shared(
-            self._observations,
+        return PairObservation(
             self.site_a,
             self.site_b,
             self.map_a_first.site_of(client_id),

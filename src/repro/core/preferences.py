@@ -13,6 +13,14 @@ A client's usable pairwise preferences form a tournament; the client
 has a *total order* exactly when that tournament is transitive, in
 which case its catchment under any enabled subset is its most preferred
 enabled site (Theorems A.1/A.2).
+
+A :class:`PreferenceMatrix` stores cells as columns: one client index
+(id -> row) for the whole matrix, and per recorded pair one code column
+over its rows, ``-1`` for no cell, else the cell's position in the
+matrix's table of distinct :class:`PairObservation` values (a pair has
+at most nine per site order, plus UNDECIDED).  Recording an experiment
+is one column write and its :meth:`~PreferenceMatrix.winner_codes` one
+scatter.
 """
 
 import enum
@@ -76,17 +84,6 @@ class PairObservation:
             raise ReproError("an undecided pair cannot have winners")
 
     @classmethod
-    def shared(cls, cache: dict, site_a: int, site_b: int, *winners) -> "PairObservation":
-        """The instance ``cache`` (one dict per pair) holds for these
-        winners, made on first sight: observations are frozen and
-        validated at construction, and a pair has at most nine distinct
-        ones for any number of clients."""
-        obs = cache.get(winners)
-        if obs is None:
-            obs = cache[winners] = cls(site_a, site_b, *winners)
-        return obs
-
-    @classmethod
     def undecided_pair(cls, site_a: int, site_b: int) -> "PairObservation":
         """The explicit UNDECIDED cell a failed experiment leaves behind."""
         return cls(site_a, site_b, None, None, undecided=True)
@@ -129,26 +126,52 @@ def _side(column: np.ndarray, site_a: int, site_b: int) -> np.ndarray:
     return np.where(column == site_a, 0, np.where(column == site_b, 1, np.where(column < 0, 2, 3)))
 
 
-class PreferenceMatrix:
-    """All pairwise observations, per client.
+#: :meth:`PreferenceMatrix.winner_codes` games of an observation's outcome.
+_GAMES = {
+    PreferenceOutcome.STRICT_A: (0, 1),
+    PreferenceOutcome.STRICT_B: (1, 0),
+    PreferenceOutcome.ORDER_DEPENDENT: (0, 0),
+}
 
-    Keys are target (client) ids; each client maps site pairs to a
-    :class:`PairObservation`.
-    """
+
+class PreferenceMatrix:
+    """All pairwise observations, as code columns (module docstring).
+    A cell keeps the site order it was recorded in."""
 
     def __init__(self):
-        self._data: Dict[int, Dict[FrozenSet[int], PairObservation]] = {}
-        self._pairs: set = set()
+        self._index: Dict[int, int] = {}
+        self._pairs: Dict[FrozenSet[int], np.ndarray] = {}
+        self._size = 0  # rows each column holds, >= len(_index)
+        self._table: List[PairObservation] = []
+        self._code_of: Dict[PairObservation, int] = {}
+        self._last_rows: Tuple = (None, None)  # record_pair's last clients
         #: New on every :meth:`record` / :meth:`record_pair` and unique
         #: to this matrix, so arrays derived from it can tell when they
         #: are stale.
         self.stamp = next(_STAMPS)
 
-    def record(self, client_id: int, obs: PairObservation) -> None:
-        key = frozenset((obs.site_a, obs.site_b))
-        self._data.setdefault(client_id, {})[key] = obs
-        self._pairs.add(key)
+    def _code(self, obs: PairObservation) -> int:
+        code = self._code_of.setdefault(obs, len(self._table))
+        if code == len(self._table):
+            self._table.append(obs)
+        return code
+
+    def _column(self, site_a: int, site_b: int) -> np.ndarray:
+        """The pair's code column, all grown (doubling) to cover the index."""
+        if len(self._index) > self._size:
+            grow = max(len(self._index), 2 * self._size) - self._size
+            self._size += grow
+            for key, column in self._pairs.items():
+                self._pairs[key] = np.pad(column, (0, grow), constant_values=-1)
+        key = frozenset((site_a, site_b))
+        if key not in self._pairs:
+            self._pairs[key] = np.full(self._size, -1, dtype=np.int32)
         self.stamp = next(_STAMPS)
+        return self._pairs[key]
+
+    def record(self, client_id: int, obs: PairObservation) -> None:
+        row = self._index.setdefault(client_id, len(self._index))
+        self._column(obs.site_a, obs.site_b)[row] = self._code(obs)
 
     def record_pair(
         self,
@@ -158,37 +181,45 @@ class PreferenceMatrix:
         first: Optional[np.ndarray] = None,
         second: Optional[np.ndarray] = None,
     ) -> None:
-        """:meth:`record` of one pairwise experiment for all ``clients``
-        at once.  ``first`` / ``second`` are the winner columns with
-        ``site_a`` / ``site_b`` announced first, aligned with
-        ``clients``, ``-1`` where a client was unmapped; without them the
-        experiment failed and every client gets the explicit UNDECIDED
-        cell.  A pair has at most nine distinct observations, so each is
-        made (and validated) once."""
+        """:meth:`record` of one pairwise experiment for all (distinct)
+        ``clients`` at once.  ``first`` / ``second`` are the winner
+        columns with ``site_a`` / ``site_b`` announced first, aligned
+        with ``clients``, ``-1`` where a client was unmapped; without
+        them the experiment failed and every client gets the explicit
+        UNDECIDED cell.  Each distinct observation is made (and
+        validated) once."""
         if first is None:
-            cells = [PairObservation.undecided_pair(site_a, site_b)] * len(clients)
+            kinds = [PairObservation.undecided_pair(site_a, site_b)]
+            inverse = np.zeros(len(clients), dtype=np.intp)
         else:
             first, second = np.asarray(first), np.asarray(second)
             if not len(first) == len(second) == len(clients):
                 raise ReproError("winner columns must align with the clients")
             codes = _side(first, site_a, site_b) * 4 + _side(second, site_a, site_b)
-            kinds, at, inverse = np.unique(codes, return_index=True, return_inverse=True)
-            table = np.empty(len(kinds), dtype=object)
-            for k, j in enumerate(at.tolist()):
-                w1, w2 = int(first[j]), int(second[j])
-                table[k] = PairObservation(
-                    site_a, site_b, None if w1 < 0 else w1, None if w2 < 0 else w2
-                )
-            cells = table[inverse.reshape(-1)].tolist()
-        key = frozenset((site_a, site_b))
-        data = self._data
-        for client, obs in zip(clients, cells):
-            row = data.get(client)
-            if row is None:
-                row = data[client] = {}
-            row[key] = obs
-        self._pairs.add(key)
-        self.stamp = next(_STAMPS)
+            _, at, inverse = np.unique(codes, return_index=True, return_inverse=True)
+            kinds = [
+                PairObservation(site_a, site_b, None if w1 < 0 else w1, None if w2 < 0 else w2)
+                for w1, w2 in zip(first[at].tolist(), second[at].tolist())
+            ]
+        last, rows = self._last_rows
+        if clients is not last:
+            index = self._index
+            fresh = [c for c in dict.fromkeys(clients) if c not in index]
+            index.update(zip(fresh, itertools.count(len(index))))
+            rows = np.fromiter(map(index.__getitem__, clients), np.intp, len(clients))
+            if isinstance(clients, tuple):
+                self._last_rows = (clients, rows)
+        codes = np.array([self._code(obs) for obs in kinds], dtype=np.int32)
+        self._column(site_a, site_b)[rows] = codes[inverse.reshape(-1)]
+
+    def cells(self) -> Dict[FrozenSet[int], Dict[int, PairObservation]]:
+        """Every recorded cell, as ``{pair: {client: observation}}``."""
+        ids = list(self._index)
+        return {
+            key: {ids[row]: self._table[column[row]] for row in found.tolist()}
+            for key, column in self._pairs.items()
+            if len(found := np.flatnonzero(column >= 0))
+        }
 
     def __eq__(self, other) -> bool:
         """Two matrices are equal when they hold the same observations
@@ -196,18 +227,21 @@ class PreferenceMatrix:
         sweeps)."""
         if not isinstance(other, PreferenceMatrix):
             return NotImplemented
-        return self._data == other._data
+        return self.cells() == other.cells()
 
     __hash__ = None  # mutable container
 
     def clients(self) -> List[int]:
-        return sorted(self._data)
+        return sorted(self._index)
 
     def pairs(self) -> List[FrozenSet[int]]:
         return sorted(self._pairs, key=sorted)
 
     def observation(self, client_id: int, site_a: int, site_b: int) -> Optional[PairObservation]:
-        return self._data.get(client_id, {}).get(frozenset((site_a, site_b)))
+        column = self._pairs.get(frozenset((site_a, site_b)))
+        row = self._index.get(client_id)
+        code = -1 if column is None or row is None else column[row]
+        return self._table[code] if code >= 0 else None
 
     def winner(self, client_id: int, site_a: int, site_b: int, first_announced: int) -> Optional[int]:
         """Predicted pairwise winner for a client under a given
@@ -226,31 +260,27 @@ class PreferenceMatrix:
         ``items[j]``: ``0`` = ``items[i]`` wins, ``1`` = ``items[j]``
         wins, ``-1`` = no usable winner (unmeasured, inconsistent or
         undecided).  This is the encoding model snapshots store and
-        :func:`tournament` consumes.
+        :func:`tournament` consumes: one scatter per pair of its code
+        column through every observation's games.
         """
         n = len(items)
         position = {item: i for i, item in enumerate(items)}
-        buf = bytearray(b"\xff") * (len(clients) * n * n)
-        for c, client in enumerate(clients):
-            base = c * n * n
-            for obs in self._data.get(client, {}).values():
-                ia, ib = position.get(obs.site_a), position.get(obs.site_b)
-                if ia is None or ib is None:
-                    continue
-                outcome = obs.outcome()
-                # (a announced first, b announced first), each relative
-                # to its own (first, second) element order.
-                if outcome is PreferenceOutcome.STRICT_A:
-                    a_first, b_first = 0, 1
-                elif outcome is PreferenceOutcome.STRICT_B:
-                    a_first, b_first = 1, 0
-                elif outcome is PreferenceOutcome.ORDER_DEPENDENT:
-                    a_first, b_first = 0, 0
-                else:
-                    continue
-                buf[base + ia * n + ib] = a_first
-                buf[base + ib * n + ia] = b_first
-        return np.frombuffer(bytes(buf), dtype=np.int8).reshape(len(clients), n, n)
+        # games[code]: the cells at [low site, high site] and the
+        # reverse; the last row is what -1 (no cell) reads.
+        games = np.full((len(self._table) + 1, 2), -1, dtype=np.int8)
+        for code, obs in enumerate(self._table):
+            game = _GAMES.get(obs.outcome())
+            if game is not None:
+                games[code] = game if obs.site_a < obs.site_b else game[::-1]
+        rows = np.fromiter((self._index.get(c, -1) for c in clients), np.intp, len(clients))
+        out = np.full((len(clients), n, n), -1, dtype=np.int8)
+        for key, column in self._pairs.items():
+            low, high = (position.get(site) for site in sorted(key))
+            if low is not None and high is not None:
+                # Row -1, a client the index lacks, reads the appended no-cell.
+                out[:, low, high], out[:, high, low] = games[np.append(column, -1)[rows]].T
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)

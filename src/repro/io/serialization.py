@@ -185,24 +185,14 @@ def matrix_to_list(matrix: PreferenceMatrix):
     """Flatten a preference matrix into sorted 6-column rows:
     ``[client, site_a, site_b, winner_a_first, winner_b_first,
     undecided]``."""
-    out = []
-    for client in matrix.clients():
-        for pair in matrix.pairs():
-            a, b = sorted(pair)
-            obs = matrix.observation(client, a, b)
-            if obs is None:
-                continue
-            out.append(
-                [
-                    client,
-                    obs.site_a,
-                    obs.site_b,
-                    obs.winner_a_first,
-                    obs.winner_b_first,
-                    obs.undecided,
-                ]
-            )
-    return out
+    cells = matrix.cells()
+    columns = [cells.get(pair, {}) for pair in matrix.pairs()]
+    return [
+        [client, obs.site_a, obs.site_b, obs.winner_a_first, obs.winner_b_first, obs.undecided]
+        for client in matrix.clients()
+        for column in columns
+        if (obs := column.get(client)) is not None
+    ]
 
 
 def matrix_from_list(raw) -> PreferenceMatrix:

@@ -9,12 +9,15 @@ the delay-jitter parameters, and any scheduled withdrawals), so a hit
 is bit-identical to re-running the engine: substituting the cached
 :class:`~repro.bgp.engine.ConvergedState` never changes any result.
 
-Hits therefore occur exactly when the stochastic per-experiment inputs
-coincide — always for noise-free settings
-(:meth:`~repro.runtime.settings.CampaignSettings.noiseless`), never
-when churn or jitter resample per experiment.  That is the sound
-trade: the cache accelerates repeated deployments without silently
-freezing the drift models.
+Memory holds only runs that can recur in this process.  Delay jitter
+(its nonce is the experiment id) or a churn overlay makes a run
+*unrepeatable*: its lookup still counts as a hit or miss, and the
+persistent store still answers and keeps it (same seed ⇒ same
+experiment ids ⇒ same keys in a later process), but the LRU never
+holds it — nothing would read it, and every full collection would walk
+it.  So under the default noise a campaign holds nothing in memory;
+under :meth:`~repro.runtime.settings.CampaignSettings.noiseless`
+every redeployment hits.
 """
 
 import threading
@@ -105,18 +108,21 @@ class ConvergenceCache:
 
     # -- operations ---------------------------------------------------------
 
-    def lookup(self, key: Tuple):
-        """The cached state for ``key``, or None (counts a hit/miss)."""
+    def lookup(self, key: Optional[Tuple], hold: bool = True):
+        """The cached state for ``key``, or None (counts a hit/miss).
+        ``hold=False`` (an unrepeatable run) reads only the disk store
+        and keeps no disk hit; a None key is a miss."""
         with self._lock:
             state = self._entries.get(key)
             if state is not None:
                 self._entries.move_to_end(key)
         from_disk = False
-        if state is None and self.disk_store is not None:
+        if state is None and key is not None and self.disk_store is not None:
             state = self.disk_store.load(key)
             if state is not None:
                 from_disk = True
-                self._insert(key, state)
+                if hold:
+                    self._insert(key, state)
         with self._lock:
             if state is not None:
                 self._hits += 1
@@ -136,10 +142,11 @@ class ConvergenceCache:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
 
-    def store(self, key: Tuple, state) -> None:
-        """Insert ``state``, evicting the least recently used entry;
-        also spilled to the persistent store when one is attached."""
-        self._insert(key, state)
+    def store(self, key: Tuple, state, hold: bool = True) -> None:
+        """Insert ``state`` (with ``hold``), evicting the least recently
+        used entry; also spilled to the persistent store if attached."""
+        if hold:
+            self._insert(key, state)
         if self.disk_store is not None:
             self.disk_store.save(key, state)
 

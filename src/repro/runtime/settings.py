@@ -51,6 +51,8 @@ class CampaignSettings:
             how many main-process round trips a campaign costs.
         convergence_cache: reuse converged BGP state across identical
             deployments (bit-identical; see :mod:`repro.runtime.cache`).
+            Memory holds only runs with no per-experiment draw (no
+            jitter, no churn); the others reach only the disk store.
         convergence_cache_size: LRU capacity of that cache.
         convergence_cache_path: directory for the persistent on-disk
             convergence store (see :mod:`repro.io.cachestore`); None
@@ -95,6 +97,13 @@ class CampaignSettings:
     retry_backoff_max_ms: float = 60_000.0
 
     def __post_init__(self):
+        # A float or bool passes the range checks below, then fails mid
+        # campaign as an untyped TypeError or is silently truncated.
+        for knob in dataclasses.fields(self):
+            value = getattr(self, knob.name)
+            if knob.type in (int, Optional[int]) and type(value) is not int:
+                if value is not None or knob.type is int:
+                    raise ConfigurationError(f"{knob.name} must be an integer, got {value!r}")
         if not 0.0 <= self.session_churn_prob <= 1.0:
             raise ConfigurationError("session_churn_prob must be in [0, 1]")
         # Written as ranges: ``nan < 0`` is false, so a lower bound

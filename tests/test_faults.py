@@ -492,6 +492,17 @@ class TestCheckpointSettingsBoundary:
             for key in extra:
                 assert repr(key) in str(exc.value)
 
+    @pytest.mark.parametrize("extra", [{"parallelism": 2.0}, {"retry_max_attempts": True}])
+    def test_non_integer_count_fails_typed(self, extra):
+        """JSON has no int/float distinction a writer must respect, so a
+        count read back as ``2.0`` (or ``true``) is refused on load."""
+        discovery, repair = checkpoint_documents(extra)
+        (knob,) = extra
+        with pytest.raises(ConfigurationError, match=f"{knob} must be an integer"):
+            checkpoint_io.progress_from_dict(discovery)
+        with pytest.raises(ConfigurationError, match=f"{knob} must be an integer"):
+            checkpoint_io.repair_progress_from_dict(repair)
+
     def test_untouched_documents_still_load(self, tmp_path):
         discovery, repair = checkpoint_documents({})
         assert checkpoint_io.progress_from_dict(discovery).settings == CampaignSettings()

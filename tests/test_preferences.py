@@ -1,6 +1,11 @@
 """Tests for pairwise preferences and total-order construction."""
 
+import itertools
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.preferences import (
     PairObservation,
@@ -9,7 +14,10 @@ from repro.core.preferences import (
     TotalOrderResult,
     build_total_order,
 )
+from repro.io.serialization import matrix_to_list
 from repro.util.errors import ReproError
+
+from tests.reference_preferences import DictPreferenceMatrix, matrix_rows
 
 
 class TestPairObservation:
@@ -149,3 +157,110 @@ class TestTotalOrderResult:
     def test_no_order_predicts_nothing(self):
         result = TotalOrderResult(7, None, reason="cyclic")
         assert result.most_preferred([1, 2]) is None
+
+
+# --- the columns against the per-client dict oracle ---------------------------
+
+SITES = (1, 2, 3, 4)
+CLIENT_POOL = (5, 70, 71, 900, 12345)
+#: Winners a record may carry (-1 / None = unmapped) or must reject (9).
+WINNER = st.sampled_from((0, 1, -1))
+
+site_pairs = st.tuples(st.sampled_from(SITES), st.sampled_from(SITES)).filter(
+    lambda p: p[0] != p[1]
+)
+
+
+@st.composite
+def pair_writes(draw, groups):
+    """One ``record_pair``: a site order, a client group (a shared
+    tuple, so the matrix's last-rows memo is exercised), and winner
+    columns (None: the experiment failed)."""
+    a, b = draw(site_pairs)
+    clients = draw(st.sampled_from(groups))
+    if draw(st.booleans()) and draw(st.booleans()):
+        return ("pair", a, b, clients, None, None)
+    columns = [
+        [(a, b, -1)[draw(WINNER)] for _ in clients] for _ in range(2)
+    ]
+    if clients and draw(st.integers(0, 9)) == 0:
+        columns[0][draw(st.integers(0, len(clients) - 1))] = 9  # rejected
+    return ("pair", a, b, clients, np.array(columns[0], dtype=np.int64), np.array(columns[1]))
+
+
+@st.composite
+def cell_writes(draw):
+    """One ``record``, in either site order, undecided or not."""
+    a, b = draw(site_pairs)
+    client = draw(st.sampled_from(CLIENT_POOL + (-3, 40)))
+    if draw(st.integers(0, 4)) == 0:
+        return ("cell", client, PairObservation.undecided_pair(a, b))
+    w1, w2 = ((a, b, None)[draw(WINNER)] for _ in range(2))
+    return ("cell", client, PairObservation(a, b, w1, w2))
+
+
+@st.composite
+def write_sequences(draw):
+    groups = draw(
+        st.lists(
+            st.lists(st.sampled_from(CLIENT_POOL), unique=True).map(tuple),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return draw(st.lists(st.one_of(pair_writes(groups), cell_writes()), max_size=14))
+
+
+def apply_writes(matrix, writes):
+    for write in writes:
+        if write[0] == "cell":
+            matrix.record(write[1], write[2])
+            continue
+        try:
+            matrix.record_pair(*write[1:])
+        except ReproError:
+            pass  # a foreign winner: both sides reject the whole pair
+    return matrix
+
+
+class TestColumnsAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(write_sequences(), st.data())
+    def test_same_answers(self, writes, data):
+        columns = apply_writes(PreferenceMatrix(), writes)
+        oracle = apply_writes(DictPreferenceMatrix(), writes)
+        assert columns.clients() == oracle.clients()
+        assert columns.pairs() == oracle.pairs()
+        for client in CLIENT_POOL + (-3, 40, 6):
+            for a, b in itertools.permutations(SITES + (8,), 2):
+                assert columns.observation(client, a, b) == oracle.observation(client, a, b)
+        assert columns.cells() == oracle.cells()
+        assert matrix_to_list(columns) == matrix_rows(oracle) == matrix_rows(columns)
+        clients = data.draw(
+            st.lists(st.sampled_from(CLIENT_POOL + (-3, 40, 6, None)), max_size=6)
+        )
+        items = data.draw(st.permutations(SITES + (8,)))[: data.draw(st.integers(0, 5))]
+        got = columns.winner_codes(clients, items)
+        assert got.dtype == np.int8 and not got.flags.writeable
+        np.testing.assert_array_equal(got, oracle.winner_codes(clients, items))
+        # Equality: against a matrix of a prefix of the same writes.
+        cut = data.draw(st.integers(0, len(writes)))
+        assert (columns == apply_writes(PreferenceMatrix(), writes[:cut])) == (
+            oracle == apply_writes(DictPreferenceMatrix(), writes[:cut])
+        )
+        assert columns == apply_writes(PreferenceMatrix(), writes)
+
+    def test_record_pair_cells_share_their_observation(self):
+        matrix = PreferenceMatrix()
+        clients = tuple(range(100))
+        winners = np.array([1, 2, -1, 1] * 25)
+        matrix.record_pair(1, 2, clients, winners, winners)
+        assert matrix.observation(0, 1, 2) is matrix.observation(3, 2, 1)
+        assert len({id(matrix.observation(c, 1, 2)) for c in clients}) == 3
+
+    def test_a_rejected_pair_records_nothing(self):
+        matrix = PreferenceMatrix()
+        with pytest.raises(ReproError):
+            matrix.record_pair(1, 2, (5, 6), np.array([1, 3]), np.array([1, 2]))
+        assert matrix.clients() == [] and matrix.pairs() == []
+        assert matrix == PreferenceMatrix()

@@ -248,6 +248,30 @@ def test_settings_validation():
     assert CampaignSettings(fault_session_reset_prob=0.2).faults_enabled
 
 
+@pytest.mark.parametrize(
+    "knob, bad, context",
+    [
+        # Each used to die mid-campaign with an untyped TypeError, or
+        # pass silently.
+        ("retry_max_attempts", 2.5, {"fault_probe_blackout_prob": 0.3}),
+        ("process_chunk_size", 1.5, {"parallelism": 2, "executor": "process"}),
+        ("convergence_cache_size", 2.5, {}),
+        ("convergence_cache_size", True, {}),
+        ("parallelism", 1.5, {}),
+        ("parallelism", None, {}),
+        ("max_convergence_events", 1e6, {}),
+    ],
+)
+def test_settings_reject_non_integer_counts(knob, bad, context):
+    with pytest.raises(ConfigurationError, match=f"{knob} must be an integer"):
+        CampaignSettings(**context, **{knob: bad})
+
+
+def test_optional_counts_accept_none():
+    settings = CampaignSettings(max_convergence_events=None, process_chunk_size=None)
+    assert settings.max_convergence_events is None and settings.process_chunk_size is None
+
+
 def test_noiseless_preset_and_replace():
     settings = CampaignSettings.noiseless()
     assert settings.session_churn_prob == 0.0
@@ -413,6 +437,20 @@ def test_cache_disabled_by_settings(testbed, targets):
     assert second.converged is not first.converged
 
 
+def test_default_discover_holds_no_converged_state(testbed, targets):
+    """Under the default noise every run carries its experiment's jitter
+    nonce and churn overlay, so none can recur in the process: each is
+    counted, none is held."""
+    anyopt = AnyOpt(testbed, targets=targets, seed=SEED)
+    model = anyopt.discover()
+    cache = anyopt.orchestrator.convergence_cache
+    counters = anyopt.metrics.snapshot()["counters"]
+    assert len(cache) == 0
+    assert cache.hits == 0
+    assert cache.misses == counters["convergence_cache_misses"]
+    assert cache.misses == counters["convergence_runs"] == model.experiments_used
+
+
 def test_cache_lru_eviction():
     cache = ConvergenceCache(max_entries=2)
     cache.store(("a",), "A")
@@ -499,6 +537,46 @@ def test_cache_spills_to_store_and_fresh_cache_reloads(tmp_path):
     # Now cached in memory: the second lookup is a plain hit.
     assert fresh.lookup(("k",)) == "state"
     assert metrics.snapshot()["counters"]["convergence_cache_disk_hits"] == 1
+
+
+def test_unrepeatable_disk_hit_is_not_held(tmp_path):
+    store = ConvergenceStore(str(tmp_path), "ns")
+    metrics = MetricsRegistry()
+    first = ConvergenceCache(max_entries=4, store=store)
+    first.store(("k",), "state", hold=False)
+    assert len(first) == 0 and len(store) == 1
+    fresh = ConvergenceCache(max_entries=4, metrics=metrics, store=store)
+    for _ in range(2):
+        assert fresh.lookup(("k",), hold=False) == "state"
+    assert len(fresh) == 0
+    assert fresh.hits == 2
+    counters = metrics.snapshot()["counters"]
+    assert counters["convergence_cache_disk_hits"] == 2
+    # With no store, an unrepeatable run has no key: a miss.
+    assert fresh.lookup(None, hold=False) is None and fresh.misses == 1
+
+
+def test_persistent_cache_replays_noisy_runs_across_orchestrators(testbed, targets, tmp_path):
+    """Same seed, default noise: a fresh orchestrator deploys the same
+    experiment ids, so the same keys, and the store answers every one
+    without an engine run or a state held in memory."""
+    settings = CampaignSettings(convergence_cache_path=str(tmp_path))
+    assert settings.bgp_delay_jitter_ms > 0.0 and settings.session_churn_prob > 0.0
+    sites = testbed.site_ids()
+    configs = [AnycastConfig(site_order=tuple(order)) for order in (sites[:2], sites[1::-1])]
+    first = Orchestrator(testbed, targets, seed=SEED, settings=settings)
+    first_deploys = [first.deploy(config) for config in configs]
+    assert len(first.convergence_cache) == 0
+    second = Orchestrator(testbed, targets, seed=SEED, settings=settings)
+    second_deploys = [second.deploy(config) for config in configs]
+    assert [d.experiment_id for d in second_deploys] == [d.experiment_id for d in first_deploys]
+    cache = second.convergence_cache
+    assert (cache.hits, cache.misses, len(cache)) == (len(configs), 0, 0)
+    counters = second.metrics.snapshot()["counters"]
+    assert counters["convergence_cache_disk_hits"] == len(configs)
+    assert counters.get("convergence_runs", 0) == 0
+    for old, new in zip(first_deploys, second_deploys):
+        assert [new.measure_rtt(t) for t in targets] == [old.measure_rtt(t) for t in targets]
 
 
 def test_topology_fingerprint_is_stable_and_discriminating(testbed):
