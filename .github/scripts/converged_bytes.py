@@ -10,10 +10,12 @@ off), plus three ``BGPEngine.run`` calls with jitter — one poisoning a
 transit AS that carries the route, one withdrawing a site, one with an
 injection hosted at a pure stub.  For each run it writes
 ``convergence_time_ms`` as ``float.hex`` and ``message_count``, every
-AS's ``next_hops``, and the Adj-RIB-In of every AS the run's events
-reached (learned-from, AS path, arrival time as ``float.hex``, interior
-cost).  Two source trees converge identically exactly when their
-outputs ``cmp`` equal.
+AS's ``next_hops``, and then, reading every AS's state through the
+``states`` mapping, each routed AS's multipath learned-froms, Adj-RIB-In
+(learned-from, AS path, arrival time as ``float.hex``, interior cost)
+and ``advertised_to`` (each advertised path with its neighbours).  Two
+source trees converge identically exactly when their outputs ``cmp``
+equal.
 """
 
 import argparse
@@ -37,12 +39,22 @@ def _write(out, label, converged, asns):
     for asn in asns:
         out.write(f"{asn} {converged.next_hops(asn)}\n")
     states = converged.states
-    for asn in sorted(states._materialized):
-        for neighbor, route in sorted(states[asn].adj_rib_in.items()):
+    for asn in asns:
+        state = states[asn]
+        if not state.adj_rib_in and not state.advertised_to:
+            continue
+        multipath = [route.learned_from for route in state.multipath]
+        out.write(f"{asn} multipath {multipath}\n")
+        for neighbor, route in sorted(state.adj_rib_in.items()):
             out.write(
                 f"{asn} {neighbor} {route.learned_from} {route.as_path} "
                 f"{route.arrival_time.hex()} {route.interior_cost}\n"
             )
+        advertised = {}
+        for neighbor, route in sorted(state.advertised_to.items()):
+            advertised.setdefault(route.as_path, []).append(neighbor)
+        for path, neighbors in sorted(advertised.items()):
+            out.write(f"{asn} advertised {path} {neighbors}\n")
 
 
 def _injection(testbed, site_id, t=0.0, poison=()):

@@ -49,9 +49,9 @@ def evaluate(routes: Sequence[Route], node: AS) -> Tuple[Optional[Route], List[R
 
     The best route always survives the deterministic comparison steps,
     so it lies inside the strict-tied set; computing both together
-    reads each route's stored strict key once instead of computing the
-    three keys that separate :func:`best_route` / :func:`multipath_set`
-    calls compute.  This is the convergence loop's per-event decision.
+    reads each route's stored strict key once.  A state built from a
+    run's record decides with it; the loop itself orders record keys
+    the same way (:func:`repro.bgp.delta._decide`).
     """
     if len(routes) == 1:
         # Single candidate: the scan and every tie-break are no-ops.

@@ -7,17 +7,20 @@ one heap event per delivered update) pays per run for every AS and per
 event for a stack of method calls.  This module — the engine's only
 convergence path — produces bit-identical results paying for neither:
 
-- **One event loop over per-run states**: the base state of every AS is
-  the empty RIB (only the anycast prefix exists), so a run's
+- **One event loop over per-run records**: the base state of every AS
+  is the empty RIB (only the anycast prefix exists), so a run's
   announce/withdraw wavefront *is* the set of events.
-  :meth:`DeltaConverger.converge` builds a :class:`RouterState` for an
-  AS the first time an event reaches it and handles each event inline —
-  import (session values plus the run's interior-cost overlay), the one
-  decision function (:func:`repro.bgp.decision.evaluate`), then the
-  export and stale-withdraw rules, pushing updates straight onto the
-  heap with the jitter read by slot.  Per-AS export tables are built
-  once per topology revision.  A run touches only its own states, so
-  the converger is safe to share across threads.
+  :meth:`DeltaConverger.converge` keeps one flat record per AS an event
+  reaches — its Adj-RIB-In as one decision key per sender
+  (:func:`_decide`), its best key, and what it advertised — and handles
+  each event inline: import (session values plus the run's
+  interior-cost overlay), an incremental decision, then the export and
+  stale-withdraw rules, pushing updates straight onto the heap with the
+  jitter read by slot.  No :class:`~repro.bgp.messages.Route` or
+  :class:`RouterState` is made per event: :class:`LazyStates` builds an
+  AS's state from its record when someone reads it.  Per-AS export
+  tables are built once per topology revision.  A run touches only its
+  own records, so the converger is safe to share across threads.
 
 - **Stub aggregation**: a *pure stub* — an AS every one of whose BGP
   sessions is with a provider — exports nothing, ever: a provider- or
@@ -67,7 +70,8 @@ before the first event, so such a stub is un-aggregated *for the run*:
 its providers get run-local export tables that re-admit it, and it sits
 on the heap like any other AS while its siblings stay aggregated.
 
-``tests/test_bgp_router.py`` pins the loop's rules on a five-AS graph,
+``tests/test_bgp_router.py`` pins the loop's rules on a five-AS graph
+and its decision against :func:`repro.bgp.decision.evaluate`,
 ``tests/test_delta_engine.py`` and ``tests/test_probe_plane.py`` its
 bit-identity with the oracle.
 """
@@ -162,48 +166,78 @@ class LinkJitter(Mapping):
 
 
 class LazyStates(Mapping):
-    """A per-AS state mapping that synthesizes aggregated-stub states
-    on first read.
+    """A per-AS state mapping that builds each state on first read.
 
     Behaves exactly like the ``Dict[int, RouterState]`` a loop that
     simulates every AS returns: same keys (every AS in the topology),
-    same values (by ``==``).  Internally it holds only the states the run
-    actually materialized; untouched ASes resolve to the shared
-    pristine state, aggregated stubs are built from their providers'
-    episode logs on demand (then cached), and a touched provider's
-    ``advertised_to`` entries for its aggregated stubs are patched in
-    on first access.  Pickling materializes to a plain dict, so
-    persisted convergence-store entries do not depend on this class.
+    same values (by ``==``).  Internally it holds the run's per-AS
+    records (see :func:`_decide`): untouched ASes resolve to the shared
+    pristine state, a touched AS's state is built from its record
+    (``best`` and ``multipath`` through
+    :func:`repro.bgp.decision.evaluate`, ``advertised_to`` including its
+    aggregated stubs), an aggregated stub's from its providers' episode
+    logs; a built state is kept.  Pickling materializes to a plain
+    dict, so persisted convergence-store entries do not depend on this
+    class.
 
     :meth:`next_hops` answers the one question the data plane asks of
-    a state — where does this AS forward — and for an aggregated stub
-    it does so from the providers' episodes alone, with no state built:
-    a row of :meth:`stub_choices`, which answers for all of them.
+    a state — where does this AS forward — from the record (the state,
+    once built), and for an aggregated stub from the providers'
+    episodes: a row of :meth:`stub_choices`, which answers for all.
     """
 
-    __slots__ = ("_materialized", "_pristine", "_aggregated", "_stubs", "_pending", "_patch")
+    __slots__ = (
+        "_records", "_injected", "_materialized", "_pristine", "_aggregated", "_stubs",
+        "_parents", "_origin",
+    )
 
-    def __init__(self, materialized, pristine, aggregated, stubs, pending, patch):
-        self._materialized: Dict[int, RouterState] = materialized
+    def __init__(self, records, injected, pristine, aggregated, stubs, parents, origin_asn):
+        self._records = records
+        #: Per injection host its injected Route (it carries site_pops).
+        self._injected: Dict[int, Route] = injected
+        #: The states built so far.
+        self._materialized: Dict[int, RouterState] = {}
         self._pristine: Dict[int, RouterState] = pristine
         self._aggregated = aggregated
         self._stubs: "_StubViews" = stubs
-        #: Providers whose advertised_to still lacks its stub entries.
-        self._pending = pending
-        self._patch = patch
+        #: Per provider the aggregated stubs its advertised_to lists.
+        self._parents = parents
+        self._origin = origin_asn
 
     def __getitem__(self, asn: int) -> RouterState:
         state = self._materialized.get(asn)
-        if state is not None:
-            if asn in self._pending:
-                self._pending.discard(asn)
-                self._patch(asn, state)
-            return state
-        if asn in self._aggregated:
-            state = self._stubs.synth(asn) or self._pristine[asn]
-            self._materialized[asn] = state
-            return state
-        return self._pristine[asn]
+        if state is None:
+            if asn in self._aggregated:
+                state = self._stubs.synth(asn) or self._pristine[asn]
+            else:
+                record = self._records.get(asn)
+                if record is None or not record[0]:
+                    return self._pristine[asn]
+                state = self._build(asn, *record)
+            # Two threads reading one held result keep the first build.
+            state = self._materialized.setdefault(asn, state)
+        return state
+
+    def _build(self, asn: int, rib, _best, advertised) -> RouterState:
+        stubs = self._stubs
+        prefix = stubs.prefix
+        state = RouterState(asn)
+        adj = state.adj_rib_in
+        for sender, key in rib.items():
+            adj[sender] = self._injected[asn] if sender == self._origin else make_route(
+                prefix, key[5], sender, -key[0], key[6], 0, key[2], key[7]
+            )
+        state.best, state.multipath = evaluate(list(adj.values()), stubs.internet.graph.as_of(asn))
+        # One route per export path, shared by its neighbours.
+        exported = {path: make_route(prefix, path, asn, 0) for path in set(advertised.values())}
+        out = state.advertised_to
+        out.update((neighbor, exported[path]) for neighbor, path in advertised.items())
+        eps = stubs.ep_log.get(asn)
+        if eps and eps[-1][1] is not None:
+            # The entries the pruned export tables never wrote.
+            route = make_route(prefix, eps[-1][1], asn, 0)
+            out.update((stub, route) for stub in self._parents[asn])
+        return state
 
     def get(self, asn: int, default=None):
         # Defined here rather than inherited: Mapping.get wraps
@@ -215,12 +249,20 @@ class LazyStates(Mapping):
     def next_hops(self, asn: int) -> Optional[Tuple[int, List[int]]]:
         """``(best.learned_from, [r.learned_from for r in multipath])``
         of ``self[asn]``, or None when that state holds no route (or
-        ``asn`` is not in the topology) — without building the state of
-        an aggregated stub."""
+        ``asn`` is not in the topology) — building no state: unless one
+        was built, the record's best key and its strict ties, in sender
+        order."""
         state = self._materialized.get(asn)
-        if state is None:
+        if state is not None:
+            return state.next_hops()
+        record = self._records.get(asn)
+        if record is None:
             return self._stubs.choose(asn) if asn in self._aggregated else None
-        return state.next_hops()
+        rib, best, _ = record
+        if best is None:
+            return None
+        strict = best[:3]
+        return best[4], sorted(sender for sender, key in rib.items() if key[:3] == strict)
 
     def stub_choices(self):
         """:meth:`next_hops` of every pure stub at once — ``(best,
@@ -244,10 +286,6 @@ class LazyStates(Mapping):
             if getter(asn, missing) != self[asn]:
                 return False
         return True
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
 
     __hash__ = None
 
@@ -308,10 +346,11 @@ class _StubViews:
                     i = tables.asn_index[provider]
                     length[i], t_last[i] = len(path), t
             interior = cols.interior.copy()
-            for session, cost in self.overlay.items():
+            overlay = self.overlay
+            for session in overlay:  # a churn overlay computes values on read
                 at = cols.cell.get(session)
                 if at is not None:
-                    interior[at] = cost
+                    interior[at] = overlay[session]
             offered = length[cols.provider]
             key = _stub_key(cols.local_pref, offered, interior)
             key[offered == 0] = _NO_OFFER
@@ -435,11 +474,35 @@ class _Topology:
         self.agg_delay = np.array([prop_delay[pair] for pair in pairs], dtype=np.float64)
 
 
-def _originate(adj, site_id, inj, node, origin_asn, prefix, now) -> bool:
-    """Apply an injection event to its host's Adj-RIB-In, where the
-    anycast route is keyed by the origin ASN: site ``site_id``
+def _decide(rib, best, sender, key):
+    """One event's decision over an AS's record; returns the new best.
+
+    ``rib`` maps each sender to its route's key ``(-local_pref,
+    len(path), interior, arrival if the AS breaks ties on it else 0.0,
+    sender, path, learned_rel, arrival)``, ordered as
+    :func:`repro.bgp.decision.evaluate` decides (MED and origin code are
+    0): the best is the minimum, the multipath set the keys equal to it
+    in the first three fields.  Senders are unique, so no comparison
+    reaches past them.  ``key`` replaces ``sender``'s (None withdraws
+    it); only a change to the best's own sender rescans.  Returns
+    ``best`` itself when the best is unchanged.
+    """
+    if key is not None:
+        rib[sender] = key
+    elif rib.pop(sender, None) is None:
+        return best
+    if best is not None and best[4] == sender:
+        return min(rib.values()) if rib else None
+    if key is not None and (best is None or key < best):
+        return key
+    return best
+
+
+def _originate(injected, asn, site_id, inj, node, origin_asn, prefix, now) -> bool:
+    """Apply an injection event to ``injected[asn]``, the anycast route
+    its host ``asn`` holds from the origin ASN: site ``site_id``
     announcing through ``inj`` (a ``SiteInjection``), or, with ``inj``
-    None, withdrawing.  False when the RIB is unchanged.
+    None, withdrawing.  False when the route is unchanged.
 
     Sites announcing through one AS merge into one AS-level route whose
     arrival time is the earliest announcement; site-level differences
@@ -452,22 +515,22 @@ def _originate(adj, site_id, inj, node, origin_asn, prefix, now) -> bool:
     from them (paper S6); ``BGPEngine.run`` has already rejected
     poisoning the host.
     """
-    existing = adj.get(origin_asn)
+    existing = injected.get(asn)
     if inj is None:
         if existing is None:
             return False
         remaining = tuple(sp for sp in existing.site_pops if sp.site_id != site_id)
         if remaining:
-            adj[origin_asn] = dataclasses.replace(existing, site_pops=remaining)
+            injected[asn] = dataclasses.replace(existing, site_pops=remaining)
         else:
-            del adj[origin_asn]
+            del injected[asn]
         return True
     as_path = (origin_asn,) * (1 + inj.prepend)
     if inj.poison:
         as_path = (origin_asn,) + tuple(inj.poison) + as_path
     pop = SitePop(site_id, inj.pop_id, inj.link_rtt_ms)
     if existing is None:
-        adj[origin_asn] = Route(
+        injected[asn] = Route(
             prefix=prefix,
             as_path=as_path,
             learned_from=origin_asn,
@@ -483,7 +546,7 @@ def _originate(adj, site_id, inj, node, origin_asn, prefix, now) -> bool:
         pops = tuple(sorted(set(existing.site_pops) | {pop}, key=lambda sp: sp.site_id))
     else:
         pops = (pop,)
-    adj[origin_asn] = dataclasses.replace(
+    injected[asn] = dataclasses.replace(
         existing,
         as_path=as_path,
         arrival_time=min(existing.arrival_time, now),
@@ -494,14 +557,14 @@ def _originate(adj, site_id, inj, node, origin_asn, prefix, now) -> bool:
 
 class DeltaConverger:
     """The convergence core of one :class:`BGPEngine`: one heap loop
-    over per-run states.
+    over per-run records.
 
     Keeps the per-topology :class:`_Topology` (shared pristine states,
     per-AS export tables) keyed to the graph's current
-    :class:`~repro.topology.precompute.TopologyTables`.  A run builds
-    the states it touches and shares nothing mutable, so one converger
-    is safe to share across executor threads; the lock guards only the
-    rebuild.
+    :class:`~repro.topology.precompute.TopologyTables`.  A run keeps
+    records only for the ASes it touches and shares nothing mutable, so
+    one converger is safe to share across executor threads; the lock
+    guards only the rebuild.
     """
 
     def __init__(self, internet, prefix: str, origin_asn: int):
@@ -619,25 +682,36 @@ class DeltaConverger:
         # path or None) its aggregated stubs would have received.
         ep_log: Dict[int, List[Tuple[float, Optional[Tuple[int, ...]]]]] = {}
         agg_est = 0  # running upper bound on aggregated deliveries
-        states: Dict[int, RouterState] = {}
+        #: Per touched AS ``[rib, best key, advertised]`` (:func:`_decide`;
+        #: the export path last sent to each neighbour).
+        records: Dict[int, list] = {}
+        #: Per injection host the injected Route (it carries site_pops).
+        injected: Dict[int, Route] = {}
         messages = events = 0
         now = 0.0
         while heap:
             now, _, asn, sender, path = heappop(heap)
             events += 1
             if events + agg_est > budget:
-                raise ConvergenceBudgetError(budget, events + agg_est, len(states), now)
-            state = states.get(asn)
-            if state is None:
-                state = states[asn] = RouterState(asn)
-            adj = state.adj_rib_in
+                raise ConvergenceBudgetError(budget, events + agg_est, len(records), now)
+            record = records.get(asn)
+            if record is None:
+                record = records[asn] = [{}, None, {}]
+            rib, old_best, advertised = record
+            node, exports_all, exports_customers, stubs = routers[asn]
             if sender is None:
-                if not _originate(adj, *path, routers[asn][0], origin_asn, prefix, now):
+                if not _originate(injected, asn, *path, node, origin_asn, prefix, now):
                     continue
+                sender = origin_asn
+                route = injected.get(asn)
+                key = None if route is None else (
+                    -route.local_pref, len(route.as_path), route.interior_cost,
+                    route.arrival_time if node.arrival_order_tiebreak else 0.0,
+                    origin_asn, route.as_path, route.learned_rel, route.arrival_time,
+                )
             elif path is None:
                 messages += 1
-                if adj.pop(sender, None) is None:
-                    continue
+                key = None
             else:
                 # No receipt checks: loop prevention and duplicate
                 # refresh happen at the sender (see the export loop).
@@ -646,26 +720,23 @@ class DeltaConverger:
                 local_pref, interior, rel = session_import[session]
                 if overlay_get is not None:
                     interior = overlay_get(session, interior)
-                adj[sender] = make_route(prefix, path, sender, local_pref, rel, 0, interior, now)
+                key = (
+                    -local_pref, len(path), interior,
+                    now if node.arrival_order_tiebreak else 0.0, sender, path, rel, now,
+                )
 
-            node, exports_all, exports_customers, stubs = routers[asn]
-            old_best = state.best
-            best, state.multipath = evaluate(adj.values(), node)
-            state.best = best
+            best = _decide(rib, old_best, sender, key)
             if best is old_best:
                 continue
+            record[1] = best
             if best is None:
                 export_path = None
-            elif (
-                old_best is not None
-                and best.as_path == old_best.as_path
-                and best.learned_from == old_best.learned_from
-                and best.med == old_best.med
-                and best.origin_code == old_best.origin_code
-            ):
-                continue  # Route.materially_equal: nothing to re-export
+            elif old_best is not None and best[5] == old_best[5] and best[4] == old_best[4]:
+                # Route.materially_equal (MED and origin code are 0):
+                # nothing to re-export.
+                continue
             else:
-                as_path = best.as_path
+                as_path = best[5]
                 export_path = (asn,) + as_path
                 # Loop prevention: no target on the path (the
                 # learned-from neighbour is on it too: its head, or an
@@ -679,8 +750,7 @@ class DeltaConverger:
                 # route.  The receipt checks BGP makes (the oracle's
                 # speaker in ``tests/reference_engine.py``) cannot fire
                 # here; ``tests/test_bgp_router.py`` pins that.
-                base = exports_all if best.learned_rel is customer else exports_customers
-            advertised = state.advertised_to
+                base = exports_all if best[6] is customer else exports_customers
             if advertised:
                 # Withdraw from every neighbour no longer a target, in
                 # ASN order (all of them when no route is left).
@@ -691,14 +761,10 @@ class DeltaConverger:
                     heappush(heap, (arrive, next_seq(), n, asn, None))
                     del advertised[n]
             if export_path is not None:
-                # One Route is shared across all targets (same value each).
-                exported = None
                 for n, delay, slot in base:
                     if n in as_path:
                         continue
-                    if exported is None:
-                        exported = make_route(prefix, export_path, asn, 0)
-                    advertised[n] = exported
+                    advertised[n] = export_path
                     arrive = now + delay
                     if jittered:
                         arrive += -math.log(1.0 - uniform_at(slot)) / lambd
@@ -724,17 +790,14 @@ class DeltaConverger:
         # convergence timestamp is bit-equal.
         agg_count = 0
         agg_last = 0.0
-        parents = topo.parents
+        parents = {**topo.parents, **stubs_run} if stubs_run else topo.parents
         maxdelay = topo.parent_maxdelay
-        stubs_run_get = stubs_run.get
         #: Jittered runs: last episode time, by dense AS index, of each
         #: provider whose whole stub set is aggregated (-inf elsewhere).
         t_last_of = None
         for provider, eps in ep_log.items():
-            stubs = stubs_run_get(provider)
-            full_set = stubs is None
-            if full_set:
-                stubs = parents[provider]
+            stubs = parents[provider]
+            full_set = provider not in stubs_run
             if not stubs:
                 continue
             agg_count += len(eps) * len(stubs)
@@ -781,46 +844,18 @@ class DeltaConverger:
                 if arrive > agg_last:
                     agg_last = arrive
 
-        pristine = topo.pristine
-        materialized = {
-            asn: state if state.adj_rib_in else pristine[asn]
-            for asn, state in states.items()
-        }
         lazy = LazyStates(
-            materialized,
-            pristine,
+            records,
+            injected,
+            topo.pristine,
             agg,
             _StubViews(
                 self.internet, tables, prefix, igp_overlay or {}, ep_log, jitter, live_stubs
             ),
-            set(ep_log),
-            self._make_patch(topo.parents, ep_log, stubs_run),
+            parents,
+            origin_asn,
         )
         last_time = max(last_time, agg_last)
         messages += agg_count
         events += agg_count
         return lazy, last_time, messages, events
-
-    def _make_patch(self, parents, ep_log, stubs_run):
-        """The provider ``advertised_to`` patcher: re-adds the entries
-        the pruned export tables never wrote, value-equal to the route
-        the export loop shares across its targets."""
-        stubs_run_get = stubs_run.get
-        prefix = self.prefix
-
-        def patch(provider: int, state: RouterState) -> None:
-            eps = ep_log.get(provider)
-            if not eps:
-                return
-            stubs = stubs_run_get(provider)
-            if stubs is None:
-                stubs = parents[provider]
-            _t, path = eps[-1]
-            if path is None:
-                return
-            route = make_route(prefix, path, provider, 0)
-            advertised = state.advertised_to
-            for stub in stubs:
-                advertised[stub] = route
-
-        return patch

@@ -10,13 +10,13 @@ manipulate by spacing announcements.
 
 Campaigns run the engine thousands of times over one topology, so
 there is one convergence path and it is the fast one:
-:class:`~repro.bgp.delta.DeltaConverger`, one event loop that builds
-the state of an AS when an event first reaches it and reads per-AS
-export tables built once per topology revision, so a run only pays for
-the state it actually touched.  The engine itself is the wrapper around
-it: input validation, the convergence cache, the per-run delay jitter,
-metrics and the trace span.  The speaker-per-AS loop it is bit-compared
-against lives with the tests (``tests/reference_engine.py``).
+:class:`~repro.bgp.delta.DeltaConverger`, one event loop over flat
+records of the ASes an event reaches (a state is built when read),
+with per-AS export tables built once per topology revision.  The
+engine itself is the wrapper around it: input validation, the
+convergence cache, the per-run delay jitter, metrics and the trace
+span.  The speaker-per-AS loop it is bit-compared against lives with
+the tests (``tests/reference_engine.py``).
 """
 
 import math
@@ -99,10 +99,11 @@ class SiteWithdrawal:
 class ConvergedState:
     """The outcome of running the engine to quiescence.
 
-    ``states`` covers every AS in the topology.  Treat the contained
-    :class:`RouterState` objects as immutable: states of ASes the run
-    never touched are shared between results (and with the convergence
-    cache), so mutating one would corrupt other results.
+    ``states`` covers every AS in the topology; an engine result builds
+    each state from the run's record when it is first read
+    (:class:`~repro.bgp.delta.LazyStates`).  Treat the states as
+    immutable: those of ASes the run never touched are shared between
+    results (and with the convergence cache).
     """
 
     prefix: str
@@ -123,8 +124,8 @@ class ConvergedState:
         """Which neighbour(s) ``asn`` forwards to: ``(best.learned_from,
         [r.learned_from for r in multipath])`` of its state — the
         anycast origin ASN stands for an injected route — or None when
-        it holds no route.  An engine result answers for an aggregated
-        stub from its providers' export episodes, building no state
+        it holds no route.  An engine result answers from the run's
+        records, building no state
         (:meth:`LazyStates.next_hops <repro.bgp.delta.LazyStates.next_hops>`);
         plain-dict states (unpickled, convergence store) answer from
         the stored ``best`` / ``multipath``."""
@@ -154,7 +155,7 @@ class BGPEngine:
     receives the convergence work counters.
 
     Propagation is delta convergence (:mod:`repro.bgp.delta`): a run
-    builds states only for the ASes its announce/withdraw wavefront
+    keeps records only for the ASes its announce/withdraw wavefront
     reaches, and pure-stub ASes (every session with a provider, any
     homing degree) are collapsed out of the event heap entirely.  Runs
     share no mutable state, so one engine is safe to share across

@@ -110,8 +110,8 @@ def make_route(
     Value-identical to calling ``Route(...)`` (same validation, equal
     and equally hashable results) but bypasses the frozen-dataclass
     ``__init__``/``object.__setattr__`` machinery, which costs ~4x as
-    much; the event loop creates one route per delivered announcement,
-    making this one of the largest fixed costs in the convergence loop.
+    much; a state built from a run's record creates one route per
+    Adj-RIB-In entry and one per export path.
     ``origin_code`` and ``site_pops`` keep their defaults: propagated
     routes never carry site attachments.  The strict key is stored here
     too, as ``__post_init__`` stores it for ``Route(...)``.

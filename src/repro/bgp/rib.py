@@ -1,10 +1,10 @@
 """Per-AS routing state: Adj-RIB-In, Loc-RIB, and export bookkeeping.
 
 :class:`RouterState` is one object per AS holding
-:class:`~repro.bgp.messages.Route` objects, written by the convergence
-loop (:mod:`repro.bgp.delta`) and read by ``bgp.explain``.  The data plane reads only where a state
-forwards (:meth:`RouterState.next_hops`), which is the one next-hop
-representation derived from it: :mod:`repro.bgp.dataplane` turns those
+:class:`~repro.bgp.messages.Route` objects, built from a run's record
+when first read and read by ``bgp.explain``.  The data plane reads only
+where an AS forwards (:meth:`RouterState.next_hops`, which the record
+answers without a state): :mod:`repro.bgp.dataplane` turns those
 answers into its per-deployment forwarding table.
 """
 
@@ -16,7 +16,8 @@ from repro.bgp.messages import Route
 
 @dataclass
 class RouterState:
-    """The BGP state of one AS for one prefix.
+    """The BGP state of one AS for one prefix: a run's record of the AS
+    as read (:class:`~repro.bgp.delta.LazyStates`), or an oracle's.
 
     Attributes:
         asn: the AS this state belongs to.

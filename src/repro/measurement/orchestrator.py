@@ -11,6 +11,7 @@ and the orchestrator keeps a running tally.
 import math
 import threading
 import time
+from collections.abc import Mapping
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -35,11 +36,60 @@ from repro.topology.astopo import Relationship
 from repro.topology.testbed import Testbed
 from repro.util.errors import ConfigurationError
 from repro.util.rng import (
-    hash_prefix, noise_key, standard_normals, uniform_rows, uniforms,
+    hash_prefix, noise_key, stable_hash, standard_normals, uniform_rows, uniforms,
 )
 from repro.util.stats import mean
 
 logger = get_logger("orchestrator")
+
+
+class _ChurnOverlay(Mapping):
+    """One experiment's session interior costs, each hashed on first read.
+
+    The keys are every session ``(asn, neighbor)`` of a churned AS, in
+    ASN then neighbour order.  A tie-prone AS's sessions cost 0, another
+    AS's ``1 + stable_hash(seed, "igp-churn", experiment, asn, neighbor)
+    % 1_000_000``.  A run reads a few of them (those its events import,
+    and the churned stubs' once the data plane decides), so a cost is
+    hashed on its first read and kept; ``len``, truth and iteration
+    hash nothing.
+    """
+
+    __slots__ = ("_sessions", "_export_all", "_prefix", "_churned", "_costs", "_len")
+
+    def __init__(self, tables, prefix, churned: Dict[int, bool]):
+        self._sessions = tables.session_import
+        self._export_all = tables.export_all
+        self._prefix = prefix
+        #: churned ASN -> whether its sessions tie, in ASN order
+        self._churned = churned
+        self._costs: Dict[Tuple[int, int], int] = {}
+        self._len = sum(len(self._export_all[asn]) for asn in churned)
+
+    def get(self, session, default=None):
+        cost = self._costs.get(session)
+        if cost is not None:
+            return cost
+        tied = self._churned.get(session[0]) if session in self._sessions else None
+        if tied is None:
+            return default
+        cost = 0 if tied else 1 + stable_hash(*session, prefix=self._prefix) % 1_000_000
+        self._costs[session] = cost
+        return cost
+
+    def __getitem__(self, session) -> int:
+        cost = self.get(session)
+        if cost is None:
+            raise KeyError(session)
+        return cost
+
+    def __iter__(self):
+        for asn in self._churned:
+            for neighbor in self._export_all[asn]:
+                yield asn, neighbor
+
+    def __len__(self) -> int:
+        return self._len
 
 
 class Deployment:
@@ -420,39 +470,29 @@ class Orchestrator:
 
     # -- drift models -----------------------------------------------------------
 
-    def _igp_overlay(self, experiment_id: int) -> Dict[Tuple[int, int], int]:
-        """Interior-cost overrides for one experiment's churned ASes.
+    def _igp_overlay(self, experiment_id: int) -> Mapping[Tuple[int, int], int]:
+        """Interior-cost overrides for one experiment's churned ASes, as
+        a read-only :class:`_ChurnOverlay`.
 
         The ``"igp-churn"`` stream holds two words per AS index (ASN
         order): the churn decision and, if churned, whether its sessions
-        tie.  One comparison finds the churned ASes; the walk visits them.
+        tie.  One comparison finds the churned ASes; a session's cost is
+        hashed when it is first read.
         """
         churn_prob = self.settings.session_churn_prob
         if churn_prob == 0.0:
             return {}
         tables = self.testbed.internet.graph.tables()
-        index_asn = tables.index_asn
         tie_fraction = self.testbed.internet.params.igp_tie_fraction
         key = noise_key(self.seed, "igp-churn", experiment_id)
-        draws = uniforms(key, 0, 2 * len(index_asn)).reshape(-1, 2)
-        prefix = hash_prefix(self.seed, "igp-churn", experiment_id)
-        overlay: Dict[Tuple[int, int], int] = {}
-        for index in np.flatnonzero(draws[:, 0] < churn_prob).tolist():
-            asn = index_asn[index]
-            if draws[index, 1] < tie_fraction:
-                for neighbor in tables.export_all[asn]:
-                    overlay[(asn, neighbor)] = 0
-            else:
-                # stable_hash(neighbor, prefix=asn_prefix): one copy of
-                # the AS's hasher plus the bytes it absorbs for an int.
-                asn_prefix = hash_prefix(asn, prefix=prefix)
-                for neighbor in tables.export_all[asn]:
-                    digest = asn_prefix.copy()
-                    digest.update(b"%d\x00" % neighbor)
-                    overlay[(asn, neighbor)] = (
-                        1 + int.from_bytes(digest.digest(), "big") % 1_000_000
-                    )
-        return overlay
+        draws = uniforms(key, 0, 2 * len(tables.index_asn)).reshape(-1, 2)
+        churned = np.flatnonzero(draws[:, 0] < churn_prob)
+        tied = (draws[churned, 1] < tie_fraction).tolist()
+        return _ChurnOverlay(
+            tables,
+            hash_prefix(self.seed, "igp-churn", experiment_id),
+            dict(zip((tables.index_asn[i] for i in churned.tolist()), tied)),
+        )
 
     def rtt_bias_factor(self, experiment_id: int) -> float:
         """The per-experiment epoch bias of :meth:`rtt_drift_factor`:

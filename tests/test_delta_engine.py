@@ -1,8 +1,8 @@
 """Bit-identity of the delta convergence engine.
 
-The engine (one event loop over per-run states, pure-stub
-aggregation) must be indistinguishable — states, convergence time,
-message count, enabled sites — from the speaker-per-AS oracle
+The engine (one event loop over per-run records, pure-stub aggregation,
+states built on read) must be indistinguishable — states, convergence
+time, message count, enabled sites — from the speaker-per-AS oracle
 (``tests/reference_engine.py``), across every workload shape the
 campaign layer can produce: staggering, withdrawals, poisoning
 (including poisoning an aggregated stub), IGP overlays, delay jitter,
@@ -29,6 +29,7 @@ from repro.bgp.delta import _ARRIVAL_MARGIN, DeltaConverger, LazyStates, LinkJit
 from repro.core.config import AnycastConfig
 from repro.measurement import Orchestrator
 from repro.bgp.engine import BGPEngine, SiteInjection, SiteWithdrawal
+from repro.runtime.cache import ConvergenceCache
 from repro.topology.astopo import AS, ASGraph, Relationship
 from repro.topology.generator import Internet, ScaleSweepParams, generate_scale_internet
 from repro.topology.geo import city
@@ -575,6 +576,108 @@ class TestLazyStates:
         second = engine.run(workload)
         assert first.states[carrier].best is None
         assert first.states[carrier] is second.states[carrier]
+
+
+def lazy_runs(testbed):
+    """Jittered, overlaid, poisoned, withdrawing and live-stub runs, as
+    ``(injections, run kwargs)`` by name."""
+    graph = testbed.internet.graph
+    tables = graph.tables()
+    stub = sorted(tables.stub_providers)[0]
+    plain = BGPEngine(testbed.internet).run([injection(testbed, 1)])
+    carrier = next(
+        asn for asn, state in plain.states.items()
+        if graph.as_of(asn).tier == 2 and state.best is not None
+    )
+    overlay = {s: i % 4 for i, s in enumerate(sorted(tables.session_import)[::5])}
+    return {
+        "jittered": (
+            [injection(testbed, 1), injection(testbed, 6)],
+            {"delay_jitter_ms": 5.0, "delay_nonce": 4},
+        ),
+        "overlaid": (
+            [injection(testbed, 1), injection(testbed, 4, t=2000.0)], {"igp_overlay": overlay},
+        ),
+        "poisoned": ([injection(testbed, 1, poison=(carrier, stub))], {}),
+        "withdrawing": (
+            [injection(testbed, 1), injection(testbed, 6, t=1000.0)],
+            {"withdrawals": [SiteWithdrawal(testbed.site(6).provider_asn, 6, 5000.0)]},
+        ),
+        "live stub": (
+            [injection(testbed, 1), SiteInjection(stub, 99, None, 2.0, Relationship.PEER, 100.0)],
+            {"delay_jitter_ms": 5.0, "delay_nonce": 9},
+        ),
+    }
+
+
+LAZY_RUNS = ["jittered", "overlaid", "poisoned", "withdrawing", "live stub"]
+
+
+class TestStatesBuiltOnRead:
+    """A run keeps records; a state exists once someone reads it."""
+
+    @pytest.mark.parametrize("kind", LAZY_RUNS)
+    def test_next_hops_from_records_equal_built_states(self, testbed, kind):
+        injections, kwargs = lazy_runs(testbed)[kind]
+        engine = BGPEngine(testbed.internet)
+        asns = sorted(testbed.internet.graph.asns())
+        # Asked first: every answer comes from a record or the stubs'
+        # episodes, and builds nothing.
+        first = engine.run(injections, **kwargs)
+        answered = [first.next_hops(asn) for asn in asns]
+        assert not first.states._materialized
+        assert answered == [first.states[asn].next_hops() for asn in asns]
+        assert any(hops is not None for hops in answered)
+        # Built first: the same answers.
+        second = engine.run(injections, **kwargs)
+        built = [second.states[asn].next_hops() for asn in asns]
+        assert built == answered == [second.next_hops(asn) for asn in asns]
+
+    @pytest.mark.parametrize("kind", LAZY_RUNS)
+    def test_dict_and_pickle_equal_the_reference(self, testbed, kind):
+        injections, kwargs = lazy_runs(testbed)[kind]
+        engine, reference = engine_pair(testbed.internet)
+        expected = reference.run(injections, **kwargs).states
+        assert dict(engine.run(injections, **kwargs).states) == expected
+        revived = pickle.loads(pickle.dumps(engine.run(injections, **kwargs).states))
+        assert type(revived) is dict and revived == expected
+
+    def test_a_held_state_read_twice_is_equal(self, testbed):
+        """A noiseless result is held by the cache and handed out again:
+        its states, built on the first read, are the ones the second
+        read returns, also when threads read it at once."""
+        injections = [injection(testbed, 1), injection(testbed, 6, t=1000.0)]
+        engine = BGPEngine(testbed.internet, cache=ConvergenceCache())
+        expected = ReferenceEngine(testbed.internet).run(injections).states
+        asns = sorted(expected)
+        first = engine.run(injections)
+        second = engine.run(injections)
+        assert second is first
+        hops = [first.next_hops(asn) for asn in asns]
+        once = dict(first.states)
+        twice = dict(second.states)
+        assert once == twice == expected
+        assert all(once[asn] is twice[asn] for asn in asns)
+        assert [second.next_hops(asn) for asn in asns] == hops
+
+        shared = engine.run([injection(testbed, 4), injection(testbed, 9, t=500.0)])
+        reads = []
+        threads = [
+            threading.Thread(target=lambda: reads.append(dict(shared.states))) for _ in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and len(reads) == 4
+        # Every reader got the one kept state of each AS, not its own build.
+        kept = dict(shared.states)
+        assert all(read[asn] is kept[asn] for read in reads for asn in asns)
 
 
 class TestBudget:

@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import TestbedParams, TopologyParams, build_paper_testbed, select_targets
 from repro.core.config import AnycastConfig
+from repro.measurement import orchestrator as orchestrator_module
 from repro.measurement.orchestrator import Orchestrator
 from repro.runtime import CampaignSettings
+from repro.runtime.cache import ConvergenceCache
 from repro.util.errors import ConfigurationError
 from repro.util.rng import stable_hash
 
+from tests.conftest import SEED
 from tests.reference_noise import reference_uniform
 
 
@@ -36,6 +40,19 @@ def reference_igp_overlay(orchestrator, experiment_id):
                     orchestrator.seed, "igp-churn", experiment_id, asn, neighbor
                 ) % 1_000_000
     return overlay
+
+
+def counted_hashes(monkeypatch):
+    """The sessions the orchestrator's churn overlay hashes, in order."""
+    hashed = []
+    hash_parts = orchestrator_module.stable_hash
+
+    def counted(*parts, prefix=None):
+        hashed.append(parts)
+        return hash_parts(*parts, prefix=prefix)
+
+    monkeypatch.setattr(orchestrator_module, "stable_hash", counted)
+    return hashed
 
 
 class TestDeploy:
@@ -165,6 +182,71 @@ class TestDriftModels:
             assert set(overlay) == set(testbed.internet.graph.tables().session_import)
         if tie_fraction != 0.18:
             assert all((cost == 0) == (tie_fraction == 1.0) for cost in overlay.values())
+
+    def test_counting_and_listing_the_overlay_hash_nothing(self, testbed, targets, monkeypatch):
+        """A session's cost is hashed on its first read and kept; the
+        keys, their number and the overlay's truth cost no hash."""
+        hashed = counted_hashes(monkeypatch)
+        orchestrator = Orchestrator(
+            testbed, targets, seed=SEED, settings=CampaignSettings(session_churn_prob=0.5)
+        )
+        overlay = orchestrator._igp_overlay(3)
+        assert overlay and len(overlay) == len(list(overlay)) == len(set(overlay)) > 0
+        assert hashed == []
+        expected = reference_igp_overlay(orchestrator, 3)
+        assert list(overlay) == sorted(expected)  # ASN, then neighbour order
+        session = next(s for s, cost in expected.items() if cost != 0)
+        assert overlay[session] == overlay.get(session) == expected[session]
+        assert hashed == [session]
+        assert overlay.get((-1, -2), "none") == "none"
+        with pytest.raises(KeyError):
+            overlay[(-1, -2)]
+        injections = orchestrator._injections(AnycastConfig(site_order=(1, 6)))
+        assert ConvergenceCache.key_for(injections, overlay, 5.0, 3) == (
+            ConvergenceCache.key_for(injections, expected, 5.0, 3)
+        )
+
+    def test_a_scale_deploy_hashes_what_its_events_import(self, monkeypatch):
+        """At the 5.4k-AS scale a deploy hashes exactly the churned
+        sessions its events import, never more than they number; the
+        data plane then adds only churned stubs' sessions."""
+        testbed = build_paper_testbed(
+            TestbedParams(topology=TopologyParams(n_stub=5300, n_tier2=120)), seed=SEED
+        )
+        graph = testbed.internet.graph
+        tables = graph.tables()
+        imported = []
+
+        class Recording(dict):
+            def __getitem__(self, session):
+                imported.append(session)
+                return dict.__getitem__(self, session)
+
+        monkeypatch.setattr(tables, "session_import", Recording(tables.session_import))
+        hashed = counted_hashes(monkeypatch)
+        overlays = []
+        make_overlay = Orchestrator._igp_overlay
+        monkeypatch.setattr(
+            Orchestrator, "_igp_overlay",
+            lambda self, e: overlays.append(make_overlay(self, e)) or overlays[-1],
+        )
+        orchestrator = Orchestrator(
+            testbed, select_targets(testbed.internet, seed=SEED), seed=SEED,
+            settings=CampaignSettings(convergence_cache=False),
+        )
+        stub_hashes = 0
+        for order in ((1, 2), (3, 4, 5), (6, 1), (2, 7, 4), (5, 3)):
+            imported.clear()
+            hashed.clear()
+            deployment = orchestrator.deploy(AnycastConfig(site_order=order))
+            churned = overlays[-1]._churned
+            assert len(hashed) == len(set(hashed)) <= len(set(imported))
+            assert set(hashed) == {s for s in imported if churned.get(s[0]) is False}
+            before = len(hashed)
+            assert deployment.measure_catchments().mapped_count() > 0
+            assert all(s[0] in tables.stub_providers for s in hashed[before:])
+            stub_hashes += len(hashed) - before
+        assert stub_hashes > 0
 
     def test_drift_deterministic_per_experiment(self, noisy_orchestrator):
         assert noisy_orchestrator.rtt_drift_factor(3, 7) == (

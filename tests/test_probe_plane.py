@@ -1043,9 +1043,9 @@ def test_probing_resolves_a_deployment_once(monkeypatch):
     and an RTT row: deploying resolves nothing — no static column, no
     hop, no node table; probing builds the transit columns once per
     tables revision, asks each transit AS where it forwards once per
-    deployment, builds no stub state, takes no per-stub decision and
-    walks no client singly but the one whose own tied providers hash
-    its flows."""
+    deployment, builds a state only for the injection hosts flows end
+    at (no stub state), takes no per-stub decision and walks no client
+    singly but the one whose own tied providers hash its flows."""
     testbed = build_paper_testbed(None, seed=SEED)
     targets = select_targets(testbed.internet, seed=SEED)
     clients = set(targets.asns())
@@ -1096,7 +1096,8 @@ def test_probing_resolves_a_deployment_once(monkeypatch):
 
         assert built == [tables.revision]
         assert states._aggregated >= clients
-        assert not states._aggregated & set(states._materialized)
+        hosts = {inj.host_asn for inj in deployment.converged.injections}
+        assert states._materialized and set(states._materialized) <= hosts
         assert set(decided.values()) == {1}
         assert set(decided) - clients == transit
         assert set(walked) == set(decided) & clients
