@@ -9,14 +9,6 @@ show up in review diffs):
   keeps the figure stable on noisy single-core CI runners).
 - **cache**: a noiseless redeploy absorbed by the convergence cache
   (hit rate and cold/warm deploy times).
-- **campaign**: a small discovery campaign serial versus the
-  chunked process-pool executor, asserting bit-identical models and
-  recording the honest wall-clock ratio.  The pool width is clamped to
-  the host's core count (never below 2, so the process path is always
-  exercised and the bit-identity assertion always runs); on a host
-  with fewer than 2 CPUs the speedup figure is recorded as null with a
-  ``speedup_skipped`` reason — a 1-core ratio measures fork overhead,
-  not parallelism, and must not be committed as a trusted baseline.
 - **obs**: the same convergence workload with tracing and histograms
   enabled versus disabled — the observability tax on the engine
   (``overhead_pct``; the budget is under 10%).
@@ -53,7 +45,6 @@ from repro.topology.astopo import Relationship
 from repro.topology.generator import generate_internet
 
 SEED = 7
-POOL_WIDTH = 4
 
 
 def _engine_workloads(internet):
@@ -158,77 +149,11 @@ def bench_cache(testbed, targets) -> dict:
     }
 
 
-def bench_campaign(testbed, targets, chunk_size=None) -> dict:
-    cpus = os.cpu_count() or 1
-    # Clamp to the cores actually available, but never below 2: the
-    # process path (and its bit-identity assertion) must always run.
-    pool_width = max(2, min(POOL_WIDTH, cpus))
-
-    serial = AnyOpt(testbed, targets=targets, seed=SEED)
-    t0 = time.perf_counter()
-    serial_model = serial.discover()
-    serial_s = time.perf_counter() - t0
-    serial.close()
-
-    with AnyOpt(
-        testbed,
-        targets=targets,
-        seed=SEED,
-        settings=CampaignSettings(
-            parallelism=pool_width,
-            executor="process",
-            process_chunk_size=chunk_size,
-        ),
-    ) as process:
-        t0 = time.perf_counter()
-        process_model = process.discover()
-        process_s = time.perf_counter() - t0
-
-    identical = (
-        process_model.rtt_matrix.values == serial_model.rtt_matrix.values
-        and process_model.twolevel.provider_matrix
-        == serial_model.twolevel.provider_matrix
-        and process_model.twolevel.site_matrices == serial_model.twolevel.site_matrices
-        and process_model.experiments_used == serial_model.experiments_used
-    )
-    if not identical:
-        raise AssertionError("process-pool discovery diverged from the serial model")
-    result = {
-        "experiments": serial_model.experiments_used,
-        "serial_s": round(serial_s, 3),
-        "process_s": round(process_s, 3),
-        "pool_width": pool_width,
-        "chunk_size": chunk_size if chunk_size is not None else "auto",
-        "host_cpus": cpus,
-        "identical": identical,
-    }
-    if cpus < 2:
-        # A 1-core "speedup" only measures fork + dispatch overhead;
-        # publishing it as a baseline ratio would be misleading.
-        result["process_speedup"] = None
-        result["speedup_skipped"] = (
-            f"host has {cpus} cpu(s); speedup needs >= 2 cores to mean anything"
-        )
-    else:
-        result["process_speedup"] = (
-            round(serial_s / process_s, 2) if process_s else None
-        )
-    return result
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_engine.json")
     parser.add_argument(
         "--quick", action="store_true", help="smaller batches (CI smoke run)"
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="pin the process-pool dispatch chunk size "
-        "(default: auto-sized from task count and pool width)",
     )
     args = parser.parse_args(argv)
 
@@ -252,17 +177,6 @@ def main(argv=None) -> int:
     print(f"cache: cold {cache['cold_deploy_ms']}ms, warm {cache['warm_deploy_ms']}ms, "
           f"hit rate {cache['hit_rate']}")
 
-    campaign = bench_campaign(testbed, targets, chunk_size=args.chunk_size)
-    speedup = (
-        f"{campaign['process_speedup']}x"
-        if campaign["process_speedup"] is not None
-        else f"skipped ({campaign['speedup_skipped']})"
-    )
-    print(f"campaign: serial {campaign['serial_s']}s, "
-          f"process(x{campaign['pool_width']}, "
-          f"chunk={campaign['chunk_size']}) {campaign['process_s']}s "
-          f"-> {speedup} (identical={campaign['identical']})")
-
     payload = {
         "format": "anyopt-bench-engine",
         "version": 4,
@@ -275,7 +189,6 @@ def main(argv=None) -> int:
         "engine": engine,
         "obs": obs,
         "cache": cache,
-        "campaign": campaign,
     }
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -1,11 +1,8 @@
-"""Runtime bench: pooled campaign execution and the convergence cache.
+"""Runtime bench: the convergence cache.
 
-Runs the full discovery campaign twice on the same testbed — once on
-the serial reference path, once on a worker pool — asserts the two
-models are bit-identical, and reports the wall-clock comparison plus
-the campaign's metrics snapshot as JSON.  A second section redeploys
-one configuration under noise-free settings to show the convergence
-cache absorbing the repeat.
+Redeploys one configuration under noise-free settings to show the
+convergence cache absorbing the repeat, and reports the cold and
+cached deploy times plus the campaign's counters as JSON.
 """
 
 import json
@@ -13,53 +10,6 @@ import time
 
 from repro import AnyOpt, AnycastConfig, CampaignSettings
 from benchmarks.conftest import SEED, record
-
-POOL_WIDTH = 4
-
-
-def test_parallel_discovery_matches_serial(benchmark, bench_testbed, bench_targets):
-    def run():
-        serial_anyopt = AnyOpt(bench_testbed, targets=bench_targets, seed=SEED)
-        t0 = time.perf_counter()
-        serial_model = serial_anyopt.discover()
-        serial_s = time.perf_counter() - t0
-
-        pooled_anyopt = AnyOpt(bench_testbed, targets=bench_targets, seed=SEED)
-        t0 = time.perf_counter()
-        pooled_model = pooled_anyopt.discover(parallelism=POOL_WIDTH)
-        pooled_s = time.perf_counter() - t0
-        return serial_model, pooled_model, serial_s, pooled_s
-
-    serial_model, pooled_model, serial_s, pooled_s = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-
-    # Bit-identical: same RTT matrix, same preferences, same budget.
-    assert pooled_model.rtt_matrix.values == serial_model.rtt_matrix.values
-    assert pooled_model.experiments_used == serial_model.experiments_used
-    assert (
-        pooled_model.twolevel.provider_matrix
-        == serial_model.twolevel.provider_matrix
-    )
-    assert pooled_model.twolevel.site_matrices == serial_model.twolevel.site_matrices
-
-    metrics_json = json.dumps(
-        {
-            "serial_seconds": round(serial_s, 3),
-            "pooled_seconds": round(pooled_s, 3),
-            "pool_width": POOL_WIDTH,
-            "speedup": round(serial_s / pooled_s, 2) if pooled_s else None,
-            "counters": pooled_model.metrics["counters"],
-        },
-        sort_keys=True,
-    )
-    record(
-        "Parallel campaign (runtime bench)",
-        f"experiments           : {serial_model.experiments_used}",
-        f"serial discovery      : {serial_s:6.2f}s",
-        f"pooled discovery (x{POOL_WIDTH}) : {pooled_s:6.2f}s",
-        f"metrics: {metrics_json}",
-    )
 
 
 def test_convergence_cache_absorbs_redeploys(benchmark, bench_testbed, bench_targets):

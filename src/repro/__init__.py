@@ -22,7 +22,7 @@ Packages:
 - :mod:`repro.measurement` — Verfploeter-style catchment/RTT probes;
 - :mod:`repro.core` — AnyOpt itself (experiments, preferences,
   prediction, optimization, peers);
-- :mod:`repro.runtime` — campaign execution: pooled executors,
+- :mod:`repro.runtime` — campaign execution: the experiment executor,
   convergence caching, noise settings, and metrics;
 - :mod:`repro.splpo` — the SPLPO optimization model and solvers;
 - :mod:`repro.audit` — prediction-integrity auditing and self-healing
@@ -42,7 +42,7 @@ from repro.core import (
     build_total_order,
 )
 from repro.measurement import Orchestrator, TargetSet, select_targets
-from repro.runtime import CampaignSettings, ConvergenceCache, MetricsRegistry, make_executor
+from repro.runtime import CampaignSettings, ConvergenceCache, MetricsRegistry
 from repro.topology import (
     Testbed,
     TestbedParams,
@@ -88,7 +88,6 @@ __all__ = [
     "build_paper_testbed",
     "build_total_order",
     "generate_internet",
-    "make_executor",
     "repair_model",
     "select_targets",
 ]

@@ -11,8 +11,8 @@ provider appears, and intra-provider rankings come from the per-provider
 matrices (pairwise mode) or the RTT matrix (heuristic mode).
 
 Because the audit only reads the model (no RNG, no experiments), the
-report is a pure function of the model — identical across executors and
-repeat runs by construction.
+report is a pure function of the model — identical across repeat runs
+by construction.
 """
 
 from typing import Dict, List, Optional, Sequence, Tuple

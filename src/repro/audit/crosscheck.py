@@ -12,7 +12,7 @@ narration of the simulator's routing decision.
 Determinism: the configuration sample is keyed by ``(seed,
 "audit-crosscheck")`` and the deployments claim experiment ids from
 the orchestrator in config order, so the check consumes the same ids
-— and measures the same catchments — on every run and every executor.
+— and measures the same catchments — on every run.
 """
 
 from typing import FrozenSet, List, Optional

@@ -13,7 +13,7 @@ in escalating rounds:
   is reached, or the overall experiment ``budget`` runs out;
 - the transcript — one entry per re-run action, in deterministic plan
   order — is a pure function of (model, seed, settings, knobs), so the
-  same seed yields the same repair byte for byte on every executor.
+  same seed yields the same repair byte for byte.
 
 Checkpoint integration: after each round the current matrices, id
 counter, and transcript are saved (atomically) via
@@ -32,7 +32,7 @@ from repro.audit.findings import CYCLE, RTT_HOLE, AuditReport
 from repro.core.experiments import ExperimentTask
 from repro.core.preferences import PairObservation
 from repro.measurement.orchestrator import Orchestrator
-from repro.runtime.executor import SerialExecutor
+from repro.runtime.executor import CampaignExecutor
 from repro.runtime.retry import FailedExperiment
 
 
@@ -241,7 +241,6 @@ def repair_model(
     max_rounds: int = 3,
     budget: Optional[int] = None,
     escalate_attempts: int = 1,
-    executor=None,
     checkpoint_path=None,
     resume_from=None,
 ) -> RepairReport:
@@ -254,13 +253,8 @@ def repair_model(
     ``checkpoint_path`` / ``resume_from`` give repair the same
     kill-and-resume contract as discovery.
 
-    Each round rebuilds its orchestrator (the escalated retry budget
-    lives in its settings), but the process executor's pool is keyed
-    on the campaign *spec*, not the orchestrator object: round 0 runs
-    its chunked re-measurements on the warm workers discovery forked
-    (its settings are value-equal to the campaign's), and only the
-    escalated rounds — whose workers must honor a larger retry budget
-    — pay for a re-fork.
+    Each round rebuilds its orchestrator: the escalated retry budget
+    lives in its settings.
     """
     # Imported lazily, matching AnyOpt.discover: repro.io imports
     # repro.core, and this module is reached from repro.core.anyopt.
@@ -270,7 +264,6 @@ def repair_model(
     settings = orchestrator.settings
     metrics = orchestrator.metrics
     tracer = orchestrator.tracer
-    executor = executor if executor is not None else SerialExecutor()
     if announce_order is None:
         announce_order = tuple(testbed.site_ids())
     else:
@@ -411,7 +404,7 @@ def repair_model(
                             parent_span_id=span.span_id,
                         )
                     )
-            results = executor.run_experiments(round_orch, tasks)
+            results = CampaignExecutor().run_experiments(round_orch, tasks)
 
         for action, task, result in zip(actions, tasks, results):
             entry = {

@@ -563,8 +563,8 @@ class DeltaConverger:
     per-AS export tables) keyed to the graph's current
     :class:`~repro.topology.precompute.TopologyTables`.  A run keeps
     records only for the ASes it touches and shares nothing mutable, so
-    one converger is safe to share across executor threads; the lock
-    guards only the rebuild.
+    one converger is safe to share across threads; the lock guards only
+    the rebuild.
     """
 
     def __init__(self, internet, prefix: str, origin_asn: int):

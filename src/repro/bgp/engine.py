@@ -159,7 +159,7 @@ class BGPEngine:
     reaches, and pure-stub ASes (every session with a provider, any
     homing degree) are collapsed out of the event heap entirely.  Runs
     share no mutable state, so one engine is safe to share across
-    executor threads.
+    threads.
 
     ``max_events`` caps the events one run may process; ``None``
     auto-scales the cap with topology size.  Exhausting it raises

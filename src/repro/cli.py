@@ -128,8 +128,6 @@ def _settings_from_args(args) -> Optional[CampaignSettings]:
         ("fault_probe_blackout", "fault_probe_blackout_prob"),
         ("fault_session_reset", "fault_session_reset_prob"),
         ("max_attempts", "retry_max_attempts"),
-        ("executor", "executor"),
-        ("chunk_size", "process_chunk_size"),
         ("cache_dir", "convergence_cache_path"),
     ):
         value = getattr(args, flag, None)
@@ -209,7 +207,6 @@ def cmd_discover(args) -> int:
         if heartbeat is not None:
             heartbeat.set_phase("discover")
         model = anyopt.discover(
-            parallelism=args.parallelism,
             checkpoint_path=args.checkpoint,
             resume_from=resume_from,
         )
@@ -221,9 +218,7 @@ def cmd_discover(args) -> int:
             if args.repair and not report.clean:
                 if heartbeat is not None:
                     heartbeat.set_phase("repair")
-                repaired = anyopt.repair(
-                    model, report=report, parallelism=args.parallelism
-                )
+                repaired = anyopt.repair(model, report=report)
                 print(
                     f"repair: {repaired.rounds} round(s), "
                     f"{repaired.experiments_used} experiment(s) re-run; "
@@ -296,7 +291,6 @@ def cmd_audit(args) -> int:
                 report=report,
                 max_rounds=args.max_rounds,
                 budget=args.repair_budget,
-                parallelism=args.parallelism,
                 checkpoint_path=args.checkpoint,
                 resume_from=args.checkpoint
                 if args.checkpoint and os.path.exists(args.checkpoint)
@@ -389,9 +383,7 @@ def cmd_peers(args) -> int:
     peer_ids = anyopt.testbed.peer_ids()
     if args.max_peers:
         peer_ids = peer_ids[: args.max_peers]
-    report = anyopt.incorporate_peers(
-        base, peer_ids=peer_ids, parallelism=args.parallelism
-    )
+    report = anyopt.incorporate_peers(base, peer_ids=peer_ids)
     beneficial = report.beneficial_peers()
     print(
         f"probed {len(report.probes)} peers: "
@@ -744,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="persist converged BGP states under DIR so repeated invocations "
-        "(and process-pool workers) reuse each other's convergence work",
+        "reuse each other's convergence work",
     )
     stats.add_argument(
         "--trace",
@@ -823,26 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="attempts per experiment before it is recorded as failed",
     )
 
-    # Executor knobs, shared by subcommands that can run experiments in
-    # a worker pool (discover, audit --repair, peers).
-    runtime = argparse.ArgumentParser(add_help=False)
-    runtime.add_argument(
-        "--executor",
-        choices=["thread", "process"],
-        default=None,
-        help="worker pool kind for --parallelism > 1: shared-memory threads "
-        "(default) or forked processes (results are identical either way)",
-    )
-    runtime.add_argument(
-        "--chunk-size",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="experiments per dispatch to a process-pool worker (default: "
-        "auto-sized from the task count and pool width; ignored by the "
-        "thread executor)",
-    )
-
     p = sub.add_parser("build-testbed", help="generate and save a testbed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stubs", type=int, default=600)
@@ -852,18 +824,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "discover",
-        parents=[stats, faults, runtime],
+        parents=[stats, faults],
         help="run the measurement campaign",
     )
     p.add_argument("--testbed", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--site-level", choices=["pairwise", "rtt"], default="pairwise")
-    p.add_argument(
-        "--parallelism",
-        type=_positive_int,
-        default=None,
-        help="campaign workers (results are identical to serial)",
-    )
     p.add_argument(
         "--checkpoint",
         default=None,
@@ -893,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "audit",
-        parents=[stats, faults, runtime],
+        parents=[stats, faults],
         help="audit a saved model's prediction integrity; optionally self-heal it",
     )
     p.add_argument("--testbed", required=True)
@@ -931,12 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="overall cap on re-run BGP experiments across all repair rounds",
-    )
-    p.add_argument(
-        "--parallelism",
-        type=_positive_int,
-        default=None,
-        help="repair workers (results are identical to serial)",
     )
     p.add_argument(
         "--checkpoint",
@@ -996,19 +956,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "peers",
-        parents=[stats, faults, runtime],
+        parents=[stats, faults],
         help="one-pass beneficial-peer selection",
     )
     p.add_argument("--testbed", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sites", type=_parse_id_list, required=True)
     p.add_argument("--max-peers", type=int, default=None)
-    p.add_argument(
-        "--parallelism",
-        type=_positive_int,
-        default=None,
-        help="peer-probe workers (results are identical to serial)",
-    )
     p.set_defaults(func=cmd_peers)
 
     p = sub.add_parser("stability", parents=[stats], help="weekly re-measurement study (S6)")
@@ -1428,12 +1382,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        # Campaign executors now outlive their phase (the warm pool);
-        # shut the pool down with the process, even on error paths.
-        anyopt = getattr(args, "_anyopt", None)
-        if anyopt is not None:
-            anyopt.close()
 
 
 if __name__ == "__main__":  # pragma: no cover

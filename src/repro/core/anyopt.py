@@ -22,7 +22,6 @@ from repro.core.twolevel import SiteLevelMode, TwoLevelModel, discover_two_level
 from repro.measurement.orchestrator import Deployment, Orchestrator
 from repro.measurement.rtt import RttMatrix
 from repro.measurement.targets import TargetSet, select_targets
-from repro.runtime.executor import CampaignExecutor, make_executor
 from repro.runtime.settings import CampaignSettings
 from repro.topology.testbed import Testbed
 
@@ -61,14 +60,9 @@ class AnyOpt:
     """End-to-end driver for the AnyOpt pipeline on a testbed.
 
     Campaign knobs — the drift/noise models plus the runtime options
-    (parallelism, convergence caching, the convergence event budget) —
-    live in one :class:`~repro.runtime.settings.CampaignSettings`
-    value.
-
-    With ``executor="process"`` the pool of forked workers is shared
-    across the campaign's phases (discover → audit → repair → peers);
-    call :meth:`close` — or use ``AnyOpt`` as a context manager — to
-    shut the workers down when the campaign is over.
+    (convergence caching, the convergence event budget, faults and
+    retries) — live in one
+    :class:`~repro.runtime.settings.CampaignSettings` value.
     """
 
     def __init__(
@@ -92,53 +86,6 @@ class AnyOpt:
             testbed, self.targets, seed=seed, settings=self.settings
         )
         self.runner = ExperimentRunner(self.orchestrator)
-        #: The campaign's executor, cached across phases so a process
-        #: pool forked for discovery stays warm for audit repair and
-        #: peer incorporation instead of re-forking per phase.
-        self._executor: Optional[CampaignExecutor] = None
-        self._executor_key = None
-
-    def _campaign_executor(self, parallelism: Optional[int]) -> CampaignExecutor:
-        """The warm, phase-spanning executor for this campaign.
-
-        One executor per (width, kind, chunk size): repeated phases at
-        the same parallelism reuse it — for ``executor="process"``
-        that keeps the forked worker pool (and its warm convergence
-        caches) alive across discover → audit → repair.  Changing the
-        width swaps the executor (the old one is closed).
-        """
-        width = self.settings.parallelism if parallelism is None else parallelism
-        key = (width, self.settings.executor, self.settings.process_chunk_size)
-        if self._executor is None or self._executor_key != key:
-            self.close()
-            self._executor = make_executor(
-                width,
-                kind=self.settings.executor,
-                chunk_size=self.settings.process_chunk_size,
-            )
-            self._executor_key = key
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down the campaign's pooled workers (idempotent).
-
-        Only matters for ``executor="process"`` — forked workers stay
-        warm between phases and need an explicit shutdown when the
-        campaign is over.  ``AnyOpt`` is also a context manager::
-
-            with AnyOpt(testbed, seed=7, settings=settings) as anyopt:
-                model = anyopt.discover()
-        """
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-            self._executor_key = None
-
-    def __enter__(self) -> "AnyOpt":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     @property
     def metrics(self):
@@ -154,19 +101,11 @@ class AnyOpt:
 
     def discover(
         self,
-        parallelism: Optional[int] = None,
         checkpoint_path=None,
         resume_from=None,
     ) -> AnyOptModel:
         """Run the full measurement campaign (S4.5 steps 1-2):
         singleton RTT experiments plus two-level pairwise discovery.
-
-        ``parallelism`` is the single entry point selecting serial vs.
-        pooled execution: ``1`` (or the settings default) runs the
-        classic serial campaign, ``N > 1`` dispatches the independent
-        experiments onto an ``N``-worker pool.  Experiment ids are
-        reserved in serial order before dispatch, so the resulting
-        model is bit-identical either way.
 
         ``checkpoint_path`` makes discovery write a checkpoint after
         each completed phase; ``resume_from`` loads one (it must match
@@ -178,7 +117,6 @@ class AnyOpt:
         # model serializer, so a module-level import would be a cycle.
         from repro.io import checkpoint as checkpoint_io
 
-        executor = self._campaign_executor(parallelism)
         before = self.orchestrator.experiment_count
         failures_before = len(self.orchestrator.failures)
 
@@ -205,11 +143,6 @@ class AnyOpt:
             if checkpoint_path is not None:
                 checkpoint_io.save_checkpoint(progress, checkpoint_path)
 
-        # The campaign root span.  Executor kind and parallelism are
-        # deliberately NOT attributes: the exported trace must be
-        # identical across --executor modes.  The executor is NOT
-        # closed here — it stays warm for the audit/repair phases that
-        # typically follow; AnyOpt.close() shuts it down.
         with self.metrics.phase("discover"), self.tracer.span(
             "discover",
             sites=len(self.testbed.site_ids()),
@@ -220,14 +153,13 @@ class AnyOpt:
             if progress.rtt_matrix is not None:
                 rtt_matrix = progress.rtt_matrix
             else:
-                rtt_matrix = self.orchestrator.measure_rtt_matrix(executor=executor)
+                rtt_matrix = self.orchestrator.measure_rtt_matrix()
                 progress.rtt_matrix = rtt_matrix
                 save()
             twolevel = discover_two_level(
                 self.runner,
                 rtt_matrix=rtt_matrix,
                 site_level_mode=self.site_level_mode,
-                executor=executor,
                 progress=progress,
                 checkpoint=save,
             )
@@ -294,7 +226,6 @@ class AnyOpt:
         report=None,
         max_rounds: int = 3,
         budget: Optional[int] = None,
-        parallelism: Optional[int] = None,
         checkpoint_path=None,
         resume_from=None,
         announce_order: Optional[Sequence[int]] = None,
@@ -304,7 +235,7 @@ class AnyOpt:
 
         Runs up to ``max_rounds`` escalating repair rounds under an
         optional overall experiment ``budget``; same seed ⇒ same
-        repair transcript on any executor.  ``checkpoint_path`` /
+        repair transcript.  ``checkpoint_path`` /
         ``resume_from`` give repair the discovery campaign's
         kill-and-resume contract.
         """
@@ -318,7 +249,6 @@ class AnyOpt:
             announce_order=announce_order,
             max_rounds=max_rounds,
             budget=budget,
-            executor=self._campaign_executor(parallelism),
             checkpoint_path=checkpoint_path,
             resume_from=resume_from,
         )
@@ -375,16 +305,6 @@ class AnyOpt:
         self,
         config: AnycastConfig,
         peer_ids: Optional[Sequence[int]] = None,
-        parallelism: Optional[int] = None,
     ) -> OnePassReport:
-        """Run the one-pass peer heuristic on top of ``config`` (S4.4).
-
-        The single-peer trials are independent; ``parallelism`` pools
-        them like :meth:`discover` does for pairwise experiments.
-        """
-        return one_pass_peer_selection(
-            self.orchestrator,
-            config,
-            peer_ids=peer_ids,
-            executor=self._campaign_executor(parallelism),
-        )
+        """Run the one-pass peer heuristic on top of ``config`` (S4.4)."""
+        return one_pass_peer_selection(self.orchestrator, config, peer_ids=peer_ids)

@@ -8,17 +8,12 @@ pairwise* experiments (the naive baseline that ignores announcement
 order — S5.1).
 
 Campaign drivers describe their experiments as
-:class:`ExperimentTask` values — small picklable descriptors whose
-experiment ids were reserved up front — and hand the list to a
-:class:`~repro.runtime.executor.CampaignExecutor`.  The descriptor
-form is what lets the process-pool executor ship work to forked
-workers — in chunks, so a phase's worth of descriptors costs a
-handful of pickling round trips rather than one per experiment; the
-serial and thread executors execute the same descriptors in-process
-through :func:`execute_experiment_task`.  Because every driver goes
-through ``run_experiments``, chunked dispatch reaches every phase
-(RTT matrix, provider/site pairwise, peer probes, audit repair)
-without phase-specific plumbing.
+:class:`ExperimentTask` values — small descriptors whose experiment
+ids were reserved up front — and hand the list to the
+:class:`~repro.runtime.executor.CampaignExecutor`, which runs each
+through :func:`execute_experiment_task`.  Every phase (RTT matrix,
+provider/site pairwise, peer probes, audit repair) goes through that
+one ``run_experiments`` call.
 """
 
 from dataclasses import dataclass
@@ -30,7 +25,7 @@ from repro.core.config import AnycastConfig
 from repro.core.preferences import PairObservation, PreferenceMatrix
 from repro.measurement.orchestrator import Orchestrator
 from repro.measurement.verfploeter import CatchmentMap
-from repro.runtime.executor import CampaignExecutor, ProgressFn, SerialExecutor
+from repro.runtime.executor import CampaignExecutor, ProgressFn
 from repro.runtime.retry import FailedExperiment
 from repro.util.errors import ConfigurationError, MeasurementError
 
@@ -125,8 +120,8 @@ class ExperimentRunner:
         """The S4.2 protocol: announce (a then b), measure, withdraw,
         announce (b then a), measure.
 
-        ``experiment_ids`` accepts the two pre-reserved ids used when a
-        campaign executor dispatches pairs concurrently.
+        ``experiment_ids`` accepts the two ids a campaign reserved for
+        the pair up front.
         """
         if site_a == site_b:
             raise ConfigurationError("pairwise experiment needs two distinct sites")
@@ -172,14 +167,11 @@ class ExperimentRunner:
         ordered: bool = True,
         parent_span_id: Optional[str] = None,
     ) -> List["ExperimentTask"]:
-        """Reserve experiment ids for the given site pairs — in pair
-        order, matching what a serial sweep would consume — and return
-        the ready-to-dispatch experiment descriptors.
+        """Reserve experiment ids for the given site pairs, in pair
+        order, and return the ready-to-dispatch experiment descriptors.
 
         ``parent_span_id`` parents each task's experiment span to the
-        surrounding campaign-phase span; it rides inside the (picklable)
-        descriptor because worker threads and processes cannot see the
-        dispatching thread's current span.
+        surrounding campaign-phase span.
         """
         tasks = []
         for a, b in sites:
@@ -205,18 +197,13 @@ class ExperimentRunner:
         self,
         site_ids: Iterable[int],
         ordered: bool = True,
-        executor: Optional[CampaignExecutor] = None,
         progress: Optional[ProgressFn] = None,
     ) -> PreferenceMatrix:
         """Run pairwise experiments over every pair in ``site_ids`` and
         collect all clients' observations.
 
-        ``executor`` runs the (independent) pairs concurrently;
-        experiment ids are reserved in pair order first, so the matrix
-        is identical to a serial sweep — chunked process dispatch
-        included.  ``progress`` is called as ``progress(done, total)``
-        in completion order: after each pair under the in-process
-        executors, after each completed chunk under the process pool.
+        Experiment ids are reserved in pair order first.  ``progress``
+        is called as ``progress(done, total)`` after each pair.
 
         A pair whose experiment exhausted its retries degrades to an
         explicit :attr:`PreferenceOutcome.UNDECIDED
@@ -225,14 +212,13 @@ class ExperimentRunner:
         """
         sites = sorted(set(site_ids))
         pairs = [(a, b) for i, a in enumerate(sites) for b in sites[i + 1:]]
-        executor = executor if executor is not None else SerialExecutor()
         with self.orchestrator.tracer.span(
             "pairwise-sweep", sites=sites, ordered=ordered
         ) as sweep:
             tasks = self.pairwise_tasks(
                 pairs, ordered=ordered, parent_span_id=sweep.span_id
             )
-            results = executor.run_experiments(
+            results = CampaignExecutor().run_experiments(
                 self.orchestrator, tasks, progress=progress
             )
         matrix = PreferenceMatrix()
@@ -250,23 +236,18 @@ class ExperimentRunner:
 
 @dataclass(frozen=True)
 class ExperimentTask:
-    """A picklable description of one independent campaign experiment.
+    """A description of one independent campaign experiment.
 
-    Descriptors carry everything a worker needs to run the experiment
-    against *any* orchestrator built from the same campaign spec
-    (testbed, targets, seed, settings): the experiment kind, the
-    pre-reserved experiment ids, and the kind-specific arguments.
-    That is the process-pool contract — a forked worker rebuilds its
-    own orchestrator and executes the descriptor bit-identically to
-    the serial path, because every noise stream is keyed by the
-    experiment ids reserved here, not by which worker runs it.
+    Descriptors carry the experiment kind, the pre-reserved experiment
+    ids, and the kind-specific arguments.  Every noise stream is keyed
+    by the experiment ids reserved here, not by when the descriptor
+    runs.
 
     ``subject`` is the human-readable label used when the experiment
     degrades into a :class:`~repro.runtime.retry.FailedExperiment`.
 
-    ``parent_span_id`` carries the dispatching phase's span id across
-    the executor (and process) boundary, so the experiment's trace
-    span lands under the right parent no matter which worker runs it.
+    ``parent_span_id`` carries the dispatching phase's span id, so the
+    experiment's trace span lands under that phase.
     """
 
     kind: str
@@ -380,14 +361,12 @@ def execute_experiment_task(orchestrator: Orchestrator, task: ExperimentTask):
 
     Retries-exhausted failures come back as
     :class:`~repro.runtime.retry.FailedExperiment` *values*, not
-    exceptions: executors only return records, and the main-process
-    collection loop records them, so the failure log order is the task
-    order regardless of executor (or process boundary).
+    exceptions: the executor only returns records, and the driver's
+    collection loop records them in task order.
 
     The whole task runs inside one ``experiment`` span keyed by its
     first reserved experiment id (``…/exp:17``) and parented to
-    ``task.parent_span_id`` — explicitly, never to the worker thread's
-    ambient span, so the span tree is identical across executors.
+    ``task.parent_span_id``.
     """
     tracer = orchestrator.tracer
     with tracer.span(

@@ -14,7 +14,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.core.config import AnycastConfig
 from repro.core.experiments import ExperimentTask
 from repro.measurement.orchestrator import Orchestrator
-from repro.runtime.executor import CampaignExecutor, SerialExecutor
+from repro.runtime.executor import CampaignExecutor
 from repro.runtime.retry import FailedExperiment
 from repro.util.errors import ConfigurationError, MeasurementError
 from repro.util.stats import mean
@@ -113,17 +113,12 @@ def one_pass_peer_selection(
     orchestrator: Orchestrator,
     base_config: AnycastConfig,
     peer_ids: Optional[Sequence[int]] = None,
-    executor: Optional[CampaignExecutor] = None,
 ) -> OnePassReport:
     """Run the full one-pass protocol: M single-peer measurements, a
     greedy selection, then one deployment of the selected set.
 
-    The M single-peer trials are independent, so ``executor`` may run
-    them concurrently; ids are reserved in peer order, keeping the
-    report identical to the serial protocol.  Under the process pool
-    the probes ship as chunked descriptors to the campaign's warm
-    workers (a testbed's ~100 peer probes cost a handful of dispatch
-    round trips, not one each).
+    The M single-peer trials get their experiment ids reserved in peer
+    order before any of them runs.
 
     Probes that exhaust their retries are recorded as failures and
     skipped by the greedy selection; a failed final deployment leaves
@@ -135,7 +130,6 @@ def one_pass_peer_selection(
     peer_ids = (
         list(peer_ids) if peer_ids is not None else orchestrator.testbed.peer_ids()
     )
-    executor = executor if executor is not None else SerialExecutor()
     failures: List[FailedExperiment] = []
 
     base = orchestrator.deploy(base_config)
@@ -169,7 +163,7 @@ def one_pass_peer_selection(
             )
             for peer_id, exp_id in zip(peer_ids, probe_ids)
         ]
-        outcomes = executor.run_experiments(orchestrator, tasks)
+        outcomes = CampaignExecutor().run_experiments(orchestrator, tasks)
     probes: List[PeerProbeResult] = []
     for outcome in outcomes:
         if isinstance(outcome, FailedExperiment):

@@ -36,7 +36,7 @@ from repro.core.preferences import (
     tournament,
 )
 from repro.measurement.rtt import RttMatrix
-from repro.runtime.executor import CampaignExecutor, SerialExecutor
+from repro.runtime.executor import CampaignExecutor
 from repro.runtime.retry import FailedExperiment
 from repro.topology.testbed import Testbed
 from repro.util.errors import ConfigurationError, ReproError
@@ -362,7 +362,6 @@ def discover_two_level(
     site_level_mode: SiteLevelMode = SiteLevelMode.PAIRWISE,
     ordered: bool = True,
     providers: Optional[Sequence[int]] = None,
-    executor: Optional[CampaignExecutor] = None,
     progress=None,
     checkpoint=None,
 ) -> TwoLevelModel:
@@ -371,14 +370,8 @@ def discover_two_level(
     ``ordered=False`` runs the provider-level experiments with
     simultaneous announcements (the naive baseline of Figure 4b).
     ``providers`` restricts discovery to a subset of transit providers
-    (used to emulate smaller anycast networks).  ``executor`` runs the
-    independent pairwise experiments concurrently; experiment ids are
-    reserved in serial order first, so results are identical to a
-    serial campaign.  A single executor serves both discovery levels —
-    under the process pool the provider-level sweep and every
-    per-provider site sweep dispatch chunks onto the same warm forked
-    workers (the pool is keyed on the campaign spec, so no phase
-    re-forks it).
+    (used to emulate smaller anycast networks).  Experiment ids are
+    reserved in pair order before each sweep runs.
 
     ``progress`` is an optional resumable-state object (duck-typed:
     attributes ``provider_matrix`` and ``site_matrices``); phases whose
@@ -395,7 +388,6 @@ def discover_two_level(
     metrics = runner.orchestrator.metrics
     tracer = runner.orchestrator.tracer
     provider_list = list(providers) if providers is not None else testbed.provider_asns()
-    executor = executor if executor is not None else SerialExecutor()
 
     # Provider-level: one representative site per provider; record
     # observations in provider-ASN space.
@@ -419,7 +411,7 @@ def discover_two_level(
                 ordered=ordered,
                 parent_span_id=phase_span.span_id,
             )
-            results = executor.run_experiments(runner.orchestrator, tasks)
+            results = CampaignExecutor().run_experiments(runner.orchestrator, tasks)
         clients = runner.orchestrator.targets.columns.ids
         for (pa, pb), result in zip(provider_pairs, results):
             if isinstance(result, FailedExperiment):
@@ -450,7 +442,7 @@ def discover_two_level(
                     continue
                 sites = testbed.sites_of_provider(provider)
                 site_matrices[provider] = (
-                    runner.pairwise_sweep(sites, ordered=True, executor=executor)
+                    runner.pairwise_sweep(sites, ordered=True)
                     if len(sites) > 1
                     else PreferenceMatrix()
                 )

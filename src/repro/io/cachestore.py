@@ -3,9 +3,8 @@
 The in-memory :class:`~repro.runtime.cache.ConvergenceCache` dies with
 its process, which forfeits the two cheapest wins a campaign has:
 ``evaluate`` re-running a configuration that ``optimize``'s discovery
-already converged in an *earlier CLI invocation*, and process-pool
-workers re-converging states a sibling worker just produced.  The
-store spills cache entries to a directory so both hit.
+already converged in an *earlier CLI invocation*.  The store spills
+cache entries to a directory so that run hits.
 
 Layout and soundness:
 

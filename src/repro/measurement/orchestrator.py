@@ -27,7 +27,7 @@ from repro.measurement.verfploeter import CatchmentMap, measure_catchments
 from repro.obs.log import get_logger
 from repro.obs.trace import Tracer
 from repro.runtime.cache import ConvergenceCache
-from repro.runtime.executor import CampaignExecutor, SerialExecutor
+from repro.runtime.executor import CampaignExecutor
 from repro.runtime.faults import FaultInjector
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.retry import FailedExperiment, RetryPolicy, run_with_retry
@@ -240,9 +240,9 @@ class Orchestrator:
       per-experiment path-RTT drift.
 
     Campaign drivers reserve experiment ids *before* dispatching work
-    (:meth:`reserve_experiment_ids`), which is what makes pooled
-    execution bit-identical to the serial path: every seeded noise
-    stream is keyed by experiment id, never by completion order.
+    (:meth:`reserve_experiment_ids`): every seeded noise stream is
+    keyed by experiment id, so a resumed campaign draws what an
+    uninterrupted one would have.
     """
 
     def __init__(
@@ -316,10 +316,8 @@ class Orchestrator:
     def reserve_experiment_ids(self, count: int) -> range:
         """Claim the next ``count`` experiment ids, in serial order.
 
-        Campaign executors reserve ids for a whole batch up front and
-        then deploy concurrently; because ids — not completion times —
-        seed the churn/jitter/drift streams, the results match a
-        serial run experiment for experiment.
+        Campaign drivers reserve ids for a whole batch up front and
+        then deploy them; ids seed the churn/jitter/drift streams.
         """
         if count < 0:
             raise ConfigurationError("cannot reserve a negative id count")
@@ -332,8 +330,8 @@ class Orchestrator:
         """Validate and consume one experiment id.
 
         A reused or never-reserved id would duplicate noise streams and
-        silently corrupt pooled-vs-serial determinism, so both are
-        rejected with :class:`ConfigurationError`.
+        silently corrupt determinism, so both are rejected with
+        :class:`ConfigurationError`.
         """
         with self._id_lock:
             if experiment_id is None:
@@ -352,21 +350,6 @@ class Orchestrator:
                 )
             self._used_ids.add(experiment_id)
         return experiment_id
-
-    def adopt_reserved_ids(self, experiment_ids: Iterable[int]) -> None:
-        """Recognise ids reserved by a *coordinating* orchestrator.
-
-        A process-pool worker's orchestrator never reserves ids itself
-        — the main-process orchestrator reserved them serially before
-        dispatch — so the worker extends its id space to cover the
-        incoming task's ids before deploying them.  Each task runs on
-        exactly one worker, so the per-worker used-id set still catches
-        local reuse.
-        """
-        top = max(experiment_ids, default=0)
-        with self._id_lock:
-            if top > self._experiment_count:
-                self._experiment_count = top
 
     def restore_experiment_state(self, experiment_count: int) -> None:
         """Fast-forward the id space past a checkpoint's experiments.
@@ -388,7 +371,7 @@ class Orchestrator:
 
     def record_failure(self, failure: FailedExperiment) -> None:
         """Record one degraded experiment (drivers call this in task
-        order, so the failure log is deterministic under pooling)."""
+        order, so the failure log is deterministic)."""
         with self._failure_lock:
             self.failures.append(failure)
         self.metrics.counter("experiments_failed").increment()
@@ -560,15 +543,12 @@ class Orchestrator:
     def measure_rtt_matrix(
         self,
         site_ids: Optional[Iterable[int]] = None,
-        executor: Optional[CampaignExecutor] = None,
     ) -> RttMatrix:
         """Run one singleton experiment per site and estimate the RTT
         from that site to every target (paper S3.4: ``O(|S|)``
         singleton experiments).
 
-        The singletons are independent, so ``executor`` may run them
-        concurrently; ids are reserved in site order, keeping the
-        result identical to the serial sweep.
+        Ids are reserved in site order before any singleton runs.
 
         A singleton whose experiment exhausts its retries degrades
         gracefully: that site's row is recorded as all-None (no usable
@@ -579,7 +559,6 @@ class Orchestrator:
         from repro.core.experiments import ExperimentTask
 
         site_ids = self.testbed.site_ids() if site_ids is None else list(site_ids)
-        executor = executor if executor is not None else SerialExecutor()
         ids = self.reserve_experiment_ids(len(site_ids))
         with self.metrics.phase("rtt-matrix"), self.tracer.span(
             "rtt-matrix", sites=len(site_ids)
@@ -594,7 +573,7 @@ class Orchestrator:
                 )
                 for site_id, experiment_id in zip(site_ids, ids)
             ]
-            rows = executor.run_experiments(self, tasks)
+            rows = CampaignExecutor().run_experiments(self, tasks)
         matrix = RttMatrix()
         for site_id, row in zip(site_ids, rows):
             if isinstance(row, FailedExperiment):

@@ -3,7 +3,7 @@
 ``repro.obs`` layers several views over a running campaign or server:
 
 * :mod:`repro.obs.trace` — hierarchical spans with deterministic ids,
-  recorded in memory and mergeable across thread/process workers;
+  recorded in memory;
 * :mod:`repro.obs.log` — structured stdlib logging (key=value or
   JSON) under the ``repro.`` namespace;
 * :mod:`repro.obs.export` — JSONL trace files and Prometheus text

@@ -2,7 +2,7 @@
 
 Both exports are *views* over what the tracer and registry already
 hold — they never mutate campaign state, so exporting is safe at any
-point and (for traces) byte-identical across executor modes once the
+point and (for traces) byte-identical across runs once the
 wall-clock fields are excluded.
 """
 

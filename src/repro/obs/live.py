@@ -2,8 +2,8 @@
 
 The batch metrics layer (:mod:`repro.runtime.metrics`) is built for
 campaigns: its :class:`~repro.runtime.metrics.Histogram` keeps every
-raw observation so summaries report *exact* percentiles and worker
-deltas merge losslessly — the right trade for a few thousand
+raw observation so summaries report *exact* percentiles — the right
+trade for a few thousand
 experiments, and a memory leak for a server answering millions of
 predictions.  This module is the other half of the story: bounded,
 O(1)-memory instruments that answer "how is the service doing *right

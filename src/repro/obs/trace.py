@@ -15,16 +15,9 @@ Determinism contract (mirrors the metrics layer):
 - Span ids are *derived from the tree position*, never from wall
   clocks, thread identity, or allocation order: an experiment span's
   id is keyed by its reserved experiment id (``…/exp:17``), and spans
-  created serially under one parent get a per-``(parent, name)``
-  sequence number (``…/deploy#0``).  Sibling experiment spans may
-  start concurrently, but their keys come from the serially reserved
-  ids, so the same campaign produces the same span tree under the
-  serial, thread, and process executors — only the timing fields
-  differ.
-- Process-pool workers record into their own tracer and ship each
-  task's new span records back to the main process
-  (:meth:`Tracer.export_finished_since` → :meth:`Tracer.merge_spans`),
-  exactly like metrics deltas.
+  created under one parent get a per-``(parent, name)`` sequence
+  number (``…/deploy#0``).  The same campaign therefore produces the
+  same span tree on every run — only the timing fields differ.
 - Tracing never feeds back into any seeded RNG stream: spans observe
   the simulation, they do not perturb it.
 """
@@ -37,13 +30,12 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
-#: Wall-clock fields excluded when comparing traces across executors.
+#: Wall-clock fields excluded when comparing traces across runs.
 TIMING_FIELDS = ("start_unix", "duration_s")
 EVENT_TIMING_FIELDS = ("time_unix",)
 
 #: Sentinel distinguishing "use the calling thread's current span" from
-#: an explicit "no parent" (``parent=None`` forces a root span, which
-#: is what executors need so worker threads and the serial path agree).
+#: an explicit "no parent" (``parent=None`` forces a root span).
 CURRENT = object()
 
 _SEGMENT_NUMBERS = re.compile(r"(\d+)")
@@ -157,15 +149,13 @@ _NOOP_SPAN = _NoopSpan()
 class Tracer:
     """Records one process's span tree.
 
-    Thread-safe: pooled campaign executors open sibling spans from
-    worker threads.  The *current span* is tracked per thread, so a
-    span opened inside a worker parents to that worker's own enclosing
-    span, never to another thread's.
+    Thread-safe, with the *current span* tracked per thread: a span
+    opened on one thread parents to that thread's own enclosing span,
+    never to another thread's.
 
     ``max_records`` makes retention a ring of the last that many
     finished records (an always-on server opens a span per request).
-    The default keeps everything: a campaign exports its whole tree, and
-    :meth:`export_finished_since` marks assume nothing was dropped.
+    The default keeps everything: a campaign exports its whole tree.
     """
 
     def __init__(self, enabled: bool = True, max_records: Optional[int] = None):
@@ -229,9 +219,8 @@ class Tracer:
     def span(self, name: str, key: Optional[str] = None, parent=CURRENT, **attributes):
         """Open one span: ``with tracer.span("deploy", ...) as span:``.
 
-        ``key`` overrides the auto-assigned ``name#seq`` id segment;
-        callers creating spans *concurrently* under one parent must
-        supply a deterministic key (the reserved experiment id).
+        ``key`` overrides the auto-assigned ``name#seq`` id segment
+        (experiment spans pass their reserved experiment id).
         ``parent`` accepts a :class:`Span`, a span id string, ``None``
         (force a root span), or the default — the calling thread's
         current span.  An exception marks the span as an error and
@@ -279,7 +268,7 @@ class Tracer:
         with self._lock:
             self._keep(span.to_dict())
 
-    # -- reading / merging ---------------------------------------------------
+    # -- reading -------------------------------------------------------------
 
     @property
     def finished_count(self) -> int:
@@ -300,24 +289,10 @@ class Tracer:
             found = [r for sid, r in self._records.items() if sid.startswith(prefix)]
         return iter(found)
 
-    def export_finished_since(self, mark: int) -> List[Dict]:
-        """Records finished after ``mark`` (a prior
-        :attr:`finished_count`) — the per-task span delta a process
-        worker ships back."""
-        with self._lock:
-            return [dict(r) for r in list(self._records.values())[mark:]]
-
-    def merge_spans(self, records: List[Dict]) -> None:
-        """Fold another tracer's finished records into this one
-        (the span counterpart of ``MetricsRegistry.merge_deltas``)."""
-        with self._lock:
-            for record in records:
-                self._keep(record)
-
 
 def strip_timing(record: Dict) -> Dict:
     """A copy of a span record without wall-clock fields — the form
-    compared when asserting executor-independent traces."""
+    compared when asserting that two runs traced the same tree."""
     stripped = {k: v for k, v in record.items() if k not in TIMING_FIELDS}
     stripped["events"] = [
         {k: v for k, v in event.items() if k not in EVENT_TIMING_FIELDS}

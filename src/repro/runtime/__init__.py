@@ -1,17 +1,14 @@
-"""Campaign runtime: parallel execution, convergence caching, metrics.
+"""Campaign runtime: experiment execution, convergence caching, metrics.
 
 The AnyOpt pipeline is dominated by independent BGP experiments —
-singletons, ordered pairwise pairs, one-pass peer trials — that a
-serial loop turns into the campaign's wall-clock floor.  This package
+singletons, ordered pairwise pairs, one-pass peer trials.  This package
 supplies the runtime machinery the drivers in :mod:`repro.core` and
 :mod:`repro.measurement` thread through their call chains:
 
-- :mod:`repro.runtime.executor` — serial, thread-pooled, and
-  process-pooled campaign executors; experiment ids are reserved up
-  front so pooled runs are bit-identical to serial ones.  The process
-  executor dispatches *chunks* of tasks to a warm pool of forked
-  workers keyed on the campaign spec (one metrics/span merge per
-  chunk, one pool across campaign phases);
+- :mod:`repro.runtime.executor` — the campaign executor, which runs a
+  phase's experiment descriptors in order in the calling thread;
+  experiment ids are reserved up front, so a resumed campaign draws
+  the same noise as an uninterrupted one;
 - :mod:`repro.runtime.cache` — an exact-input LRU cache of converged
   BGP states, so redeployments of the same configuration skip
   re-propagation;
@@ -30,14 +27,7 @@ supplies the runtime machinery the drivers in :mod:`repro.core` and
 """
 
 from repro.runtime.cache import ConvergenceCache
-from repro.runtime.executor import (
-    CampaignExecutor,
-    PooledExecutor,
-    ProcessExecutor,
-    SerialExecutor,
-    auto_chunk_size,
-    make_executor,
-)
+from repro.runtime.executor import CampaignExecutor
 from repro.runtime.faults import (
     AnnouncementFailureError,
     ConvergenceTimeoutError,
@@ -65,14 +55,9 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "PhaseRecord",
-    "PooledExecutor",
     "ProbeBlackoutError",
-    "ProcessExecutor",
     "RetryPolicy",
-    "SerialExecutor",
     "SessionResetError",
     "Timer",
-    "auto_chunk_size",
-    "make_executor",
     "run_with_retry",
 ]

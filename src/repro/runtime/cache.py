@@ -36,18 +36,17 @@ DISK_HITS_COUNTER = "convergence_cache_disk_hits"
 class ConvergenceCache:
     """A bounded LRU cache of converged control-plane states.
 
-    Thread-safe: pooled campaign executors look up and store entries
-    from worker threads.  Two threads racing on the same key may both
-    miss and both converge — the results are identical by construction,
-    so the duplicate store is harmless.
+    Thread-safe: two threads racing on the same key may both miss and
+    both converge — the results are identical by construction, so the
+    duplicate store is harmless.
 
     ``store`` optionally spills entries to a persistent
     :class:`~repro.io.cachestore.ConvergenceStore`: every stored state
     is also written to disk, and a memory miss consults the disk
     before reporting a miss.  Disk hits count as hits (plus their own
     counter) because the engine run they replace is skipped all the
-    same — that is how repeated CLI invocations and process-pool
-    workers reuse each other's convergence work.
+    same — that is how repeated CLI invocations reuse each other's
+    convergence work.
 
     Engine results hold a :class:`~repro.bgp.delta.LazyStates` mapping
     whose pickle reduces to a plain dict, so a spilled entry is plain

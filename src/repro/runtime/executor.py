@@ -1,77 +1,26 @@
-"""Campaign executors: run independent BGP experiments concurrently.
+"""The campaign executor: runs a campaign's BGP experiments in order.
 
 The experiment drivers express a campaign as an ordered list of
 :class:`~repro.core.experiments.ExperimentTask` descriptors whose
 experiment ids were *reserved up front* in serial order (see
 :meth:`~repro.measurement.orchestrator.Orchestrator.reserve_experiment_ids`).
-Because every seeded noise stream is keyed by experiment id — not by
-wall-clock order or by worker identity — every executor produces
-bit-identical results to the serial path: only the wall-clock
-interleaving changes.
+Every seeded noise stream is keyed by experiment id, so a checkpointed
+campaign resumes onto the same ids and the same draws.
 
-Three executors implement that contract:
-
-- :class:`SerialExecutor` — the reference path, one experiment at a
-  time in the calling thread.
-- :class:`PooledExecutor` — a thread pool sharing the campaign's
-  orchestrator; the default for ``parallelism > 1``.  Real measurement
-  campaigns are dominated by waiting (BGP convergence holds, probe
-  round trips), which threads overlap well.
-- :class:`ProcessExecutor` — a pool of forked worker processes, each
-  owning an orchestrator rebuilt from the campaign's picklable spec
-  (testbed, targets, seed, settings).  This sidesteps the GIL for
-  CPU-bound convergence work.  Tasks are dispatched in *chunks*
-  (auto-sized from the task count and pool width, or pinned via
-  ``CampaignSettings.process_chunk_size`` / ``--chunk-size``): one
-  worker round trip carries a whole chunk's descriptors out and a
-  single merged counter/timer/histogram/span delta back, instead of
-  one pickling round trip per experiment.  The pool itself is keyed on
-  the campaign *spec*, not on orchestrator object identity, so the
-  discover → audit → repair phases of one campaign reuse one warm
-  pool of forked workers.  Worker-local convergence caches warm
-  independently (share them across processes with
-  ``convergence_cache_path``).
+Experiments run one at a time in the calling thread.  No simulated
+experiment waits on anything, so a worker pool could only help by
+beating the GIL; neither a thread pool nor a fork pool came within
+1.2x of this loop, and both were removed.
 """
 
-from concurrent.futures import (
-    CancelledError,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
-from dataclasses import dataclass
-from functools import partial
-from multiprocessing import get_context
-from threading import Lock
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
-
-from repro.util.errors import ConfigurationError
-
-T = TypeVar("T")
+from typing import Callable, List, Optional, Sequence
 
 #: Signature of the optional progress callback: ``progress(done, total)``.
 ProgressFn = Callable[[int, int], None]
 
 
 class CampaignExecutor:
-    """Base executor: runs tasks serially, in order."""
-
-    #: Number of concurrent workers (1 for the serial path).
-    max_workers: int = 1
-
-    def run(
-        self,
-        tasks: Sequence[Callable[[], T]],
-        progress: Optional[ProgressFn] = None,
-    ) -> List[T]:
-        """Run every task and return their results in task order."""
-        results: List[T] = []
-        total = len(tasks)
-        for done, task in enumerate(tasks, start=1):
-            results.append(task())
-            if progress is not None:
-                progress(done, total)
-        return results
+    """Runs experiment descriptors serially, in task order."""
 
     def run_experiments(
         self,
@@ -80,353 +29,16 @@ class CampaignExecutor:
         progress: Optional[ProgressFn] = None,
     ) -> List:
         """Execute :class:`~repro.core.experiments.ExperimentTask`
-        descriptors against ``orchestrator``; results keep task order.
-
-        The in-process executors bind each descriptor to the campaign's
-        own orchestrator; :class:`ProcessExecutor` overrides this to
-        ship the descriptors to its workers instead.
-        """
+        descriptors against ``orchestrator``; results keep task order
+        and ``progress(done, total)`` fires after each one."""
         # Imported lazily: repro.core imports this module, so a
         # module-level import would be a cycle.
         from repro.core.experiments import execute_experiment_task
 
-        return self.run(
-            [partial(execute_experiment_task, orchestrator, task) for task in tasks],
-            progress=progress,
-        )
-
-    def close(self) -> None:
-        """Release pooled resources (a no-op for in-process executors).
-
-        Safe to call repeatedly; campaign drivers call it when the
-        campaign ends."""
-
-
-class SerialExecutor(CampaignExecutor):
-    """The serial reference path: one experiment at a time."""
-
-
-class PooledExecutor(CampaignExecutor):
-    """Runs tasks on a thread pool; results keep task order.
-
-    ``progress`` is invoked from worker threads as tasks complete (in
-    completion order, which may differ from task order).
-    """
-
-    def __init__(self, max_workers: int):
-        if max_workers < 1:
-            raise ConfigurationError("executor needs at least one worker")
-        self.max_workers = max_workers
-
-    def run(
-        self,
-        tasks: Sequence[Callable[[], T]],
-        progress: Optional[ProgressFn] = None,
-    ) -> List[T]:
-        if not tasks:
-            return []
+        results = []
         total = len(tasks)
-        done = 0
-        done_lock = Lock()
-
-        def tracked(task: Callable[[], T]) -> T:
-            nonlocal done
-            result = task()
+        for done, task in enumerate(tasks, start=1):
+            results.append(execute_experiment_task(orchestrator, task))
             if progress is not None:
-                with done_lock:
-                    done += 1
-                    current = done
-                progress(current, total)
-            return result
-
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            futures = [pool.submit(tracked, task) for task in tasks]
-            try:
-                return [f.result() for f in futures]
-            except BaseException:
-                # Fail fast: cancel everything still queued so the
-                # pool-exit join doesn't run the rest of the campaign
-                # before the error surfaces.  Tasks already running
-                # finish (threads cannot be interrupted) and the pool
-                # joins only those.
-                for f in futures:
-                    f.cancel()
-                raise
-
-
-# -- process pool -----------------------------------------------------------
-
-
-#: With no explicit chunk size, aim for this many chunks per worker:
-#: enough slack that an unlucky worker stuck with the slowest chunk
-#: doesn't serialize the tail of the campaign, while still amortizing
-#: the per-dispatch pickling and metrics-merge round trip over several
-#: experiments.
-_CHUNKS_PER_WORKER = 4
-
-
-def auto_chunk_size(task_count: int, max_workers: int) -> int:
-    """The chunk size the process executor picks when none is pinned:
-    ``ceil(tasks / (workers * _CHUNKS_PER_WORKER))``, floored at 1.
-
-    Small dispatches degenerate to one task per chunk (identical to
-    the historical per-experiment dispatch); large campaigns ship
-    ``~4 * pool_width`` chunks regardless of experiment count."""
-    if task_count <= 0:
-        return 1
-    return max(1, -(-task_count // (max_workers * _CHUNKS_PER_WORKER)))
-
-
-@dataclass(frozen=True)
-class _WorkerSpec:
-    """Everything a forked worker needs to rebuild the campaign's
-    orchestrator.  All fields must be picklable (the AS graph drops
-    its derived topology tables on pickling and workers rebuild them
-    on first use); under the preferred ``fork`` start method the spec
-    is inherited through the forked memory image at pool creation —
-    the shared topology crosses the process boundary exactly once per
-    worker, never per task."""
-
-    testbed: Any
-    targets: Any
-    seed: Any
-    settings: Any
-
-
-#: The per-worker-process orchestrator, built once by the pool
-#: initializer and reused for every task the worker executes.
-_WORKER_ORCHESTRATOR = None
-
-
-def _init_worker(spec: _WorkerSpec) -> None:
-    global _WORKER_ORCHESTRATOR
-    from repro.measurement.orchestrator import Orchestrator
-
-    _WORKER_ORCHESTRATOR = Orchestrator(
-        spec.testbed, spec.targets, seed=spec.seed, settings=spec.settings
-    )
-
-
-def _snapshot_deltas(before: Dict, after: Dict) -> Tuple[Dict, Dict]:
-    """Counter/timer movement between two metrics snapshots."""
-    counters = {
-        name: after["counters"][name] - before["counters"].get(name, 0)
-        for name in after["counters"]
-    }
-    timers = {
-        name: {
-            "total_seconds": t["total_seconds"]
-            - before["timers"].get(name, {}).get("total_seconds", 0.0),
-            "count": t["count"] - before["timers"].get(name, {}).get("count", 0),
-        }
-        for name, t in after["timers"].items()
-    }
-    return counters, timers
-
-
-def _run_worker_chunk(tasks):
-    """Execute a chunk of descriptors in a worker process.
-
-    Returns ``(results, counter_deltas, timer_deltas, histogram_deltas,
-    span_records)`` — the whole chunk's results in task order plus
-    *one* metrics/span delta covering all of them, so the main process
-    pays a single merge per chunk instead of one per experiment.
-    """
-    from repro.core.experiments import execute_experiment_task
-
-    orchestrator = _WORKER_ORCHESTRATOR
-    for task in tasks:
-        orchestrator.adopt_reserved_ids(task.experiment_ids)
-    before = orchestrator.metrics.snapshot()
-    histogram_marks = orchestrator.metrics.histogram_counts()
-    span_mark = orchestrator.tracer.finished_count
-    results = [execute_experiment_task(orchestrator, task) for task in tasks]
-    counters, timers = _snapshot_deltas(before, orchestrator.metrics.snapshot())
-    histograms = orchestrator.metrics.histogram_values_since(histogram_marks)
-    spans = orchestrator.tracer.export_finished_since(span_mark)
-    return results, counters, timers, histograms, spans
-
-
-class ProcessExecutor(CampaignExecutor):
-    """Runs experiment descriptors on a pool of forked processes.
-
-    The pool is created lazily on the first :meth:`run_experiments`
-    call (that is when the campaign spec is known) and is keyed on the
-    campaign *spec* — same testbed and target-set objects, equal seed
-    and settings — rather than on the orchestrator's object identity.
-    Campaign phases that rebuild their orchestrator from the same spec
-    (the repair loop does, once per round) therefore reuse the warm
-    pool instead of silently re-forking.  A re-fork happens only for a
-    genuinely different spec (e.g. a repair round with an escalated
-    retry budget, which workers must honor) or when a batch's
-    experiment ids regress below ids already dispatched — one
-    campaign's ids only grow across dispatches, so a regression means
-    a *new* campaign restarted its id space and the stale workers'
-    id-reuse guard must not see it.  Call :meth:`close` — or
-    ``AnyOpt.close()`` — to shut the workers down when the campaign
-    ends.
-
-    ``chunk_size`` pins how many descriptors each worker dispatch
-    carries; ``None`` auto-sizes via :func:`auto_chunk_size`.  Results
-    are returned in task order regardless of chunking; ``progress``
-    fires in completion order as chunks finish (the same contract as
-    :class:`PooledExecutor`), so one slow head-of-line chunk never
-    freezes the progress display.
-
-    Uses the ``fork`` start method where available so workers inherit
-    the parent's imports (and the campaign spec) cheaply; platforms
-    without ``fork`` fall back to the default start method.
-    """
-
-    def __init__(self, max_workers: int, chunk_size: Optional[int] = None):
-        if max_workers < 1:
-            raise ConfigurationError("executor needs at least one worker")
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError("chunk size must be >= 1 (or None for auto)")
-        self.max_workers = max_workers
-        self.chunk_size = chunk_size
-        self._pool: Optional[ProcessPoolExecutor] = None
-        #: The (testbed, targets, seed, settings) the live pool's
-        #: workers were forked with.
-        self._pool_spec: Optional[Tuple[Any, Any, Any, Any]] = None
-        #: Highest experiment id ever dispatched to the live pool.
-        #: Within one campaign ids only grow across dispatches (they
-        #: are reserved serially); an incoming batch whose ids regress
-        #: below this mark is a *new* campaign that restarted its id
-        #: space, and its ids would trip the workers' reuse guard — so
-        #: it gets a fresh fork instead.
-        self._pool_max_id = 0
-
-    def run(
-        self,
-        tasks: Sequence[Callable[[], T]],
-        progress: Optional[ProgressFn] = None,
-    ) -> List[T]:
-        raise ConfigurationError(
-            "the process executor runs ExperimentTask descriptors via "
-            "run_experiments(); in-process callables cannot cross the "
-            "process boundary"
-        )
-
-    def _spec_matches(self, orchestrator) -> bool:
-        if self._pool_spec is None:
-            return False
-        testbed, targets, seed, settings = self._pool_spec
-        return (
-            testbed is orchestrator.testbed
-            and targets is orchestrator.targets
-            and seed == orchestrator.seed
-            and settings == orchestrator.settings
-        )
-
-    def _pool_for(self, orchestrator, min_batch_id: int) -> ProcessPoolExecutor:
-        if (
-            self._pool is not None
-            and self._spec_matches(orchestrator)
-            and min_batch_id > self._pool_max_id
-        ):
-            return self._pool
-        self.close()
-        spec = _WorkerSpec(
-            testbed=orchestrator.testbed,
-            targets=orchestrator.targets,
-            seed=orchestrator.seed,
-            settings=orchestrator.settings,
-        )
-        try:
-            mp_context = get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            mp_context = get_context()
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.max_workers,
-            mp_context=mp_context,
-            initializer=_init_worker,
-            initargs=(spec,),
-        )
-        self._pool_spec = (
-            orchestrator.testbed,
-            orchestrator.targets,
-            orchestrator.seed,
-            orchestrator.settings,
-        )
-        return self._pool
-
-    def run_experiments(
-        self,
-        orchestrator,
-        tasks: Sequence,
-        progress: Optional[ProgressFn] = None,
-    ) -> List:
-        if not tasks:
-            return []
-        batch_ids = [i for task in tasks for i in task.experiment_ids]
-        pool = self._pool_for(orchestrator, min(batch_ids, default=1))
-        self._pool_max_id = max(self._pool_max_id, max(batch_ids, default=0))
-        size = (
-            self.chunk_size
-            if self.chunk_size is not None
-            else auto_chunk_size(len(tasks), self.max_workers)
-        )
-        chunks = [list(tasks[i : i + size]) for i in range(0, len(tasks), size)]
-        chunk_index = {
-            pool.submit(_run_worker_chunk, chunk): idx
-            for idx, chunk in enumerate(chunks)
-        }
-        slots: List[Optional[List]] = [None] * len(chunks)
-        total = len(tasks)
-        done = 0
-        first_error: Optional[BaseException] = None
-        for future in as_completed(chunk_index):
-            try:
-                results, counters, timers, histograms, spans = future.result()
-            except CancelledError:
-                continue
-            except BaseException as exc:
-                # First failure wins; cancel everything still queued,
-                # but keep draining so chunks that already finished
-                # (or were mid-flight) still merge their metrics and
-                # spans before the error surfaces.
-                if first_error is None:
-                    first_error = exc
-                    for pending in chunk_index:
-                        pending.cancel()
-                continue
-            orchestrator.metrics.merge_deltas(counters, timers, histograms)
-            orchestrator.tracer.merge_spans(spans)
-            slots[chunk_index[future]] = results
-            done += len(results)
-            if progress is not None and first_error is None:
                 progress(done, total)
-        if first_error is not None:
-            raise first_error
-        return [result for chunk_results in slots for result in chunk_results]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-            self._pool_spec = None
-            self._pool_max_id = 0
-
-
-def make_executor(
-    parallelism: Optional[int],
-    kind: str = "thread",
-    chunk_size: Optional[int] = None,
-) -> CampaignExecutor:
-    """The entry-point policy: ``None`` or ``1`` selects the serial
-    path; anything larger a pool of that width — threads by default,
-    forked processes for ``kind="process"``.  ``chunk_size`` pins the
-    process executor's dispatch chunking (ignored for the other
-    kinds); ``None`` auto-sizes per dispatch."""
-    if kind not in ("thread", "process"):
-        raise ConfigurationError(
-            f"executor kind must be 'thread' or 'process', got {kind!r}"
-        )
-    if parallelism is not None and parallelism < 1:
-        raise ConfigurationError("parallelism must be >= 1")
-    if parallelism is None or parallelism == 1:
-        return SerialExecutor()
-    if kind == "process":
-        return ProcessExecutor(parallelism, chunk_size=chunk_size)
-    return PooledExecutor(parallelism)
+        return results

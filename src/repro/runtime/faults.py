@@ -20,7 +20,7 @@ Each fault is a probability knob on
 
 Determinism: every fault stream is keyed by ``(seed, fault,
 experiment_id, attempt)`` — never by wall-clock or completion order —
-so a pooled campaign injects bit-identical faults to a serial one, and
+so a resumed campaign injects the faults an uninterrupted one would, and
 a retry (next ``attempt`` nonce) re-derives fresh fault noise instead
 of deterministically re-failing.
 

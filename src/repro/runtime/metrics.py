@@ -8,15 +8,16 @@ ran, how many convergences were served from cache, how much wall time
 each phase took — without perturbing the simulation itself (metrics
 never feed back into any seeded RNG stream).
 
-All mutation is thread-safe, because pooled campaign executors update
-counters from worker threads.
+All access is thread-safe: a campaign heartbeat thread
+(:mod:`repro.obs.heartbeat`) reads the registry while the campaign
+records into it.
 """
 
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.util.stats import percentile
 
@@ -81,8 +82,7 @@ class Timer:
                 self._count += 1
 
     def add(self, seconds: float, count: int = 1) -> None:
-        """Fold externally timed sections (e.g. sections a worker
-        process measured in its own registry) into this timer."""
+        """Fold ``count`` externally timed sections totalling ``seconds``."""
         with self._lock:
             self._total_s += seconds
             self._count += count
@@ -93,10 +93,7 @@ class Histogram:
 
     Keeps every raw value (campaign cardinalities are small — one
     observation per experiment or convergence run), so summaries can
-    report exact percentiles and worker deltas can ship the raw tail
-    of the value list.  Percentile math is order-independent, which is
-    what keeps summaries identical across executors even though thread
-    pools observe values in completion order.
+    report exact percentiles.
 
     .. warning:: **Unbounded growth.** Memory is O(observations) by
        design, which is a leak for anything long-running: a server
@@ -118,11 +115,6 @@ class Histogram:
         with self._lock:
             self._values.append(float(value))
 
-    def add_values(self, values: Sequence[float]) -> None:
-        """Fold observations shipped from another registry."""
-        with self._lock:
-            self._values.extend(float(v) for v in values)
-
     @property
     def count(self) -> int:
         with self._lock:
@@ -131,11 +123,6 @@ class Histogram:
     def values(self) -> List[float]:
         with self._lock:
             return list(self._values)
-
-    def values_since(self, mark: int) -> List[float]:
-        """Observations recorded after ``mark`` (a prior :attr:`count`)."""
-        with self._lock:
-            return list(self._values[mark:])
 
     def summary(self) -> Dict:
         with self._lock:
@@ -220,48 +207,6 @@ class MetricsRegistry:
             }
             with self._lock:
                 self._phases.append(PhaseRecord(name, wall, deltas))
-
-    def histogram_counts(self) -> Dict[str, int]:
-        """Observation counts per histogram — the marks a worker takes
-        before a task so it can ship only the new values after."""
-        with self._lock:
-            histograms = list(self._histograms.items())
-        return {name: h.count for name, h in histograms}
-
-    def histogram_values_since(self, marks: Dict[str, int]) -> Dict[str, List[float]]:
-        """Raw observations recorded after ``marks``
-        (a prior :meth:`histogram_counts`), dropping empty entries."""
-        with self._lock:
-            histograms = list(self._histograms.items())
-        deltas = {
-            name: h.values_since(marks.get(name, 0)) for name, h in histograms
-        }
-        return {name: values for name, values in deltas.items() if values}
-
-    def merge_deltas(
-        self,
-        counters: Dict[str, int],
-        timers: Dict[str, Dict],
-        histograms: Optional[Dict[str, List[float]]] = None,
-    ) -> None:
-        """Fold another registry's movement into this one.
-
-        Process-pool campaign workers record into their own registry;
-        the executor ships each task's counter, timer, and histogram
-        deltas back and merges them here, so ``--stats`` reads the same
-        regardless of which pool (or none) ran the campaign.  Merging
-        happens inside the surrounding :meth:`phase`, so phase counter
-        deltas include worker activity too.
-        """
-        for name, delta in counters.items():
-            if delta:
-                self.counter(name).increment(delta)
-        for name, t in timers.items():
-            if t.get("count"):
-                self.timer(name).add(t.get("total_seconds", 0.0), t["count"])
-        for name, values in (histograms or {}).items():
-            if values:
-                self.histogram(name).add_values(values)
 
     # -- reporting ----------------------------------------------------------
 

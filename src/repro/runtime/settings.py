@@ -1,7 +1,7 @@
 """Campaign-level settings: one dataclass instead of scattered kwargs.
 
 Every noise knob (session churn, RTT drift, delay jitter) and every
-runtime knob (parallelism, convergence cache) lives in a single
+runtime knob (convergence cache, faults, retries) lives in a single
 immutable :class:`CampaignSettings` value; ``settings=`` is the one way
 to pass them to :class:`~repro.core.anyopt.AnyOpt` and
 :class:`~repro.measurement.orchestrator.Orchestrator`, so their
@@ -33,22 +33,6 @@ class CampaignSettings:
             :class:`~repro.util.errors.ConvergenceBudgetError` with an
             event census.  ``None`` (the default) auto-scales the cap
             with topology size (never below the historical 2M floor).
-        parallelism: default worker count for campaign execution; 1
-            runs experiments serially.
-        executor: which worker pool ``parallelism > 1`` selects:
-            ``"thread"`` (the default; workers share the orchestrator)
-            or ``"process"`` (workers are forked processes, each with
-            its own orchestrator rebuilt from the campaign spec).
-            Results are bit-identical either way — experiment ids, not
-            workers, key every noise stream.
-        process_chunk_size: how many experiment tasks the process
-            executor ships to a worker per dispatch.  ``None`` (the
-            default) auto-sizes chunks from the task count and pool
-            width; explicit values trade scheduling granularity
-            (smaller chunks balance better) against per-dispatch
-            pickling and metrics-merge overhead (larger chunks
-            amortize better).  Chunking never changes results — only
-            how many main-process round trips a campaign costs.
         convergence_cache: reuse converged BGP state across identical
             deployments (bit-identical; see :mod:`repro.runtime.cache`).
             Memory holds only runs with no per-experiment draw (no
@@ -57,8 +41,8 @@ class CampaignSettings:
         convergence_cache_path: directory for the persistent on-disk
             convergence store (see :mod:`repro.io.cachestore`); None
             keeps the cache purely in memory.  A shared directory is
-            what lets process workers and repeated CLI invocations hit
-            each other's converged states.
+            what lets repeated CLI invocations hit each other's
+            converged states.
         fault_announcement_prob: per-attempt probability that a BGP
             announcement transiently fails (see
             :mod:`repro.runtime.faults`).
@@ -81,9 +65,6 @@ class CampaignSettings:
     rtt_bias_sigma: float = 0.03
     bgp_delay_jitter_ms: float = 20.0
     max_convergence_events: Optional[int] = None
-    parallelism: int = 1
-    executor: str = "thread"
-    process_chunk_size: Optional[int] = None
     convergence_cache: bool = True
     convergence_cache_size: int = 256
     convergence_cache_path: Optional[str] = None
@@ -115,14 +96,6 @@ class CampaignSettings:
             raise ConfigurationError(
                 "max_convergence_events must be >= 1 (or None for auto)"
             )
-        if self.parallelism < 1:
-            raise ConfigurationError("parallelism must be >= 1")
-        if self.executor not in ("thread", "process"):
-            raise ConfigurationError(
-                f"executor must be 'thread' or 'process', got {self.executor!r}"
-            )
-        if self.process_chunk_size is not None and self.process_chunk_size < 1:
-            raise ConfigurationError("process_chunk_size must be >= 1 (or None)")
         if self.convergence_cache_size < 1:
             raise ConfigurationError("convergence_cache_size must be >= 1")
         for knob in (

@@ -149,8 +149,7 @@ class ASGraph:
 
     def __getstate__(self):
         # The derived tables are a cache: cheap to rebuild, heavy to
-        # ship.  Dropping them keeps pickled graphs (process-pool
-        # campaign specs, saved testbeds) lean.
+        # ship.  Dropping them keeps pickled graphs lean.
         state = self.__dict__.copy()
         state["_tables"] = None
         return state

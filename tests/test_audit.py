@@ -5,7 +5,7 @@ an INCONSISTENT cell, an UNDECIDED site cell, an RTT hole) in a freshly
 discovered model, so detection, quarantine, and repair can be asserted
 against ground truth.  Determinism is checked the same way the campaign
 tests do it: byte-compare serialized models, transcripts, and reports
-across serial, thread, and process executors.
+across repeated and resumed runs.
 """
 
 import json
@@ -41,19 +41,6 @@ FAULTY = CampaignSettings.noiseless(
     fault_announcement_prob=0.15,
     fault_convergence_timeout_prob=0.05,
     retry_max_attempts=2,
-)
-
-#: (label, settings executor kind, parallelism, process chunk size) —
-#: serial, thread pool, and the process pool at every chunking shape:
-#: auto-sized, one task per dispatch, a partial final chunk, and
-#: everything in one chunk.
-EXECUTORS = (
-    ("serial", "thread", 1, None),
-    ("thread", "thread", 3, None),
-    ("process", "process", 2, None),
-    ("process-chunk1", "process", 2, 1),
-    ("process-chunk3", "process", 2, 3),
-    ("process-chunk-all", "process", 2, 10_000),
 )
 
 
@@ -332,60 +319,34 @@ class TestPlanRepairs:
 
 
 @pytest.fixture(scope="module")
-def repair_runs(testbed, targets):
-    """Discover + inject + audit + repair once per executor shape.
-
-    The discover → audit → repair sequence runs on ONE AnyOpt per
-    shape, which is exactly the warm-pool reuse path: the process
-    executors keep their forked workers across all three phases."""
+def repair_run(testbed, targets):
+    """Discover + inject + audit + repair on one AnyOpt."""
     order = tuple(testbed.site_ids())
-    runs = {}
-    for label, kind, parallelism, chunk in EXECUTORS:
-        with AnyOpt(
-            testbed,
-            targets=targets,
-            seed=SEED,
-            settings=NOISELESS.replace(executor=kind, process_chunk_size=chunk),
-        ) as anyopt:
-            model = anyopt.discover(parallelism=parallelism)
-            pre = count_predictable(model, targets, order)
-            full_campaign = model.experiments_used
-            inject_defects(model, testbed, targets)
-            report = anyopt.audit(model)
-            repair = anyopt.repair(
-                model, report=report, max_rounds=2, parallelism=parallelism
-            )
-            runs[label] = {
-                "pre": pre,
-                "post": count_predictable(model, targets, order),
-                "full": full_campaign,
-                "repair": repair,
-                "model": model_bytes(model),
-                "transcript": json.dumps(repair.transcript),
-                "final": json.dumps(repair.final_report.to_dict(), sort_keys=True),
-                "counters": anyopt.metrics.snapshot()["counters"],
-            }
-    return runs
+    anyopt = AnyOpt(testbed, targets=targets, seed=SEED, settings=NOISELESS)
+    model = anyopt.discover()
+    pre = count_predictable(model, targets, order)
+    full_campaign = model.experiments_used
+    inject_defects(model, testbed, targets)
+    report = anyopt.audit(model)
+    repair = anyopt.repair(model, report=report, max_rounds=2)
+    return {
+        "pre": pre,
+        "post": count_predictable(model, targets, order),
+        "full": full_campaign,
+        "repair": repair,
+        "counters": anyopt.metrics.snapshot()["counters"],
+    }
 
 
 class TestRepairAcceptance:
-    def test_restores_predictable_clients(self, repair_runs):
-        for run in repair_runs.values():
-            assert run["post"] >= run["pre"]
+    def test_restores_predictable_clients(self, repair_run):
+        assert repair_run["post"] >= repair_run["pre"]
 
-    def test_repair_is_cheaper_than_a_full_campaign(self, repair_runs):
-        for run in repair_runs.values():
-            assert 0 < run["repair"].experiments_used < run["full"]
+    def test_repair_is_cheaper_than_a_full_campaign(self, repair_run):
+        assert 0 < repair_run["repair"].experiments_used < repair_run["full"]
 
-    def test_byte_identical_across_executors(self, repair_runs):
-        serial = repair_runs["serial"]
-        for label, run in repair_runs.items():
-            assert run["model"] == serial["model"], label
-            assert run["transcript"] == serial["transcript"], label
-            assert run["final"] == serial["final"], label
-
-    def test_transcript_entries_are_structured(self, repair_runs):
-        transcript = repair_runs["serial"]["repair"].transcript
+    def test_transcript_entries_are_structured(self, repair_run):
+        transcript = repair_run["repair"].transcript
         assert transcript
         for entry in transcript:
             assert set(entry) == {
@@ -403,15 +364,15 @@ class TestRepairAcceptance:
             assert entry["kind"] in {"rtt-row", "provider-pair", "site-pair"}
             assert entry["outcome"] in {"measured", "failed"}
 
-    def test_repair_ships_metrics(self, repair_runs):
-        counters = repair_runs["serial"]["counters"]
-        repair = repair_runs["serial"]["repair"]
+    def test_repair_ships_metrics(self, repair_run):
+        counters = repair_run["counters"]
+        repair = repair_run["repair"]
         assert counters["audit_repair_rounds"] == repair.rounds
         assert counters["audit_repair_actions"] == repair.actions
         assert counters["audit_repair_experiments"] == repair.experiments_used
 
-    def test_escalating_attempt_budgets(self, repair_runs):
-        transcript = repair_runs["serial"]["repair"].transcript
+    def test_escalating_attempt_budgets(self, repair_run):
+        transcript = repair_run["repair"].transcript
         by_round = {}
         for entry in transcript:
             by_round[entry["round"]] = entry["max_attempts"]
@@ -434,46 +395,34 @@ class TestRepairBudget:
 
 
 class TestFaultyDeterminism:
-    #: Serial plus the process pool at its extreme chunk shapes — the
-    #: fault streams must be chunking-blind too.
-    FAULTY_LABELS = ("serial", "process", "process-chunk1", "process-chunk-all")
-
+    #: Two campaigns with the same seed under fault injection.
     @pytest.fixture(scope="class")
     def faulty_runs(self, testbed, targets):
-        selected = [e for e in EXECUTORS if e[0] in self.FAULTY_LABELS]
-        runs = {}
-        for label, kind, parallelism, chunk in selected:
-            with AnyOpt(
-                testbed,
-                targets=targets,
-                seed=SEED,
-                settings=FAULTY.replace(executor=kind, process_chunk_size=chunk),
-            ) as anyopt:
-                model = anyopt.discover(parallelism=parallelism)
-                inject_defects(model, testbed, targets)
-                report = anyopt.audit(model)
-                repair = anyopt.repair(
-                    model, report=report, max_rounds=2, parallelism=parallelism
-                )
-                runs[label] = {
-                    "model": model_bytes(model),
-                    "transcript": json.dumps(repair.transcript),
-                    "final": json.dumps(repair.final_report.to_dict(), sort_keys=True),
-                    "repair": repair,
-                }
+        runs = []
+        for _ in range(2):
+            anyopt = AnyOpt(testbed, targets=targets, seed=SEED, settings=FAULTY)
+            model = anyopt.discover()
+            inject_defects(model, testbed, targets)
+            report = anyopt.audit(model)
+            repair = anyopt.repair(model, report=report, max_rounds=2)
+            runs.append({
+                "model": model_bytes(model),
+                "transcript": json.dumps(repair.transcript),
+                "final": json.dumps(repair.final_report.to_dict(), sort_keys=True),
+                "repair": repair,
+            })
         return runs
 
     def test_identical_under_fault_injection(self, faulty_runs):
-        serial = faulty_runs["serial"]
-        for label, run in faulty_runs.items():
-            assert run["model"] == serial["model"], label
-            assert run["transcript"] == serial["transcript"], label
-            assert run["final"] == serial["final"], label
+        first, second = faulty_runs
+        assert second["model"] == first["model"]
+        assert second["transcript"] == first["transcript"]
+        assert second["final"] == first["final"]
 
     def test_failed_repairs_carry_fault_accounting(self, faulty_runs):
         failed = [
             e
-            for e in faulty_runs["serial"]["repair"].transcript
+            for e in faulty_runs[0]["repair"].transcript
             if e["outcome"] == "failed"
         ]
         assert failed  # the fault rates are tuned so at least one fails

@@ -81,20 +81,6 @@ class TestDiscoverOptimizeEvaluate:
         assert "catchment accuracy" in stdout
         assert "measured mean RTT" in stdout
 
-    def test_discover_process_executor_matches_thread(self, artifacts, tmp_path,
-                                                      capsys):
-        testbed_path, _ = artifacts
-        thread_out = tmp_path / "thread.json"
-        process_out = tmp_path / "process.json"
-        base = ["discover", "--testbed", testbed_path, "--seed", "7",
-                "--parallelism", "2"]
-        assert main(base + ["--out", str(thread_out)]) == 0
-        assert main(base + ["--executor", "process",
-                            "--out", str(process_out)]) == 0
-        assert json.loads(thread_out.read_text()) == json.loads(
-            process_out.read_text()
-        )
-
     def test_profile_flag_writes_pstats(self, artifacts, tmp_path, capsys):
         testbed_path, model_path = artifacts
         prof = tmp_path / "evaluate.prof"
@@ -234,8 +220,8 @@ class TestFaultFlags:
         self, artifacts, tmp_path, capsys, extra
     ):
         """A checkpoint whose settings this version does not declare
-        (e.g. one written before the convergence knobs were removed) is
-        a reported error, not a traceback."""
+        (e.g. one written before the convergence or executor knobs were
+        removed) is a reported error, not a traceback."""
         testbed_path, _ = artifacts
         ckpt = tmp_path / "campaign.ckpt"
         argv = [
@@ -249,13 +235,6 @@ class TestFaultFlags:
         assert "error:" in stderr and "unknown campaign settings" in stderr
         for key in extra:
             assert repr(key) in stderr
-
-    def test_parallelism_validated(self):
-        with pytest.raises(SystemExit):
-            main([
-                "discover", "--testbed", "x", "--out", "y",
-                "--parallelism", "0",
-            ])
 
     def test_fault_probability_validated(self):
         with pytest.raises(SystemExit):

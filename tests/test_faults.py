@@ -21,7 +21,7 @@ from repro.core.twolevel import SiteLevelMode
 from repro.io import checkpoint as checkpoint_io
 from repro.io import load_checkpoint, model_to_dict, save_checkpoint
 from repro.measurement.orchestrator import Orchestrator
-from repro.runtime import CampaignSettings, PooledExecutor, ProcessExecutor
+from repro.runtime import CampaignExecutor, CampaignSettings
 from repro.runtime.faults import FaultInjector
 from repro.runtime.retry import FailedExperiment, RetryPolicy, run_with_retry
 from repro.util.errors import (
@@ -159,77 +159,10 @@ class TestFaultInjector:
 
 
 class TestDegradation:
-    def test_pooled_sweep_matches_serial_under_faults(self, testbed, targets):
-        sites = testbed.site_ids()[:4]
-        serial_orch = Orchestrator(testbed, targets, seed=SEED, settings=FAULTY)
-        pooled_orch = Orchestrator(testbed, targets, seed=SEED, settings=FAULTY)
-        serial = ExperimentRunner(serial_orch).pairwise_sweep(sites)
-        pooled = ExperimentRunner(pooled_orch).pairwise_sweep(
-            sites, executor=PooledExecutor(4)
-        )
-        assert serial == pooled
-        assert serial_orch.experiment_count == pooled_orch.experiment_count
-        assert serial_orch.failures == pooled_orch.failures
-
-    def test_process_sweep_matches_serial_under_faults(self, testbed, targets):
-        # The strongest determinism claim: fault streams are keyed by
-        # (seed, fault, experiment_id, attempt), so even campaigns run
-        # in forked worker *processes* degrade bit-identically —
-        # including which experiments failed and every merged counter.
-        sites = testbed.site_ids()[:4]
-        serial_orch = Orchestrator(testbed, targets, seed=SEED, settings=FAULTY)
-        process_orch = Orchestrator(testbed, targets, seed=SEED, settings=FAULTY)
-        serial = ExperimentRunner(serial_orch).pairwise_sweep(sites)
-        executor = ProcessExecutor(2)
-        try:
-            process = ExperimentRunner(process_orch).pairwise_sweep(
-                sites, executor=executor
-            )
-        finally:
-            executor.close()
-        assert serial == process
-        assert serial_orch.experiment_count == process_orch.experiment_count
-        assert serial_orch.failures == process_orch.failures
-        serial_counters = serial_orch.metrics.snapshot()["counters"]
-        process_counters = process_orch.metrics.snapshot()["counters"]
-        assert serial_counters == process_counters
-
-    @pytest.mark.parametrize(
-        "chunk_size", [1, 3, 10_000], ids=["one", "three", "all"]
-    )
-    def test_chunked_process_sweep_matches_serial_under_faults(
-        self, testbed, targets, chunk_size
-    ):
-        # Chunk boundaries must not leak into the fault streams: the
-        # injected faults, retries, failures, and merged counters are
-        # keyed by experiment id, never by which dispatch carried the
-        # experiment.
-        sites = testbed.site_ids()[:4]
-        serial_orch = Orchestrator(testbed, targets, seed=SEED, settings=FAULTY)
-        chunked_orch = Orchestrator(testbed, targets, seed=SEED, settings=FAULTY)
-        serial = ExperimentRunner(serial_orch).pairwise_sweep(sites)
-        executor = ProcessExecutor(2, chunk_size=chunk_size)
-        try:
-            chunked = ExperimentRunner(chunked_orch).pairwise_sweep(
-                sites, executor=executor
-            )
-        finally:
-            executor.close()
-        assert serial == chunked
-        assert serial_orch.experiment_count == chunked_orch.experiment_count
-        assert serial_orch.failures == chunked_orch.failures
-        assert (
-            serial_orch.metrics.snapshot()["counters"]
-            == chunked_orch.metrics.snapshot()["counters"]
-        )
-
-    def test_worker_crash_merges_partial_metrics_and_fails_fast(
-        self, testbed, targets
-    ):
-        # A non-measurement error in a worker (here: a corrupted task
-        # descriptor) must fail the campaign promptly — but the chunks
-        # that already completed still merge their metrics first, so
-        # the post-mortem counters reflect the work actually done.
+    def test_corrupt_descriptor_fails_fast(self, testbed, targets):
+        # A non-measurement error (here: a corrupted task descriptor)
+        # fails the campaign at that task: the experiments before it
+        # are counted and the tail never runs.
         import dataclasses
 
         orch = Orchestrator(testbed, targets, seed=SEED)
@@ -238,18 +171,9 @@ class TestDegradation:
         pairs = [(a, b) for i, a in enumerate(sites) for b in sites[i + 1:]]
         tasks = runner.pairwise_tasks(pairs)  # 10 tasks
         tasks[1] = dataclasses.replace(tasks[1], kind="explode")
-        executor = ProcessExecutor(1, chunk_size=1)
-        try:
-            with pytest.raises(ConfigurationError, match="explode"):
-                executor.run_experiments(orch, tasks)
-        finally:
-            executor.close()
-        counters = orch.metrics.snapshot()["counters"]
-        # The first chunk completed before the crash and its delta
-        # survived the failure...
-        assert counters.get("experiments", 0) >= 1
-        # ...and the cancellation kept the tail from running.
-        assert counters.get("experiments", 0) < len(tasks) - 1
+        with pytest.raises(ConfigurationError, match="explode"):
+            CampaignExecutor().run_experiments(orch, tasks)
+        assert orch.metrics.snapshot()["counters"]["experiments"] == 2
 
     def test_exhausted_retries_become_undecided_cells(self, testbed, targets):
         orch = Orchestrator(testbed, targets, seed=SEED, settings=ALWAYS_FAILING)
@@ -437,7 +361,15 @@ def checkpoint_env(testbed, targets, tmp_path_factory):
     return settings, path, full_model, resumed_model
 
 
-REMOVED_SETTINGS = {"engine_mode": "delta", "aggregate_stubs": True}
+#: Settings fields that older checkpoints carry and this version does
+#: not declare: the convergence knobs, then the executor knobs.
+REMOVED_SETTINGS = {
+    "engine_mode": "delta",
+    "aggregate_stubs": True,
+    "parallelism": 1,
+    "executor": "thread",
+    "process_chunk_size": None,
+}
 
 
 def checkpoint_documents(extra_settings):
@@ -468,8 +400,8 @@ def checkpoint_documents(extra_settings):
 
 class TestCheckpointSettingsBoundary:
     """A settings key this version does not declare — a stray one, or
-    the two fields checkpoints carried before the convergence knobs
-    were removed — fails typed, for both checkpoint kinds."""
+    the fields checkpoints carried before the convergence and executor
+    knobs were removed — fails typed, for both checkpoint kinds."""
 
     @pytest.mark.parametrize(
         "extra", [{"stray_knob": 1}, REMOVED_SETTINGS], ids=["stray", "removed"]
@@ -492,7 +424,7 @@ class TestCheckpointSettingsBoundary:
             for key in extra:
                 assert repr(key) in str(exc.value)
 
-    @pytest.mark.parametrize("extra", [{"parallelism": 2.0}, {"retry_max_attempts": True}])
+    @pytest.mark.parametrize("extra", [{"convergence_cache_size": 2.0}, {"retry_max_attempts": True}])
     def test_non_integer_count_fails_typed(self, extra):
         """JSON has no int/float distinction a writer must respect, so a
         count read back as ``2.0`` (or ``true``) is refused on load."""

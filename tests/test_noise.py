@@ -8,7 +8,7 @@ share no code with it.
     libm's, bit for bit;
 (b) every one-row view equals the bulk answer, for any subset in any
     order, on worlds with sparse ids, lossy targets, flow-hashing ASes
-    and clients without a route; serial == thread pool == process pool;
+    and clients without a route;
 (c) closed-form moments of every noise source over >= 10**5 draws;
 (d) the probe model the slow way (the engine oracles' draw loops live in
     ``tests/reference_engine.py`` and ``tests/test_orchestrator.py``);
@@ -25,10 +25,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import AnyOpt, CampaignSettings, select_targets
+from repro import CampaignSettings, select_targets
 from repro.bgp.engine import SiteInjection
 from repro.core.config import AnycastConfig
-from repro.io import model_to_dict
 from repro.measurement import Orchestrator
 from repro.measurement.icmp import IcmpProber
 from repro.measurement.orchestrator import Deployment
@@ -281,15 +280,6 @@ class TestViewsEqualBulk:
         assert prober.answered(target, experiment_id, seq) == (
             prober.probe(target, 30.0, experiment_id, seq) is not None
         )
-
-    def test_serial_thread_pool_and_process_pool_discover_one_model(
-        self, testbed, targets, anyopt_model
-    ):
-        for kind in ("thread", "process"):
-            pooled = CampaignSettings(parallelism=2, executor=kind)
-            with AnyOpt(testbed, targets=targets, seed=SEED, settings=pooled) as anyopt:
-                model = anyopt.discover()
-            assert model_to_dict(model) == model_to_dict(anyopt_model)
 
 
 # -- (c) closed-form moments -----------------------------------------------------

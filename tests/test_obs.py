@@ -2,9 +2,8 @@
 
 The load-bearing property mirrors the metrics layer's: the exported
 span tree (ids, attributes, parentage — everything except wall-clock
-fields) must be identical whichever campaign executor ran, because
-span ids derive from serially reserved experiment ids, never from
-completion order.
+fields) must be identical for every run of the same campaign, because
+span ids derive from reserved experiment ids, never from wall clocks.
 """
 
 import io
@@ -37,11 +36,9 @@ def comparable(records):
     return [render_record(strip_timing(r)) for r in records]
 
 
-def discover_trace(testbed, targets, settings=None, parallelism=1, executor=None):
-    if executor is not None:
-        settings = (settings or CampaignSettings()).replace(executor=executor)
+def discover_trace(testbed, targets, settings=None):
     anyopt = AnyOpt(testbed, targets=targets, seed=SEED, settings=settings)
-    anyopt.discover(parallelism=parallelism)
+    anyopt.discover()
     return anyopt.tracer.records()
 
 
@@ -101,26 +98,14 @@ class TestTracer:
         tracer.record("converge", {"cache_hit": True})
         assert tracer.records() == []
 
-    def test_merge_spans_matches_in_process_recording(self):
-        reference = Tracer()
-        with reference.span("deploy", key="exp:1", parent=None):
-            pass
-        worker = Tracer()
-        mark = worker.finished_count
-        with worker.span("deploy", key="exp:1", parent=None):
-            pass
-        main_tracer = Tracer()
-        main_tracer.merge_spans(worker.export_finished_since(mark))
-        assert comparable(main_tracer.records()) == comparable(reference.records())
-
     def test_max_records_keeps_the_last_finished(self):
         ring = Tracer(max_records=3)
         for seq in range(10):
             with ring.span("http-request", key=f"req:{seq}", parent=None):
                 pass
         ring.record("converge")
-        ring.merge_spans([{"span_id": "merged", "events": []}])
-        assert [r["span_id"] for r in ring.records()] == ["converge#0", "merged", "req:9"]
+        ring.record("reload")
+        assert [r["span_id"] for r in ring.records()] == ["converge#0", "reload#0", "req:9"]
         assert ring.finished_count == 3
         everything = Tracer()
         for seq in range(10):
@@ -150,29 +135,18 @@ class TestTracer:
         assert "start_unix" in record
 
 
-# --- cross-executor determinism ---------------------------------------------
+# --- run-to-run determinism -------------------------------------------------
 
 
-class TestExecutorIndependentTraces:
-    def test_serial_thread_process_span_trees_identical(self, testbed, targets):
-        serial = discover_trace(testbed, targets)
-        thread = discover_trace(testbed, targets, parallelism=3)
-        process = discover_trace(
-            testbed, targets, parallelism=3, executor="process"
-        )
-        assert comparable(serial) == comparable(thread)
-        assert comparable(serial) == comparable(process)
-
+class TestDeterministicTraces:
     def test_span_trees_identical_under_faults(self, testbed, targets):
-        serial = discover_trace(testbed, targets, settings=FAULTY)
-        process = discover_trace(
-            testbed, targets, settings=FAULTY, parallelism=3, executor="process"
-        )
-        assert comparable(serial) == comparable(process)
+        first = discover_trace(testbed, targets, settings=FAULTY)
+        second = discover_trace(testbed, targets, settings=FAULTY)
+        assert comparable(first) == comparable(second)
         # Faults actually fired and were rolled up onto experiment spans.
         faulted = [
             r
-            for r in serial
+            for r in first
             if r["name"] == "experiment" and r["attributes"].get("faults")
         ]
         assert faulted
@@ -213,22 +187,6 @@ class TestHistogram:
         assert summary["p50"] == pytest.approx(5.5)
         assert summary["p90"] == pytest.approx(9.1)
         assert Histogram("empty").summary() == {"count": 0}
-
-    def test_registry_delta_shipping(self):
-        worker = MetricsRegistry()
-        worker.histogram("rtt").observe(10.0)
-        marks = worker.histogram_counts()
-        worker.histogram("rtt").observe(20.0)
-        worker.histogram("cold").observe(1.0)
-        deltas = worker.histogram_values_since(marks)
-        assert deltas == {"rtt": [20.0], "cold": [1.0]}
-        main_registry = MetricsRegistry()
-        main_registry.merge_deltas({}, {}, deltas)
-        assert main_registry.histogram("rtt").values() == [20.0]
-        assert main_registry.histogram("cold").values() == [1.0]
-        # Two-argument form (pre-histogram callers) still works.
-        main_registry.merge_deltas({"experiments": 2}, {})
-        assert main_registry.counter("experiments").value == 2
 
     def test_snapshot_omits_empty_histograms(self):
         registry = MetricsRegistry()

@@ -1233,8 +1233,8 @@ class TestMemosLiveOnTheTables:
 
 #: SHA-256 of the small-testbed campaign's model, re-pinned by the PR
 #: that defined per-experiment noise as a counter-based stream (PR 22;
-#: 378394e2… before it).  The executor/fault identity matrices compare
-#: the code with itself; this compares it with its past.  It moves only
+#: 378394e2… before it).  The repeat-run identity checks compare the
+#: code with itself; this compares it with its past.  It moves only
 #: when a noise stream, the topology generator or the model format
 #: changes — re-pin it then, in the PR that says so, from the parent.
 GOLDEN_MODEL_SHA256 = "d1806f8cf7b04e0fc07d0f3dab664e9e7fb6fc6b660860fa9ace62cee8e6216b"
@@ -1248,10 +1248,3 @@ def model_digest(model) -> str:
 def test_golden_model_digest(testbed, targets):
     model = AnyOpt(testbed, targets=targets, seed=SEED).discover()
     assert model_digest(model) == GOLDEN_MODEL_SHA256
-
-
-@pytest.mark.parametrize("kind", ["thread", "process"])
-def test_pooled_discover_has_the_golden_digest(testbed, targets, kind):
-    pooled = CampaignSettings(parallelism=2, executor=kind)
-    with AnyOpt(testbed, targets=targets, seed=SEED, settings=pooled) as anyopt:
-        assert model_digest(anyopt.discover()) == GOLDEN_MODEL_SHA256
