@@ -23,7 +23,6 @@ testbed.  It implements, at the AS abstraction the paper reasons about:
 """
 
 from repro.bgp.dataplane import DataPlane, ForwardingOutcome
-from repro.bgp.decision import best_route, multipath_set
 from repro.bgp.engine import BGPEngine, ConvergedState, SiteInjection
 from repro.bgp.explain import explain_catchment
 from repro.bgp.messages import Route, SitePop
@@ -48,9 +47,7 @@ __all__ = [
     "RouterState",
     "SiteInjection",
     "SitePop",
-    "best_route",
     "explain_catchment",
     "export_targets",
     "local_pref_for",
-    "multipath_set",
 ]

@@ -136,10 +136,10 @@ class DataPlane:
             cols = self.internet.stub_columns()
             flows, rows, inverse = self._target_rows(asns)
             col = best[rows]
-            at = rows, np.maximum(col, 0)
+            cell = np.maximum(col, 0) * len(cols.position) + rows
             table = self._node_table()
-            node = np.where(col >= 0, cols.node[at], len(table.moving) - 1)
-            rtt = cols.transit_ms[at] + cols.link_ms[at]
+            node = np.where(col >= 0, cols.node.take(cell), len(table.moving) - 1)
+            rtt = cols.transit_ms.take(cell) + cols.link_ms.take(cell)
             for _ in range(len(self.internet.transit_columns().slot) + 1):
                 if not table.moving[node].any():
                     break
@@ -179,7 +179,7 @@ class DataPlane:
         best, tied = self._choice(asn)
         if tied is None:
             return best, False
-        return self._pick(tied, asn, flow_key), True
+        return tied[stable_hash(flow_key, asn, self.flow_nonce) % len(tied)], True
 
     # -- internals ---------------------------------------------------------
 
@@ -212,13 +212,14 @@ class DataPlane:
 
     def _node_table(self) -> _Nodes:
         """The deployment's :class:`_Nodes`: one :meth:`_choice` per
-        transit AS, spread over its nodes by gathers."""
+        transit AS, all at once, spread over its nodes by gathers."""
         if self._nodes is None:
             cols = self.internet.transit_columns()
             offset = np.full(len(cols.slot) + 1, -1)  # a hop's slot offset
             terminal, scalar = np.zeros((2, len(cols.slot) + 1), dtype=bool)
+            self._choose(cols.slot)
             for i, (asn, slots) in enumerate(cols.slot.items()):
-                choice = self._choice(asn)
+                choice = self._choices[asn]
                 if choice is None:
                     continue
                 best, tied = choice
@@ -252,35 +253,41 @@ class DataPlane:
         memo = self.internet.graph.tables().target_rows
         mapped = memo.get(asns)
         if mapped is None:
-            row_of = self.internet.stub_columns().row.get
+            row_of = self.internet.stub_columns().position.get
             rows = np.array([row_of(asn, -1) for asn in asns], dtype=np.intp)
             flows = np.flatnonzero(rows >= 0)
             mapped = memo[asns] = (flows, *np.unique(rows[flows], return_inverse=True))
         return mapped
 
-    def _pick(self, tied: List[int], asn: int, flow_key) -> int:
-        return tied[stable_hash(flow_key, asn, self.flow_nonce) % len(tied)]
-
     def _choice(self, asn: int) -> Optional[Tuple[int, Optional[List[int]]]]:
-        """``(best neighbour, tied neighbours)`` of an AS that hashes
-        flows over its multipath set, ``(best neighbour, None)`` of one
-        that does not, None without a route; asked once per AS."""
+        """``(best neighbour, tied neighbours)`` of an AS hashing flows
+        over its multipath set, ``(best neighbour, None)`` of another,
+        None without a route; asked once per AS (:meth:`_choose`)."""
         choice = self._choices.get(asn, _MISSING)
-        if choice is _MISSING:
-            choice = hops = self.converged.next_hops(asn)
-            if hops is not None:
-                best, tied = hops
-                multipath = len(tied) > 1 and self.internet.graph.as_of(asn).multipath
-                choice = best, tied if multipath else None
-            self._choices[asn] = choice
-        return choice
+        return self._choose((asn,))[asn] if choice is _MISSING else choice
+
+    def _choose(self, asns) -> dict:
+        """``_choices``, with the :meth:`_choice` of each of ``asns``:
+        only a multipath AS asks ``converged.next_hops`` for its sorted
+        tie set; the others' best senders are read at once."""
+        choices, ases, converged = self._choices, self.internet.graph.ases, self.converged
+        single = []
+        for asn in asns:
+            node = ases.get(asn)  # None: not in the topology, no route
+            if node is not None and node.multipath and asn not in choices:
+                hops = converged.next_hops(asn)
+                choices[asn] = hops and (hops[0], hops[1] if len(hops[1]) > 1 else None)
+            elif asn not in choices:
+                single.append(asn)
+        for asn, best in zip(single, converged.best_senders(single)):
+            choices[asn] = None if best is None else (best, None)
+        return choices
 
     def _terminal(self, asn: int, entry: Optional[int]) -> _Terminal:
         """Hot-potato site choice among the injected route's
         attachments, from the flow's entry PoP; memoised on the graph's
         tables per ``(AS, entry, site_pops)``."""
-        converged = self.converged
-        candidates = converged.states[asn].adj_rib_in[converged.origin_asn].site_pops
+        candidates = self.converged.injected(asn).site_pops
         terminals = self.internet.graph.tables().terminals
         terminal = terminals.get((asn, entry, candidates))
         if terminal is not None:

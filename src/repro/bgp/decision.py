@@ -15,33 +15,14 @@ S4.1/S4.2, in order:
    AS's ``arrival_order_tiebreak`` flag is set;
 8. lowest neighbor (router) id.
 
-``multipath_set`` returns the routes tied through step 4, which is the
-set a multipath-enabled AS load-balances across.
+:func:`evaluate` returns the best route and the routes tied with it
+through step 4, the set a multipath-enabled AS load-balances across.
 """
 
 from typing import List, Optional, Sequence, Tuple
 
 from repro.bgp.messages import Route
 from repro.topology.astopo import AS
-
-
-def _strict_key(route: Route) -> Tuple:
-    """Ordering through the deterministic comparison steps
-    (LOCAL_PREF, AS_PATH length, origin, MED, interior cost); what
-    :attr:`Route.strict_key` stores, computed from the fields."""
-    return (
-        -route.local_pref,
-        route.path_length,
-        route.origin_code,
-        route.med,
-        route.interior_cost,
-    )
-
-
-def _full_key(route: Route, node: AS) -> Tuple:
-    """Ordering through all steps, honouring the AS's tie-break mode."""
-    arrival = route.arrival_time if node.arrival_order_tiebreak else 0.0
-    return _strict_key(route) + (arrival, route.learned_from)
 
 
 def evaluate(routes: Sequence[Route], node: AS) -> Tuple[Optional[Route], List[Route]]:
@@ -78,30 +59,3 @@ def evaluate(routes: Sequence[Route], node: AS) -> Tuple[Optional[Route], List[R
         best = min(tied, key=lambda r: r.learned_from)
     tied.sort(key=lambda r: r.learned_from)
     return best, tied
-
-
-def best_route(routes: Sequence[Route], node: AS) -> Optional[Route]:
-    """The single best route for ``node``, or None if no routes.
-
-    >>> best_route([], None) is None
-    True
-    """
-    if not routes:
-        return None
-    return min(routes, key=lambda r: _full_key(r, node))
-
-
-def multipath_set(routes: Sequence[Route], node: AS) -> List[Route]:
-    """Routes a multipath AS balances over: all tied through the
-    deterministic steps (equal-cost multipath).
-
-    For a single-path AS this still returns the tied set; callers
-    decide whether to use it.  The result is sorted by neighbor id so
-    flow-hash indexing into it is deterministic.
-    """
-    if not routes:
-        return []
-    best_key = min(_strict_key(r) for r in routes)
-    tied = [r for r in routes if _strict_key(r) == best_key]
-    tied.sort(key=lambda r: r.learned_from)
-    return tied

@@ -91,6 +91,7 @@ from repro.bgp.messages import Route, SitePop, make_route
 from repro.bgp.policy import local_pref_for
 from repro.bgp.rib import RouterState
 from repro.topology.astopo import Relationship
+from repro.topology.generator import session_key
 from repro.util.errors import ConvergenceBudgetError, ReproError
 from repro.util.rng import exponentials
 
@@ -105,13 +106,13 @@ _NO_OFFER = np.iinfo(np.int64).max
 LIVE = -2
 
 
-def _stub_key(local_pref, length, interior):
-    """The strict decision key ``(-local_pref, len(path), interior)``
-    of integer arrays as one int64 array that orders the same way."""
-    for values, bits in ((local_pref, 18), (length, 12), (interior, 32)):
-        if values.min(initial=0) < 0 or values.max(initial=0) >> bits:
-            raise ReproError("a stub's decision key does not fit its 64-bit packing")
-    return (length << 32 | interior) - (local_pref << 44)
+def _stub_key(static, length):
+    """Stub offers' strict keys ``(-local_pref, len(path), interior)``
+    as int64s that order the same way: the session's part
+    (:func:`~repro.topology.generator.session_key`) plus the length."""
+    if length.min(initial=0) < 0 or length.max(initial=0) >> 12:
+        raise ReproError("a stub's decision key does not fit its 64-bit packing")
+    return static + (length << 32)
 
 
 class LinkJitter(Mapping):
@@ -180,10 +181,10 @@ class LazyStates(Mapping):
     dict, so persisted convergence-store entries do not depend on this
     class.
 
-    :meth:`next_hops` answers the one question the data plane asks of
-    a state — where does this AS forward — from the record (the state,
-    once built), and for an aggregated stub from the providers'
-    episodes: a row of :meth:`stub_choices`, which answers for all.
+    Where an AS forwards is answered without a state: from the record
+    (the state, once built) by :meth:`next_hops`, or its best sender
+    alone by :meth:`best_senders`; for an aggregated stub from the
+    providers' episodes, a column of :meth:`stub_choices`.
     """
 
     __slots__ = (
@@ -247,11 +248,9 @@ class LazyStates(Mapping):
         return default
 
     def next_hops(self, asn: int) -> Optional[Tuple[int, List[int]]]:
-        """``(best.learned_from, [r.learned_from for r in multipath])``
-        of ``self[asn]``, or None when that state holds no route (or
-        ``asn`` is not in the topology) — building no state: unless one
-        was built, the record's best key and its strict ties, in sender
-        order."""
+        """``self[asn].next_hops()`` (None off the topology), building
+        no state: a record answers with its best key's sender and strict
+        ties, in sender order."""
         state = self._materialized.get(asn)
         if state is not None:
             return state.next_hops()
@@ -264,6 +263,26 @@ class LazyStates(Mapping):
         strict = best[:3]
         return best[4], sorted(sender for sender, key in rib.items() if key[:3] == strict)
 
+    def best_senders(self, asns) -> List[Optional[int]]:
+        """``next_hops(asn)[0]`` or None per AS of ``asns``, sorting no
+        tie set: a record's best sender, unless its state was built."""
+        records, built = self._records, self._materialized
+        senders = []
+        for asn in asns:
+            record = records.get(asn)
+            if record is None or asn in built:
+                hops = self.next_hops(asn)
+                senders.append(None if hops is None else hops[0])
+            else:
+                best = record[1]
+                senders.append(None if best is None else best[4])
+        return senders
+
+    def injected(self, asn: int) -> Route:
+        """``self[asn].adj_rib_in[origin]``, building no state."""
+        state = self._materialized.get(asn)
+        return self._injected[asn] if state is None else state.adj_rib_in[self._origin]
+
     def stub_choices(self):
         """:meth:`next_hops` of every pure stub at once — ``(best,
         tied)`` of :meth:`_StubViews.decide`."""
@@ -275,20 +294,6 @@ class LazyStates(Mapping):
     def __len__(self) -> int:
         return len(self._pristine)
 
-    def __eq__(self, other):
-        if not isinstance(other, (Mapping, dict)):
-            return NotImplemented
-        if len(self) != len(other):
-            return False
-        getter = other.get
-        missing = object()
-        for asn in self._pristine:
-            if getter(asn, missing) != self[asn]:
-                return False
-        return True
-
-    __hash__ = None
-
     def __reduce__(self):
         return (dict, ({asn: self[asn] for asn in self._pristine},))
 
@@ -296,7 +301,7 @@ class LazyStates(Mapping):
 class _StubViews:
     """One run's aggregated stubs, decided from their providers' export
     episodes: all in one pass (:meth:`decide`), one (:meth:`choose`, a
-    row of that pass), or one as a whole state (:meth:`synth`, whose
+    column of that pass), or one as a whole state (:meth:`synth`, whose
     ``best`` / ``multipath`` are :meth:`choose`'s) — one stub decision.
 
     A stub holds one offer per provider whose last export episode
@@ -306,15 +311,17 @@ class _StubViews:
     and then, among strict ties of an AS that breaks ties on it, by
     arrival time — the event push's own ``t + delay + jitter``,
     ``math.log`` included, over just the tied cells in one pass;
-    providers are columns in ASN order, so ``argmin`` and the tied set
-    come out in neighbour-id order.
+    providers are rows in ASN order, so the first minimum and the tied
+    set come out in neighbour-id order.  ``overlay`` overrides the
+    sessions of the ASes in ``churned``.
     """
 
-    def __init__(self, internet, tables, prefix, overlay, ep_log, jitter, live):
+    def __init__(self, internet, tables, prefix, overlay, churned, ep_log, jitter, live):
         self.internet = internet
         self.tables = tables
         self.prefix = prefix
         self.overlay = overlay
+        self.churned = churned
         self.ep_log = ep_log
         self.jitter = jitter
         self.live = live
@@ -328,13 +335,16 @@ class _StubViews:
         )
 
     def decide(self):
-        """``(key, best, tied)`` over the rows of ``StubColumns``: the
-        packed keys, the chosen provider's column (-1 without an offer,
-        :data:`LIVE` for a stub that was live this run) and whether
-        several offers share the best key.  Computed on first use."""
+        """``(key, best, tied)`` over ``StubColumns``: the packed keys
+        (``[provider, stub]``; the static key plus each offer's path
+        length, re-keyed only at churned stubs' cells), and per stub the
+        chosen provider's row (-1 without an offer, :data:`LIVE` for a
+        stub live this run) and whether several offers share the best
+        key.  Computed on first use, by elementwise passes over rows."""
         if self._decided is None:
             tables = self.tables
             cols = self.internet.stub_columns()
+            n = len(cols.position)
             # Path length and last episode time per provider; the extra
             # last slot is what the padding's provider index -1 reads:
             # no offer.
@@ -345,45 +355,51 @@ class _StubViews:
                 if path is not None:
                     i = tables.asn_index[provider]
                     length[i], t_last[i] = len(path), t
-            interior = cols.interior.copy()
-            overlay = self.overlay
-            for session in overlay:  # a churn overlay computes values on read
-                at = cols.cell.get(session)
-                if at is not None:
-                    interior[at] = overlay[session]
-            offered = length[cols.provider]
-            key = _stub_key(cols.local_pref, offered, interior)
+            static, patch = cols.key, {}
+            for stub in self.churned:
+                for col, provider in enumerate(tables.stub_providers.get(stub, ())):
+                    cost = self.overlay.get((stub, provider))
+                    if cost is not None:
+                        patch[col * n + cols.position[stub]] = (
+                            tables.session_import[stub, provider][0], cost
+                        )
+            if patch:
+                static = static.copy()
+                static.put(list(patch), session_key(*np.array(list(patch.values())).T))
+            offered = length.take(cols.provider)
+            key = _stub_key(static, offered)
             key[offered == 0] = _NO_OFFER
-            best = key.argmin(axis=1)
-            low = key.min(axis=1)
-            tied = (key == low[:, None]).sum(axis=1) > 1
+            low = np.minimum.reduce(key)
+            at_low = key == low
+            tied = np.add.reduce(at_low) > 1
+            best = at_low.argmax(axis=0)
             best[low == _NO_OFFER] = -1
             tied &= best >= 0
             # Arrival-order ties: every tied cell's arrival, exactly,
-            # then the first minimum in column order, as min() takes it.
-            rows = np.flatnonzero(tied & cols.arrival_order)
-            arrival = np.full((len(rows), key.shape[1]), math.inf)
-            r, c = np.nonzero(key[rows] == low[rows, None])
-            at = rows[r], c
-            jitter = self.jitter.exact(cols.slot[at]) if self.jitter else 0.0
-            arrival[r, c] = (t_last[cols.provider[at]] + cols.delay[at]) + jitter
-            best[rows] = arrival.argmin(axis=1)
+            # then the first minimum in provider order, as min() takes it.
+            stubs = np.flatnonzero(tied & cols.arrival_order)
+            grid = at_low[:, stubs]
+            arrival = np.full(grid.shape, math.inf)
+            col, i = np.nonzero(grid)
+            cell = col * n + stubs[i]
+            jitter = self.jitter.exact(cols.slot.take(cell)) if self.jitter else 0.0
+            arrival[col, i] = (t_last[cols.provider.take(cell)] + cols.delay.take(cell)) + jitter
+            best[stubs] = arrival.argmin(axis=0)
             for stub in self.live:
-                best[cols.row[stub]] = LIVE
+                best[cols.position[stub]] = LIVE
             self._decided = key, best, tied
         return self._decided
 
     def choose(self, stub: int):
         """``(best provider, strict-tied providers)`` or None."""
         key, best, _ = self.decide()
-        row = self.internet.stub_columns().row[stub]
-        col = best[row]
+        at = self.internet.stub_columns().position[stub]
+        col = best[at]
         if col < 0:
             return None
         providers = self.tables.stub_providers[stub]
-        return providers[col], [
-            providers[c] for c in np.flatnonzero(key[row] == key[row, col]).tolist()
-        ]
+        offers = key[:, at]
+        return providers[col], [providers[c] for c in np.flatnonzero(offers == offers[col])]
 
     def synth(self, stub: int) -> Optional[RouterState]:
         """The stub's state (None: the pristine one), ``==`` to the one
@@ -676,6 +692,12 @@ class DeltaConverger:
         prop_delay = tables.prop_delay
         session_import = tables.session_import
         overlay_get = igp_overlay.get if igp_overlay else None
+        # The ASes whose sessions the overlay overrides: a churn overlay
+        # names them (``ases``), any other mapping is read off its keys.
+        churned = (
+            getattr(igp_overlay, "ases", None) or {asn for asn, _ in igp_overlay}
+            if igp_overlay else ()
+        )
         customer = Relationship.CUSTOMER
 
         # ep_log holds, per provider, the export episodes (time, export
@@ -718,7 +740,7 @@ class DeltaConverger:
                 messages += 1
                 session = (asn, sender)
                 local_pref, interior, rel = session_import[session]
-                if overlay_get is not None:
+                if asn in churned:
                     interior = overlay_get(session, interior)
                 key = (
                     -local_pref, len(path), interior,
@@ -850,7 +872,8 @@ class DeltaConverger:
             topo.pristine,
             agg,
             _StubViews(
-                self.internet, tables, prefix, igp_overlay or {}, ep_log, jitter, live_stubs
+                self.internet, tables, prefix, igp_overlay or {}, churned, ep_log, jitter,
+                live_stubs,
             ),
             parents,
             origin_asn,

@@ -121,25 +121,38 @@ class ConvergedState:
             raise ReproError(f"no BGP state for AS {asn}") from None
 
     def next_hops(self, asn: int) -> Optional[Tuple[int, List[int]]]:
-        """Which neighbour(s) ``asn`` forwards to: ``(best.learned_from,
-        [r.learned_from for r in multipath])`` of its state — the
-        anycast origin ASN stands for an injected route — or None when
-        it holds no route.  An engine result answers from the run's
-        records, building no state
-        (:meth:`LazyStates.next_hops <repro.bgp.delta.LazyStates.next_hops>`);
-        plain-dict states (unpickled, convergence store) answer from
-        the stored ``best`` / ``multipath``."""
+        """``(best.learned_from, [r.learned_from for r in multipath])``
+        of ``asn``'s state (the origin ASN stands for an injected
+        route), or None without a route; an engine result answers from
+        its records, building no state (:meth:`LazyStates.next_hops
+        <repro.bgp.delta.LazyStates.next_hops>`)."""
         states = self.states
         if isinstance(states, LazyStates):
             return states.next_hops(asn)
         state = states.get(asn)
         return None if state is None else state.next_hops()
 
+    def best_senders(self, asns) -> List[Optional[int]]:
+        """``next_hops(asn)[0]`` or None per AS of ``asns``; an engine
+        result reads them off the run's records, sorting no tie set
+        (:meth:`LazyStates.best_senders <repro.bgp.delta.LazyStates.best_senders>`)."""
+        states = self.states
+        if isinstance(states, LazyStates):
+            return states.best_senders(asns)
+        return [hops and hops[0] for hops in map(self.next_hops, asns)]
+
+    def injected(self, asn: int):
+        """The route injected at host ``asn``, its state's Adj-RIB-In
+        entry from the origin; an engine result builds no state."""
+        states = self.states
+        if isinstance(states, LazyStates):
+            return states.injected(asn)
+        return states[asn].adj_rib_in[self.origin_asn]
+
     def stub_choices(self):
-        """:meth:`next_hops` of every pure stub as columns
-        (:meth:`LazyStates.stub_choices
-        <repro.bgp.delta.LazyStates.stub_choices>`), or None:
-        plain-dict states answer one AS at a time."""
+        """:meth:`next_hops` of every pure stub as columns, or None for
+        plain-dict states (:meth:`LazyStates.stub_choices
+        <repro.bgp.delta.LazyStates.stub_choices>`)."""
         states = self.states
         return states.stub_choices() if isinstance(states, LazyStates) else None
 

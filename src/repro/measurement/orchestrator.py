@@ -8,6 +8,7 @@ experiment" — the unit the paper's measurement budget counts (S4.5) —
 and the orchestrator keeps a running tally.
 """
 
+import logging
 import math
 import threading
 import time
@@ -47,22 +48,23 @@ class _ChurnOverlay(Mapping):
     """One experiment's session interior costs, each hashed on first read.
 
     The keys are every session ``(asn, neighbor)`` of a churned AS, in
-    ASN then neighbour order.  A tie-prone AS's sessions cost 0, another
-    AS's ``1 + stable_hash(seed, "igp-churn", experiment, asn, neighbor)
-    % 1_000_000``.  A run reads a few of them (those its events import,
-    and the churned stubs' once the data plane decides), so a cost is
-    hashed on its first read and kept; ``len``, truth and iteration
-    hash nothing.
+    ASN then neighbour order; ``ases`` maps each churned ASN to whether
+    its sessions tie, so a reader tests membership there before it asks
+    for a cost (the event loop per import, the stub pass per churned
+    stub).  A tie-prone AS's sessions cost 0, another AS's ``1 +
+    stable_hash(seed, "igp-churn", experiment, asn, neighbor) %
+    1_000_000``.  A cost is hashed on its first read and kept; ``len``,
+    truth and iteration hash nothing.
     """
 
-    __slots__ = ("_sessions", "_export_all", "_prefix", "_churned", "_costs", "_len")
+    __slots__ = ("_sessions", "_export_all", "_prefix", "ases", "_costs", "_len")
 
     def __init__(self, tables, prefix, churned: Dict[int, bool]):
         self._sessions = tables.session_import
         self._export_all = tables.export_all
         self._prefix = prefix
         #: churned ASN -> whether its sessions tie, in ASN order
-        self._churned = churned
+        self.ases = churned
         self._costs: Dict[Tuple[int, int], int] = {}
         self._len = sum(len(self._export_all[asn]) for asn in churned)
 
@@ -70,7 +72,7 @@ class _ChurnOverlay(Mapping):
         cost = self._costs.get(session)
         if cost is not None:
             return cost
-        tied = self._churned.get(session[0]) if session in self._sessions else None
+        tied = self.ases.get(session[0]) if session in self._sessions else None
         if tied is None:
             return default
         cost = 0 if tied else 1 + stable_hash(*session, prefix=self._prefix) % 1_000_000
@@ -84,7 +86,7 @@ class _ChurnOverlay(Mapping):
         return cost
 
     def __iter__(self):
-        for asn in self._churned:
+        for asn in self.ases:
             for neighbor in self._export_all[asn]:
                 yield asn, neighbor
 
@@ -441,14 +443,15 @@ class Orchestrator:
                     time.perf_counter() - start
                 )
         self.metrics.counter("experiments").increment()
-        logger.debug(
-            "deployed configuration",
-            extra={"fields": {
-                "experiment_id": experiment_id,
-                "sites": list(config.site_order),
-                "attempts": attempts_used[0],
-            }},
-        )
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug(
+                "deployed configuration",
+                extra={"fields": {
+                    "experiment_id": experiment_id,
+                    "sites": list(config.site_order),
+                    "attempts": attempts_used[0],
+                }},
+            )
         return Deployment(self, config, converged, experiment_id)
 
     # -- drift models -----------------------------------------------------------

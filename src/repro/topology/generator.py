@@ -25,7 +25,7 @@ from repro.topology.geo import (
     propagation_rtt_ms,
 )
 from repro.topology.intradomain import PopNetwork
-from repro.util.errors import TopologyError
+from repro.util.errors import ReproError, TopologyError
 from repro.util.rng import derive_rng, stable_hash
 
 #: Well-known tier-1 backbones; the first six are the paper's transit
@@ -217,18 +217,20 @@ class TransitColumns(NamedTuple):
 
 class StubColumns(NamedTuple):
     """What is static about a pure stub's first hop
-    (:meth:`Internet.stub_columns`), as ``[stub, provider]`` arrays:
-    rows are ``TopologyTables.stub_providers`` in ASN order, columns a
-    stub's providers in ASN order, padded to the widest stub."""
+    (:meth:`Internet.stub_columns`), as ``[provider, stub]`` arrays:
+    stubs are ``TopologyTables.stub_providers`` in ASN order, and a
+    stub's providers, in ASN order, fill the first rows of its column;
+    the rest is padding.  A per-stub pass is then a few elementwise
+    passes over contiguous rows, and ``array.take(col * stubs + at)``
+    reads a stub's cell in provider row ``col``."""
 
-    #: stub ASN -> row, and ``(stub, provider)`` session -> ``(row, col)``
-    row: Dict[int, int]
-    cell: Dict[Tuple[int, int], Tuple[int, int]]
+    #: stub ASN -> its position on the stub axis
+    position: Dict[int, int]
     #: the provider's ``TopologyTables.asn_index``; -1 in the padding
     provider: np.ndarray
-    #: the session's import values (``TopologyTables.session_import``)
-    local_pref: np.ndarray
-    interior: np.ndarray
+    #: the session's part of the packed decision key
+    #: (:func:`session_key` of its ``TopologyTables.session_import``)
+    key: np.ndarray
     #: the provider-to-stub link's one-way delay and jitter slot
     #: (``TopologyTables.prop_delay`` / ``pair_slot``)
     delay: np.ndarray
@@ -241,6 +243,18 @@ class StubColumns(NamedTuple):
     #: per stub: ``AS.multipath`` and ``AS.arrival_order_tiebreak``
     multipath: np.ndarray
     arrival_order: np.ndarray
+
+
+def session_key(local_pref: np.ndarray, interior: np.ndarray) -> np.ndarray:
+    """The part of a pure stub's strict decision key ``(-local_pref,
+    len(path), interior)`` its session fixes: the key orders like the
+    int64 ``session_key + (len(path) << 32)`` for a ``local_pref``
+    below 2**18, an ``interior`` below 2**32 (checked here) and a path
+    shorter than 2**12 (checked where the length is added)."""
+    for values, bits in ((local_pref, 18), (interior, 32)):
+        if values.min(initial=0) < 0 or values.max(initial=0) >> bits:
+            raise ReproError("a stub's decision key does not fit its 64-bit packing")
+    return interior - (local_pref << 44)
 
 
 class Internet:
@@ -336,15 +350,14 @@ class Internet:
             transit = self.transit_columns()
             providers = tables.stub_providers
             stubs = sorted(providers)
-            shape = (len(stubs), max(map(len, providers.values()), default=1))
+            shape = (max(map(len, providers.values()), default=1), len(stubs))
             provider = np.full(shape, -1, dtype=np.intp)
             local_pref, interior, node, slot = np.zeros((4,) + shape, dtype=np.int64)
             delay, transit_ms, link_ms = np.zeros((3,) + shape)
-            cell: Dict[Tuple[int, int], Tuple[int, int]] = {}
-            for row, stub in enumerate(stubs):
+            for i, stub in enumerate(stubs):
                 entry = self.entry_pop(stub, None)
                 for col, asn in enumerate(providers[stub]):
-                    at = cell[stub, asn] = row, col
+                    at = col, i
                     provider[at] = tables.asn_index[asn]
                     local_pref[at], interior[at], _ = tables.session_import[stub, asn]
                     delay[at], slot[at] = tables.prop_delay[asn, stub], tables.pair_slot[asn, stub]
@@ -352,8 +365,8 @@ class Internet:
                     node[at] = transit.node[asn, there]
             ases = [self.graph.as_of(stub) for stub in stubs]
             tables.stub_columns = StubColumns(
-                {stub: row for row, stub in enumerate(stubs)}, cell,
-                provider, local_pref, interior, delay, slot, transit_ms, link_ms, node,
+                {stub: i for i, stub in enumerate(stubs)}, provider,
+                session_key(local_pref, interior), delay, slot, transit_ms, link_ms, node,
                 np.array([a.multipath for a in ases], dtype=bool),
                 np.array([a.arrival_order_tiebreak for a in ases], dtype=bool),
             )

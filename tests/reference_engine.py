@@ -22,10 +22,10 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.bgp import policy
-from repro.bgp.decision import best_route, evaluate, multipath_set
+from repro.bgp.decision import evaluate
 from repro.bgp.engine import BGPEngine
 from repro.bgp.messages import Route, SitePop, make_route
 from repro.bgp.policy import local_pref_for
@@ -34,6 +34,45 @@ from repro.topology.astopo import AS, Relationship
 from repro.util.errors import ConvergenceBudgetError, ReproError
 from repro.util.rng import stable_hash
 from tests.reference_noise import reference_uniform
+
+
+def _strict_key(route: Route) -> Tuple:
+    """Ordering through the deterministic comparison steps
+    (LOCAL_PREF, AS_PATH length, origin, MED, interior cost), computed
+    from the fields rather than read from :attr:`Route.strict_key`."""
+    return (
+        -route.local_pref,
+        route.path_length,
+        route.origin_code,
+        route.med,
+        route.interior_cost,
+    )
+
+
+def best_route(routes: Sequence[Route], node: AS) -> Optional[Route]:
+    """The single best route for ``node``, or None if no routes: the
+    minimum through every step, honouring the AS's tie-break mode."""
+    if not routes:
+        return None
+
+    def full_key(route):
+        arrival = route.arrival_time if node.arrival_order_tiebreak else 0.0
+        return _strict_key(route) + (arrival, route.learned_from)
+
+    return min(routes, key=full_key)
+
+
+def multipath_set(routes: Sequence[Route], node: AS) -> List[Route]:
+    """Routes a multipath AS balances over: all tied through the
+    deterministic steps (equal-cost multipath), sorted by neighbour id
+    so flow-hash indexing into it is deterministic.  For a single-path
+    AS this still returns the tied set."""
+    if not routes:
+        return []
+    best_key = min(_strict_key(r) for r in routes)
+    tied = [r for r in routes if _strict_key(r) == best_key]
+    tied.sort(key=lambda r: r.learned_from)
+    return tied
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.bgp.decision import best_route, evaluate, multipath_set
+from repro.bgp.decision import evaluate
 from repro.bgp.messages import Route
 from repro.topology.astopo import AS
 from repro.topology.geo import city
+from tests.reference_engine import best_route, multipath_set
 
 
 def node(arrival_tiebreak=True):

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import logging
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +102,28 @@ class TestDeploy:
                 testbed, targets,
                 settings=CampaignSettings(rtt_drift_sigma=-1.0),
             )
+
+
+    def test_the_deploy_record_is_built_at_debug_only(
+        self, clean_orchestrator, caplog, monkeypatch
+    ):
+        """At DEBUG a deploy logs one record with its fields; above it,
+        ``logger.debug`` is not called, so the fields are never built."""
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        name = "repro.orchestrator"
+        with caplog.at_level(logging.DEBUG, logger=name):
+            deployment = clean_orchestrator.deploy(AnycastConfig(site_order=(6, 1)))
+        [record] = [r for r in caplog.records if r.getMessage() == "deployed configuration"]
+        assert (record.name, record.levelno) == (name, logging.DEBUG)
+        assert record.fields == {
+            "experiment_id": deployment.experiment_id, "sites": [6, 1], "attempts": 1,
+        }
+        caplog.clear()
+        built = []
+        monkeypatch.setattr(orchestrator_module.logger, "debug", lambda *a, **k: built.append(k))
+        with caplog.at_level(logging.INFO, logger=name):
+            clean_orchestrator.deploy(AnycastConfig(site_order=(6, 1)))
+        assert not caplog.records and not built
 
 
 class TestDeploymentMeasurements:
@@ -239,7 +262,7 @@ class TestDriftModels:
             imported.clear()
             hashed.clear()
             deployment = orchestrator.deploy(AnycastConfig(site_order=order))
-            churned = overlays[-1]._churned
+            churned = overlays[-1].ases
             assert len(hashed) == len(set(hashed)) <= len(set(imported))
             assert set(hashed) == {s for s in imported if churned.get(s[0]) is False}
             before = len(hashed)

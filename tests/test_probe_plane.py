@@ -1,13 +1,13 @@
 """The probe plane against oracles that live with the tests.
 
 A deployment is resolved once, as arrays: every aggregated stub's next
-hop is one ``argmin`` over a packed key built from its providers' export
-episodes (no state), arrival-order ties settled in one vector pass, its
-first hop comes from static columns, each transit AS is asked where it
-forwards once and the flows advance over a static node table a level at
-a time; ``DataPlane.forward`` stays the single-flow walk over the same
-choices and hops.  Catchment mapping draws only a probe's loss
-decision.  Each shortcut is compared — with ``==``, floats included —
+hop comes from elementwise passes over a packed key built from its
+providers' export episodes (no state), arrival-order ties settled in
+one vector pass, its first hop comes from static columns, each transit
+AS is asked where it forwards once and the flows advance over a static
+node table a level at a time; ``DataPlane.forward`` stays the
+single-flow walk over the same choices and hops.  Catchment mapping
+draws only a probe's loss decision.  Each shortcut is compared — with ``==``, floats included —
 against the plain form it replaced: the unmemoized hop-by-hop walk over
 the per-AS states, those states' own ``best`` / ``multipath`` (and the
 reference engine's live speakers), the per-stub ``min`` over arrival
@@ -530,7 +530,7 @@ class TestBulkEqualsReference:
             internet, deployment.converged, deployment.experiment_id, target_flows(targets)
         )
         cols = internet.stub_columns()
-        first_legs = cols.transit_ms[[cols.row[stub] for stub in wide]]
+        first_legs = cols.transit_ms[:, [cols.position[stub] for stub in wide]]
         assert 0 < (first_legs > 0.0).sum() == (cols.transit_ms > 0.0).sum()
         assert deployment.measure_rtts() == [deployment.measure_rtt(t) for t in targets]
 
@@ -628,7 +628,7 @@ class TestOneRowViews:
             internet = deployment.orchestrator.testbed.internet
             providers = internet.graph.tables().stub_providers
             best, tied = converged.stub_choices()
-            for stub, row in internet.stub_columns().row.items():
+            for stub, row in internet.stub_columns().position.items():
                 hops = converged.next_hops(stub)
                 if stub not in converged.states._aggregated:
                     assert best[row] == LIVE
@@ -692,11 +692,13 @@ class TestMutationsAreNoticed:
             return [converged.next_hops(stub) for stub in stubs]
 
         assert decisions() == [state_next_hops(expected[stub]) for stub in stubs]
-        stub_key = delta._stub_key
-        monkeypatch.setattr(
-            delta, "_stub_key",
-            lambda local_pref, length, interior: stub_key(length, local_pref, interior),
-        )
+
+        def swapped(static, length):
+            interior = static & (2**44 - 1)
+            local_pref = (interior - static) >> 44
+            return (local_pref << 32 | interior) - (length << 44)
+
+        monkeypatch.setattr(delta, "_stub_key", swapped)
         assert decisions() != [state_next_hops(expected[stub]) for stub in stubs]
 
 
@@ -745,7 +747,8 @@ class TestStubChoiceEqualsState:
     @settings(**SETTINGS)
     def test_packed_key_orders_like_the_tuple(self, parts):
         columns = [numpy.array(column, dtype=numpy.int64) for column in zip(*parts)]
-        packed = delta._stub_key(*columns).tolist()
+        local_pref, length, interior = columns
+        packed = delta._stub_key(generator.session_key(local_pref, interior), length).tolist()
         strict = [(-local_pref, length, interior) for local_pref, length, interior in parts]
         for i, j in itertools.combinations(range(len(parts)), 2):
             assert (packed[i] < packed[j]) == (strict[i] < strict[j])
@@ -754,47 +757,40 @@ class TestStubChoiceEqualsState:
     @pytest.mark.parametrize("parts", [(2**18, 1, 1), (1, 2**12, 1), (1, 1, 2**32), (1, 1, -1)])
     def test_a_key_that_does_not_fit_is_refused(self, parts):
         with pytest.raises(ReproError):
-            delta._stub_key(*(numpy.array([[part]], dtype=numpy.int64) for part in parts))
+            local_pref, length, interior = (numpy.array([[p]], dtype=numpy.int64) for p in parts)
+            delta._stub_key(generator.session_key(local_pref, interior), length)
 
 
 # -- arrival-order ties --------------------------------------------------------
 
 
-def reference_decide(views):
-    """``_StubViews.decide`` as it was: the IGP overlay patched in by
-    ``tuple.index``, then each arrival-order tie broken on its own by
-    ``min(key=arrival)`` over the tied columns — the event push's scalar
-    ``t + delay + jitter``, ``math.log`` through the jitter's key."""
+def reference_decide(views, overlay=None):
+    """``_StubViews.decide``'s ``(best, tied)``, stub by stub in plain
+    Python: each offer's strict key ``(-local_pref, len(path),
+    interior)`` as a tuple, the interior read from ``overlay`` (the
+    run's, by default) per session; the first minimum in provider
+    order, and among an arrival-order AS's strict ties ``min(key=
+    arrival)`` — the event push's scalar ``t + delay + jitter``,
+    ``math.log`` through the jitter's key."""
     tables = views.tables
-    cols = views.internet.stub_columns()
-    stub_providers = tables.stub_providers
-    length = numpy.zeros(len(tables.index_asn) + 1, dtype=numpy.int64)
-    for provider, eps in views.ep_log.items():
-        if eps[-1][1] is not None:
-            length[tables.asn_index[provider]] = len(eps[-1][1])
-    interior = cols.interior.copy()
-    for (asn, neighbor), cost in views.overlay.items():
-        row = cols.row.get(asn)
-        if row is not None and neighbor in stub_providers[asn]:
-            interior[row, stub_providers[asn].index(neighbor)] = cost
-    offered = length[cols.provider]
-    key = delta._stub_key(cols.local_pref, offered, interior)
-    key[offered == 0] = delta._NO_OFFER
-    best, low = key.argmin(axis=1), key.min(axis=1)
-    tied = (key == low[:, None]).sum(axis=1) > 1
-    best[low == delta._NO_OFFER] = -1
-    tied &= best >= 0
-    stubs = tuple(cols.row)
-    rows = numpy.flatnonzero(tied & cols.arrival_order)
-    for row, lowest in zip(rows.tolist(), (key[rows] == low[rows, None]).tolist()):
-        providers = stub_providers[stubs[row]]
-        best[row] = min(
-            (col for col, at_best in enumerate(lowest) if at_best),
-            key=lambda col: views.arrival(stubs[row], providers[col]),
-        )
-    for stub in views.live:
-        best[cols.row[stub]] = LIVE
-    return key, best, tied
+    overlay = views.overlay if overlay is None else overlay
+    best, tied = [], []
+    for stub in sorted(tables.stub_providers):
+        providers = tables.stub_providers[stub]
+        offers = {}
+        for col, provider in enumerate(providers):
+            eps = views.ep_log.get(provider)
+            if eps and eps[-1][1] is not None:
+                local_pref, interior, _ = tables.session_import[stub, provider]
+                interior = overlay.get((stub, provider), interior)
+                offers[col] = (-local_pref, len(eps[-1][1]), interior)
+        low = min(offers.values(), default=None)
+        cols = [col for col, key in offers.items() if key == low]
+        if len(cols) > 1 and views.internet.graph.as_of(stub).arrival_order_tiebreak:
+            cols.sort(key=lambda col: views.arrival(stub, providers[col]))
+        best.append(LIVE if stub in views.live else cols[0] if cols else -1)
+        tied.append(len(cols) > 1)
+    return numpy.array(best), numpy.array(tied)
 
 
 @st.composite
@@ -876,7 +872,7 @@ class TestStubTiesAreTheMinLoop:
     def test_random_worlds(self, world):
         _, converged = world
         views = converged.states._stubs
-        assert [a.tolist() for a in views.decide()] == [
+        assert [a.tolist() for a in views.decide()[1:]] == [
             a.tolist() for a in reference_decide(views)
         ]
 
@@ -888,7 +884,7 @@ class TestStubTiesAreTheMinLoop:
             views = noisy_orchestrator.deploy(AnycastConfig(site_order=order)).converged.states._stubs
             key, best, tied = views.decide()
             ties += int((tied & views.internet.stub_columns().arrival_order).sum())
-            assert [best.tolist(), tied.tolist()] == [a.tolist() for a in reference_decide(views)[1:]]
+            assert [best.tolist(), tied.tolist()] == [a.tolist() for a in reference_decide(views)]
         assert ties > 10
 
     @pytest.mark.parametrize("t_jitter", [0.0, 0.25])
@@ -897,7 +893,7 @@ class TestStubTiesAreTheMinLoop:
         assert views.arrival(100, 1) == views.arrival(100, 2)
         _, best, tied = views.decide()
         assert tied.tolist() == [True] and best.tolist() == [0]
-        assert reference_decide(views)[1].tolist() == [0]
+        assert reference_decide(views)[0].tolist() == [0]
         assert views.choose(100) == (1, [1, 2])
 
     def test_a_tie_decided_by_the_last_bit_of_the_log(self):
@@ -915,7 +911,101 @@ class TestStubTiesAreTheMinLoop:
         estimate = (-numpy.log(1.0 - numpy.array([u])) / lambd).item()
         views = two_provider_stub((estimate, 0.0), (0.0, u), lambd)
         assert views.arrival(100, 2) < views.arrival(100, 1) == estimate
-        assert views.decide()[1].tolist() == [1] == reference_decide(views)[1].tolist()
+        assert views.decide()[1].tolist() == [1] == reference_decide(views)[0].tolist()
+
+
+# -- churn and the records ---------------------------------------------------
+
+
+class TestChurnIsReadWhereItIs:
+    """A churn overlay is consulted only for the ASes it churns: the
+    event loop tests membership before it reads a cost, and the stub
+    pass patches only the cells of churned stubs."""
+
+    def test_the_lazy_overlay_converges_like_its_dict(self, testbed, targets):
+        """Heavy churn, jittered: converging with the overlay or with
+        the eager dict of the same costs gives the same run and the same
+        probe columns; the stub pass is the plain per-stub decision, and
+        some multi-provider stub's choice is decided by its own churned
+        costs (and some by an arrival-order tie)."""
+        orchestrator = Orchestrator(testbed, targets, seed=SEED, settings=CampaignSettings(
+            session_churn_prob=0.5, convergence_cache=False,
+        ))
+        graph = testbed.internet.graph
+        stubs = graph.tables().stub_providers
+        asns = graph.asns()
+        flows = [t.asn for t in targets], [t.target_id for t in targets]
+        injections = orchestrator._injections(AnycastConfig(site_order=(1, 4, 6, 9)))
+        flipped = arrival_ties = 0
+        for experiment_id in range(1, 25):
+            overlay = orchestrator._igp_overlay(experiment_id)
+            eager = dict(overlay.items())
+            assert type(overlay) is not dict and overlay.ases
+            runs = [
+                orchestrator.engine.run(
+                    injections, igp_overlay=o, delay_jitter_ms=20.0, delay_nonce=experiment_id
+                )
+                for o in (overlay, eager)
+            ]
+            lazy, plain = runs
+            assert (lazy.convergence_time_ms, lazy.message_count) == (
+                plain.convergence_time_ms, plain.message_count
+            )
+            assert [lazy.next_hops(a) for a in asns] == [plain.next_hops(a) for a in asns]
+            assert [a.tolist() for a in lazy.stub_choices()] == [
+                a.tolist() for a in plain.stub_choices()
+            ]
+            columns = [
+                [c.tobytes() for c in DataPlane(testbed.internet, run, 0).resolve_flows(*flows)]
+                for run in runs
+            ]
+            assert columns[0] == columns[1]
+            views = lazy.states._stubs
+            _, best, tied = views.decide()
+            assert [best.tolist(), tied.tolist()] == [a.tolist() for a in reference_decide(views)]
+            transit_only = {s: cost for s, cost in eager.items() if s[0] not in stubs}
+            unchurned = reference_decide(views, transit_only)[0]
+            flipped += int((best != unchurned).sum())
+            arrival_ties += int((tied & views.internet.stub_columns().arrival_order).sum())
+        assert flipped and arrival_ties
+
+    def test_the_node_table_asks_next_hops_only_where_ties_matter(self, monkeypatch):
+        """Building the node table asks ``next_hops`` of the multipath
+        transit ASes and of ASes whose state is already built — a built
+        state steers the data plane — and reads every other transit
+        AS's choice off its record's best sender."""
+        testbed = build_paper_testbed(
+            TestbedParams(topology=TopologyParams(n_stub=150, n_tier2=24, multipath_fraction=0.3)),
+            seed=SEED,
+        )
+        graph = testbed.internet.graph
+        targets = select_targets(testbed.internet, seed=SEED)
+        transit = set(testbed.internet.transit_columns().slot)
+        multipath = {asn for asn in transit if graph.as_of(asn).multipath}
+        assert 0 < len(multipath) < len(transit)
+        asked = collections.Counter()
+        next_hops = LazyStates.next_hops
+
+        def counted(self, asn):
+            asked[asn] += 1
+            return next_hops(self, asn)
+
+        monkeypatch.setattr(LazyStates, "next_hops", counted)
+        orchestrator = Orchestrator(testbed, targets, seed=SEED)
+        for config, read in (((1, 4, 6, 9), 0), ((2, 7), 3)):
+            deployment = orchestrator.deploy(AnycastConfig(site_order=config))
+            states = deployment.converged.states
+            built = set(sorted(transit - multipath)[:read])
+            for asn in built:
+                states[asn]  # reading a state builds it
+            asked.clear()
+            deployment.dataplane._node_table()
+            assert set(asked) == multipath | built and set(asked.values()) == {1}
+            assert transit <= set(states._records)
+            assert_bulk_matches_reference(
+                testbed.internet, deployment.converged, deployment.experiment_id,
+                target_flows(targets),
+            )
 
 
 # -- probes ------------------------------------------------------------------
@@ -1043,9 +1133,11 @@ def test_probing_resolves_a_deployment_once(monkeypatch):
     and an RTT row: deploying resolves nothing — no static column, no
     hop, no node table; probing builds the transit columns once per
     tables revision, asks each transit AS where it forwards once per
-    deployment, builds a state only for the injection hosts flows end
-    at (no stub state), takes no per-stub decision and walks no client
-    singly but the one whose own tied providers hash its flows."""
+    deployment — ``next_hops`` only of the one multipath transit AS, the
+    other 55 through their records' best senders — builds no state (a
+    host's injected route is read off the run), takes no per-stub
+    decision and walks no client singly but the one whose own tied
+    providers hash its flows."""
     testbed = build_paper_testbed(None, seed=SEED)
     targets = select_targets(testbed.internet, seed=SEED)
     clients = set(targets.asns())
@@ -1053,15 +1145,23 @@ def test_probing_resolves_a_deployment_once(monkeypatch):
     assert (len(graph), len(targets), len(clients)) == (656, 1120, 451)
     transit = set(graph.asns()) - set(graph.tables().stub_providers)
     assert len(transit) == 56
+    multipath = {asn for asn in transit if graph.as_of(asn).multipath}
+    assert len(multipath) == 1
 
     decided = collections.Counter()
+    read = collections.Counter()
     walked = collections.Counter()
     built = []
     next_hops, walk, columns = LazyStates.next_hops, DataPlane._walk, generator.TransitColumns
+    best_senders = LazyStates.best_senders
 
     def counted_next_hops(self, asn):
         decided[asn] += 1
         return next_hops(self, asn)
+
+    def counted_best_senders(self, asns):
+        read.update(asns)
+        return best_senders(self, asns)
 
     def counted_walk(self, asn, flow_key):
         walked[asn] += 1
@@ -1072,17 +1172,19 @@ def test_probing_resolves_a_deployment_once(monkeypatch):
         return columns(*fields)
 
     monkeypatch.setattr(LazyStates, "next_hops", counted_next_hops)
+    monkeypatch.setattr(LazyStates, "best_senders", counted_best_senders)
     monkeypatch.setattr(DataPlane, "_walk", counted_walk)
     monkeypatch.setattr(generator, "TransitColumns", counted_columns)
 
     orchestrator = Orchestrator(testbed, targets, seed=SEED)
     for config, split in (((1, 4, 6, 9, 12), 1), ((2, 7), 2), ((1, 4, 6, 9, 12), 1)):
         decided.clear()
+        read.clear()
         walked.clear()
         deployment = orchestrator.deploy(AnycastConfig(site_order=config))
         dataplane, states = deployment.dataplane, deployment.converged.states
         tables = graph.tables()
-        assert not decided and not walked
+        assert not decided and not read and not walked
         assert dataplane._nodes is None and not dataplane._choices and not dataplane._memo
         assert states._stubs._decided is None
         if not built:
@@ -1096,10 +1198,10 @@ def test_probing_resolves_a_deployment_once(monkeypatch):
 
         assert built == [tables.revision]
         assert states._aggregated >= clients
-        hosts = {inj.host_asn for inj in deployment.converged.injections}
-        assert states._materialized and set(states._materialized) <= hosts
-        assert set(decided.values()) == {1}
-        assert set(decided) - clients == transit
+        assert not states._materialized
+        assert set(decided.values()) == set(read.values()) == {1}
+        assert set(decided) - clients == multipath
+        assert set(read) - clients == transit - multipath
         assert set(walked) == set(decided) & clients
         hashed = hashed_clients(dataplane, sorted(clients))
         assert set(walked) == hashed and len(hashed) == split
