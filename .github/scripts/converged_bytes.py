@@ -5,8 +5,7 @@ Usage: ``PYTHONPATH=<src> python converged_bytes.py OUT``
 Builds the 5.4k-AS testbed of the ``deploy_scale`` benchmark workload
 (``n_stub=5300, n_tier2=120``, world seed 7) and converges 60 seeded
 runs: 2–3-site announcement orders deployed by an ``Orchestrator``
-(delay jitter and interior-cost churn per experiment, convergence cache
-off), plus three ``BGPEngine.run`` calls with jitter — one poisoning a
+(delay jitter and interior-cost churn per experiment), plus three ``BGPEngine.run`` calls with jitter — one poisoning a
 transit AS that carries the route, one withdrawing a site, one with an
 injection hosted at a pure stub.  For each run it writes
 ``convergence_time_ms`` as ``float.hex`` and ``message_count``, every
@@ -22,7 +21,7 @@ import argparse
 import random
 
 import repro
-from repro import CampaignSettings, TestbedParams, TopologyParams
+from repro import TestbedParams, TopologyParams
 from repro.bgp.engine import SiteInjection, SiteWithdrawal
 from repro.core.config import AnycastConfig
 from repro.measurement import Orchestrator
@@ -79,9 +78,7 @@ def main() -> None:
     targets = repro.select_targets(testbed.internet, seed=SEED)
     graph = testbed.internet.graph
     asns = sorted(graph.asns())
-    orchestrator = Orchestrator(
-        testbed, targets, seed=SEED, settings=CampaignSettings(convergence_cache=False)
-    )
+    orchestrator = Orchestrator(testbed, targets, seed=SEED)
     rng = random.Random(SEED)
     sites = testbed.site_ids()
     spacing = testbed.params.announcement_spacing_ms

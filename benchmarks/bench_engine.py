@@ -7,8 +7,6 @@ show up in review diffs):
 - **engine**: repeated same-topology convergence runs — runs/s,
   events per run and events/s of the engine's best batch (best-of
   keeps the figure stable on noisy single-core CI runners).
-- **cache**: a noiseless redeploy absorbed by the convergence cache
-  (hit rate and cold/warm deploy times).
 - **obs**: the same convergence workload with tracing and histograms
   enabled versus disabled — the observability tax on the engine
   (``overhead_pct``; the budget is under 10%).
@@ -34,13 +32,9 @@ if __package__ in (None, ""):  # running as a script: make repro importable
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.bgp.engine import BGPEngine, SiteInjection
-from repro.core.anyopt import AnyOpt
-from repro.core.config import AnycastConfig
-from repro.measurement.targets import select_targets
 from repro.obs.trace import Tracer
 from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.settings import CampaignSettings
-from repro.topology import TestbedParams, TopologyParams, build_paper_testbed
+from repro.topology import TopologyParams
 from repro.topology.astopo import Relationship
 from repro.topology.generator import generate_internet
 
@@ -127,28 +121,6 @@ def bench_obs(quick: bool) -> dict:
     }
 
 
-def bench_cache(testbed, targets) -> dict:
-    anyopt = AnyOpt(
-        testbed, targets=targets, seed=SEED, settings=CampaignSettings.noiseless()
-    )
-    config = AnycastConfig(site_order=tuple(testbed.site_ids()[:4]))
-    t0 = time.perf_counter()
-    anyopt.deploy(config)
-    cold_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    anyopt.deploy(config)
-    warm_s = time.perf_counter() - t0
-    cache = anyopt.orchestrator.convergence_cache
-    lookups = cache.hits + cache.misses
-    return {
-        "cold_deploy_ms": round(cold_s * 1000, 2),
-        "warm_deploy_ms": round(warm_s * 1000, 2),
-        "hits": cache.hits,
-        "misses": cache.misses,
-        "hit_rate": round(cache.hits / lookups, 3) if lookups else None,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_engine.json")
@@ -166,20 +138,9 @@ def main(argv=None) -> int:
           f"traced {obs['traced_runs_per_s']} runs/s "
           f"-> {obs['overhead_pct']}% overhead")
 
-    stubs = 100 if args.quick else 150
-    tier2 = 16 if args.quick else 24
-    testbed = build_paper_testbed(
-        TestbedParams(topology=TopologyParams(n_stub=stubs, n_tier2=tier2)), seed=SEED
-    )
-    targets = select_targets(testbed.internet, seed=SEED)
-
-    cache = bench_cache(testbed, targets)
-    print(f"cache: cold {cache['cold_deploy_ms']}ms, warm {cache['warm_deploy_ms']}ms, "
-          f"hit rate {cache['hit_rate']}")
-
     payload = {
         "format": "anyopt-bench-engine",
-        "version": 4,
+        "version": 5,
         "quick": args.quick,
         "host": {
             "python": platform.python_version(),
@@ -188,7 +149,6 @@ def main(argv=None) -> int:
         },
         "engine": engine,
         "obs": obs,
-        "cache": cache,
     }
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

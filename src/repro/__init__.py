@@ -42,7 +42,7 @@ from repro.core import (
     build_total_order,
 )
 from repro.measurement import Orchestrator, TargetSet, select_targets
-from repro.runtime import CampaignSettings, ConvergenceCache, MetricsRegistry
+from repro.runtime import CampaignSettings, MetricsRegistry
 from repro.topology import (
     Testbed,
     TestbedParams,
@@ -71,7 +71,6 @@ __all__ = [
     "AuditViolation",
     "CampaignSettings",
     "CatchmentPredictor",
-    "ConvergenceCache",
     "ExperimentRunner",
     "MetricsRegistry",
     "Orchestrator",

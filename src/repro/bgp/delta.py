@@ -177,9 +177,7 @@ class LazyStates(Mapping):
     (``best`` and ``multipath`` through
     :func:`repro.bgp.decision.evaluate`, ``advertised_to`` including its
     aggregated stubs), an aggregated stub's from its providers' episode
-    logs; a built state is kept.  Pickling materializes to a plain
-    dict, so persisted convergence-store entries do not depend on this
-    class.
+    logs; a built state is kept.
 
     Where an AS forwards is answered without a state: from the record
     (the state, once built) by :meth:`next_hops`, or its best sender
@@ -293,9 +291,6 @@ class LazyStates(Mapping):
 
     def __len__(self) -> int:
         return len(self._pristine)
-
-    def __reduce__(self):
-        return (dict, ({asn: self[asn] for asn in self._pristine},))
 
 
 class _StubViews:
@@ -585,7 +580,7 @@ class DeltaConverger:
 
     def __init__(self, internet, prefix: str, origin_asn: int):
         # The engine's inputs, not the engine: a back-pointer makes a cycle
-        # that keeps engine, cache and cached states alive until a gen-2 GC.
+        # that keeps the engine and its results alive until a gen-2 GC.
         self.internet = internet
         self.prefix = prefix
         self.origin_asn = origin_asn

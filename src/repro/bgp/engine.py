@@ -14,8 +14,7 @@ there is one convergence path and it is the fast one:
 records of the ASes an event reaches (a state is built when read),
 with per-AS export tables built once per topology revision.  The
 engine itself is the wrapper around it: input validation, the
-convergence cache, the per-run delay jitter, metrics and the trace
-span.  The speaker-per-AS loop it is bit-compared against lives with
+per-run delay jitter, metrics and the trace span.  The speaker-per-AS loop it is bit-compared against lives with
 the tests (``tests/reference_engine.py``).
 """
 
@@ -103,7 +102,7 @@ class ConvergedState:
     each state from the run's record when it is first read
     (:class:`~repro.bgp.delta.LazyStates`).  Treat the states as
     immutable: those of ASes the run never touched are shared between
-    results (and with the convergence cache).
+    results.
     """
 
     prefix: str
@@ -161,9 +160,6 @@ class BGPEngine:
     """Runs anycast announcements over an :class:`Internet` to
     convergence and returns the per-AS routing state.
 
-    ``cache`` (a :class:`repro.runtime.cache.ConvergenceCache`) stores
-    converged states keyed by the exact run inputs; a hit skips
-    propagation entirely and is bit-identical to re-running.
     ``metrics`` (a :class:`repro.runtime.metrics.MetricsRegistry`)
     receives the convergence work counters.
 
@@ -185,7 +181,6 @@ class BGPEngine:
         internet: Internet,
         origin_asn: int = ANYCAST_ORIGIN_ASN,
         prefix: str = DEFAULT_ANYCAST_PREFIX,
-        cache=None,
         metrics=None,
         tracer=None,
         max_events: Optional[int] = None,
@@ -195,7 +190,6 @@ class BGPEngine:
         self.internet = internet
         self.origin_asn = origin_asn
         self.prefix = prefix
-        self.cache = cache
         self.metrics = metrics
         self.tracer = tracer
         self.max_events = max_events
@@ -291,35 +285,6 @@ class BGPEngine:
 
         start_unix = time.time()
         start = time.perf_counter()
-        cache_key = None
-        if self.cache is not None:
-            # A per-experiment draw: only a disk store sees it (runtime.cache).
-            hold = delay_jitter_ms == 0.0 and not igp_overlay
-            if hold or self.cache.disk_store is not None:
-                cache_key = self.cache.key_for(
-                    injections, igp_overlay, delay_jitter_ms, delay_nonce, withdrawals
-                )
-            cached = self.cache.lookup(cache_key, hold)
-            if cached is not None:
-                elapsed = time.perf_counter() - start
-                if self.metrics is not None:
-                    self.metrics.histogram("convergence_cached_s").observe(elapsed)
-                if self.tracer is not None:
-                    # Attributes are virtual-clock quantities, so the
-                    # span is identical whether served cold or cached —
-                    # except for the cache_hit flag itself.
-                    self.tracer.record(
-                        "converge",
-                        attributes={
-                            "cache_hit": True,
-                            "messages": cached.message_count,
-                            "convergence_time_ms": cached.convergence_time_ms,
-                        },
-                        start_unix=start_unix,
-                        duration_s=elapsed,
-                    )
-                return cached
-
         jitter = (
             self._draw_jitter(delay_jitter_ms, delay_nonce) if delay_jitter_ms > 0.0 else {}
         )
@@ -338,7 +303,6 @@ class BGPEngine:
             self.tracer.record(
                 "converge",
                 attributes={
-                    "cache_hit": False if self.cache is not None else None,
                     "messages": messages,
                     "events": events,
                     "convergence_time_ms": last_time,
@@ -361,6 +325,4 @@ class BGPEngine:
                 if (inj.host_asn, inj.site_id) not in withdrawn
             })),
         )
-        if cache_key is not None:
-            self.cache.store(cache_key, state, hold)
         return state

@@ -128,7 +128,6 @@ def _settings_from_args(args) -> Optional[CampaignSettings]:
         ("fault_probe_blackout", "fault_probe_blackout_prob"),
         ("fault_session_reset", "fault_session_reset_prob"),
         ("max_attempts", "retry_max_attempts"),
-        ("cache_dir", "convergence_cache_path"),
     ):
         value = getattr(args, flag, None)
         if value is not None:
@@ -722,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--stats",
         action="store_true",
-        help="print campaign metrics (experiments, timers, cache hits) at the end",
+        help="print campaign metrics (experiments, timers, phases) at the end",
     )
     stats.add_argument(
         "--profile",
@@ -730,13 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="profile the command with cProfile, write pstats data to PATH, "
         "and print the top functions by cumulative time",
-    )
-    stats.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persist converged BGP states under DIR so repeated invocations "
-        "reuse each other's convergence work",
     )
     stats.add_argument(
         "--trace",
@@ -756,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="append periodic campaign-progress records (experiments done, "
-        "cache hit rate, ETA) as JSONL to PATH; tail it live with "
+        "events per second, ETA) as JSONL to PATH; tail it live with "
         "'anyopt watch PATH'",
     )
     stats.add_argument(

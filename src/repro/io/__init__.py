@@ -12,14 +12,10 @@ campaign can be split across processes (and so the CLI can chain
 - :func:`save_checkpoint` / :func:`load_checkpoint` — partial
   discovery state (:class:`~repro.io.checkpoint.DiscoveryProgress`)
   for resuming an interrupted campaign;
-- :class:`~repro.io.cachestore.ConvergenceStore` — the persistent
-  on-disk spill of the convergence cache, shared by processes and
-  repeated CLI invocations;
 - :func:`~repro.io.atomic.atomic_write` — how all of them reach disk.
 """
 
 from repro.io.atomic import atomic_write
-from repro.io.cachestore import ConvergenceStore, topology_fingerprint
 from repro.io.checkpoint import (
     DiscoveryProgress,
     RepairProgress,
@@ -44,7 +40,6 @@ from repro.io.serialization import (
 )
 
 __all__ = [
-    "ConvergenceStore",
     "DiscoveryProgress",
     "RepairProgress",
     "atomic_write",
@@ -64,5 +59,4 @@ __all__ = [
     "save_testbed",
     "testbed_from_dict",
     "testbed_to_dict",
-    "topology_fingerprint",
 ]

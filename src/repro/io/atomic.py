@@ -1,4 +1,4 @@
-"""Atomic file replacement for models, checkpoints, snapshots and caches."""
+"""Atomic file replacement for models, checkpoints and snapshots."""
 
 import os
 import threading

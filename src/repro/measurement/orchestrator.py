@@ -27,7 +27,6 @@ from repro.measurement.tunnels import TunnelManager
 from repro.measurement.verfploeter import CatchmentMap, measure_catchments
 from repro.obs.log import get_logger
 from repro.obs.trace import Tracer
-from repro.runtime.cache import ConvergenceCache
 from repro.runtime.executor import CampaignExecutor
 from repro.runtime.faults import FaultInjector
 from repro.runtime.metrics import MetricsRegistry
@@ -263,30 +262,8 @@ class Orchestrator:
         self.seed = seed
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
-        store = None
-        if self.settings.convergence_cache and self.settings.convergence_cache_path:
-            # Imported here: repro.io imports repro.core, which imports
-            # this module, so a module-level import would be a cycle.
-            from repro.bgp.engine import DEFAULT_ANYCAST_PREFIX
-            from repro.io.cachestore import ConvergenceStore
-
-            store = ConvergenceStore.for_topology(
-                self.settings.convergence_cache_path,
-                testbed.internet.graph,
-                DEFAULT_ANYCAST_PREFIX,
-            )
-        self.convergence_cache = (
-            ConvergenceCache(
-                self.settings.convergence_cache_size,
-                metrics=self.metrics,
-                store=store,
-            )
-            if self.settings.convergence_cache
-            else None
-        )
         self.engine = BGPEngine(
             testbed.internet,
-            cache=self.convergence_cache,
             metrics=self.metrics,
             tracer=self.tracer,
             max_events=self.settings.max_convergence_events,

@@ -6,9 +6,9 @@ A discovery campaign on an internet-scale topology runs for hours and
 ``interval_s`` seconds (and at phase boundaries, via :meth:`beat`) it
 reads the campaign's :class:`~repro.runtime.metrics.MetricsRegistry`
 and appends one JSON object to a heartbeat file — experiments done,
-cache hit rate, convergence events per second, failure count, and an
-ETA extrapolated from the experiment rate.  ``anyopt watch FILE``
-tails and renders the stream from another terminal.
+convergence events per second, failure count, and an ETA extrapolated
+from the experiment rate.  ``anyopt watch FILE`` tails and renders the
+stream from another terminal.
 
 Determinism contract: the heartbeat is a pure *observer*.  It reads
 counters that already exist, writes to its own file, and never feeds
@@ -35,8 +35,6 @@ TRACKED_COUNTERS = (
     "experiments_failed",
     "convergence_runs",
     "convergence_events",
-    "convergence_cache_hits",
-    "convergence_cache_misses",
 )
 
 
@@ -148,15 +146,6 @@ class HeartbeatWriter:
                 counters["convergence_events"]
                 - self._baseline["convergence_events"]
             )
-            hits = (
-                counters["convergence_cache_hits"]
-                - self._baseline["convergence_cache_hits"]
-            )
-            misses = (
-                counters["convergence_cache_misses"]
-                - self._baseline["convergence_cache_misses"]
-            )
-            lookups = hits + misses
             experiments_per_s = done / elapsed if elapsed > 0 else 0.0
             record: Dict = {
                 "seq": self._seq,
@@ -169,9 +158,6 @@ class HeartbeatWriter:
                     counters["experiments_failed"]
                     - self._baseline["experiments_failed"]
                 ),
-                "cache_hits": hits,
-                "cache_misses": misses,
-                "cache_hit_rate": round(hits / lookups, 4) if lookups else None,
                 "convergence_events": events,
                 "events_per_s": round(events / elapsed, 1) if elapsed > 0 else 0.0,
                 "experiments_per_s": round(experiments_per_s, 3),

@@ -5,8 +5,8 @@ Every logger lives under the ``repro.`` namespace so one
 ``--log-json`` flags) controls the whole tree.  Call sites pass
 structured fields through ``extra={"fields": {...}}`` — the formatters
 render them as ``key=value`` pairs or as JSON objects, so degraded
-paths (retries, injected faults, empty measurements, corrupt cache
-entries) leave a machine-readable record instead of failing silently.
+paths (retries, injected faults, empty measurements) leave a
+machine-readable record instead of failing silently.
 """
 
 import json

@@ -6,7 +6,7 @@ run stalls or degrades, the flat counters in
 :mod:`repro.runtime.metrics` cannot say *which* experiment, *which*
 phase, or *which* injected fault was responsible.  Spans can: every
 operation records a :class:`Span` with structured attributes
-(experiment ids, site pair, announcement order, cache hit/miss, fault
+(experiment ids, site pair, announcement order, convergence work, fault
 annotations), and the CLI exports the finished tree as JSONL via
 ``--trace`` for ``inspect-trace`` to summarize.
 

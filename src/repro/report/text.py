@@ -126,12 +126,6 @@ def render_metrics(snapshot: Dict) -> str:
     histograms = snapshot.get("histograms", {})
     phases = snapshot.get("phases", [])
     rows = [[name, str(counters[name])] for name in sorted(counters)]
-    lookups = counters.get("convergence_cache_hits", 0) + counters.get(
-        "convergence_cache_misses", 0
-    )
-    if lookups:
-        hit_rate = counters.get("convergence_cache_hits", 0) / lookups
-        rows.append(["convergence_cache_hit_rate", f"{hit_rate:.1%}"])
     if "audit_clients_quarantined" in counters:
         # The audit accounting row: how many quarantined clients the
         # optimizer actually dropped from its SPLPO input.
@@ -179,15 +173,10 @@ def render_metrics(snapshot: Dict) -> str:
                 p["name"],
                 f"{p['wall_seconds']:.3f}",
                 p["counter_deltas"].get("experiments", 0),
-                p["counter_deltas"].get("convergence_cache_hits", 0),
             ]
             for p in phases
         ]
-        sections.append(
-            render_table(
-                ["phase", "wall (s)", "experiments", "cache hits"], phase_rows
-            )
-        )
+        sections.append(render_table(["phase", "wall (s)", "experiments"], phase_rows))
     return "\n\n".join(sections)
 
 
@@ -277,11 +266,11 @@ def render_heartbeat(record: Dict) -> str:
     """Render one campaign heartbeat record as a single status line —
     the ``anyopt watch`` display format::
 
-        [  42] discover     8m20s  done 512/1200 (42.7%)  3.2/s  cache 91.2%  eta 3m35s
+        [  42] discover     8m20s  done 512/1200 (42.7%)  3.2/s  eta 3m35s
 
-    Missing optional fields (no total hint, no cache traffic) render
-    as omissions, not zeros; a ``final`` record is flagged, and a
-    record carrying an ``error`` shows it.
+    Missing optional fields (no total hint) render as omissions, not
+    zeros; a ``final`` record is flagged, and a record carrying an
+    ``error`` shows it.
     """
     parts = [
         f"[{record.get('seq', '?'):>4}]",
@@ -295,9 +284,6 @@ def render_heartbeat(record: Dict) -> str:
     else:
         parts.append(f"done {done}")
     parts.append(f"{record.get('experiments_per_s', 0.0):.1f}/s")
-    hit_rate = record.get("cache_hit_rate")
-    if hit_rate is not None:
-        parts.append(f"cache {100.0 * hit_rate:.1f}%")
     failed = record.get("experiments_failed", 0)
     if failed:
         parts.append(f"failed {failed}")

@@ -1,4 +1,4 @@
-"""Campaign runtime: experiment execution, convergence caching, metrics.
+"""Campaign runtime: experiment execution, settings, faults, metrics.
 
 The AnyOpt pipeline is dominated by independent BGP experiments —
 singletons, ordered pairwise pairs, one-pass peer trials.  This package
@@ -9,9 +9,6 @@ supplies the runtime machinery the drivers in :mod:`repro.core` and
   phase's experiment descriptors in order in the calling thread;
   experiment ids are reserved up front, so a resumed campaign draws
   the same noise as an uninterrupted one;
-- :mod:`repro.runtime.cache` — an exact-input LRU cache of converged
-  BGP states, so redeployments of the same configuration skip
-  re-propagation;
 - :mod:`repro.runtime.metrics` — counters, timers, histograms with
   percentile summaries, and per-phase campaign summaries (surfaced via
   ``AnyOpt.metrics``, the CLI's ``--stats`` / ``--metrics-out`` flags,
@@ -26,7 +23,6 @@ supplies the runtime machinery the drivers in :mod:`repro.core` and
   record.
 """
 
-from repro.runtime.cache import ConvergenceCache
 from repro.runtime.executor import CampaignExecutor
 from repro.runtime.faults import (
     AnnouncementFailureError,
@@ -47,7 +43,6 @@ __all__ = [
     "AnnouncementFailureError",
     "CampaignExecutor",
     "CampaignSettings",
-    "ConvergenceCache",
     "ConvergenceTimeoutError",
     "Counter",
     "FailedExperiment",

@@ -1,11 +1,10 @@
 """Counters, timers, histograms, and per-phase summaries for campaigns.
 
 Every :class:`~repro.measurement.orchestrator.Orchestrator` owns a
-:class:`MetricsRegistry`; the BGP engine, the convergence cache, and
-the experiment drivers record into it.  The registry answers the
-operational questions a campaign raises — how many BGP experiments
-ran, how many convergences were served from cache, how much wall time
-each phase took — without perturbing the simulation itself (metrics
+:class:`MetricsRegistry`; the BGP engine and the experiment drivers
+record into it.  The registry answers the operational questions a
+campaign raises — how many BGP experiments ran, how many convergence
+events they cost, how much wall time each phase took — without perturbing the simulation itself (metrics
 never feed back into any seeded RNG stream).
 
 All access is thread-safe: a campaign heartbeat thread

@@ -1,7 +1,7 @@
 """Campaign-level settings: one dataclass instead of scattered kwargs.
 
 Every noise knob (session churn, RTT drift, delay jitter) and every
-runtime knob (convergence cache, faults, retries) lives in a single
+runtime knob (event budget, faults, retries) lives in a single
 immutable :class:`CampaignSettings` value; ``settings=`` is the one way
 to pass them to :class:`~repro.core.anyopt.AnyOpt` and
 :class:`~repro.measurement.orchestrator.Orchestrator`, so their
@@ -33,16 +33,12 @@ class CampaignSettings:
             :class:`~repro.util.errors.ConvergenceBudgetError` with an
             event census.  ``None`` (the default) auto-scales the cap
             with topology size (never below the historical 2M floor).
-        convergence_cache: reuse converged BGP state across identical
-            deployments (bit-identical; see :mod:`repro.runtime.cache`).
-            Memory holds only runs with no per-experiment draw (no
-            jitter, no churn); the others reach only the disk store.
-        convergence_cache_size: LRU capacity of that cache.
-        convergence_cache_path: directory for the persistent on-disk
-            convergence store (see :mod:`repro.io.cachestore`); None
-            keeps the cache purely in memory.  A shared directory is
-            what lets repeated CLI invocations hit each other's
-            converged states.
+        convergence_cache: retired; ``False`` is its only legal value.
+            Every run converges: the convergence cache and its disk
+            store are gone.  The field stays only while the benchmark
+            harness (``benchmarks/pipeline/workloads.py``) still passes
+            ``convergence_cache=False``, and goes when it drops that
+            argument.
         fault_announcement_prob: per-attempt probability that a BGP
             announcement transiently fails (see
             :mod:`repro.runtime.faults`).
@@ -65,9 +61,7 @@ class CampaignSettings:
     rtt_bias_sigma: float = 0.03
     bgp_delay_jitter_ms: float = 20.0
     max_convergence_events: Optional[int] = None
-    convergence_cache: bool = True
-    convergence_cache_size: int = 256
-    convergence_cache_path: Optional[str] = None
+    convergence_cache: bool = False
     fault_announcement_prob: float = 0.0
     fault_convergence_timeout_prob: float = 0.0
     fault_probe_blackout_prob: float = 0.0
@@ -96,8 +90,11 @@ class CampaignSettings:
             raise ConfigurationError(
                 "max_convergence_events must be >= 1 (or None for auto)"
             )
-        if self.convergence_cache_size < 1:
-            raise ConfigurationError("convergence_cache_size must be >= 1")
+        if self.convergence_cache is not False:
+            raise ConfigurationError(
+                "convergence_cache was removed: every run converges; "
+                "leave it False or drop the argument"
+            )
         for knob in (
             "fault_announcement_prob",
             "fault_convergence_timeout_prob",
@@ -128,8 +125,8 @@ class CampaignSettings:
     def noiseless(cls, **overrides) -> "CampaignSettings":
         """Settings with every stochastic drift model disabled.
 
-        Deployments become exactly repeatable, which also makes the
-        convergence cache hit on every redeployment of a configuration.
+        Deployments become exactly repeatable: redeploying a
+        configuration converges again to the same state.
         """
         base = dict(
             session_churn_prob=0.0,

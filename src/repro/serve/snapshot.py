@@ -5,8 +5,9 @@ winners per client (provider level and site level) plus the unicast
 RTT matrix.  The JSON model format is built for portability, not
 query throughput — loading it rebuilds Python dict-of-frozenset
 matrices per process.  A *snapshot* instead compiles those lookups
-into dense numpy arrays once, wrapped in a cachestore-style
-checksummed envelope, so that:
+into dense numpy arrays once, wrapped in a versioned envelope (a
+length-prefixed JSON header and a SHA-256-checksummed payload), so
+that:
 
 - N server workers ``mmap`` one copy of the arrays (the page cache is
   shared; loading is O(header));

@@ -147,13 +147,6 @@ class ASGraph:
         self._revision = 0
         self._tables = None
 
-    def __getstate__(self):
-        # The derived tables are a cache: cheap to rebuild, heavy to
-        # ship.  Dropping them keeps pickled graphs lean.
-        state = self.__dict__.copy()
-        state["_tables"] = None
-        return state
-
     # -- construction --------------------------------------------------
 
     def add_as(self, node: AS) -> AS:

@@ -14,6 +14,8 @@ hang on one seed").  New tests build their own ``Orchestrator`` /
 per-test) and never draw ids from the session ones.
 """
 
+import weakref
+
 import pytest
 
 from repro import AnyOpt, CampaignSettings, select_targets
@@ -31,6 +33,22 @@ def hashed_clients(dataplane, asns):
     per AS."""
     dataplane.resolve_flows(asns, asns)
     return {key[0] for key in dataplane._memo if type(key) is tuple}
+
+
+def watch_results(engine) -> list:
+    """Make ``engine.run`` record a weak reference to each result it
+    returns, in the returned list: the refs that stay alive are the
+    results someone still holds."""
+    refs = []
+    run = engine.run
+
+    def run_and_watch(*args, **kwargs):
+        result = run(*args, **kwargs)
+        refs.append(weakref.ref(result))
+        return result
+
+    engine.run = run_and_watch
+    return refs
 
 
 def small_topology_params() -> TopologyParams:

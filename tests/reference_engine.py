@@ -1,6 +1,6 @@
 """The convergence oracle: a plain, slow, obviously-correct event loop.
 
-:class:`ReferenceEngine` shares ``BGPEngine.run`` (validation, cache,
+:class:`ReferenceEngine` shares ``BGPEngine.run`` (validation, metrics,
 ``ConvergedState``) with the shipping engine and none of its per-event
 code.  The shipping loop (:mod:`repro.bgp.delta`) handles each update
 inline over per-run states; here every AS is a :class:`BGPSpeaker`, a

@@ -94,24 +94,6 @@ class TestDiscoverOptimizeEvaluate:
         assert f"profile written to {prof}" in stdout
         assert "cumulative" in stdout  # the pstats top-functions table
 
-    def test_cache_dir_reused_across_invocations(self, artifacts, tmp_path,
-                                                 capsys):
-        testbed_path, model_path = artifacts
-        cache_dir = tmp_path / "convergence"
-        argv = [
-            "evaluate", "--testbed", testbed_path, "--model", model_path,
-            "--seed", "7", "--sites", "1,4,6", "--stats",
-            "--cache-dir", str(cache_dir),
-        ]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert "convergence_cache_disk_hits" not in first
-        # Same seed, same inputs: the second CLI invocation re-derives
-        # the same cache key and reuses the spilled converged state.
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert "convergence_cache_disk_hits" in second
-
 
 class TestCatchmentAndPeers:
     def test_catchment_bars(self, artifacts, capsys):

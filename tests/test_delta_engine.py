@@ -29,12 +29,12 @@ from repro.bgp.delta import _ARRIVAL_MARGIN, DeltaConverger, LazyStates, LinkJit
 from repro.core.config import AnycastConfig
 from repro.measurement import Orchestrator
 from repro.bgp.engine import BGPEngine, SiteInjection, SiteWithdrawal
-from repro.runtime.cache import ConvergenceCache
 from repro.topology.astopo import AS, ASGraph, Relationship
 from repro.topology.generator import Internet, ScaleSweepParams, generate_scale_internet
 from repro.topology.geo import city
 from repro.util.errors import ConvergenceBudgetError, ReproError
 from repro.util.rng import stable_hash, uniforms
+from tests.conftest import watch_results
 from tests.reference_engine import ReferenceEngine, _PlainLoop
 
 SEED = 7
@@ -509,11 +509,11 @@ class TestStubArrivalTimestamp:
 
 class TestJitteredSweepRetention:
     def test_a_jittered_sweep_retains_no_converged_state(self):
-        """A jittered run cannot recur in the process (its nonce is the
-        experiment id), so the cache counts it and holds nothing: a
-        deploy leaves behind only its spans and metrics, ~3.6 KB here.
-        A held entry kept its run's uniform jitter block alive, 8 bytes
-        per directed link (~167 KB a deploy on this world)."""
+        """Every deploy converges afresh and nothing in the campaign
+        keeps its result: a dropped deploy leaves behind only its spans
+        and metrics, ~3.6 KB here.  A kept result would keep its run's
+        uniform jitter block alive, 8 bytes per directed link (~167 KB
+        a deploy on this world)."""
         testbed = build_paper_testbed(
             TestbedParams(topology=TopologyParams(n_stub=1500, n_tier2=40)), seed=SEED
         )
@@ -522,6 +522,7 @@ class TestJitteredSweepRetention:
         orders = itertools.permutations(testbed.site_ids(), 2)
         for _ in range(3):  # tables, first runs
             orchestrator.deploy(AnycastConfig(site_order=next(orders)))
+        results = watch_results(orchestrator.engine)
         deploys = 20
         gc.collect()
         tracemalloc.start()
@@ -534,9 +535,9 @@ class TestJitteredSweepRetention:
         finally:
             tracemalloc.stop()
         counters = orchestrator.metrics.snapshot()["counters"]
-        assert counters["convergence_cache_misses"] == deploys + 3
-        assert "convergence_cache_hits" not in counters
-        assert len(orchestrator.convergence_cache) == 0
+        assert counters["convergence_runs"] == deploys + 3
+        assert len(results) == deploys
+        assert all(ref() is None for ref in results)
         assert retained / deploys < 8 * 1024
 
 
@@ -550,14 +551,6 @@ class TestLazyStates:
         assert "get" in vars(LazyStates)
         assert all(conv.states.get(asn) is conv.states[asn] for asn in conv.states)
         assert conv.states.get(-1) is None and conv.states.get(-1, "no") == "no"
-
-    def test_pickle_materializes_to_plain_dict(self, testbed):
-        delta_conv, reference_conv = (
-            e.run([injection(testbed, 1)]) for e in engine_pair(testbed.internet)
-        )
-        revived = pickle.loads(pickle.dumps(delta_conv.states))
-        assert type(revived) is dict
-        assert revived == reference_conv.states
 
     def test_untouched_ases_share_pristine_state(self, testbed):
         """A poisoned transit receives nothing (every export path
@@ -635,30 +628,31 @@ class TestStatesBuiltOnRead:
 
     @pytest.mark.parametrize("kind", LAZY_RUNS)
     def test_dict_and_pickle_equal_the_reference(self, testbed, kind):
+        """Materialized with ``dict``, a result's states are plain
+        ``RouterState`` values: equal to the reference's, and they
+        survive a pickle round trip."""
         injections, kwargs = lazy_runs(testbed)[kind]
         engine, reference = engine_pair(testbed.internet)
         expected = reference.run(injections, **kwargs).states
         assert dict(engine.run(injections, **kwargs).states) == expected
-        revived = pickle.loads(pickle.dumps(engine.run(injections, **kwargs).states))
+        revived = pickle.loads(pickle.dumps(dict(engine.run(injections, **kwargs).states)))
         assert type(revived) is dict and revived == expected
 
     def test_a_held_state_read_twice_is_equal(self, testbed):
-        """A noiseless result is held by the cache and handed out again:
-        its states, built on the first read, are the ones the second
-        read returns, also when threads read it at once."""
+        """A result its caller holds is read more than once: its states,
+        built on the first read, are the ones the second read returns,
+        also when threads read it at once."""
         injections = [injection(testbed, 1), injection(testbed, 6, t=1000.0)]
-        engine = BGPEngine(testbed.internet, cache=ConvergenceCache())
+        engine = BGPEngine(testbed.internet)
         expected = ReferenceEngine(testbed.internet).run(injections).states
         asns = sorted(expected)
-        first = engine.run(injections)
-        second = engine.run(injections)
-        assert second is first
-        hops = [first.next_hops(asn) for asn in asns]
-        once = dict(first.states)
-        twice = dict(second.states)
+        held = engine.run(injections)
+        hops = [held.next_hops(asn) for asn in asns]
+        once = dict(held.states)
+        twice = dict(held.states)
         assert once == twice == expected
         assert all(once[asn] is twice[asn] for asn in asns)
-        assert [second.next_hops(asn) for asn in asns] == hops
+        assert [held.next_hops(asn) for asn in asns] == hops
 
         shared = engine.run([injection(testbed, 4), injection(testbed, 9, t=500.0)])
         reads = []
@@ -705,9 +699,7 @@ class TestCampaignEquivalence:
             )
             orch = Orchestrator(testbed, targets, seed=SEED, settings=settings)
             if mode == "reference":
-                orch.engine = ReferenceEngine(
-                    testbed.internet, cache=orch.convergence_cache
-                )
+                orch.engine = ReferenceEngine(testbed.internet)
             deployments = [
                 orch.deploy(AnycastConfig(site_order=tuple(testbed.site_ids()[:k])))
                 for k in (2, 3, 4)
@@ -796,10 +788,10 @@ class TestSharedAcrossThreads:
 
 
 class TestNoReferenceCycle:
-    def test_dropping_anyopt_frees_engine_and_cache(self, testbed, targets):
+    def test_dropping_anyopt_frees_engine(self, testbed, targets):
         """The converger holds the engine's inputs, not the engine, so
-        reference counting alone reclaims a campaign's engine, cache and
-        cached states: peak memory does not depend on when the cyclic
+        reference counting alone reclaims a campaign's engine and its
+        results: peak memory does not depend on when the cyclic
         collector last ran."""
         gc.collect()
         gc.disable()
@@ -808,12 +800,12 @@ class TestNoReferenceCycle:
             anyopt.deploy(AnycastConfig(site_order=(1, 6))).measure_catchments()
             anyopt.deploy(AnycastConfig(site_order=(6, 1)))
             engine = weakref.ref(anyopt.orchestrator.engine)
-            cache = weakref.ref(anyopt.orchestrator.convergence_cache)
-            state = weakref.ref(engine().run([injection(testbed, 9)]))
-            assert engine() is not None and cache() is not None and state() is not None
+            result = engine().run([injection(testbed, 9)])
+            state = weakref.ref(result)
             del anyopt
-            assert engine() is None
-            assert cache() is None
+            # A result the caller still holds does not keep the engine.
+            assert engine() is None and state() is not None
+            del result
             assert state() is None
         finally:
             gc.enable()

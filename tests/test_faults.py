@@ -369,6 +369,8 @@ REMOVED_SETTINGS = {
     "parallelism": 1,
     "executor": "thread",
     "process_chunk_size": None,
+    "convergence_cache_size": 256,
+    "convergence_cache_path": None,
 }
 
 
@@ -400,8 +402,8 @@ def checkpoint_documents(extra_settings):
 
 class TestCheckpointSettingsBoundary:
     """A settings key this version does not declare — a stray one, or
-    the fields checkpoints carried before the convergence and executor
-    knobs were removed — fails typed, for both checkpoint kinds."""
+    the fields checkpoints carried before the convergence, executor and
+    convergence-cache knobs were removed — fails typed, for both checkpoint kinds."""
 
     @pytest.mark.parametrize(
         "extra", [{"stray_knob": 1}, REMOVED_SETTINGS], ids=["stray", "removed"]
@@ -424,7 +426,7 @@ class TestCheckpointSettingsBoundary:
             for key in extra:
                 assert repr(key) in str(exc.value)
 
-    @pytest.mark.parametrize("extra", [{"convergence_cache_size": 2.0}, {"retry_max_attempts": True}])
+    @pytest.mark.parametrize("extra", [{"max_convergence_events": 2.0}, {"retry_max_attempts": True}])
     def test_non_integer_count_fails_typed(self, extra):
         """JSON has no int/float distinction a writer must respect, so a
         count read back as ``2.0`` (or ``true``) is refused on load."""

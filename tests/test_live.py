@@ -378,8 +378,7 @@ class TestHeartbeat:
         with writer as hb:
             hb.set_phase("discover")
             registry.counter("experiments").increment(10)
-            registry.counter("convergence_cache_hits").increment(9)
-            registry.counter("convergence_cache_misses").increment(1)
+            registry.counter("convergence_events").increment(500)
             clock.advance(10.0)
             record = hb.beat()
         records = load_heartbeats(path)
@@ -387,7 +386,8 @@ class TestHeartbeat:
         assert records[-1]["final"] is True
         assert record["experiments_done"] == 10  # baseline excluded
         assert record["experiments_per_s"] == pytest.approx(1.0)
-        assert record["cache_hit_rate"] == pytest.approx(0.9)
+        assert record["convergence_events"] == 500
+        assert record["events_per_s"] == pytest.approx(50.0)
         assert record["experiments_total"] == 50
         assert record["eta_s"] == pytest.approx(40.0)
         assert record["phase"] == "discover"
@@ -471,21 +471,20 @@ class TestHeartbeatRendering:
             "seq": 42, "campaign": "discover", "phase": "discover",
             "elapsed_s": 500, "experiments_done": 512,
             "experiments_total": 1200, "experiments_per_s": 3.2,
-            "cache_hit_rate": 0.912, "eta_s": 215,
+            "eta_s": 215,
         })
         assert "done 512/1200 (42.7%)" in line
-        assert "cache 91.2%" in line
+        assert "3.2/s" in line
         assert "eta 3m35s" in line
 
     def test_render_omits_missing_optionals(self):
         line = render_heartbeat({
             "seq": 0, "campaign": "audit", "elapsed_s": 2,
             "experiments_done": 3, "experiments_per_s": 1.5,
-            "cache_hit_rate": None, "final": True,
+            "final": True,
         })
         assert "done 3" in line
         assert "done 3/" not in line  # no total hint was given
-        assert "cache" not in line
         assert "eta" not in line
         assert "(final)" in line
 

@@ -95,7 +95,7 @@ class TestTracer:
         with tracer.span("campaign") as span:
             span.set_attribute("k", "v")
             tracer.add_event("e")
-        tracer.record("converge", {"cache_hit": True})
+        tracer.record("converge", {"messages": 1})
         assert tracer.records() == []
 
     def test_max_records_keeps_the_last_finished(self):
@@ -164,12 +164,15 @@ class TestDeterministicTraces:
             assert attrs["announce_orders"] == [[a, b], [b, a]]
             assert len(attrs["experiment_ids"]) == 2
             assert record["span_id"].endswith(f"exp:{attrs['experiment_ids'][0]}")
-        # Deploy spans carry retry accounting, converge spans cache state.
+        # Deploy spans carry retry accounting, converge spans their work.
         deploys = [r for r in records if r["name"] == "deploy"]
         assert all("attempts" in r["attributes"] for r in deploys)
         converges = [r for r in records if r["name"] == "converge"]
         assert converges
-        assert all("cache_hit" in r["attributes"] for r in converges)
+        for record in converges:
+            attrs = record["attributes"]
+            assert set(attrs) == {"messages", "events", "convergence_time_ms"}
+            assert attrs["events"] >= attrs["messages"] > 0
 
 
 # --- histograms -------------------------------------------------------------
@@ -415,7 +418,8 @@ class TestCli:
         assert records[-1]["experiments_done"] > 0
         assert records[-1]["experiments_total"] > 0
         # The heartbeat observes the campaign's own counters.
-        assert records[-1]["cache_hits"] + records[-1]["cache_misses"] > 0
+        events = [record["convergence_events"] for record in records]
+        assert events == sorted(events) and events[-1] > 0
 
         assert main(["watch", str(heartbeat), "--no-follow"]) == 0
         out = capsys.readouterr().out
