@@ -33,7 +33,6 @@ logger = get_logger("heartbeat")
 TRACKED_COUNTERS = (
     "experiments",
     "experiments_failed",
-    "convergence_runs",
     "convergence_events",
 )
 

@@ -7,7 +7,11 @@ resilience layer (every field has a CLI flag on ``anyopt serve``);
 
 - *deadlines* — header-read, body-read, handler, and ``drain()`` write
   timeouts, so a slow-loris client cannot pin a connection and a
-  never-reading client cannot block graceful drain;
+  never-reading client cannot block graceful drain.  The stream reads
+  (idle, header, body) keep their deadline in a per-connection slot
+  under one server-owned loop timer (:meth:`ServeGuard.read`); a
+  coroutine handler and a paused drain get their own timer
+  (:meth:`ServeGuard.timed`);
 - *admission* — a connection cap (shed with ``503`` + ``Retry-After``
   and close) and an in-flight request cap (shed with ``429`` +
   ``Retry-After``, connection kept alive so a polite client can back
@@ -26,9 +30,10 @@ measuring guard overhead.
 """
 
 import asyncio
+import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.runtime.metrics import MetricsRegistry
 from repro.util.errors import ConfigurationError
@@ -66,7 +71,10 @@ class GuardConfig:
     header_timeout_s: Optional[float] = 10.0
     #: Deadline for reading the request body.
     body_timeout_s: Optional[float] = 30.0
-    #: Deadline for the route handler (the ``--request-timeout`` flag).
+    #: Deadline for a route handler that awaits (``/reloadz``, or any
+    #: route behind a ``chaos_hook``); a synchronous answer never
+    #: suspends, so no deadline could interrupt it.  The
+    #: ``--request-timeout`` flag.
     handler_timeout_s: Optional[float] = 30.0
     #: Deadline for flushing a response past a flow-control pause.
     write_timeout_s: Optional[float] = 30.0
@@ -137,21 +145,91 @@ _TIMEOUT_COUNTERS = {
 
 
 class ServeGuard:
-    """Enforces a :class:`GuardConfig` for one server: timed awaits
-    plus admission decisions, each accounted in ``metrics``."""
+    """Enforces a :class:`GuardConfig` for one server: read deadlines
+    under one loop timer, timed awaits, and admission decisions, each
+    accounted in ``metrics``."""
 
     def __init__(self, config: GuardConfig, metrics: MetricsRegistry):
         self.config = config
         self.metrics = metrics
+        #: reader -> (deadline, kind, timeout_s) of the read parked on it.
+        self._reads: Dict[asyncio.StreamReader, Tuple[float, str, float]] = {}
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._timer_at = math.inf
+
+    def expire(self, kind: str, timeout_s: float) -> GuardTimeout:
+        """Count a fired ``kind`` deadline; returns its exception."""
+        self.metrics.counter(_TIMEOUT_COUNTERS[kind]).increment()
+        return GuardTimeout(kind, timeout_s)
+
+    async def read(
+        self, reader: asyncio.StreamReader, read, timeout_s: Optional[float],
+        kind: str,
+    ):
+        """Await ``read``, a read of ``reader``, under the deadline; on
+        expiry the read fails with :class:`GuardTimeout` (counted by
+        :meth:`expire`).
+
+        The deadline sits in the reader's slot, and one loop timer
+        stands at the earliest slot.  The timer moves only for an
+        earlier deadline, so a keep-alive connection whose every idle
+        wait ends later than the last arms nothing per request.  A
+        firing fails each parked read past its deadline and re-arms at
+        the next deadline; its cost is one pass over the connections
+        parked in a read.
+        """
+        if timeout_s is None:
+            return await read
+        loop = asyncio.get_running_loop()
+        when = loop.time() + timeout_s
+        self._reads[reader] = (when, kind, timeout_s)
+        if when < self._timer_at:
+            self._arm(loop, when)
+        try:
+            return await read
+        finally:
+            self._reads.pop(reader, None)
+
+    def _arm(self, loop: asyncio.AbstractEventLoop, when: float) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer = loop.call_at(when, self._expire_reads, loop)
+        self._timer_at = when
+
+    def _expire_reads(self, loop: asyncio.AbstractEventLoop) -> None:
+        # The loop may run a timer up to its clock resolution early:
+        # whatever the timer stood for is due.
+        due = max(loop.time(), self._timer_at)
+        self._timer, self._timer_at = None, math.inf
+        nearest = math.inf
+        for reader, (when, kind, timeout_s) in list(self._reads.items()):
+            # ``_waiter`` is the StreamReader's pending data future; the
+            # read fails through it, not ``reader.set_exception``, which
+            # would poison the stream and make the 408's ``drain()``
+            # raise.  A due read without a pending one resumes on the
+            # next loop pass (its data came, or its task was cancelled);
+            # it keeps its slot and the timer comes back then, so a read
+            # that resumes only to park again (a body arriving in
+            # pieces) still expires.
+            waiter = reader._waiter
+            if when <= due and waiter is not None and not waiter.done():
+                del self._reads[reader]
+                waiter.set_exception(self.expire(kind, timeout_s))
+            else:
+                nearest = min(nearest, when)
+        if nearest < math.inf:
+            self._arm(loop, nearest)
 
     async def timed(self, awaitable, timeout_s: Optional[float], kind: str):
         """Await ``awaitable`` under the deadline; on expiry count the
         kind's counter and raise :class:`GuardTimeout` (the awaitable
         is cancelled).
 
-        On 3.11+ this is ``asyncio.timeout`` — one timer handle, no
-        wrapper task — which keeps the guard's per-request cost inside
-        the benchmark budget; older runtimes fall back to ``wait_for``.
+        It guards what is not a stream read: a coroutine handler
+        (``/reloadz``, or any route behind a ``chaos_hook``) and a
+        response drain past a flow-control pause.  Each call arms its
+        own timer: on 3.11+ ``asyncio.timeout`` (no wrapper task),
+        before that ``wait_for``.
         """
         if timeout_s is None:
             return await awaitable
@@ -161,8 +239,7 @@ class ServeGuard:
                     return await awaitable
             return await asyncio.wait_for(awaitable, timeout_s)
         except (asyncio.TimeoutError, TimeoutError):
-            self.metrics.counter(_TIMEOUT_COUNTERS[kind]).increment()
-            raise GuardTimeout(kind, timeout_s) from None
+            raise self.expire(kind, timeout_s) from None
 
     def admit_connection(self, current_connections: int) -> bool:
         """Admission check for a newly accepted connection."""

@@ -29,7 +29,9 @@ Endpoints:
 
 Resilience (see :mod:`repro.serve.guard` / :mod:`repro.serve.watch`):
 every request runs under per-phase deadlines (idle keep-alive reap,
-header read, body read, handler, response drain), connections and
+header read, body read, a handler that awaits, response drain; the
+reads share one server timer, a handler that never awaits needs no
+timer), connections and
 in-flight requests are admission-capped with structured ``503`` /
 ``429 Retry-After`` shedding, the request head is taken in one read and
 parsed by the pure :func:`parse_request_head` (an overlong request line
@@ -437,14 +439,14 @@ class ModelServer:
             # Deadline fast path, here as in _read_head: when the bytes
             # a read needs already sit in the stream buffer (one-segment
             # requests, pipelining), the read completes without touching
-            # the loop — arming a timer for it would be pure hot-path
-            # overhead, so skip it.
+            # the loop and needs no deadline.
             if len(getattr(reader, "_buffer", b"")) >= content_length:
                 body = await reader.readexactly(content_length)
             else:
                 try:
-                    body = await self.guard.timed(
-                        reader.readexactly(content_length), cfg.body_timeout_s, "body"
+                    body = await self.guard.read(
+                        reader, reader.readexactly(content_length),
+                        cfg.body_timeout_s, "body",
                     )
                 except asyncio.IncompleteReadError:
                     # Torn body: the peer quit mid-upload, nothing to answer.
@@ -475,13 +477,13 @@ class ModelServer:
             first = b""
             if not getattr(reader, "_buffer", b""):
                 # Waiting for a request to start: its first byte.
-                first = await self.guard.timed(
-                    reader.readexactly(1), cfg.idle_timeout_s, "idle"
+                first = await self.guard.read(
+                    reader, reader.readexactly(1), cfg.idle_timeout_s, "idle"
                 )
             if _HEAD_END in getattr(reader, "_buffer", b""):
                 return first + await reader.readuntil(_HEAD_END)
-            return first + await self.guard.timed(
-                reader.readuntil(_HEAD_END), cfg.header_timeout_s, "header"
+            return first + await self.guard.read(
+                reader, reader.readuntil(_HEAD_END), cfg.header_timeout_s, "header"
             )
         except asyncio.LimitOverrunError:
             # The head outgrew the stream limit.  Which limit error it
@@ -524,11 +526,20 @@ class ModelServer:
                     span.set_attribute("shed", True)
                 else:
                     try:
-                        status, doc = await self.guard.timed(
-                            self._route(method, path, body, span),
-                            self.guard.config.handler_timeout_s,
-                            "handler",
+                        route = (
+                            self._route if self.chaos_hook is None
+                            else self._hooked_route
                         )
+                        answer = route(method, path, body, span)
+                        if not isinstance(answer, tuple):
+                            # A coroutine (/reloadz, or a hooked
+                            # route): only an answer that awaits can
+                            # overrun, so only it arms a deadline.
+                            answer = await self.guard.timed(
+                                answer, self.guard.config.handler_timeout_s,
+                                "handler",
+                            )
+                        status, doc = answer
                     except GuardTimeout as exc:
                         # The handler blew its deadline: a server
                         # fault, shed so the client backs off.
@@ -568,18 +579,22 @@ class ModelServer:
                     if self._inflight == 0:
                         self._drained.set()
 
-    async def _route(
+    async def _hooked_route(
         self, method: str, path: str, body: bytes, span
     ) -> Tuple[int, Union[Dict, str, bytes]]:
-        if self.chaos_hook is not None:
-            await self.chaos_hook(method, path)
+        await self.chaos_hook(method, path)
+        answer = self._route(method, path, body, span)
+        return answer if isinstance(answer, tuple) else await answer
+
+    def _route(self, method: str, path: str, body: bytes, span):
+        """The handler's ``(status, doc)``, or for ``/reloadz`` a
+        coroutine of it; routing errors raise :class:`RequestError`."""
         if path not in self._ROUTES:
             raise RequestError(404, "not-found", f"no route for {path}")
         allowed, handler = self._ROUTES[path]
         if method != allowed:
             raise RequestError(405, "method-not-allowed", f"use {allowed} {path}")
-        answer = handler(self, body, span)
-        return await answer if asyncio.iscoroutine(answer) else answer
+        return handler(self, body, span)
 
     def _handle_livez(self, body=b"", span=None) -> Tuple[int, Dict]:
         # Liveness never looks at the model: a draining or

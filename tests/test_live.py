@@ -391,6 +391,12 @@ class TestHeartbeat:
         assert record["experiments_total"] == 50
         assert record["eta_s"] == pytest.approx(40.0)
         assert record["phase"] == "discover"
+        assert set(record) == {
+            "seq", "campaign", "t_unix", "elapsed_s", "phase",
+            "experiments_done", "experiments_failed", "convergence_events",
+            "events_per_s", "experiments_per_s", "final",
+            "experiments_total", "eta_s",
+        }
 
     def test_first_and_final_records_exist_for_instant_campaign(self, tmp_path):
         path = tmp_path / "hb.jsonl"

@@ -45,6 +45,13 @@ def pub_path(snapshot_path, tmp_path):
 
 
 async def _with_server(snapshot_path, scenario, guard=None, watch=None):
+    """Run ``scenario(server)`` against a live server.  Anything the
+    loop reports to its exception handler (a callback that raised, a
+    task or future whose exception nobody retrieved) fails the run."""
+    loop_errors = []
+    asyncio.get_running_loop().set_exception_handler(
+        lambda loop, context: loop_errors.append(context)
+    )
     server = ModelServer(snapshot_path, port=0, guard=guard, watch=watch)
     await server.start()
     serving = asyncio.ensure_future(server.serve_forever())
@@ -55,6 +62,7 @@ async def _with_server(snapshot_path, scenario, guard=None, watch=None):
         with contextlib.suppress(asyncio.CancelledError):
             await serving
         await server.shutdown(grace_s=1.0)
+        assert not loop_errors, loop_errors
 
 
 async def _read_response(reader):
@@ -156,6 +164,111 @@ class TestDeadlines:
         )
         assert data == b""
         assert _counter(server, "serve_idle_reaped") == 1
+
+    def test_active_keepalive_outlives_idle_deadline_then_is_reaped(
+        self, snapshot_path
+    ):
+        guard = GuardConfig(idle_timeout_s=0.2)
+
+        async def scenario(server):
+            loop = asyncio.get_running_loop()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            # A request every idle_timeout_s / 2 for 3 x idle_timeout_s:
+            # each idle wait is short, though the connection is old.
+            statuses = []
+            ends = loop.time() + 0.6
+            while loop.time() < ends:
+                writer.write(b"GET /livez HTTP/1.1\r\nHost: t\r\n\r\n")
+                statuses.append((await _read_response(reader))[0])
+                await asyncio.sleep(0.1)
+            reaped_while_active = _counter(server, "serve_idle_reaped")
+            # Then silence: the reaper closes the connection.
+            data = await asyncio.wait_for(reader.read(), 5.0)
+            writer.close()
+            return statuses, reaped_while_active, data, server
+
+        statuses, reaped_while_active, data, server = asyncio.run(
+            _with_server(snapshot_path, scenario, guard=guard)
+        )
+        assert len(statuses) >= 5 and set(statuses) == {200}
+        assert reaped_while_active == 0
+        assert data == b""
+        assert _counter(server, "serve_idle_reaped") == 1
+
+    def test_keepalive_requests_arm_no_timer_each(self, snapshot_path):
+        """Steady keep-alive traffic arms no loop timer per request:
+        the idle deadline moves later in its slot under the one read
+        timer, and a handler that never awaits runs without one."""
+
+        async def scenario(server):
+            loop = asyncio.get_running_loop()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            body = json.dumps({"sites": [1]}).encode()
+            request = (
+                b"POST /predict HTTP/1.1\r\nHost: t\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+            )
+
+            async def exchange():
+                writer.write(request)
+                return (await _read_response(reader))[0]
+
+            assert await exchange() == 200
+            armed = []
+            call_at = loop.call_at
+
+            def counting_call_at(when, callback, *args, **kwargs):
+                armed.append(callback)
+                return call_at(when, callback, *args, **kwargs)
+
+            loop.call_at = counting_call_at
+            try:
+                statuses = [await exchange() for _ in range(200)]
+            finally:
+                del loop.call_at
+            writer.close()
+            return statuses, armed
+
+        statuses, armed = asyncio.run(_with_server(snapshot_path, scenario))
+        assert statuses == [200] * 200
+        assert len(armed) <= 2, f"{len(armed)} timers for 200 requests"
+
+    def test_slow_body_times_out_408(self, snapshot_path):
+        guard = GuardConfig(body_timeout_s=0.2)
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            # The head arrives whole; the body then trickles in a byte
+            # at a time, waking the parked read, past the deadline.
+            writer.write(
+                b"POST /predict HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: 1000\r\n\r\n{"
+            )
+            response = asyncio.ensure_future(_read_response(reader))
+            for _ in range(100):
+                done, _ = await asyncio.wait({response}, timeout=0.05)
+                if done:
+                    break
+                writer.write(b" ")
+            status, headers, body = await asyncio.wait_for(response, 5.0)
+            rest = await asyncio.wait_for(reader.read(), 5.0)
+            writer.close()
+            return status, headers, json.loads(body), rest, server
+
+        status, headers, doc, rest, server = asyncio.run(
+            _with_server(snapshot_path, scenario, guard=guard)
+        )
+        assert status == 408
+        assert doc["error"]["code"] == "body-timeout"
+        assert headers["connection"] == "close" and rest == b""
+        assert _counter(server, "serve_timeout_body") == 1
+        assert server.open_connections == 0
 
     def test_overlong_request_line_answers_400(self, snapshot_path):
         async def scenario(server):
