@@ -24,19 +24,20 @@ def test_ablation_two_level_vs_flat(benchmark, bench_anyopt, bench_model, bench_
         flat_discovery, rounds=1, iterations=1
     )
 
+    clients = [t.target_id for t in bench_targets]
     accs = {"two-level": [], "flat": []}
     for i in range(3):
         config = random_config(bench_testbed, 9 + i, seed=9000 + i)
         deployment = bench_anyopt.deploy(config)
-        for t in bench_targets:
-            outcome = deployment.forwarding(t)
-            if outcome is None:
-                continue
-            for label, model in (("two-level", bench_model), ("flat", flat_model)):
-                result = model.total_order(t.target_id, config.site_order)
-                predicted = result.most_preferred(config.sites)
-                if predicted is not None:
-                    accs[label].append(predicted == outcome.site_id)
+        measured = [deployment.forwarding(t) for t in bench_targets]
+        for label, model in (("two-level", bench_model), ("flat", flat_model)):
+            # Every site is enabled, so the prediction is the head.
+            valid, orders = model.total_orders(clients, config.site_order)
+            accs[label] += [
+                head == outcome.site_id
+                for outcome, ok, head in zip(measured, valid.tolist(), orders[:, 0].tolist())
+                if outcome is not None and ok
+            ]
 
     two_level_experiments = bench_model.experiments_used - 15  # minus singletons
     record(

@@ -10,7 +10,10 @@ naive one grows.
 
 import random
 
-from repro.core import ExperimentRunner, build_total_order
+import numpy as np
+
+from repro.core import ExperimentRunner
+from repro.core.preferences import tournament
 from repro.core.twolevel import SiteLevelMode, discover_two_level
 from repro.measurement import Orchestrator
 from repro.measurement.rtt import RttMatrix
@@ -28,14 +31,10 @@ def no_order_fraction(testbed, targets, providers, ordered, seed):
         ordered=ordered,
         providers=providers,
     )
-    missing = sum(
-        1
-        for t in targets
-        if not build_total_order(
-            model.provider_matrix, t.target_id, providers, providers
-        ).has_total_order
-    )
-    return missing / len(targets)
+    clients = [t.target_id for t in targets]
+    codes = model.provider_matrix.winner_codes(clients, providers)
+    valid, _ = tournament(codes, range(len(providers)))
+    return int(np.count_nonzero(~valid)) / len(targets)
 
 
 def test_fig4b_total_order_vs_providers(benchmark, bench_testbed, bench_targets):

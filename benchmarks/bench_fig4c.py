@@ -18,6 +18,11 @@ SITE_STEPS = (6, 9, 12, 15)
 def test_fig4c_total_order_vs_sites(
     benchmark, bench_testbed, bench_targets, bench_model
 ):
+    def ordered_share(model, subset):
+        """The share of targets with a total order over ``subset``."""
+        valid, _ = model.total_orders([t.target_id for t in bench_targets], subset)
+        return int(valid.sum()) / len(bench_targets)
+
     def naive_fractions():
         orch = Orchestrator(bench_testbed, bench_targets, seed=SEED + 50)
         runner = ExperimentRunner(orch)
@@ -25,27 +30,12 @@ def test_fig4c_total_order_vs_sites(
             runner.pairwise_sweep(bench_testbed.site_ids(), ordered=False)
         )
         sites = tuple(bench_testbed.site_ids())
-        out = {}
-        for n in SITE_STEPS:
-            subset = sites[:n]
-            out[n] = sum(
-                1
-                for t in bench_targets
-                if flat.total_order(t.target_id, subset).has_total_order
-            ) / len(bench_targets)
-        return out
+        return {n: ordered_share(flat, sites[:n]) for n in SITE_STEPS}
 
     naive = benchmark.pedantic(naive_fractions, rounds=1, iterations=1)
 
     sites = tuple(bench_testbed.site_ids())
-    twolevel = {}
-    for n in SITE_STEPS:
-        subset = sites[:n]
-        twolevel[n] = sum(
-            1
-            for t in bench_targets
-            if bench_model.total_order(t.target_id, subset).has_total_order
-        ) / len(bench_targets)
+    twolevel = {n: ordered_share(bench_model, sites[:n]) for n in SITE_STEPS}
 
     record(
         "Figure 4c (total order vs #sites)",

@@ -5,8 +5,9 @@ Measures what the serving layer is accountable for and writes
 up in review diffs):
 
 - **lookup**: batched prediction throughput — the per-call scalar
-  oracle (``model.total_order(client, order).most_preferred(sites)``,
-  one dict tournament per client), the live batched
+  oracle of ``tests/reference_order.py`` (``total_order(model, client,
+  order).most_preferred(sites)``, one dict tournament per client), the
+  live batched
   ``CatchmentPredictor.predict``, and the snapshot-backed vectorized
   :class:`LookupEngine` (typed batch and raw arrays).  The acceptance
   bar is engine-vs-per-call ≥ 10x on the same host; the measured
@@ -43,8 +44,9 @@ import statistics
 import sys
 import time
 
-if __package__ in (None, ""):  # running as a script: make repro importable
+if __package__ in (None, ""):  # running as a script: make repro and tests importable
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
 from repro.core.anyopt import AnyOpt
 from repro.core.config import AnycastConfig
@@ -53,6 +55,7 @@ from repro.measurement.targets import select_targets
 from repro.obs.export import write_trace_jsonl
 from repro.serve import LookupEngine, ModelServer, compile_snapshot, load_snapshot, write_snapshot
 from repro.topology import TestbedParams, TopologyParams, build_paper_testbed
+from tests.reference_order import total_order
 
 SEED = 7
 
@@ -86,7 +89,7 @@ def bench_lookup(model, engine, testbed, quick) -> dict:
     def per_call_loop():
         for config in configs:
             for client in clients:
-                model.total_order(client, config.site_order).most_preferred(config.sites)
+                total_order(model, client, config.site_order).most_preferred(config.sites)
 
     per_call_s = best(per_call_loop)
 

@@ -39,7 +39,6 @@ from repro.core import (
     Prediction,
     PredictionBatch,
     PreferenceMatrix,
-    build_total_order,
 )
 from repro.measurement import Orchestrator, TargetSet, select_targets
 from repro.runtime import CampaignSettings, MetricsRegistry
@@ -85,7 +84,6 @@ __all__ = [
     "__version__",
     "audit_model",
     "build_paper_testbed",
-    "build_total_order",
     "generate_internet",
     "repair_model",
     "select_targets",

@@ -5,7 +5,7 @@ See :mod:`repro.audit.auditor` (the integrity sweep),
 :mod:`repro.audit.repair` (the targeted re-measurement loop).
 """
 
-from repro.audit.auditor import KIND_COUNTERS, audit_model, provider_appearance_order
+from repro.audit.auditor import KIND_COUNTERS, audit_model
 from repro.audit.crosscheck import cross_check
 from repro.audit.findings import (
     CYCLE,
@@ -51,6 +51,5 @@ __all__ = [
     "cross_check",
     "model_fingerprint",
     "plan_repairs",
-    "provider_appearance_order",
     "repair_model",
 ]

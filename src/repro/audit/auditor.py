@@ -1,14 +1,12 @@
 """The preference-integrity auditor.
 
-Sweeps every client's discovered tournaments — provider-level, then
-site-level inside each provider (or the RTT matrix under the RTT
-heuristic) — and emits one typed :class:`~repro.audit.findings.Finding`
-per defect, mirroring exactly how
-:meth:`~repro.core.twolevel.TwoLevelModel.total_order` will consume the
-model: providers are taken in first-appearance order of the
-announcement order, the provider matrix is bypassed when only one
-provider appears, and intra-provider rankings come from the per-provider
-matrices (pairwise mode) or the RTT matrix (heuristic mode).
+One :meth:`~repro.core.twolevel.TwoLevelModel.ranking` call per audit
+says which of each client's tournaments void its total order — the
+providers', and each multi-site provider's sites' — exactly as the
+prediction and search paths consume the model.  Only those (client,
+tournament) pairs are walked cell by cell, for one typed
+:class:`~repro.audit.findings.Finding` per defect; RTT holes are the
+NaN cells of the model's compiled RTT array.
 
 Because the audit only reads the model (no RNG, no experiments), the
 report is a pure function of the model — identical across repeat runs
@@ -16,6 +14,8 @@ by construction.
 """
 
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.audit.findings import (
     CYCLE,
@@ -28,11 +28,7 @@ from repro.audit.findings import (
     ClientAudit,
     Finding,
 )
-from repro.core.preferences import (
-    PreferenceMatrix,
-    PreferenceOutcome,
-    find_cycle_witness,
-)
+from repro.core.preferences import PreferenceMatrix, PreferenceOutcome, find_cycle_witness
 from repro.core.twolevel import SiteLevelMode
 
 #: Finding kind -> the ``audit_*`` counter it increments.
@@ -50,15 +46,6 @@ _CELL_KINDS = {
     PreferenceOutcome.UNDECIDED: UNDECIDED,
     PreferenceOutcome.UNKNOWN: UNMAPPED,
 }
-
-
-def provider_appearance_order(testbed, announce_order: Sequence[int]) -> Tuple[int, ...]:
-    """Providers in first-appearance order of ``announce_order`` — the
-    exact order ``TwoLevelModel.total_order`` ranks them in."""
-    seen: Dict[int, None] = {}
-    for site in announce_order:
-        seen.setdefault(testbed.provider_of(site), None)
-    return tuple(seen)
 
 
 def _failure_details(failures) -> Dict[Tuple[str, str], str]:
@@ -141,67 +128,56 @@ def audit_model(
         failures = getattr(model, "failures", None)
     failure_details = _failure_details(failures)
 
-    providers = provider_appearance_order(testbed, announce_order)
-    provider_sites: Dict[int, List[int]] = {}
-    for site in announce_order:
-        provider_sites.setdefault(testbed.provider_of(site), []).append(site)
-    reps = {p: testbed.representative_site(p) for p in providers}
-    rtt_matrix = model.rtt_matrix
-    pairwise_sites = twolevel.site_level_mode is SiteLevelMode.PAIRWISE
-
     def sweep() -> AuditReport:
+        clients = sorted(t.target_id for t in targets)
+        ranking = model.ranking(clients, announce_order)
+        # The announced sites of each provider, providers in
+        # first-appearance order: the kernel's groups.
+        groups = [ranking.sites[members].tolist() for members, *_ in ranking.groups]
+        providers = [testbed.provider_of(sites[0]) for sites in groups]
+        reps = {p: testbed.representative_site(p) for p in providers}
+        tournaments = [(
+            ranking.provider_usable, twolevel.provider_matrix, providers, "provider",
+            lambda a, b: f"pair ({reps[a]}, {reps[b]})",
+        )]
+        if twolevel.site_level_mode is SiteLevelMode.PAIRWISE:
+            tournaments += [
+                (usable, twolevel.site_matrices[provider], sites, f"site:{provider}",
+                 lambda a, b: f"pair ({a}, {b})")
+                for provider, sites, (*_, usable) in zip(providers, groups, ranking.groups)
+                if usable is not None
+            ]
+        findings: Dict[int, List[Finding]] = {}  # by row of clients
+        for usable, matrix, items, scope, subject_of in tournaments:
+            if usable is None:
+                continue
+            for row in np.flatnonzero(~usable[ranking.rows]).tolist():
+                findings.setdefault(row, []).extend(_audit_tournament(
+                    matrix, clients[row], items, scope, subject_of, failure_details,
+                ))
+        # RTT holes: always a finding (they starve RTT prediction);
+        # they only break total orders under the RTT heuristic.
+        if model.rtt_matrix is not None:
+            rtt = twolevel.arrays()["rtt"]
+            seen = ranking.rows < rtt.shape[1]  # the rest: clients the model never saw
+            holes = np.ones((len(clients), len(announce_order)), dtype=bool)
+            columns = np.searchsorted(ranking.sites, announce_order)
+            holes[seen] = np.isnan(rtt[columns][:, ranking.rows[seen]]).T
+            for row, column in zip(*(axis.tolist() for axis in np.nonzero(holes))):
+                findings.setdefault(row, []).append(
+                    Finding(RTT_HOLE, clients[row], "rtt", (announce_order[column],))
+                )
         report = AuditReport(
             announce_order=announce_order,
-            clients_total=len(list(targets)),
-            predictable_clients=0,
+            clients_total=len(clients),
+            predictable_clients=int(np.count_nonzero(ranking.valid)),
         )
-        clients = sorted(t.target_id for t in targets)
-        predictable_mask, _ = model.total_orders(clients, announce_order)
-        for client, predictable in zip(clients, predictable_mask.tolist()):
-            findings: List[Finding] = []
-            # Provider level — bypassed by total_order when only one
-            # provider appears, so bypassed here too.
-            if len(providers) > 1:
-                findings.extend(
-                    _audit_tournament(
-                        twolevel.provider_matrix,
-                        client,
-                        providers,
-                        "provider",
-                        lambda a, b: f"pair ({reps[a]}, {reps[b]})",
-                        failure_details,
-                    )
-                )
-            # Site level inside each multi-site provider.
-            if pairwise_sites:
-                for provider in providers:
-                    sites = sorted(provider_sites[provider])
-                    if len(sites) < 2:
-                        continue
-                    findings.extend(
-                        _audit_tournament(
-                            twolevel.site_matrices[provider],
-                            client,
-                            sites,
-                            f"site:{provider}",
-                            lambda a, b: f"pair ({a}, {b})",
-                            failure_details,
-                        )
-                    )
-            # RTT holes: always a finding (they starve RTT prediction);
-            # they only break total orders under the RTT heuristic.
-            if rtt_matrix is not None:
-                for site in announce_order:
-                    if rtt_matrix.values.get((site, client)) is None:
-                        findings.append(Finding(RTT_HOLE, client, "rtt", (site,)))
-            if predictable:
-                report.predictable_clients += 1
-            if findings:
-                report.clients[client] = ClientAudit(
-                    client_id=client,
-                    findings=sorted(findings, key=lambda f: f.sort_key),
-                    quarantined=not predictable,
-                )
+        for row in sorted(findings):
+            report.clients[clients[row]] = ClientAudit(
+                client_id=clients[row],
+                findings=sorted(findings[row], key=lambda f: f.sort_key),
+                quarantined=not ranking.valid[row],
+            )
         return report
 
     if metrics is None:

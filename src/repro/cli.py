@@ -1069,8 +1069,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=_timeout_or_none,
         default=30.0,
         metavar="SECONDS",
-        help="handler deadline per request; expiry sheds a structured 503 "
-        "(default: 30; 0 or 'none' disables)",
+        help="deadline for a handler that awaits (/reloadz, or a route "
+        "behind a chaos hook); synchronous answers such as /predict run "
+        "to completion. Expiry sheds a structured 503 (default: 30; 0 or "
+        "'none' disables)",
     )
     p.add_argument(
         "--header-timeout",

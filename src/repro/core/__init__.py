@@ -55,7 +55,6 @@ from repro.core.preferences import (
     PreferenceMatrix,
     PreferenceOutcome,
     TotalOrderResult,
-    build_total_order,
 )
 from repro.core.twolevel import TwoLevelModel, discover_two_level
 
@@ -84,7 +83,6 @@ __all__ = [
     "StabilitySnapshot",
     "TotalOrderResult",
     "TwoLevelModel",
-    "build_total_order",
     "collect_tables",
     "diff_deployments",
     "discover_two_level",

@@ -306,46 +306,6 @@ class TotalOrderResult:
         return None
 
 
-def build_total_order(
-    matrix: PreferenceMatrix,
-    client_id: int,
-    items: Sequence[int],
-    announce_order: Sequence[int],
-) -> TotalOrderResult:
-    """Construct a client's total order over ``items`` for a given
-    announcement order.
-
-    Effective pairwise winners are looked up with the first-announced
-    site of each pair taken from ``announce_order``; a transitive
-    tournament yields the total order, anything else yields none.
-    """
-    items = list(items)
-    if len(items) < 2:
-        return TotalOrderResult(client_id, tuple(items))
-    position = {site: idx for idx, site in enumerate(announce_order)}
-    missing = [s for s in items if s not in position]
-    if missing:
-        raise ReproError(f"items {missing} absent from announcement order")
-
-    wins: Dict[int, int] = {s: 0 for s in items}
-    for i, a in enumerate(items):
-        for b in items[i + 1:]:
-            first = a if position[a] < position[b] else b
-            winner = matrix.winner(client_id, a, b, first)
-            if winner is None:
-                obs = matrix.observation(client_id, a, b)
-                reason = "unmeasured pair" if obs is None else obs.outcome().value
-                return TotalOrderResult(client_id, None, reason=f"{reason}: ({a}, {b})")
-            wins[winner] += 1
-
-    ordered = sorted(items, key=lambda s: -wins[s])
-    # A tournament is transitive iff its win counts are a permutation
-    # of {0, 1, ..., n-1}.
-    if sorted(wins.values()) != list(range(len(items))):
-        return TotalOrderResult(client_id, None, reason="cyclic preferences")
-    return TotalOrderResult(client_id, tuple(ordered))
-
-
 @functools.lru_cache(maxsize=None)
 def _round_robin(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """An ``n``-member round-robin's pairs ``(i, j)``, ``i < j``, their
@@ -357,8 +317,8 @@ def _round_robin(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
 
 
 def tournament(codes: np.ndarray, members: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-    """Every client's round-robin over ``members`` at once — the array
-    form of :func:`build_total_order`.
+    """Every client's round-robin over ``members`` at once: whether
+    its games form a total order, and that order.
 
     ``codes`` is a :meth:`PreferenceMatrix.winner_codes` array and
     ``members`` lists positions on its item axes in announcement order.

@@ -9,13 +9,15 @@ for large networks, the RTT heuristic that ranks a provider's sites by
 their measured unicast RTT to the client.
 
 A client's catchment is the head of its two-level total order, and
-:func:`two_level_ranking` is the one implementation of that order for
-many clients: the live model ranks through it over the arrays
-:meth:`TwoLevelModel.arrays` compiles, and the snapshot lookup of
-:mod:`repro.serve.lookup` over the same arrays read back from a file.
-Each caller's memo keeps tournaments with their tops, so a head costs
-at most the one provider tournament its announcement order decides.
-The scalar :meth:`TwoLevelModel.total_order` is its oracle.
+:func:`two_level_ranking` is the one implementation of that order: the
+live model ranks through it over the arrays :meth:`TwoLevelModel.arrays`
+compiles, the snapshot lookup of :mod:`repro.serve.lookup` over the same
+arrays read back from a file, one client's ``total_order`` is a row of
+it, and the auditor reads which tournament voided an order from its
+masks.  Each caller's memo keeps tournaments with their tops, so a head
+costs at most the one provider tournament its announcement order
+decides.  The scalar oracle lives with the tests
+(``tests/reference_order.py``).
 
 A :class:`FlatPreferenceModel` over all-sites pairwise sweeps is kept
 as the naive comparator used by Figure 4c.
@@ -29,12 +31,7 @@ import numpy as np
 
 from repro.core.experiments import ExperimentRunner
 from repro.core.prediction import model_clients
-from repro.core.preferences import (
-    PreferenceMatrix,
-    TotalOrderResult,
-    build_total_order,
-    tournament,
-)
+from repro.core.preferences import PreferenceMatrix, TotalOrderResult, tournament
 from repro.measurement.rtt import RttMatrix
 from repro.runtime.executor import CampaignExecutor
 from repro.runtime.retry import FailedExperiment
@@ -47,17 +44,21 @@ class Ranking:
     """Many clients' two-level total orders, as scores (higher =
     preferred): per provider in announcement order, its sites (indices
     on ``sites``, ascending), their ``[clients, sites]`` scores (int16
-    wins or negated RTTs) and each client's ``top`` position on them
-    (None for a lone site); ``provider_score`` / ``provider_top`` over
-    the providers (None for one).  ``valid`` is at ``rows``, the rest is
-    gathered there on use; rows without ``valid`` are unspecified in
-    :meth:`orders`."""
+    wins or negated RTTs), each client's ``top`` position on them and
+    its ``usable`` mask — the site tournament usable and transitive, or
+    no RTT hole under the heuristic — (all three None for a lone site);
+    ``provider_score`` / ``provider_top`` / ``provider_usable`` over the
+    providers (None for one).  ``valid``, the AND of every mask, is at
+    ``rows``, the rest is gathered there on use; rows without ``valid``
+    are unspecified in :meth:`orders`."""
 
     valid: np.ndarray
     sites: np.ndarray
-    groups: Tuple[Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]], ...]
+    groups: Tuple[Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray],
+                        Optional[np.ndarray]], ...]
     provider_score: Optional[np.ndarray]
     provider_top: Optional[np.ndarray]
+    provider_usable: Optional[np.ndarray]
     rows: Union[np.ndarray, slice]
 
     def answers(self, rtt: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -66,7 +67,7 @@ class Ranking:
         cell of ``rtt`` (``[sites, clients]``; NaN without an order)."""
         n = len(self.valid)
         tops = np.empty((len(self.groups), n), dtype=np.intp)
-        for row, (members, _, top) in enumerate(self.groups):
+        for row, (members, _, top, _) in enumerate(self.groups):
             tops[row] = members[0] if top is None else members[top[self.rows]]
         if self.provider_top is not None:
             tops = tops[self.provider_top[self.rows], np.arange(n)][None]
@@ -77,16 +78,16 @@ class Ranking:
         """Each client's whole order, ``[clients, announced sites]``,
         most preferred first: by provider, then by site."""
         n = len(self.valid)
-        columns = np.array([site for members, _, _ in self.groups for site in members], dtype=np.intp)
+        columns = np.array([site for members, *_ in self.groups for site in members], dtype=np.intp)
         # The empty first block keeps an empty order (no sites) stackable.
         site_key = np.hstack([np.zeros((n, 0))] + [
-            np.zeros((n, 1)) if score is None else -score[self.rows] for _, score, _ in self.groups
+            np.zeros((n, 1)) if score is None else -score[self.rows] for _, score, *_ in self.groups
         ])
         # int32: numpy's stable sort of 16-bit integers is a radix sort,
         # ten times slower on rows this short.
         provider_key = np.zeros_like(site_key) if self.provider_score is None else np.repeat(
             np.negative(self.provider_score[self.rows], dtype=np.int32),
-            [len(members) for members, _, _ in self.groups], axis=1,
+            [len(members) for members, *_ in self.groups], axis=1,
         )
         return columns[np.lexsort((site_key, provider_key), axis=1)]
 
@@ -98,9 +99,9 @@ _MEMO_CAP = 64
 def two_level_ranking(arrays, site_order: Sequence[int], rtt_heuristic: bool,
                       rows: Optional[np.ndarray] = None,
                       memo: Optional[dict] = None) -> Ranking:
-    """:meth:`TwoLevelModel.total_order` for every client row of
-    ``arrays`` (snapshot encoding, :mod:`repro.serve.snapshot`) or for
-    ``rows``; ``site_order`` holds site indices in announcement order.
+    """Two-level total orders for every client row of ``arrays``
+    (snapshot encoding, :mod:`repro.serve.snapshot`) or for ``rows``;
+    ``site_order`` holds site indices in announcement order.
 
     Providers are ranked by :func:`~repro.core.preferences.tournament`,
     each announced at its first site; the sites inside one by tournament
@@ -134,23 +135,25 @@ def two_level_ranking(arrays, site_order: Sequence[int], rtt_heuristic: bool,
     groups = []
     for sites in announced.values():
         members = np.array(sorted(sites), dtype=np.intp)
-        score = top = None
+        score = top = usable = None
         if len(members) > 1 and rtt_heuristic:
             rtt = arrays["rtt"][members]
             holes = np.isnan(rtt)
-            valid &= ~holes.any(axis=0)
+            usable = ~holes.any(axis=0)
+            valid &= usable
             score = np.where(holes, -np.inf, -rtt).T
             top = score.argmax(axis=1)
         elif len(members) > 1:
             usable, score, top = ranked("site_w", members.tolist())
             valid &= usable
-        groups.append((members, score, top))
-    provider_score = provider_top = None
+        groups.append((members, score, top, usable))
+    provider_usable = provider_score = provider_top = None
     if len(groups) > 1:
-        usable, provider_score, provider_top = ranked("prov_w", list(announced))
-        valid &= usable
+        provider_usable, provider_score, provider_top = ranked("prov_w", list(announced))
+        valid &= provider_usable
     rows = slice(None) if rows is None else rows
-    return Ranking(valid[rows], arrays["sites"], tuple(groups), provider_score, provider_top, rows)
+    return Ranking(valid[rows], arrays["sites"], tuple(groups),
+                   provider_score, provider_top, provider_usable, rows)
 
 
 class SiteLevelMode(enum.Enum):
@@ -161,7 +164,7 @@ class SiteLevelMode(enum.Enum):
 
 
 class _RankedModel:
-    """``total_orders`` for a model with ``ranking``."""
+    """``total_orders`` and ``total_order`` for a model with ``ranking``."""
 
     def total_orders(
         self, client_ids: Sequence[int], site_order: Sequence[int]
@@ -175,6 +178,25 @@ class _RankedModel:
         """
         ranking = self.ranking(client_ids, site_order)
         return ranking.valid, ranking.sites[ranking.orders()]
+
+    def total_order(self, client_id: int, site_order: Sequence[int]) -> TotalOrderResult:
+        """The client's total order over the sites in ``site_order``
+        (interpreted as the announcement order), built the paper's way:
+        rank providers first, then sites within each provider (S5.1).
+        Without one, the reason names the first tournament that voids
+        it: the providers', else a provider's sites' in announcement
+        order."""
+        ranking = self.ranking([client_id], site_order)
+        if ranking.valid[0]:
+            return TotalOrderResult(client_id, tuple(ranking.sites[ranking.orders()[0]].tolist()))
+        if ranking.provider_usable is not None and not ranking.provider_usable[ranking.rows][0]:
+            return TotalOrderResult(client_id, None, reason="no order among the providers")
+        members = next(
+            members for members, _, _, usable in ranking.groups
+            if usable is not None and not usable[ranking.rows][0]
+        )
+        sites = tuple(ranking.sites[members].tolist())
+        return TotalOrderResult(client_id, None, reason=f"no order among sites {sites}")
 
 
 @dataclass
@@ -259,68 +281,6 @@ class TwoLevelModel(_RankedModel):
             self.site_level_mode is SiteLevelMode.RTT_HEURISTIC, rows, memo,
         )
 
-    # -- per-client orders ----------------------------------------------------
-
-    def site_ranking_within(
-        self, client_id: int, provider_asn: int, sites: Sequence[int]
-    ) -> Optional[Tuple[int, ...]]:
-        """The client's preference order among a provider's sites.
-
-        Site-level preferences are announcement-order-insensitive
-        (S4.2), so any announcement order works for the lookup.
-        """
-        sites = list(sites)
-        if len(sites) <= 1:
-            return tuple(sites)
-        if self.site_level_mode is SiteLevelMode.PAIRWISE:
-            result = build_total_order(
-                self.site_matrices[provider_asn], client_id, sites, sorted(sites)
-            )
-            return result.order
-        if self.rtt_matrix is None:
-            raise ReproError("RTT heuristic requires an RTT matrix")
-        keyed = []
-        for site in sites:
-            rtt = self.rtt_matrix.values.get((site, client_id))
-            if rtt is None:
-                return None
-            keyed.append((rtt, site))
-        return tuple(site for _, site in sorted(keyed))
-
-    def total_order(self, client_id: int, site_order: Sequence[int]) -> TotalOrderResult:
-        """The client's total order over the sites in ``site_order``
-        (interpreted as the announcement order), built the paper's way:
-        rank providers first, then sites within each provider (S5.1).
-        """
-        if not site_order:
-            raise ConfigurationError("empty announcement order")
-        provider_position: Dict[int, int] = {}
-        provider_sites: Dict[int, List[int]] = {}
-        for idx, site in enumerate(site_order):
-            provider = self.testbed.provider_of(site)
-            provider_position.setdefault(provider, idx)
-            provider_sites.setdefault(provider, []).append(site)
-        providers = sorted(provider_position, key=provider_position.get)
-        if len(providers) == 1:
-            ranking = self.site_ranking_within(client_id, providers[0], provider_sites[providers[0]])
-            if ranking is None:
-                return TotalOrderResult(client_id, None, reason="no intra-AS order")
-            return TotalOrderResult(client_id, ranking)
-
-        provider_result = build_total_order(self.provider_matrix, client_id, providers, providers)
-        if not provider_result.has_total_order:
-            return TotalOrderResult(client_id, None, reason=provider_result.reason)
-        order: List[int] = []
-        for provider in provider_result.order:
-            ranking = self.site_ranking_within(client_id, provider, provider_sites[provider])
-            if ranking is None:
-                return TotalOrderResult(
-                    client_id, None, reason=f"no intra-AS order in {provider}"
-                )
-            order.extend(ranking)
-        return TotalOrderResult(client_id, tuple(order))
-
-
 
 @dataclass
 class FlatPreferenceModel(_RankedModel):
@@ -331,9 +291,6 @@ class FlatPreferenceModel(_RankedModel):
     """
 
     matrix: PreferenceMatrix
-
-    def total_order(self, client_id: int, site_order: Sequence[int]) -> TotalOrderResult:
-        return build_total_order(self.matrix, client_id, site_order, site_order)
 
     def ranking(self, client_ids: Sequence[int], site_order: Sequence[int]) -> Ranking:
         """:func:`two_level_ranking` with every site its own provider:

@@ -645,7 +645,7 @@ class ModelServer:
     def _handle_predict(self, body: bytes, span) -> Tuple[int, bytes]:
         doc = self._parse_body(body)
         sites = doc.get("sites")
-        if not isinstance(sites, list) or not all(isinstance(s, int) for s in sites):
+        if not isinstance(sites, list) or not all(type(s) is int for s in sites):
             raise RequestError(
                 400, "bad-request", '"sites" must be a list of site ids'
             )
@@ -655,9 +655,7 @@ class ModelServer:
             )
         clients = doc.get("clients")
         if clients is not None:
-            if not isinstance(clients, list) or not all(
-                isinstance(c, int) for c in clients
-            ):
+            if not isinstance(clients, list) or not all(type(c) is int for c in clients):
                 raise RequestError(
                     400, "bad-request", '"clients" must be a list of client ids'
                 )

@@ -9,8 +9,12 @@ across repeated and resumed runs.
 """
 
 import json
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import AnyOpt, CampaignSettings
 from repro.audit import (
@@ -24,12 +28,15 @@ from repro.audit import (
     Finding,
     audit_model,
     plan_repairs,
-    provider_appearance_order,
 )
+from repro.audit import auditor
 from repro.core.preferences import PairObservation, PreferenceOutcome
+from repro.core.twolevel import FlatPreferenceModel
 from repro.io import checkpoint as checkpoint_io
 from repro.io.serialization import model_from_dict, model_to_dict
 from repro.util.errors import ConfigurationError
+from tests.reference_order import provider_appearance_order, total_order
+from tests.test_search_plane import SETTINGS, random_matrix
 
 SEED = 7  # matches the session fixtures in conftest.py
 
@@ -54,7 +61,7 @@ def clone_model(model, testbed):
 
 def count_predictable(model, targets, order) -> int:
     return sum(
-        1 for t in targets if model.total_order(t.target_id, order).has_total_order
+        1 for t in targets if total_order(model, t.target_id, order).has_total_order
     )
 
 
@@ -75,7 +82,7 @@ def inject_defects(model, testbed, targets):
         for t in sorted(targets, key=lambda t: t.target_id)
         if not graph.as_of(t.asn).multipath
     ]
-    pool = [c for c in stable if model.total_order(c, order).has_total_order] or stable
+    pool = [c for c in stable if total_order(model, c, order).has_total_order] or stable
     cycle_client, incons_client, undecided_client, hole_client = pool[:4]
     pm = model.twolevel.provider_matrix
     # a beats b, b beats c, c beats a: a directed 3-cycle.
@@ -178,7 +185,7 @@ class TestDetection:
         poisoned, _, report = injected
         order = tuple(testbed.site_ids())
         for client_id, audit in report.clients.items():
-            predictable = poisoned.total_order(client_id, order).has_total_order
+            predictable = total_order(poisoned, client_id, order).has_total_order
             assert audit.quarantined == (not predictable)
         # Clients without findings are predictable, so the headline
         # counts add up.
@@ -201,6 +208,54 @@ class TestDetection:
             again.to_dict(), sort_keys=True
         )
         assert report.to_dict()["format"] == "anyopt-audit-report"
+
+
+class TestAuditReadsTheKernel:
+    @given(st.integers(0, 2**32), st.integers(2, 6), st.integers(1, 10))
+    @settings(**SETTINGS)
+    def test_usable_mask_is_no_finding(self, seed, n_items, n_clients):
+        """Over matrices with every outcome, unmeasured cells and an
+        unseen client (999): a tournament's kernel mask holds exactly
+        when the cell walk finds nothing in it."""
+        rng = random.Random(seed)
+        items = rng.sample(range(1, 9), n_items)  # also the announcement order
+        clients = list(range(n_clients))
+        matrix = random_matrix(rng, clients, sorted(items))
+        ranking = FlatPreferenceModel(matrix).ranking(clients + [999], items)
+        usable = ranking.provider_usable[ranking.rows]
+        for row, client in enumerate(clients + [999]):
+            findings = auditor._audit_tournament(
+                matrix, client, items, "provider", lambda a, b: "", {}
+            )
+            assert usable[row] == (not findings), findings
+
+    def test_walks_only_the_voided_tournaments(self, injected, targets, testbed, monkeypatch):
+        """The cell walk runs once per (client, tournament) the kernel
+        marks unusable, and for no other pair."""
+        poisoned, _, report = injected
+        walked = []
+        walk = auditor._audit_tournament
+
+        def counted(matrix, client_id, items, scope, *rest):
+            walked.append((client_id, scope))
+            return walk(matrix, client_id, items, scope, *rest)
+
+        monkeypatch.setattr(auditor, "_audit_tournament", counted)
+        order = tuple(testbed.site_ids())
+        assert audit_model(poisoned, targets).to_dict() == report.to_dict()
+        clients = sorted(t.target_id for t in targets)
+        ranking = poisoned.ranking(clients, order)
+        voided = [
+            (clients[row], "provider")
+            for row in np.flatnonzero(~ranking.provider_usable[ranking.rows]).tolist()
+        ]
+        for members, _, _, usable in ranking.groups:
+            if usable is not None:
+                scope = f"site:{testbed.provider_of(int(ranking.sites[members[0]]))}"
+                voided += [(clients[row], scope)
+                           for row in np.flatnonzero(~usable[ranking.rows]).tolist()]
+        assert walked and sorted(walked) == sorted(voided)
+        assert len(walked) < len(clients)
 
 
 class TestAuditMetrics:

@@ -40,6 +40,7 @@ from repro.core.twolevel import FlatPreferenceModel, SiteLevelMode, TwoLevelMode
 from repro.measurement.rtt import RttMatrix
 from repro.serve import LookupEngine, compile_snapshot, lookup
 from repro.util.errors import ReproError
+from tests import reference_order
 from tests.test_search_plane import (
     SETTINGS,
     Providers,
@@ -60,7 +61,7 @@ def reference_predict(model, rtt_matrix, config, clients):
         if client_id not in known:
             rows.append(Prediction(client_id, None, None, REASON_UNMAPPED))
             continue
-        order = model.total_order(client_id, config.site_order)
+        order = reference_order.total_order(model, client_id, config.site_order)
         site = order.most_preferred(config.sites)
         if site is None:
             rows.append(Prediction(client_id, None, None, REASON_QUARANTINED))

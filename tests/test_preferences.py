@@ -12,11 +12,11 @@ from repro.core.preferences import (
     PreferenceMatrix,
     PreferenceOutcome,
     TotalOrderResult,
-    build_total_order,
 )
 from repro.io.serialization import matrix_to_list
 from repro.util.errors import ReproError
 
+from tests.reference_order import build_total_order
 from tests.reference_preferences import DictPreferenceMatrix, matrix_rows
 
 

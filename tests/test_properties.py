@@ -5,15 +5,14 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.preferences import (
-    PairObservation,
-    PreferenceMatrix,
-    build_total_order,
-)
+import numpy as np
+
+from repro.core.preferences import PairObservation, PreferenceMatrix, tournament
 from repro.splpo import Client, SPLPOInstance, solve_exhaustive, solve_greedy
 from repro.topology.geo import GeoPoint, great_circle_km
 from repro.util.rng import derive_rng, stable_hash
 from repro.util.stats import cdf_points, mean, median, percentile
+from tests.reference_order import build_total_order
 
 floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 values = st.lists(floats, min_size=1, max_size=50)
@@ -95,6 +94,13 @@ def tournaments(draw):
     return items, matrix
 
 
+def kernel_order(matrix, items):
+    """:func:`tournament` for client 0, ``items`` announced in order:
+    whether it found a total order, and that order (most wins first)."""
+    valid, wins = tournament(matrix.winner_codes([0], items), range(len(items)))
+    return bool(valid[0]), tuple(np.asarray(items)[np.argsort(-wins[0], kind="stable")].tolist())
+
+
 class TestTotalOrderProperties:
     @given(st.permutations(list(range(1, 7))))
     def test_strict_ranking_recovered(self, ranking):
@@ -103,13 +109,16 @@ class TestTotalOrderProperties:
             for b in ranking[i + 1:]:
                 lo, hi = min(a, b), max(a, b)
                 matrix.record(0, PairObservation(lo, hi, a, a))
+        assert kernel_order(matrix, sorted(ranking)) == (True, tuple(ranking))
         result = build_total_order(matrix, 0, sorted(ranking), sorted(ranking))
         assert result.order == tuple(ranking)
 
     @given(tournaments())
     @settings(max_examples=60)
     def test_order_exists_iff_transitive(self, data):
+        """On the shipping kernel, and on the scalar oracle."""
         items, matrix = data
+        valid, _ = kernel_order(matrix, items)
         result = build_total_order(matrix, 0, items, items)
         # Check transitivity directly.
         beats = {}
@@ -125,16 +134,17 @@ class TestTotalOrderProperties:
             for c in items
             if len({a, b, c}) == 3
         )
+        assert valid == transitive
         assert result.has_total_order == transitive
 
     @given(tournaments())
     @settings(max_examples=60)
     def test_order_consistent_with_pairwise(self, data):
         items, matrix = data
-        result = build_total_order(matrix, 0, items, items)
-        if not result.has_total_order:
+        valid, order = kernel_order(matrix, items)
+        if not valid:
             return
-        order = result.order
+        assert order == build_total_order(matrix, 0, items, items).order
         for i, a in enumerate(order):
             for b in order[i + 1:]:
                 assert matrix.winner(0, a, b, a) == a

@@ -26,12 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import AnyOpt, select_targets
-from repro.core.preferences import (
-    PairObservation,
-    PreferenceMatrix,
-    build_total_order,
-    tournament,
-)
+from repro.core.preferences import PairObservation, PreferenceMatrix, tournament
 from repro.core import twolevel
 from repro.core.config import AnycastConfig
 from repro.core.optimizer import (
@@ -52,6 +47,8 @@ from repro.splpo import (
 )
 from repro.topology import TestbedParams, TopologyParams, build_paper_testbed
 from repro.util.errors import ConfigurationError, ReproError
+from tests import reference_order
+from tests.reference_order import build_total_order
 
 SETTINGS = dict(max_examples=60, deadline=None)
 
@@ -707,13 +704,17 @@ def two_level_worlds(draw):
 
 
 def assert_orders_match(model, clients, order):
+    """``total_orders`` and the one-row ``total_order`` view against
+    the scalar oracle, client by client."""
     valid, orders = model.total_orders(clients, order)
     assert valid.shape == (len(clients),) and orders.shape == (len(clients), len(order))
-    expected = [model.total_order(c, order) for c in clients]
+    expected = [reference_order.total_order(model, c, order) for c in clients]
     assert valid.tolist() == [r.has_total_order for r in expected]
     for row, result in zip(orders.tolist(), expected):
         if result.has_total_order:
             assert tuple(row) == result.order
+    for client, result in zip(clients, expected):
+        assert model.total_order(client, order).order == result.order
     return valid
 
 
@@ -754,6 +755,43 @@ class TestTotalOrders:
             # The AnyOptModel delegate, and through it the pairwise model.
             assert assert_orders_match(anyopt_model, clients, order).sum() > len(clients) // 2
             assert assert_orders_match(by_rtt, clients, order).any()
+
+
+@pytest.fixture(scope="module")
+def paper_model():
+    """The paper world (seed 7), discovered with default settings."""
+    testbed = build_paper_testbed(None, seed=7)
+    targets = select_targets(testbed.internet, seed=7)
+    return AnyOpt(testbed, targets=targets, seed=7).discover(), [t.target_id for t in targets]
+
+
+class TestTotalOrderView:
+    def test_paper_world_every_client(self, paper_model):
+        """The one-row ``total_order`` view is the oracle's order for
+        every paper-world client, under the full order, random subsets,
+        one provider's sites and single sites."""
+        model, clients = paper_model
+        testbed = model.testbed
+        rng = random.Random(11)
+        sites = testbed.site_ids()
+        orders = [tuple(sites)]
+        for number in range(10):
+            if number % 4 == 1:
+                chosen = list(testbed.sites_of_provider(rng.choice(testbed.provider_asns())))
+            elif number % 4 == 3:
+                chosen = [rng.choice(sites)]
+            else:
+                chosen = rng.sample(sites, rng.randint(2, len(sites)))
+            rng.shuffle(chosen)
+            orders.append(tuple(chosen))
+        voided = 0
+        for order in orders:
+            for client in clients:
+                expected = reference_order.total_order(model, client, order)
+                result = model.total_order(client, order)
+                assert result.order == expected.order, (client, order)
+                voided += not result.has_total_order
+        assert 0 < voided < len(clients) * len(orders)
 
 
 class TestWinnerCodes:

@@ -340,6 +340,21 @@ class TestHttp:
             assert body["error"]["code"] == case[5]
             assert body["error"]["status"] == case[4]
 
+    @pytest.mark.parametrize("doc", [
+        {"sites": [True, 3]},
+        {"sites": [1, 4, 6], "clients": [True]},
+    ], ids=["sites", "clients"])
+    def test_json_booleans_are_not_ids(self, snapshot_path, doc):
+        """``true`` is a Python ``int``; an id list holding it is a bad
+        request, not site or client 1."""
+
+        async def scenario(server):
+            return await _http(server.port, "POST", "/predict", doc)
+
+        status, body = asyncio.run(_with_server(snapshot_path, scenario))
+        assert status == 400
+        assert body["error"]["code"] == "bad-request"
+
     def test_wrong_method_and_unknown_path_documents(self, snapshot_path):
         """The 405 / 404 bodies, pinned byte for byte from the commit
         before routing became a table."""

@@ -18,6 +18,7 @@ from repro.measurement.orchestrator import Orchestrator
 from repro.runtime import CampaignSettings
 from repro.topology import TestbedParams, TopologyParams, build_paper_testbed
 from repro.util.rng import derive_rng
+from tests.reference_order import build_total_order
 
 SITES = (1, 3, 4, 5, 6, 14)  # one site per provider
 
@@ -165,6 +166,7 @@ class TestFigure3CounterExample:
         cyclic = sum(
             1
             for t in targets
-            if model.total_order(t.target_id, SITES).reason == "cyclic preferences"
+            if build_total_order(model.matrix, t.target_id, SITES, SITES).reason
+            == "cyclic preferences"
         )
         assert cyclic > 0

