@@ -1,9 +1,10 @@
 """The CLI's option surface, pinned against a committed golden file.
 
 Every subcommand's options are recorded as ``(option strings, default,
-choices, nargs)``; help text is left out because argparse formats it
-differently across Python versions.  A change to the surface shows up
-as a diff to ``tests/cli_surface.json``.  Regenerate that file with::
+choices, nargs, help, metavar)``.  Help and metavar are the raw strings
+handed to ``add_argument``, before argparse formats them (which differs
+across Python versions).  A change to the surface shows up as a diff to
+``tests/cli_surface.json``.  Regenerate that file with::
 
     PYTHONPATH=src python tests/test_cli_surface.py > tests/cli_surface.json
 """
@@ -24,6 +25,8 @@ def _options(parser: argparse.ArgumentParser) -> list:
             "default": action.default,
             "choices": None if action.choices is None else list(action.choices),
             "nargs": action.nargs,
+            "help": action.help,
+            "metavar": action.metavar,
         }
         for action in parser._actions
         if not isinstance(action, argparse._SubParsersAction)
