@@ -238,13 +238,6 @@ class LazyStates(Mapping):
             out.update((stub, route) for stub in self._parents[asn])
         return state
 
-    def get(self, asn: int, default=None):
-        # Defined here rather than inherited: Mapping.get wraps
-        # __getitem__ in a Python-level try/except.
-        if asn in self._pristine:
-            return self[asn]
-        return default
-
     def next_hops(self, asn: int) -> Optional[Tuple[int, List[int]]]:
         """``self[asn].next_hops()`` (None off the topology), building
         no state: a record answers with its best key's sender and strict

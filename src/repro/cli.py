@@ -16,7 +16,9 @@ Also runnable as ``python -m repro ...``.
 
 import argparse
 import contextlib
+import dataclasses
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -41,9 +43,15 @@ from repro.report import (
     render_table,
 )
 from repro.runtime.settings import CampaignSettings
+from repro.serve import ChaosConfig, GuardConfig, ModelServer, WatchConfig
+from repro.serve.http import (
+    DEFAULT_LATENCY_THRESHOLD_MS,
+    DEFAULT_MAX_SNAPSHOT_AGE_S,
+    default_slo_specs,
+)
 from repro.splpo import available_strategies
 from repro.topology import TestbedParams, TopologyParams, build_paper_testbed
-from repro.util.errors import ReproError
+from repro.util.errors import ConfigurationError, ReproError
 
 
 def _parse_id_list(raw: str) -> tuple:
@@ -80,8 +88,10 @@ def _positive_float(raw: str) -> float:
         value = float(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {raw!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {value}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive, finite number, got {value}"
+        )
     return value
 
 
@@ -95,51 +105,56 @@ def _probability(raw: str) -> float:
     return value
 
 
-def _nonneg_float(raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {raw!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {value}")
-    return value
-
-
 def _timeout_or_none(raw: str) -> Optional[float]:
-    """A positive timeout in seconds, or 0/'none' to disable it."""
+    """Seconds, or 0/'none' to disable; the config class checks the range."""
     if raw.strip().lower() in ("none", "off"):
         return None
     try:
-        value = float(raw)
+        return float(raw) or None
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected seconds or 'none', got {raw!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative timeout, got {value}")
-    return value if value > 0 else None
 
 
-def _settings_from_args(args) -> Optional[CampaignSettings]:
-    """Campaign settings from the fault/retry CLI flags; None when no
-    flag was given, so commands without the flags keep the defaults."""
-    overrides = {}
-    for flag, field in (
-        ("fault_announcement", "fault_announcement_prob"),
-        ("fault_convergence_timeout", "fault_convergence_timeout_prob"),
-        ("fault_probe_blackout", "fault_probe_blackout_prob"),
-        ("fault_session_reset", "fault_session_reset_prob"),
-        ("max_attempts", "retry_max_attempts"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    return CampaignSettings(**overrides) if overrides else None
+#: A config field's flag parser, from its annotation.
+_KNOB_PARSERS = {int: int, float: float, Optional[float]: _timeout_or_none}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, **configs) -> None:
+    """Add the flag each ``name=ConfigClass`` field declares in its
+    ``metadata``, with the field's default.  ``main`` then sets
+    ``args.<name>`` to the class built from the parsed values, whose
+    ``__post_init__`` is the only range check."""
+    for config_cls in configs.values():
+        for knob in dataclasses.fields(config_cls):
+            if "flag" not in knob.metadata:
+                continue
+            parse = _KNOB_PARSERS[knob.type]
+            disables = "; 0 or 'none' disables" if parse is _timeout_or_none else ""
+            parser.add_argument(
+                knob.metadata["flag"],
+                dest=knob.name,
+                type=parse,
+                default=knob.default,
+                metavar=knob.metadata["metavar"],
+                help=f"{knob.metadata['help']} (default: %(default)s{disables})",
+            )
+    parser.set_defaults(configs=configs)
+
+
+def _config_from_args(config_cls, args):
+    """``config_cls`` with each flagged field set from its parsed flag."""
+    return config_cls(**{
+        knob.name: getattr(args, knob.name)
+        for knob in dataclasses.fields(config_cls)
+        if "flag" in knob.metadata
+    })
 
 
 def _make_anyopt(args) -> AnyOpt:
     testbed = load_testbed(args.testbed)
     targets = select_targets(testbed.internet, seed=args.seed)
     anyopt = AnyOpt(
-        testbed, targets=targets, seed=args.seed, settings=_settings_from_args(args)
+        testbed, targets=targets, seed=args.seed, settings=getattr(args, "settings", None)
     )
     # Remembered so ``main`` can render ``--stats`` after the command.
     args._anyopt = anyopt
@@ -162,7 +177,7 @@ def _campaign_heartbeat(args, anyopt, campaign: str, total_experiments=None):
     return HeartbeatWriter(
         path,
         anyopt.metrics,
-        interval_s=getattr(args, "heartbeat_interval", 5.0),
+        interval_s=args.heartbeat_interval,
         campaign=campaign,
         total_experiments=total_experiments,
     )
@@ -525,8 +540,6 @@ def cmd_serve(args) -> int:
     import asyncio
     import signal
 
-    from repro.serve import GuardConfig, ModelServer, WatchConfig
-
     snapshot_path = args.snapshot
     if snapshot_path is None:
         if not (args.testbed and args.model):
@@ -538,27 +551,7 @@ def cmd_serve(args) -> int:
         snapshot_path = args.out or f"{args.model}.snap"
         _compile_snapshot_file(model, snapshot_path)
 
-    from repro.serve.http import default_slo_specs
-
-    guard = GuardConfig(
-        header_timeout_s=args.header_timeout,
-        body_timeout_s=args.body_timeout,
-        handler_timeout_s=args.request_timeout,
-        write_timeout_s=args.write_timeout,
-        idle_timeout_s=args.idle_timeout,
-        max_connections=args.max_connections,
-        max_inflight=args.max_inflight,
-        max_header_count=args.max_headers,
-        retry_after_s=args.shed_retry_after,
-    )
-    watch = None
-    if args.watch:
-        watch = WatchConfig(
-            poll_interval_s=args.watch_interval,
-            debounce_s=args.watch_debounce,
-            backoff_base_s=args.watch_backoff,
-            max_backoff_s=args.watch_max_backoff,
-        )
+    watch = args.watch_config if args.watch else None
     server = ModelServer(
         snapshot_path,
         host=args.host,
@@ -567,7 +560,7 @@ def cmd_serve(args) -> int:
             latency_threshold_ms=args.latency_slo_ms,
             max_snapshot_age_s=args.max_snapshot_age,
         ),
-        guard=guard,
+        guard=args.guard,
         watch=watch,
     )
     server.load()  # fail fast on a corrupt snapshot, before binding
@@ -624,22 +617,9 @@ def cmd_serve(args) -> int:
 
 def cmd_chaos(args) -> int:
     from repro.report import render_chaos_report
-    from repro.serve import ChaosConfig, run_chaos
+    from repro.serve import run_chaos
 
-    config = ChaosConfig(
-        seed=args.seed,
-        requests=args.requests,
-        concurrency=args.concurrency,
-        publishes=args.publishes,
-        request_fault_prob=args.fault_prob,
-        publish_corrupt_prob=args.corrupt_prob,
-        watch_interval_s=args.watch_interval,
-        watch_debounce_s=args.watch_debounce,
-        header_timeout_s=args.header_timeout,
-        write_timeout_s=args.write_timeout,
-        max_inflight=args.max_inflight,
-        client_timeout_s=args.client_timeout,
-    )
+    config = dataclasses.replace(args.chaos, seed=args.seed)
     report = run_chaos(
         args.snapshot, config, host=args.host, port=args.port
     )
@@ -772,45 +752,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Fault-injection and retry knobs, shared by campaign subcommands.
     faults = argparse.ArgumentParser(add_help=False)
-    faults.add_argument(
-        "--fault-announcement",
-        type=_probability,
-        default=None,
-        metavar="PROB",
-        help="per-attempt probability of a transient announcement failure",
-    )
-    faults.add_argument(
-        "--fault-convergence-timeout",
-        type=_probability,
-        default=None,
-        metavar="PROB",
-        help="per-attempt probability of a convergence timeout",
-    )
-    faults.add_argument(
-        "--fault-probe-blackout",
-        type=_probability,
-        default=None,
-        metavar="PROB",
-        help="per-attempt probability of losing an experiment's probes",
-    )
-    faults.add_argument(
-        "--fault-session-reset",
-        type=_probability,
-        default=None,
-        metavar="PROB",
-        help="per-attempt probability of an orchestrator session reset",
-    )
-    faults.add_argument(
-        "--max-attempts",
-        type=_positive_int,
-        default=None,
-        help="attempts per experiment before it is recorded as failed",
-    )
+    _add_config_flags(faults, settings=CampaignSettings)
 
     p = sub.add_parser("build-testbed", help="generate and save a testbed")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stubs", type=int, default=600)
-    p.add_argument("--tier2", type=int, default=48)
+    p.add_argument("--stubs", type=int, default=TopologyParams.n_stub)
+    p.add_argument("--tier2", type=int, default=TopologyParams.n_tier2)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_testbed)
 
@@ -1051,88 +998,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--latency-slo-ms",
         type=_positive_float,
-        default=250.0,
+        default=DEFAULT_LATENCY_THRESHOLD_MS,
         metavar="MS",
         help="latency-SLO threshold: 99%% of requests should answer within "
-        "MS milliseconds (default: 250)",
+        "MS milliseconds (default: %(default)s)",
     )
     p.add_argument(
         "--max-snapshot-age",
         type=_positive_float,
-        default=86400.0,
+        default=DEFAULT_MAX_SNAPSHOT_AGE_S,
         metavar="SECONDS",
         help="freshness-SLO budget: /slozz warns at 75%% of this snapshot "
-        "age and pages past it (default: 86400 = one day)",
-    )
-    p.add_argument(
-        "--request-timeout",
-        type=_timeout_or_none,
-        default=30.0,
-        metavar="SECONDS",
-        help="deadline for a handler that awaits (/reloadz, or a route "
-        "behind a chaos hook); synchronous answers such as /predict run "
-        "to completion. Expiry sheds a structured 503 (default: 30; 0 or "
-        "'none' disables)",
-    )
-    p.add_argument(
-        "--header-timeout",
-        type=_timeout_or_none,
-        default=10.0,
-        metavar="SECONDS",
-        help="deadline for reading a request's header section — the "
-        "slow-loris bound (default: 10; 0 or 'none' disables)",
-    )
-    p.add_argument(
-        "--body-timeout",
-        type=_timeout_or_none,
-        default=30.0,
-        metavar="SECONDS",
-        help="deadline for reading a request body (default: 30)",
-    )
-    p.add_argument(
-        "--write-timeout",
-        type=_timeout_or_none,
-        default=30.0,
-        metavar="SECONDS",
-        help="deadline for flushing a response to a slow-reading client; "
-        "expiry aborts the connection (default: 30)",
-    )
-    p.add_argument(
-        "--idle-timeout",
-        type=_timeout_or_none,
-        default=120.0,
-        metavar="SECONDS",
-        help="reap a keep-alive connection idle this long (default: 120)",
-    )
-    p.add_argument(
-        "--max-connections",
-        type=_positive_int,
-        default=1024,
-        metavar="N",
-        help="connection admission cap; excess connections are shed with a "
-        "structured 503 + Retry-After (default: 1024)",
-    )
-    p.add_argument(
-        "--max-inflight",
-        type=_positive_int,
-        default=64,
-        metavar="N",
-        help="in-flight request cap; excess requests are shed with a "
-        "structured 429 + Retry-After (default: 64)",
-    )
-    p.add_argument(
-        "--max-headers",
-        type=_positive_int,
-        default=100,
-        metavar="N",
-        help="per-request header-line cap; excess answers 431 (default: 100)",
-    )
-    p.add_argument(
-        "--shed-retry-after",
-        type=_positive_float,
-        default=1.0,
-        metavar="SECONDS",
-        help="Retry-After advertised on shed responses (default: 1)",
+        "age and pages past it (default: %(default)s)",
     )
     p.add_argument(
         "--drain-grace",
@@ -1148,36 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="reload-on-publish: poll the snapshot path and hot-swap the "
         "model when a new version is atomically published",
     )
-    p.add_argument(
-        "--watch-interval",
-        type=_positive_float,
-        default=2.0,
-        metavar="SECONDS",
-        help="snapshot watcher poll interval (default: 2)",
-    )
-    p.add_argument(
-        "--watch-debounce",
-        type=_nonneg_float,
-        default=0.5,
-        metavar="SECONDS",
-        help="how long a new snapshot stat must hold still before the "
-        "watcher loads it (default: 0.5)",
-    )
-    p.add_argument(
-        "--watch-backoff",
-        type=_positive_float,
-        default=2.0,
-        metavar="SECONDS",
-        help="base backoff after a failed watcher load; doubles per "
-        "consecutive failure (default: 2)",
-    )
-    p.add_argument(
-        "--watch-max-backoff",
-        type=_positive_float,
-        default=300.0,
-        metavar="SECONDS",
-        help="backoff ceiling for the watcher circuit breaker (default: 300)",
-    )
+    _add_config_flags(p, guard=GuardConfig, watch_config=WatchConfig)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -1198,81 +1046,7 @@ def build_parser() -> argparse.ArgumentParser:
         "omit to self-host a guarded server in-process",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--requests",
-        type=_positive_int,
-        default=60,
-        help="request events in the storm (default: 60)",
-    )
-    p.add_argument(
-        "--concurrency",
-        type=_positive_int,
-        default=6,
-        help="concurrent chaos clients (default: 6)",
-    )
-    p.add_argument(
-        "--publishes",
-        type=int,
-        default=4,
-        help="mid-storm snapshot publish events; a final good publish is "
-        "always appended (default: 4)",
-    )
-    p.add_argument(
-        "--fault-prob",
-        type=_probability,
-        default=0.25,
-        help="per-request hostile-client fault probability (default: 0.25)",
-    )
-    p.add_argument(
-        "--corrupt-prob",
-        type=_probability,
-        default=0.5,
-        help="per-publish corrupt-snapshot probability (default: 0.5)",
-    )
-    p.add_argument(
-        "--watch-interval",
-        type=_positive_float,
-        default=0.25,
-        metavar="SECONDS",
-        help="watcher poll interval assumed on the server — match the "
-        "server's --watch-interval (default: 0.25)",
-    )
-    p.add_argument(
-        "--watch-debounce",
-        type=_nonneg_float,
-        default=0.0,
-        metavar="SECONDS",
-        help="watcher debounce assumed on the server (default: 0)",
-    )
-    p.add_argument(
-        "--header-timeout",
-        type=_positive_float,
-        default=0.5,
-        metavar="SECONDS",
-        help="header deadline assumed on the server — match the server's "
-        "--header-timeout (default: 0.5)",
-    )
-    p.add_argument(
-        "--write-timeout",
-        type=_positive_float,
-        default=0.5,
-        metavar="SECONDS",
-        help="write deadline assumed on the server (default: 0.5)",
-    )
-    p.add_argument(
-        "--max-inflight",
-        type=_positive_int,
-        default=4,
-        help="in-flight cap assumed on the server (default: 4)",
-    )
-    p.add_argument(
-        "--client-timeout",
-        type=_positive_float,
-        default=20.0,
-        metavar="SECONDS",
-        help="client-side per-request give-up; any hit fails the "
-        "no-client-timeouts invariant (default: 20)",
-    )
+    _add_config_flags(p, chaos=ChaosConfig)
     p.add_argument(
         "--report", default=None, metavar="PATH",
         help="write the JSON chaos report here",
@@ -1342,6 +1116,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        for name, config_cls in getattr(args, "configs", {}).items():
+            setattr(args, name, _config_from_args(config_cls, args))
+    except ConfigurationError as exc:
+        parser.error(str(exc))
     configure_logging(
         level=getattr(args, "log_level", None) or "warning",
         json_output=getattr(args, "log_json", False),

@@ -19,13 +19,14 @@ is excluded from the bit-identity invariant, like span timing fields.
 """
 
 import json
+import math
 import threading
 import time
 from typing import Dict, Iterator, List, Optional
 
 from repro.obs.live import Clock
 from repro.obs.log import get_logger
-from repro.util.errors import ReproError
+from repro.util.errors import ConfigurationError, ReproError
 
 logger = get_logger("heartbeat")
 
@@ -68,8 +69,10 @@ class HeartbeatWriter:
         total_experiments: Optional[int] = None,
         clock: Optional[Clock] = None,
     ):
-        if interval_s <= 0:
-            raise ReproError("heartbeat interval_s must be positive")
+        # A range NaN fails: Event.wait(nan) returns at once, so a NaN
+        # interval would write records in a tight loop.
+        if not 0 < interval_s < math.inf:
+            raise ConfigurationError("heartbeat interval_s must be finite and positive")
         self.path = str(path)
         self.metrics = metrics
         self.interval_s = float(interval_s)
@@ -80,7 +83,6 @@ class HeartbeatWriter:
         self._phase: Optional[str] = None
         self._seq = 0
         self._baseline: Dict[str, int] = {}
-        self._last: Optional[Dict] = None
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -173,16 +175,10 @@ class HeartbeatWriter:
             if error is not None:
                 record["error"] = error
             self._seq += 1
-            self._last = record
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record, sort_keys=True))
                 fh.write("\n")
         return record
-
-    @property
-    def last_record(self) -> Optional[Dict]:
-        with self._lock:
-            return dict(self._last) if self._last is not None else None
 
 
 # -- reading -----------------------------------------------------------------

@@ -32,6 +32,7 @@ blip from paging.  Everything is driven by an injectable clock, so
 state transitions are unit-testable without sleeping.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -90,10 +91,12 @@ class SloSpec:
             raise ConfigurationError(
                 f"SLO kind must be one of {SLO_KINDS}, got {self.kind!r}"
             )
+        # Bounds are written as ranges, so NaN fails each of them.
         if self.kind == "freshness":
-            if self.objective <= 0:
+            if not 0 < self.objective < math.inf:
                 raise ConfigurationError(
-                    "a freshness objective is a maximum age in seconds (> 0)"
+                    "a freshness objective is a maximum age in seconds "
+                    "(finite, > 0)"
                 )
         else:
             if not 0.0 < self.objective < 1.0:
@@ -101,21 +104,22 @@ class SloSpec:
                     f"{self.kind} objective must be a fraction in (0, 1), "
                     f"got {self.objective}"
                 )
-        if self.kind == "latency" and (
-            self.latency_threshold_ms is None or self.latency_threshold_ms <= 0
+        if self.kind == "latency" and not (
+            self.latency_threshold_ms is not None
+            and 0 < self.latency_threshold_ms < math.inf
         ):
             raise ConfigurationError(
-                "a latency SLO needs latency_threshold_ms > 0"
+                "a latency SLO needs a finite latency_threshold_ms > 0"
             )
         if not self.stream:
             raise ConfigurationError("an SLO needs a non-empty stream label")
-        if self.fast_window_s <= 0 or self.slow_window_s < self.fast_window_s:
+        if not 0 < self.fast_window_s <= self.slow_window_s < math.inf:
             raise ConfigurationError(
-                "SLO windows need 0 < fast_window_s <= slow_window_s"
+                "SLO windows need 0 < fast_window_s <= slow_window_s, finite"
             )
-        if self.warn_burn <= 0 or self.page_burn < self.warn_burn:
+        if not 0 < self.warn_burn <= self.page_burn < math.inf:
             raise ConfigurationError(
-                "SLO burn thresholds need 0 < warn_burn <= page_burn"
+                "SLO burn thresholds need 0 < warn_burn <= page_burn, finite"
             )
 
     @property

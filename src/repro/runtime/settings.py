@@ -10,7 +10,7 @@ signatures do not grow with every model refinement.
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.util.errors import ConfigurationError
@@ -39,21 +39,13 @@ class CampaignSettings:
             harness (``benchmarks/pipeline/workloads.py``) still passes
             ``convergence_cache=False``, and goes when it drops that
             argument.
-        fault_announcement_prob: per-attempt probability that a BGP
-            announcement transiently fails (see
-            :mod:`repro.runtime.faults`).
-        fault_convergence_timeout_prob: per-attempt probability that an
-            experiment's convergence window times out.
-        fault_probe_blackout_prob: per-attempt probability that an
-            experiment's measurement session loses every probe.
-        fault_session_reset_prob: per-attempt probability that the
-            orchestrator's testbed session resets mid-experiment.
-        retry_max_attempts: attempts per experiment operation before a
-            transient failure becomes a ``FailedExperiment`` (1
-            disables retrying).
         retry_backoff_base_ms: virtual backoff before the first retry.
         retry_backoff_factor: multiplier per further retry.
         retry_backoff_max_ms: cap on a single virtual backoff interval.
+
+    The fault-injection knobs (see :mod:`repro.runtime.faults`) and
+    ``retry_max_attempts`` carry their help in their field ``metadata``,
+    which also names the campaign subcommands' flag that sets them.
     """
 
     session_churn_prob: float = 0.02
@@ -62,11 +54,30 @@ class CampaignSettings:
     bgp_delay_jitter_ms: float = 20.0
     max_convergence_events: Optional[int] = None
     convergence_cache: bool = False
-    fault_announcement_prob: float = 0.0
-    fault_convergence_timeout_prob: float = 0.0
-    fault_probe_blackout_prob: float = 0.0
-    fault_session_reset_prob: float = 0.0
-    retry_max_attempts: int = 3
+    fault_announcement_prob: float = field(default=0.0, metadata={
+        "flag": "--fault-announcement", "metavar": "PROB",
+        "help": "per-attempt probability of a transient BGP announcement failure",
+    })
+    fault_convergence_timeout_prob: float = field(default=0.0, metadata={
+        "flag": "--fault-convergence-timeout", "metavar": "PROB",
+        "help": "per-attempt probability that an experiment's convergence "
+        "window times out",
+    })
+    fault_probe_blackout_prob: float = field(default=0.0, metadata={
+        "flag": "--fault-probe-blackout", "metavar": "PROB",
+        "help": "per-attempt probability that an experiment's measurement "
+        "session loses every probe",
+    })
+    fault_session_reset_prob: float = field(default=0.0, metadata={
+        "flag": "--fault-session-reset", "metavar": "PROB",
+        "help": "per-attempt probability that the orchestrator's testbed "
+        "session resets mid-experiment",
+    })
+    retry_max_attempts: int = field(default=3, metadata={
+        "flag": "--max-attempts", "metavar": "N",
+        "help": "attempts per experiment before it is recorded as failed; "
+        "1 disables retrying",
+    })
     retry_backoff_base_ms: float = 1000.0
     retry_backoff_factor: float = 2.0
     retry_backoff_max_ms: float = 60_000.0

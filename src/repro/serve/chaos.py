@@ -37,6 +37,7 @@ does; boot the server with guard flags matching the chaos config).
 import asyncio
 import contextlib
 import json
+import math
 import os
 import socket
 import tempfile
@@ -75,45 +76,79 @@ STALL_PIPELINE = 3
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """Validated knobs for one chaos run."""
+    """Validated knobs for one chaos run; a field with a ``flag`` in its
+    ``metadata`` is set by that ``anyopt chaos`` flag."""
 
     seed: int = 0
-    #: Honest/hostile request events in the storm.
-    requests: int = 60
-    #: Concurrent client workers.
-    concurrency: int = 6
-    #: Mid-storm snapshot publish events (a final good publish is
-    #: always appended so convergence is checkable).
-    publishes: int = 4
-    request_fault_prob: float = 0.25
-    publish_corrupt_prob: float = 0.5
-    #: Watcher cadence — the self-hosted server is built with these;
-    #: an external server must be booted with matching ``--watch-*``
-    #: flags or the publish-settle windows are miscalibrated.
-    watch_interval_s: float = 0.25
-    watch_debounce_s: float = 0.0
-    #: Guard deadlines assumed on the server (self-hosted: enforced).
-    header_timeout_s: float = 0.5
-    write_timeout_s: float = 0.5
-    max_inflight: int = 4
-    #: Client-side give-up per request; a hit means a stuck server.
-    client_timeout_s: float = 20.0
+    requests: int = field(default=60, metadata={
+        "flag": "--requests", "metavar": "N",
+        "help": "honest and hostile request events in the storm",
+    })
+    concurrency: int = field(default=6, metadata={
+        "flag": "--concurrency", "metavar": "N",
+        "help": "concurrent chaos clients",
+    })
+    publishes: int = field(default=4, metadata={
+        "flag": "--publishes", "metavar": "N",
+        "help": "mid-storm snapshot publish events; a final good publish is "
+        "always appended, so convergence is checkable",
+    })
+    request_fault_prob: float = field(default=0.25, metadata={
+        "flag": "--fault-prob", "metavar": "PROB",
+        "help": "per-request hostile-client fault probability",
+    })
+    publish_corrupt_prob: float = field(default=0.5, metadata={
+        "flag": "--corrupt-prob", "metavar": "PROB",
+        "help": "per-publish corrupt-snapshot probability",
+    })
+    # The watcher cadence and guard limits below are assumed on the
+    # server: the self-hosted one is built (and guarded) with them, and
+    # an external one booted with other flags miscalibrates the
+    # publish-settle windows.
+    watch_interval_s: float = field(default=0.25, metadata={
+        "flag": "--watch-interval", "metavar": "SECONDS",
+        "help": "watcher poll interval assumed on the server — match the "
+        "server's --watch-interval",
+    })
+    watch_debounce_s: float = field(default=0.0, metadata={
+        "flag": "--watch-debounce", "metavar": "SECONDS",
+        "help": "watcher debounce assumed on the server",
+    })
+    header_timeout_s: float = field(default=0.5, metadata={
+        "flag": "--header-timeout", "metavar": "SECONDS",
+        "help": "header deadline assumed on the server — match the server's "
+        "--header-timeout",
+    })
+    write_timeout_s: float = field(default=0.5, metadata={
+        "flag": "--write-timeout", "metavar": "SECONDS",
+        "help": "write deadline assumed on the server",
+    })
+    max_inflight: int = field(default=4, metadata={
+        "flag": "--max-inflight", "metavar": "N",
+        "help": "in-flight cap assumed on the server",
+    })
+    client_timeout_s: float = field(default=20.0, metadata={
+        "flag": "--client-timeout", "metavar": "SECONDS",
+        "help": "client-side per-request give-up; any hit means a stuck "
+        "server and fails the no-client-timeouts invariant",
+    })
 
     def __post_init__(self):
+        # Written as ranges, so NaN fails each bound.
         for name in ("requests", "concurrency", "max_inflight"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ConfigurationError(f"chaos {name} must be >= 1")
-        if self.publishes < 0:
+        if not self.publishes >= 0:
             raise ConfigurationError("chaos publishes must be >= 0")
         for name in ("request_fault_prob", "publish_corrupt_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigurationError(f"chaos {name} must be in [0, 1]")
         for name in ("watch_interval_s", "header_timeout_s",
                      "write_timeout_s", "client_timeout_s"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"chaos {name} must be > 0")
-        if self.watch_debounce_s < 0:
-            raise ConfigurationError("chaos watch_debounce_s must be >= 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"chaos {name} must be finite and > 0")
+        if not 0 <= self.watch_debounce_s < math.inf:
+            raise ConfigurationError("chaos watch_debounce_s must be finite and >= 0")
 
     @property
     def publish_settle_s(self) -> float:

@@ -1,7 +1,7 @@
 """Request deadlines, admission control, and load shedding for serving.
 
 :class:`GuardConfig` is the validated knob set for the serving
-resilience layer (every field has a CLI flag on ``anyopt serve``);
+resilience layer (its flagged fields declare ``anyopt serve``'s flags);
 :class:`ServeGuard` is the runtime that enforces it for a
 :class:`~repro.serve.http.ModelServer`:
 
@@ -32,7 +32,7 @@ measuring guard overhead.
 import asyncio
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
 from repro.runtime.metrics import MetricsRegistry
@@ -62,33 +62,56 @@ class GuardConfig:
     Timeouts are seconds; ``None`` disables that deadline.  Defaults
     are sized for a public-facing model server: generous enough that a
     slow-but-honest client finishes, tight enough that a hostile one
-    cannot hold resources for long.
+    cannot hold resources for long.  A field with a ``flag`` in its
+    ``metadata`` is set by that ``anyopt serve`` flag, and its help
+    documents it.
     """
 
-    #: Deadline for the rest of a request head (request line and
-    #: headers) once its first byte has arrived; until then the read
-    #: is bounded by ``idle_timeout_s``.
-    header_timeout_s: Optional[float] = 10.0
-    #: Deadline for reading the request body.
-    body_timeout_s: Optional[float] = 30.0
-    #: Deadline for a route handler that awaits (``/reloadz``, or any
-    #: route behind a ``chaos_hook``); a synchronous answer never
-    #: suspends, so no deadline could interrupt it.  The
-    #: ``--request-timeout`` flag.
-    handler_timeout_s: Optional[float] = 30.0
-    #: Deadline for flushing a response past a flow-control pause.
-    write_timeout_s: Optional[float] = 30.0
-    #: Keep-alive idle reaper: close a connection that starts no new
-    #: request within this window.
-    idle_timeout_s: Optional[float] = 120.0
-    #: Connection admission cap (excess connections shed with 503).
-    max_connections: int = 1024
-    #: In-flight request admission cap (excess requests shed with 429).
-    max_inflight: int = 64
-    #: Per-request header-count cap (excess answered with 431).
-    max_header_count: int = 100
-    #: ``Retry-After`` seconds advertised on shed responses.
-    retry_after_s: float = 1.0
+    header_timeout_s: Optional[float] = field(default=10.0, metadata={
+        "flag": "--header-timeout", "metavar": "SECONDS",
+        "help": "deadline for the rest of a request head (request line and "
+        "headers) once its first byte has arrived — the slow-loris bound; "
+        "until then the read is bounded by --idle-timeout",
+    })
+    body_timeout_s: Optional[float] = field(default=30.0, metadata={
+        "flag": "--body-timeout", "metavar": "SECONDS",
+        "help": "deadline for reading a request body",
+    })
+    handler_timeout_s: Optional[float] = field(default=30.0, metadata={
+        "flag": "--request-timeout", "metavar": "SECONDS",
+        "help": "deadline for a handler that awaits (/reloadz, or a route "
+        "behind a chaos hook); synchronous answers such as /predict never "
+        "suspend, so no deadline could interrupt them. Expiry sheds a "
+        "structured 503",
+    })
+    write_timeout_s: Optional[float] = field(default=30.0, metadata={
+        "flag": "--write-timeout", "metavar": "SECONDS",
+        "help": "deadline for flushing a response past a flow-control pause "
+        "(a slow-reading client); expiry aborts the connection",
+    })
+    idle_timeout_s: Optional[float] = field(default=120.0, metadata={
+        "flag": "--idle-timeout", "metavar": "SECONDS",
+        "help": "reap a keep-alive connection that starts no new request "
+        "within this window",
+    })
+    max_connections: int = field(default=1024, metadata={
+        "flag": "--max-connections", "metavar": "N",
+        "help": "connection admission cap; excess connections are shed with "
+        "a structured 503 + Retry-After",
+    })
+    max_inflight: int = field(default=64, metadata={
+        "flag": "--max-inflight", "metavar": "N",
+        "help": "in-flight request cap; excess requests are shed with a "
+        "structured 429 + Retry-After",
+    })
+    max_header_count: int = field(default=100, metadata={
+        "flag": "--max-headers", "metavar": "N",
+        "help": "per-request header-line cap; excess answers 431",
+    })
+    retry_after_s: float = field(default=1.0, metadata={
+        "flag": "--shed-retry-after", "metavar": "SECONDS",
+        "help": "Retry-After advertised on shed responses",
+    })
     #: Transport write high-water mark; ``None`` keeps asyncio's
     #: default.  Tests shrink it to trip the write deadline quickly.
     write_high_water: Optional[int] = None
@@ -102,16 +125,16 @@ class GuardConfig:
             value = getattr(self, f.name)
             if value is None:
                 continue
-            if f.name in ("max_connections", "max_inflight", "max_header_count",
-                          "write_high_water", "so_sndbuf"):
+            if f.type in (int, Optional[int]):
                 if not isinstance(value, int) or value < 1:
                     raise ConfigurationError(
                         f"guard {f.name} must be a positive integer, got {value!r}"
                     )
-            elif not (isinstance(value, (int, float)) and value > 0):
+            # A range NaN fails; infinity would overflow Retry-After's ceil.
+            elif not (isinstance(value, (int, float)) and 0 < value < math.inf):
                 raise ConfigurationError(
-                    f"guard {f.name} must be a positive number of seconds, "
-                    f"got {value!r}"
+                    f"guard {f.name} must be a positive, finite number of "
+                    f"seconds, got {value!r}"
                 )
 
     @classmethod

@@ -25,9 +25,10 @@ through ``/modelz``.
 """
 
 import asyncio
+import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.obs.live import Clock
@@ -43,29 +44,40 @@ _Stat = Tuple[int, int, int]
 
 @dataclass(frozen=True)
 class WatchConfig:
-    """Validated knobs for the reload-on-publish watcher."""
+    """Validated knobs for the reload-on-publish watcher; each field's
+    ``metadata`` names the ``anyopt serve`` flag that sets it."""
 
-    #: Seconds between stat polls.
-    poll_interval_s: float = 2.0
-    #: A changed stat must hold still this long before a reload is
-    #: attempted (an in-progress non-atomic copy keeps moving; an
-    #: atomic publish is stable immediately).
-    debounce_s: float = 0.5
-    #: First retry delay after a failed load of a given publish.
-    backoff_base_s: float = 2.0
-    #: Backoff ceiling for a repeatedly-bad publish.
-    max_backoff_s: float = 300.0
+    poll_interval_s: float = field(default=2.0, metadata={
+        "flag": "--watch-interval", "metavar": "SECONDS",
+        "help": "seconds between snapshot stat polls",
+    })
+    debounce_s: float = field(default=0.5, metadata={
+        "flag": "--watch-debounce", "metavar": "SECONDS",
+        "help": "how long a changed snapshot stat must hold still before the "
+        "watcher loads it; an in-progress non-atomic copy keeps moving, an "
+        "atomic publish is stable at once",
+    })
+    backoff_base_s: float = field(default=2.0, metadata={
+        "flag": "--watch-backoff", "metavar": "SECONDS",
+        "help": "first retry delay after a failed load of a given publish; "
+        "doubles per consecutive failure",
+    })
+    max_backoff_s: float = field(default=300.0, metadata={
+        "flag": "--watch-max-backoff", "metavar": "SECONDS",
+        "help": "the watcher circuit breaker's backoff ceiling for a "
+        "repeatedly bad publish",
+    })
 
     def __post_init__(self):
-        if self.poll_interval_s <= 0:
-            raise ConfigurationError("watch poll_interval_s must be > 0")
-        if self.debounce_s < 0:
-            raise ConfigurationError("watch debounce_s must be >= 0")
-        if self.backoff_base_s <= 0:
-            raise ConfigurationError("watch backoff_base_s must be > 0")
-        if self.max_backoff_s < self.backoff_base_s:
+        # Ranges NaN fails: asyncio.sleep(nan) returns at once, so a NaN
+        # poll interval would spin stat() on the server's loop.
+        if not 0 < self.poll_interval_s < math.inf:
+            raise ConfigurationError("watch poll_interval_s must be finite and > 0")
+        if not 0 <= self.debounce_s < math.inf:
+            raise ConfigurationError("watch debounce_s must be finite and >= 0")
+        if not 0 < self.backoff_base_s <= self.max_backoff_s < math.inf:
             raise ConfigurationError(
-                "watch max_backoff_s must be >= backoff_base_s"
+                "watch backoff needs 0 < backoff_base_s <= max_backoff_s, finite"
             )
 
 

@@ -98,6 +98,20 @@ class TestChaosPieces:
         with pytest.raises(ConfigurationError):
             ChaosConfig(watch_interval_s=0.0)
 
+    @pytest.mark.parametrize("name, bad", [
+        *[(name, float("nan")) for name in (
+            "requests", "concurrency", "publishes", "max_inflight",
+            "request_fault_prob", "publish_corrupt_prob",
+        )],
+        *[(name, bad) for name in (
+            "watch_interval_s", "watch_debounce_s", "header_timeout_s",
+            "write_timeout_s", "client_timeout_s",
+        ) for bad in (float("nan"), float("inf"))],
+    ])
+    def test_chaos_config_rejects_nan_and_infinite_seconds(self, name, bad):
+        with pytest.raises(ConfigurationError):
+            ChaosConfig(**{name: bad})
+
     def test_variant_snapshot_differs_and_loads(self, snapshot_path, tmp_path):
         original = LookupEngine(load_snapshot(snapshot_path))
         variant_bytes, variant = compile_variant(snapshot_path, str(tmp_path))

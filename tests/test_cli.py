@@ -1,11 +1,15 @@
 """End-to-end tests for the CLI."""
 
+import dataclasses
 import json
 
 import pytest
 
+import repro.cli as cli
 from repro.cli import main
 from repro.io import save_model, save_testbed
+from repro.runtime.settings import CampaignSettings
+from repro.serve import ChaosConfig, GuardConfig, WatchConfig
 from tests.test_faults import REMOVED_SETTINGS, checkpoint_documents
 
 
@@ -231,6 +235,77 @@ class TestFaultFlags:
                 "discover", "--testbed", "x", "--out", "y",
                 "--max-attempts", "-1",
             ])
+
+
+#: Each config class with flagged fields -> a command line that reaches
+#: them, naming files that do not exist.
+KNOB_COMMANDS = {
+    CampaignSettings: ["discover", "--testbed", "missing.json", "--out", "m.json"],
+    GuardConfig: ["serve", "--snapshot", "missing.snap"],
+    WatchConfig: ["serve", "--snapshot", "missing.snap"],
+    ChaosConfig: ["chaos", "--snapshot", "missing.snap"],
+}
+
+FLAGGED = [
+    pytest.param(config_cls, knob, id=f"{config_cls.__name__}.{knob.name}")
+    for config_cls in KNOB_COMMANDS
+    for knob in dataclasses.fields(config_cls)
+    if "flag" in knob.metadata
+]
+
+
+@pytest.fixture
+def dispatched(monkeypatch):
+    """The parsed args of each command ``main`` dispatches; no command
+    runs, so no file is read."""
+    calls = []
+    for name in vars(cli):
+        if name.startswith("cmd_"):
+            monkeypatch.setattr(cli, name, lambda args: calls.append(args) or 0)
+    return calls
+
+
+def built_config(args, config_cls):
+    (config,) = [getattr(args, name) for name, cls in args.configs.items() if cls is config_cls]
+    return config
+
+
+class TestConfigFlags:
+    """Every flag declared on a config field, found through the fields."""
+
+    @pytest.mark.parametrize("config_cls, knob", FLAGGED)
+    def test_flag_sets_its_field(self, dispatched, config_cls, knob):
+        value = knob.default + 1 if type(knob.default) is int else knob.default / 2 or 0.5
+        assert main([*KNOB_COMMANDS[config_cls], knob.metadata["flag"], str(value)]) == 0
+        (args,) = dispatched
+        config = built_config(args, config_cls)
+        assert config == dataclasses.replace(config_cls(), **{knob.name: value})
+
+    @pytest.mark.parametrize("config_cls, knob", FLAGGED)
+    def test_nan_exits_2_before_any_file_is_read(self, dispatched, config_cls, knob):
+        with pytest.raises(SystemExit) as exc:
+            main([*KNOB_COMMANDS[config_cls], knob.metadata["flag"], "nan"])
+        assert exc.value.code == 2
+        assert not dispatched
+
+    def test_zero_or_none_disables_a_deadline(self, dispatched):
+        main(["serve", "--request-timeout", "none", "--idle-timeout", "0"])
+        guard = built_config(dispatched[0], GuardConfig)
+        assert guard.handler_timeout_s is None and guard.idle_timeout_s is None
+        assert guard.header_timeout_s == GuardConfig.header_timeout_s
+
+    @pytest.mark.parametrize("argv", [
+        ["discover", "--testbed", "missing.json", "--out", "m.json",
+         "--heartbeat-interval", "nan"],
+        ["serve", "--header-timeout", "nan"],
+        ["serve", "--latency-slo-ms", "nan"],
+        ["serve", "--max-snapshot-age", "inf"],
+    ])
+    def test_non_finite_value_flags_exit_2(self, dispatched, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not dispatched
 
 
 class TestErrors:

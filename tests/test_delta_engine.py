@@ -547,8 +547,6 @@ class TestLazyStates:
         assert isinstance(conv.states, LazyStates)
         assert len(conv.states) == len(testbed.internet.graph)
         assert set(conv.states) == set(testbed.internet.graph.asns())
-        # get() is defined on the class, with Mapping.get's semantics.
-        assert "get" in vars(LazyStates)
         assert all(conv.states.get(asn) is conv.states[asn] for asn in conv.states)
         assert conv.states.get(-1) is None and conv.states.get(-1, "no") == "no"
 

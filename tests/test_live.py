@@ -264,6 +264,19 @@ class TestSloEngine:
         assert status.state == "page"
         assert status.detail["error"] == "no gauge source"
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("kind, knob", [
+        ("freshness", {"objective"}),
+        ("latency", {"latency_threshold_ms"}),
+        ("availability", {"fast_window_s", "slow_window_s"}),
+        ("availability", {"warn_burn", "page_burn"}),
+    ])
+    def test_spec_rejects_non_finite_bounds(self, kind, knob, bad):
+        fields = {"objective": 0.9, "latency_threshold_ms": 250.0}
+        fields.update(dict.fromkeys(knob, bad))
+        with pytest.raises(ConfigurationError):
+            SloSpec("x", kind, **fields)
+
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):
             SloSpec("x", "nonsense", 0.9)
@@ -467,8 +480,10 @@ class TestHeartbeat:
         assert len(load_heartbeats(path)) >= 3
 
     def test_interval_validation(self):
-        with pytest.raises(ReproError):
-            HeartbeatWriter("x", MetricsRegistry(), interval_s=0)
+        # Event.wait(nan) returns at once: a NaN interval would spin.
+        for bad in (0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                HeartbeatWriter("x", MetricsRegistry(), interval_s=bad)
 
 
 class TestHeartbeatRendering:

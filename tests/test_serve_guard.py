@@ -113,6 +113,17 @@ class TestGuardConfig:
         with pytest.raises(ConfigurationError):
             GuardConfig(max_connections=-5)
 
+    @pytest.mark.parametrize("name", [
+        "header_timeout_s", "body_timeout_s", "handler_timeout_s",
+        "write_timeout_s", "idle_timeout_s", "retry_after_s",
+    ])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_seconds(self, name, bad):
+        # NaN would void a deadline; an infinite Retry-After overflows
+        # the shed response's ceil.
+        with pytest.raises(ConfigurationError):
+            GuardConfig(**{name: bad})
+
     def test_unguarded_disables_every_deadline(self):
         cfg = GuardConfig.unguarded()
         assert cfg.header_timeout_s is None
@@ -535,6 +546,17 @@ def _publish(path, data):
     with open(tmp, "wb") as fh:
         fh.write(data)
     os.replace(tmp, path)
+
+
+class TestWatchConfig:
+    @pytest.mark.parametrize("name", [
+        "poll_interval_s", "debounce_s", "backoff_base_s", "max_backoff_s",
+    ])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_seconds(self, name, bad):
+        # A NaN poll interval would make asyncio.sleep return at once.
+        with pytest.raises(ConfigurationError):
+            WatchConfig(**{name: bad})
 
 
 class TestWatcher:
