@@ -30,6 +30,8 @@ from repro.audit.findings import (
 )
 from repro.core.preferences import PreferenceMatrix, PreferenceOutcome, find_cycle_witness
 from repro.core.twolevel import SiteLevelMode
+from repro.obs.trace import Tracer
+from repro.runtime.metrics import MetricsRegistry
 
 #: Finding kind -> the ``audit_*`` counter it increments.
 KIND_COUNTERS = {
@@ -113,10 +115,10 @@ def audit_model(
     """Audit a discovered :class:`~repro.core.anyopt.AnyOptModel`.
 
     ``failures`` (defaults to ``model.failures``) supplies the
-    fault-kind details for UNDECIDED cells.  When ``metrics`` /
-    ``tracer`` are given, the sweep runs inside an ``audit`` phase and
-    span and ships ``audit_*`` counters plus the
-    ``audit_findings_per_client`` histogram.
+    fault-kind details for UNDECIDED cells.  The sweep runs inside an
+    ``audit`` span of ``tracer`` and ships ``audit_*`` counters plus
+    the ``audit_findings_per_client`` histogram to ``metrics``; either
+    left out is a fresh one nobody reads (repair's own audits).
     """
     testbed = model.testbed
     twolevel = model.twolevel
@@ -180,27 +182,18 @@ def audit_model(
             )
         return report
 
-    if metrics is None:
+    metrics = MetricsRegistry() if metrics is None else metrics
+    tracer = Tracer() if tracer is None else tracer
+    with tracer.span("audit", clients=len(list(targets)), sites=len(announce_order)) as span:
         report = sweep()
-    else:
-        with metrics.phase("audit"):
-            if tracer is not None:
-                with tracer.span(
-                    "audit", clients=len(list(targets)), sites=len(announce_order)
-                ) as span:
-                    report = sweep()
-                    span.set_attribute("findings", report.total_findings())
-                    span.set_attribute("quarantined", len(report.quarantined_clients()))
-            else:
-                report = sweep()
-        metrics.counter("audit_runs").increment()
-        metrics.counter("audit_findings").increment(report.total_findings())
-        metrics.counter("audit_clients_quarantined").increment(
-            len(report.quarantined_clients())
-        )
-        for kind, count in report.counts_by_kind().items():
-            metrics.counter(KIND_COUNTERS[kind]).increment(count)
-        histogram = metrics.histogram("audit_findings_per_client")
-        for client_id in sorted(report.clients):
-            histogram.observe(float(len(report.clients[client_id].findings)))
+        span.set_attribute("findings", report.total_findings())
+        span.set_attribute("quarantined", len(report.quarantined_clients()))
+    metrics.counter("audit_runs").increment()
+    metrics.counter("audit_findings").increment(report.total_findings())
+    metrics.counter("audit_clients_quarantined").increment(len(report.quarantined_clients()))
+    for kind, count in report.counts_by_kind().items():
+        metrics.counter(KIND_COUNTERS[kind]).increment(count)
+    histogram = metrics.histogram("audit_findings_per_client")
+    for client_id in sorted(report.clients):
+        histogram.observe(float(len(report.clients[client_id].findings)))
     return report

@@ -41,8 +41,6 @@ def cross_check(
     min_accuracy: float = 0.9,
     quarantined: FrozenSet[int] = frozenset(),
     audit_report: Optional[AuditReport] = None,
-    metrics=None,
-    tracer=None,
 ) -> CrossCheckReport:
     """Deploy ``k`` sampled configurations and verify predictions.
 
@@ -51,7 +49,9 @@ def cross_check(
     configuration.  When overall accuracy lands below
     ``min_accuracy``, the cross-check report is attached to
     ``audit_report`` (when given) and :class:`AuditViolation` is
-    raised carrying the first mismatch and its explanation.
+    raised carrying the first mismatch and its explanation.  The check
+    runs inside a ``cross-check`` span of the orchestrator's tracer and
+    ships ``audit_crosscheck_*`` counters to its metrics.
     """
     site_ids = list(model.testbed.site_ids())
     targets = sorted(targets, key=lambda t: t.target_id)
@@ -102,26 +102,17 @@ def cross_check(
                 )
             )
 
-    def run_all() -> None:
+    with orchestrator.tracer.span(
+        "cross-check", configs=len(configs), min_accuracy=min_accuracy
+    ) as span:
         for config in configs:
             check_config(config)
-
-    if metrics is not None:
-        with metrics.phase("cross-check"):
-            if tracer is not None:
-                with tracer.span(
-                    "cross-check", configs=len(configs), min_accuracy=min_accuracy
-                ) as span:
-                    run_all()
-                    span.set_attribute("checked", checked)
-                    span.set_attribute("mismatches", len(mismatches))
-            else:
-                run_all()
-        metrics.counter("audit_crosscheck_configs").increment(len(configs))
-        metrics.counter("audit_crosscheck_clients").increment(checked)
-        metrics.counter("audit_crosscheck_mismatches").increment(len(mismatches))
-    else:
-        run_all()
+        span.set_attribute("checked", checked)
+        span.set_attribute("mismatches", len(mismatches))
+    metrics = orchestrator.metrics
+    metrics.counter("audit_crosscheck_configs").increment(len(configs))
+    metrics.counter("audit_crosscheck_clients").increment(checked)
+    metrics.counter("audit_crosscheck_mismatches").increment(len(mismatches))
 
     report = CrossCheckReport(
         configs=[tuple(c.site_order) for c in configs],

@@ -366,7 +366,7 @@ def repair_model(
         round_orch.restore_experiment_state(orchestrator.experiment_count)
         before = round_orch.experiment_count
 
-        with metrics.phase("repair"), tracer.span(
+        with tracer.span(
             "repair-round",
             round=round_idx,
             actions=len(actions),

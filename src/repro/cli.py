@@ -20,6 +20,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from typing import List, Optional
 
@@ -31,7 +32,7 @@ from repro.io import atomic_write, load_model, load_testbed, save_model, save_te
 from repro.measurement import select_targets
 from repro.obs.export import load_trace, write_prometheus, write_trace_jsonl
 from repro.obs.heartbeat import HeartbeatWriter, follow_heartbeats, load_heartbeats
-from repro.obs.inspect import summarize_trace
+from repro.obs.inspect import phase_breakdown, summarize_trace
 from repro.obs.log import LEVELS, configure_logging
 from repro.report import (
     render_audit_report,
@@ -142,12 +143,16 @@ def _add_config_flags(parser: argparse.ArgumentParser, **configs) -> None:
 
 
 def _config_from_args(config_cls, args):
-    """``config_cls`` with each flagged field set from its parsed flag."""
-    return config_cls(**{
-        knob.name: getattr(args, knob.name)
-        for knob in dataclasses.fields(config_cls)
-        if "flag" in knob.metadata
-    })
+    """``config_cls`` with each flagged field set from its parsed flag.
+    A range error names the flags, not the fields they set."""
+    flagged = [knob for knob in dataclasses.fields(config_cls) if "flag" in knob.metadata]
+    try:
+        return config_cls(**{knob.name: getattr(args, knob.name) for knob in flagged})
+    except ConfigurationError as exc:
+        message = str(exc)
+        for knob in flagged:
+            message = re.sub(rf"\b{knob.name}\b", knob.metadata["flag"], message)
+        raise ConfigurationError(message) from None
 
 
 def _make_anyopt(args) -> AnyOpt:
@@ -701,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--stats",
         action="store_true",
-        help="print campaign metrics (experiments, timers, phases) at the end",
+        help="print campaign metrics (counters, histograms, phases) at the end",
     )
     stats.add_argument(
         "--profile",
@@ -1142,6 +1147,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             if getattr(args, "stats", False):
                 print("\ncampaign stats:")
                 print(render_metrics(anyopt.metrics.snapshot()))
+                print("\n" + phase_breakdown(anyopt.tracer.records()))
             if getattr(args, "trace", None):
                 write_trace_jsonl(anyopt.tracer.records(), args.trace)
                 print(f"trace written to {args.trace}")

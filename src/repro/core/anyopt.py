@@ -143,7 +143,7 @@ class AnyOpt:
             if checkpoint_path is not None:
                 checkpoint_io.save_checkpoint(progress, checkpoint_path)
 
-        with self.metrics.phase("discover"), self.tracer.span(
+        with self.tracer.span(
             "discover",
             sites=len(self.testbed.site_ids()),
             providers=len(self.testbed.provider_asns()),
@@ -215,8 +215,6 @@ class AnyOpt:
                 min_accuracy=min_accuracy,
                 quarantined=frozenset(report.quarantined_clients()),
                 audit_report=report,
-                metrics=self.metrics,
-                tracer=self.tracer,
             )
         return report
 

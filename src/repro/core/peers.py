@@ -148,9 +148,7 @@ def one_pass_peer_selection(
     base_mean = mean(base_rtts.values())
 
     probe_ids = orchestrator.reserve_experiment_ids(len(peer_ids))
-    with orchestrator.metrics.phase("one-pass-peers"), orchestrator.tracer.span(
-        "one-pass-peers", peers=list(peer_ids)
-    ) as phase_span:
+    with orchestrator.tracer.span("one-pass-peers", peers=list(peer_ids)) as phase_span:
         tasks = [
             ExperimentTask(
                 kind="peer-probe",

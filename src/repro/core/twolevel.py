@@ -360,7 +360,7 @@ def discover_two_level(
             for pb in provider_list[i + 1:]
         ]
         undecided = metrics.counter("undecided_cells")
-        with metrics.phase("provider-pairwise"), tracer.span(
+        with tracer.span(
             "provider-pairwise", providers=provider_list, ordered=ordered
         ) as phase_span:
             tasks = runner.pairwise_tasks(
@@ -390,9 +390,7 @@ def discover_two_level(
     # RTT heuristic.
     site_matrices: Dict[int, PreferenceMatrix] = {}
     if site_level_mode is SiteLevelMode.PAIRWISE:
-        with metrics.phase("site-pairwise"), tracer.span(
-            "site-pairwise", providers=provider_list
-        ):
+        with tracer.span("site-pairwise", providers=provider_list):
             for provider in provider_list:
                 if progress is not None and provider in progress.site_matrices:
                     site_matrices[provider] = progress.site_matrices[provider]

@@ -388,13 +388,12 @@ class Orchestrator:
             with self.tracer.span("announce", injections=len(injections)):
                 self.faults.raise_if("session-reset", experiment_id, attempt)
                 self.faults.raise_if("announcement", experiment_id, attempt)
-            with self.metrics.timer("deploy").time():
-                converged = self.engine.run(
-                    injections,
-                    igp_overlay=self._igp_overlay(experiment_id),
-                    delay_jitter_ms=self.settings.bgp_delay_jitter_ms,
-                    delay_nonce=experiment_id,
-                )
+            converged = self.engine.run(
+                injections,
+                igp_overlay=self._igp_overlay(experiment_id),
+                delay_jitter_ms=self.settings.bgp_delay_jitter_ms,
+                delay_nonce=experiment_id,
+            )
             self.faults.raise_if("convergence-timeout", experiment_id, attempt)
             return converged
 
@@ -540,9 +539,7 @@ class Orchestrator:
 
         site_ids = self.testbed.site_ids() if site_ids is None else list(site_ids)
         ids = self.reserve_experiment_ids(len(site_ids))
-        with self.metrics.phase("rtt-matrix"), self.tracer.span(
-            "rtt-matrix", sites=len(site_ids)
-        ) as span:
+        with self.tracer.span("rtt-matrix", sites=len(site_ids)) as span:
             tasks = [
                 ExperimentTask(
                     kind="rtt-row",

@@ -143,9 +143,8 @@ def render_prometheus(
     """Render metrics as Prometheus text exposition format (0.0.4).
 
     ``snapshot`` is a :meth:`MetricsRegistry.snapshot`: counters
-    become ``anyopt_<name>_total``, timers a pair of
-    ``_seconds_total`` / ``_sections_total`` counters, and histograms
-    Prometheus *summaries* with exact ``quantile`` lines (the batch
+    become ``anyopt_<name>_total`` and histograms Prometheus
+    *summaries* with exact ``quantile`` lines (the batch
     registry keeps all raw observations, so no bucketing error is
     introduced).
 
@@ -164,17 +163,6 @@ def render_prometheus(
     families = _Families()
     for name, value in snapshot.get("counters", {}).items():
         families.add(_metric_name(name, "_total"), "counter", [("", None, value)])
-    for name, timer in snapshot.get("timers", {}).items():
-        families.add(
-            _metric_name(name, "_seconds_total"),
-            "counter",
-            [("", None, _fmt(timer["total_seconds"]))],
-        )
-        families.add(
-            _metric_name(name, "_sections_total"),
-            "counter",
-            [("", None, timer["count"])],
-        )
     for name, summary in snapshot.get("histograms", {}).items():
         samples = []
         if summary.get("count"):

@@ -11,27 +11,35 @@ from repro.obs.trace import span_sort_key
 from repro.report import render_table
 
 
-def _descendants(records: List[Dict], span_id: str) -> List[Dict]:
-    prefix = f"{span_id}/"
-    return [r for r in records if r["span_id"].startswith(prefix)]
+#: Spans at the experiment level — an experiment, a deployment, a probe
+#: of one — which are never phases themselves.
+TASK_SPANS = ("experiment", "deploy", "probe")
 
 
 def phase_breakdown(records: List[Dict]) -> str:
-    """Wall time and experiment count for each direct child of a root
-    span — the campaign's phases."""
-    roots = {r["span_id"] for r in records if not r.get("parent_id")}
-    phases = [r for r in records if r.get("parent_id") in roots]
+    """The campaign's phases, in the order they started: each root span
+    and, indented, its direct children (:data:`TASK_SPANS` excepted),
+    with wall time, the BGP experiments below it — the ``deploy`` spans
+    that ended ``ok``, as the ``experiments`` counter counts them — and
+    status.  ``--stats`` renders it from the live tracer,
+    ``inspect-trace`` from a loaded trace."""
+    kept = [r for r in records if r["name"] not in TASK_SPANS]
+    roots = {r["span_id"] for r in kept if not r.get("parent_id")}
+    phases = [r for r in kept if r["span_id"] in roots or r.get("parent_id") in roots]
     if not phases:
         return "(no phase spans in trace)"
+    deploys = [
+        r["span_id"] for r in records if r["name"] == "deploy" and r.get("status") == "ok"
+    ]
     rows = []
-    for phase in sorted(phases, key=lambda r: span_sort_key(r["span_id"])):
-        below = _descendants(records, phase["span_id"])
-        experiments = sum(1 for r in below if r["name"] == "experiment")
+    phases.sort(key=lambda r: (r.get("start_unix", 0.0), span_sort_key(r["span_id"])))
+    for phase in phases:
+        prefix = f"{phase['span_id']}/"
         rows.append(
             [
-                phase["name"],
+                ("" if phase["span_id"] in roots else "  ") + phase["name"],
                 f"{phase.get('duration_s', 0.0):.3f}",
-                experiments,
+                sum(1 for span_id in deploys if span_id.startswith(prefix)),
                 phase.get("status", "ok"),
             ]
         )
@@ -124,7 +132,7 @@ def summarize_trace(records: List[Dict], top: int = 10) -> str:
     experiments, retry hot spots, and the fault timeline."""
     experiments = sum(1 for r in records if r["name"] == "experiment")
     sections = [
-        f"trace: {len(records)} spans, {experiments} experiments",
+        f"trace: {len(records)} spans, {experiments} experiment spans",
         "== phase breakdown ==\n" + phase_breakdown(records),
         f"== slowest experiments (top {top}) ==\n" + slowest_experiments(records, top),
         f"== retry hot spots (top {top}) ==\n" + retry_hot_spots(records, top),

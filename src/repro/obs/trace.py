@@ -126,26 +126,6 @@ class Span:
         }
 
 
-class _NoopSpan:
-    """Stands in for a :class:`Span` when tracing is disabled."""
-
-    __slots__ = ()
-    span_id = None
-    parent_id = None
-
-    def set_attribute(self, key, value):
-        pass
-
-    def add_event(self, name, **attributes):
-        pass
-
-    def set_error(self, message):
-        pass
-
-
-_NOOP_SPAN = _NoopSpan()
-
-
 class Tracer:
     """Records one process's span tree.
 
@@ -158,8 +138,7 @@ class Tracer:
     The default keeps everything: a campaign exports its whole tree.
     """
 
-    def __init__(self, enabled: bool = True, max_records: Optional[int] = None):
-        self.enabled = enabled
+    def __init__(self, max_records: Optional[int] = None):
         self.max_records = max_records
         #: Finished span records, keyed by span id, in completion order.
         self._records: "OrderedDict[str, Dict]" = OrderedDict()
@@ -185,7 +164,7 @@ class Tracer:
 
     def add_event(self, name: str, **attributes) -> None:
         """Attach an event to the calling thread's current span
-        (dropped when no span is open or tracing is disabled)."""
+        (dropped when no span is open)."""
         span = self.current_span
         if span is not None:
             span.add_event(name, **attributes)
@@ -226,9 +205,6 @@ class Tracer:
         current span.  An exception marks the span as an error and
         propagates.
         """
-        if not self.enabled:
-            yield _NOOP_SPAN
-            return
         parent_id = self._resolve_parent(parent)
         span = Span(self._derive_id(parent_id, name, key), parent_id, name, attributes)
         stack = self._stack()
@@ -258,8 +234,6 @@ class Tracer:
         Used by hot paths (the BGP engine's converge step) that would
         otherwise have to restructure around a context manager.
         """
-        if not self.enabled:
-            return
         parent_id = self._resolve_parent(parent)
         span = Span(self._derive_id(parent_id, name, None), parent_id, name, attributes or {})
         if start_unix is not None:

@@ -7,7 +7,8 @@ any plotting dependency:
 - :func:`render_cdf` — an ASCII CDF plot of a sample;
 - :func:`render_histogram` — a horizontal bar histogram;
 - :func:`render_catchment_bars` — per-site catchment share bars;
-- :func:`render_metrics` — campaign counters, timers, and phases;
+- :func:`render_metrics` — campaign counters and histograms (the
+  phase table is :func:`repro.obs.inspect.phase_breakdown`);
 - :func:`render_audit_report` — integrity-audit findings and quarantine;
 - :func:`render_prediction_batch` — a typed prediction batch with its
   reason census;

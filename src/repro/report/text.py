@@ -119,12 +119,11 @@ def render_histogram(
 def render_metrics(snapshot: Dict) -> str:
     """Render a campaign-metrics snapshot (the dict produced by
     :meth:`repro.runtime.metrics.MetricsRegistry.snapshot`) as aligned
-    tables: one for counters/timers, one with percentile summaries per
-    histogram, one row per campaign phase."""
+    tables: one for counters, one with percentile summaries per
+    histogram.  The per-phase table is the span tree's
+    (:func:`repro.obs.inspect.phase_breakdown`)."""
     counters = snapshot.get("counters", {})
-    timers = snapshot.get("timers", {})
     histograms = snapshot.get("histograms", {})
-    phases = snapshot.get("phases", [])
     rows = [[name, str(counters[name])] for name in sorted(counters)]
     if "audit_clients_quarantined" in counters:
         # The audit accounting row: how many quarantined clients the
@@ -135,14 +134,7 @@ def render_metrics(snapshot: Dict) -> str:
                 str(counters.get("splpo_clients_excluded", 0)),
             ]
         )
-    rows.extend(
-        [
-            name,
-            f"{timers[name]['total_seconds']:.3f}s / {timers[name]['count']} section(s)",
-        ]
-        for name in sorted(timers)
-    )
-    if not rows and not histograms and not phases:
+    if not rows and not histograms:
         return "(no campaign metrics recorded)"
     sections: List[str] = []
     if rows:
@@ -167,16 +159,6 @@ def render_metrics(snapshot: Dict) -> str:
                 float_format="{:.4g}",
             )
         )
-    if phases:
-        phase_rows = [
-            [
-                p["name"],
-                f"{p['wall_seconds']:.3f}",
-                p["counter_deltas"].get("experiments", 0),
-            ]
-            for p in phases
-        ]
-        sections.append(render_table(["phase", "wall (s)", "experiments"], phase_rows))
     return "\n\n".join(sections)
 
 

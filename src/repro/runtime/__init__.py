@@ -9,10 +9,11 @@ supplies the runtime machinery the drivers in :mod:`repro.core` and
   phase's experiment descriptors in order in the calling thread;
   experiment ids are reserved up front, so a resumed campaign draws
   the same noise as an uninterrupted one;
-- :mod:`repro.runtime.metrics` — counters, timers, histograms with
-  percentile summaries, and per-phase campaign summaries (surfaced via
-  ``AnyOpt.metrics``, the CLI's ``--stats`` / ``--metrics-out`` flags,
-  and ``repro.report.render_metrics``);
+- :mod:`repro.runtime.metrics` — counters and histograms with
+  percentile summaries (surfaced via ``AnyOpt.metrics``, the CLI's
+  ``--stats`` / ``--metrics-out`` flags, and
+  ``repro.report.render_metrics``); per-phase wall time lives on the
+  span tree (:mod:`repro.obs.trace`);
 - :mod:`repro.runtime.settings` — :class:`CampaignSettings`, the
   single home of every campaign knob;
 - :mod:`repro.runtime.faults` — deterministic, seed-keyed fault
@@ -31,7 +32,7 @@ from repro.runtime.faults import (
     ProbeBlackoutError,
     SessionResetError,
 )
-from repro.runtime.metrics import Counter, Histogram, MetricsRegistry, PhaseRecord, Timer
+from repro.runtime.metrics import Counter, Histogram, MetricsRegistry
 from repro.runtime.retry import (
     FailedExperiment,
     RetryPolicy,
@@ -49,10 +50,8 @@ __all__ = [
     "FaultInjector",
     "Histogram",
     "MetricsRegistry",
-    "PhaseRecord",
     "ProbeBlackoutError",
     "RetryPolicy",
     "SessionResetError",
-    "Timer",
     "run_with_retry",
 ]

@@ -288,6 +288,16 @@ class TestConfigFlags:
         assert exc.value.code == 2
         assert not dispatched
 
+    @pytest.mark.parametrize("config_cls, knob", FLAGGED)
+    def test_out_of_range_value_names_its_flag(self, dispatched, capsys, config_cls, knob):
+        flag = knob.metadata["flag"]
+        with pytest.raises(SystemExit) as exc:
+            main([*KNOB_COMMANDS[config_cls], flag, "-1"])
+        assert exc.value.code == 2
+        assert not dispatched
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert flag in error
+
     def test_zero_or_none_disables_a_deadline(self, dispatched):
         main(["serve", "--request-timeout", "none", "--idle-timeout", "0"])
         guard = built_config(dispatched[0], GuardConfig)

@@ -9,7 +9,6 @@ span ids derive from reserved experiment ids, never from wall clocks.
 import io
 import json
 import logging
-import threading
 
 import pytest
 
@@ -18,7 +17,7 @@ from repro.cli import main
 from repro.io import save_testbed
 from repro.obs import Tracer, render_record, span_sort_key, strip_timing
 from repro.obs.export import load_trace, render_prometheus, write_trace_jsonl
-from repro.obs.inspect import summarize_trace
+from repro.obs.inspect import phase_breakdown, summarize_trace
 from repro.obs.log import JsonFormatter, KeyValueFormatter, configure_logging, get_logger
 from repro.runtime import Histogram, MetricsRegistry
 from repro.util.errors import ReproError
@@ -89,14 +88,6 @@ class TestTracer:
         assert record["events"][0]["attributes"]["fault"] == "announcement"
         # With no open span, events are dropped, not errors.
         tracer.add_event("fault", fault="ignored")
-
-    def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        with tracer.span("campaign") as span:
-            span.set_attribute("k", "v")
-            tracer.add_event("e")
-        tracer.record("converge", {"messages": 1})
-        assert tracer.records() == []
 
     def test_max_records_keeps_the_last_finished(self):
         ring = Tracer(max_records=3)
@@ -198,30 +189,6 @@ class TestHistogram:
         snapshot = registry.snapshot()
         assert list(snapshot["histograms"]) == ["filled"]
 
-    def test_timer_snapshot_consistent_under_hammering(self):
-        timer = MetricsRegistry().timer("t")
-        stop = threading.Event()
-
-        def hammer():
-            while not stop.is_set():
-                timer.add(1.0, 1)
-
-        threads = [threading.Thread(target=hammer) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        try:
-            for _ in range(300):
-                summary = timer.summary()
-                # total is exactly 1.0 * count: a torn read would pair
-                # a new total with a stale count (or vice versa).
-                assert summary["total_seconds"] == pytest.approx(
-                    float(summary["count"])
-                )
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join()
-
 
 # --- exporters --------------------------------------------------------------
 
@@ -248,14 +215,11 @@ class TestExporters:
     def test_prometheus_rendering(self):
         registry = MetricsRegistry()
         registry.counter("experiments").increment(3)
-        registry.timer("deploy").add(1.5, 2)
         for value in [1.0, 2.0, 3.0, 4.0]:
             registry.histogram("rtt ms").observe(value)
         text = render_prometheus(registry.snapshot())
         assert "# TYPE anyopt_experiments_total counter" in text
         assert "anyopt_experiments_total 3" in text
-        assert "anyopt_deploy_seconds_total 1.5" in text
-        assert "anyopt_deploy_sections_total 2" in text
         assert "# TYPE anyopt_rtt_ms summary" in text
         assert 'anyopt_rtt_ms{quantile="0.5"} 2.5' in text
         assert "anyopt_rtt_ms_sum 10.0" in text
@@ -372,6 +336,8 @@ class TestCli:
         assert f"trace written to {trace}" in stdout
         assert "histogram" in stdout  # --stats renders the histogram table
         records = load_trace(trace)
+        # --stats prints the phase view inspect-trace renders from the file.
+        assert phase_breakdown(records) in stdout
         assert records[0]["span_id"] == "discover#0"
         assert any(r["name"] == "experiment" for r in records)
         text = prom.read_text()
@@ -484,3 +450,51 @@ class TestInspectFunctions:
 
         text = fault_timeline(self._trace())
         assert "convergence-timeout" in text
+
+
+# --- the phase view ---------------------------------------------------------
+
+
+def phase_rows(table):
+    """``phase_breakdown``'s rows as (name, experiments, status)."""
+    return [(cells[0], cells[2], cells[3]) for cells in map(str.split, table.splitlines()[2:])]
+
+
+class TestPhaseView:
+    def test_live_and_loaded_traces_render_the_same_table(self, testbed, targets, tmp_path):
+        anyopt = AnyOpt(testbed, targets=targets, seed=SEED)
+        model = anyopt.discover()
+        anyopt.audit(model)
+        path = tmp_path / "trace.jsonl"
+        write_trace_jsonl(anyopt.tracer.records(), path)
+        live = phase_breakdown(anyopt.tracer.records())
+        assert phase_breakdown(load_trace(path)) == live
+        rows = phase_rows(live)
+        assert [name for name, *_ in rows] == [
+            "discover", "rtt-matrix", "provider-pairwise", "site-pairwise", "audit"
+        ]
+        experiments = {name: int(count) for name, count, _ in rows}
+        assert experiments["discover"] == model.experiments_used
+        assert experiments["discover"] == sum(
+            experiments[phase] for phase in ("rtt-matrix", "provider-pairwise", "site-pairwise")
+        )
+        assert experiments["audit"] == 0
+
+    def test_discover_row_counts_the_experiments_that_ran_under_faults(self, testbed, targets):
+        settings = CampaignSettings.noiseless(
+            fault_announcement_prob=0.15,
+            fault_convergence_timeout_prob=0.05,
+            retry_max_attempts=2,
+        )
+        anyopt = AnyOpt(testbed, targets=targets, seed=SEED, settings=settings)
+        model = anyopt.discover()
+        assert model.failures  # some experiments exhausted their retries
+        (discover,) = [
+            row for row in phase_rows(phase_breakdown(anyopt.tracer.records()))
+            if row[0] == "discover"
+        ]
+        # experiments_used counts reserved ids, those of failed
+        # experiments too; the view counts deployments that succeeded.
+        failed_ids = sum(len(failure.experiment_ids) for failure in model.failures)
+        assert int(discover[1]) == model.experiments_used - failed_ids
+        assert int(discover[1]) == anyopt.metrics.snapshot()["counters"]["experiments"]

@@ -6,6 +6,8 @@ from repro import AnyOpt, CampaignSettings
 from repro.core import ExperimentRunner
 from repro.core.config import AnycastConfig
 from repro.measurement import Orchestrator
+from repro.obs import Tracer
+from repro.obs.inspect import phase_breakdown
 from repro.runtime import MetricsRegistry
 from repro.splpo import available_strategies, get_solver, register_solver
 from repro.splpo.registry import _REGISTRY
@@ -177,27 +179,35 @@ def test_default_discover_holds_no_converged_state(testbed, targets):
 # --- metrics ----------------------------------------------------------------
 
 
-def test_metrics_counters_and_timers():
+def test_metrics_counters():
     metrics = MetricsRegistry()
     metrics.counter("probes").increment()
     metrics.counter("probes").increment(2)
-    with metrics.timer("convergence").time():
-        pass
     snap = metrics.snapshot()
     assert snap["counters"]["probes"] == 3
-    assert snap["timers"]["convergence"]["count"] == 1
-    assert snap["timers"]["convergence"]["total_seconds"] >= 0.0
 
 
-def test_metrics_phase_records_counter_deltas():
-    metrics = MetricsRegistry()
-    metrics.counter("experiments").increment(5)
-    with metrics.phase("sweep"):
-        metrics.counter("experiments").increment(3)
-    phases = metrics.snapshot()["phases"]
-    assert [p["name"] for p in phases] == ["sweep"]
-    assert phases[0]["counter_deltas"] == {"experiments": 3}
-    assert phases[0]["wall_seconds"] >= 0.0
+def test_phase_view_counts_successful_deploys_below_each_phase():
+    tracer = Tracer()
+    with tracer.span("campaign"):
+        with tracer.span("deploy"):
+            pass
+        with tracer.span("sweep"):
+            for key in ("exp:0", "exp:1", "exp:2"):
+                with tracer.span("experiment", key=key):
+                    with tracer.span("deploy"):
+                        pass
+            with pytest.raises(ValueError):
+                with tracer.span("deploy"):
+                    raise ValueError("retries exhausted")
+    rows = {
+        line.split()[0]: line.split()[1:]
+        for line in phase_breakdown(tracer.records()).splitlines()[2:]
+    }
+    assert list(rows) == ["campaign", "sweep"]
+    assert rows["campaign"][1:] == ["4", "ok"]
+    assert rows["sweep"][1:] == ["3", "ok"]
+    assert float(rows["campaign"][0]) >= float(rows["sweep"][0]) >= 0.0
 
 
 def test_stats_rendering_lists_counters_and_phases(clean_orchestrator):
@@ -206,14 +216,17 @@ def test_stats_rendering_lists_counters_and_phases(clean_orchestrator):
     config = AnycastConfig(
         site_order=tuple(clean_orchestrator.testbed.site_ids()[:2])
     )
-    with clean_orchestrator.metrics.phase("redeploy"):
+    with clean_orchestrator.tracer.span("redeploy"):
         clean_orchestrator.deploy(config)
         clean_orchestrator.deploy(config)
-    out = render_metrics(clean_orchestrator.metrics.snapshot())
+    out = "\n\n".join([
+        render_metrics(clean_orchestrator.metrics.snapshot()),
+        phase_breakdown(clean_orchestrator.tracer.records()),
+    ])
     rows = {line.split()[0]: line.split()[1:] for line in out.splitlines() if line.strip()}
     assert rows["convergence_runs"] == ["2"]
-    assert rows["phase"] == ["wall", "(s)", "experiments"]
-    assert rows["redeploy"][-1] == "2"
+    assert rows["phase"] == ["wall", "(s)", "experiments", "status"]
+    assert rows["redeploy"][1:] == ["2", "ok"]
 
 
 def test_campaign_records_metrics(clean_orchestrator):
@@ -224,14 +237,16 @@ def test_campaign_records_metrics(clean_orchestrator):
     assert snap["counters"]["experiments"] == 1
     assert snap["counters"]["convergence_runs"] == 1
     assert snap["counters"]["convergence_messages"] > 0
-    assert snap["timers"]["deploy"]["count"] == 1
+    deploys = [r for r in clean_orchestrator.tracer.records() if r["name"] == "deploy"]
+    assert [r["status"] for r in deploys] == ["ok"]
 
 
-def test_discover_attaches_metrics_snapshot(anyopt_model):
+def test_discover_attaches_metrics_snapshot(anyopt, anyopt_model):
     snap = anyopt_model.metrics
     assert snap is not None
     assert snap["counters"]["experiments"] == anyopt_model.experiments_used
-    assert any(p["name"] == "discover" for p in snap["phases"])
+    phases = [line.split()[0] for line in phase_breakdown(anyopt.tracer.records()).splitlines()]
+    assert "discover" in phases
 
 
 # --- solver registry --------------------------------------------------------
