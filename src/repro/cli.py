@@ -28,7 +28,7 @@ from repro.core.anyopt import AnyOpt
 from repro.core.config import AnycastConfig
 from repro.core.planner import SiteLevelStrategy, plan_measurements
 from repro.core.twolevel import SiteLevelMode
-from repro.io import atomic_write, load_model, load_testbed, save_model, save_testbed
+from repro.io import atomic_write, load_checkpoint, load_model, load_testbed, save_model, save_testbed
 from repro.measurement import select_targets
 from repro.obs.export import load_trace, write_prometheus, write_trace_jsonl
 from repro.obs.heartbeat import HeartbeatWriter, follow_heartbeats, load_heartbeats
@@ -188,6 +188,35 @@ def _campaign_heartbeat(args, anyopt, campaign: str, total_experiments=None):
     )
 
 
+def _discover_experiments(testbed, site_level: str) -> int:
+    """The BGP experiments ``discover`` runs on ``testbed``: an RTT row
+    per site, both orders of every provider pair and, with pairwise
+    site-level discovery, of every site pair inside a provider."""
+    providers = testbed.provider_asns()
+    total = len(testbed.site_ids()) + len(providers) * (len(providers) - 1)
+    if SiteLevelStrategy(site_level) is SiteLevelStrategy.PAIRWISE:
+        total += sum(len(sites) * (len(sites) - 1) for sites in map(testbed.sites_of_provider, providers))
+    return total
+
+
+def _unrun_experiment_ids(tracer) -> List[int]:
+    """The discover campaign's reserved experiment ids whose deployment
+    never succeeded (a failed task's own id, or the second half of a
+    pair whose first failed), read off the span tree: the ids under
+    its ``experiment`` spans minus those of its ``ok`` deploys."""
+    records = tracer.records()
+    roots = {r["span_id"] for r in records if r["name"] == "discover" and r["parent_id"] is None}
+    reserved, deployed = set(), set()
+    for r in records:
+        if r["span_id"].split("/", 1)[0] not in roots:
+            continue
+        if r["name"] == "experiment":
+            reserved.update(r["attributes"]["experiment_ids"])
+        elif r["name"] == "deploy" and r["status"] == "ok":
+            deployed.add(r["attributes"]["experiment_id"])
+    return sorted(reserved - deployed)
+
+
 # --- subcommands -----------------------------------------------------------
 
 
@@ -211,18 +240,15 @@ def cmd_discover(args) -> int:
     anyopt = _make_anyopt(args)
     if args.site_level == "rtt":
         anyopt.site_level_mode = SiteLevelMode.RTT_HEURISTIC
+    total = _discover_experiments(anyopt.testbed, args.site_level)
     resume_from = None
     if args.checkpoint and os.path.exists(args.checkpoint):
         print(f"resuming from checkpoint {args.checkpoint}")
         resume_from = args.checkpoint
-    plan = plan_measurements(
-        n_sites=len(anyopt.testbed.site_ids()),
-        n_providers=len(anyopt.testbed.provider_asns()),
-        site_level=SiteLevelStrategy(args.site_level),
-    )
-    with _campaign_heartbeat(
-        args, anyopt, "discover", total_experiments=plan.total_experiments
-    ) as heartbeat:
+        total -= load_checkpoint(
+            resume_from, anyopt.seed, anyopt.settings, anyopt.site_level_mode
+        ).experiment_count
+    with _campaign_heartbeat(args, anyopt, "discover", total_experiments=total) as heartbeat:
         if heartbeat is not None:
             heartbeat.set_phase("discover")
         model = anyopt.discover(
@@ -268,7 +294,11 @@ def cmd_discover(args) -> int:
     order = tuple(anyopt.testbed.site_ids())
     valid, _ = model.total_orders([t.target_id for t in anyopt.targets], order)
     with_order = int(valid.sum())
-    print(f"measurement campaign: {model.experiments_used} BGP experiments")
+    unrun = _unrun_experiment_ids(anyopt.tracer)
+    print(
+        f"measurement campaign: {model.experiments_used - len(unrun)} BGP experiments"
+        + (f"; reserved id(s) {', '.join(map(str, unrun))} never deployed" if unrun else "")
+    )
     print(
         f"clients with a total preference order: "
         f"{with_order}/{len(anyopt.targets)} "

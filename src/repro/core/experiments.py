@@ -302,14 +302,12 @@ def _task_span_attributes(task: ExperimentTask) -> Dict:
     return attributes
 
 
-def _annotate_experiment_span(tracer, span, task: ExperimentTask) -> None:
+def _annotate_experiment_span(tracer, span) -> None:
     """Roll retry and fault activity up from the finished descendants,
     so one experiment span answers "did this experiment struggle"."""
-    if span.span_id is None:  # tracing disabled
-        return
     retries = 0
     faults: Dict[str, int] = {}
-    for record in tracer.records_under(span.span_id):
+    for record in tracer.records_under(span):
         if record["name"] == "attempt" and record["status"] == "error":
             retries += 1
         for event in record["events"]:
@@ -382,5 +380,5 @@ def execute_experiment_task(orchestrator: Orchestrator, task: ExperimentTask):
                 _FAILURE_KIND[task.kind], task.subject, task.experiment_ids, exc
             )
             span.set_error(result.error)
-        _annotate_experiment_span(tracer, span, task)
+        _annotate_experiment_span(tracer, span)
         return result

@@ -45,15 +45,16 @@ class HeartbeatWriter:
 
         with HeartbeatWriter(path, anyopt.metrics, interval_s=5.0,
                              campaign="discover",
-                             total_experiments=plan.total_experiments):
+                             total_experiments=71):
             model = anyopt.discover()
 
     A daemon flusher thread emits one record per interval; entering
     writes an immediate first record and exiting writes a ``final``
     one, so even a campaign shorter than one interval leaves a
-    readable file.  ``total_experiments`` is an optional *hint* (from
-    :func:`repro.core.planner.plan_measurements`) that turns the
-    experiment rate into an ETA.
+    readable file.  ``total_experiments`` is an optional count of the
+    experiments the campaign will run (``anyopt discover`` passes its
+    exact count: 71 on the paper world) that turns the experiment rate
+    into an ETA.
 
     All writes happen under one lock in append mode with a flush per
     record, so a concurrently tailing reader only ever sees whole

@@ -28,7 +28,8 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from itertools import islice
+from typing import Any, Dict, List, Optional
 
 #: Wall-clock fields excluded when comparing traces across runs.
 TIMING_FIELDS = ("start_unix", "duration_s")
@@ -83,6 +84,7 @@ class Span:
         "error",
         "start_unix",
         "duration_s",
+        "opened_at",
     )
 
     def __init__(self, span_id: str, parent_id: Optional[str], name: str, attributes: Dict):
@@ -95,6 +97,8 @@ class Span:
         self.error: Optional[str] = None
         self.start_unix = time.time()
         self.duration_s = 0.0
+        #: How many records its tracer had kept when the span opened.
+        self.opened_at = 0
 
     def set_attribute(self, key: str, value) -> None:
         self.attributes[key] = _json_safe(value)
@@ -142,6 +146,8 @@ class Tracer:
         self.max_records = max_records
         #: Finished span records, keyed by span id, in completion order.
         self._records: "OrderedDict[str, Dict]" = OrderedDict()
+        #: Records ever kept (the ring's evictions included).
+        self._kept = 0
         #: Per-(parent id, name) sequence counters for derived ids.
         self._sequences: Dict[tuple, int] = {}
         self._lock = threading.Lock()
@@ -183,6 +189,7 @@ class Tracer:
     def _keep(self, record: Dict) -> None:
         """Retain one finished record (lock held)."""
         self._records[record["span_id"]] = record
+        self._kept += 1
         if self.max_records is not None and len(self._records) > self.max_records:
             self._records.popitem(last=False)
 
@@ -207,6 +214,7 @@ class Tracer:
         """
         parent_id = self._resolve_parent(parent)
         span = Span(self._derive_id(parent_id, name, key), parent_id, name, attributes)
+        span.opened_at = self._kept
         stack = self._stack()
         stack.append(span)
         start = time.perf_counter()
@@ -256,12 +264,15 @@ class Tracer:
             values = [dict(r) for r in self._records.values()]
         return sorted(values, key=lambda r: span_sort_key(r["span_id"]))
 
-    def records_under(self, span_id: str) -> Iterator[Dict]:
-        """Finished records strictly below ``span_id`` in the tree."""
-        prefix = f"{span_id}/"
+    def records_under(self, span: Span) -> List[Dict]:
+        """Finished records strictly below the open ``span``, in
+        completion order.  They all finished after it opened, so only
+        the records kept since then are walked, newest first."""
+        prefix = f"{span.span_id}/"
         with self._lock:
-            found = [r for sid, r in self._records.items() if sid.startswith(prefix)]
-        return iter(found)
+            newer = islice(reversed(self._records), self._kept - span.opened_at)
+            found = [self._records[sid] for sid in newer if sid.startswith(prefix)]
+        return found[::-1]
 
 
 def strip_timing(record: Dict) -> Dict:

@@ -409,6 +409,8 @@ def generate_internet(params: Optional[TopologyParams] = None, seed=0) -> Intern
     for i, a in enumerate(tier1_asns):
         for b in tier1_asns[i + 1:]:
             _link_tier1_pair(graph, pop_networks, a, b, params, rng_delay)
+    tier1 = tuple(tier1_asns)
+    rows: Dict = {}  # _proximity_sample's weight rows, for this generation
 
     # --- tier-2 regional transits --------------------------------------
     tier2_asns: List[int] = []
@@ -418,7 +420,7 @@ def generate_internet(params: Optional[TopologyParams] = None, seed=0) -> Intern
         graph.add_as(AS(asn=asn, tier=2, location=loc, name=f"transit-{idx}"))
         tier2_asns.append(asn)
         n_providers = rng_links.randint(1, min(3, len(tier1_asns)))
-        for provider in _proximity_sample(rng_links, tier1_asns, graph, pop_networks, loc, n_providers):
+        for provider in _proximity_sample(rng_links, tier1, graph, pop_networks, loc, n_providers, rows):
             _link_customer_to_provider(graph, pop_networks, asn, provider, params, rng_delay)
 
     for i, a in enumerate(tier2_asns):
@@ -427,6 +429,7 @@ def generate_internet(params: Optional[TopologyParams] = None, seed=0) -> Intern
                 _link_single_pop_pair(graph, a, b, Relationship.PEER, params, rng_delay)
 
     # --- stub (client) ASes ---------------------------------------------
+    tier2 = tuple(tier2_asns)
     rng_content = derive_rng(seed, "content-stubs")
     for idx in range(params.n_stub):
         asn = _STUB_ASN_BASE + idx
@@ -444,8 +447,8 @@ def generate_internet(params: Optional[TopologyParams] = None, seed=0) -> Intern
         n_providers = rng_links.randint(1, params.stub_max_providers)
         # Stubs buy transit mostly from tier-2s, sometimes directly
         # from a tier-1 (as many large eyeball networks do).
-        candidates = tier2_asns if rng_links.random() < 0.8 else tier1_asns
-        for provider in _proximity_sample(rng_links, candidates, graph, pop_networks, loc, n_providers):
+        candidates = tier2 if rng_links.random() < 0.8 else tier1
+        for provider in _proximity_sample(rng_links, candidates, graph, pop_networks, loc, n_providers, rows):
             _link_customer_to_provider(graph, pop_networks, asn, provider, params, rng_delay)
 
     _assign_costs_and_flags(graph, params, seed, rng_flags)
@@ -535,6 +538,8 @@ def generate_scale_internet(params: Optional[ScaleSweepParams] = None, seed=0) -
     for i, a in enumerate(tier1_asns):
         for b in tier1_asns[i + 1:]:
             _link_tier1_pair(graph, pop_networks, a, b, base, rng_delay)
+    tier1 = tuple(tier1_asns)
+    rows: Dict = {}  # _proximity_sample's weight rows, for this generation
 
     # --- regional tier-2 pools ----------------------------------------
     anchors = [city(c) for c in rng_place.sample(city_names, params.regions)]
@@ -558,7 +563,7 @@ def generate_scale_internet(params: Optional[ScaleSweepParams] = None, seed=0) -
         tier2_asns.append(asn)
         region_pools[region].append(asn)
         n_providers = rng_links.randint(1, min(2, len(tier1_asns)))
-        for provider in _proximity_sample(rng_links, tier1_asns, graph, pop_networks, loc, n_providers):
+        for provider in _proximity_sample(rng_links, tier1, graph, pop_networks, loc, n_providers, rows):
             _link_customer_to_provider(graph, pop_networks, asn, provider, base, rng_delay)
 
     # Waxman peering inside each region: nearby transits peer more
@@ -594,6 +599,7 @@ def generate_scale_internet(params: Optional[ScaleSweepParams] = None, seed=0) -
                 peered.add(pair)
 
     # --- stubs ---------------------------------------------------------
+    pools = [tuple(pool) for pool in region_pools]
     rng_content = derive_rng(seed, "content-stubs")
     for idx in range(n_stub):
         region = rng_place.randrange(params.regions)
@@ -613,9 +619,8 @@ def generate_scale_internet(params: Optional[ScaleSweepParams] = None, seed=0) -
             n_providers = 1
         else:
             n_providers = rng_links.randint(2, max(2, params.stub_max_providers))
-        pool = region_pools[region]
-        candidates = pool if rng_links.random() < 0.9 else tier1_asns
-        for provider in _proximity_sample(rng_links, candidates, graph, pop_networks, loc, n_providers):
+        candidates = pools[region] if rng_links.random() < 0.9 else tier1
+        for provider in _proximity_sample(rng_links, candidates, graph, pop_networks, loc, n_providers, rows):
             _link_customer_to_provider(graph, pop_networks, asn, provider, base, rng_delay)
 
     _assign_costs_and_flags(graph, base, seed, rng_flags)
@@ -639,23 +644,28 @@ def _tier1_pop_cities(name: str, params: TopologyParams, rng, city_names: Sequen
     return required + extra
 
 
-def _proximity_sample(rng, candidates: Sequence[int], graph: ASGraph, pop_networks, loc: GeoPoint, k: int) -> List[int]:
-    """Sample up to ``k`` distinct providers, weighted toward nearby ones."""
-    chosen: List[int] = []
-    pool = list(candidates)
-    k = min(k, len(pool))
-    while len(chosen) < k and pool:
-        weights = []
-        for asn in pool:
-            node = graph.as_of(asn)
+def _proximity_sample(rng, candidates: Tuple[int, ...], graph: ASGraph, pop_networks, loc: GeoPoint, k: int, rows: Dict) -> List[int]:
+    """Sample up to ``k`` distinct providers, weighted toward nearby ones.
+
+    A candidate's weight depends only on it and ``loc``, and locations
+    are drawn from :data:`CITIES`, so ``rows`` (made per generation)
+    keeps each ``(candidates, loc)`` weight row once; each pick pops
+    from a copy in step with the pool, so ``rng.choices`` sees the same
+    floats as if the row were rebuilt per pick.
+    """
+    row = rows.get((candidates, loc))
+    if row is None:
+        row = rows[candidates, loc] = []
+        for asn in candidates:
             net = pop_networks.get(asn)
-            if net is not None:
-                anchor = net.pop_location(net.nearest_pop(loc))
-            else:
-                anchor = node.location
-            weights.append(1.0 / (200.0 + great_circle_km(anchor, loc)))
+            anchor = net.pop_location(net.nearest_pop(loc)) if net is not None else graph.as_of(asn).location
+            row.append(1.0 / (200.0 + great_circle_km(anchor, loc)))
+    pool, weights = list(candidates), list(row)
+    chosen: List[int] = []
+    for _ in range(min(k, len(pool))):
         pick = rng.choices(range(len(pool)), weights=weights, k=1)[0]
         chosen.append(pool.pop(pick))
+        weights.pop(pick)
     return chosen
 
 

@@ -41,6 +41,7 @@ class PopNetwork:
         self._pops: List[GeoPoint] = list(pops)
         self._adj: Dict[int, List[Tuple[int, float]]] = {i: [] for i in range(len(pops))}
         self._dist_cache: Dict[int, List[float]] = {}
+        self._nearest: Dict[GeoPoint, int] = {}
         self._build_backbone(rng, chord_fraction)
 
     @classmethod
@@ -59,6 +60,7 @@ class PopNetwork:
         net._pops = list(pops)
         net._adj = {i: [] for i in range(len(pops))}
         net._dist_cache = {}
+        net._nearest = {}
         for i, j, km in edges:
             net._require(i)
             net._require(j)
@@ -114,11 +116,15 @@ class PopNetwork:
         """The PoP geographically closest to ``point``.
 
         This is where a neighbor AS located at ``point`` attaches.
+        Answered once per point: the PoPs never change.
         """
-        return min(
-            range(len(self._pops)),
-            key=lambda i: great_circle_km(self._pops[i], point),
-        )
+        pop = self._nearest.get(point)
+        if pop is None:
+            pop = self._nearest[point] = min(
+                range(len(self._pops)),
+                key=lambda i: great_circle_km(self._pops[i], point),
+            )
+        return pop
 
     def igp_km(self, src_pop: int, dst_pop: int) -> float:
         """IGP shortest-path distance between two PoPs, in km."""

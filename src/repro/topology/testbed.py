@@ -205,41 +205,34 @@ def _assign_peers(internet: Internet, sites: Dict[int, Site], seed) -> Dict[int,
     preference for the site's region.
     """
     rng = derive_rng(seed, "peering")
-    graph = internet.graph
-    candidates = [
-        asn for asn in graph.asns() if graph.as_of(asn).tier != 1
-    ]
+    candidates = [node for node in map(internet.graph.as_of, internet.graph.asns()) if node.tier != 1]
+    # Locations are cities, so a site prices one distance per distinct
+    # location (a candidate's ``spot``), not one per candidate.
+    spots: Dict[GeoPoint, int] = {}
+    spot = [spots.setdefault(node.location, len(spots)) for node in candidates]
+    boosted = [not node.hosts_clients or node.tier == 2 for node in candidates]
     taken = set()
     peer_links: Dict[int, PeeringLink] = {}
     peer_id = 0
     for site in sorted(sites.values(), key=lambda s: s.site_id):
-        pool = [a for a in candidates if a not in taken]
+        pool = [i for i in range(len(candidates)) if i not in taken]
         if len(pool) < site.n_peers:
             raise TopologyError(
                 f"not enough ASes to assign {site.n_peers} peers at site "
                 f"{site.site_id}; grow the topology"
             )
-        weights = []
-        for a in pool:
-            node = graph.as_of(a)
-            km = great_circle_km(node.location, site.location)
-            weight = 1.0 / (800.0 + km)
-            if not node.hosts_clients or node.tier == 2:
-                weight *= 3.0
-            weights.append(weight)
+        near = [1.0 / (800.0 + great_circle_km(loc, site.location)) for loc in spots]
+        weights = [near[spot[i]] * 3.0 if boosted[i] else near[spot[i]] for i in pool]
         for _ in range(site.n_peers):
             idx = rng.choices(range(len(pool)), weights=weights, k=1)[0]
-            peer_asn = pool.pop(idx)
             weights.pop(idx)
-            taken.add(peer_asn)
-            rtt = (
-                propagation_rtt_ms(graph.as_of(peer_asn).location, site.location)
-                + PEERING_OVERHEAD_MS
-            )
+            taken.add(pool[idx])
+            peer = candidates[pool.pop(idx)]
+            rtt = propagation_rtt_ms(peer.location, site.location) + PEERING_OVERHEAD_MS
             peer_links[peer_id] = PeeringLink(
                 peer_id=peer_id,
                 site_id=site.site_id,
-                peer_asn=peer_asn,
+                peer_asn=peer.asn,
                 link_rtt_ms=rtt,
             )
             peer_id += 1

@@ -199,6 +199,40 @@ class TestFaultFlags:
         assert "resuming from checkpoint" in capsys.readouterr().out
         assert out.read_text() == first
 
+    def test_discover_reports_the_experiments_that_ran(self, artifacts, tmp_path, capsys):
+        """Failed tasks reserve ids they never deploy; the summary line
+        counts what ran, as the ``experiments`` counter does, and names
+        the rest."""
+        testbed_path, _ = artifacts
+        out = tmp_path / "model.json"
+        code = main([
+            "discover", "--testbed", testbed_path, "--seed", "7",
+            "--fault-announcement", "0.15", "--fault-convergence-timeout", "0.05",
+            "--max-attempts", "2", "--out", str(out), "--stats",
+        ])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        summary = next(l for l in lines if l.startswith("measurement campaign:"))
+        ran = int(summary.split()[2])
+        unrun = [int(i) for i in summary.split("reserved id(s) ")[1].split(" never")[0].split(", ")]
+        counter = next(l for l in lines if l.split()[:1] == ["experiments"])
+        assert ran == int(counter.split()[1])
+        assert ran + len(unrun) == json.loads(out.read_text())["experiments_used"]
+
+    def test_discover_heartbeat_total_is_what_discover_runs(self, artifacts, tmp_path):
+        testbed_path, _ = artifacts
+        heartbeat = tmp_path / "hb.jsonl"
+        for site_level in ("pairwise", "rtt"):
+            code = main([
+                "discover", "--testbed", testbed_path, "--seed", "7",
+                "--site-level", site_level, "--out", str(tmp_path / "model.json"),
+                "--heartbeat", str(heartbeat), "--heartbeat-interval", "0.05",
+            ])
+            assert code == 0
+            last = json.loads(heartbeat.read_text().splitlines()[-1])
+            assert last["final"]
+            assert last["experiments_done"] == last["experiments_total"]
+
     @pytest.mark.parametrize(
         "extra", [{"stray_knob": 1}, REMOVED_SETTINGS], ids=["stray", "removed"]
     )

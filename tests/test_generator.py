@@ -1,7 +1,11 @@
 """Tests for the synthetic Internet generator."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro.io import serialization
 from repro.topology.astopo import Relationship
 from repro.topology.generator import (
     TIER1_BACKBONES,
@@ -10,6 +14,7 @@ from repro.topology.generator import (
     generate_internet,
     generate_scale_internet,
 )
+from repro.topology.testbed import Testbed, TestbedParams, build_paper_testbed
 from repro.util.errors import TopologyError
 
 
@@ -182,3 +187,35 @@ class TestScaleSweep:
     def test_multi_homed_stubs_exist(self, net):
         tables = net.graph.tables()
         assert any(len(ps) > 1 for ps in tables.stub_providers.values())
+
+
+def _digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+class TestGoldenWorlds:
+    """The generated worlds, byte for byte, against their past: a
+    generator speed-up must draw the same providers, peers and floats.
+    Re-pin only in a change that means to alter the worlds, from its
+    parent."""
+
+    def test_paper_testbed(self):
+        testbed = build_paper_testbed(seed=7)
+        assert _digest(serialization.testbed_to_dict(testbed)) == (
+            "9aff3e731e14023564fd2ccca445c1eaa36a57807f4a2946f212239bce82d1a8"
+        )
+
+    def test_deploy_scale_testbed(self):
+        params = TestbedParams(topology=TopologyParams(n_stub=5300, n_tier2=120))
+        testbed = build_paper_testbed(params, seed=7)
+        assert len(testbed.internet.graph) == 5428
+        assert _digest(serialization.testbed_to_dict(testbed)) == (
+            "84394de0000d6f74b19e589209e5a778d36d85e8d134c84106680a9ea7da3b80"
+        )
+
+    def test_scale_sweep_internet(self):
+        net = generate_scale_internet(ScaleSweepParams(n_ases=600), seed=3)
+        doc = serialization.testbed_to_dict(Testbed(net, {}, {}, TestbedParams()))
+        assert _digest({k: doc[k] for k in ("ases", "links", "pop_networks")}) == (
+            "9264ec3ef918520df89ccc570299ed73d1587ca048e2bd91287911335c8c6bd6"
+        )

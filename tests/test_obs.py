@@ -104,6 +104,33 @@ class TestTracer:
                 pass
         assert everything.finished_count == 10
 
+    def test_records_under_reads_only_the_open_spans_descendants(self):
+        tracer = Tracer()
+        with tracer.span("experiment", key="exp:1"):
+            with tracer.span("deploy"):
+                pass
+        with tracer.span("experiment", key="exp:10") as exp:
+            with tracer.span("attempt"):
+                pass
+            tracer.record("converge", parent=None)
+            with tracer.span("deploy"):
+                with tracer.span("attempt"):
+                    pass
+            assert [r["span_id"] for r in tracer.records_under(exp)] == [
+                "exp:10/attempt#0",
+                "exp:10/deploy#0/attempt#0",
+                "exp:10/deploy#0",
+            ]
+        ring = Tracer(max_records=2)
+        with ring.span("experiment") as exp:
+            for _ in range(3):
+                with ring.span("attempt"):
+                    pass
+            assert [r["span_id"] for r in ring.records_under(exp)] == [
+                "experiment#0/attempt#1",
+                "experiment#0/attempt#2",
+            ]
+
     def test_span_sort_key_orders_numerically(self):
         ids = ["d#0/exp:10", "d#0/exp:9", "d#0", "d#0/exp:9/deploy#0"]
         assert sorted(ids, key=span_sort_key) == [
