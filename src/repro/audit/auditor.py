@@ -6,7 +6,8 @@ providers', and each multi-site provider's sites' — exactly as the
 prediction and search paths consume the model.  Only those (client,
 tournament) pairs are walked cell by cell, for one typed
 :class:`~repro.audit.findings.Finding` per defect; RTT holes are the
-NaN cells of the model's compiled RTT array.
+NaN cells of the model's compiled RTT array, read at each client's own
+row (the ranking's rows are client classes).
 
 Because the audit only reads the model (no RNG, no experiments), the
 report is a pure function of the model — identical across repeat runs
@@ -161,10 +162,11 @@ def audit_model(
         # they only break total orders under the RTT heuristic.
         if model.rtt_matrix is not None:
             rtt = twolevel.arrays()["rtt"]
-            seen = ranking.rows < rtt.shape[1]  # the rest: clients the model never saw
+            rows = twolevel.client_rows(clients)
+            seen = rows < rtt.shape[1]  # the rest: clients the model never saw
             holes = np.ones((len(clients), len(announce_order)), dtype=bool)
             columns = np.searchsorted(ranking.sites, announce_order)
-            holes[seen] = np.isnan(rtt[columns][:, ranking.rows[seen]]).T
+            holes[seen] = np.isnan(rtt[columns][:, rows[seen]]).T
             for row, column in zip(*(axis.tolist() for axis in np.nonzero(holes))):
                 findings.setdefault(row, []).append(
                     Finding(RTT_HOLE, clients[row], "rtt", (announce_order[column],))

@@ -116,6 +116,9 @@ class DataPlane:
         self._memo: dict = {}
         #: The deployment's :class:`_Nodes`, built on first bulk use.
         self._nodes: Optional[_Nodes] = None
+        #: Per host AS its injected ``site_pops`` and their
+        #: :meth:`_terminal` memo by entry PoP (from the graph's tables).
+        self._terminals: dict = {}
 
     def resolve_flows(self, asns: Sequence[int], flow_keys: Sequence):
         """Forward many flows at once: the columns ``(sites, rtts)`` — per
@@ -286,10 +289,16 @@ class DataPlane:
     def _terminal(self, asn: int, entry: Optional[int]) -> _Terminal:
         """Hot-potato site choice among the injected route's
         attachments, from the flow's entry PoP; memoised on the graph's
-        tables per ``(AS, entry, site_pops)``."""
-        candidates = self.converged.injected(asn).site_pops
-        terminals = self.internet.graph.tables().terminals
-        terminal = terminals.get((asn, entry, candidates))
+        tables per ``(AS, site_pops)``, then per entry — the deployment
+        finds a host's level once."""
+        host = self._terminals.get(asn)
+        if host is None:
+            candidates = self.converged.injected(asn).site_pops
+            host = self._terminals[asn] = (
+                candidates, self.internet.graph.tables().terminals.setdefault((asn, candidates), {})
+            )
+        candidates, by_entry = host
+        terminal = by_entry.get(entry)
         if terminal is not None:
             return terminal
         if entry is not None and all(sp.pop_id is not None for sp in candidates):
@@ -305,5 +314,5 @@ class DataPlane:
         else:
             chosen = min(candidates, key=lambda sp: (sp.link_rtt_ms, sp.site_id))
             terminal = _Terminal(chosen.site_id, chosen.link_rtt_ms, chosen.pop_id)
-        terminals[asn, entry, candidates] = terminal
+        by_entry[entry] = terminal
         return terminal

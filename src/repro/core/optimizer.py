@@ -64,7 +64,8 @@ def choose_announcement_order(
         perm = sites[:]
         rng.shuffle(perm)
         candidates.append(tuple(perm))
-    client_ids = [t.target_id for t in targets]
+    # One id array for every candidate's ranking.
+    client_ids = np.array([t.target_id for t in targets], dtype=np.int64)
     best_order: Tuple[int, ...] = candidates[0]
     best_count = -1
     for order in dict.fromkeys(candidates):

@@ -12,11 +12,12 @@ A client's catchment is the head of its two-level total order, and
 :func:`two_level_ranking` is the one implementation of that order: the
 live model ranks through it over the arrays :meth:`TwoLevelModel.arrays`
 compiles, the snapshot lookup of :mod:`repro.serve.lookup` over the same
-arrays read back from a file, one client's ``total_order`` is a row of
-it, and the auditor reads which tournament voided an order from its
-masks.  Each caller's memo keeps tournaments with their tops, so a head
-costs at most the one provider tournament its announcement order
-decides.  The scalar oracle lives with the tests
+arrays read back from a file — both over one row per class of clients
+with equal codes (:func:`client_classes`) — one client's
+``total_order`` is a row of it, and the auditor reads which tournament
+voided an order from its masks.  Each caller's memo keeps tournaments
+with their tops, so a head costs at most the one provider tournament
+its announcement order decides.  The scalar oracle lives with the tests
 (``tests/reference_order.py``).
 
 A :class:`FlatPreferenceModel` over all-sites pairwise sweeps is kept
@@ -76,24 +77,48 @@ class Ranking:
 
     def orders(self) -> np.ndarray:
         """Each client's whole order, ``[clients, announced sites]``,
-        most preferred first: by provider, then by site."""
-        n = len(self.valid)
+        most preferred first: by provider, then by site.  Each distinct
+        row is sorted once."""
+        if isinstance(self.rows, slice):
+            rows, back = self.rows, slice(None)
+            n = len(self.valid)
+        else:
+            rows, back = np.unique(self.rows, return_inverse=True)
+            n = len(rows)
         columns = np.array([site for members, *_ in self.groups for site in members], dtype=np.intp)
         # The empty first block keeps an empty order (no sites) stackable.
         site_key = np.hstack([np.zeros((n, 0))] + [
-            np.zeros((n, 1)) if score is None else -score[self.rows] for _, score, *_ in self.groups
+            np.zeros((n, 1)) if score is None else -score[rows] for _, score, *_ in self.groups
         ])
         # int32: numpy's stable sort of 16-bit integers is a radix sort,
         # ten times slower on rows this short.
         provider_key = np.zeros_like(site_key) if self.provider_score is None else np.repeat(
-            np.negative(self.provider_score[self.rows], dtype=np.int32),
+            np.negative(self.provider_score[rows], dtype=np.int32),
             [len(members) for members, *_ in self.groups], axis=1,
         )
-        return columns[np.lexsort((site_key, provider_key), axis=1)]
+        return columns[np.lexsort((site_key, provider_key), axis=1)][back]
 
 
 #: Most tournaments a :func:`two_level_ranking` memo keeps.
 _MEMO_CAP = 64
+
+
+def client_classes(arrays, rtt_heuristic: bool) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+    """``arrays`` with one client row per class of equal rows, and each
+    row's class.  Rows with equal winner codes (and, with
+    ``rtt_heuristic``, equal RTT bytes) share every tournament, so
+    :func:`two_level_ranking` over the class rows, at each row's class,
+    answers what it answers over every row."""
+    n = len(arrays["prov_w"])
+    key = [arrays["prov_w"].reshape(n, -1), arrays["site_w"].reshape(n, -1)]
+    if rtt_heuristic:
+        key.append(arrays["rtt"].T.copy().view(np.int8))
+    key = np.hstack(key)
+    _, first, classes = np.unique(  # rows as bytes: a 1-D sort
+        key.view(np.dtype((np.void, key.shape[1]))).ravel(), return_index=True, return_inverse=True)
+    ranked = {**arrays, "prov_w": arrays["prov_w"][first],
+              "site_w": arrays["site_w"][first], "rtt": arrays["rtt"][:, first]}
+    return ranked, classes
 
 
 def two_level_ranking(arrays, site_order: Sequence[int], rtt_heuristic: bool,
@@ -208,8 +233,8 @@ class TwoLevelModel(_RankedModel):
     site_matrices: Dict[int, PreferenceMatrix]
     rtt_matrix: Optional[RttMatrix]
     site_level_mode: SiteLevelMode
-    #: ``(matrix stamps, arrays, site indices, tournament memo)``, see
-    #: :meth:`_compile`.
+    #: ``(matrix stamps, arrays, site indices, class arrays, each row's
+    #: class, tournament memo)``, see :meth:`_compile`.
     _compiled: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     # -- arrays ---------------------------------------------------------------
@@ -228,8 +253,9 @@ class TwoLevelModel(_RankedModel):
 
     def _compile(self):
         """:meth:`arrays` plus a last client row for an unseen client (no
-        usable cell, no RTT), with site indices by id and the
-        :func:`two_level_ranking` memo over these arrays."""
+        usable cell, no RTT), with site indices by id, the
+        :func:`client_classes` of these arrays and the
+        :func:`two_level_ranking` memo over the class arrays."""
         stamps = (
             self.provider_matrix.stamp,
             tuple((p, m.stamp) for p, m in self.site_matrices.items()),
@@ -261,24 +287,31 @@ class TwoLevelModel(_RankedModel):
             }
             for array in arrays.values():
                 array.flags.writeable = False
-            self._compiled = (stamps, arrays, site_index, {})
+            rtt_heuristic = self.site_level_mode is SiteLevelMode.RTT_HEURISTIC
+            self._compiled = (stamps, arrays, site_index, *client_classes(arrays, rtt_heuristic), {})
         return self._compiled[1:]
 
-    def ranking(self, client_ids: Sequence[int], site_order: Sequence[int]) -> Ranking:
-        """:func:`two_level_ranking` over the model's arrays, a row per
-        entry of ``client_ids``."""
-        if not site_order:
-            raise ConfigurationError("empty announcement order")
-        arrays, site_index, memo = self._compile()
-        known = arrays["clients"]
+    def client_rows(self, client_ids: Sequence[int]) -> np.ndarray:
+        """Each client's row of :meth:`arrays` — ``len(clients)``, past
+        the last, for a client the model never saw."""
+        known = self._compile()[0]["clients"]
         ids = np.asarray(client_ids, dtype=np.int64)
         rows = np.searchsorted(known, ids)
         seen = rows < len(known)
         seen[seen] = known[rows[seen]] == ids[seen]
         rows[~seen] = len(known)  # the unseen client's row
+        return rows
+
+    def ranking(self, client_ids: Sequence[int], site_order: Sequence[int]) -> Ranking:
+        """:func:`two_level_ranking` over the model's client classes, a
+        row per entry of ``client_ids`` at its class."""
+        if not site_order:
+            raise ConfigurationError("empty announcement order")
+        _, site_index, ranked, classes, memo = self._compile()
         return two_level_ranking(
-            arrays, [site_index[site] for site in site_order],
-            self.site_level_mode is SiteLevelMode.RTT_HEURISTIC, rows, memo,
+            ranked, [site_index[site] for site in site_order],
+            self.site_level_mode is SiteLevelMode.RTT_HEURISTIC,
+            classes[self.client_rows(client_ids)], memo,
         )
 
 

@@ -9,8 +9,9 @@ compiles, so served and predicted answers are one computation over the
 same bytes — equal by construction — and both hand them to the one
 columnar :class:`~repro.core.prediction.PredictionBatch`, which owns the
 reason taxonomy and the conversion back to exact Python ints and floats.
-The engine ranks one row per class of clients with equal codes, and
-its tournament and answer memos drop the least recently used entry.
+The engine ranks one row per class of clients with equal codes
+(:func:`~repro.core.twolevel.client_classes`), and its tournament and
+answer memos drop the least recently used entry.
 
 A mapped client's served row depends only on (site index, client
 position) — its RTT is a cell of the snapshot's matrix — so the engine
@@ -26,7 +27,7 @@ import numpy as np
 
 from repro.core.config import AnycastConfig
 from repro.core.prediction import PredictionBatch
-from repro.core.twolevel import two_level_ranking
+from repro.core.twolevel import client_classes, two_level_ranking
 from repro.serve.snapshot import Snapshot, SnapshotError
 from repro.util.errors import ConfigurationError
 
@@ -56,17 +57,7 @@ class LookupEngine:
         #: the quarantined answer.  Batches fill the cells they encode.
         self._rows = [[None] * len(self._client_ids) for _ in range(len(self._site_ids) + 1)]
         self._answers: Dict[Tuple[int, ...], Tuple[array, array]] = {}
-        # Clients with the same winner codes (and, under the RTT heuristic,
-        # RTTs) share every tournament: the kernel ranks one row a class.
-        arrays, n = snapshot.arrays, len(self._client_ids)
-        key = [arrays["prov_w"].reshape(n, -1), arrays["site_w"].reshape(n, -1)]
-        if self._rtt_heuristic:
-            key.append(arrays["rtt"].T.copy().view(np.int8))
-        key = np.hstack(key)
-        _, first, self._classes = np.unique(  # rows as bytes: a 1-D sort
-            key.view(np.dtype((np.void, key.shape[1]))).ravel(), return_index=True, return_inverse=True)
-        self._ranked = {**arrays, "prov_w": arrays["prov_w"][first],
-                        "site_w": arrays["site_w"][first], "rtt": arrays["rtt"][:, first]}
+        self._ranked, self._classes = client_classes(snapshot.arrays, self._rtt_heuristic)
         #: :func:`two_level_ranking`'s tournaments over the class rows.
         self._tournaments: dict = {}
 

@@ -15,6 +15,7 @@ result is the one the enumeration loop gives.  Other instances run that
 loop, a chunk of subsets per ``batch_cost`` call.
 """
 
+import functools
 import itertools
 import math
 from typing import Iterable, List, Optional, Tuple
@@ -28,8 +29,9 @@ from repro.util.errors import ConfigurationError
 #: call (bounds the mask matrix; the kernel bounds its own transients).
 _CHUNK = 8192
 #: Most facilities scored by one subset-sum table: its ``2**17``
-#: float64 entries are 1 MB, its int32 twin and the int32 enumeration
-#: key half that each.
+#: float64 entries are 1 MB, its boolean twin an eighth of that, the
+#: int32 enumeration key half (the keys of every ``n`` up to here,
+#: cached, 1 MB together).
 _TRANSFORM_FACILITIES = 17
 #: Table scores within ``_RESCORE_TOLERANCE * scale`` of the minimum
 #: are scored again by ``batch_cost``.  Both add the same float terms
@@ -90,13 +92,15 @@ def solve_exhaustive(
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _enumeration_key(n: int) -> np.ndarray:
     """``key[mask]`` over all ``2**n`` bitmasks, ascending in
     enumeration order: size, then ``itertools.combinations`` order,
     which is *descending* bit-reversed mask (the lower the first index
     where two same-size subsets differ, the earlier the one holding it,
     and bit reversal makes that index the highest bit).  The size is
-    ``key >> n``; int32 holds the key up to ``n = 26``."""
+    ``key >> n``; int32 holds the key up to ``n = 26``.  Built once per
+    ``n`` and read-only."""
     size = np.zeros(1 << n, dtype=np.int32)
     reverse = np.zeros(1 << n, dtype=np.int32)
     for bit in range(n):
@@ -107,6 +111,7 @@ def _enumeration_key(n: int) -> np.ndarray:
     size <<= n
     size += (1 << n) - 1
     size -= reverse
+    size.flags.writeable = False
     return size
 
 

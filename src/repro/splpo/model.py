@@ -99,17 +99,7 @@ class SPLPOInstance:
         open_costs: Optional[Mapping[int, float]] = None,
         capacities: Optional[Mapping[int, float]] = None,
     ):
-        if len(set(facilities)) != len(facilities):
-            raise ConfigurationError("duplicate facilities")
-        self.facilities: Tuple[int, ...] = tuple(facilities)
-        self.open_costs: Dict[int, float] = dict(open_costs or {})
-        bad = sorted(f for f, cost in self.open_costs.items() if not math.isfinite(cost))
-        if bad:
-            raise ConfigurationError(f"non-finite open cost for facilities {bad}")
-        self.capacities: Optional[Dict[int, float]] = (
-            dict(capacities) if capacities is not None else None
-        )
-        self._index = {f: i for i, f in enumerate(self.facilities)}
+        self._set_facilities(facilities, open_costs, capacities)
         clients = tuple(clients)
         preferences = list(itertools.chain.from_iterable(c.preference for c in clients))
         self._fill(
@@ -132,9 +122,23 @@ class SPLPOInstance:
         ``columns`` (positions on ``facilities``, most preferred first)
         at the next ``lengths[c]`` ``costs``; ``loads`` defaults to
         ``weights``.  Raises the errors a :class:`Client` list would."""
-        instance = cls(facilities, (), open_costs, capacities)
+        instance = cls.__new__(cls)
+        instance._set_facilities(facilities, open_costs, capacities)
         instance._fill(ids, columns, costs, lengths, weights, weights if loads is None else loads)
         return instance
+
+    def _set_facilities(self, facilities, open_costs, capacities) -> None:
+        if len(set(facilities)) != len(facilities):
+            raise ConfigurationError("duplicate facilities")
+        self.facilities: Tuple[int, ...] = tuple(facilities)
+        self.open_costs: Dict[int, float] = dict(open_costs or {})
+        bad = sorted(f for f, cost in self.open_costs.items() if not math.isfinite(cost))
+        if bad:
+            raise ConfigurationError(f"non-finite open cost for facilities {bad}")
+        self.capacities: Optional[Dict[int, float]] = (
+            dict(capacities) if capacities is not None else None
+        )
+        self._index = {f: i for i, f in enumerate(self.facilities)}
 
     def _fill(self, ids, columns, costs, lengths, weights, loads, names=None) -> None:
         """The rank table from flat columns, with :class:`Client`'s
@@ -365,10 +369,10 @@ class SPLPOInstance:
         _superset_sums(table)
         costs = table[::-1]  # costs[S] = table[closed set full ^ S]
         if math.isinf(unserved_penalty):
-            unserved = np.zeros(1 << n, dtype=np.int32)
-            np.add.at(unserved, stranded, 1)
-            _superset_sums(unserved)
-            costs[unserved[::-1] > 0] = math.inf
+            unserved = np.zeros(1 << n, dtype=bool)
+            unserved[stranded] = True
+            _superset_sums(unserved)  # on booleans, an OR: some row stranded
+            costs[unserved[::-1]] = math.inf
         costs[0] = math.inf
         return costs, float(np.abs(mass).sum())
 
@@ -393,13 +397,24 @@ class SPLPOInstance:
         """The kernel over clients merged by equal rank rows, in first
         appearance order; weighted costs add per rank in client order."""
         single = self._rank_tables(merged=False)
-        # A rank row as one opaque value: np.unique sorts bytes, not rows.
-        rows = self.ranks.view(np.dtype((np.void, self.ranks.itemsize * self.ranks.shape[1])))
-        _, first, group_of = np.unique(rows.reshape(-1), return_index=True, return_inverse=True)
+        n_f = len(self.facilities)
+        if n_f < 16:
+            # A rank row, digits 0..n_f, as one base-16 int64.
+            rows = self.ranks @ np.int64(16) ** np.arange(n_f)
+        else:
+            # A rank row as one opaque value: np.unique sorts bytes, not rows.
+            rows = self.ranks.view(np.dtype((np.void, self.ranks.itemsize * n_f))).reshape(-1)
+        _, first, group_of = np.unique(rows, return_index=True, return_inverse=True)
         by_appearance = np.argsort(first)
         group_of = np.argsort(by_appearance)[group_of.reshape(-1)]
-        merged_costs = np.zeros((len(first), single.cost_by_rank.shape[1]), dtype=np.float64)
-        np.add.at(merged_costs, group_of, single.cost_by_rank)
+        # One bin per (group, rank) cell, filled in client order: each
+        # bin adds the terms np.add.at would, in the order it would.
+        # (Without clients bincount counts in int64, hence the cast.)
+        slots = single.cost_by_rank.shape[1]
+        merged_costs = np.bincount(
+            (group_of[:, None] * slots + np.arange(slots)).ravel(),
+            single.cost_by_rank.ravel(), minlength=len(first) * slots,
+        ).astype(np.float64, copy=False).reshape(len(first), slots)
         merged_weights = np.bincount(group_of, self.weights, minlength=len(first))
         return _RankTables(self.ranks[first[by_appearance]], merged_costs, merged_weights)
 
@@ -481,7 +496,22 @@ class _RankTables:
 def _superset_sums(table: np.ndarray) -> None:
     """In place, over a ``2**n`` array indexed by bitmask: ``table[T]``
     becomes the sum of ``table[A]`` over every ``A ⊆ T`` (the zeta
-    transform, one pass of ``2**(n-1)`` additions per bit)."""
-    for bit in range(table.size.bit_length() - 1):
+    transform, one pass of ``2**(n-1)`` additions per bit; on booleans,
+    ORs).
+
+    A pass adds the cells of pairs ``2**bit`` apart, in runs of
+    ``2**bit``, and numpy streams short strided runs several times
+    slower than long ones.  So the low half of the bits runs on a
+    transposed copy, indexed ``[low bits, high bits]``, where bit ``b``'s
+    runs are ``2**(b + n - low)`` long.  Every cell still adds the same
+    terms in ascending bit order, so the sums are bit-identical."""
+    n = table.size.bit_length() - 1
+    low = n // 2
+    columns = table.reshape(-1, 1 << low).T.copy()  # [low bits, high bits]
+    for bit in range(low):
+        pairs = columns.reshape(-1, 2, columns.shape[1] << bit)
+        pairs[:, 1] += pairs[:, 0]
+    table.reshape(-1, 1 << low)[...] = columns.T
+    for bit in range(low, n):
         pairs = table.reshape(-1, 2, 1 << bit)
         pairs[:, 1] += pairs[:, 0]

@@ -26,7 +26,7 @@ from repro.topology.geo import (
 )
 from repro.topology.intradomain import PopNetwork
 from repro.util.errors import ReproError, TopologyError
-from repro.util.rng import derive_rng, stable_hash
+from repro.util.rng import derive_rng, hash_prefix, stable_hash
 
 #: Well-known tier-1 backbones; the first six are the paper's transit
 #: providers (Table 1), in paper order.
@@ -463,6 +463,7 @@ def _assign_costs_and_flags(graph: ASGraph, params: TopologyParams, seed, rng_fl
     # costs everywhere, so equally-good routes reach the arrival-order
     # tie-break; other ASes break such ties deterministically here.
     rng_igp = derive_rng(seed, "igp-costs")
+    igp = hash_prefix(seed, "igp")
     for asn in graph.asns():
         tie_prone = rng_igp.random() < params.igp_tie_fraction
         for neighbor in graph.neighbors(asn):
@@ -470,7 +471,7 @@ def _assign_costs_and_flags(graph: ASGraph, params: TopologyParams, seed, rng_fl
             if tie_prone:
                 link.igp_cost[asn] = 0
             else:
-                link.igp_cost[asn] = 1 + stable_hash(seed, "igp", asn, neighbor) % 1_000_000
+                link.igp_cost[asn] = 1 + stable_hash(asn, neighbor, prefix=igp) % 1_000_000
 
     rng_arrival = derive_rng(seed, "arrival-order")
     for asn in graph.asns():

@@ -77,8 +77,8 @@ class TopologyTables:
             graph changes.
         transit_columns, stub_columns, terminals, target_rows: memos
             of ``Internet``'s columns and of the data plane (terminals
-            per ``(AS, entry PoP, site_pops)``, stub rows per target
-            list probed), kept here for the same reason.
+            per ``(AS, site_pops)``, then per entry PoP; stub rows per
+            target list probed), kept here for the same reason.
         revision: the graph mutation counter the tables were built
             from; a mismatch means the tables are stale.
     """
@@ -96,7 +96,7 @@ class TopologyTables:
     hops: Dict[Tuple[int, Optional[int], int], tuple] = field(default_factory=dict)
     transit_columns: Optional[tuple] = None
     stub_columns: Optional[tuple] = None
-    terminals: Dict[tuple, tuple] = field(default_factory=dict)
+    terminals: Dict[tuple, dict] = field(default_factory=dict)
     target_rows: Dict[tuple, tuple] = field(default_factory=dict)
     revision: int = 0
 

@@ -1233,8 +1233,9 @@ class TestMemosLiveOnTheTables:
             link.rtt_ms *= 1.5
         graph.invalidate_tables()
         # Poison the stale tables: any read of them shows in the answers.
-        for key in old.terminals:
-            old.terminals[key] = old.terminals[key]._replace(site_id=-7, add_ms=1e6)
+        for by_entry in old.terminals.values():
+            for entry, terminal in by_entry.items():
+                by_entry[entry] = terminal._replace(site_id=-7, add_ms=1e6)
         for key, hop in old.hops.items():
             old.hops[key] = hop._replace(link_ms=1e6)
         old.transit_columns.link_ms[:] = old.stub_columns.link_ms[:] = 1e6
@@ -1323,8 +1324,10 @@ class TestMemosLiveOnTheTables:
                     if converged.next_hops(asn) == (origin, [origin]):
                         site_pops = converged.states[asn].adj_rib_in[origin].site_pops
                         combinations.add((asn, entry, site_pops))
-            sizes.append(len(tables.terminals))
-            assert set(tables.terminals) == combinations
+            memo = {(asn, entry, site_pops)
+                    for (asn, site_pops), by_entry in tables.terminals.items() for entry in by_entry}
+            sizes.append(len(memo))
+            assert memo == combinations
         assert sizes[0] == sizes[1] < 150
 
 

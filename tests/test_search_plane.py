@@ -34,7 +34,12 @@ from repro.core.optimizer import (
     build_splpo_instance,
     choose_announcement_order,
 )
-from repro.core.twolevel import FlatPreferenceModel, SiteLevelMode, TwoLevelModel
+from repro.core.twolevel import (
+    FlatPreferenceModel,
+    SiteLevelMode,
+    TwoLevelModel,
+    two_level_ranking,
+)
 from repro.measurement.rtt import RttMatrix
 from repro.serve import compile_snapshot
 from repro.splpo import (
@@ -45,9 +50,10 @@ from repro.splpo import (
     solve_greedy,
     solve_local_search,
 )
+from repro.splpo import model as splpo_model
 from repro.topology import TestbedParams, TopologyParams, build_paper_testbed
 from repro.util.errors import ConfigurationError, ReproError
-from tests import reference_order
+from tests import reference_order, reference_transforms
 from tests.reference_order import build_total_order
 
 SETTINGS = dict(max_examples=60, deadline=None)
@@ -580,6 +586,83 @@ class TestSolversOnTheKernel:
         assert (result.open_facilities, result.cost, result.evaluations) == expected
 
 
+# -- SPLPO: the subset-table passes ---------------------------------------------
+
+
+@st.composite
+def zeta_tables(draw, dtype):
+    """A ``2**n`` table, ``n`` in 0..17: floats of mixed magnitude (so
+    the order of additions shows in the rounding) with some ``±inf``
+    cells, or booleans."""
+    n = draw(st.integers(0, 17))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if dtype is bool:
+        return rng.random(1 << n) < draw(st.sampled_from([0.0, 0.001, 0.05, 0.5]))
+    table = rng.standard_normal(1 << n) * 10.0 ** rng.integers(-8, 9, 1 << n)
+    infinite = rng.random(1 << n) < draw(st.sampled_from([0.0, 0.0005, 0.01]))
+    table[infinite] = np.where(rng.random(np.count_nonzero(infinite)) < 0.5, math.inf, -math.inf)
+    return table
+
+
+@st.composite
+def merged_clients(draw):
+    """Up to 200 clients over a few preference tuples of up to 18
+    facilities (rank rows merged as packed integers below 16, as bytes
+    from 16 on), costs of mixed magnitude and weights that round, so
+    each merged sum depends on its order of addition."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n_fac = draw(st.integers(1, 18))
+    facilities = rng.sample(range(40), n_fac)
+    tuples = [tuple(rng.sample(facilities, rng.randint(1, n_fac)))
+              for _ in range(draw(st.integers(1, 6)))]
+    clients = []
+    for cid in range(draw(st.integers(0, 200))):
+        prefs = rng.choice(tuples)
+        costs = {f: rng.uniform(0.1, 100.0) * 10.0 ** rng.randint(-6, 6) for f in prefs}
+        clients.append(Client(cid, prefs, costs, weight=rng.choice([0.0, 0.1, 1.0, 3.3])))
+    return SPLPOInstance(facilities, clients)
+
+
+class TestSubsetTransforms:
+    """The subset table's passes give the bits the plain passes of
+    ``tests/reference_transforms.py`` give."""
+
+    @given(zeta_tables(float))
+    @settings(**SETTINGS)
+    def test_float_superset_sums_are_the_plain_loop(self, table):
+        expected = table.copy()
+        with np.errstate(invalid="ignore"):  # inf + -inf is NaN on both sides
+            reference_transforms.superset_sums(expected)
+            splpo_model._superset_sums(table)
+        assert table.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+
+    @given(zeta_tables(bool))
+    @settings(**SETTINGS)
+    def test_boolean_superset_sums_are_the_count_pass(self, table):
+        n = table.size.bit_length() - 1
+        expected = reference_transforms.stranded_subsets(np.flatnonzero(table), n)
+        splpo_model._superset_sums(table)
+        assert table.tobytes() == expected.tobytes()
+
+    @given(merged_clients())
+    @settings(**SETTINGS)
+    def test_merged_costs_are_the_add_at_sums(self, instance):
+        groups = {}
+        group_of = np.array([groups.setdefault(row.tobytes(), len(groups)) for row in instance.ranks],
+                            dtype=np.intp)
+        single = instance._rank_tables(merged=False).cost_by_rank
+        merged = instance._rank_tables(merged=True).cost_by_rank
+        assert merged.dtype == np.float64
+        expected = reference_transforms.merged_costs(group_of, single, len(groups))
+        assert merged.tobytes() == expected.tobytes()
+
+    def test_enumeration_key_is_built_once_and_read_only(self):
+        key = exhaustive._enumeration_key(9)
+        assert exhaustive._enumeration_key(9) is key
+        with pytest.raises(ValueError):
+            key[0] = 1
+
+
 # -- total orders --------------------------------------------------------------
 
 
@@ -792,6 +875,65 @@ class TestTotalOrderView:
                 assert result.order == expected.order, (client, order)
                 voided += not result.has_total_order
         assert 0 < voided < len(clients) * len(orders)
+
+
+class TestClassesRankLikeClients:
+    """``TwoLevelModel.ranking`` ranks one row per client class and
+    reads each client at its class; over the paper world it answers
+    what :func:`two_level_ranking` answers over every compiled client
+    row, in both site-level modes."""
+
+    @pytest.mark.parametrize("mode", list(SiteLevelMode))
+    def test_paper_world_both_site_level_modes(self, paper_model, mode):
+        anyopt_model, clients = paper_model
+        testbed, rtt_matrix = anyopt_model.testbed, anyopt_model.rtt_matrix
+        model = anyopt_model.twolevel if mode is SiteLevelMode.PAIRWISE else TwoLevelModel(
+            testbed, anyopt_model.twolevel.provider_matrix, {}, rtt_matrix, mode,
+        )
+        asked = clients + [max(clients) + 1]  # and an unseen client
+        arrays, site_index = model._compile()[:2]
+        rows = model.client_rows(asked)
+        assert rows[-1] == len(clients) and (rows[:-1] < len(clients)).all()
+        rng = random.Random(13)
+        sites = testbed.site_ids()
+        orders = [tuple(sites), tuple(reversed(sites))]
+        for number in range(11):
+            if number % 4 == 1:
+                chosen = list(testbed.sites_of_provider(rng.choice(testbed.provider_asns())))
+            elif number % 4 == 3:
+                chosen = [rng.choice(sites)]
+            else:
+                chosen = rng.sample(sites, rng.randint(2, len(sites) - 1))
+            rng.shuffle(chosen)
+            orders.append(tuple(chosen))
+        for order in orders:
+            got = model.ranking(asked, order)
+            if mode is SiteLevelMode.PAIRWISE:  # measured RTTs set each client apart
+                assert len(np.unique(got.rows)) < len(asked) // 2
+            expected = two_level_ranking(
+                arrays, [site_index[s] for s in order], mode is SiteLevelMode.RTT_HEURISTIC, rows,
+            )
+            valid = expected.valid
+            assert got.valid.tolist() == valid.tolist()
+            assert got.orders()[valid].tolist() == expected.orders()[valid].tolist()
+            rtt = rtt_matrix.array(got.sites.tolist(), asked)
+            for column, want in zip(got.answers(rtt), expected.answers(rtt)):
+                assert column.tobytes() == want.tobytes()
+            masks = [(got.provider_usable, expected.provider_usable)] + [
+                (mine[3], theirs[3]) for mine, theirs in zip(got.groups, expected.groups)
+            ]
+            for mine, theirs in masks:
+                assert (mine is None) == (theirs is None)
+                if mine is not None:
+                    assert mine[got.rows].tolist() == theirs[expected.rows].tolist()
+            for row in range(0, len(asked), 37):
+                result = model.total_order(asked[row], order)
+                assert result.has_total_order == valid[row]
+                if valid[row]:
+                    assert result.order == tuple(expected.sites[expected.orders()[row]].tolist())
+            assert model.total_order(asked[-1], order).order == (
+                order if len(order) == 1 else None
+            )
 
 
 class TestWinnerCodes:
