@@ -14,12 +14,17 @@ on the paper world).  For the paper world it first writes the
 ``choose_announcement_order`` result and, for the default (pairwise)
 and RTT-heuristic models, the sha256 of ``ranking().valid`` and
 ``ranking().orders()`` under 13 seeded announcement orders, over every
-target plus two unseen clients.  Costs print as ``float.hex``.
+target plus two unseen clients.  Last come three ``search_configurations``
+reports on the pairwise model, each with the sha256 of its instance
+(ranks, costs, weights, loads, ids): a :class:`FlatPreferenceModel`
+over a pairwise sweep of 7 sites, seeded target weights, and 200
+seeded ``exclude_clients``.  Costs print as ``float.hex``.
 Two source trees search identically exactly when their outputs ``cmp``
 equal.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import math
 import random
@@ -27,14 +32,20 @@ import random
 import numpy as np
 
 import repro
-from repro.core.optimizer import build_splpo_instance, choose_announcement_order
-from repro.core.twolevel import SiteLevelMode
+from repro.core.optimizer import (
+    build_splpo_instance,
+    choose_announcement_order,
+    search_configurations,
+)
+from repro.core.twolevel import FlatPreferenceModel, SiteLevelMode
 from repro.splpo import SPLPOInstance, get_solver
 from repro.splpo.model import Client
 
 SEED = 7
 INSTANCES = 24
 ORDERS = 12
+#: Sites the flat model's pairwise sweep covers.
+FLAT_SITES = 7
 #: Subsets a capacitated search scores (``SPLPOInstance.cost`` each).
 CAPACITATED = 2000
 
@@ -95,6 +106,18 @@ def capacitated(instance: SPLPOInstance, max_evaluations=None) -> str:
     return "capacitated " + _result(result)
 
 
+def searched(model, rtt_matrix, targets, sites, **kwargs) -> str:
+    """One exhaustive ``search_configurations`` report and the sha256
+    of the instance it searched."""
+    report = search_configurations(model, rtt_matrix, targets, sites=sites, seed=SEED, **kwargs)
+    kept = [t for t in targets if t.target_id not in set(kwargs.get("exclude_clients", ()))]
+    instance = build_splpo_instance(model, rtt_matrix, kept, sites, report.announce_order)
+    return (f"{list(report.best_config.site_order)} {report.predicted_mean_rtt.hex()} "
+            f"{list(report.announce_order)} {report.consistent_clients} {report.total_clients} "
+            f"{report.evaluations} " + _sha(instance.ranks, instance.rank_costs, instance.weights,
+                                            instance.loads, instance.ids))
+
+
 def orders(testbed, rng: random.Random):
     """The full order, then random subsets, one provider's sites and
     single sites, each shuffled."""
@@ -130,7 +153,8 @@ def main() -> None:
         asked = [t.target_id for t in targets]
         asked += [max(asked) + 1, max(asked) + 2]  # unseen clients
         for mode in (SiteLevelMode.PAIRWISE, SiteLevelMode.RTT_HEURISTIC):
-            model = repro.AnyOpt(testbed, targets=targets, seed=SEED, site_level_mode=mode).discover()
+            anyopt = repro.AnyOpt(testbed, targets=targets, seed=SEED, site_level_mode=mode)
+            model = anyopt.discover()
             for order in orders(testbed, random.Random(SEED)):
                 ranking = model.ranking(asked, order)
                 out.write(f"# ranking {mode.value} {order} "
@@ -144,6 +168,17 @@ def main() -> None:
             for line in searches(instance, random.Random(SEED)):
                 out.write(line + "\n")
             out.write(capacitated(instance, max_evaluations=40) + "\n")
+            rng = random.Random(SEED)
+            flat_sites = sites[:FLAT_SITES]
+            flat = FlatPreferenceModel(anyopt.runner.pairwise_sweep(flat_sites))
+            out.write("# flat " + searched(flat, model.rtt_matrix, targets, flat_sites) + "\n")
+            weighted = [dataclasses.replace(t, weight=rng.choice([0.5, 1.0, 3.25, 7.0]))
+                        for t in targets]
+            out.write("# weighted " + searched(
+                model.twolevel, model.rtt_matrix, weighted, sites) + "\n")
+            excluded = rng.sample(asked[:-2], 200)
+            out.write("# excluded " + searched(
+                model.twolevel, model.rtt_matrix, targets, sites, exclude_clients=excluded) + "\n")
 
 
 if __name__ == "__main__":

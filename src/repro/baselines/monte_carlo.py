@@ -46,8 +46,9 @@ def monte_carlo_search(
         raise ConfigurationError("need at least one sample")
     targets = list(targets)
     sites = list(model.testbed.site_ids())
-    announce_order, _ = choose_announcement_order(model, sites, targets, seed=seed)
-    instance = build_splpo_instance(model, rtt_matrix, targets, sites, announce_order)
+    choice = choose_announcement_order(model, sites, targets, seed=seed)
+    announce_order = choice.order
+    instance = build_splpo_instance(model, rtt_matrix, targets, sites, choice)
 
     rng = derive_rng(seed, "monte-carlo")
     size_pool: Tuple[int, ...] = (

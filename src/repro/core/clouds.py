@@ -143,10 +143,9 @@ def plan_clouds(
         raise ConfigurationError(
             f"sites_per_cloud must be in [1, {len(sites)}]"
         )
-    announce_order, _ = choose_announcement_order(model, sites, targets, seed=seed)
-    base_instance = build_splpo_instance(
-        model, rtt_matrix, targets, sites, announce_order
-    )
+    choice = choose_announcement_order(model, sites, targets, seed=seed)
+    announce_order = choice.order
+    base_instance = build_splpo_instance(model, rtt_matrix, targets, sites, choice)
 
     clouds: List[AnycastCloud] = []
     predicted: Dict[int, Dict[int, Optional[float]]] = {

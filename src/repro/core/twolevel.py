@@ -105,20 +105,20 @@ _MEMO_CAP = 64
 
 def client_classes(arrays, rtt_heuristic: bool) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
     """``arrays`` with one client row per class of equal rows, and each
-    row's class.  Rows with equal winner codes (and, with
-    ``rtt_heuristic``, equal RTT bytes) share every tournament, so
-    :func:`two_level_ranking` over the class rows, at each row's class,
-    answers what it answers over every row."""
+    row's class.  Rows with equal winner codes share every tournament,
+    so :func:`two_level_ranking` over the class rows, at each row's
+    class, answers what it answers over every row.  Under
+    ``rtt_heuristic`` measured RTTs set (nearly) every client apart, so
+    each row is its own class: ``arrays`` itself, uncopied."""
     n = len(arrays["prov_w"])
-    key = [arrays["prov_w"].reshape(n, -1), arrays["site_w"].reshape(n, -1)]
     if rtt_heuristic:
-        key.append(arrays["rtt"].T.copy().view(np.int8))
-    key = np.hstack(key)
+        return arrays, np.arange(n)
+    key = np.hstack([arrays["prov_w"].reshape(n, -1), arrays["site_w"].reshape(n, -1)])
     _, first, classes = np.unique(  # rows as bytes: a 1-D sort
         key.view(np.dtype((np.void, key.shape[1]))).ravel(), return_index=True, return_inverse=True)
     ranked = {**arrays, "prov_w": arrays["prov_w"][first],
               "site_w": arrays["site_w"][first], "rtt": arrays["rtt"][:, first]}
-    return ranked, classes
+    return ranked, classes.reshape(-1)
 
 
 def two_level_ranking(arrays, site_order: Sequence[int], rtt_heuristic: bool,
@@ -302,16 +302,22 @@ class TwoLevelModel(_RankedModel):
         rows[~seen] = len(known)  # the unseen client's row
         return rows
 
+    def class_rows(self, client_ids: Sequence[int]) -> np.ndarray:
+        """Each client's class: the row :meth:`ranking` reads it at.
+        Clients of one class have equal orders under every announcement
+        order."""
+        return self._compile()[3][self.client_rows(client_ids)]
+
     def ranking(self, client_ids: Sequence[int], site_order: Sequence[int]) -> Ranking:
         """:func:`two_level_ranking` over the model's client classes, a
         row per entry of ``client_ids`` at its class."""
         if not site_order:
             raise ConfigurationError("empty announcement order")
-        _, site_index, ranked, classes, memo = self._compile()
+        _, site_index, ranked, _, memo = self._compile()
         return two_level_ranking(
             ranked, [site_index[site] for site in site_order],
             self.site_level_mode is SiteLevelMode.RTT_HEURISTIC,
-            classes[self.client_rows(client_ids)], memo,
+            self.class_rows(client_ids), memo,
         )
 
 

@@ -25,47 +25,47 @@ service instead of a one-shot CLI invocation:
   then asserts the serving invariants.
 """
 
-from repro.serve.snapshot import (
-    SNAPSHOT_FORMAT,
-    SNAPSHOT_VERSION,
-    Snapshot,
-    SnapshotError,
-    compile_snapshot,
-    load_snapshot,
-    read_header,
-    write_snapshot,
-)
-from repro.serve.lookup import LookupEngine
-from repro.serve.guard import GuardConfig, GuardTimeout, ServeGuard
-from repro.serve.watch import SnapshotWatcher, WatchConfig
-from repro.serve.http import ModelServer, RequestError, run_server
-from repro.serve.chaos import (
-    ChaosConfig,
-    ChaosReport,
-    run_chaos,
-    run_chaos_async,
-)
+import importlib
 
-__all__ = [
-    "SNAPSHOT_FORMAT",
-    "SNAPSHOT_VERSION",
-    "ChaosConfig",
-    "ChaosReport",
-    "GuardConfig",
-    "GuardTimeout",
-    "LookupEngine",
-    "ModelServer",
-    "RequestError",
-    "ServeGuard",
-    "SnapshotWatcher",
-    "WatchConfig",
-    "run_chaos",
-    "run_chaos_async",
-    "run_server",
-    "Snapshot",
-    "SnapshotError",
-    "compile_snapshot",
-    "load_snapshot",
-    "read_header",
-    "write_snapshot",
-]
+#: Each export's submodule.  The package imports none of them up front:
+#: a name is resolved on first access (PEP 562), so a caller that never
+#: serves never imports the server, the chaos harness or asyncio.
+_EXPORTS = {
+    "SNAPSHOT_FORMAT": "snapshot",
+    "SNAPSHOT_VERSION": "snapshot",
+    "ChaosConfig": "chaos",
+    "ChaosReport": "chaos",
+    "GuardConfig": "guard",
+    "GuardTimeout": "guard",
+    "LookupEngine": "lookup",
+    "ModelServer": "http",
+    "RequestError": "http",
+    "ServeGuard": "guard",
+    "SnapshotWatcher": "watch",
+    "WatchConfig": "watch",
+    "run_chaos": "chaos",
+    "run_chaos_async": "chaos",
+    "run_server": "http",
+    "Snapshot": "snapshot",
+    "SnapshotError": "snapshot",
+    "compile_snapshot": "snapshot",
+    "load_snapshot": "snapshot",
+    "read_header": "snapshot",
+    "write_snapshot": "snapshot",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

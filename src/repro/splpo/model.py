@@ -5,8 +5,9 @@ by its most-preferred open facility, regardless of cost.  The optimizer
 only controls *which* facilities open.
 
 An instance is one per-client rank table, built from :class:`Client`
-values or from flat columns; every evaluation reads that table, and
-``Client`` views of it are built only for the scalar ``cost``.
+values or from rows of preferences that classes of clients share; every
+evaluation reads that table, and ``Client`` views of it are built only
+for the scalar ``cost``.
 """
 
 import itertools
@@ -116,15 +117,58 @@ class SPLPOInstance:
         )
 
     @classmethod
-    def from_columns(cls, facilities, ids, columns, costs, lengths, weights, loads=None,
-                     open_costs=None, capacities=None) -> "SPLPOInstance":
-        """Client ``c`` (id ``ids[c]``) prefers the next ``lengths[c]``
-        ``columns`` (positions on ``facilities``, most preferred first)
-        at the next ``lengths[c]`` ``costs``; ``loads`` defaults to
-        ``weights``.  Raises the errors a :class:`Client` list would."""
+    def from_rank_table(cls, facilities, ids, preferences, rows, costs, weights, loads=None,
+                        open_costs=None, capacities=None) -> "SPLPOInstance":
+        """Client ``c`` (id ``ids[c]``) prefers row ``rows[c]`` of
+        ``preferences`` (positions on ``facilities``, most preferred
+        first; every row equally long) at ``costs[c]``, one per rank;
+        ``loads`` defaults to ``weights``.  Each row is scattered into
+        the rank table once, whatever number of clients share it, and
+        the rows group the clients for :meth:`_merge`.  Raises the
+        errors a :class:`Client` list would, naming unknown facilities
+        by position."""
         instance = cls.__new__(cls)
         instance._set_facilities(facilities, open_costs, capacities)
-        instance._fill(ids, columns, costs, lengths, weights, weights if loads is None else loads)
+        n_f = len(instance.facilities)
+        instance.ids, rows = np.asarray(ids), np.asarray(rows, dtype=np.intp)
+        instance.weights = np.asarray(weights, dtype=np.float64)
+        instance.loads = instance.weights if loads is None else np.asarray(loads, dtype=np.float64)
+        preferences = np.asarray(preferences, dtype=np.intp)
+        costs = np.asarray(costs, dtype=np.float64)
+        width = preferences.shape[1]
+        if {len(instance.ids), len(instance.weights), len(instance.loads), len(costs)} != {
+                len(rows)} or costs.shape[1:] != (width,):
+            raise ConfigurationError("client columns differ in length")
+        reject = instance._reject
+        if width == 0:
+            reject(np.arange(len(rows)), lambda c: ": empty preference")
+        unknown = (preferences < 0) | (preferences >= n_f)
+        if unknown.any():
+            reject(np.flatnonzero(unknown.any(axis=1)[rows]), lambda c: (
+                f" prefers unknown facilities {preferences[rows[c]][unknown[rows[c]]].tolist()}"
+            ))
+            # Rows no client reads are not checked, only kept out of the table.
+            preferences = np.where(unknown, n_f, preferences)
+        # Row k's rank-r facility f is cell (k, f) of a [rows, n_f + 1]
+        # table whose last column takes what is kept out.
+        table = np.full((len(preferences), n_f + 1), n_f, dtype=np.int32)
+        table.reshape(-1)[(np.arange(len(preferences)) * (n_f + 1))[:, None] + preferences] = (
+            np.arange(width))
+        table = table[:, :n_f]
+        duplicated = np.count_nonzero(table < n_f, axis=1) != width
+        if duplicated.any():
+            reject(np.flatnonzero(duplicated[rows]), lambda c: ": duplicate preferences")
+        finite = np.isfinite(costs)
+        if not finite.all():
+            reject(np.flatnonzero(~finite.all(axis=1)), lambda c: (
+                ": non-finite cost for facilities " + str(
+                    [instance.facilities[f] for f in preferences[rows[c]][~finite[c]].tolist()])
+            ))
+        instance._check_weights()
+        instance.ranks = table[rows]
+        instance.rank_costs = np.zeros((len(rows), n_f), dtype=np.float64)
+        instance.rank_costs[:, :width] = costs
+        instance._init_kernels(table, rows)
         return instance
 
     def _set_facilities(self, facilities, open_costs, capacities) -> None:
@@ -141,7 +185,9 @@ class SPLPOInstance:
         self._index = {f: i for i, f in enumerate(self.facilities)}
 
     def _fill(self, ids, columns, costs, lengths, weights, loads, names=None) -> None:
-        """The rank table from flat columns, with :class:`Client`'s
+        """The rank table from flat columns — client ``c`` prefers the
+        next ``lengths[c]`` ``columns`` (positions on ``facilities``) at
+        the next ``lengths[c]`` ``costs`` — with :class:`Client`'s
         checks (``names``: the facility ids ``columns`` stand for)."""
         n_f = len(self.facilities)
         self.ids, lengths = np.asarray(ids), np.asarray(lengths, dtype=np.intp)
@@ -152,12 +198,7 @@ class SPLPOInstance:
             raise ConfigurationError("client columns differ in length")
         row = np.repeat(np.arange(len(lengths)), lengths)
         rank = np.arange(len(columns)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-
-        def reject(clients, problem) -> None:
-            """Raise for the first of ``clients`` (ascending indices)."""
-            if len(clients):
-                raise ConfigurationError(f"client {self.ids[clients[0]]}{problem(clients[0])}")
-
+        reject = self._reject
         unknown = (columns < 0) | (columns >= n_f)
 
         def unknown_at(c) -> list:
@@ -174,11 +215,25 @@ class SPLPOInstance:
         reject(row[~finite], lambda c: ": non-finite cost for facilities " + str(
             [self.facilities[f] for f in columns[(row == c) & ~finite].tolist()]
         ))
-        reject(np.flatnonzero(~((self.weights >= 0.0) & (self.weights < math.inf))), lambda c: (
-            f": weight must be finite and non-negative, got {self.weights[c]}"
-        ))
+        self._check_weights()
         self.rank_costs = np.zeros((len(lengths), n_f), dtype=np.float64)
         self.rank_costs[row, rank] = costs
+        self._init_kernels(self.ranks, None)
+
+    def _reject(self, clients, problem) -> None:
+        """Raise for the first of ``clients`` (ascending indices)."""
+        if len(clients):
+            raise ConfigurationError(f"client {self.ids[clients[0]]}{problem(clients[0])}")
+
+    def _check_weights(self) -> None:
+        self._reject(np.flatnonzero(~((self.weights >= 0.0) & (self.weights < math.inf))), lambda c: (
+            f": weight must be finite and non-negative, got {self.weights[c]}"
+        ))
+
+    def _init_kernels(self, table: np.ndarray, rows: Optional[np.ndarray]) -> None:
+        #: The rank rows clients were built from and each client's row
+        #: (None: one row per client, ``ranks`` itself); see :meth:`_merge`.
+        self._rows = table, rows
         #: Lazily built :class:`_RankTables` over single clients and over
         #: clients merged by preference (``_score``'s ``merged`` flag),
         #: and the :class:`Client` views.
@@ -368,7 +423,9 @@ class SPLPOInstance:
         table = np.bincount(np.concatenate(at), weights=mass, minlength=1 << n)
         _superset_sums(table)
         costs = table[::-1]  # costs[S] = table[closed set full ^ S]
-        if math.isinf(unserved_penalty):
+        # When every row lists every facility only the empty subset,
+        # ``costs[0]``, strands a client.
+        if math.isinf(unserved_penalty) and not listed.all():
             unserved = np.zeros(1 << n, dtype=bool)
             unserved[stranded] = True
             _superset_sums(unserved)  # on booleans, an OR: some row stranded
@@ -379,10 +436,12 @@ class SPLPOInstance:
     def _rank_tables(self, merged: bool) -> "_RankTables":
         if self._kernels[merged] is None:
             # Single clients: weighted costs, then a zero unserved slot.
-            self._kernels[merged] = self._merge() if merged else _RankTables(
-                self.ranks, np.pad(self.weights[:, None] * self.rank_costs, ((0, 0), (0, 1))),
-                self.weights,
-            )
+            if merged:
+                self._kernels[merged] = self._merge()
+            else:
+                cost_by_rank = np.zeros((len(self.ranks), len(self.facilities) + 1))
+                np.multiply(self.weights[:, None], self.rank_costs, out=cost_by_rank[:, :-1])
+                self._kernels[merged] = _RankTables(self.ranks, cost_by_rank, self.weights)
         return self._kernels[merged]
 
     def _score(self, masks: np.ndarray, unserved_penalty: float, merged: bool) -> np.ndarray:
@@ -398,15 +457,25 @@ class SPLPOInstance:
         appearance order; weighted costs add per rank in client order."""
         single = self._rank_tables(merged=False)
         n_f = len(self.facilities)
+        table, rows = self._rows
         if n_f < 16:
             # A rank row, digits 0..n_f, as one base-16 int64.
-            rows = self.ranks @ np.int64(16) ** np.arange(n_f)
+            keys = table @ np.int64(16) ** np.arange(n_f)
         else:
             # A rank row as one opaque value: np.unique sorts bytes, not rows.
-            rows = self.ranks.view(np.dtype((np.void, self.ranks.itemsize * n_f))).reshape(-1)
-        _, first, group_of = np.unique(rows, return_index=True, return_inverse=True)
-        by_appearance = np.argsort(first)
-        group_of = np.argsort(by_appearance)[group_of.reshape(-1)]
+            keys = table.view(np.dtype((np.void, table.itemsize * n_f))).reshape(-1)
+        _, group_of = np.unique(keys, return_inverse=True)
+        group_of = group_of.reshape(-1) if rows is None else group_of.reshape(-1)[rows]
+        # Equal table rows hold equal client rank rows: these are the
+        # clients' groups.  Number them by first client; a group no
+        # client reads keeps the sentinel, sorts last and is dropped.
+        n = len(group_of)
+        first = np.full(len(keys), n)
+        np.minimum.at(first, group_of, np.arange(n))
+        by_appearance = np.argsort(first)[: np.count_nonzero(first < n)]
+        relabel = np.empty(len(keys), dtype=np.intp)
+        relabel[by_appearance] = np.arange(len(by_appearance))
+        group_of, first = relabel[group_of], first[by_appearance]
         # One bin per (group, rank) cell, filled in client order: each
         # bin adds the terms np.add.at would, in the order it would.
         # (Without clients bincount counts in int64, hence the cast.)
@@ -416,7 +485,7 @@ class SPLPOInstance:
             single.cost_by_rank.ravel(), minlength=len(first) * slots,
         ).astype(np.float64, copy=False).reshape(len(first), slots)
         merged_weights = np.bincount(group_of, self.weights, minlength=len(first))
-        return _RankTables(self.ranks[first[by_appearance]], merged_costs, merged_weights)
+        return _RankTables(self.ranks[first], merged_costs, merged_weights)
 
 
 class _RankTables:

@@ -33,6 +33,7 @@ from repro.core.optimizer import (
     OptimizationReport,
     build_splpo_instance,
     choose_announcement_order,
+    search_configurations,
 )
 from repro.core.twolevel import (
     FlatPreferenceModel,
@@ -46,6 +47,7 @@ from repro.splpo import (
     Client,
     SPLPOInstance,
     exhaustive,
+    get_solver,
     solve_exhaustive,
     solve_greedy,
     solve_local_search,
@@ -53,6 +55,7 @@ from repro.splpo import (
 from repro.splpo import model as splpo_model
 from repro.topology import TestbedParams, TopologyParams, build_paper_testbed
 from repro.util.errors import ConfigurationError, ReproError
+from repro.util.rng import derive_rng
 from tests import reference_order, reference_transforms
 from tests.reference_order import build_total_order
 
@@ -114,11 +117,24 @@ def client_lists(draw):
     return facilities, clients
 
 
+def from_columns(facilities, ids, columns, costs, lengths, weights, loads=None,
+                 open_costs=None, capacities=None):
+    """The instance over flat columns: client ``c`` (id ``ids[c]``)
+    prefers the next ``lengths[c]`` ``columns`` (positions on
+    ``facilities``) at the next ``lengths[c]`` ``costs``; ``loads``
+    defaults to ``weights``.  The per-client path the rank-table
+    constructor is checked against."""
+    instance = SPLPOInstance.__new__(SPLPOInstance)
+    instance._set_facilities(facilities, open_costs, capacities)
+    instance._fill(ids, columns, costs, lengths, weights, weights if loads is None else loads)
+    return instance
+
+
 def from_clients_as_columns(facilities, clients, **kwargs):
-    """``SPLPOInstance.from_columns`` over the same data as
+    """:func:`from_columns` over the same data as
     ``SPLPOInstance(facilities, clients)``."""
     position = {f: i for i, f in enumerate(facilities)}
-    return SPLPOInstance.from_columns(
+    return from_columns(
         facilities,
         [c.client_id for c in clients],
         [position[f] for c in clients for f in c.preference],
@@ -436,9 +452,9 @@ class TestColumnInstances:
     def test_column_checks_are_the_client_checks(self, change, message):
         columns = dict(ids=[1, 2], columns=[0, 1, 1], costs=[1.0, 2.0, 3.0],
                        lengths=[2, 1], weights=[1.0, 1.0])
-        SPLPOInstance.from_columns([5, 6], **columns)
+        from_columns([5, 6], **columns)
         with pytest.raises(ConfigurationError, match=message):
-            SPLPOInstance.from_columns([5, 6], **{**columns, **change})
+            from_columns([5, 6], **{**columns, **change})
 
     def test_build_instance_rejects_what_a_client_would(self, anyopt_model, targets):
         model, rtt = anyopt_model.twolevel, anyopt_model.rtt_matrix
@@ -457,6 +473,104 @@ class TestColumnInstances:
             ] + targets[at + 1:]
             with pytest.raises(ConfigurationError, match="weight"):
                 build_splpo_instance(model, rtt, weighted, sites, sites)
+
+
+@st.composite
+def rank_tables(draw):
+    """``(facilities, preferences, rows, costs, weights)``: a few
+    preference rows of one length (every facility in some draws, so
+    ``subset_costs`` skips its stranding pass), some equal to others
+    and some no client reads, and clients reading them in random order
+    at float costs, zero weights among the others."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n_fac = draw(st.integers(1, 11))
+    facilities = rng.sample(range(40), n_fac)
+    width = n_fac if rng.random() < 0.5 else rng.randint(1, n_fac)
+    preferences = [rng.sample(range(n_fac), width) for _ in range(rng.randint(1, 4))]
+    preferences += [rng.choice(preferences) for _ in range(rng.randint(0, 2))]
+    rows = [rng.randrange(len(preferences)) for _ in range(draw(st.integers(0, 14)))]
+    costs = np.array([rng.uniform(0.1, 100.0) for _ in range(width * len(rows))])
+    weights = [rng.choice([0.0, 0.5, 1.0, 3.25]) for _ in rows]
+    return (facilities, np.array(preferences), np.array(rows, dtype=np.intp),
+            costs.reshape(len(rows), width), weights)
+
+
+def rank_table_clients(facilities, preferences, rows, costs, weights):
+    """The :class:`Client` list a rank table stands for."""
+    clients = []
+    for c, (row, row_costs, weight) in enumerate(zip(rows.tolist(), costs.tolist(), weights)):
+        preference = tuple(facilities[f] for f in preferences[row].tolist())
+        clients.append(Client(10 * c + 3, preference, dict(zip(preference, row_costs)), weight, weight))
+    return clients
+
+
+def assert_same_instance(ours, theirs):
+    """The per-client arrays, dtypes included."""
+    for name in ("ranks", "rank_costs", "weights", "loads", "ids"):
+        mine, expected = getattr(ours, name), getattr(theirs, name)
+        assert mine.dtype == expected.dtype, name
+        assert mine.shape == expected.shape and mine.tobytes() == expected.tobytes(), name
+
+
+class TestRankTableInstances:
+    @given(rank_tables(), PENALTIES)
+    @settings(**SETTINGS)
+    def test_rank_table_builds_the_client_instance(self, table, penalty):
+        """Same arrays, and the class rows group clients as their rank
+        rows do: merged kernels, batch and subset costs to the bit."""
+        facilities, preferences, rows, costs, weights = table
+        ids = [10 * c + 3 for c in range(len(rows))]
+        ours = SPLPOInstance.from_rank_table(facilities, ids, preferences, rows, costs, weights)
+        theirs = SPLPOInstance(facilities, rank_table_clients(*table))
+        assert_same_instance(ours, theirs)
+        for merged in (False, True):
+            mine, expected = ours._rank_tables(merged), theirs._rank_tables(merged)
+            for name in ("ranks", "cost_by_rank", "weights"):
+                assert getattr(mine, name).dtype == getattr(expected, name).dtype
+                assert getattr(mine, name).tobytes() == getattr(expected, name).tobytes()
+        masks = every_mask(theirs)
+        assert ours.batch_cost(masks, penalty).tobytes() == theirs.batch_cost(masks, penalty).tobytes()
+        (costs, scale), expected = ours.subset_costs(penalty), theirs.subset_costs(penalty)
+        assert (costs.tobytes(), scale) == (expected[0].tobytes(), expected[1])
+
+    def test_every_row_listing_every_facility_strands_only_the_empty_set(self):
+        instance = SPLPOInstance.from_rank_table(
+            [5, 6, 7], [1, 2], [[2, 0, 1]], [0, 0], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [1.0, 1.0])
+        costs, _ = instance.subset_costs()
+        assert math.isinf(costs[0]) and np.isfinite(costs[1:]).all()
+        assert costs.tolist() == [instance.cost(s) for s in (
+            [f for bit, f in enumerate(instance.facilities) if mask >> bit & 1]
+            for mask in range(8))]
+
+    @pytest.mark.parametrize("defect, message", [
+        (dict(preferences=[[0, 1], [1, 3]]), r"client 11 prefers unknown facilities \[3\]"),
+        (dict(preferences=[[0, 1], [-1, 2]]), r"client 11 prefers unknown facilities \[-1\]"),
+        (dict(preferences=[[0, 0], [1, 2]]), "client 10: duplicate preferences"),
+        (dict(costs=[[1.0, 2.0], [3.0, 4.0], [5.0, math.inf]]),
+         r"client 12: non-finite cost for facilities \[6\]"),
+        (dict(costs=[[1.0, 2.0], [math.nan, 4.0], [5.0, 6.0]]),
+         r"client 11: non-finite cost for facilities \[6\]"),
+        (dict(weights=[1.0, -1.0, 1.0]), "client 11: weight must be finite and non-negative"),
+        (dict(weights=[1.0, 1.0, math.nan]), "client 12: weight must be finite and non-negative"),
+        (dict(preferences=[[], []], costs=[[], [], []]), "client 10: empty preference"),
+        (dict(rows=[0, 1]), "differ in length"),
+    ])
+    def test_each_check_raises_what_the_columns_raise(self, defect, message):
+        """Clients 10 and 12 read row 0, client 11 row 1 (positions on
+        facilities 5, 6, 7); a row no client reads goes unchecked."""
+        table = dict(preferences=[[0, 1], [1, 2], [9, 9]], rows=[0, 1, 0],
+                     costs=[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], weights=[1.0, 1.0, 1.0])
+        ids = [10, 11, 12]
+        SPLPOInstance.from_rank_table([5, 6, 7], ids, **table)
+        table.update(defect)
+        preferences = np.array(table["preferences"], dtype=np.intp).reshape(len(table["preferences"]), -1)
+        with pytest.raises(ConfigurationError, match=message) as by_table:
+            SPLPOInstance.from_rank_table([5, 6, 7], ids, **{**table, "preferences": preferences})
+        read = preferences[table["rows"]]
+        with pytest.raises(ConfigurationError) as by_columns:
+            from_columns([5, 6, 7], ids, read.ravel(), np.ravel(table["costs"]),
+                         [read.shape[1]] * len(read), table["weights"])
+        assert str(by_table.value) == str(by_columns.value)
 
 
 class TestSolversOnTheKernel:
@@ -1135,3 +1249,128 @@ def test_each_distinct_candidate_order_is_ranked_once(golden_world):
         counts = [model.twolevel.ranking([t.target_id for t in anyopt.targets], o).valid.sum()
                   for o in ranked]
         assert (order, count) == (ranked[counts.index(max(counts))], max(counts))
+
+
+def test_one_optimize_ranks_each_distinct_candidate_once(golden_world):
+    """No ranking for the chosen order beyond its candidate's: the
+    instance is built from the winning candidate's ranking."""
+    anyopt, model = golden_world
+    ranked = []
+    ranking = TwoLevelModel.ranking
+
+    def counted(self, client_ids, order):
+        ranked.append(tuple(order))
+        return ranking(self, client_ids, order)
+
+    with mock.patch.object(TwoLevelModel, "ranking", counted):
+        report = anyopt.optimize(model)
+    assert report == anyopt.optimize(model)
+    assert len(ranked) == len(set(ranked)) and 2 <= len(ranked) <= 6
+    assert report.announce_order in ranked
+
+
+def oracle_instance(model, rtt_matrix, targets, sites, order):
+    """The instance built one :class:`Client` at a time: each target's
+    order from :mod:`tests.reference_order`, restricted to ``sites``,
+    and its RTTs read from the matrix's dict."""
+    members = set(sites).intersection(order)
+    clients = []
+    for target in targets:
+        result = reference_order.total_order(model, target.target_id, order)
+        if not result.has_total_order:
+            continue
+        preference = tuple(site for site in result.order if site in members)
+        costs = {site: rtt_matrix.values.get((site, target.target_id)) for site in preference}
+        if preference and None not in costs.values():
+            clients.append(Client(target.target_id, preference, costs, target.weight, target.weight))
+    return SPLPOInstance(sites, clients)
+
+
+def oracle_search(model, rtt_matrix, targets, sites, seed):
+    """``search_configurations`` the plain way: every candidate order
+    counted client by client with the oracle, the first maximum's
+    ``Client``-built instance solved exhaustively."""
+    candidates = [tuple(sites), tuple(reversed(sites))]
+    rng = derive_rng(seed, "announce-order")
+    while len(candidates) < 6:
+        perm = list(sites)
+        rng.shuffle(perm)
+        candidates.append(tuple(perm))
+    counts = {
+        order: sum(reference_order.total_order(model, t.target_id, order).has_total_order
+                   for t in targets)
+        for order in dict.fromkeys(candidates)
+    }
+    order = max(counts, key=counts.get)
+    instance = oracle_instance(model, rtt_matrix, targets, sites, order)
+    result = get_solver("exhaustive")(instance, seed=seed)
+    return OptimizationReport(
+        AnycastConfig(site_order=tuple(s for s in order if s in result.open_facilities)),
+        instance.mean_cost(result.open_facilities), order, counts[order], len(targets),
+        result.evaluations, result.solver,
+    )
+
+
+def test_rank_table_instances_and_searches_match_the_client_oracle(golden_world):
+    """A seeded sweep over the pairwise and RTT-heuristic two-level
+    models and a flat model (slice rows): plain and weighted targets,
+    an ``exclude_clients`` subset, and announcement orders holding a
+    strict subset of the sites.  Every instance equals the
+    ``Client``-built one and every search reports what the oracle's
+    does."""
+    anyopt, discovered = golden_world
+    testbed, rtt = anyopt.testbed, discovered.rtt_matrix
+    sites = testbed.site_ids()
+    targets = list(anyopt.targets)
+    rng = random.Random(29)
+    weighted = [dataclasses.replace(t, weight=rng.choice([0.5, 1.0, 3.25, 7.0])) for t in targets]
+    flat_sites = rng.sample(sites, 6)
+    models = [
+        discovered.twolevel,
+        TwoLevelModel(testbed, discovered.twolevel.provider_matrix, {}, rtt,
+                      SiteLevelMode.RTT_HEURISTIC),
+        FlatPreferenceModel(random_matrix(rng, [t.target_id for t in targets], flat_sites)),
+    ]
+    for model in models:
+        searched = flat_sites if isinstance(model, FlatPreferenceModel) else sites
+        excluded = set(rng.sample([t.target_id for t in targets], len(targets) // 5))
+        kept = [t for t in targets if t.target_id not in excluded]
+        for clients, exclude in ((targets, None), (weighted, None), (targets, excluded)):
+            report = search_configurations(model, rtt, clients, sites=searched, seed=3,
+                                           exclude_clients=exclude)
+            remaining = clients if exclude is None else kept
+            assert report == oracle_search(model, rtt, remaining, searched, seed=3)
+            order = report.announce_order
+            strict = rng.sample(order, rng.randint(1, len(order) - 1))
+            for announced in (order, tuple(strict), tuple(rng.sample(order, len(order)))):
+                assert_same_instance(
+                    build_splpo_instance(model, rtt, remaining, searched, announced),
+                    oracle_instance(model, rtt, remaining, searched, announced))
+
+
+def test_rtt_heuristic_rows_are_their_own_classes(paper_model):
+    """Under the RTT heuristic the compile keeps the arrays uncopied,
+    one class per row, and ranks and answers as the oracle does."""
+    anyopt_model, clients = paper_model
+    model = TwoLevelModel(anyopt_model.testbed, anyopt_model.twolevel.provider_matrix, {},
+                          anyopt_model.rtt_matrix, SiteLevelMode.RTT_HEURISTIC)
+    arrays, _, ranked, classes, _ = model._compile()
+    assert ranked["prov_w"] is arrays["prov_w"] and ranked["site_w"] is arrays["site_w"]
+    assert classes.tolist() == list(range(len(clients) + 1))
+    asked = clients[::7] + [max(clients) + 1]
+    rng = random.Random(17)
+    sites = anyopt_model.testbed.site_ids()
+    for order in (tuple(sites), tuple(rng.sample(sites, 9)), tuple(rng.sample(sites, 4))):
+        ranking = model.ranking(asked, order)
+        rtt = anyopt_model.rtt_matrix.array(ranking.sites.tolist(), asked)
+        heads, head_rtts = ranking.answers(rtt)
+        orders = ranking.orders()
+        for row, client in enumerate(asked):
+            expected = reference_order.total_order(model, client, order)
+            assert ranking.valid[row] == expected.has_total_order
+            if expected.has_total_order:
+                assert tuple(ranking.sites[orders[row]].tolist()) == expected.order
+                assert ranking.sites[heads[row]] == expected.order[0]
+                assert head_rtts[row] == anyopt_model.rtt_matrix.values[(expected.order[0], client)]
+            else:
+                assert heads[row] == -1 and math.isnan(head_rtts[row])
